@@ -5,6 +5,11 @@
  *
  * Scenarios:
  *
+ *  - `setup_colocated128`: building the machine configs of a
+ *    128-machine colocated RMC2/WnD/NCF tier (16 with `--smoke`) — the
+ *    set-up layer. It runs first, so its first build is the process's
+ *    cold one (every model profile derived); the warm figure is the
+ *    best of 3 builds after it.
  *  - `fig11_single_machine`: one ServingSimulator run over a long
  *    production trace (the fig11 operating point) — the engine
  *    hot-path metric: simulated events/second on one thread.
@@ -45,6 +50,7 @@
 #include "obs/observer.hh"
 #include "cluster/cluster_qps_search.hh"
 #include "cluster/cluster_sim.hh"
+#include "cluster/model_mix.hh"
 #include "loadgen/query_stream.hh"
 #include "sim/qps_search.hh"
 
@@ -130,6 +136,33 @@ shardedCluster16()
     return cluster;
 }
 
+/** The machine configs of an @p n-machine colocated tier. */
+std::vector<SimConfig>
+colocatedTier(size_t n)
+{
+    std::vector<ModelMixEntry> mix;
+    for (auto [id, share] : {std::pair{ModelId::DlrmRmc2, 0.4},
+                             std::pair{ModelId::WideAndDeep, 0.4},
+                             std::pair{ModelId::Ncf, 0.2}}) {
+        ModelMixEntry entry = makeMixEntry(id, share);
+        entry.policy.perRequestBatch = 256;
+        mix.push_back(entry);
+    }
+    std::vector<SimConfig> machines;
+    for (size_t m = 0; m < n; m++)
+        machines.push_back(colocatedMachine(mix, CpuPlatform::skylake(),
+                                            1'500'000'000ULL));
+    return machines;
+}
+
+/** Wall times of building a colocated tier (see main). */
+struct SetupReport
+{
+    size_t machines = 0;
+    double coldWall = 0;   ///< first build in the process
+    double warmWall = 0;   ///< best of 3 later builds
+};
+
 /** The observability disabled-path overhead gate (see main). */
 struct ObsGate
 {
@@ -142,7 +175,8 @@ struct ObsGate
 void
 writeJson(const std::string& path,
           const std::vector<ScenarioReport>& reports, size_t threads,
-          double combined_speedup, const ObsGate& gate)
+          double combined_speedup, const SetupReport& setup,
+          const ObsGate& gate)
 {
     std::ofstream out(path);
     if (!out.good()) {
@@ -152,6 +186,10 @@ writeJson(const std::string& path,
     out.precision(6);
     out << "{\n  \"threads\": " << threads << ",\n"
         << "  \"combined_search_speedup\": " << combined_speedup
+        << ",\n  \"setup_colocated128\": {"
+        << "\"machines\": " << setup.machines << ", "
+        << "\"cold_s\": " << setup.coldWall << ", "
+        << "\"warm_best_s\": " << setup.warmWall << "}"
         << ",\n  \"obs_overhead_gate\": {"
         << "\"baseline_s\": " << gate.baselineWall << ", "
         << "\"obs_off_s\": " << gate.offWall << ", "
@@ -210,6 +248,21 @@ main(int argc, char** argv)
                     std::to_string(threads) + " threads" +
                     (smoke ? ", smoke" : "") + ")");
     std::vector<ScenarioReport> reports;
+
+    // ---- set-up: colocated machine configs. First, so that the cold
+    // build is the first to ask for each model's profile.
+    SetupReport setup;
+    {
+        setup.machines = smoke ? 16 : 128;
+        auto build = [&] { colocatedTier(setup.machines); };
+        setup.coldWall = bestWall(1, build);
+        setup.warmWall = bestWall(3, build);
+        std::cout << "setup_colocated128: " << setup.machines
+                  << " machines, cold "
+                  << TextTable::num(setup.coldWall * 1e3, 2)
+                  << " ms, warm best-of-3 "
+                  << TextTable::num(setup.warmWall * 1e6, 1) << " us\n";
+    }
 
     // ---- engine hot path: fig11 single-machine run (serial only;
     // one simulation is a serial dependence chain by design).
@@ -475,7 +528,7 @@ main(int argc, char** argv)
     gate.offWall = obs_off_wall;
     gate.onWall = obs_on_wall;
     gate.pass = obs_gate_pass;
-    writeJson(out_path, reports, threads, combined, gate);
+    writeJson(out_path, reports, threads, combined, setup, gate);
     if (!obs_gate_pass)
         std::cerr << "obs disabled-path overhead gate FAILED\n";
     return (all_identical && obs_gate_pass) ? 0 : 1;

@@ -29,23 +29,22 @@ SimConfig
 colocatedMachine(const std::vector<ModelMixEntry>& mix,
                  const CpuPlatform& platform, uint64_t memory_bytes)
 {
-    drs_assert(!mix.empty(), "a colocated machine needs a mix");
-    SimConfig machine{
-        CpuCostModel(ModelProfile::forModel(mix.front().id), platform),
-        std::nullopt, mix.front().policy};
-    if (mix.front().policy.gpuEnabled)
-        machine.gpu = GpuCostModel(ModelProfile::forModel(mix.front().id),
-                                   GpuPlatform::gtx1080Ti());
+    if (mix.empty())
+        drs_fatal("a colocated machine needs a non-empty model mix");
+    auto binding = [&](const ModelMixEntry& entry) {
+        const ModelProfile profile = ModelProfile::forModel(entry.id);
+        ModelService service{CpuCostModel(profile, platform),
+                             std::nullopt, entry.policy};
+        if (entry.policy.gpuEnabled)
+            service.gpu = GpuCostModel(profile, GpuPlatform::gtx1080Ti());
+        return service;
+    };
+    ModelService primary = binding(mix.front());
+    SimConfig machine{std::move(primary.cpu), std::move(primary.gpu),
+                      primary.policy};
     machine.memoryBytes = memory_bytes;
-    for (size_t k = 1; k < mix.size(); k++) {
-        ModelService co{
-            CpuCostModel(ModelProfile::forModel(mix[k].id), platform),
-            std::nullopt, mix[k].policy};
-        if (mix[k].policy.gpuEnabled)
-            co.gpu = GpuCostModel(ModelProfile::forModel(mix[k].id),
-                                  GpuPlatform::gtx1080Ti());
-        machine.coModels.push_back(std::move(co));
-    }
+    for (size_t k = 1; k < mix.size(); k++)
+        machine.coModels.push_back(binding(mix[k]));
     return machine;
 }
 
@@ -55,7 +54,8 @@ colocatedSharding(const std::vector<ModelMixEntry>& mix,
                   const PlacementSpec& placement,
                   uint32_t tables_per_query, double zipf_s)
 {
-    drs_assert(!mix.empty(), "a colocated table space needs a mix");
+    if (mix.empty())
+        drs_fatal("a colocated table space needs a non-empty model mix");
     ShardingConfig sharding;
     std::vector<EmbeddingTableInfo> combined;
     double weight_sum = 0.0;

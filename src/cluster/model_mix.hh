@@ -67,7 +67,7 @@ ModelMixEntry makeMixEntry(ModelId id, double traffic_fraction,
  * co-model binding, all sharing the machine's core pool and
  * @p memory_bytes budget. A 1-entry mix reproduces the single-model
  * machine config field for field. Entries with gpuEnabled policies
- * get a GTX-1080Ti-class accelerator model.
+ * get a GTX-1080Ti-class accelerator model. An empty mix is fatal.
  */
 SimConfig colocatedMachine(const std::vector<ModelMixEntry>& mix,
                            const CpuPlatform& platform,
@@ -84,7 +84,7 @@ SimConfig colocatedMachine(const std::vector<ModelMixEntry>& mix,
  * returned config carries one ModelTableSpace per mix entry (each
  * with @p tables_per_query working-set draws in its own namespace,
  * seeded per model) — what ShardAware routing needs to keep two
- * models' tables from ever aliasing.
+ * models' tables from ever aliasing. An empty mix is fatal.
  */
 ShardingConfig colocatedSharding(const std::vector<ModelMixEntry>& mix,
                                  const std::vector<uint64_t>& budget_bytes,

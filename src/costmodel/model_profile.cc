@@ -1,5 +1,7 @@
 #include "model_profile.hh"
 
+#include <vector>
+
 #include "models/rec_model.hh"
 
 namespace deeprecsys {
@@ -42,10 +44,21 @@ ModelProfile::fromModel(const RecModel& model)
 ModelProfile
 ModelProfile::forModel(ModelId id)
 {
-    const RecModel tiny(modelConfig(id), /*seed=*/7, ModelScale::tiny());
-    // Tiny scale truncates physical rows only; logical byte accounting
-    // is unaffected, so the profile matches a full-scale build.
-    return fromModel(tiny);
+    // The counts are pure in the id, so each model is materialized
+    // once per process; a function-local static is filled thread-
+    // safely on first use. Tiny scale truncates physical rows only;
+    // logical byte accounting is unaffected, so the profile matches
+    // a full-scale build.
+    static const std::vector<ModelProfile> table = [] {
+        std::vector<ModelProfile> profiles;
+        for (size_t k = 0; k < allModelIds().size(); k++) {
+            const RecModel tiny(modelConfig(static_cast<ModelId>(k)),
+                                /*seed=*/7, ModelScale::tiny());
+            profiles.push_back(fromModel(tiny));
+        }
+        return profiles;
+    }();
+    return table.at(static_cast<size_t>(id));
 }
 
 double

@@ -38,8 +38,10 @@ struct ModelProfile
     static ModelProfile fromModel(const RecModel& model);
 
     /**
-     * Profile for a model id. Materializes the model at tiny scale
-     * (256 physical rows/table) because only the *counts* matter here.
+     * Profile for a model id, returned by copy. Each id's profile is
+     * built once per process, thread-safely, by materializing the
+     * model at tiny scale (256 physical rows/table), because only the
+     * *counts* matter here and they depend on the id alone.
      */
     static ModelProfile forModel(ModelId id);
 

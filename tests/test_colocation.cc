@@ -9,6 +9,8 @@
  *  - the mixed trace generator degenerates bitwise to the
  *    single-model stream at one model, stays prefix-stable under
  *    growth, and splits counts by largest remainder;
+ *  - every binding of a colocated machine prices its own model, and
+ *    an empty mix is a fatal config error;
  *  - a batch is model-homogeneous by construction — each part
  *    batch-splits under its own model's policy, and the per-model
  *    queue-cost books tile the machine total exactly;
@@ -138,6 +140,47 @@ TEST(Colocation, MixedTraceSortedTaggedAndSplitByLargestRemainder)
         for (uint32_t k = 0; k < fractions.size(); k++)
             EXPECT_EQ(seen[k], mixed.countOfModel(k, total));
     }
+}
+
+// ---------------------------------------------------- machine builder
+
+TEST(Colocation, MachineBindsEachEntryToItsOwnProfile)
+{
+    // Each binding prices its own model, on the CPU and, only where
+    // its policy enables offload, on the accelerator.
+    std::vector<ModelMixEntry> mix = {
+        mixEntry(ModelId::DlrmRmc2, 0.4, 256),
+        mixEntry(ModelId::WideAndDeep, 0.4, 256),
+        mixEntry(ModelId::Ncf, 0.2, 256),
+    };
+    mix[0].policy.gpuEnabled = true;
+    mix[2].policy.gpuEnabled = true;
+    const SimConfig machine =
+        colocatedMachine(mix, CpuPlatform::skylake(), 1'000'000'000ULL);
+    ASSERT_EQ(machine.numModels(), 3u);
+    EXPECT_EQ(machine.memoryBytes, 1'000'000'000ULL);
+
+    EXPECT_EQ(machine.cpu.profile().id, ModelId::DlrmRmc2);
+    ASSERT_TRUE(machine.gpu.has_value());
+    EXPECT_EQ(machine.gpu->profile().id, ModelId::DlrmRmc2);
+    EXPECT_EQ(machine.coModels[0].cpu.profile().id, ModelId::WideAndDeep);
+    EXPECT_FALSE(machine.coModels[0].gpu.has_value());
+    EXPECT_EQ(machine.coModels[1].cpu.profile().id, ModelId::Ncf);
+    ASSERT_TRUE(machine.coModels[1].gpu.has_value());
+    EXPECT_EQ(machine.coModels[1].gpu->profile().id, ModelId::Ncf);
+}
+
+TEST(ColocationDeath, EmptyMixMachineIsAConfigError)
+{
+    EXPECT_EXIT(colocatedMachine({}, CpuPlatform::skylake()),
+                ::testing::ExitedWithCode(1), "non-empty model mix");
+}
+
+TEST(ColocationDeath, EmptyMixTableSpaceIsAConfigError)
+{
+    EXPECT_EXIT(colocatedSharding({}, {1'000'000'000ULL}, PlacementSpec{},
+                                  /*tables_per_query=*/8),
+                ::testing::ExitedWithCode(1), "non-empty model mix");
 }
 
 // ------------------------------------------------- engine-level batch

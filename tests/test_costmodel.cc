@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "base/thread_pool.hh"
 #include "costmodel/cpu_cost.hh"
 #include "costmodel/gpu_cost.hh"
 #include "costmodel/power.hh"
+#include "models/rec_model.hh"
 
 namespace deeprecsys {
 namespace {
@@ -37,6 +39,60 @@ TEST(CpuPlatform, PeakFlopsScalesWithSimd)
     const CpuPlatform skl = CpuPlatform::skylake();
     // SKL: 2.0 GHz * 16 lanes; BDW: 2.4 GHz * 8 lanes.
     EXPECT_GT(skl.peakCoreFlops(), bdw.peakCoreFlops());
+}
+
+/** The profile a fresh tiny-scale build of @p id yields. */
+ModelProfile
+freshProfile(ModelId id)
+{
+    return ModelProfile::fromModel(
+        RecModel(modelConfig(id), /*seed=*/7, ModelScale::tiny()));
+}
+
+/** Every field of @p actual equals @p expected exactly. */
+void
+expectSameProfile(const ModelProfile& actual, const ModelProfile& expected)
+{
+    SCOPED_TRACE(expected.name);
+    EXPECT_EQ(actual.id, expected.id);
+    EXPECT_EQ(actual.name, expected.name);
+    EXPECT_EQ(actual.denseFlopsPerSample, expected.denseFlopsPerSample);
+    EXPECT_EQ(actual.attnFlopsPerSample, expected.attnFlopsPerSample);
+    EXPECT_EQ(actual.recFlopsPerSample, expected.recFlopsPerSample);
+    EXPECT_EQ(actual.seqFlopsPerSample, expected.seqFlopsPerSample);
+    EXPECT_EQ(actual.embBytesPerSample, expected.embBytesPerSample);
+    EXPECT_EQ(actual.denseParamBytes, expected.denseParamBytes);
+    EXPECT_EQ(actual.inputBytesPerSample, expected.inputBytesPerSample);
+    EXPECT_EQ(actual.logicalEmbeddingBytes, expected.logicalEmbeddingBytes);
+    EXPECT_EQ(actual.expectedBottleneck, expected.expectedBottleneck);
+    EXPECT_EQ(actual.slaMediumMs, expected.slaMediumMs);
+}
+
+TEST(ModelProfile, MemoMatchesFreshBuild)
+{
+    for (ModelId id : allModelIds()) {
+        const ModelProfile fresh = freshProfile(id);
+        expectSameProfile(ModelProfile::forModel(id), fresh);
+        // The second call reads the memo and still returns the same.
+        expectSameProfile(ModelProfile::forModel(id), fresh);
+    }
+}
+
+TEST(ModelProfileParallel, EightWorkersMatchSerial)
+{
+    // The parallel calls come first so the memo is filled under
+    // contention (each test runs in its own process under ctest).
+    const std::vector<ModelId>& ids = allModelIds();
+    ThreadPool pool(8);
+    const std::vector<ModelProfile> parallel =
+        pool.parallelMap(8 * ids.size(), [&](size_t i) {
+            return ModelProfile::forModel(ids[i % ids.size()]);
+        });
+    std::vector<ModelProfile> serial;
+    for (ModelId id : ids)
+        serial.push_back(freshProfile(id));
+    for (size_t i = 0; i < parallel.size(); i++)
+        expectSameProfile(parallel[i], serial[i % ids.size()]);
 }
 
 TEST(ModelProfile, EmbeddingBytesMatchConfig)
