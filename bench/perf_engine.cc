@@ -14,7 +14,9 @@
  *    production trace (the fig11 operating point) — the engine
  *    hot-path metric: simulated events/second on one thread.
  *  - `cluster16_sharded`: a 16-machine sharded TwoStage cluster run
- *    with shard-aware routing — the cluster driver hot path.
+ *    with shard-aware routing — the cluster driver hot path. It also
+ *    reports the parts the driver created and the most its part book
+ *    held live at once (the driver's memory high-water mark).
  *  - `cluster16_obs_off` / `cluster16_obs_on`: the same workload with
  *    the observability layer explicitly detached and fully attached.
  *    The detached run gates the obs integration's disabled path (the
@@ -90,6 +92,8 @@ struct ScenarioReport
     double wallParallel = 0;   ///< seconds at N threads (0: n/a)
     double events = 0;         ///< simulated events (serial run)
     double queries = 0;        ///< simulated queries (serial run)
+    uint64_t parts = 0;        ///< driver parts created (cluster only)
+    uint64_t peakLiveParts = 0;   ///< part-book high-water mark
     bool identical = true;     ///< parallel result bitwise == serial
 
     double
@@ -212,8 +216,12 @@ writeJson(const std::string& path,
             << ", "
             << "\"queries_per_s\": "
             << (r.wallSerial > 0.0 ? r.queries / r.wallSerial : 0.0)
-            << ", "
-            << "\"parallel_identical\": "
+            << ", ";
+        if (r.parts > 0) {
+            out << "\"parts\": " << r.parts << ", "
+                << "\"peak_live_parts\": " << r.peakLiveParts << ", ";
+        }
+        out << "\"parallel_identical\": "
             << (r.identical ? "true" : "false") << "}"
             << (i + 1 < reports.size() ? "," : "") << "\n";
     }
@@ -331,6 +339,8 @@ main(int argc, char** argv)
                 gate_repeats, [&] { base = sim.run(trace, routing); });
             report.events = cluster_events(base);
             report.queries = static_cast<double>(base.numCompleted);
+            report.parts = base.numParts;
+            report.peakLiveParts = base.peakLiveParts;
             obs_base_wall = report.wallSerial;
             reports.push_back(report);
         }
@@ -486,7 +496,7 @@ main(int argc, char** argv)
     TextTable table({"scenario", "wall 1t (s)", "wall " +
                          std::to_string(threads) + "t (s)",
                      "speedup", "events/s (1t)", "queries/s (1t)",
-                     "identical"});
+                     "parts", "peak live parts", "identical"});
     double search_serial = 0.0;
     double search_parallel = 0.0;
     bool all_identical = true;
@@ -504,6 +514,8 @@ main(int argc, char** argv)
                       r.queries > 0.0 && r.wallSerial > 0.0
                           ? TextTable::num(r.queries / r.wallSerial, 0)
                           : "-",
+                      r.parts > 0 ? std::to_string(r.parts) : "-",
+                      r.parts > 0 ? std::to_string(r.peakLiveParts) : "-",
                       r.identical ? "yes" : "NO"});
         if (r.wallParallel > 0.0) {
             search_serial += r.wallSerial;

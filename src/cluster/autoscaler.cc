@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/logging.hh"
+#include "cluster/part_book.hh"
 #include "cluster/routing_policy.hh"
 #include "loadgen/query_stream.hh"
 #include "obs/observer.hh"
@@ -241,40 +242,6 @@ enum class MState
     Accepting,  ///< in the routing set
     Draining,   ///< out of the routing set, finishing in-flight work
 };
-
-/** One machine's share of one in-flight query (as in cluster_sim). */
-struct PartRec
-{
-    uint64_t queryIdx = 0;
-    uint32_t machine = 0;
-    double embFraction = 1.0;
-    double start = 0;          ///< machine admission time (observer only)
-    bool leader = true;
-
-    enum class Kind
-    {
-        Whole,
-        FanEmb,
-        FanDense,
-    } kind = Kind::Whole;
-
-    /** Dispatch generation of the owning query when this part was
-     *  created; a mismatch marks the completion of a killed dispatch
-     *  (fault injection only — always 0 on the fault-free path). */
-    uint32_t gen = 0;
-};
-
-/** The observer-facing name of a part kind. */
-obs::PartStage
-stageOf(PartRec::Kind kind)
-{
-    switch (kind) {
-      case PartRec::Kind::Whole:    return obs::PartStage::Whole;
-      case PartRec::Kind::FanEmb:   return obs::PartStage::FanEmb;
-      case PartRec::Kind::FanDense: return obs::PartStage::FanDense;
-    }
-    return obs::PartStage::Whole;
-}
 
 /** Book-keeping for one in-flight query (as in cluster_sim). */
 struct QueryState
@@ -518,8 +485,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
     result.fleetLatencySeconds.reserve(trace.size() - warmup);
 
     std::vector<QueryState> queries(trace.size());
-    std::vector<PartRec> parts;
-    parts.reserve(trace.size());
+    PartBook parts;
 
     const double t0 = trace.front().arrivalSeconds;
     std::vector<MachineEngine> machines;
@@ -824,7 +790,8 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
     };
 
     auto finish_part = [&](uint64_t part_idx, double now, bool gpu) {
-        const PartRec& part = parts[part_idx];
+        PartRec& part = parts[part_idx];
+        part.done = true;
         if (obs_) {
             obs_->onPartDone(
                 part.queryIdx, part.machine, stageOf(part.kind),
@@ -863,14 +830,10 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
                 return;
             }
             q.partsLeft = 1;
-            // The push_back may reallocate `parts`; `part` dangles
-            // beyond it.
-            const uint64_t query_idx = part.queryIdx;
-            const uint32_t part_machine = part.machine;
-            const uint64_t dense_idx = parts.size();
-            parts.push_back({query_idx, q.machine, 0.0, 0.0, true,
-                             PartRec::Kind::FanDense});
-            parts.back().gen = q.gen;
+            const uint64_t dense_idx = parts.push(
+                {.queryIdx = part.queryIdx, .machine = q.machine,
+                 .kind = PartRec::Kind::FanDense, .embFraction = 0.0,
+                 .gen = q.gen});
             // The leader may already be draining; its join phase is
             // in-flight work and still runs there.
             drs_assert(pendingJoins[q.machine] > 0,
@@ -881,7 +844,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
             result.perMachine[q.machine].joinPhases++;
             events.push(q.leaderReady, SimEvent::Kind::JoinPhase,
                         q.machine, dense_idx);
-            try_power_off_drained(part_machine, now);
+            try_power_off_drained(part.machine, now);
             return;
         }
 
@@ -942,7 +905,8 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
     // RPC landed on a dead or powered-off machine). Decide the owning
     // query's fate.
     auto lost_part_fate = [&](uint64_t part_idx, double now) {
-        const PartRec& part = parts[part_idx];
+        PartRec& part = parts[part_idx];
+        part.cancelled = true;
         drs_assert(inFlight[part.machine] > 0,
                    "lost part with nothing in flight");
         inFlight[part.machine]--;
@@ -1249,13 +1213,12 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
                 result.perMachine[m].remoteParts++;
             }
 
-            const uint64_t part_idx = parts.size();
-            parts.push_back({idx, m, target.embFraction, 0.0,
-                             target.leader,
-                             plan.size() == 1
-                                 ? PartRec::Kind::Whole
-                                 : PartRec::Kind::FanEmb});
-            parts.back().gen = q.gen;
+            const uint64_t part_idx = parts.push(
+                {.queryIdx = idx, .machine = m,
+                 .kind = plan.size() == 1 ? PartRec::Kind::Whole
+                                          : PartRec::Kind::FanEmb,
+                 .embFraction = target.embFraction,
+                 .leader = target.leader, .gen = q.gen});
             result.numParts++;
             if (forward > 0.0) {
                 events.push(now + forward * netFactor[m],
@@ -1280,8 +1243,16 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
         }
     };
 
+    // A part leaves the book once it is terminal and its dispatch is
+    // over (see PartBook::retire).
+    auto dispatch_over = [&](const PartRec& p) {
+        const QueryState& q = queries[p.queryIdx];
+        return p.gen != q.gen || q.dead || q.partsLeft == 0;
+    };
+
     size_t nextArrival = 0;
     while (nextArrival < trace.size() || !events.empty()) {
+        parts.retire(dispatch_over);
         const bool haveArrival = nextArrival < trace.size();
         const bool takeArrival = haveArrival &&
             (events.empty() ||
@@ -1371,11 +1342,12 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
 
           case SimEvent::Kind::PartArrival:
             if (faultsOn) {
-                const PartRec& part = parts[ev.partIdx];
+                PartRec& part = parts[ev.partIdx];
                 const QueryState& q = queries[part.queryIdx];
                 if (part.gen != q.gen || q.dead) {
                     // The dispatch died while this RPC was in flight;
                     // the client cancelled it.
+                    part.cancelled = true;
                     drs_assert(inFlight[ev.machine] > 0,
                                "cancel with nothing in flight");
                     inFlight[ev.machine]--;
@@ -1400,6 +1372,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
             if (faultsOn && (part.gen != q.gen || q.dead)) {
                 // Stale join of a killed dispatch — its committed
                 // cost was already released at the kill.
+                part.cancelled = true;
                 drs_assert(inFlight[ev.machine] > 0,
                            "cancel with nothing in flight");
                 inFlight[ev.machine]--;
@@ -1418,6 +1391,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
             if (faultsOn && engineEpoch[q.machine] != q.leaderEpoch) {
                 // The leader restarted since dispatch: the pooled
                 // embeddings of this query died with it.
+                part.cancelled = true;
                 drs_assert(inFlight[ev.machine] > 0,
                            "cancel with nothing in flight");
                 inFlight[ev.machine]--;
@@ -1468,6 +1442,9 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
             power_off(m, lastEventTime);
     }
 
+    parts.retire(dispatch_over);
+    drs_assert(parts.live() == 0, "a part never reached a terminal state");
+    result.peakLiveParts = parts.peakLive();
     result.numQueries = result.fleetLatencySeconds.count();
     result.offeredQps = traceOfferedQps(trace);
     result.spanSeconds = lastEventTime - t0;

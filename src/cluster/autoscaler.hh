@@ -324,6 +324,10 @@ struct AutoscaleResult
     uint64_t numCompleted = 0;     ///< all completed queries
     uint64_t numParts = 0;         ///< machine-parts dispatched
 
+    /** Most parts the driver's PartBook held live at once (its
+     *  memory high-water mark; exact per seed). */
+    uint64_t peakLiveParts = 0;
+
     /** Drop/degrade/goodput accounting (cluster/admission.hh). Count
      *  fields always reconcile with the fault books under the
      *  three-way algebra: offered == completed + droppedFinal + lost

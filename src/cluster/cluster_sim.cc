@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
+#include "cluster/part_book.hh"
 #include "loadgen/query_stream.hh"
 #include "obs/observer.hh"
 
@@ -19,55 +20,6 @@ machineMemoryBudgets(const std::vector<SimConfig>& machines)
 }
 
 namespace {
-
-/** One machine's share of one in-flight query, as the driver sees it. */
-struct PartRec
-{
-    uint64_t queryIdx = 0;
-    uint32_t machine = 0;
-    double embFraction = 1.0;  ///< local share of the embedding work
-    double start = 0;          ///< machine admission time (observer only)
-    bool leader = true;        ///< this part's machine leads the query
-
-    enum class Kind
-    {
-        Whole,     ///< single-part dispatch (full replica path)
-        FanEmb,    ///< fan-out embedding phase (local lookups only)
-        FanDense,  ///< TwoStage second phase: leader dense stacks
-    } kind = Kind::Whole;
-
-    // --- fault/hedge bookkeeping (untouched on the fault-free path) ---
-    /** partner value of an unhedged part. */
-    static constexpr uint64_t kNoPartner = UINT64_MAX;
-
-    /** The hedge twin racing for the same logical share, if any. */
-    uint64_t partner = kNoPartner;
-
-    /** Dispatch generation of the owning query this part belongs to;
-     *  a mismatch against QueryState::gen marks the part stale (its
-     *  dispatch was killed and the query re-presented). */
-    uint32_t gen = 0;
-
-    bool done = false;       ///< finished all local work
-    bool cancelled = false;  ///< destroyed by a crash or staleness
-    bool hedged = false;     ///< this part IS the hedge duplicate
-
-    /** Tables this part covers (shard-aware fan-out only); hedging
-     *  uses it to find another replica able to serve the share. */
-    std::vector<uint32_t> tables;
-};
-
-/** The observer-facing name of a part kind. */
-obs::PartStage
-stageOf(PartRec::Kind kind)
-{
-    switch (kind) {
-      case PartRec::Kind::Whole:    return obs::PartStage::Whole;
-      case PartRec::Kind::FanEmb:   return obs::PartStage::FanEmb;
-      case PartRec::Kind::FanDense: return obs::PartStage::FanDense;
-    }
-    return obs::PartStage::Whole;
-}
 
 /** Book-keeping for one in-flight query. */
 struct QueryState
@@ -303,8 +255,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
     result.fleetLatencySeconds.reserve(trace.size() - warmup);
 
     std::vector<QueryState> queries(trace.size());
-    std::vector<PartRec> parts;
-    parts.reserve(trace.size());
+    PartBook parts;
 
     std::vector<MachineEngine> machines;
     machines.reserve(cfg.machines.size());
@@ -504,9 +455,9 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
         flight_sub(part.machine, queries[part.queryIdx].model,
                    "completion with nothing in flight");
         QueryState& q = queries[part.queryIdx];
+        part.done = true;
 
         if (faultsOn || hedgeOn) {
-            part.done = true;
             // A completion of a killed dispatch is a ghost: the query
             // already failed over (or was lost) and this part's share
             // was accounted at the kill.
@@ -542,16 +493,10 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             if (--q.partsLeft > 0)
                 return;
             q.partsLeft = 1;    // the dense phase itself
-            const uint64_t query_idx = part.queryIdx;
-            const uint64_t dense_idx = parts.size();
-            PartRec dense;
-            dense.queryIdx = query_idx;
-            dense.machine = q.machine;
-            dense.embFraction = 0.0;
-            dense.leader = true;
-            dense.kind = PartRec::Kind::FanDense;
-            dense.gen = q.gen;
-            parts.push_back(std::move(dense));
+            const uint64_t dense_idx = parts.push(
+                {.queryIdx = part.queryIdx, .machine = q.machine,
+                 .kind = PartRec::Kind::FanDense, .embFraction = 0.0,
+                 .gen = q.gen});
             flight_add(q.machine, q.model);
             result.perMachine[q.machine].joinPhases++;
             events.push(q.leaderReady, SimEvent::Kind::JoinPhase,
@@ -702,18 +647,12 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             }
             if (best == machines.size())
                 continue;    // no surviving replica to hedge onto
-            const uint64_t dup_idx = parts.size();
-            PartRec dup;
-            dup.queryIdx = idx;
-            dup.machine = static_cast<uint32_t>(best);
-            dup.embFraction = parts[pi].embFraction;
-            dup.leader = false;
-            dup.kind = PartRec::Kind::FanEmb;
-            dup.gen = q.gen;
-            dup.partner = pi;
-            dup.hedged = true;
-            dup.tables = parts[pi].tables;
-            parts.push_back(std::move(dup));
+            const uint64_t dup_idx = parts.push(
+                {.queryIdx = idx, .machine = static_cast<uint32_t>(best),
+                 .kind = PartRec::Kind::FanEmb,
+                 .embFraction = parts[pi].embFraction, .partner = pi,
+                 .leader = false, .hedged = true,
+                 .tables = parts[pi].tables, .gen = q.gen});
             parts[pi].partner = dup_idx;
             flight_add(static_cast<uint32_t>(best), q.model);
             result.perMachine[best].remoteParts++;
@@ -844,7 +783,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
         q.measured = idx >= warmup;
         q.gen++;
         q.dead = false;
-        q.firstPart = parts.size();
+        q.firstPart = parts.nextId();
         q.numParts = static_cast<uint32_t>(plan.size());
         q.joinCommitted = false;
         if (q.measured)
@@ -879,15 +818,15 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             }
             result.partMachinesOfQuery[idx].push_back(m);
 
-            const uint64_t part_idx = parts.size();
-            parts.push_back({idx, m, target.embFraction, 0.0,
-                             target.leader,
-                             plan.size() == 1
-                                 ? PartRec::Kind::Whole
-                                 : PartRec::Kind::FanEmb});
-            parts.back().gen = q.gen;
-            if (hedgeOn)
-                parts.back().tables = std::move(target.tables);
+            const uint64_t part_idx = parts.push(
+                {.queryIdx = idx, .machine = m,
+                 .kind = plan.size() == 1 ? PartRec::Kind::Whole
+                                          : PartRec::Kind::FanEmb,
+                 .embFraction = target.embFraction,
+                 .leader = target.leader,
+                 .tables = hedgeOn ? std::move(target.tables)
+                                   : std::vector<uint32_t>{},
+                 .gen = q.gen});
             result.numParts++;
             if (forward > 0.0) {
                 events.push(now + forward * netFactor[m],
@@ -915,8 +854,16 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
                         idx, q.gen);
     };
 
+    // A part leaves the book once it is terminal, its hedge twin is
+    // terminal, and its dispatch is over (see PartBook::retire).
+    auto dispatch_over = [&](const PartRec& p) {
+        const QueryState& q = queries[p.queryIdx];
+        return p.gen != q.gen || q.dead || q.partsLeft == 0;
+    };
+
     size_t nextArrival = 0;
     while (nextArrival < trace.size() || !events.empty()) {
+        parts.retire(dispatch_over);
         const bool haveArrival = nextArrival < trace.size();
         const bool takeArrival = haveArrival &&
             (events.empty() ||
@@ -1086,6 +1033,9 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
         }
     }
 
+    parts.retire(dispatch_over);
+    drs_assert(parts.live() == 0, "a part never reached a terminal state");
+    result.peakLiveParts = parts.peakLive();
     result.numQueries = result.fleetLatencySeconds.count();
     result.meanFanout = result.numDispatched > 0
         ? static_cast<double>(result.numParts) /

@@ -199,6 +199,10 @@ struct ClusterResult
     uint64_t numCompleted = 0;         ///< all completed queries
     uint64_t numParts = 0;             ///< machine-parts dispatched
 
+    /** Most parts the driver's PartBook held live at once (its
+     *  memory high-water mark; exact per seed). */
+    uint64_t peakLiveParts = 0;
+
     /** Mean machines touched per query (1.0 without sharding). */
     double meanFanout = 0;
     double offeredQps = 0;             ///< from the global trace

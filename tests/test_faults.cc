@@ -83,6 +83,32 @@ hotPlan()
     return plan;
 }
 
+/** A hot plan with replication and failover, plus variants that
+ *  reach every way a part can die or outlive its dispatch. */
+std::vector<std::pair<const char*, FaultPlan>>
+partDeathPlans()
+{
+    FaultPlan hot = hotPlan();
+    hot.faultTolerance = 2;
+    hot.maxFailovers = 2;
+    // Degraded NICs stretch forward hops and the pooled-embedding hop
+    // to the leader past a zero failover backoff: stale PartArrivals
+    // land after their query was re-presented, and leaders restart
+    // while their join phase is in flight.
+    FaultPlan slow_net = hot;
+    slow_net.netDegradePerHour = 480.0;
+    slow_net.netDegradeFactor = 40.0;
+    slow_net.failoverDelaySeconds = 0.0;
+    // A backoff far longer than any part lives: the re-presented
+    // dispatch starts long after its dead one left the part window.
+    FaultPlan long_backoff = hot;
+    long_backoff.maxFailovers = 3;
+    long_backoff.failoverDelaySeconds = 0.5;
+    return {{"hot", hot},
+            {"slow_net_zero_backoff", slow_net},
+            {"long_backoff", long_backoff}};
+}
+
 ClusterResult
 runChaos(const ClusterConfig& cfg, const QueryTrace& trace)
 {
@@ -239,30 +265,36 @@ TEST(FaultPlanDeath, ElasticDriverRefusesHedging)
 
 TEST(FaultConservation, ThreeWayAlgebraExactUnderChaos)
 {
-    ClusterConfig cfg = chaosTier(2);
-    cfg.faults = hotPlan();
-    cfg.faults.faultTolerance = 2;
-    cfg.faults.maxFailovers = 2;
     const QueryTrace trace = chaosTrace();
-    const ClusterResult r = runChaos(cfg, trace);
+    for (const auto& [name, plan] : partDeathPlans()) {
+        SCOPED_TRACE(name);
+        ClusterConfig cfg = chaosTier(2);
+        cfg.faults = plan;
+        const ClusterResult r = runChaos(cfg, trace);
 
-    // The run must actually exercise the machinery it claims to.
-    EXPECT_GT(r.faults.crashes, 0u);
-    EXPECT_GT(r.faults.recoveries, 0u);
+        // The run must actually exercise the machinery it claims to.
+        EXPECT_GT(r.faults.crashes, 0u);
+        EXPECT_GT(r.faults.recoveries, 0u);
+        EXPECT_GT(r.faults.failovers, 0u);
 
-    // offered == completed + droppedFinal + lost, in exact integers
-    // (no admission control here, so droppedFinal is zero).
-    EXPECT_EQ(trace.size(),
-              r.numCompleted + r.overload.droppedFinal + r.faults.lost);
-    EXPECT_EQ(r.faults.lostQueries.size(), r.faults.lost);
+        // offered == completed + droppedFinal + lost, in exact
+        // integers (no admission control here, so droppedFinal is 0).
+        EXPECT_EQ(trace.size(),
+                  r.numCompleted + r.overload.droppedFinal + r.faults.lost);
+        EXPECT_EQ(r.faults.lostQueries.size(), r.faults.lost);
 
-    // The per-query fate record agrees with the books.
-    uint64_t lost_marks = 0;
-    for (const uint32_t m : r.machineOfQuery) {
-        if (m == ClusterResult::lostMachine)
-            lost_marks++;
+        // The per-query fate record agrees with the books.
+        uint64_t lost_marks = 0;
+        for (const uint32_t m : r.machineOfQuery) {
+            if (m == ClusterResult::lostMachine)
+                lost_marks++;
+        }
+        EXPECT_EQ(lost_marks, r.faults.lost);
+
+        // Every dead part left the driver's part window: it holds a
+        // small fraction of the parts the run created.
+        EXPECT_LT(r.peakLiveParts * 8, r.numParts);
     }
-    EXPECT_EQ(lost_marks, r.faults.lost);
 }
 
 TEST(FaultConservation, SingleCopyLossesAreUnroutablePresentations)
@@ -280,14 +312,26 @@ TEST(FaultConservation, SingleCopyLossesAreUnroutablePresentations)
 
 TEST(FaultConservation, ElasticAlgebraExactUnderCrashes)
 {
+    ScalingPolicySpec policy;
+    policy.kind = ScalingPolicyKind::Reactive;
+    policy.minMachines = 2;
+    auto check = [&](const AutoscaleSpec& spec, const QueryTrace& trace) {
+        const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
+        EXPECT_GT(r.faults.crashes, 0u);
+        EXPECT_EQ(trace.size(),
+                  r.numCompleted + r.overload.droppedFinal + r.faults.lost);
+        EXPECT_EQ(r.faults.lostQueries.size(), r.faults.lost);
+        EXPECT_LT(r.peakLiveParts * 8, r.numParts);
+    };
+
     const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
     AutoscaleSpec spec;
     for (size_t m = 0; m < 4; m++) {
-        SchedulerPolicy policy;
-        policy.perRequestBatch = 256;
+        SchedulerPolicy sched;
+        sched.perRequestBatch = 256;
         spec.cluster.machines.push_back(
             SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy, 0.05, 1.0});
+                      std::nullopt, sched, 0.05, 1.0});
     }
     spec.routing.kind = RoutingKind::PowerOfTwoChoices;
     spec.slaMs = 100.0;
@@ -301,17 +345,19 @@ TEST(FaultConservation, ElasticAlgebraExactUnderCrashes)
     load.qps = 2000.0;
     TraceTemplate tmpl(load);
     tmpl.ensure(8000);
-    const QueryTrace trace = tmpl.materialize(2000.0, 8000);
+    check(spec, tmpl.materialize(2000.0, 8000));
 
-    ScalingPolicySpec policy;
-    policy.kind = ScalingPolicyKind::Reactive;
-    policy.minMachines = 2;
-
-    const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
-    EXPECT_GT(r.faults.crashes, 0u);
-    EXPECT_EQ(trace.size(),
-              r.numCompleted + r.overload.droppedFinal + r.faults.lost);
-    EXPECT_EQ(r.faults.lostQueries.size(), r.faults.lost);
+    // The sharded TwoStage tier under every part-death plan: fan-out
+    // parts, join phases and drains on top of crashes.
+    AutoscaleSpec sharded = spec;
+    sharded.routing.kind = RoutingKind::ShardAware;
+    const QueryTrace trace = chaosTrace();
+    for (const auto& [name, plan] : partDeathPlans()) {
+        SCOPED_TRACE(name);
+        sharded.cluster = chaosTier(2);
+        sharded.cluster.faults = plan;
+        check(sharded, trace);
+    }
 }
 
 // -------------------------------------------------------- recovery
@@ -435,6 +481,9 @@ TEST(HedgeProperties, EveryPairResolvesExactlyOnceOnACalmTier)
     EXPECT_LE(r.faults.hedgeWins, r.faults.hedged);
     EXPECT_EQ(r.faults.hedgeSaves, 0u);
     EXPECT_EQ(r.faults.lost, 0u);
+    // Losers finish after their query completed; each still reads its
+    // finished twin, so the part window keeps both until then.
+    EXPECT_LT(r.peakLiveParts * 8, r.numParts);
 }
 
 TEST(HedgeProperties, CancellationConservesBooksUnderCrashes)
@@ -482,6 +531,8 @@ TEST(HedgeProperties, HedgeSavesRescueCrashKilledParts)
     const ClusterResult r = runChaos(cfg, trace);
     EXPECT_GT(r.faults.hedgeSaves, 0u);
     EXPECT_LE(r.faults.hedgeSaves, r.faults.hedged);
+    EXPECT_EQ(trace.size(),
+              r.numCompleted + r.overload.droppedFinal + r.faults.lost);
 }
 
 // ------------------------------------- thread-count invariance
