@@ -15,8 +15,9 @@
  *    hot-path metric: simulated events/second on one thread.
  *  - `cluster16_sharded`: a 16-machine sharded TwoStage cluster run
  *    with shard-aware routing — the cluster driver hot path. It also
- *    reports the parts the driver created and the most its part book
- *    held live at once (the driver's memory high-water mark).
+ *    reports the parts the driver created and the most its part and
+ *    query books held live at once (the driver's memory high-water
+ *    marks).
  *  - `cluster16_obs_off` / `cluster16_obs_on`: the same workload with
  *    the observability layer explicitly detached and fully attached.
  *    The detached run gates the obs integration's disabled path (the
@@ -94,6 +95,7 @@ struct ScenarioReport
     double queries = 0;        ///< simulated queries (serial run)
     uint64_t parts = 0;        ///< driver parts created (cluster only)
     uint64_t peakLiveParts = 0;   ///< part-book high-water mark
+    uint64_t peakLiveQueries = 0; ///< query-book high-water mark
     bool identical = true;     ///< parallel result bitwise == serial
 
     double
@@ -219,7 +221,8 @@ writeJson(const std::string& path,
             << ", ";
         if (r.parts > 0) {
             out << "\"parts\": " << r.parts << ", "
-                << "\"peak_live_parts\": " << r.peakLiveParts << ", ";
+                << "\"peak_live_parts\": " << r.peakLiveParts << ", "
+                << "\"peak_live_queries\": " << r.peakLiveQueries << ", ";
         }
         out << "\"parallel_identical\": "
             << (r.identical ? "true" : "false") << "}"
@@ -341,6 +344,7 @@ main(int argc, char** argv)
             report.queries = static_cast<double>(base.numCompleted);
             report.parts = base.numParts;
             report.peakLiveParts = base.peakLiveParts;
+            report.peakLiveQueries = base.peakLiveQueries;
             obs_base_wall = report.wallSerial;
             reports.push_back(report);
         }
@@ -496,7 +500,8 @@ main(int argc, char** argv)
     TextTable table({"scenario", "wall 1t (s)", "wall " +
                          std::to_string(threads) + "t (s)",
                      "speedup", "events/s (1t)", "queries/s (1t)",
-                     "parts", "peak live parts", "identical"});
+                     "parts", "peak live parts", "peak live queries",
+                     "identical"});
     double search_serial = 0.0;
     double search_parallel = 0.0;
     bool all_identical = true;
@@ -516,6 +521,8 @@ main(int argc, char** argv)
                           : "-",
                       r.parts > 0 ? std::to_string(r.parts) : "-",
                       r.parts > 0 ? std::to_string(r.peakLiveParts) : "-",
+                      r.parts > 0 ? std::to_string(r.peakLiveQueries)
+                                  : "-",
                       r.identical ? "yes" : "NO"});
         if (r.wallParallel > 0.0) {
             search_serial += r.wallSerial;

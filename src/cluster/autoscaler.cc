@@ -5,6 +5,7 @@
 
 #include "base/logging.hh"
 #include "cluster/part_book.hh"
+#include "cluster/query_book.hh"
 #include "cluster/routing_policy.hh"
 #include "loadgen/query_stream.hh"
 #include "obs/observer.hh"
@@ -243,30 +244,6 @@ enum class MState
     Draining,   ///< out of the routing set, finishing in-flight work
 };
 
-/** Book-keeping for one in-flight query (as in cluster_sim). */
-struct QueryState
-{
-    double arrival = 0;
-    uint32_t size = 0;
-    uint32_t partsLeft = 0;
-    uint32_t machine = 0;
-    double joinTime = 0;
-    double leaderReady = 0;
-    double quality = 1.0;     ///< answer quality (< 1 when degraded)
-    uint32_t model = 0;       ///< mix model (0 on single-model tiers)
-    uint32_t cls = 0;         ///< effective priority class
-    uint32_t attempt = 0;     ///< client retries so far
-    bool measured = true;
-
-    // Fault-injection state (identity values on the fault-free path).
-    uint32_t gen = 0;         ///< current dispatch generation
-    uint32_t failovers = 0;   ///< failure re-presents so far
-    uint32_t leaderEpoch = 0; ///< leader engine epoch at dispatch
-    bool dead = false;        ///< current dispatch was killed
-    bool joinCommitted = false;  ///< owes pendingJoinCost release
-    bool joinLeadership = false; ///< owes a pendingJoins release
-};
-
 /**
  * Live view for the elastic tier: cluster state plus the accepting
  * mask, so routing policies only ever dispatch into the live set.
@@ -484,7 +461,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
     const size_t warmup = warmupCount(cfg.warmupFraction, trace.size());
     result.fleetLatencySeconds.reserve(trace.size() - warmup);
 
-    std::vector<QueryState> queries(trace.size());
+    QueryBook queries;
     PartBook parts;
 
     const double t0 = trace.front().arrivalSeconds;
@@ -586,7 +563,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
     double lastEventTime = t0;
 
     if (obs_) {
-        obs_->onRunStart(t0, trace.size());
+        obs_->onRunStart(t0);
         router->attachObserver(obs_);
     }
 
@@ -757,6 +734,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
 
     auto complete_query = [&](uint64_t query_idx) {
         QueryState& q = queries[query_idx];
+        q.settled = true;
         result.numCompleted++;
         result.perMachine[q.machine].queriesCompleted++;
         const double latency = q.joinTime - q.arrival;
@@ -834,6 +812,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
                 {.queryIdx = part.queryIdx, .machine = q.machine,
                  .kind = PartRec::Kind::FanDense, .embFraction = 0.0,
                  .gen = q.gen});
+            q.partsEnd = dense_idx + 1;
             // The leader may already be draining; its join phase is
             // in-flight work and still runs there.
             drs_assert(pendingJoins[q.machine] > 0,
@@ -892,6 +871,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
             if (obs_)
                 obs_->onQueryFailover(idx, now, q.failovers, delay);
         } else {
+            q.settled = true;
             result.faults.lost++;
             result.faults.lostQueries.push_back(idx);
             if (idx >= warmup)
@@ -1131,6 +1111,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
                     if (obs_)
                         obs_->onQueryRetry(idx, now, q.attempt, delay);
                 } else {
+                    q.settled = true;
                     result.overload.droppedFinal++;
                     if (cs)
                         cs->droppedFinal++;
@@ -1228,6 +1209,7 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
             }
         }
         drs_assert(leaders == 1, "plan needs exactly one leader");
+        q.partsEnd = parts.nextId();
         if (plan.size() > 1 && cfg.join == JoinModel::TwoStage) {
             pendingJoins[q.machine]++;
             q.joinLeadership = true;
@@ -1249,10 +1231,17 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
         const QueryState& q = queries[p.queryIdx];
         return p.gen != q.gen || q.dead || q.partsLeft == 0;
     };
+    // Parts first: a query leaves the book only after its parts (see
+    // QueryBook::retire); the observer drops its span records with it.
+    auto retire_books = [&] {
+        parts.retire(dispatch_over);
+        if (queries.retire(parts) && obs_)
+            obs_->onQueriesRetired(queries.lowId());
+    };
 
     size_t nextArrival = 0;
     while (nextArrival < trace.size() || !events.empty()) {
-        parts.retire(dispatch_over);
+        retire_books();
         const bool haveArrival = nextArrival < trace.size();
         const bool takeArrival = haveArrival &&
             (events.empty() ||
@@ -1264,6 +1253,9 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
                            in.arrivalSeconds >=
                                trace[nextArrival - 1].arrivalSeconds,
                        "trace must be sorted by arrival");
+            const uint64_t query_id = queries.push({});
+            drs_assert(query_id == nextArrival,
+                       "query ids must follow the trace");
             result.overload.offered++;
             windowArrivals++;
             present(nextArrival, in.arrivalSeconds);
@@ -1442,9 +1434,11 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
             power_off(m, lastEventTime);
     }
 
-    parts.retire(dispatch_over);
+    retire_books();
     drs_assert(parts.live() == 0, "a part never reached a terminal state");
+    drs_assert(queries.live() == 0, "a query never settled");
     result.peakLiveParts = parts.peakLive();
+    result.peakLiveQueries = queries.peakLive();
     result.numQueries = result.fleetLatencySeconds.count();
     result.offeredQps = traceOfferedQps(trace);
     result.spanSeconds = lastEventTime - t0;

@@ -328,6 +328,10 @@ struct AutoscaleResult
      *  memory high-water mark; exact per seed). */
     uint64_t peakLiveParts = 0;
 
+    /** Most queries the driver's QueryBook held live at once (its
+     *  memory high-water mark; exact per seed). */
+    uint64_t peakLiveQueries = 0;
+
     /** Drop/degrade/goodput accounting (cluster/admission.hh). Count
      *  fields always reconcile with the fault books under the
      *  three-way algebra: offered == completed + droppedFinal + lost

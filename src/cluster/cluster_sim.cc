@@ -4,6 +4,7 @@
 
 #include "base/logging.hh"
 #include "cluster/part_book.hh"
+#include "cluster/query_book.hh"
 #include "loadgen/query_stream.hh"
 #include "obs/observer.hh"
 
@@ -20,33 +21,6 @@ machineMemoryBudgets(const std::vector<SimConfig>& machines)
 }
 
 namespace {
-
-/** Book-keeping for one in-flight query. */
-struct QueryState
-{
-    double arrival = 0;
-    uint32_t size = 0;
-    uint32_t partsLeft = 0;
-    uint32_t machine = 0;     ///< leader machine
-    double joinTime = 0;      ///< latest part completion + return hop
-    double leaderReady = 0;   ///< TwoStage: last pooled part at leader
-    double quality = 1.0;     ///< answer quality (< 1 when degraded)
-    uint32_t cls = 0;         ///< effective priority class
-    uint32_t attempt = 0;     ///< retries scheduled so far
-    uint32_t model = 0;       ///< mix model (0 on single-model tiers)
-    bool measured = true;
-
-    // --- fault/hedge bookkeeping (untouched on the fault-free path) ---
-    uint32_t gen = 0;         ///< dispatch generation (bumped each present)
-    uint32_t failovers = 0;   ///< failure-driven re-presentations so far
-    uint32_t leaderEpoch = 0; ///< leader engine epoch at dispatch
-    uint64_t firstPart = 0;   ///< parts[] index of this dispatch's first part
-    uint32_t numParts = 0;    ///< fan-out width of this dispatch
-    bool dead = false;        ///< killed by a failure (awaiting failover)
-    /** The dispatch holds a committed TwoStage join-phase cost that
-     *  must be released exactly once (JoinPhase admission or kill). */
-    bool joinCommitted = false;
-};
 
 /** Live view the routing policy observes at each arrival. */
 class LiveView final : public ClusterView
@@ -254,7 +228,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
     const size_t warmup = warmupCount(cfg.warmupFraction, trace.size());
     result.fleetLatencySeconds.reserve(trace.size() - warmup);
 
-    std::vector<QueryState> queries(trace.size());
+    QueryBook queries;
     PartBook parts;
 
     std::vector<MachineEngine> machines;
@@ -362,7 +336,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
     double lastEventTime = trace.front().arrivalSeconds;
 
     if (obs_) {
-        obs_->onRunStart(trace.front().arrivalSeconds, trace.size());
+        obs_->onRunStart(trace.front().arrivalSeconds);
         policy.attachObserver(obs_);
     }
 
@@ -407,6 +381,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
 
     auto complete_query = [&](uint64_t query_idx) {
         QueryState& q = queries[query_idx];
+        q.settled = true;
         result.numCompleted++;
         result.perMachine[q.machine].queriesCompleted++;
         if (mixOn)
@@ -497,6 +472,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
                 {.queryIdx = part.queryIdx, .machine = q.machine,
                  .kind = PartRec::Kind::FanDense, .embFraction = 0.0,
                  .gen = q.gen});
+            q.partsEnd = dense_idx + 1;
             flight_add(q.machine, q.model);
             result.perMachine[q.machine].joinPhases++;
             events.push(q.leaderReady, SimEvent::Kind::JoinPhase,
@@ -542,6 +518,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             if (obs_)
                 obs_->onQueryFailover(idx, now, q.failovers, delay);
         } else {
+            q.settled = true;
             result.faults.lost++;
             result.faults.lostQueries.push_back(idx);
             if (mixOn)
@@ -654,6 +631,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
                  .leader = false, .hedged = true,
                  .tables = parts[pi].tables, .gen = q.gen});
             parts[pi].partner = dup_idx;
+            q.partsEnd = dup_idx + 1;
             flight_add(static_cast<uint32_t>(best), q.model);
             result.perMachine[best].remoteParts++;
             result.numParts++;
@@ -726,6 +704,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
                     if (obs_)
                         obs_->onQueryRetry(idx, now, q.attempt, delay);
                 } else {
+                    q.settled = true;
                     result.overload.droppedFinal++;
                     if (cs)
                         cs->droppedFinal++;
@@ -799,6 +778,9 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             obs_->onQueryDispatch(idx, now, served.size, plan.size(),
                                   forward, q.measured);
 
+        std::vector<uint32_t>& part_machines =
+            result.partMachinesOfQuery[idx];
+        part_machines.reserve(part_machines.size() + plan.size());
         size_t leaders = 0;
         for (ShardTarget& target : plan) {
             drs_assert(target.machine < machines.size(),
@@ -816,7 +798,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             } else {
                 result.perMachine[m].remoteParts++;
             }
-            result.partMachinesOfQuery[idx].push_back(m);
+            part_machines.push_back(m);
 
             const uint64_t part_idx = parts.push(
                 {.queryIdx = idx, .machine = m,
@@ -836,6 +818,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             }
         }
         drs_assert(leaders == 1, "plan needs exactly one leader");
+        q.partsEnd = parts.nextId();
         // Commit the leader's future dense phase to the estimator's
         // second-order backlog (released exactly once, at the
         // JoinPhase event or when a failure kills the dispatch).
@@ -849,9 +832,11 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
         }
         // Arm the tail-at-scale hedge for fanned-out dispatches; the
         // check goes stale if the query completes or fails first.
-        if (hedgeOn && plan.size() > 1)
+        if (hedgeOn && plan.size() > 1) {
+            q.hedgeChecks++;
             events.push(now + hedgeDelay, SimEvent::Kind::HedgeCheck, 0,
                         idx, q.gen);
+        }
     };
 
     // A part leaves the book once it is terminal, its hedge twin is
@@ -860,10 +845,17 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
         const QueryState& q = queries[p.queryIdx];
         return p.gen != q.gen || q.dead || q.partsLeft == 0;
     };
+    // Parts first: a query leaves the book only after its parts (see
+    // QueryBook::retire); the observer drops its span records with it.
+    auto retire_books = [&] {
+        parts.retire(dispatch_over);
+        if (queries.retire(parts) && obs_)
+            obs_->onQueriesRetired(queries.lowId());
+    };
 
     size_t nextArrival = 0;
     while (nextArrival < trace.size() || !events.empty()) {
-        parts.retire(dispatch_over);
+        retire_books();
         const bool haveArrival = nextArrival < trace.size();
         const bool takeArrival = haveArrival &&
             (events.empty() ||
@@ -875,6 +867,9 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
                            in.arrivalSeconds >=
                                trace[nextArrival - 1].arrivalSeconds,
                        "trace must be sorted by arrival");
+            const uint64_t query_id = queries.push({});
+            drs_assert(query_id == nextArrival,
+                       "query ids must follow the trace");
             result.overload.offered++;
             if (mixOn) {
                 drs_assert(in.model < numMix,
@@ -926,7 +921,8 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             continue;
         }
         if (ev.kind == SimEvent::Kind::HedgeCheck) {
-            const QueryState& hq = queries[ev.partIdx];
+            QueryState& hq = queries[ev.partIdx];
+            hq.hedgeChecks--;
             if (ev.slot == hq.gen && !hq.dead && hq.partsLeft > 0)
                 hedge_query(ev.partIdx, ev.time);
             continue;
@@ -1033,9 +1029,11 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
         }
     }
 
-    parts.retire(dispatch_over);
+    retire_books();
     drs_assert(parts.live() == 0, "a part never reached a terminal state");
+    drs_assert(queries.live() == 0, "a query never settled");
     result.peakLiveParts = parts.peakLive();
+    result.peakLiveQueries = queries.peakLive();
     result.numQueries = result.fleetLatencySeconds.count();
     result.meanFanout = result.numDispatched > 0
         ? static_cast<double>(result.numParts) /

@@ -203,6 +203,10 @@ struct ClusterResult
      *  memory high-water mark; exact per seed). */
     uint64_t peakLiveParts = 0;
 
+    /** Most queries the driver's QueryBook held live at once (its
+     *  memory high-water mark; exact per seed). */
+    uint64_t peakLiveQueries = 0;
+
     /** Mean machines touched per query (1.0 without sharding). */
     double meanFanout = 0;
     double offeredQps = 0;             ///< from the global trace

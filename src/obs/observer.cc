@@ -47,10 +47,10 @@ RunObserver::RunObserver(ObsConfig config, size_t num_machines)
 }
 
 void
-RunObserver::onRunStart(double t0, size_t num_queries)
+RunObserver::onRunStart(double t0)
 {
     writer_.setOrigin(t0);
-    book_.assign(num_queries, QueryRec{});
+    book_ = WindowBook<QueryRec>();
 }
 
 void
@@ -58,8 +58,8 @@ RunObserver::onQueryDispatch(uint64_t idx, double arrival, uint32_t size,
                              size_t fanout, double forward_s,
                              bool measured)
 {
-    if (idx >= book_.size())
-        book_.resize(idx + 1);
+    while (book_.nextId() <= idx)
+        book_.push(QueryRec{});
     QueryRec& rec = book_[idx];
     rec.arrival = arrival;
     rec.forward = forward_s;
@@ -81,7 +81,6 @@ RunObserver::onPartDone(uint64_t idx, uint32_t machine, PartStage stage,
                         bool leader, bool gpu, double start_s,
                         double first_service_s, double end_s)
 {
-    drs_assert(idx < book_.size(), "part for unknown query");
     QueryRec& rec = book_[idx];
     // A part admitted to an idle machine serves immediately; guard the
     // bookkeeping default for robustness.
@@ -124,7 +123,6 @@ void
 RunObserver::onQueryComplete(uint64_t idx, double completion_s,
                              double back_s)
 {
-    drs_assert(idx < book_.size(), "completion for unknown query");
     const QueryRec& rec = book_[idx];
     const bool fan = rec.fanout > 1;
     const bool twoStage = rec.joinStart >= 0;

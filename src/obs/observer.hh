@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "base/window_book.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_json.hh"
 
@@ -174,9 +175,9 @@ class RunObserver
     // ------------------------------------------------- driver hooks
     /**
      * The run begins: @p t0 is the trace origin (subtracted from all
-     * trace timestamps), @p num_queries sizes the span book.
+     * trace timestamps). The span book starts empty.
      */
-    void onRunStart(double t0, size_t num_queries);
+    void onRunStart(double t0);
 
     /**
      * The router dispatched query @p idx at @p arrival: @p fanout
@@ -230,6 +231,13 @@ class RunObserver
     void onQueryRetry(uint64_t idx, double t_s, uint32_t attempt,
                       double delay_s);
 
+    /**
+     * The driver will never report on a query below @p low again: its
+     * span records are dropped, so the book holds only in-flight
+     * queries. Drivers that never call it keep every record.
+     */
+    void onQueriesRetired(uint64_t low) { book_.retireTo(low); }
+
     /** Shard-aware routing touched these tables (per-table load). */
     void onTablesTouched(const std::vector<uint32_t>& tables);
 
@@ -279,6 +287,12 @@ class RunObserver
     /** The aggregated latency attribution over measured queries. */
     const StageSplit& stageSplit() const { return split_; }
 
+    /** Query span records currently held (the live book window). */
+    uint64_t liveQueryRecords() const { return book_.live(); }
+
+    /** High-water mark of liveQueryRecords() over the run. */
+    uint64_t peakQueryRecords() const { return book_.peakLive(); }
+
     /** Trace events recorded so far (sampled spans and counters). */
     size_t numTraceEvents() const { return writer_.numEvents(); }
 
@@ -318,7 +332,8 @@ class RunObserver
     TraceEventWriter writer_;
     MetricRegistry registry_;
     StageSplit split_;
-    std::vector<QueryRec> book_;
+    /** Filled up to each dispatched idx; retired by the driver. */
+    WindowBook<QueryRec> book_;
 
     // Cached hot-path metric handles (built on first use).
     WindowHistogram* queueWaitMs_ = nullptr;

@@ -29,7 +29,8 @@ ServingEngine::~ServingEngine()
 }
 
 void
-ServingEngine::submitQuery(size_t query_idx, uint32_t size)
+ServingEngine::submitQuery(size_t query_idx, uint32_t size,
+                           std::chrono::steady_clock::time_point start)
 {
     auto& book = books[query_idx];
     const uint32_t batch = static_cast<uint32_t>(
@@ -43,7 +44,7 @@ ServingEngine::submitQuery(size_t query_idx, uint32_t size)
         remaining -= take;
         parts++;
     }
-    book->start = std::chrono::steady_clock::now();
+    book->start = start;
     book->requestsLeft.store(parts, std::memory_order_release);
     {
         std::lock_guard<std::mutex> lock(mtx);
@@ -111,7 +112,7 @@ ServingEngine::serveAll(const QueryTrace& trace)
 
     const auto wall_start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < trace.size(); i++)
-        submitQuery(i, trace[i].size);
+        submitQuery(i, trace[i].size, std::chrono::steady_clock::now());
     while (queriesDone.load(std::memory_order_acquire) < trace.size())
         std::this_thread::sleep_for(std::chrono::microseconds(50));
     const auto wall_end = std::chrono::steady_clock::now();
@@ -151,8 +152,11 @@ ServingEngine::serveOpenLoop(const QueryTrace& trace, double time_scale)
             std::chrono::steady_clock::duration>(
                 std::chrono::duration<double>(
                     trace[i].arrivalSeconds * time_scale));
+        // Latency counts from the due time, so a late release (the
+        // generator falling behind its schedule) is charged to the
+        // query, as an open-loop client would see it.
         std::this_thread::sleep_until(release);
-        submitQuery(i, trace[i].size);
+        submitQuery(i, trace[i].size, release);
     }
     while (queriesDone.load(std::memory_order_acquire) < trace.size())
         std::this_thread::sleep_for(std::chrono::microseconds(50));

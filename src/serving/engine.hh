@@ -13,6 +13,7 @@
 #define DRS_SERVING_ENGINE_HH
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -80,7 +81,9 @@ class ServingEngine
     /**
      * Serve an open-loop trace: queries are released according to
      * their arrival timestamps (scaled by @p time_scale; smaller
-     * scales compress the trace for faster experiments).
+     * scales compress the trace for faster experiments). Each query's
+     * latency counts from its due time, so a release the generator
+     * makes late is counted in it.
      */
     EngineResult serveOpenLoop(const QueryTrace& trace,
                                double time_scale = 1.0);
@@ -99,7 +102,9 @@ class ServingEngine
     };
 
     void workerLoop(size_t worker_idx);
-    void submitQuery(size_t query_idx, uint32_t size);
+    /** Queue query @p query_idx; its latency counts from @p start. */
+    void submitQuery(size_t query_idx, uint32_t size,
+                     std::chrono::steady_clock::time_point start);
 
     const RecModel& model;
     EngineConfig cfg;

@@ -7,17 +7,6 @@
 
 namespace deeprecsys {
 
-namespace {
-
-/** Per-query measurement state (a query is one whole engine part). */
-struct QueryState
-{
-    double arrival = 0;
-    bool measured = true;
-};
-
-} // namespace
-
 ServingSimulator::ServingSimulator(SimConfig config)
     : cfg(std::move(config))
 {
@@ -32,7 +21,6 @@ ServingSimulator::run(const QueryTrace& trace)
         return result;
 
     const size_t warmup = warmupCount(cfg.warmupFraction, trace.size());
-    std::vector<QueryState> queries(trace.size());
     result.queryLatencySeconds.reserve(trace.size() - warmup);
 
     MachineEngine engine(&cfg, trace.front().arrivalSeconds);
@@ -48,12 +36,11 @@ ServingSimulator::run(const QueryTrace& trace)
     double lastEventTime = trace.front().arrivalSeconds;
 
     if (obs_)
-        obs_->onRunStart(trace.front().arrivalSeconds, trace.size());
+        obs_->onRunStart(trace.front().arrivalSeconds);
 
     auto complete_query = [&](uint64_t idx, double now) {
-        const QueryState& q = queries[idx];
-        if (q.measured) {
-            result.queryLatencySeconds.add(now - q.arrival);
+        if (idx >= warmup) {
+            result.queryLatencySeconds.add(now - trace[idx].arrivalSeconds);
             span.onCompletion(now);
         }
         if (obs_)
@@ -64,7 +51,7 @@ ServingSimulator::run(const QueryTrace& trace)
     // span coincide, with no network hops.
     auto observe_part = [&](uint64_t idx, bool gpu, double now) {
         obs_->onPartDone(idx, 0, obs::PartStage::Whole, true, gpu,
-                         queries[idx].arrival,
+                         trace[idx].arrivalSeconds,
                          engine.lastFinishedFirstServiceStart(), now);
     };
 
@@ -86,14 +73,12 @@ ServingSimulator::run(const QueryTrace& trace)
             engine.advanceTo(in.arrivalSeconds);
             lastEventTime = std::max(lastEventTime, in.arrivalSeconds);
 
-            QueryState& q = queries[nextArrival];
-            q.arrival = in.arrivalSeconds;
-            q.measured = nextArrival >= warmup;
-            if (q.measured)
+            const bool measured = nextArrival >= warmup;
+            if (measured)
                 span.onArrival(in.arrivalSeconds);
             if (obs_)
                 obs_->onQueryDispatch(nextArrival, in.arrivalSeconds,
-                                      in.size, 1, 0.0, q.measured);
+                                      in.size, 1, 0.0, measured);
 
             scheduled.clear();
             engine.admit({nextArrival, in.size, 1.0, true, true},

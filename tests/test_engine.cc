@@ -102,6 +102,20 @@ TEST(ServingEngine, OpenLoopHonoursTraceOrder)
     EXPECT_EQ(r.numQueries, 4u);
 }
 
+TEST(ServingEngine, OpenLoopLatencyCountsFromTheDueTime)
+{
+    // A query due 50 ms before the run starts is released late by
+    // 50 ms; an open-loop client waited that long, so it counts.
+    const RecModel model = tinyModel();
+    EngineConfig cfg;
+    cfg.numWorkers = 1;
+    ServingEngine engine(model, cfg);
+    const QueryTrace t = {{.id = 0, .arrivalSeconds = -0.05, .size = 4}};
+    const EngineResult r = engine.serveOpenLoop(t);
+    ASSERT_EQ(r.queryLatencySeconds.count(), 1u);
+    EXPECT_GE(r.queryLatencySeconds.min(), 0.05);
+}
+
 TEST(ServingEngine, SequenceModelServes)
 {
     const RecModel model = tinyModel(ModelId::Dien);

@@ -341,7 +341,7 @@ TEST(ObserverAutoscaler, OutputBytesIdenticalAcrossThreadCounts)
 TEST(Observer, EmptyRunStillWritesValidDocuments)
 {
     obs::RunObserver observer(obs::ObsConfig::full(1.0), 2);
-    observer.onRunStart(0.0, 0);
+    observer.onRunStart(0.0);
     observer.snapshot(0.0);
 
     std::ostringstream trace_os, metrics_os;

@@ -1,23 +1,26 @@
 /**
  * @file
- * Tests for the cluster drivers' part book (cluster/part_book.hh):
- * monotonic ids that equal the indices of an ever-growing vector
- * across chunk boundaries, the retire rule (terminal head, terminal
- * twin, dispatch over) and how one pinned part holds the window open,
- * chunk reuse at a bounded live count, reference stability across
- * push, the retired-id panic, and the drivers' exact peak-live-parts
- * work counter on a sharded, hedged, chaotic, colocated tier.
+ * Tests for the cluster drivers' part and query books
+ * (cluster/part_book.hh, cluster/query_book.hh; the storage itself is
+ * tested in test_window_book.cc): the part retire rule (terminal head,
+ * terminal twin, dispatch over) and how one pinned part holds the
+ * window open, the retired-id panic, the drivers' exact peak-live-parts
+ * and peak-live-queries work counters on a sharded, hedged, chaotic,
+ * colocated tier, and the query-window edge cases: a shed query
+ * awaiting its retry, a failover backoff, a hedge check that fires
+ * after its query completed, a lost query outlived by a hedge twin,
+ * and an unroutable query with no parts.
  */
 
 #include <gtest/gtest.h>
 
-#include <deque>
 
 #include "cluster/autoscaler.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
 #include "cluster/part_book.hh"
 #include "loadgen/query_stream.hh"
+#include "obs/observer.hh"
 
 namespace deeprecsys {
 namespace {
@@ -39,38 +42,6 @@ anyDispatch(const PartRec&)
 }
 
 // ------------------------------------------------------------ the book
-
-TEST(PartBook, IdsEqualVectorIndicesAcrossChunkBoundaries)
-{
-    PartBook book;
-    std::vector<PartRec> reference;
-    const uint64_t n = 3 * PartBook::kChunkParts + 17;
-    for (uint64_t i = 0; i < n; i++) {
-        PartRec rec = recFor(i * 7 + 3, static_cast<uint32_t>(i % 13));
-        rec.embFraction = 1.0 / static_cast<double>(i + 1);
-        reference.push_back(rec);
-        EXPECT_EQ(book.push(rec), i);
-    }
-    EXPECT_EQ(book.nextId(), n);
-    EXPECT_EQ(book.live(), n);
-    for (uint64_t i = 0; i < n; i++) {
-        EXPECT_EQ(book[i].queryIdx, reference[i].queryIdx);
-        EXPECT_EQ(book[i].machine, reference[i].machine);
-        EXPECT_EQ(book[i].embFraction, reference[i].embFraction);
-    }
-
-    // Retire across two chunk boundaries; later ids keep reading
-    // their own records and new ids continue the sequence.
-    const uint64_t cut = 2 * PartBook::kChunkParts + 5;
-    for (uint64_t i = 0; i < cut; i++)
-        book[i].done = true;
-    book.retire(anyDispatch);
-    EXPECT_EQ(book.lowId(), cut);
-    for (uint64_t i = cut; i < n; i++)
-        EXPECT_EQ(book[i].queryIdx, reference[i].queryIdx);
-    EXPECT_EQ(book.push(recFor(99)), n);
-    EXPECT_EQ(book[n].queryIdx, 99u);
-}
 
 TEST(PartBook, RetireStopsAtTheFirstNonTerminalHead)
 {
@@ -94,7 +65,7 @@ TEST(PartBook, PinnedOldPartKeepsEverythingAfterItReadable)
 {
     PartBook book;
     book.push(recFor(0));    // never finishes until the end
-    const uint64_t n = 5 * PartBook::kChunkParts;
+    const uint64_t n = 5 * PartBook::kChunkSize;
     for (uint64_t i = 1; i <= n; i++) {
         book.push(recFor(i));
         book[i].done = true;
@@ -138,47 +109,6 @@ TEST(PartBook, UnfinishedTwinAndLiveDispatchPinTheHead)
     EXPECT_EQ(book.lowId(), 2u);
     book.retire(anyDispatch);
     EXPECT_EQ(book.lowId(), 3u);
-}
-
-TEST(PartBook, ChunksRecycleAtABoundedLiveCount)
-{
-    // A million push/retire cycles at 3000 live parts: the chunk ring
-    // reaches its size early and never grows again.
-    constexpr size_t kLive = 3000;
-    PartBook book;
-    std::deque<uint64_t> window;
-    size_t slots_after_warmup = 0;
-    for (uint64_t i = 0; i < 1'000'000; i++) {
-        window.push_back(book.push(recFor(i)));
-        if (window.size() > kLive) {
-            book[window.front()].done = true;
-            window.pop_front();
-            book.retire(anyDispatch);
-        }
-        if (i == 10 * kLive)
-            slots_after_warmup = book.chunkSlots();
-    }
-    EXPECT_EQ(book.nextId(), 1'000'000u);
-    EXPECT_EQ(book.live(), kLive);
-    EXPECT_EQ(book.peakLive(), kLive + 1);
-    EXPECT_EQ(book.chunkSlots(), slots_after_warmup);
-    // Storage covers the live window rounded up to whole chunks and a
-    // power-of-two ring: at most twice the chunks the window spans.
-    const size_t spanned = (kLive + 1) / PartBook::kChunkParts + 2;
-    EXPECT_LE(book.chunkSlots(), 2 * spanned);
-}
-
-TEST(PartBook, ReferencesStayValidAcrossPush)
-{
-    PartBook book;
-    PartRec& first = book[book.push(recFor(42))];
-    first.tables = {1, 2, 3};
-    // Enough pushes to grow the chunk ring several times over.
-    for (uint64_t i = 1; i < 9 * PartBook::kChunkParts; i++)
-        book.push(recFor(i));
-    EXPECT_EQ(&book[0], &first);
-    EXPECT_EQ(first.queryIdx, 42u);
-    EXPECT_EQ(first.tables, (std::vector<uint32_t>{1, 2, 3}));
 }
 
 TEST(PartBookDeath, ReadingARetiredIdPanics)
@@ -240,14 +170,48 @@ busyTier()
 }
 
 QueryTrace
-busyTrace()
+busyTrace(double qps = 2500.0)
 {
     LoadSpec load;
     load.arrivalSeed = 0xb00c;
     load.sizeSeed = 0xb00d;
     MixedTraceTemplate mixed(load, mixFractions(tierMix()));
     mixed.ensure(6000);
-    return mixed.materialize(2500.0, 6000);
+    return mixed.materialize(qps, 6000);
+}
+
+/** The elastic tier over @p cluster: reactive, shard-aware. */
+AutoscaleSpec
+elasticSpec(const ClusterConfig& cluster)
+{
+    AutoscaleSpec spec;
+    spec.cluster = cluster;
+    spec.routing.kind = RoutingKind::ShardAware;
+    spec.slaMs = 100.0;
+    spec.controlIntervalSeconds = 0.4;
+    spec.warmupDelaySeconds = 0.2;
+    return spec;
+}
+
+AutoscaleResult
+runElastic(const AutoscaleSpec& spec, const QueryTrace& trace,
+           obs::RunObserver* observer = nullptr)
+{
+    ScalingPolicySpec policy;
+    policy.kind = ScalingPolicyKind::Reactive;
+    policy.minMachines = std::min<size_t>(4, spec.cluster.machines.size());
+    Autoscaler scaler(spec);
+    scaler.setObserver(observer);
+    return scaler.run(trace, policy);
+}
+
+ClusterResult
+runStatic(const ClusterConfig& cfg, const QueryTrace& trace,
+          obs::RunObserver* observer = nullptr)
+{
+    ClusterSimulator sim(cfg);
+    sim.setObserver(observer);
+    return sim.run(trace, RoutingSpec{RoutingKind::ShardAware});
 }
 
 TEST(PartBookDriver, StaticPeakLivePartsIsExactAndSmall)
@@ -255,8 +219,7 @@ TEST(PartBookDriver, StaticPeakLivePartsIsExactAndSmall)
     ClusterConfig cfg = busyTier();
     cfg.hedge.delaySeconds = 0.01;
     const QueryTrace trace = busyTrace();
-    const ClusterResult r = ClusterSimulator(cfg).run(
-        trace, RoutingSpec{RoutingKind::ShardAware});
+    const ClusterResult r = runStatic(cfg, trace);
 
     // The run exercises what it claims to.
     EXPECT_GT(r.faults.crashes, 0u);
@@ -273,17 +236,8 @@ TEST(PartBookDriver, StaticPeakLivePartsIsExactAndSmall)
 
 TEST(PartBookDriver, ElasticPeakLivePartsIsExactAndSmall)
 {
-    AutoscaleSpec spec;
-    spec.cluster = busyTier();
-    spec.routing.kind = RoutingKind::ShardAware;
-    spec.slaMs = 100.0;
-    spec.controlIntervalSeconds = 0.4;
-    spec.warmupDelaySeconds = 0.2;
-    ScalingPolicySpec policy;
-    policy.kind = ScalingPolicyKind::Reactive;
-    policy.minMachines = 4;
     const QueryTrace trace = busyTrace();
-    const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
+    const AutoscaleResult r = runElastic(elasticSpec(busyTier()), trace);
 
     EXPECT_GT(r.faults.crashes, 0u);
     EXPECT_GT(r.faults.failovers, 0u);
@@ -292,6 +246,275 @@ TEST(PartBookDriver, ElasticPeakLivePartsIsExactAndSmall)
 
     EXPECT_EQ(r.peakLiveParts, 1203u);
     EXPECT_LT(r.peakLiveParts * 8, r.numParts);
+}
+
+// ------------------------------------------------ the query book
+
+/** The busy tier with deadline admission and client retries on: shed
+ *  queries wait out a backoff unsettled, then come back. */
+ClusterConfig
+retryTier()
+{
+    ClusterConfig cfg = busyTier();
+    cfg.overload.admission = AdmissionKind::Deadline;
+    cfg.overload.deadlineSeconds = 0.015;
+    cfg.overload.degrade = true;
+    cfg.overload.maxRetries = 2;
+    cfg.overload.retryBackoffSeconds = 0.02;
+    return cfg;
+}
+
+/** Offered == completed + finally dropped + lost, in exact counts. */
+template <typename Result>
+void
+expectConserved(const Result& r, const QueryTrace& trace)
+{
+    EXPECT_EQ(r.overload.offered, trace.size());
+    EXPECT_EQ(trace.size(),
+              r.numCompleted + r.overload.droppedFinal + r.faults.lost);
+}
+
+TEST(QueryBookDriver, StaticPeakLiveQueriesIsExactAndSmall)
+{
+    ClusterConfig cfg = retryTier();
+    cfg.hedge.delaySeconds = 0.01;
+    const QueryTrace trace = busyTrace();
+    const ClusterResult r = runStatic(cfg, trace);
+
+    EXPECT_GT(r.faults.crashes, 0u);
+    EXPECT_GT(r.faults.failovers, 0u);
+    EXPECT_GT(r.faults.hedged, 0u);
+    EXPECT_GT(r.overload.retried, 0u);
+    expectConserved(r, trace);
+
+    // A query never marked settled pins the window and moves this
+    // count; it is a pure function of the seed.
+    EXPECT_EQ(r.peakLiveQueries, 275u);
+    EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+}
+
+TEST(QueryBookDriver, ElasticPeakLiveQueriesIsExactAndSmall)
+{
+    const QueryTrace trace = busyTrace();
+    const AutoscaleResult r = runElastic(elasticSpec(retryTier()), trace);
+
+    EXPECT_GT(r.faults.crashes, 0u);
+    EXPECT_GT(r.faults.failovers, 0u);
+    EXPECT_GT(r.overload.retried, 0u);
+    expectConserved(r, trace);
+
+    EXPECT_EQ(r.peakLiveQueries, 275u);
+    EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+}
+
+TEST(QueryBookDriver, FullRateObserverHoldsOnlyLiveQueries)
+{
+    // The observer's span book is retired with the driver's query
+    // book: it ends empty and never outgrows the driver's window, and
+    // watching a run does not move the window.
+    const QueryTrace trace = busyTrace();
+    ClusterConfig cfg = retryTier();
+    cfg.hedge.delaySeconds = 0.01;
+    {
+        obs::RunObserver observer(obs::ObsConfig::full(1.0),
+                                  cfg.machines.size());
+        const ClusterResult r = runStatic(cfg, trace, &observer);
+        EXPECT_EQ(observer.liveQueryRecords(), 0u);
+        EXPECT_GT(observer.peakQueryRecords(), 0u);
+        EXPECT_LE(observer.peakQueryRecords(), r.peakLiveQueries);
+        EXPECT_EQ(r.peakLiveQueries, runStatic(cfg, trace).peakLiveQueries);
+    }
+    {
+        const AutoscaleSpec spec = elasticSpec(retryTier());
+        obs::RunObserver observer(obs::ObsConfig::full(1.0),
+                                  spec.cluster.machines.size());
+        const AutoscaleResult r = runElastic(spec, trace, &observer);
+        EXPECT_EQ(observer.liveQueryRecords(), 0u);
+        EXPECT_GT(observer.peakQueryRecords(), 0u);
+        EXPECT_LE(observer.peakQueryRecords(), r.peakLiveQueries);
+        EXPECT_EQ(r.peakLiveQueries, runElastic(spec, trace).peakLiveQueries);
+    }
+}
+
+/** Queries of @p trace arriving in [from, to). */
+size_t
+arrivalsIn(const QueryTrace& trace, double from, double to)
+{
+    size_t n = 0;
+    for (const Query& q : trace)
+        n += q.arrivalSeconds >= from && q.arrivalSeconds < to;
+    return n;
+}
+
+TEST(QueryWindow, ShedRetryPinsTheHeadUntilItSettles)
+{
+    // A burst at t = 0 overflows one machine's queue, and the shed
+    // queries retry only after a long backoff while a light stream
+    // keeps arriving and completing. The first shed query is
+    // unsettled until its retry, so it holds every later arrival in
+    // the window; with retries off every shed is final and the window
+    // stays near the burst size.
+    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
+    ClusterConfig cfg;
+    SchedulerPolicy sched;
+    sched.perRequestBatch = 256;
+    cfg.machines.push_back(SimConfig{
+        CpuCostModel(profile, CpuPlatform::skylake()), std::nullopt, sched,
+        0.05, 1.0});
+    cfg.overload.admission = AdmissionKind::QueueDepth;
+    cfg.overload.queueDepthCap = 2;
+    cfg.overload.maxRetries = 1;
+    cfg.overload.retryBackoffSeconds = 0.3;
+    cfg.overload.retryJitterFraction = 0.0;
+    cfg.overload.retryStormPressure = 1e9;
+
+    QueryTrace trace;
+    for (uint64_t i = 0; i < 64; i++)
+        trace.push_back({.id = i, .arrivalSeconds = 0.0, .size = 256});
+    for (uint64_t i = 64; i < 264; i++)
+        trace.push_back({.id = i,
+                         .arrivalSeconds = 0.005 * static_cast<double>(i - 63),
+                         .size = 16});
+    ClusterConfig no_retry = cfg;
+    no_retry.overload.maxRetries = 0;
+
+    const size_t pinned = arrivalsIn(trace, 0.0, 0.3) - 64;
+    {
+        const ClusterResult r =
+            ClusterSimulator(cfg).run(trace, RoutingSpec{});
+        const ClusterResult base =
+            ClusterSimulator(no_retry).run(trace, RoutingSpec{});
+        expectConserved(r, trace);
+        expectConserved(base, trace);
+        EXPECT_GT(r.overload.retried, 0u);
+        EXPECT_GE(r.peakLiveQueries, pinned);
+        EXPECT_LT(base.peakLiveQueries, r.peakLiveQueries);
+    }
+    {
+        AutoscaleSpec spec;
+        spec.cluster = cfg;
+        spec.controlIntervalSeconds = 0.1;
+        AutoscaleSpec base_spec = spec;
+        base_spec.cluster = no_retry;
+        const AutoscaleResult r = runElastic(spec, trace);
+        const AutoscaleResult base = runElastic(base_spec, trace);
+        expectConserved(r, trace);
+        expectConserved(base, trace);
+        EXPECT_GT(r.overload.retried, 0u);
+        EXPECT_GE(r.peakLiveQueries, pinned);
+        EXPECT_LT(base.peakLiveQueries, r.peakLiveQueries);
+    }
+}
+
+TEST(QueryWindow, FailoverBackoffPinsTheLowId)
+{
+    // A killed query waits out its failover backoff unsettled, with
+    // no part in the book: only the query window holds it. A long
+    // backoff must widen the window by about the arrivals it spans.
+    const QueryTrace trace = busyTrace();
+    ClusterConfig quick = busyTier();
+    quick.faults.failoverDelaySeconds = 0.0;
+    ClusterConfig slow = busyTier();
+    slow.faults.failoverDelaySeconds = 0.5;
+    const size_t spanned = arrivalsIn(trace, trace.front().arrivalSeconds,
+                                      trace.front().arrivalSeconds + 0.5);
+    {
+        const ClusterResult q = runStatic(quick, trace);
+        const ClusterResult s = runStatic(slow, trace);
+        expectConserved(q, trace);
+        expectConserved(s, trace);
+        EXPECT_GT(s.faults.failovers, 0u);
+        EXPECT_GE(s.peakLiveQueries, spanned / 2);
+        EXPECT_LT(q.peakLiveQueries * 2, s.peakLiveQueries);
+    }
+    {
+        const AutoscaleResult q = runElastic(elasticSpec(quick), trace);
+        const AutoscaleResult s = runElastic(elasticSpec(slow), trace);
+        expectConserved(q, trace);
+        expectConserved(s, trace);
+        EXPECT_GT(s.faults.failovers, 0u);
+        EXPECT_GE(s.peakLiveQueries, spanned / 2);
+        EXPECT_LT(q.peakLiveQueries * 2, s.peakLiveQueries);
+    }
+}
+
+TEST(QueryWindow, HedgeCheckAfterCompletionPinsItsQuery)
+{
+    // A hedge delay far above the service time: nearly every query
+    // completes before its hedge check fires, and the pending check
+    // keeps it (and every later arrival) in the window until then.
+    ClusterConfig cfg = busyTier();
+    cfg.faults = FaultPlan{};
+    cfg.hedge.delaySeconds = 0.25;
+    const QueryTrace trace = busyTrace();
+    const ClusterResult r = runStatic(cfg, trace);
+    expectConserved(r, trace);
+    EXPECT_EQ(r.numCompleted, trace.size());
+    EXPECT_LT(r.faults.hedged * 100, trace.size());
+    EXPECT_GE(r.peakLiveQueries,
+              arrivalsIn(trace, trace.front().arrivalSeconds,
+                         trace.front().arrivalSeconds + 0.25));
+}
+
+TEST(QueryWindow, LostQueryOutlivedByItsParts)
+{
+    // Heavy crashes and no failover budget: a crash that kills one
+    // part loses its query while the dispatch's other parts, and the
+    // hedge twins racing them, still run. They finish as ghosts and
+    // read the settled query, which must still be in the window.
+    ClusterConfig hedged = busyTier();
+    hedged.faults.crashesPerHour = 2400.0;
+    hedged.faults.maxFailovers = 0;
+    hedged.hedge.delaySeconds = 0.003;
+    // A light optimistic-join tier: no dense phase extends the
+    // query's parts, and a lost query soon reaches the window head.
+    ClusterConfig light = hedged;
+    light.join = JoinModel::Optimistic;
+    for (const auto& [cfg, trace] :
+         {std::pair{hedged, busyTrace()}, std::pair{light, busyTrace(300.0)}}) {
+        const ClusterResult r = runStatic(cfg, trace);
+        expectConserved(r, trace);
+        EXPECT_GT(r.faults.lost, 0u);
+        EXPECT_GT(r.faults.hedged, 0u);
+        EXPECT_GT(r.faults.hedgeWasted + r.faults.hedgeWins, 0u);
+        EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+    }
+    // The elastic tier does not hedge; its ghosts are the parts alone.
+    ClusterConfig elastic = light;
+    elastic.hedge = HedgeConfig{};
+    const QueryTrace trace = busyTrace(300.0);
+    const AutoscaleResult r = runElastic(elasticSpec(elastic), trace);
+    expectConserved(r, trace);
+    EXPECT_GT(r.faults.lost, 0u);
+    EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+}
+
+TEST(QueryWindow, UnroutableQueryWithNoPartsSettles)
+{
+    // Single-copy tables and no failover budget: a presentation whose
+    // tables are all down is lost at once with no part ever created,
+    // and leaves the window straight away.
+    ClusterConfig cfg = busyTier();
+    PlacementSpec placement;
+    placement.strategy = PlacementStrategy::GreedyBySize;
+    placement.minReplicas = 1;
+    cfg.sharding = colocatedSharding(
+        cfg.modelMix, machineMemoryBudgets(cfg.machines), placement, 6);
+    cfg.faults.faultTolerance = 0;
+    cfg.faults.maxFailovers = 0;
+    const QueryTrace trace = busyTrace();
+    {
+        const ClusterResult r = runStatic(cfg, trace);
+        expectConserved(r, trace);
+        EXPECT_GT(r.faults.unroutable, 0u);
+        EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+    }
+    {
+        const AutoscaleResult r = runElastic(elasticSpec(cfg), trace);
+        expectConserved(r, trace);
+        EXPECT_GT(r.faults.unroutable, 0u);
+        EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+    }
 }
 
 } // namespace
