@@ -15,9 +15,10 @@
  *    hot-path metric: simulated events/second on one thread.
  *  - `cluster16_sharded`: a 16-machine sharded TwoStage cluster run
  *    with shard-aware routing — the cluster driver hot path. It also
- *    reports the parts the driver created and the most its part and
- *    query books held live at once (the driver's memory high-water
- *    marks).
+ *    reports the parts the driver created, the most its part and
+ *    query books held live at once and the most chunks each book
+ *    allocated (the driver's memory high-water marks), and the heap
+ *    bytes of the flat per-query part-machine book the result keeps.
  *  - `cluster16_obs_off` / `cluster16_obs_on`: the same workload with
  *    the observability layer explicitly detached and fully attached.
  *    The detached run gates the obs integration's disabled path (the
@@ -96,6 +97,9 @@ struct ScenarioReport
     uint64_t parts = 0;        ///< driver parts created (cluster only)
     uint64_t peakLiveParts = 0;   ///< part-book high-water mark
     uint64_t peakLiveQueries = 0; ///< query-book high-water mark
+    uint64_t partChunks = 0;      ///< part-book chunk high-water mark
+    uint64_t queryChunks = 0;     ///< query-book chunk high-water mark
+    uint64_t partMachinesBytes = 0; ///< result's flat book, heap bytes
     bool identical = true;     ///< parallel result bitwise == serial
 
     double
@@ -222,7 +226,11 @@ writeJson(const std::string& path,
         if (r.parts > 0) {
             out << "\"parts\": " << r.parts << ", "
                 << "\"peak_live_parts\": " << r.peakLiveParts << ", "
-                << "\"peak_live_queries\": " << r.peakLiveQueries << ", ";
+                << "\"peak_live_queries\": " << r.peakLiveQueries << ", "
+                << "\"part_chunks\": " << r.partChunks << ", "
+                << "\"query_chunks\": " << r.queryChunks << ", "
+                << "\"part_machines_bytes\": " << r.partMachinesBytes
+                << ", ";
         }
         out << "\"parallel_identical\": "
             << (r.identical ? "true" : "false") << "}"
@@ -345,6 +353,9 @@ main(int argc, char** argv)
             report.parts = base.numParts;
             report.peakLiveParts = base.peakLiveParts;
             report.peakLiveQueries = base.peakLiveQueries;
+            report.partChunks = base.peakPartChunks;
+            report.queryChunks = base.peakQueryChunks;
+            report.partMachinesBytes = base.partMachinesOfQuery.bytes();
             obs_base_wall = report.wallSerial;
             reports.push_back(report);
         }

@@ -5,12 +5,14 @@
  *
  * Ids are handed out in push order (0, 1, 2, ...), exactly the indices
  * an ever-growing vector would give, so callers keep using plain ids.
- * Storage is a ring of fixed-size chunks covering only the live window
- * `[low, next)`: the owner retires head records once no reader can
- * reach them again, and a chunk wholly below `low` is reused by a
- * later chunk, so memory is O(peak live records), not O(records
- * pushed). Chunks never move, so a reference to a live record stays
- * valid across push(). Reading a retired or unissued id panics.
+ * Storage is a deque of fixed-size chunks covering only the live
+ * window `[low, next)`: the owner retires head records once no reader
+ * can reach them again, a chunk the window wholly leaves goes to a
+ * spare list, and the next chunk opened reuses it. So memory is the
+ * chunks the window spans at its widest (plus at most one spare), not
+ * O(records pushed). Chunks never move, so a reference to a live
+ * record stays valid across push(). Reading a retired or unissued id
+ * panics.
  */
 
 #ifndef DRS_BASE_WINDOW_BOOK_HH
@@ -18,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -31,7 +34,7 @@ template <typename T>
 class WindowBook
 {
   public:
-    /** Records per chunk (a power of two). */
+    /** Records per chunk. */
     static constexpr uint64_t kChunkSize = 1024;
 
     /** Append @p rec and return its id (the next id in sequence). */
@@ -39,10 +42,14 @@ class WindowBook
     push(T rec)
     {
         const uint64_t id = next_;
-        // A window emptied mid-chunk may have had that chunk's slot
-        // reused, so an empty window reopens its chunk too.
-        if (id % kChunkSize == 0 || low_ == next_)
-            openChunk(id / kChunkSize);
+        const uint64_t chunk = id / kChunkSize;
+        // An empty window reopens wherever next_ is (retireTo may have
+        // skipped ids never issued); otherwise next_ is in the last
+        // live chunk or the one after it.
+        if (live_.empty())
+            firstChunk_ = chunk;
+        if (chunk == firstChunk_ + live_.size())
+            openChunk();
         next_++;
         at(id) = std::move(rec);
         peak_ = std::max(peak_, next_ - low_);
@@ -65,8 +72,12 @@ class WindowBook
     /** High-water mark of live() over every push. */
     uint64_t peakLive() const { return peak_; }
 
-    /** Chunk slots allocated (storage is chunkSlots() * kChunkSize). */
-    size_t chunkSlots() const { return ring_.size(); }
+    /**
+     * Chunks allocated, live and spare (storage is chunksAllocated()
+     * * kChunkSize records). Chunks are kept for reuse, never freed,
+     * so this is also the book's chunk high-water mark.
+     */
+    size_t chunksAllocated() const { return live_.size() + spare_.size(); }
 
     /**
      * Advance the window past every head record for which
@@ -80,6 +91,7 @@ class WindowBook
         const uint64_t before = low_;
         while (low_ < next_ && retirable(at(low_)))
             low_++;
+        releaseChunks();
         return low_ != before;
     }
 
@@ -92,6 +104,7 @@ class WindowBook
     {
         low_ = std::max(low_, id);
         next_ = std::max(next_, low_);
+        releaseChunks();
     }
 
   private:
@@ -100,38 +113,36 @@ class WindowBook
     {
         drs_assert(id >= low_ && id < next_,
                    "id outside the live window");
-        return ring_[(id / kChunkSize) & ringMask_][id % kChunkSize];
+        return live_[id / kChunkSize - firstChunk_][id % kChunkSize];
     }
 
-    /** Make room for chunk @p chunk (the one holding id next_). */
+    /** Append the chunk holding id next_, reusing a spare if any. */
     void
-    openChunk(uint64_t chunk)
+    openChunk()
     {
-        // Live chunks span [low_'s chunk, chunk]; the slot of a chunk
-        // a full ring below is free to reuse once that chunk is wholly
-        // retired. Otherwise double the ring, moving each live chunk
-        // to its new slot (the chunks themselves, and so every
-        // reference into them, stay put).
-        const uint64_t low_chunk = low_ / kChunkSize;
-        const uint64_t needed = chunk - low_chunk + 1;
-        if (needed > ring_.size()) {
-            size_t size = ring_.empty() ? 1 : ring_.size();
-            while (size < needed)
-                size *= 2;
-            std::vector<std::unique_ptr<T[]>> grown(size);
-            for (uint64_t c = low_chunk; c < chunk; c++)
-                grown[c & (size - 1)] = std::move(ring_[c & ringMask_]);
-            ring_ = std::move(grown);
-            ringMask_ = size - 1;
+        if (spare_.empty()) {
+            live_.push_back(std::make_unique<T[]>(kChunkSize));
+        } else {
+            live_.push_back(std::move(spare_.back()));
+            spare_.pop_back();
         }
-        std::unique_ptr<T[]>& slot = ring_[chunk & ringMask_];
-        if (!slot)
-            slot = std::make_unique<T[]>(kChunkSize);
     }
 
-    /** Chunk c lives at ring_[c & ringMask_]; size is a power of two. */
-    std::vector<std::unique_ptr<T[]>> ring_;
-    uint64_t ringMask_ = 0;
+    /** Move every chunk wholly below low_ to the spare list. */
+    void
+    releaseChunks()
+    {
+        while (!live_.empty() && (firstChunk_ + 1) * kChunkSize <= low_) {
+            spare_.push_back(std::move(live_.front()));
+            live_.pop_front();
+            firstChunk_++;
+        }
+    }
+
+    /** Chunk firstChunk_ + i lives at live_[i]. */
+    std::deque<std::unique_ptr<T[]>> live_;
+    std::vector<std::unique_ptr<T[]>> spare_;
+    uint64_t firstChunk_ = 0;
     uint64_t low_ = 0;
     uint64_t next_ = 0;
     uint64_t peak_ = 0;

@@ -90,12 +90,12 @@ class ReactivePolicy final : public ScalingPolicy
     ReactivePolicy(const ScalingPolicySpec& spec, double sla_ms)
         : spec_(spec), slaMs(sla_ms)
     {
-        drs_assert(spec_.targetUtilization > 0.0 &&
-                       spec_.targetUtilization < 1.0,
-                   "target utilization must be in (0, 1)");
-        drs_assert(spec_.downUtilization <= spec_.targetUtilization &&
-                       spec_.targetUtilization <= spec_.upUtilization,
-                   "utilization band must bracket the target");
+        if (!(spec_.targetUtilization > 0.0 &&
+              spec_.targetUtilization < 1.0))
+            drs_fatal("target utilization must be in (0, 1)");
+        if (!(spec_.downUtilization <= spec_.targetUtilization &&
+              spec_.targetUtilization <= spec_.upUtilization))
+            drs_fatal("utilization band must bracket the target");
     }
 
     size_t
@@ -373,18 +373,19 @@ makeScalingPolicy(const ScalingPolicySpec& policy,
 Autoscaler::Autoscaler(AutoscaleSpec spec) : spec_(std::move(spec))
 {
     const ClusterConfig& cfg = spec_.cluster;
-    drs_assert(!cfg.machines.empty(), "elastic tier needs machines");
+    if (cfg.machines.empty())
+        drs_fatal("elastic tier needs machines");
     for (const SimConfig& machine : cfg.machines)
         MachineEngine::validate(machine);
-    drs_assert(spec_.controlIntervalSeconds > 0.0,
-               "control interval must be positive");
-    drs_assert(spec_.warmupDelaySeconds >= 0.0,
-               "warm-up delay cannot be negative");
-    drs_assert(spec_.initialMachines <= cfg.machines.size(),
-               "initial machines exceed the tier");
-    drs_assert(!cfg.hedge.enabled(),
-               "hedged requests are a static-tier feature; the elastic"
-               " driver does not hedge");
+    if (!(spec_.controlIntervalSeconds > 0.0))
+        drs_fatal("control interval must be positive");
+    if (!(spec_.warmupDelaySeconds >= 0.0))
+        drs_fatal("warm-up delay cannot be negative");
+    if (spec_.initialMachines > cfg.machines.size())
+        drs_fatal("initial machines exceed the tier");
+    if (cfg.hedge.enabled())
+        drs_fatal("hedged requests are a static-tier feature; the elastic"
+                  " driver does not hedge");
     if (!cfg.modelMix.empty()) {
         // Machines power on and off, so every machine must serve the
         // whole mix or a scale-down could strand a model unservable.
@@ -1439,6 +1440,8 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
     drs_assert(queries.live() == 0, "a query never settled");
     result.peakLiveParts = parts.peakLive();
     result.peakLiveQueries = queries.peakLive();
+    result.peakPartChunks = parts.chunksAllocated();
+    result.peakQueryChunks = queries.chunksAllocated();
     result.numQueries = result.fleetLatencySeconds.count();
     result.offeredQps = traceOfferedQps(trace);
     result.spanSeconds = lastEventTime - t0;

@@ -332,6 +332,11 @@ struct AutoscaleResult
      *  memory high-water mark; exact per seed). */
     uint64_t peakLiveQueries = 0;
 
+    /** Most chunks the PartBook and the QueryBook allocated (their
+     *  storage high-water marks; exact per seed). */
+    uint64_t peakPartChunks = 0;
+    uint64_t peakQueryChunks = 0;
+
     /** Drop/degrade/goodput accounting (cluster/admission.hh). Count
      *  fields always reconcile with the fault books under the
      *  three-way algebra: offered == completed + droppedFinal + lost

@@ -330,7 +330,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             : &result.overload.perClass[cls];
     };
     result.machineOfQuery.resize(trace.size());
-    result.partMachinesOfQuery.resize(trace.size());
+    result.partMachinesOfQuery.reserveRows(trace.size());
 
     MeasuredSpan span;
     double lastEventTime = trace.front().arrivalSeconds;
@@ -635,8 +635,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             flight_add(static_cast<uint32_t>(best), q.model);
             result.perMachine[best].remoteParts++;
             result.numParts++;
-            result.partMachinesOfQuery[idx].push_back(
-                static_cast<uint32_t>(best));
+            q.partMachines.push_back(static_cast<uint32_t>(best));
             result.faults.hedged++;
             if (obs_)
                 obs_->onPartHedged(idx, now, src,
@@ -778,9 +777,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             obs_->onQueryDispatch(idx, now, served.size, plan.size(),
                                   forward, q.measured);
 
-        std::vector<uint32_t>& part_machines =
-            result.partMachinesOfQuery[idx];
-        part_machines.reserve(part_machines.size() + plan.size());
+        q.partMachines.reserve(q.partMachines.size() + plan.size());
         size_t leaders = 0;
         for (ShardTarget& target : plan) {
             drs_assert(target.machine < machines.size(),
@@ -798,7 +795,7 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
             } else {
                 result.perMachine[m].remoteParts++;
             }
-            part_machines.push_back(m);
+            q.partMachines.push_back(m);
 
             const uint64_t part_idx = parts.push(
                 {.queryIdx = idx, .machine = m,
@@ -847,9 +844,14 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
     };
     // Parts first: a query leaves the book only after its parts (see
     // QueryBook::retire); the observer drops its span records with it.
+    // Nothing appends to a retired query's part machines, and queries
+    // retire in trace order, so each becomes its row of the flat book.
+    auto flush_row = [&](const QueryState& q) {
+        result.partMachinesOfQuery.appendRow(q.partMachines);
+    };
     auto retire_books = [&] {
         parts.retire(dispatch_over);
-        if (queries.retire(parts) && obs_)
+        if (queries.retire(parts, flush_row) && obs_)
             obs_->onQueriesRetired(queries.lowId());
     };
 
@@ -1034,6 +1036,8 @@ ClusterSimulator::run(const QueryTrace& trace, RoutingPolicy& policy) const
     drs_assert(queries.live() == 0, "a query never settled");
     result.peakLiveParts = parts.peakLive();
     result.peakLiveQueries = queries.peakLive();
+    result.peakPartChunks = parts.chunksAllocated();
+    result.peakQueryChunks = queries.chunksAllocated();
     result.numQueries = result.fleetLatencySeconds.count();
     result.meanFanout = result.numDispatched > 0
         ? static_cast<double>(result.numParts) /

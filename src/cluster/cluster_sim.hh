@@ -47,6 +47,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/flat_book.hh"
 #include "base/stats.hh"
 #include "cluster/admission.hh"
 #include "cluster/fault_plan.hh"
@@ -189,10 +190,14 @@ struct ClusterResult
     static constexpr uint32_t lostMachine = UINT32_MAX - 1;
 
     /**
-     * Every machine that served a part of each query, leader first.
-     * Size 1 per query unless shard-aware routing fanned it out.
+     * Every machine a part of each query was sent to, one row per
+     * trace index, in creation order: the leader first, then its
+     * fan-out parts, hedge twins and failover re-dispatches (each
+     * re-dispatch again leader first). A query shed at the router or
+     * unroutable on every presentation has an empty row. Read rows
+     * through row(i), which does not copy.
      */
-    std::vector<std::vector<uint32_t>> partMachinesOfQuery;
+    FlatBook<uint32_t> partMachinesOfQuery;
 
     uint64_t numQueries = 0;           ///< measured completions
     uint64_t numDispatched = 0;        ///< all routed queries
@@ -206,6 +211,11 @@ struct ClusterResult
     /** Most queries the driver's QueryBook held live at once (its
      *  memory high-water mark; exact per seed). */
     uint64_t peakLiveQueries = 0;
+
+    /** Most chunks the PartBook and the QueryBook allocated (their
+     *  storage high-water marks; exact per seed). */
+    uint64_t peakPartChunks = 0;
+    uint64_t peakQueryChunks = 0;
 
     /** Mean machines touched per query (1.0 without sharding). */
     double meanFanout = 0;

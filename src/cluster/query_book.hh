@@ -15,6 +15,7 @@
 #define DRS_CLUSTER_QUERY_BOOK_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "base/window_book.hh"
 #include "cluster/part_book.hh"
@@ -54,6 +55,10 @@ struct QueryState
     bool joinLeadership = false;
     /** Completed, finally dropped or lost: no new work will start. */
     bool settled = false;
+
+    /** Static driver: every machine a part was sent to so far, in
+     *  creation order (its ClusterResult::partMachinesOfQuery row). */
+    std::vector<uint32_t> partMachines;
 };
 
 /** The query book: a WindowBook of queries plus its retire rule. */
@@ -65,16 +70,27 @@ class QueryBook : public WindowBook<QueryState>
      * can reach again: it is settled (no retry or failover will
      * re-present it), no HedgeCheck event for it is pending, and every
      * part created for it has left @p parts (a live part reads its
-     * query). Stops at the first head that fails; returns true when
-     * any query was retired.
+     * query). @p on_retire sees each query just before it leaves.
+     * Stops at the first head that fails; returns true when any query
+     * was retired.
      */
+    template <typename OnRetire>
+    bool
+    retire(const PartBook& parts, OnRetire&& on_retire)
+    {
+        return retireWhile([&](const QueryState& q) {
+            const bool over = q.settled && q.hedgeChecks == 0 &&
+                q.partsEnd <= parts.lowId();
+            if (over)
+                on_retire(q);
+            return over;
+        });
+    }
+
     bool
     retire(const PartBook& parts)
     {
-        return retireWhile([&](const QueryState& q) {
-            return q.settled && q.hedgeChecks == 0 &&
-                q.partsEnd <= parts.lowId();
-        });
+        return retire(parts, [](const QueryState&) {});
     }
 };
 

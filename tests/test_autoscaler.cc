@@ -408,5 +408,69 @@ TEST(ScalingPolicies, FactoryBuildsEveryKindWithNames)
     }
 }
 
+// ------------------------------------------- config errors exit cleanly
+
+// A bad elastic-tier spec is a user error: it exits with status 1 and
+// a message (drs_fatal), it does not abort like a broken invariant.
+
+TEST(AutoscalerConfigDeath, NoMachinesIsAConfigError)
+{
+    EXPECT_EXIT(Autoscaler{flatSpec(0)}, ::testing::ExitedWithCode(1),
+                "elastic tier needs machines");
+}
+
+TEST(AutoscalerConfigDeath, NonPositiveControlIntervalIsAConfigError)
+{
+    AutoscaleSpec spec = flatSpec(2);
+    spec.controlIntervalSeconds = 0.0;
+    EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
+                "control interval must be positive");
+}
+
+TEST(AutoscalerConfigDeath, NegativeWarmupIsAConfigError)
+{
+    AutoscaleSpec spec = flatSpec(2);
+    spec.warmupDelaySeconds = -0.25;
+    EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
+                "warm-up delay cannot be negative");
+}
+
+TEST(AutoscalerConfigDeath, InitialMachinesAboveTheTierIsAConfigError)
+{
+    AutoscaleSpec spec = flatSpec(2);
+    spec.initialMachines = 3;
+    EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
+                "initial machines exceed the tier");
+}
+
+TEST(AutoscalerConfigDeath, ReactiveTargetOutsideTheUnitIntervalIsAConfigError)
+{
+    const AutoscaleSpec spec = flatSpec(2);
+    ScalingPolicySpec policy;
+    policy.kind = ScalingPolicyKind::Reactive;
+    for (double target : {0.0, 1.0}) {
+        policy.targetUtilization = target;
+        EXPECT_EXIT(makeScalingPolicy(policy, spec),
+                    ::testing::ExitedWithCode(1),
+                    "target utilization must be in \\(0, 1\\)");
+    }
+}
+
+TEST(AutoscalerConfigDeath, ReactiveBandNotBracketingTheTargetIsAConfigError)
+{
+    const AutoscaleSpec spec = flatSpec(2);
+    ScalingPolicySpec policy;
+    policy.kind = ScalingPolicyKind::Reactive;
+    policy.downUtilization = 0.7;    // above the 0.65 target
+    EXPECT_EXIT(makeScalingPolicy(policy, spec),
+                ::testing::ExitedWithCode(1),
+                "utilization band must bracket the target");
+    policy.downUtilization = 0.4;
+    policy.upUtilization = 0.6;      // below the target
+    EXPECT_EXIT(makeScalingPolicy(policy, spec),
+                ::testing::ExitedWithCode(1),
+                "utilization band must bracket the target");
+}
+
 } // namespace
 } // namespace deeprecsys

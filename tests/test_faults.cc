@@ -258,7 +258,8 @@ TEST(FaultPlanDeath, ElasticDriverRefusesHedging)
         SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
                   std::nullopt, policy, 0.05, 1.0});
     spec.cluster.hedge.delaySeconds = 0.01;
-    EXPECT_DEATH(Autoscaler{spec}, "does not hedge");
+    EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
+                "does not hedge");
 }
 
 // ------------------------------------------------------ conservation

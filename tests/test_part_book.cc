@@ -9,11 +9,17 @@
  * colocated tier, and the query-window edge cases: a shed query
  * awaiting its retry, a failover backoff, a hedge check that fires
  * after its query completed, a lost query outlived by a hedge twin,
- * and an unroutable query with no parts.
+ * and an unroutable query with no parts. Last, the flat book of
+ * per-query part machines the static driver fills as queries retire.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cinttypes>
+#include <cstdio>
+#include <sstream>
 
 #include "cluster/autoscaler.hh"
 #include "cluster/cluster_sim.hh"
@@ -232,6 +238,10 @@ TEST(PartBookDriver, StaticPeakLivePartsIsExactAndSmall)
     // moves this count; it is a pure function of the seed.
     EXPECT_EQ(r.peakLiveParts, 1192u);
     EXPECT_LT(r.peakLiveParts * 8, r.numParts);
+    // Chunks are allocated only for the span of the live window; a
+    // book that fails to recycle a spare moves these.
+    EXPECT_EQ(r.peakPartChunks, 2u);
+    EXPECT_EQ(r.peakQueryChunks, 2u);
 }
 
 TEST(PartBookDriver, ElasticPeakLivePartsIsExactAndSmall)
@@ -246,6 +256,8 @@ TEST(PartBookDriver, ElasticPeakLivePartsIsExactAndSmall)
 
     EXPECT_EQ(r.peakLiveParts, 1203u);
     EXPECT_LT(r.peakLiveParts * 8, r.numParts);
+    EXPECT_EQ(r.peakPartChunks, 2u);
+    EXPECT_EQ(r.peakQueryChunks, 2u);
 }
 
 // ------------------------------------------------ the query book
@@ -515,6 +527,107 @@ TEST(QueryWindow, UnroutableQueryWithNoPartsSettles)
         EXPECT_GT(r.faults.unroutable, 0u);
         EXPECT_LT(r.peakLiveQueries * 8, trace.size());
     }
+}
+
+// ------------------------------------ the flat part-machine book
+
+/** The hedge instants of a full-rate trace: (query, from, to). */
+std::vector<std::array<uint64_t, 3>>
+hedgesOf(const obs::RunObserver& observer)
+{
+    std::ostringstream trace;
+    observer.writeTrace(trace);
+    const std::string text = trace.str();
+    std::vector<std::array<uint64_t, 3>> hedges;
+    for (size_t at = text.find("\"query\": "); at != std::string::npos;
+         at = text.find("\"query\": ", at + 1)) {
+        std::array<uint64_t, 3> h;
+        if (std::sscanf(text.c_str() + at,
+                        "\"query\": %" SCNu64 ", \"from\": %" SCNu64
+                        ", \"to\": %" SCNu64,
+                        &h[0], &h[1], &h[2]) == 3)
+            hedges.push_back(h);
+    }
+    return hedges;
+}
+
+/** Rows tile the parts, and row(i) is the by-value row i. */
+void
+expectRowsTileParts(const ClusterResult& r, const QueryTrace& trace)
+{
+    const FlatBook<uint32_t>& book = r.partMachinesOfQuery;
+    ASSERT_EQ(book.size(), trace.size());
+    uint64_t sum = 0;
+    size_t i = 0;
+    for (const std::vector<uint32_t>& by_value : book) {
+        const std::span<const uint32_t> row = book.row(i);
+        sum += row.size();
+        ASSERT_TRUE(std::ranges::equal(row, by_value)) << "row " << i;
+        ASSERT_EQ(book[i], by_value) << "row " << i;
+        i++;
+    }
+    EXPECT_EQ(i, trace.size());
+    EXPECT_EQ(sum, r.numParts);
+}
+
+TEST(PartMachineBook, HedgedChaoticRetryTierRowsHoldEveryPart)
+{
+    ClusterConfig cfg = retryTier();
+    cfg.hedge.delaySeconds = 0.01;
+    const QueryTrace trace = busyTrace();
+    obs::RunObserver observer(obs::ObsConfig::full(1.0),
+                              cfg.machines.size());
+    const ClusterResult r = runStatic(cfg, trace, &observer);
+    EXPECT_GT(r.faults.failovers, 0u);
+    EXPECT_GT(r.overload.retried, 0u);
+    EXPECT_GT(r.overload.droppedFinal, 0u);
+    expectRowsTileParts(r, trace);
+
+    // A hedged part's row holds both the original and its twin.
+    const auto hedges = hedgesOf(observer);
+    ASSERT_GT(r.faults.hedged, 0u);
+    EXPECT_EQ(hedges.size(), r.faults.hedged);
+    for (const auto& [query, from, to] : hedges) {
+        const std::span<const uint32_t> row =
+            r.partMachinesOfQuery.row(query);
+        EXPECT_NE(std::ranges::find(row, from), row.end()) << query;
+        EXPECT_NE(std::ranges::find(row, to), row.end()) << query;
+    }
+    // Every completed query was dispatched at least once.
+    for (size_t i = 0; i < trace.size(); i++) {
+        if (r.machineOfQuery[i] < cfg.machines.size()) {
+            EXPECT_FALSE(r.partMachinesOfQuery.row(i).empty()) << i;
+        }
+    }
+}
+
+TEST(PartMachineBook, NeverDispatchedQueriesHaveEmptyRows)
+{
+    // Client retries, hedging and single-copy tables with no failover
+    // budget: a query is either dispatched (and its row holds its
+    // parts), finally shed at the router, or unroutable and lost on
+    // the spot. Only the last two have empty rows.
+    ClusterConfig cfg = retryTier();
+    cfg.hedge.delaySeconds = 0.01;
+    PlacementSpec placement;
+    placement.strategy = PlacementStrategy::GreedyBySize;
+    placement.minReplicas = 1;
+    cfg.sharding = colocatedSharding(
+        cfg.modelMix, machineMemoryBudgets(cfg.machines), placement, 6);
+    cfg.faults.faultTolerance = 0;
+    cfg.faults.maxFailovers = 0;
+    const QueryTrace trace = busyTrace();
+    const ClusterResult r = runStatic(cfg, trace);
+    EXPECT_GT(r.overload.droppedFinal, 0u);
+    EXPECT_GT(r.faults.unroutable, 0u);
+    expectRowsTileParts(r, trace);
+
+    for (uint64_t q : r.overload.droppedQueries)
+        EXPECT_TRUE(r.partMachinesOfQuery.row(q).empty()) << q;
+    uint64_t empty = 0;
+    for (size_t i = 0; i < trace.size(); i++)
+        empty += r.partMachinesOfQuery.row(i).empty();
+    EXPECT_EQ(empty, r.overload.droppedFinal + r.faults.unroutable);
 }
 
 } // namespace

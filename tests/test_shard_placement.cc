@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "cluster/capacity_planner.hh"
 #include "cluster/cluster_sim.hh"
@@ -234,7 +235,8 @@ TEST(ShardedCluster, RoutesOnlyToHoldersAndConservesQueries)
     for (size_t i = 0; i < trace.size(); i++) {
         const std::vector<uint32_t> tables =
             tablesOfQuery(trace[i].id, cfg.sharding->tableSet);
-        const std::vector<uint32_t>& machines = r.partMachinesOfQuery[i];
+        const std::span<const uint32_t> machines =
+            r.partMachinesOfQuery.row(i);
         ASSERT_FALSE(machines.empty());
         EXPECT_EQ(machines.front(), r.machineOfQuery[i]);
         std::set<uint32_t> covered;

@@ -2,8 +2,10 @@
  * @file
  * Tests for the sliding-window book (base/window_book.hh): monotonic
  * ids that equal the indices of an ever-growing vector across chunk
- * boundaries, chunk reuse at a bounded live count, reference stability
- * across push, skipping never-issued ids, and the retired-id panic.
+ * boundaries, chunk reuse at a bounded live count, spare reuse when
+ * the window grows again and when an empty window reopens, reference
+ * stability across push, skipping never-issued ids, and the
+ * retired-id panic.
  */
 
 #include <gtest/gtest.h>
@@ -72,28 +74,93 @@ TEST(WindowBook, IdsEqualVectorIndicesAcrossChunkBoundaries)
 
 TEST(WindowBook, ChunksRecycleAtABoundedLiveCount)
 {
-    // A million push/retire cycles at 3000 live records: the chunk
-    // ring reaches its size early and never grows again.
-    constexpr size_t kLive = 3000;
+    // A million push/retire cycles at 4300 live records: the book
+    // reaches its chunk count early and never allocates again.
+    constexpr size_t kLive = 4300;
     Book book;
-    size_t slots_after_warmup = 0;
+    size_t chunks_after_warmup = 0;
     for (uint64_t i = 0; i < 1'000'000; i++) {
         book.push(recFor(i));
         if (book.live() > kLive)
             book.retireTo(book.lowId() + 1);
         if (i == 10 * kLive)
-            slots_after_warmup = book.chunkSlots();
+            chunks_after_warmup = book.chunksAllocated();
     }
     EXPECT_EQ(book.nextId(), 1'000'000u);
     EXPECT_EQ(book.live(), kLive);
     EXPECT_EQ(book.peakLive(), kLive + 1);
-    EXPECT_EQ(book.chunkSlots(), slots_after_warmup);
-    // Storage covers the live window rounded up to whole chunks and a
-    // power-of-two ring: at most twice the chunks the window spans.
-    const size_t spanned = (kLive + 1) / Book::kChunkSize + 2;
-    EXPECT_LE(book.chunkSlots(), 2 * spanned);
+    EXPECT_EQ(book.chunksAllocated(), chunks_after_warmup);
+    // Storage is the chunks the widest window (kLive + 1 records)
+    // spans, plus at most one spare between a release and the next
+    // open. A power-of-two ring would hold 8 here.
+    const size_t spanned =
+        (kLive + Book::kChunkSize - 1) / Book::kChunkSize + 1;
+    EXPECT_LE(book.chunksAllocated(), spanned + 1);
     for (uint64_t id = book.lowId(); id < book.nextId(); id++)
         ASSERT_EQ(book[id].key, id);
+}
+
+TEST(WindowBook, RegrowthReusesSparesAndAllocatesNothing)
+{
+    // Grow to five whole chunks, shrink to one live record, then grow
+    // back to a window spanning five chunks again: every chunk the
+    // regrowth opens is a spare from the shrink.
+    constexpr uint64_t k = Book::kChunkSize;
+    Book book;
+    for (uint64_t i = 0; i < 5 * k; i++)
+        book.push(recFor(i));
+    EXPECT_EQ(book.chunksAllocated(), 5u);
+
+    book.retireTo(5 * k - 1);
+    EXPECT_EQ(book.live(), 1u);
+    EXPECT_EQ(book.chunksAllocated(), 5u);
+
+    for (uint64_t i = 5 * k; i < 9 * k; i++) {
+        book.push(recFor(i));
+        ASSERT_EQ(book.chunksAllocated(), 5u) << "at id " << i;
+    }
+    EXPECT_EQ(book.live(), 4 * k + 1);
+    for (uint64_t id = book.lowId(); id < book.nextId(); id++)
+        ASSERT_EQ(book[id].key, id);
+
+    // One record past five spanned chunks needs a sixth.
+    book.push(recFor(9 * k));
+    EXPECT_EQ(book.chunksAllocated(), 6u);
+}
+
+TEST(WindowBook, EmptyWindowReopensOnItsOwnChunk)
+{
+    constexpr uint64_t k = Book::kChunkSize;
+    Book book;
+    for (uint64_t i = 0; i < 10; i++)
+        book.push(recFor(i));
+
+    // Emptied mid-chunk: the chunk still holds the next id.
+    EXPECT_TRUE(book.retireWhile(anyRecord));
+    EXPECT_EQ(book.live(), 0u);
+    EXPECT_EQ(book.push(recFor(10)), 10u);
+    EXPECT_EQ(book[10].key, 10u);
+    EXPECT_EQ(book.chunksAllocated(), 1u);
+
+    // Emptied exactly at a chunk boundary: the chunk goes spare and
+    // the next push reopens it as the following chunk.
+    for (uint64_t i = 11; i < k; i++)
+        book.push(recFor(i));
+    book.retireTo(k);
+    EXPECT_EQ(book.live(), 0u);
+    EXPECT_EQ(book.push(recFor(k)), k);
+    EXPECT_EQ(book[k].key, k);
+    EXPECT_EQ(book.chunksAllocated(), 1u);
+
+    // Emptied by skipping ids never issued, chunks ahead: the spare
+    // reopens mid-chunk at the skipped-to id.
+    const uint64_t skip_to = 7 * k + 300;
+    book.retireTo(skip_to);
+    EXPECT_EQ(book.push(recFor(skip_to)), skip_to);
+    EXPECT_EQ(book.push(recFor(skip_to + 1)), skip_to + 1);
+    EXPECT_EQ(book[skip_to].key, skip_to);
+    EXPECT_EQ(book[skip_to + 1].key, skip_to + 1);
+    EXPECT_EQ(book.chunksAllocated(), 1u);
 }
 
 TEST(WindowBook, ReferencesStayValidAcrossPush)
@@ -101,7 +168,7 @@ TEST(WindowBook, ReferencesStayValidAcrossPush)
     Book book;
     Rec& first = book[book.push(recFor(42))];
     first.tags = {1, 2, 3};
-    // Enough pushes to grow the chunk ring several times over.
+    // Enough pushes to open (and never release) nine chunks.
     for (uint64_t i = 1; i < 9 * Book::kChunkSize; i++)
         book.push(recFor(i));
     EXPECT_EQ(&book[0], &first);
