@@ -37,9 +37,9 @@
  * powered back on until its scheduled repair completes — after which
  * the scaling policy replaces the capacity through the normal
  * Off → WarmingUp → Accepting lifecycle. Killed queries fail over
- * (re-present to the router) up to FaultPlan::maxFailovers times.
- * Hedged requests are a static-tier feature; the elastic driver
- * refuses a HedgeConfig.
+ * (re-present to the router) up to FaultPlan::maxFailovers times. A
+ * HedgeConfig hedges late fan-out parts onto accepting replicas, as on
+ * the static tier.
  *
  * Scale decisions come from a pluggable ScalingPolicy evaluated at
  * every control tick against windowed signals (tail latency of the
@@ -310,46 +310,18 @@ struct AutoscaleWindow
     bool slaViolation = false;
 };
 
-/** Outcome of one elastic cluster run. */
-struct AutoscaleResult
+/**
+ * Outcome of one elastic cluster run: the ClusterResult books plus the
+ * power books and the control timeline. The trace-sized books
+ * (machineOfQuery, partMachinesOfQuery, perModel) stay empty. Two
+ * inherited fields mean something else here: spanSeconds runs from the
+ * first arrival to the last event, and each machine's utilization is
+ * over its powered seconds, not over the span.
+ */
+struct AutoscaleResult : ClusterResult
 {
-    SampleStats fleetLatencySeconds;   ///< measured queries
-    std::vector<MachineStats> perMachine;
-
     /** Powered (billed) seconds per machine: on through drained. */
     std::vector<double> poweredSecondsPerMachine;
-
-    uint64_t numQueries = 0;       ///< measured completions
-    uint64_t numDispatched = 0;    ///< all routed queries
-    uint64_t numCompleted = 0;     ///< all completed queries
-    uint64_t numParts = 0;         ///< machine-parts dispatched
-
-    /** Most parts the driver's PartBook held live at once (its
-     *  memory high-water mark; exact per seed). */
-    uint64_t peakLiveParts = 0;
-
-    /** Most queries the driver's QueryBook held live at once (its
-     *  memory high-water mark; exact per seed). */
-    uint64_t peakLiveQueries = 0;
-
-    /** Most chunks the PartBook and the QueryBook allocated (their
-     *  storage high-water marks; exact per seed). */
-    uint64_t peakPartChunks = 0;
-    uint64_t peakQueryChunks = 0;
-
-    /** Drop/degrade/goodput accounting (cluster/admission.hh). Count
-     *  fields always reconcile with the fault books under the
-     *  three-way algebra: offered == completed + droppedFinal + lost
-     *  (assertFaultConservation in cluster/fault_plan.hh). */
-    OverloadStats overload;
-
-    /** Crash/failover accounting (cluster/fault_plan.hh); all zero
-     *  when the run carries no FaultPlan. The elastic tier never
-     *  hedges, so every hedge counter stays zero. */
-    FaultStats faults;
-
-    double offeredQps = 0;
-    double spanSeconds = 0;        ///< first arrival .. last event
 
     /** Billed machine time: the elastic tier's actual burn. */
     double machineSeconds = 0;
@@ -392,21 +364,13 @@ struct AutoscaleResult
 
     /** Minutes of control windows whose tail exceeded the SLA. */
     double slaViolationMinutes() const { return slaViolationSeconds / 60.0; }
-
-    /** Whole-run fleet tail latency in milliseconds. */
-    double
-    tailMs(double pct) const
-    {
-        return fleetLatencySeconds.percentile(pct) * 1e3;
-    }
-
-    /** Whole-run fleet p99 in milliseconds. */
-    double p99Ms() const { return tailMs(99); }
 };
 
 /**
- * The elastic cluster driver: ClusterSimulator's routing/fan-out/join
- * mechanics with a machine set that changes while the trace runs.
+ * The elastic cluster driver: the cluster event loop
+ * (cluster/cluster_loop.hh) under the elastic membership, so routing,
+ * fan-out/join, admission, faults and hedging are ClusterSimulator's,
+ * with a machine set that changes while the trace runs.
  */
 class Autoscaler
 {
@@ -436,9 +400,6 @@ class Autoscaler
     void setObserver(obs::RunObserver* observer) { obs_ = observer; }
 
     const AutoscaleSpec& spec() const { return spec_; }
-
-    /** Number of machines of the full tier. */
-    size_t maxMachines() const { return spec_.cluster.machines.size(); }
 
   private:
     AutoscaleSpec spec_;

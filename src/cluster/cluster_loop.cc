@@ -1,0 +1,949 @@
+#include "cluster_loop.hh"
+
+#include <algorithm>
+
+#include "base/logging.hh"
+#include "loadgen/query_stream.hh"
+#include "obs/observer.hh"
+
+namespace deeprecsys {
+
+namespace {
+
+/** The observer-facing name of a part kind. */
+obs::PartStage
+stageOf(PartRec::Kind kind)
+{
+    switch (kind) {
+      case PartRec::Kind::Whole:    return obs::PartStage::Whole;
+      case PartRec::Kind::FanEmb:   return obs::PartStage::FanEmb;
+      case PartRec::Kind::FanDense: return obs::PartStage::FanDense;
+    }
+    return obs::PartStage::Whole;
+}
+
+} // namespace
+
+void
+Membership::onEvent(ClusterLoop&, const SimEvent&)
+{
+    drs_panic("scale events belong to the elastic membership");
+}
+
+ClusterLoop::ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
+                         RoutingPolicy& router, Membership& members,
+                         obs::RunObserver* obs, ClusterResult& result)
+    : cfg(cfg), trace(trace), obs(obs), result(result), router(router),
+      members(members), eagerClock(members.eagerClock()),
+      queryBooks(members.queryBooks()), mixOn(!cfg.modelMix.empty()),
+      numMix(std::max<size_t>(1, cfg.modelMix.size())),
+      faultsOn(cfg.faults.enabled()), hedgeOn(cfg.hedge.enabled()),
+      hedgeDelay(cfg.hedge.delayFor(cfg.overload.deadlineSeconds))
+{
+    const size_t n = cfg.machines.size();
+    inFlight.assign(n, 0);
+    pendingJoins.assign(n, 0);
+    pendingJoinCost.assign(n, 0.0);
+    inFlightByModel.assign(mixOn ? n * numMix : 0, 0);
+    accepting_.assign(n, 1);
+    acceptingCount_ = n;
+    downDepth.assign(n, 0);
+    grayDepth.assign(n, 0);
+    netDepth.assign(n, 0);
+    netFactor.assign(n, 1.0);
+    engineEpoch.assign(n, 0);
+}
+
+void
+ClusterLoop::setAccepting(size_t m, bool on)
+{
+    if (accepting(m) != on) {
+        accepting_[m] = on;
+        on ? acceptingCount_++ : acceptingCount_--;
+    }
+}
+
+// ------------------------------------------------------ part plumbing
+
+void
+ClusterLoop::flightAdd(uint32_t m, uint32_t model)
+{
+    inFlight[m]++;
+    if (mixOn)
+        inFlightByModel[m * numMix + model]++;
+}
+
+void
+ClusterLoop::flightSub(uint32_t m, uint32_t model, const char* what)
+{
+    drs_assert(inFlight[m] > 0, what);
+    inFlight[m]--;
+    if (mixOn) {
+        drs_assert(inFlightByModel[m * numMix + model] > 0, what);
+        inFlightByModel[m * numMix + model]--;
+    }
+}
+
+// The committed phase leaves the estimator's backlog exactly once:
+// when it becomes real queued work, or when a failure kills the
+// dispatch (identical joinPhaseCostSeconds inputs as at the commit).
+void
+ClusterLoop::releaseJoinCost(QueryState& q)
+{
+    if (!q.joinCommitted)
+        return;
+    pendingJoinCost[q.machine] -=
+        machines[q.machine].joinPhaseCostSeconds(q.size, q.model);
+    q.joinCommitted = false;
+}
+
+// A part reaches its machine (after the forward hop, if any).
+void
+ClusterLoop::startPart(uint64_t part_idx, double now)
+{
+    if (obs)
+        parts[part_idx].start = now;
+    const PartRec& part = parts[part_idx];
+    const QueryState& q = queries[part.queryIdx];
+    PartSpec spec;
+    spec.partIdx = part_idx;
+    spec.samples = q.size;
+    spec.model = q.model;
+    switch (part.kind) {
+      case PartRec::Kind::Whole:
+        break;    // full-model path, offload-eligible
+      case PartRec::Kind::FanEmb:
+        // Local embedding share only. Under the optimistic join the
+        // leader also runs its dense stacks concurrently here; under
+        // TwoStage the dense work waits for the join.
+        spec.embFraction = part.embFraction;
+        spec.leader = cfg.join == JoinModel::Optimistic && part.leader;
+        spec.whole = false;
+        break;
+      case PartRec::Kind::FanDense:
+        spec.embFraction = 0.0;
+        spec.leader = true;
+        spec.whole = false;
+        break;
+    }
+    const uint32_t m = part.machine;
+    machines[m].advanceTo(now);
+    scheduled.clear();
+    machines[m].admit(spec, now, scheduled);
+    events.pushAll(scheduled, m, engineEpoch[m]);
+}
+
+void
+ClusterLoop::completeQuery(uint64_t query_idx)
+{
+    QueryState& q = queries[query_idx];
+    q.settled = true;
+    result.numCompleted++;
+    result.perMachine[q.machine].queriesCompleted++;
+    if (queryBooks && mixOn)
+        result.perModel[q.model].completed++;
+    const double latency = q.joinTime - q.arrival;
+    members.onCompletion(latency);
+    if (q.measured) {
+        result.fleetLatencySeconds.add(latency);
+        result.perMachine[q.machine].latencySeconds.add(latency);
+        if (queryBooks && mixOn)
+            result.perModel[q.model].latencySeconds.add(latency);
+        span.onCompletion(q.joinTime);
+        if (cfg.overload.deadlineSeconds > 0.0) {
+            result.overload.measuredCompleted++;
+            ClassOverloadStats& cs = classStats(q.cls);
+            cs.measuredCompleted++;
+            if (latency <= cfg.overload.deadlineSeconds) {
+                result.overload.completedWithinDeadline++;
+                result.overload.qualityWeight += q.quality;
+                cs.completedWithinDeadline++;
+                cs.qualityWeight += q.quality;
+            }
+        }
+    }
+    lastEventTime = std::max(lastEventTime, q.joinTime);
+    if (obs) {
+        const double back = cfg.network.oneWaySeconds(
+            static_cast<double>(q.size) *
+            cfg.network.responseBytesPerSample);
+        obs->onQueryComplete(query_idx, q.joinTime, back);
+    }
+}
+
+// A part finished all of its local work.
+void
+ClusterLoop::finishPart(uint64_t part_idx, double now, bool gpu)
+{
+    PartRec& part = parts[part_idx];
+    if (obs) {
+        obs->onPartDone(
+            part.queryIdx, part.machine, stageOf(part.kind), part.leader,
+            gpu, part.start,
+            machines[part.machine].lastFinishedFirstServiceStart(), now);
+    }
+    flightSub(part.machine, queries[part.queryIdx].model,
+              "completion with nothing in flight");
+    part.done = true;
+    const uint32_t m = part.machine;
+    deliverPart(part_idx, now);
+    members.workDone(*this, m, now);
+}
+
+// A finished part's answer travels on: pooled embeddings to the
+// leader (TwoStage fan-out), scores to the router otherwise.
+void
+ClusterLoop::deliverPart(uint64_t part_idx, double now)
+{
+    const PartRec& part = parts[part_idx];
+    QueryState& q = queries[part.queryIdx];
+    if (faultsOn || hedgeOn) {
+        // A completion of a killed dispatch is a ghost: the query
+        // already failed over (or was lost) and this part's share was
+        // accounted at the kill.
+        if (staleDispatch(part))
+            return;
+        if (part.partner != PartRec::kNoPartner) {
+            if (parts[part.partner].done) {
+                // The twin got here first; this copy's answer is
+                // discarded (tied-request loser).
+                result.faults.hedgeWasted++;
+                return;
+            }
+            if (part.hedged)
+                result.faults.hedgeWins++;
+        }
+    }
+
+    if (part.kind == PartRec::Kind::FanEmb &&
+        cfg.join == JoinModel::TwoStage) {
+        // The dense phase starts once the last part (the leader's own
+        // hop-free) lands. A degraded NIC on either end stretches the
+        // hop.
+        const double to_leader = part.leader
+            ? 0.0
+            : cfg.network.oneWaySeconds(
+                  static_cast<double>(q.size) *
+                  cfg.network.embeddingBytesPerSample) *
+                  std::max(netFactor[part.machine], netFactor[q.machine]);
+        q.leaderReady = std::max(q.leaderReady, now + to_leader);
+        drs_assert(q.partsLeft > 0, "query with no pending parts");
+        if (--q.partsLeft > 0)
+            return;
+        q.partsLeft = 1;    // the dense phase itself
+        const uint64_t dense_idx = parts.push(
+            {.queryIdx = part.queryIdx, .machine = q.machine,
+             .kind = PartRec::Kind::FanDense, .embFraction = 0.0,
+             .gen = q.gen});
+        q.partsEnd = dense_idx + 1;
+        // The leader may already be draining; its join phase is
+        // in-flight work and still runs there.
+        drs_assert(pendingJoins[q.machine] > 0,
+                   "join phase with no pending leadership");
+        pendingJoins[q.machine]--;
+        q.joinLeadership = false;
+        flightAdd(q.machine, q.model);
+        result.perMachine[q.machine].joinPhases++;
+        events.push(q.leaderReady, SimEvent::Kind::JoinPhase, q.machine,
+                    dense_idx);
+        return;
+    }
+
+    // Whole parts, optimistic fan-out parts, and dense phases all
+    // return scores to the router and join there.
+    const double back = cfg.network.oneWaySeconds(
+        static_cast<double>(q.size) * cfg.network.responseBytesPerSample) *
+        netFactor[part.machine];
+    q.joinTime = std::max(q.joinTime, now + back);
+    drs_assert(q.partsLeft > 0, "query with no pending parts");
+    if (--q.partsLeft == 0)
+        completeQuery(part.queryIdx);
+}
+
+// A failure destroyed query @p idx's current dispatch. Release its
+// committed join books, then either fail over (schedule a re-present
+// with exponential client backoff) or record the final loss. Callers
+// guarantee the query is live (not dead, current generation);
+// @p dispatched says whether the dying presentation was routed (an
+// unroutable presentation never was).
+void
+ClusterLoop::failQuery(uint64_t idx, double now, bool dispatched)
+{
+    QueryState& q = queries[idx];
+    q.dead = true;
+    if (dispatched)
+        endedDispatches++;
+    releaseJoinCost(q);
+    if (q.joinLeadership) {
+        drs_assert(pendingJoins[q.machine] > 0,
+                   "join leadership with no pending join");
+        pendingJoins[q.machine]--;
+        q.joinLeadership = false;
+        members.workDone(*this, q.machine, now);
+    }
+    if (q.failovers < cfg.faults.maxFailovers) {
+        q.failovers++;
+        result.faults.failovers++;
+        const double delay = cfg.faults.failoverDelaySeconds *
+            static_cast<double>(
+                1u << std::min<uint32_t>(q.failovers - 1, 16));
+        events.push(now + delay, SimEvent::Kind::Retry, 0, idx);
+        if (obs)
+            obs->onQueryFailover(idx, now, q.failovers, delay);
+    } else {
+        q.settled = true;
+        result.faults.lost++;
+        result.faults.lostQueries.push_back(idx);
+        if (queryBooks) {
+            if (mixOn)
+                result.perModel[q.model].lost++;
+            result.machineOfQuery[idx] = ClusterResult::lostMachine;
+        }
+        if (obs)
+            obs->onQueryLost(idx, now);
+    }
+}
+
+bool
+ClusterLoop::staleDispatch(const PartRec& part) const
+{
+    const QueryState& q = queries[part.queryIdx];
+    return part.gen != q.gen || q.dead;
+}
+
+// A part of a dead dispatch reached its machine, or a join phase of
+// one came due: it is dropped without running.
+void
+ClusterLoop::cancelPart(uint64_t part_idx, double now)
+{
+    PartRec& part = parts[part_idx];
+    part.cancelled = true;
+    flightSub(part.machine, queries[part.queryIdx].model,
+              "cancel with nothing in flight");
+    members.workDone(*this, part.machine, now);
+}
+
+// A live part was destroyed (its machine crashed, or its forwarded RPC
+// landed on a machine no longer serving). Decide the owning query's
+// fate.
+void
+ClusterLoop::lostPartFate(uint64_t part_idx, double now)
+{
+    PartRec& part = parts[part_idx];
+    part.cancelled = true;
+    flightSub(part.machine, queries[part.queryIdx].model,
+              "lost part with nothing in flight");
+    result.faults.partsLost++;
+    if (staleDispatch(part))
+        return;    // that dispatch already died
+    if (part.partner != PartRec::kNoPartner) {
+        const PartRec& twin = parts[part.partner];
+        if (twin.done)
+            return;    // the share already completed via the twin
+        if (!twin.cancelled) {
+            // The twin is still running and carries the share — the
+            // hedge just saved this query from the crash.
+            result.faults.hedgeSaves++;
+            return;
+        }
+    }
+    failQuery(part.queryIdx, now, true);
+}
+
+void
+ClusterLoop::killEngine(uint32_t m, double now)
+{
+    lastFaultAdvance = std::max(lastFaultAdvance, now);
+    lostBuf.clear();
+    machines[m].crash(now, lostBuf);
+    for (uint64_t lost_part : lostBuf)
+        lostPartFate(lost_part, now);
+}
+
+// Tail-at-scale hedging: the query is still missing fan-out parts
+// hedgeDelay after dispatch. Duplicate each unfinished, unhedged,
+// non-leader embedding part onto the least-loaded accepting replica of
+// its tables and let the copies race.
+void
+ClusterLoop::hedgeQuery(uint64_t idx, double now)
+{
+    QueryState& q = queries[idx];
+    const ShardPlacement& placement = cfg.sharding->placement;
+    for (uint64_t pi = q.firstPart; pi < q.firstPart + q.numParts; pi++) {
+        if (parts[pi].done || parts[pi].cancelled || parts[pi].leader ||
+            parts[pi].partner != PartRec::kNoPartner ||
+            parts[pi].kind != PartRec::Kind::FanEmb)
+            continue;
+        const uint32_t src = parts[pi].machine;
+        size_t best = machines.size();
+        double best_load = 0.0;
+        for (size_t m = 0; m < machines.size(); m++) {
+            if (m == src || !accepting(m) ||
+                !placement.holdsAll(m, parts[pi].tables))
+                continue;
+            // The router's load signal (outstanding work scaled by
+            // machine speed), lowest index winning ties.
+            const double load =
+                static_cast<double>(inFlight[m] + machines[m].queuedWork()) *
+                cfg.machines[m].slowdown;
+            if (best == machines.size() || load < best_load) {
+                best = m;
+                best_load = load;
+            }
+        }
+        if (best == machines.size())
+            continue;    // no surviving replica to hedge onto
+        const uint32_t to = static_cast<uint32_t>(best);
+        const uint64_t dup_idx = parts.push(
+            {.queryIdx = idx, .machine = to, .kind = PartRec::Kind::FanEmb,
+             .embFraction = parts[pi].embFraction, .partner = pi,
+             .leader = false, .hedged = true, .tables = parts[pi].tables,
+             .gen = q.gen});
+        parts[pi].partner = dup_idx;
+        q.partsEnd = dup_idx + 1;
+        flightAdd(to, q.model);
+        result.perMachine[to].remoteParts++;
+        result.numParts++;
+        if (queryBooks)
+            q.partMachines.push_back(to);
+        result.faults.hedged++;
+        if (obs)
+            obs->onPartHedged(idx, now, src, to);
+        const double forward = cfg.network.oneWaySeconds(
+            static_cast<double>(q.size) *
+            cfg.network.requestBytesPerSample) * netFactor[to];
+        if (forward > 0.0) {
+            events.push(now + forward, SimEvent::Kind::PartArrival, to,
+                        dup_idx);
+        } else {
+            startPart(dup_idx, now);
+        }
+    }
+}
+
+// Present query @p idx to the router at @p now — its trace arrival, or
+// a client retry of an earlier shed or failed-over dispatch. The
+// router's overload verdict either drops it (final, or with a retry
+// scheduled), degrades it (shrinks the size dispatched downstream), or
+// passes it through. Latency always counts from the original trace
+// arrival, so a retried completion pays its backoff — retries buy
+// availability, not goodput.
+void
+ClusterLoop::present(uint64_t idx, double now)
+{
+    const Query& in = trace[idx];
+    QueryState& q = queries[idx];
+    // Every presentation is traffic, and every measured one opens the
+    // span, so goodput is charged against real offered time even when
+    // the query is shed or unroutable.
+    lastEventTime = std::max(lastEventTime, now);
+    if (idx >= warmup)
+        span.onArrival(in.arrivalSeconds);
+    q.model = in.model;
+    q.cls = cfg.overload.priorityClasses > 1
+        ? std::min(in.priorityClass, cfg.overload.priorityClasses - 1)
+        : 0;
+    ClassOverloadStats& cs = classStats(q.cls);
+    if (q.attempt == 0 && q.failovers == 0)
+        cs.offered++;
+
+    Query served = in;
+    double quality = 1.0;
+    if (admission) {
+        const AdmissionDecision verdict = admission->decide(in, *this);
+        if (!verdict.admit) {
+            // Shed at the router: nothing reaches a machine.
+            result.overload.dropped++;
+            cs.dropped++;
+            if (verdict.retryable && q.attempt < cfg.overload.maxRetries) {
+                const double delay = retryDelaySeconds(
+                    cfg.overload.retryBackoffSeconds,
+                    cfg.overload.retryBackoffFactor,
+                    cfg.overload.retryJitterFraction,
+                    verdict.retryAfterSeconds, in.id, q.attempt);
+                q.attempt++;
+                result.overload.retried++;
+                cs.retried++;
+                events.push(now + delay, SimEvent::Kind::Retry, 0, idx);
+                if (obs)
+                    obs->onQueryRetry(idx, now, q.attempt, delay);
+            } else {
+                q.settled = true;
+                result.overload.droppedFinal++;
+                cs.droppedFinal++;
+                if (queryBooks) {
+                    if (mixOn)
+                        result.perModel[in.model].droppedFinal++;
+                    result.machineOfQuery[idx] =
+                        ClusterResult::droppedMachine;
+                }
+                result.overload.droppedQueries.push_back(idx);
+                if (obs)
+                    obs->onQueryDrop(idx, now, in.size);
+            }
+            return;
+        }
+        if (verdict.servedSize < in.size)
+            served.size = verdict.servedSize;
+        quality = verdict.quality;
+    }
+
+    // Route before committing the admission books: under fault
+    // injection the query may be unservable (no accepting replica set
+    // covers its tables), which is neither an admission nor a drop —
+    // admission never saw a servable query.
+    std::vector<ShardTarget> plan;
+    if (!faultsOn || acceptingCount_ > 0)
+        plan = router.routeParts(served, *this);
+    if (plan.empty()) {
+        drs_assert(faultsOn, "policy returned no targets");
+        result.faults.unroutable++;
+        failQuery(idx, now, false);
+        return;
+    }
+    if (admission && served.size < in.size) {
+        result.overload.degraded++;
+        cs.degraded++;
+        result.overload.degradedQueries.push_back(
+            {idx, in.size, served.size});
+        if (obs)
+            obs->onQueryDegrade(idx, now, in.size, served.size);
+    }
+    result.overload.admitted++;
+    cs.admitted++;
+
+    q.arrival = in.arrivalSeconds;
+    q.size = served.size;
+    q.partsLeft = static_cast<uint32_t>(plan.size());
+    q.joinTime = now;
+    q.leaderReady = now;
+    q.quality = quality;
+    q.measured = idx >= warmup;
+    q.gen++;
+    q.dead = false;
+    q.firstPart = parts.nextId();
+    q.numParts = static_cast<uint32_t>(plan.size());
+
+    result.numDispatched++;
+    if (queryBooks && mixOn)
+        result.perModel[q.model].dispatched++;
+    const double forward = cfg.network.oneWaySeconds(
+        static_cast<double>(served.size) *
+        cfg.network.requestBytesPerSample);
+    if (obs)
+        obs->onQueryDispatch(idx, now, served.size, plan.size(), forward,
+                             q.measured);
+
+    if (queryBooks)
+        q.partMachines.reserve(q.partMachines.size() + plan.size());
+    size_t leaders = 0;
+    for (ShardTarget& target : plan) {
+        drs_assert(target.machine < machines.size(),
+                   "policy routed out of range");
+        const uint32_t m = target.machine;
+        drs_assert(accepting(m), "policy routed to a non-accepting machine");
+        machines[m].advanceTo(now);
+        flightAdd(m, q.model);
+        if (target.leader) {
+            leaders++;
+            q.machine = m;
+            q.leaderEpoch = engineEpoch[m];
+            if (queryBooks)
+                result.machineOfQuery[idx] = m;
+            result.perMachine[m].queriesDispatched++;
+        } else {
+            result.perMachine[m].remoteParts++;
+        }
+        if (queryBooks)
+            q.partMachines.push_back(m);
+
+        const uint64_t part_idx = parts.push(
+            {.queryIdx = idx, .machine = m,
+             .kind = plan.size() == 1 ? PartRec::Kind::Whole
+                                      : PartRec::Kind::FanEmb,
+             .embFraction = target.embFraction, .leader = target.leader,
+             .tables = hedgeOn ? std::move(target.tables)
+                               : std::vector<uint32_t>{},
+             .gen = q.gen});
+        result.numParts++;
+        if (forward > 0.0) {
+            events.push(now + forward * netFactor[m],
+                        SimEvent::Kind::PartArrival, m, part_idx);
+        } else {
+            startPart(part_idx, now);
+        }
+    }
+    drs_assert(leaders == 1, "plan needs exactly one leader");
+    q.partsEnd = parts.nextId();
+    if (plan.size() > 1 && cfg.join == JoinModel::TwoStage) {
+        pendingJoins[q.machine]++;
+        q.joinLeadership = true;
+    }
+    // Commit the leader's future dense phase to the estimator's
+    // second-order backlog (released exactly once, see
+    // releaseJoinCost).
+    if (trackJoinCost && plan.size() > 1) {
+        pendingJoinCost[q.machine] +=
+            machines[q.machine].joinPhaseCostSeconds(served.size, q.model);
+        q.joinCommitted = true;
+    }
+    // Arm the tail-at-scale hedge for fanned-out dispatches; the check
+    // goes stale if the query completes or fails first.
+    if (hedgeOn && plan.size() > 1) {
+        q.hedgeChecks++;
+        events.push(now + hedgeDelay, SimEvent::Kind::HedgeCheck, 0, idx,
+                    q.gen);
+    }
+}
+
+// ------------------------------------------------------------- events
+
+// Fault transitions are environment, not traffic: they never stretch
+// the measured span or the utilization windows. Every window is
+// depth-counted, so overlapping windows (random + correlated) extend:
+// the first open acts, the last close clears.
+void
+ClusterLoop::onFault(const FaultEvent& fe, double now)
+{
+    const uint32_t m = fe.machine;
+    switch (fe.kind) {
+      case FaultEvent::Kind::Crash:
+        // Fail-stop: completions the dead engine already scheduled
+        // are fenced off by the epoch; the membership decides what
+        // else dies.
+        if (downDepth[m]++ > 0)
+            return;
+        result.faults.crashes++;
+        engineEpoch[m]++;
+        if (obs)
+            obs->onMachineDown(m, now);
+        members.crash(*this, m, now);
+        return;
+      case FaultEvent::Kind::Recover:
+        drs_assert(downDepth[m] > 0, "recovery of a machine never down");
+        if (--downDepth[m] > 0)
+            return;
+        members.recover(*this, m);
+        result.faults.recoveries++;
+        if (obs)
+            obs->onMachineUp(m, now);
+        return;
+      case FaultEvent::Kind::GrayStart:
+        if (grayDepth[m]++ == 0) {
+            machines[m].setServiceFactor(fe.factor);
+            result.faults.grayWindows++;
+        }
+        return;
+      case FaultEvent::Kind::GrayEnd:
+        if (--grayDepth[m] == 0)
+            machines[m].setServiceFactor(1.0);
+        return;
+      case FaultEvent::Kind::NetDegradeStart:
+        if (netDepth[m]++ == 0) {
+            netFactor[m] = fe.factor;
+            result.faults.netDegradeWindows++;
+        }
+        return;
+      case FaultEvent::Kind::NetDegradeEnd:
+        if (--netDepth[m] == 0)
+            netFactor[m] = 1.0;
+        return;
+    }
+}
+
+void
+ClusterLoop::onTraffic(const SimEvent& ev)
+{
+    const uint32_t m = ev.machine;
+    switch (ev.kind) {
+      case SimEvent::Kind::PartArrival:
+        if (faultsOn && staleDispatch(parts[ev.partIdx])) {
+            // The dispatch died while this RPC was in flight; the
+            // client cancelled it.
+            cancelPart(ev.partIdx, ev.time);
+            return;
+        }
+        if (faultsOn && !members.serving(*this, m)) {
+            // Forwarded onto a machine that went down en route.
+            lostPartFate(ev.partIdx, ev.time);
+            return;
+        }
+        startPart(ev.partIdx, ev.time);
+        return;
+
+      case SimEvent::Kind::JoinPhase: {
+        const PartRec& part = parts[ev.partIdx];
+        QueryState& q = queries[part.queryIdx];
+        if (faultsOn && staleDispatch(part)) {
+            // Stale join of a killed dispatch — its committed cost was
+            // already released at the kill.
+            cancelPart(ev.partIdx, ev.time);
+            return;
+        }
+        releaseJoinCost(q);
+        if (faultsOn && engineEpoch[q.machine] != q.leaderEpoch) {
+            // The leader restarted since dispatch: the pooled
+            // embeddings of this query died with it.
+            cancelPart(ev.partIdx, ev.time);
+            failQuery(part.queryIdx, ev.time, true);
+            return;
+        }
+        startPart(ev.partIdx, ev.time);
+        return;
+      }
+
+      case SimEvent::Kind::CpuRequest:
+        machines[m].advanceTo(ev.time);
+        scheduled.clear();
+        if (machines[m].cpuRequestDone(ev.slot, ev.partIdx, ev.time,
+                                       scheduled))
+            finishPart(ev.partIdx, ev.time, false);
+        events.pushAll(scheduled, m, engineEpoch[m]);
+        return;
+
+      case SimEvent::Kind::GpuQuery:
+        machines[m].advanceTo(ev.time);
+        scheduled.clear();
+        machines[m].gpuQueryDone(ev.slot, ev.partIdx, ev.time, scheduled);
+        finishPart(ev.partIdx, ev.time, true);
+        events.pushAll(scheduled, m, engineEpoch[m]);
+        return;
+
+      case SimEvent::Kind::Retry:
+        // A client re-presents a shed or failed-over query after its
+        // backoff.
+        present(ev.partIdx, ev.time);
+        return;
+
+      case SimEvent::Kind::Control:
+      case SimEvent::Kind::MachineUp:
+        members.onEvent(*this, ev);
+        return;
+
+      case SimEvent::Kind::Fault:
+      case SimEvent::Kind::HedgeCheck:
+        drs_panic("environment events are handled before traffic");
+    }
+}
+
+// A part leaves the book once it is terminal, its hedge twin is
+// terminal, and its dispatch is over (see PartBook::retire). Parts go
+// first: a query leaves the book only after its parts (see
+// QueryBook::retire), and the observer drops its span records with it.
+// Nothing appends to a retired query's part machines, and queries
+// retire in trace order, so each becomes its row of the flat book.
+void
+ClusterLoop::retireBooks()
+{
+    parts.retire([&](const PartRec& p) {
+        return staleDispatch(p) || queries[p.queryIdx].partsLeft == 0;
+    });
+    const bool retired = queries.retire(parts, [&](const QueryState& q) {
+        if (queryBooks)
+            result.partMachinesOfQuery.appendRow(q.partMachines);
+    });
+    if (retired && obs)
+        obs->onQueriesRetired(queries.lowId());
+}
+
+void
+ClusterLoop::run()
+{
+    const size_t n = cfg.machines.size();
+    result.perMachine.resize(n);
+    if (queryBooks)
+        result.perModel.resize(cfg.modelMix.size());
+    if (cfg.sharding.has_value()) {
+        for (size_t m = 0; m < n; m++)
+            result.perMachine[m].embBytesStored =
+                cfg.sharding->placement.bytesOnMachine(m);
+    }
+    if (trace.empty())
+        return;
+
+    t0 = trace.front().arrivalSeconds;
+    lastEventTime = t0;
+    lastFaultAdvance = t0;
+    warmup = warmupCount(cfg.warmupFraction, trace.size());
+    result.fleetLatencySeconds.reserve(trace.size() - warmup);
+
+    machines.reserve(n);
+    for (const SimConfig& machine : cfg.machines)
+        machines.emplace_back(&machine, t0);
+
+    // Pre-size the heap: per machine at most one completion per busy
+    // core plus one offload, plus forwarded parts in flight.
+    size_t total_cores = 0;
+    for (const SimConfig& machine : cfg.machines)
+        total_cores += machine.cpu.platform().cores;
+    events.reserve(std::min(trace.size(), total_cores + 256));
+    scheduled.reserve(256);
+    if (faultsOn) {
+        faultSchedule = buildFaultSchedule(
+            cfg.faults, static_cast<uint32_t>(n), t0,
+            trace.back().arrivalSeconds);
+        for (size_t i = 0; i < faultSchedule.size(); i++)
+            events.push(faultSchedule[i].time, SimEvent::Kind::Fault,
+                        faultSchedule[i].machine, i);
+    }
+
+    // Overload control: only constructed when enabled, so the disabled
+    // path is the plain driver plus one boolean test per arrival.
+    if (cfg.overload.enabled()) {
+        // A sharded tier serves roughly 1/N of a query's embedding
+        // work per machine; tell the estimator so heavy queries are
+        // not priced as if one machine ran the whole model.
+        const double share =
+            cfg.sharding ? 1.0 / static_cast<double>(n) : 1.0;
+        admission.emplace(cfg.overload, cfg.machines, share, cfg.network,
+                          cfg.join);
+        trackJoinCost = cfg.join == JoinModel::TwoStage;
+        // Per-class accounting rides with deadline/goodput accounting.
+        if (cfg.overload.deadlineSeconds > 0.0)
+            result.overload.perClass.resize(cfg.overload.priorityClasses);
+    }
+    if (queryBooks) {
+        result.machineOfQuery.resize(trace.size());
+        result.partMachinesOfQuery.reserveRows(trace.size());
+    }
+
+    if (obs) {
+        obs->onRunStart(t0);
+        router.attachObserver(obs);
+    }
+    members.start(*this);
+
+    while (nextArrival < trace.size() || !events.empty()) {
+        retireBooks();
+        const bool takeArrival = nextArrival < trace.size() &&
+            (events.empty() ||
+             trace[nextArrival].arrivalSeconds <= events.top().time);
+
+        if (takeArrival) {
+            const Query& in = trace[nextArrival];
+            drs_assert(nextArrival == 0 ||
+                           in.arrivalSeconds >=
+                               trace[nextArrival - 1].arrivalSeconds,
+                       "trace must be sorted by arrival");
+            const uint64_t query_id = queries.push({});
+            drs_assert(query_id == nextArrival,
+                       "query ids must follow the trace");
+            drs_assert(in.model < numMix,
+                       "query's model is outside the tier's mix");
+            result.overload.offered++;
+            if (queryBooks && mixOn)
+                result.perModel[in.model].offered++;
+            present(nextArrival, in.arrivalSeconds);
+            nextArrival++;
+            continue;
+        }
+
+        const SimEvent ev = events.pop();
+
+        // Fault transitions and hedge checks are environment, not
+        // traffic: they never stretch the measured span or the
+        // utilization windows.
+        if (ev.kind == SimEvent::Kind::Fault) {
+            onFault(faultSchedule[ev.partIdx], ev.time);
+            continue;
+        }
+        if (ev.kind == SimEvent::Kind::HedgeCheck) {
+            QueryState& hq = queries[ev.partIdx];
+            hq.hedgeChecks--;
+            if (ev.slot == hq.gen && !hq.dead && hq.partsLeft > 0)
+                hedgeQuery(ev.partIdx, ev.time);
+            continue;
+        }
+        // A completion stamped by a dead engine incarnation is a
+        // ghost: the crash already accounted for its part.
+        if (faultsOn && ev.epoch != engineEpoch[ev.machine] &&
+            (ev.kind == SimEvent::Kind::CpuRequest ||
+             ev.kind == SimEvent::Kind::GpuQuery))
+            continue;
+
+        if (eagerClock)
+            machines[ev.machine].advanceTo(ev.time);
+        lastEventTime = std::max(lastEventTime, ev.time);
+        onTraffic(ev);
+    }
+
+    members.finish(*this);
+    finishBooks();
+}
+
+void
+ClusterLoop::finishBooks()
+{
+    retireBooks();
+    drs_assert(parts.live() == 0, "a part never reached a terminal state");
+    drs_assert(queries.live() == 0, "a query never settled");
+    result.peakLiveParts = parts.peakLive();
+    result.peakLiveQueries = queries.peakLive();
+    result.peakPartChunks = parts.chunksAllocated();
+    result.peakQueryChunks = queries.chunksAllocated();
+    result.numQueries = result.fleetLatencySeconds.count();
+    result.meanFanout = result.numDispatched > 0
+        ? static_cast<double>(result.numParts) /
+              static_cast<double>(result.numDispatched)
+        : 0.0;
+    result.spanSeconds = span.seconds();
+    result.offeredQps = traceOfferedQps(trace);
+    result.achievedQps = span.achievedQps(result.numQueries);
+    if (cfg.overload.deadlineSeconds > 0.0 && span.seconds() > 0.0) {
+        result.overload.goodputQps =
+            result.overload.qualityWeight / span.seconds();
+        for (ClassOverloadStats& cs : result.overload.perClass)
+            cs.goodputQps = cs.qualityWeight / span.seconds();
+    }
+
+    // A crash may have advanced an engine past the last traffic event;
+    // the final advance must never move a clock backwards. Busy time
+    // cannot accrue on an idle machine, so the integrals are unchanged.
+    const double full_span = lastEventTime - t0;
+    const double finalAdvance = std::max(lastEventTime, lastFaultAdvance);
+    double util_sum = 0.0;
+    for (size_t m = 0; m < machines.size(); m++) {
+        machines[m].advanceTo(finalAdvance);
+        MachineStats& stats = result.perMachine[m];
+        stats.requestsDispatched = machines[m].requestsDispatched();
+        stats.busyCoreSeconds = machines[m].busyCoreSeconds();
+        stats.gpuBusySeconds = machines[m].gpuBusySeconds();
+        const double billed = members.billedSeconds(m, full_span);
+        if (billed > 0.0) {
+            const double cores = static_cast<double>(
+                cfg.machines[m].cpu.platform().cores);
+            stats.cpuUtilization = stats.busyCoreSeconds / (billed * cores);
+            stats.gpuUtilization = stats.gpuBusySeconds / billed;
+        }
+        util_sum += stats.cpuUtilization;
+    }
+    result.meanCpuUtilization =
+        util_sum / static_cast<double>(machines.size());
+
+    // The three-way conservation algebra holds exactly on every run —
+    // chaos or not — at any thread count.
+    assertFaultConservation(result.overload, result.faults,
+                            result.numDispatched, result.numCompleted,
+                            trace.size());
+    if (queryBooks && mixOn) {
+        // The same algebra per model, plus the cross-model sum checks:
+        // every query is exactly one model's, so the per-model books
+        // must tile the fleet totals with nothing left over.
+        uint64_t sum_offered = 0;
+        uint64_t sum_completed = 0;
+        for (const ModelStats& ms : result.perModel) {
+            drs_assert(ms.offered ==
+                           ms.completed + ms.droppedFinal + ms.lost,
+                       "per-model conservation violated");
+            sum_offered += ms.offered;
+            sum_completed += ms.completed;
+        }
+        drs_assert(sum_offered == result.overload.offered,
+                   "per-model offered books do not tile the fleet total");
+        drs_assert(sum_completed == result.numCompleted,
+                   "per-model completion books do not tile the fleet "
+                   "total");
+    }
+}
+
+} // namespace deeprecsys

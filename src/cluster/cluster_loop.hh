@@ -1,0 +1,274 @@
+/**
+ * @file
+ * The one cluster event loop, behind both cluster facades.
+ *
+ * ClusterSimulator (a static tier) and Autoscaler (an elastic tier)
+ * are two uses of one tier model (cluster_sim.hh). ClusterLoop runs
+ * it; what differs between the tiers is which machines take new
+ * queries and how that set changes, and that is a Membership: fixed
+ * (cluster_sim.cc) or elastic (autoscaler.cc). The loop owns the
+ * accepting mask the router sees and reports crashes, repairs,
+ * completions and idle machines to the membership, which changes the
+ * mask through setAccepting() and may push Control and MachineUp
+ * events of its own. Internal to src/cluster/.
+ */
+
+#ifndef DRS_CLUSTER_CLUSTER_LOOP_HH
+#define DRS_CLUSTER_CLUSTER_LOOP_HH
+
+#include <optional>
+#include <vector>
+
+#include "cluster/cluster_sim.hh"
+#include "cluster/part_book.hh"
+#include "cluster/query_book.hh"
+#include "sim/machine_engine.hh"
+
+namespace deeprecsys {
+
+class ClusterLoop;
+
+/** Which machines of a tier serve, and how that set changes. */
+class Membership
+{
+  public:
+    virtual ~Membership() = default;
+
+    /**
+     * A machine's engine clock advances whenever work starts or
+     * finishes on it. True when every traffic event also advances its
+     * machine's clock first (the static tier); the elastic tier's
+     * control tick advances every clock instead. Utilization integrals
+     * are sums in that order, so each tier keeps its own to stay
+     * bitwise identical.
+     */
+    virtual bool eagerClock() const = 0;
+
+    /** Fill ClusterResult's trace-sized books: machineOfQuery,
+     *  partMachinesOfQuery and perModel. */
+    virtual bool queryBooks() const = 0;
+
+    /** Run start, after the fault schedule is queued. Every machine
+     *  is accepting until the membership says otherwise. */
+    virtual void start(ClusterLoop&) {}
+
+    /**
+     * Fail-stop crash of @p m (the first of overlapping windows): take
+     * it out of service, and call ClusterLoop::killEngine when its
+     * engine may hold work.
+     */
+    virtual void crash(ClusterLoop& loop, uint32_t m, double now) = 0;
+
+    /** Repair of @p m done (the last of overlapping windows). */
+    virtual void recover(ClusterLoop& loop, uint32_t m) = 0;
+
+    /** Machine @p m runs work already sent to it; a part forwarded
+     *  to a machine that does not is lost. */
+    virtual bool serving(const ClusterLoop& loop, size_t m) const = 0;
+
+    /** A Control or MachineUp event the membership pushed. */
+    virtual void onEvent(ClusterLoop&, const SimEvent&);
+
+    /** Machine @p m may have just run out of work. */
+    virtual void workDone(ClusterLoop&, uint32_t, double) {}
+
+    /** A query completed after @p latency seconds (measured or not). */
+    virtual void onCompletion(double) {}
+
+    /** End of run, before the final books. */
+    virtual void finish(ClusterLoop&) {}
+
+    /** Seconds machine @p m's utilization is taken over; @p span is
+     *  first arrival to last event. */
+    virtual double billedSeconds(size_t, double span) const { return span; }
+};
+
+/**
+ * One run of a cluster tier: its state and its event loop. The loop is
+ * also the live ClusterView the router and the admission controller
+ * read at each arrival.
+ */
+class ClusterLoop final : private ClusterView
+{
+  public:
+    ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
+                RoutingPolicy& router, Membership& members,
+                obs::RunObserver* obs, ClusterResult& result);
+
+    /** Run the trace (sorted by arrival) to completion into the
+     *  result. Call once. */
+    void run();
+
+    /** Add machine @p m to, or remove it from, the router's
+     *  accepting set. */
+    void setAccepting(size_t m, bool on);
+
+    bool accepting(size_t m) const override { return accepting_[m] != 0; }
+    size_t acceptingCount() const { return acceptingCount_; }
+
+    /** Machine @p m is crashed and not yet repaired. */
+    bool down(size_t m) const { return downDepth[m] > 0; }
+
+    /** Destroy the engine's queued and running work; each lost part
+     *  decides its query's fate (failover, hedge twin, or loss). */
+    void killEngine(uint32_t m, double now);
+
+    // ------------------------ state the memberships read and drive
+    const ClusterConfig& cfg;
+    const QueryTrace& trace;
+    obs::RunObserver* const obs;
+    ClusterResult& result;
+
+    std::vector<MachineEngine> machines;
+    /** Parts dispatched to each machine and not yet finished. */
+    std::vector<uint64_t> inFlight;
+
+    /**
+     * Fanned-out TwoStage queries led by each machine whose dense
+     * join phase has not been admitted yet: between the leader's own
+     * embedding part finishing and the last remote part landing, the
+     * leader holds no engine work and inFlight can read 0, yet it
+     * still owes the join phase.
+     */
+    std::vector<uint32_t> pendingJoins;
+
+    EventQueue events;
+
+    /** Dispatches that ended without completing (killed or lost). */
+    uint64_t endedDispatches = 0;
+
+    double t0 = 0;              ///< first arrival
+    double lastEventTime = 0;   ///< latest traffic event or completion
+    size_t nextArrival = 0;     ///< trace index of the next arrival
+
+  private:
+    // ClusterView: the live tier as the router sees it.
+    size_t numMachines() const override { return machines.size(); }
+    size_t inFlightQueries(size_t m) const override { return inFlight[m]; }
+    size_t
+    queuedWork(size_t m) const override
+    {
+        return machines[m].queuedWork();
+    }
+    size_t
+    queuedSamples(size_t m) const override
+    {
+        return machines[m].queuedSamples();
+    }
+    double
+    queuedCostSeconds(size_t m) const override
+    {
+        return machines[m].queuedCostSeconds();
+    }
+    double
+    pendingJoinCostSeconds(size_t m) const override
+    {
+        return pendingJoinCost[m];
+    }
+    bool
+    hasGpu(size_t m) const override
+    {
+        return cfg.machines[m].policy.gpuEnabled &&
+            cfg.machines[m].gpu.has_value();
+    }
+    double
+    speedFactor(size_t m) const override
+    {
+        return 1.0 / cfg.machines[m].slowdown;
+    }
+    bool
+    allAccepting() const override
+    {
+        return acceptingCount_ == machines.size();
+    }
+    bool
+    servesModel(size_t m, uint32_t model) const override
+    {
+        return cfg.machines[m].servesModel(model);
+    }
+    size_t
+    inFlightQueriesOfModel(size_t m, uint32_t model) const override
+    {
+        return mixOn ? inFlightByModel[m * numMix + model] : inFlight[m];
+    }
+
+    void present(uint64_t idx, double now);
+    void startPart(uint64_t part_idx, double now);
+    void finishPart(uint64_t part_idx, double now, bool gpu);
+    void deliverPart(uint64_t part_idx, double now);
+    void completeQuery(uint64_t query_idx);
+    void failQuery(uint64_t idx, double now, bool dispatched);
+    void lostPartFate(uint64_t part_idx, double now);
+    void cancelPart(uint64_t part_idx, double now);
+    /** The part's dispatch was killed (a failover re-presented its
+     *  query, or the query died). */
+    bool staleDispatch(const PartRec& part) const;
+    void hedgeQuery(uint64_t idx, double now);
+    void onFault(const FaultEvent& fe, double now);
+    void onTraffic(const SimEvent& ev);
+    void flightAdd(uint32_t m, uint32_t model);
+    void flightSub(uint32_t m, uint32_t model, const char* what);
+    void releaseJoinCost(QueryState& q);
+    void retireBooks();
+    void finishBooks();
+
+    /** The per-class book of @p cls (a sink when none is kept). */
+    ClassOverloadStats&
+    classStats(uint32_t cls)
+    {
+        return result.overload.perClass.empty()
+            ? noClassBook
+            : result.overload.perClass[cls];
+    }
+
+    RoutingPolicy& router;
+    Membership& members;
+    const bool eagerClock;
+    const bool queryBooks;
+    const bool mixOn;        ///< the tier serves a model mix
+    const size_t numMix;     ///< mix width (1 on single-model tiers)
+    const bool faultsOn;
+    const bool hedgeOn;
+    const double hedgeDelay;
+    size_t warmup = 0;       ///< leading queries kept out of statistics
+
+    QueryBook queries;
+    PartBook parts;
+
+    std::vector<uint8_t> accepting_;
+    size_t acceptingCount_ = 0;
+
+    /** Per-(machine, model) in-flight book of a mixed tier, flattened
+     *  [m * numMix + model]; empty on single-model tiers. */
+    std::vector<uint64_t> inFlightByModel;
+
+    /**
+     * Committed-but-unqueued TwoStage join-phase cost per machine:
+     * engine-exact (MachineEngine::joinPhaseCostSeconds added at
+     * fan-out dispatch, the identical value subtracted when the phase
+     * is admitted), kept only when the admission estimator reads it.
+     */
+    std::vector<double> pendingJoinCost;
+    bool trackJoinCost = false;
+    std::optional<AdmissionController> admission;
+
+    // Fault state: identity values on the fault-free path.
+    std::vector<FaultEvent> faultSchedule;
+    std::vector<int> downDepth;
+    std::vector<int> grayDepth;
+    std::vector<int> netDepth;
+    std::vector<double> netFactor;
+    std::vector<uint32_t> engineEpoch;
+    std::vector<uint64_t> lostBuf;
+    /** Engines advanced by a crash may run ahead of lastEventTime; the
+     *  final utilization advance must not move their clocks back. */
+    double lastFaultAdvance = 0;
+
+    std::vector<EngineEvent> scheduled;
+    MeasuredSpan span;
+    ClassOverloadStats noClassBook;
+};
+
+} // namespace deeprecsys
+
+#endif // DRS_CLUSTER_CLUSTER_LOOP_HH

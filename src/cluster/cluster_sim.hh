@@ -13,10 +13,13 @@
  * and 13 study, with the router made explicit.
  *
  * Machine mechanics (queues, batch splitting, offload, utilization
- * integrals) come from the shared MachineEngine; this file is the
- * multi-machine *driver*: routing, fan-out/join, and network hops.
- * With one machine, no sharding, and a zero NetworkConfig it is
- * bit-identical to ServingSimulator (tests/test_engine_diff.cc).
+ * integrals) come from the shared MachineEngine; routing, fan-out/join
+ * and network hops from the cluster event loop (cluster_loop.hh),
+ * which this facade runs under a fixed membership: every machine
+ * accepts, and a crashed machine accepts again at repair. The elastic
+ * tier (autoscaler.hh) runs the same loop. With one machine, no
+ * sharding, and a zero NetworkConfig it is bit-identical to
+ * ServingSimulator (tests/test_engine_diff.cc).
  *
  * When the cluster carries a ShardingConfig, a shard-aware policy may
  * fan a query out into parts, one per machine of a replica cover of
@@ -120,6 +123,15 @@ struct ClusterConfig
      */
     std::vector<ModelMixEntry> modelMix;
 };
+
+/**
+ * Check a tier's configuration, reporting the first error through
+ * drs_fatal: machines present and valid, a well-formed model mix,
+ * a placement that fits the tier and its memory budgets, a fault plan
+ * the placement survives, and a hedge on a sharded tier. @p tier
+ * names the tier in the message. Both cluster facades call it.
+ */
+void validateClusterConfig(const ClusterConfig& cfg, const char* tier);
 
 /** Per-machine embedding-memory budgets (SimConfig::memoryBytes). */
 std::vector<uint64_t> machineMemoryBudgets(
@@ -292,9 +304,6 @@ class ClusterSimulator
     void setObserver(obs::RunObserver* observer) { obs_ = observer; }
 
     const ClusterConfig& config() const { return cfg; }
-
-    /** Number of machines behind the router. */
-    size_t numMachines() const { return cfg.machines.size(); }
 
   private:
     ClusterConfig cfg;

@@ -19,10 +19,6 @@
 
 namespace deeprecsys {
 
-namespace obs {
-enum class PartStage : uint8_t;
-} // namespace obs
-
 /** One machine's share of one in-flight query, as a driver sees it. */
 struct PartRec
 {
@@ -62,9 +58,6 @@ struct PartRec
     /** Finished or dead: no engine work or event refers to it again. */
     bool terminal() const { return done || cancelled; }
 };
-
-/** The observer-facing name of a part kind. */
-obs::PartStage stageOf(PartRec::Kind kind);
 
 /**
  * The part book: a WindowBook of parts plus the rule that retires

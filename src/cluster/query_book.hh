@@ -51,13 +51,14 @@ struct QueryState
     /** The dispatch holds a committed TwoStage join-phase cost that
      *  must be released exactly once (JoinPhase admission or kill). */
     bool joinCommitted = false;
-    /** Elastic tier: the leader owes a pending-join release. */
+    /** The leader owes a pendingJoins release (TwoStage fan-out). */
     bool joinLeadership = false;
     /** Completed, finally dropped or lost: no new work will start. */
     bool settled = false;
 
-    /** Static driver: every machine a part was sent to so far, in
-     *  creation order (its ClusterResult::partMachinesOfQuery row). */
+    /** Every machine a part was sent to so far, in creation order
+     *  (its ClusterResult::partMachinesOfQuery row); kept only by runs
+     *  that keep per-query books. */
     std::vector<uint32_t> partMachines;
 };
 
@@ -85,12 +86,6 @@ class QueryBook : public WindowBook<QueryState>
                 on_retire(q);
             return over;
         });
-    }
-
-    bool
-    retire(const PartBook& parts)
-    {
-        return retire(parts, [](const QueryState&) {});
     }
 };
 

@@ -159,9 +159,6 @@ class ClusterView
     // Single-model views keep the defaults: one model, served
     // everywhere, whose slice IS the total.
 
-    /** Models in the tier's mix (1 on single-model tiers). */
-    virtual size_t numModels() const { return 1; }
-
     /** True when machine @p m has a binding for mix model @p model. */
     virtual bool
     servesModel(size_t, uint32_t model) const
@@ -174,21 +171,6 @@ class ClusterView
     inFlightQueriesOfModel(size_t m, uint32_t) const
     {
         return inFlightQueries(m);
-    }
-
-    /** Mix model @p model's slice of queuedCostSeconds(@p m)
-     *  (negative means unavailable, like the total). */
-    virtual double
-    queuedCostSecondsOfModel(size_t m, uint32_t) const
-    {
-        return queuedCostSeconds(m);
-    }
-
-    /** Mix model @p model's slice of pendingJoinCostSeconds(@p m). */
-    virtual double
-    pendingJoinCostSecondsOfModel(size_t m, uint32_t) const
-    {
-        return pendingJoinCostSeconds(m);
     }
 };
 

@@ -17,6 +17,7 @@
 #include "base/thread_pool.hh"
 #include "cluster/autoscaler.hh"
 #include "cluster/cluster_sim.hh"
+#include "cluster/model_mix.hh"
 #include "loadgen/query_stream.hh"
 
 namespace deeprecsys {
@@ -64,6 +65,29 @@ diurnalTrace(AutoscaleSpec& spec, double peak_qps, double ratio,
     const size_t count = static_cast<size_t>(mean_qps * day_seconds);
     tmpl.ensure(count);
     return tmpl.materializeDiurnal(mean_qps, profile, count);
+}
+
+/** @p machines machines sharding RMC2's tables, two copies of each,
+ *  behind a shard-aware router and a real network. */
+AutoscaleSpec
+shardedSpec(size_t machines)
+{
+    const std::vector<EmbeddingTableInfo> tables =
+        embeddingTables(modelConfig(ModelId::DlrmRmc2));
+    AutoscaleSpec spec = flatSpec(machines);
+    PlacementSpec placement_spec;
+    placement_spec.strategy = PlacementStrategy::GreedyBySize;
+    placement_spec.minReplicas = 2;
+    const ShardPlacement placement = ShardPlacement::build(
+        tables, std::vector<uint64_t>(machines, 0), placement_spec);
+    TableSetSpec table_set;
+    table_set.numTables = static_cast<uint32_t>(tables.size());
+    table_set.tablesPerQuery = 4;
+    spec.cluster.sharding = ShardingConfig{placement, table_set};
+    spec.cluster.network.hopSeconds = 150e-6;
+    spec.cluster.network.gigabytesPerSecond = 12.5;
+    spec.routing.kind = RoutingKind::ShardAware;
+    return spec;
 }
 
 QueryTrace
@@ -119,31 +143,29 @@ TEST(Autoscaler, StaticPolicyNeverScalesAndMatchesBaseline)
     EXPECT_EQ(r.numCompleted, trace.size());
 }
 
-TEST(Autoscaler, StaticFullTierMatchesClusterSimulatorExactly)
+/**
+ * Run @p spec's tier through both facades — the elastic one under the
+ * static full-tier policy — and expect the same routing decisions,
+ * service schedule and statistics.
+ */
+void
+expectElasticMatchesClusterSimulator(const AutoscaleSpec& spec,
+                                     const QueryTrace& trace)
 {
-    // With no scale event the elastic driver must be the cluster
-    // simulator: same routing decisions, same service schedule, same
-    // statistics bit-for-bit (control ticks shift event sequence
-    // numbers but never reorder equal-time service completions).
-    AutoscaleSpec spec = flatSpec(5);
-    const QueryTrace trace = flatTrace(7500.0, 15000, 23);
-
     ScalingPolicySpec policy;
     policy.kind = ScalingPolicyKind::Static;
     const AutoscaleResult elastic = Autoscaler(spec).run(trace, policy);
-
-    ClusterConfig cluster;
-    cluster.machines = spec.cluster.machines;
     const ClusterResult fixed =
-        ClusterSimulator(cluster).run(trace, spec.routing);
+        ClusterSimulator(spec.cluster).run(trace, spec.routing);
 
+    EXPECT_TRUE(elastic.scaleEvents.empty());
     EXPECT_EQ(elastic.numDispatched, fixed.numDispatched);
     EXPECT_EQ(elastic.numCompleted, fixed.numCompleted);
     EXPECT_EQ(elastic.numQueries, fixed.numQueries);
     EXPECT_DOUBLE_EQ(elastic.fleetLatencySeconds.sum(),
                      fixed.fleetLatencySeconds.sum());
     EXPECT_DOUBLE_EQ(elastic.p99Ms(), fixed.p99Ms());
-    for (size_t m = 0; m < 5; m++) {
+    for (size_t m = 0; m < spec.cluster.machines.size(); m++) {
         EXPECT_EQ(elastic.perMachine[m].queriesDispatched,
                   fixed.perMachine[m].queriesDispatched);
         EXPECT_EQ(elastic.perMachine[m].requestsDispatched,
@@ -151,6 +173,66 @@ TEST(Autoscaler, StaticFullTierMatchesClusterSimulatorExactly)
         EXPECT_DOUBLE_EQ(elastic.perMachine[m].busyCoreSeconds,
                          fixed.perMachine[m].busyCoreSeconds);
     }
+    EXPECT_EQ(elastic.overload.droppedFinal, fixed.overload.droppedFinal);
+    EXPECT_EQ(elastic.overload.degraded, fixed.overload.degraded);
+    EXPECT_EQ(elastic.faults.hedged, fixed.faults.hedged);
+    EXPECT_EQ(elastic.faults.hedgeWins, fixed.faults.hedgeWins);
+    EXPECT_EQ(elastic.faults.hedgeWasted, fixed.faults.hedgeWasted);
+}
+
+TEST(Autoscaler, StaticFullTierMatchesClusterSimulatorExactly)
+{
+    // With no scale event the elastic driver must be the cluster
+    // simulator: same routing decisions, same service schedule, same
+    // statistics bit-for-bit (control ticks shift event sequence
+    // numbers but never reorder equal-time service completions).
+    AutoscaleSpec spec = flatSpec(5);
+    expectElasticMatchesClusterSimulator(spec,
+                                         flatTrace(7500.0, 15000, 23));
+
+    // The same on a sharded, hedged, deadline-admitted tier: fan-out
+    // parts, two-stage joins, sheds, degrades and hedge races.
+    AutoscaleSpec sharded = shardedSpec(5);
+    sharded.cluster.overload.admission = AdmissionKind::Deadline;
+    sharded.cluster.overload.deadlineSeconds = 0.05;
+    sharded.cluster.overload.degrade = true;
+    sharded.cluster.hedge.delaySeconds = 0.01;
+    const QueryTrace trace = flatTrace(9000.0, 15000, 23);
+    const ClusterResult fixed =
+        ClusterSimulator(sharded.cluster).run(trace, sharded.routing);
+    ASSERT_GT(fixed.faults.hedged, 0u);
+    ASSERT_GT(fixed.overload.droppedFinal, 0u);
+    ASSERT_GT(fixed.meanFanout, 1.0);
+    expectElasticMatchesClusterSimulator(sharded, trace);
+}
+
+TEST(Autoscaler, ColocatedModelAwareJsqRoutesAsClusterSimulator)
+{
+    // Model-aware routing balances on each machine's in-flight count
+    // of the query's own model. The elastic tier reads the same
+    // per-model book as the static tier, so at a fixed full tier both
+    // place every query on the same machine.
+    std::vector<ModelMixEntry> mix;
+    for (auto [id, share] : {std::pair{ModelId::DlrmRmc2, 0.5},
+                             std::pair{ModelId::WideAndDeep, 0.5}}) {
+        ModelMixEntry entry = makeMixEntry(id, share);
+        entry.policy.perRequestBatch = 256;
+        mix.push_back(entry);
+    }
+    AutoscaleSpec spec = flatSpec(0);
+    for (size_t m = 0; m < 3; m++)
+        spec.cluster.machines.push_back(
+            colocatedMachine(mix, CpuPlatform::skylake()));
+    spec.cluster.modelMix = mix;
+    spec.routing.kind = RoutingKind::ModelAwareJsq;
+
+    LoadSpec load;
+    load.arrivalSeed = 0x505;
+    load.sizeSeed = 0x506;
+    MixedTraceTemplate mixed(load, mixFractions(mix));
+    mixed.ensure(4000);
+    const QueryTrace trace = mixed.materialize(2200.0, 4000);
+    expectElasticMatchesClusterSimulator(spec, trace);
 }
 
 TEST(Autoscaler, ConservationAcrossScaleEvents)

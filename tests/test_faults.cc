@@ -237,7 +237,8 @@ TEST(FaultPlanDeath, DriverRefusesUnderReplicatedPlacement)
     ClusterConfig cfg = chaosTier(1);
     cfg.faults.crashesPerHour = 10.0;
     cfg.faults.faultTolerance = 2;
-    EXPECT_DEATH(ClusterSimulator{cfg}, "replication below");
+    EXPECT_EXIT(ClusterSimulator{cfg}, ::testing::ExitedWithCode(1),
+                "replication below");
 }
 
 TEST(FaultPlanDeath, HedgeNeedsShardedTier)
@@ -245,21 +246,8 @@ TEST(FaultPlanDeath, HedgeNeedsShardedTier)
     ClusterConfig cfg = chaosTier(2);
     cfg.sharding.reset();
     cfg.hedge.delaySeconds = 0.01;
-    EXPECT_DEATH(ClusterSimulator{cfg}, "sharded tier");
-}
-
-TEST(FaultPlanDeath, ElasticDriverRefusesHedging)
-{
-    AutoscaleSpec spec;
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    spec.cluster.machines.push_back(
-        SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                  std::nullopt, policy, 0.05, 1.0});
-    spec.cluster.hedge.delaySeconds = 0.01;
-    EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
-                "does not hedge");
+    EXPECT_EXIT(ClusterSimulator{cfg}, ::testing::ExitedWithCode(1),
+                "sharded tier");
 }
 
 // ------------------------------------------------------ conservation
@@ -603,6 +591,63 @@ TEST(ChaosParallelDiff, ChaosSweepBitwiseEqualAcrossThreadCounts)
         EXPECT_DOUBLE_EQ(a.fleetLatencySeconds.sum(),
                          b.fleetLatencySeconds.sum());
         EXPECT_DOUBLE_EQ(a.p99Ms(), b.p99Ms());
+    }
+}
+
+TEST(HedgeProperties, ElasticTierHedgesUnderChaos)
+{
+    // The elastic tier runs the same loop as the static one, so it
+    // hedges too: under crashes and scale events, hedges fire, the
+    // three-way books close, and the run is bitwise identical at one
+    // and many threads.
+    AutoscaleSpec spec;
+    spec.cluster = chaosTier(2);
+    spec.cluster.faults = hotPlan();
+    spec.cluster.faults.faultTolerance = 2;
+    spec.cluster.faults.maxFailovers = 2;
+    spec.routing.kind = RoutingKind::ShardAware;
+    spec.slaMs = 100.0;
+    spec.controlIntervalSeconds = 0.5;
+    spec.warmupDelaySeconds = 0.25;
+    ScalingPolicySpec policy;
+    policy.kind = ScalingPolicyKind::Reactive;
+    policy.minMachines = 2;
+    const QueryTrace trace = chaosTrace();
+    const std::vector<double> delays = {0.005, 0.02};
+    auto sweep = [&] {
+        return bench::sweepMap(delays, [&](double delay) {
+            AutoscaleSpec cell = spec;
+            cell.cluster.hedge.delaySeconds = delay;
+            return Autoscaler(cell).run(trace, policy);
+        });
+    };
+    const auto [serial, parallel] = atBothThreadCounts(sweep);
+    ASSERT_EQ(serial.size(), delays.size());
+    ASSERT_EQ(parallel.size(), delays.size());
+    for (size_t i = 0; i < delays.size(); i++) {
+        const AutoscaleResult& a = serial[i];
+        const AutoscaleResult& b = parallel[i];
+        EXPECT_GT(a.faults.hedged, 0u);
+        EXPECT_GT(a.faults.crashes, 0u);
+        EXPECT_GT(a.scaleEvents.size(), 0u);
+        EXPECT_EQ(trace.size(),
+                  a.numCompleted + a.overload.droppedFinal + a.faults.lost);
+        EXPECT_LE(a.faults.hedgeWins + a.faults.hedgeWasted,
+                  2 * a.faults.hedged);
+        EXPECT_LE(a.faults.hedgeSaves, a.faults.hedged);
+
+        EXPECT_EQ(a.numCompleted, b.numCompleted);
+        EXPECT_EQ(a.numParts, b.numParts);
+        EXPECT_EQ(a.faults.crashes, b.faults.crashes);
+        EXPECT_EQ(a.faults.lostQueries, b.faults.lostQueries);
+        EXPECT_EQ(a.faults.failovers, b.faults.failovers);
+        EXPECT_EQ(a.faults.hedged, b.faults.hedged);
+        EXPECT_EQ(a.faults.hedgeWins, b.faults.hedgeWins);
+        EXPECT_EQ(a.faults.hedgeWasted, b.faults.hedgeWasted);
+        EXPECT_EQ(a.faults.hedgeSaves, b.faults.hedgeSaves);
+        EXPECT_EQ(a.fleetLatencySeconds.raw(), b.fleetLatencySeconds.raw());
+        EXPECT_EQ(a.poweredSecondsPerMachine, b.poweredSecondsPerMachine);
+        EXPECT_EQ(a.scaleEvents.size(), b.scaleEvents.size());
     }
 }
 
