@@ -15,10 +15,11 @@
  *    hot-path metric: simulated events/second on one thread.
  *  - `cluster16_sharded`: a 16-machine sharded TwoStage cluster run
  *    with shard-aware routing — the cluster driver hot path. It also
- *    reports the parts the driver created, the most its part and
- *    query books held live at once and the most chunks each book
- *    allocated (the driver's memory high-water marks), and the heap
- *    bytes of the flat per-query part-machine book the result keeps.
+ *    reports the parts the driver created, the most ids its part and
+ *    query windows spanned and the most records each book held at
+ *    once, the most chunks each window allocated (the driver's memory
+ *    high-water marks), and the heap bytes of the flat per-query
+ *    part-machine book the result keeps.
  *  - `cluster16_obs_off` / `cluster16_obs_on`: the same workload with
  *    the observability layer explicitly detached and fully attached.
  *    The detached run gates the obs integration's disabled path (the
@@ -97,6 +98,8 @@ struct ScenarioReport
     uint64_t parts = 0;        ///< driver parts created (cluster only)
     uint64_t peakLiveParts = 0;   ///< part-book high-water mark
     uint64_t peakLiveQueries = 0; ///< query-book high-water mark
+    uint64_t peakHeldParts = 0;   ///< part records held at once
+    uint64_t peakHeldQueries = 0; ///< query records held at once
     uint64_t partChunks = 0;      ///< part-book chunk high-water mark
     uint64_t queryChunks = 0;     ///< query-book chunk high-water mark
     uint64_t partMachinesBytes = 0; ///< result's flat book, heap bytes
@@ -227,6 +230,8 @@ writeJson(const std::string& path,
             out << "\"parts\": " << r.parts << ", "
                 << "\"peak_live_parts\": " << r.peakLiveParts << ", "
                 << "\"peak_live_queries\": " << r.peakLiveQueries << ", "
+                << "\"peak_held_parts\": " << r.peakHeldParts << ", "
+                << "\"peak_held_queries\": " << r.peakHeldQueries << ", "
                 << "\"part_chunks\": " << r.partChunks << ", "
                 << "\"query_chunks\": " << r.queryChunks << ", "
                 << "\"part_machines_bytes\": " << r.partMachinesBytes
@@ -353,6 +358,8 @@ main(int argc, char** argv)
             report.parts = base.numParts;
             report.peakLiveParts = base.peakLiveParts;
             report.peakLiveQueries = base.peakLiveQueries;
+            report.peakHeldParts = base.peakHeldParts;
+            report.peakHeldQueries = base.peakHeldQueries;
             report.partChunks = base.peakPartChunks;
             report.queryChunks = base.peakQueryChunks;
             report.partMachinesBytes = base.partMachinesOfQuery.bytes();

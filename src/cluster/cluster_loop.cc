@@ -169,6 +169,9 @@ ClusterLoop::completeQuery(uint64_t query_idx)
             cfg.network.responseBytesPerSample);
         obs->onQueryComplete(query_idx, q.joinTime, back);
     }
+    // The finishing part is still held, so the query is tested again
+    // when its last part is released.
+    checkDispatch(q);
 }
 
 // A part finished all of its local work.
@@ -187,6 +190,7 @@ ClusterLoop::finishPart(uint64_t part_idx, double now, bool gpu)
     part.done = true;
     const uint32_t m = part.machine;
     deliverPart(part_idx, now);
+    checkPart(part_idx);
     members.workDone(*this, m, now);
 }
 
@@ -236,6 +240,7 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
              .kind = PartRec::Kind::FanDense, .embFraction = 0.0,
              .gen = q.gen});
         q.partsEnd = dense_idx + 1;
+        q.heldParts++;
         // The leader may already be draining; its join phase is
         // in-flight work and still runs there.
         drs_assert(pendingJoins[q.machine] > 0,
@@ -271,8 +276,10 @@ ClusterLoop::failQuery(uint64_t idx, double now, bool dispatched)
 {
     QueryState& q = queries[idx];
     q.dead = true;
-    if (dispatched)
+    if (dispatched) {
         endedDispatches++;
+        checkDispatch(q);
+    }
     releaseJoinCost(q);
     if (q.joinLeadership) {
         drs_assert(pendingJoins[q.machine] > 0,
@@ -292,6 +299,7 @@ ClusterLoop::failQuery(uint64_t idx, double now, bool dispatched)
             obs->onQueryFailover(idx, now, q.failovers, delay);
     } else {
         q.settled = true;
+        queryChecks.push_back(idx);
         result.faults.lost++;
         result.faults.lostQueries.push_back(idx);
         if (queryBooks) {
@@ -318,6 +326,7 @@ ClusterLoop::cancelPart(uint64_t part_idx, double now)
 {
     PartRec& part = parts[part_idx];
     part.cancelled = true;
+    checkPart(part_idx);
     flightSub(part.machine, queries[part.queryIdx].model,
               "cancel with nothing in flight");
     members.workDone(*this, part.machine, now);
@@ -331,6 +340,7 @@ ClusterLoop::lostPartFate(uint64_t part_idx, double now)
 {
     PartRec& part = parts[part_idx];
     part.cancelled = true;
+    checkPart(part_idx);
     flightSub(part.machine, queries[part.queryIdx].model,
               "lost part with nothing in flight");
     result.faults.partsLost++;
@@ -401,11 +411,12 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
              .gen = q.gen});
         parts[pi].partner = dup_idx;
         q.partsEnd = dup_idx + 1;
+        q.heldParts++;
         flightAdd(to, q.model);
         result.perMachine[to].remoteParts++;
         result.numParts++;
         if (queryBooks)
-            q.partMachines.push_back(to);
+            partMachineRows[idx].push_back(to);
         result.faults.hedged++;
         if (obs)
             obs->onPartHedged(idx, now, src, to);
@@ -469,6 +480,7 @@ ClusterLoop::present(uint64_t idx, double now)
                     obs->onQueryRetry(idx, now, q.attempt, delay);
             } else {
                 q.settled = true;
+                queryChecks.push_back(idx);
                 result.overload.droppedFinal++;
                 cs.droppedFinal++;
                 if (queryBooks) {
@@ -534,8 +546,10 @@ ClusterLoop::present(uint64_t idx, double now)
         obs->onQueryDispatch(idx, now, served.size, plan.size(), forward,
                              q.measured);
 
-    if (queryBooks)
-        q.partMachines.reserve(q.partMachines.size() + plan.size());
+    if (queryBooks) {
+        std::vector<uint32_t>& row = partMachineRows[idx];
+        row.reserve(row.size() + plan.size());
+    }
     size_t leaders = 0;
     for (ShardTarget& target : plan) {
         drs_assert(target.machine < machines.size(),
@@ -555,7 +569,7 @@ ClusterLoop::present(uint64_t idx, double now)
             result.perMachine[m].remoteParts++;
         }
         if (queryBooks)
-            q.partMachines.push_back(m);
+            partMachineRows[idx].push_back(m);
 
         const uint64_t part_idx = parts.push(
             {.queryIdx = idx, .machine = m,
@@ -565,6 +579,7 @@ ClusterLoop::present(uint64_t idx, double now)
              .tables = hedgeOn ? std::move(target.tables)
                                : std::vector<uint32_t>{},
              .gen = q.gen});
+        q.heldParts++;
         result.numParts++;
         if (forward > 0.0) {
             events.push(now + forward * netFactor[m],
@@ -726,23 +741,94 @@ ClusterLoop::onTraffic(const SimEvent& ev)
     }
 }
 
-// A part leaves the book once it is terminal, its hedge twin is
-// terminal, and its dispatch is over (see PartBook::retire). Parts go
-// first: a query leaves the book only after its parts (see
-// QueryBook::retire), and the observer drops its span records with it.
-// Nothing appends to a retired query's part machines, and queries
-// retire in trace order, so each becomes its row of the flat book.
+// A part turning terminal may release it, and its twin, which waited
+// for it.
+void
+ClusterLoop::checkPart(uint64_t part_idx)
+{
+    partChecks.push_back(part_idx);
+    const uint64_t twin = parts[part_idx].partner;
+    if (twin != PartRec::kNoPartner)
+        partChecks.push_back(twin);
+}
+
+// The end of a dispatch may release every part of it that is already
+// terminal: its fan-out parts and their hedge twins. Its dense phase,
+// if any, turns terminal in the same event as the dispatch ends, or
+// later, so checkPart covers it (checks run after the event).
+void
+ClusterLoop::checkDispatch(const QueryState& q)
+{
+    for (uint64_t pi = q.firstPart; pi < q.firstPart + q.numParts; pi++)
+        checkPart(pi);
+}
+
+bool
+ClusterLoop::dispatchOver(const PartRec& part) const
+{
+    return staleDispatch(part) || queries[part.queryIdx].partsLeft == 0;
+}
+
+void
+ClusterLoop::releasePart(uint64_t part_idx)
+{
+    const PartRec* part = parts.find(part_idx);
+    if (part == nullptr ||
+        !parts.unreachable(*part, [this](const PartRec& p) {
+            return dispatchOver(p);
+        }))
+        return;
+    const uint64_t query_idx = part->queryIdx;
+    parts.release(part_idx);
+    if (--queries[query_idx].heldParts == 0)
+        queryChecks.push_back(query_idx);
+}
+
+// Release every checked record whose rule now holds: parts first, as a
+// query is released only after its last part.
+void
+ClusterLoop::releaseRecords()
+{
+    for (uint64_t part_idx : partChecks)
+        releasePart(part_idx);
+    partChecks.clear();
+    for (uint64_t idx : queryChecks) {
+        const QueryState* q = queries.find(idx);
+        if (q != nullptr && QueryBook::over(*q)) {
+            queries.releaseQuery(idx, parts);
+            if (obs)
+                obs->onQueryReleased(idx);
+        }
+    }
+    queryChecks.clear();
+}
+
+// Records are released out of order as soon as no reader can reach
+// them (PartBook::unreachable, QueryBook::over); the windows then
+// advance past head ids as they always did (PartBook::retire,
+// QueryBook::retire). Every record is released by then, so a held head
+// whose rule holds means a missed release point, and that panics. The
+// observer drops a query's span record when the query is released, and
+// its window with the query window. Nothing appends to a retired
+// query's part machines, and queries retire in trace order, so each
+// row leaves for the flat book as its query retires.
 void
 ClusterLoop::retireBooks()
 {
-    parts.retire([&](const PartRec& p) {
-        return staleDispatch(p) || queries[p.queryIdx].partsLeft == 0;
-    });
-    const bool retired = queries.retire(parts, [&](const QueryState& q) {
-        if (queryBooks)
-            result.partMachinesOfQuery.appendRow(q.partMachines);
-    });
-    if (retired && obs)
+    releaseRecords();
+    parts.retire([this](const PartRec& p) { return dispatchOver(p); },
+                 [](const PartRec&) {
+                     drs_panic("an unreachable part was never released");
+                 });
+    if (!queries.retire(parts))
+        return;
+    if (queryBooks) {
+        partMachineRows.retireTo(
+            queries.lowId(), [&](const std::vector<uint32_t>& row) {
+                result.partMachinesOfQuery.appendRow(row);
+            });
+    }
+    if (obs)
         obs->onQueriesRetired(queries.lowId());
 }
 
@@ -828,6 +914,8 @@ ClusterLoop::run()
             const uint64_t query_id = queries.push({});
             drs_assert(query_id == nextArrival,
                        "query ids must follow the trace");
+            if (queryBooks)
+                partMachineRows.push({});
             drs_assert(in.model < numMix,
                        "query's model is outside the tier's mix");
             result.overload.offered++;
@@ -850,6 +938,7 @@ ClusterLoop::run()
         if (ev.kind == SimEvent::Kind::HedgeCheck) {
             QueryState& hq = queries[ev.partIdx];
             hq.hedgeChecks--;
+            queryChecks.push_back(ev.partIdx);
             if (ev.slot == hq.gen && !hq.dead && hq.partsLeft > 0)
                 hedgeQuery(ev.partIdx, ev.time);
             continue;
@@ -879,6 +968,8 @@ ClusterLoop::finishBooks()
     drs_assert(queries.live() == 0, "a query never settled");
     result.peakLiveParts = parts.peakLive();
     result.peakLiveQueries = queries.peakLive();
+    result.peakHeldParts = parts.peakHeld();
+    result.peakHeldQueries = queries.peakHeld();
     result.peakPartChunks = parts.chunksAllocated();
     result.peakQueryChunks = queries.chunksAllocated();
     result.numQueries = result.fleetLatencySeconds.count();

@@ -209,6 +209,14 @@ class ClusterLoop final : private ClusterView
     void flightAdd(uint32_t m, uint32_t model);
     void flightSub(uint32_t m, uint32_t model, const char* what);
     void releaseJoinCost(QueryState& q);
+    /** Part @p part_idx just turned terminal: test it and its twin. */
+    void checkPart(uint64_t part_idx);
+    /** @p q's dispatch just ended: test each of its parts. */
+    void checkDispatch(const QueryState& q);
+    /** The part's query no longer runs this part's dispatch. */
+    bool dispatchOver(const PartRec& part) const;
+    void releasePart(uint64_t part_idx);
+    void releaseRecords();
     void retireBooks();
     void finishBooks();
 
@@ -234,6 +242,19 @@ class ClusterLoop final : private ClusterView
 
     QueryBook queries;
     PartBook parts;
+
+    /**
+     * Records whose release rule may have started to hold during the
+     * current event; retireBooks() tests them before the next one, so
+     * no handler ever holds a reference to a released record.
+     */
+    std::vector<uint64_t> partChecks;
+    std::vector<uint64_t> queryChecks;
+
+    /** Each live query's ClusterResult::partMachinesOfQuery row, kept
+     *  by runs that keep per-query books; a row leaves, in trace
+     *  order, when the query window passes its query. */
+    WindowBook<std::vector<uint32_t>> partMachineRows;
 
     std::vector<uint8_t> accepting_;
     size_t acceptingCount_ = 0;

@@ -216,18 +216,24 @@ struct ClusterResult
     uint64_t numCompleted = 0;         ///< all completed queries
     uint64_t numParts = 0;             ///< machine-parts dispatched
 
-    /** Most parts the driver's PartBook held live at once (its
-     *  memory high-water mark; exact per seed). */
+    /** Most part ids in the driver's PartBook window at once, held
+     *  or released (its window high-water mark; exact per seed). */
     uint64_t peakLiveParts = 0;
 
-    /** Most queries the driver's QueryBook held live at once (its
-     *  memory high-water mark; exact per seed). */
+    /** Most query ids in the driver's QueryBook window at once, held
+     *  or released (its window high-water mark; exact per seed). */
     uint64_t peakLiveQueries = 0;
 
-    /** Most chunks the PartBook and the QueryBook allocated (their
-     *  storage high-water marks; exact per seed). */
+    /** Most chunks the PartBook and the QueryBook windows allocated
+     *  (their id-window high-water marks; exact per seed). */
     uint64_t peakPartChunks = 0;
     uint64_t peakQueryChunks = 0;
+
+    /** Most part and query records the books held at once: records a
+     *  reader could still reach, out of the peakLiveParts and
+     *  peakLiveQueries ids in their windows (exact per seed). */
+    uint64_t peakHeldParts = 0;
+    uint64_t peakHeldQueries = 0;
 
     /** Mean machines touched per query (1.0 without sharding). */
     double meanFanout = 0;

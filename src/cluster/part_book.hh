@@ -1,12 +1,13 @@
 /**
  * @file
  * The cluster drivers' part book: every machine-part a driver creates,
- * addressed by a monotonic id, with storage for in-flight parts only
- * (a WindowBook, base/window_book.hh). The driver marks each part
- * terminal (done or cancelled) on every path where it finishes or
- * dies, and `retire()` advances the window past head parts no reader
- * can reach again, so memory is O(peak live parts), not O(parts
- * created).
+ * addressed by a monotonic id, with storage for the parts a reader can
+ * still reach (a WindowBook, base/window_book.hh). The driver marks
+ * each part terminal (done or cancelled) on every path where it
+ * finishes or dies, releases each part as soon as unreachable() holds
+ * for it, and `retire()` advances the window past head parts, so
+ * memory is O(held parts) records plus 4 bytes per id in the window,
+ * not O(parts created).
  */
 
 #ifndef DRS_CLUSTER_PART_BOOK_HH
@@ -60,38 +61,63 @@ struct PartRec
 };
 
 /**
- * The part book: a WindowBook of parts plus the rule that retires
- * them. Ids are the indices an ever-growing vector would give, so
- * event payloads, a dispatch's contiguous `firstPart + i` walk and
+ * The part book: a WindowBook of parts plus the rule that releases and
+ * retires them. Ids are the indices an ever-growing vector would give,
+ * so event payloads, a dispatch's contiguous `firstPart + i` walk and
  * hedge partner links need no translation.
  */
 class PartBook : public WindowBook<PartRec>
 {
   public:
     /**
-     * Advance the live window past every head part that no reader can
-     * reach again: it is terminal, its hedge twin (if any) is terminal
-     * (a finishing or dying twin reads it), and @p dispatch_over says
-     * its query's dispatch has ended (a live dispatch's hedge check
-     * walks all of its parts). Stops at the first head that fails.
+     * No reader can reach part @p p again: it is terminal, its hedge
+     * twin (if any) is released or terminal (a finishing or dying twin
+     * reads it), and @p dispatch_over says its query's dispatch has
+     * ended (a live dispatch's hedge check walks all of its parts).
+     * Once true it stays true.
      */
+    template <typename DispatchOver>
+    bool
+    unreachable(const PartRec& p, DispatchOver&& dispatch_over) const
+    {
+        return p.terminal() && twinTerminal(p) && dispatch_over(p);
+    }
+
+    /**
+     * Advance the live window past every head part that is released
+     * or unreachable(), releasing the latter after @p on_release sees
+     * it. Stops at the first head that fails.
+     */
+    template <typename DispatchOver, typename OnRelease>
+    void
+    retire(DispatchOver&& dispatch_over, OnRelease&& on_release)
+    {
+        retireWhile([&](const PartRec& head) {
+            if (!unreachable(head, dispatch_over))
+                return false;
+            on_release(head);
+            return true;
+        });
+    }
+
+    /** retire() with nothing to see. */
     template <typename DispatchOver>
     void
     retire(DispatchOver&& dispatch_over)
     {
-        retireWhile([&](const PartRec& head) {
-            return head.terminal() && twinTerminal(head) &&
-                dispatch_over(head);
-        });
+        retire(dispatch_over, [](const PartRec&) {});
     }
 
   private:
-    /** A twin below lowId() was retired, which needed head terminal. */
+    /** A twin no longer held was released or retired, which needed
+     *  this part terminal first. */
     bool
-    twinTerminal(const PartRec& head) const
+    twinTerminal(const PartRec& p) const
     {
-        return head.partner == PartRec::kNoPartner ||
-            head.partner < lowId() || (*this)[head.partner].terminal();
+        if (p.partner == PartRec::kNoPartner)
+            return true;
+        const PartRec* twin = find(p.partner);
+        return twin == nullptr || twin->terminal();
     }
 };
 

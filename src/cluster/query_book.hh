@@ -1,19 +1,22 @@
 /**
  * @file
  * The cluster drivers' query book: the per-query state of every query
- * a driver has seen, addressed by its trace index, with storage for
- * in-flight queries only (a WindowBook, base/window_book.hh).
+ * a driver has seen, addressed by its trace index, with storage for the
+ * queries a reader can still reach (a WindowBook,
+ * base/window_book.hh).
  *
  * A driver pushes a query's record when the query first arrives, so
  * ids equal trace indices. It marks the record settled when the query
- * reaches its final outcome (completed, finally dropped, or lost), and
- * `retire()` advances the window past head queries no reader can
- * reach again, so memory is O(peak in-flight queries), not O(trace).
+ * reaches its final outcome (completed, finally dropped, or lost),
+ * releases it as soon as over() holds, and `retire()` advances the
+ * window past head queries, so memory is O(held queries) records plus
+ * a few bytes per id in the window, not O(trace).
  */
 
 #ifndef DRS_CLUSTER_QUERY_BOOK_HH
 #define DRS_CLUSTER_QUERY_BOOK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -45,6 +48,7 @@ struct QueryState
     uint32_t leaderEpoch = 0; ///< leader engine epoch at dispatch
     uint32_t numParts = 0;    ///< fan-out width of this dispatch
     uint32_t hedgeChecks = 0; ///< HedgeCheck events still pending
+    uint32_t heldParts = 0;   ///< parts of the query the PartBook holds
 
     bool measured = true;
     bool dead = false;        ///< killed by a failure (awaiting failover)
@@ -55,38 +59,93 @@ struct QueryState
     bool joinLeadership = false;
     /** Completed, finally dropped or lost: no new work will start. */
     bool settled = false;
-
-    /** Every machine a part was sent to so far, in creation order
-     *  (its ClusterResult::partMachinesOfQuery row); kept only by runs
-     *  that keep per-query books. */
-    std::vector<uint32_t> partMachines;
 };
 
-/** The query book: a WindowBook of queries plus its retire rule. */
+/**
+ * The query book: a WindowBook of queries plus the rules that release
+ * and retire them.
+ */
 class QueryBook : public WindowBook<QueryState>
 {
   public:
     /**
-     * Advance the live window past every head query that no reader
-     * can reach again: it is settled (no retry or failover will
-     * re-present it), no HedgeCheck event for it is pending, and every
-     * part created for it has left @p parts (a live part reads its
-     * query). @p on_retire sees each query just before it leaves.
-     * Stops at the first head that fails; returns true when any query
-     * was retired.
+     * No reader can reach query @p q again: it is settled (no retry or
+     * failover will re-present it), no HedgeCheck event for it is
+     * pending, and the PartBook holds none of its parts (a held part
+     * reads its query). Once true it stays true.
      */
-    template <typename OnRetire>
-    bool
-    retire(const PartBook& parts, OnRetire&& on_retire)
+    static bool
+    over(const QueryState& q)
     {
-        return retireWhile([&](const QueryState& q) {
-            const bool over = q.settled && q.hedgeChecks == 0 &&
-                q.partsEnd <= parts.lowId();
-            if (over)
-                on_retire(q);
-            return over;
-        });
+        return q.settled && q.hedgeChecks == 0 && q.heldParts == 0;
     }
+
+    /**
+     * Release query @p id, for which over() holds. The window passes
+     * its id only once every part created for it has left @p parts'
+     * window, as it would have passed the record; until then the book
+     * keeps the two ids (16 bytes) in place of the record.
+     */
+    void
+    releaseQuery(uint64_t id, const PartBook& parts)
+    {
+        const uint64_t parts_end = (*this)[id].partsEnd;
+        release(id);
+        if (parts_end > parts.lowId()) {
+            waiting_.push_back({id, parts_end});
+            std::push_heap(waiting_.begin(), waiting_.end(), laterId);
+        }
+    }
+
+    /**
+     * Advance the live window past every head query that no reader
+     * can reach again and whose parts have all left @p parts' window
+     * (every part id below its partsEnd is retired). The owner
+     * releases each query as soon as over() holds, so only released
+     * heads pass; a held head that is settled, has no HedgeCheck
+     * pending and whose parts are gone was never released, and that
+     * panics. Stops at the first head that fails; returns true when
+     * any query was retired.
+     */
+    bool
+    retire(const PartBook& parts)
+    {
+        return retireWhile(
+            [&](const QueryState& q) {
+                drs_assert(!(q.settled && q.hedgeChecks == 0 &&
+                             q.partsEnd <= parts.lowId()),
+                           "a query no reader can reach was never released");
+                return false;
+            },
+            [&](uint64_t id) {
+                if (waiting_.empty() || waiting_.front().id != id)
+                    return true;
+                if (waiting_.front().partsEnd > parts.lowId())
+                    return false;
+                std::pop_heap(waiting_.begin(), waiting_.end(), laterId);
+                waiting_.pop_back();
+                return true;
+            });
+    }
+
+  private:
+    /** A released query whose parts were still in the part window. */
+    struct Waiting
+    {
+        uint64_t id;
+        uint64_t partsEnd;
+    };
+
+    /** Heap order: the lowest id on top. */
+    static bool
+    laterId(const Waiting& a, const Waiting& b)
+    {
+        return a.id > b.id;
+    }
+
+    /** Released queries the window may not pass yet, lowest id first:
+     *  the window reaches them in id order. */
+    std::vector<Waiting> waiting_;
 };
 
 } // namespace deeprecsys

@@ -84,10 +84,12 @@ Mlp::forward(const Tensor& x, OperatorStats* stats) const
 {
     ScopedOpTimer timer(stats, OpClass::Fc);
     drs_assert(!layers.empty(), "forward through empty MLP");
-    Tensor cur = x;
+    // The first layer reads the input in place: no copy of x.
+    Tensor cur;
     Tensor next;
-    for (const FcLayer& layer : layers) {
-        layer.forward(cur, next);
+    layers.front().forward(x, cur);
+    for (size_t i = 1; i < layers.size(); i++) {
+        layers[i].forward(cur, next);
         std::swap(cur, next);
     }
     return cur;

@@ -77,6 +77,16 @@ RunObserver::onQueryDispatch(uint64_t idx, double arrival, uint32_t size,
 }
 
 void
+RunObserver::onQueryReleased(uint64_t idx)
+{
+    // A query released before any dispatch (shed or unroutable) has
+    // no record yet; issue it so its id is accounted for.
+    while (book_.nextId() <= idx)
+        book_.push(QueryRec{});
+    book_.release(idx);
+}
+
+void
 RunObserver::onPartDone(uint64_t idx, uint32_t machine, PartStage stage,
                         bool leader, bool gpu, double start_s,
                         double first_service_s, double end_s)

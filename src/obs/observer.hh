@@ -232,9 +232,15 @@ class RunObserver
                       double delay_s);
 
     /**
-     * The driver will never report on a query below @p low again: its
-     * span records are dropped, so the book holds only in-flight
-     * queries. Drivers that never call it keep every record.
+     * The driver will never report on query @p idx again: its span
+     * record is dropped at once, out of order. Drivers that never call
+     * it (or onQueriesRetired) keep every record.
+     */
+    void onQueryReleased(uint64_t idx);
+
+    /**
+     * The driver will never report on a query below @p low again: the
+     * book's window moves past them, dropping any record still held.
      */
     void onQueriesRetired(uint64_t low) { book_.retireTo(low); }
 
@@ -287,11 +293,11 @@ class RunObserver
     /** The aggregated latency attribution over measured queries. */
     const StageSplit& stageSplit() const { return split_; }
 
-    /** Query span records currently held (the live book window). */
-    uint64_t liveQueryRecords() const { return book_.live(); }
+    /** Query span records currently held (not yet released). */
+    uint64_t liveQueryRecords() const { return book_.held(); }
 
     /** High-water mark of liveQueryRecords() over the run. */
-    uint64_t peakQueryRecords() const { return book_.peakLive(); }
+    uint64_t peakQueryRecords() const { return book_.peakHeld(); }
 
     /** Trace events recorded so far (sampled spans and counters). */
     size_t numTraceEvents() const { return writer_.numEvents(); }
@@ -332,7 +338,8 @@ class RunObserver
     TraceEventWriter writer_;
     MetricRegistry registry_;
     StageSplit split_;
-    /** Filled up to each dispatched idx; retired by the driver. */
+    /** Filled up to each dispatched or released idx; released and
+     *  retired by the driver. */
     WindowBook<QueryRec> book_;
 
     // Cached hot-path metric handles (built on first use).

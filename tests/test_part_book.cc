@@ -4,13 +4,15 @@
  * (cluster/part_book.hh, cluster/query_book.hh; the storage itself is
  * tested in test_window_book.cc): the part retire rule (terminal head,
  * terminal twin, dispatch over) and how one pinned part holds the
- * window open, the retired-id panic, the drivers' exact peak-live-parts
- * and peak-live-queries work counters on a sharded, hedged, chaotic,
- * colocated tier, and the query-window edge cases: a shed query
- * awaiting its retry, a failover backoff, a hedge check that fires
- * after its query completed, a lost query outlived by a hedge twin,
- * and an unroutable query with no parts. Last, the flat book of
- * per-query part machines the static driver fills as queries retire.
+ * window open, the retired-id panic, the drivers' exact peak-live and
+ * peak-held work counters for parts and queries on a sharded, hedged,
+ * chaotic, colocated tier, and the query-window edge cases: a shed
+ * query awaiting its retry, a failover backoff, a hedge check that
+ * fires after its query completed, a lost query outlived by a hedge
+ * twin (both tiers), and an unroutable query with no parts. A gray
+ * straggler widens both windows while few records stay held. Last,
+ * the flat book of per-query part machines the static driver fills as
+ * queries retire.
  */
 
 #include <gtest/gtest.h>
@@ -242,6 +244,13 @@ TEST(PartBookDriver, StaticPeakLivePartsIsExactAndSmall)
     // book that fails to recycle a spare moves these.
     EXPECT_EQ(r.peakPartChunks, 2u);
     EXPECT_EQ(r.peakQueryChunks, 2u);
+    // Records are released out of order as soon as no reader can
+    // reach them: a missed release point moves these, and only a few
+    // of the ids in each window still hold a record.
+    EXPECT_EQ(r.peakHeldParts, 181u);
+    EXPECT_EQ(r.peakHeldQueries, 49u);
+    EXPECT_LT(r.peakHeldParts * 4, r.peakLiveParts);
+    EXPECT_LT(r.peakHeldQueries * 4, r.peakLiveQueries);
 }
 
 TEST(PartBookDriver, ElasticPeakLivePartsIsExactAndSmall)
@@ -258,6 +267,10 @@ TEST(PartBookDriver, ElasticPeakLivePartsIsExactAndSmall)
     EXPECT_LT(r.peakLiveParts * 8, r.numParts);
     EXPECT_EQ(r.peakPartChunks, 2u);
     EXPECT_EQ(r.peakQueryChunks, 2u);
+    EXPECT_EQ(r.peakHeldParts, 187u);
+    EXPECT_EQ(r.peakHeldQueries, 45u);
+    EXPECT_LT(r.peakHeldParts * 4, r.peakLiveParts);
+    EXPECT_LT(r.peakHeldQueries * 4, r.peakLiveQueries);
 }
 
 // ------------------------------------------------ the query book
@@ -303,6 +316,8 @@ TEST(QueryBookDriver, StaticPeakLiveQueriesIsExactAndSmall)
     // count; it is a pure function of the seed.
     EXPECT_EQ(r.peakLiveQueries, 275u);
     EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+    // Final drops release their query at once, with no part held.
+    EXPECT_EQ(r.peakHeldQueries, 96u);
 }
 
 TEST(QueryBookDriver, ElasticPeakLiveQueriesIsExactAndSmall)
@@ -317,13 +332,15 @@ TEST(QueryBookDriver, ElasticPeakLiveQueriesIsExactAndSmall)
 
     EXPECT_EQ(r.peakLiveQueries, 275u);
     EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+    EXPECT_EQ(r.peakHeldQueries, 85u);
 }
 
 TEST(QueryBookDriver, FullRateObserverHoldsOnlyLiveQueries)
 {
-    // The observer's span book is retired with the driver's query
-    // book: it ends empty and never outgrows the driver's window, and
-    // watching a run does not move the window.
+    // The observer's span book is released and retired with the
+    // driver's query book: it ends empty and never holds more records
+    // than the driver does, and watching a run does not move the
+    // window.
     const QueryTrace trace = busyTrace();
     ClusterConfig cfg = retryTier();
     cfg.hedge.delaySeconds = 0.01;
@@ -333,7 +350,7 @@ TEST(QueryBookDriver, FullRateObserverHoldsOnlyLiveQueries)
         const ClusterResult r = runStatic(cfg, trace, &observer);
         EXPECT_EQ(observer.liveQueryRecords(), 0u);
         EXPECT_GT(observer.peakQueryRecords(), 0u);
-        EXPECT_LE(observer.peakQueryRecords(), r.peakLiveQueries);
+        EXPECT_LE(observer.peakQueryRecords(), r.peakHeldQueries);
         EXPECT_EQ(r.peakLiveQueries, runStatic(cfg, trace).peakLiveQueries);
     }
     {
@@ -343,7 +360,7 @@ TEST(QueryBookDriver, FullRateObserverHoldsOnlyLiveQueries)
         const AutoscaleResult r = runElastic(spec, trace, &observer);
         EXPECT_EQ(observer.liveQueryRecords(), 0u);
         EXPECT_GT(observer.peakQueryRecords(), 0u);
-        EXPECT_LE(observer.peakQueryRecords(), r.peakLiveQueries);
+        EXPECT_LE(observer.peakQueryRecords(), r.peakHeldQueries);
         EXPECT_EQ(r.peakLiveQueries, runElastic(spec, trace).peakLiveQueries);
     }
 }
@@ -491,14 +508,86 @@ TEST(QueryWindow, LostQueryOutlivedByItsParts)
         EXPECT_GT(r.faults.hedgeWasted + r.faults.hedgeWins, 0u);
         EXPECT_LT(r.peakLiveQueries * 8, trace.size());
     }
-    // The elastic tier does not hedge; its ghosts are the parts alone.
-    ClusterConfig elastic = light;
-    elastic.hedge = HedgeConfig{};
-    const QueryTrace trace = busyTrace(300.0);
-    const AutoscaleResult r = runElastic(elasticSpec(elastic), trace);
-    expectConserved(r, trace);
-    EXPECT_GT(r.faults.lost, 0u);
-    EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+    // The elastic tier hedges too, on both joins; without hedging its
+    // ghosts are the parts alone.
+    ClusterConfig unhedged = light;
+    unhedged.hedge = HedgeConfig{};
+    for (const auto& [cfg, trace] :
+         {std::pair{hedged, busyTrace()}, std::pair{light, busyTrace(300.0)},
+          std::pair{unhedged, busyTrace(300.0)}}) {
+        const AutoscaleResult r = runElastic(elasticSpec(cfg), trace);
+        expectConserved(r, trace);
+        EXPECT_GT(r.faults.lost, 0u);
+        if (cfg.hedge.enabled()) {
+            EXPECT_GT(r.faults.hedged, 0u);
+            EXPECT_GT(r.faults.hedgeWasted + r.faults.hedgeWins, 0u);
+        } else {
+            EXPECT_EQ(r.faults.hedged, 0u);
+        }
+        EXPECT_LT(r.peakLiveQueries * 8, trace.size());
+    }
+}
+
+TEST(HeldRecords, GrayStragglerPinsAWideWindowButFewRecords)
+{
+    // One deep gray window and no crashes: parts queued on the gray
+    // machine run 40x slower and pin the head of the part window
+    // while the healthy machines finish thousands of parts behind
+    // them. Those are released as they finish, so the windows widen
+    // far past the calm tier's while few records stay held.
+    ClusterConfig calm = busyTier();
+    calm.faults = FaultPlan{};
+    ClusterConfig gray = calm;
+    gray.faults.grayPerHour = 60.0;
+    gray.faults.graySlowdownFactor = 40.0;
+    gray.faults.grayDurationSeconds = 0.3;
+    const QueryTrace trace = busyTrace(1000.0);
+
+    const ClusterResult c = runStatic(calm, trace);
+    const ClusterResult g = runStatic(gray, trace);
+    expectConserved(g, trace);
+    EXPECT_EQ(g.faults.grayWindows, 1u);
+    EXPECT_GT(g.peakLiveParts, 5 * c.peakLiveParts);
+    EXPECT_GT(g.peakLiveQueries, 5 * c.peakLiveQueries);
+    // The static tier keeps its spare capacity: the straggler's parts
+    // are all it adds to the held records.
+    EXPECT_LE(g.peakHeldParts, c.peakHeldParts + c.peakHeldParts / 4);
+    EXPECT_LT(g.peakHeldParts * 8, g.peakLiveParts);
+    EXPECT_LT(g.peakHeldQueries * 8, g.peakLiveQueries);
+
+    // The elastic tier has drained to fewer machines, so the gray one
+    // backs real work up; still most of its windows are released ids.
+    const AutoscaleResult ec = runElastic(elasticSpec(calm), trace);
+    const AutoscaleResult eg = runElastic(elasticSpec(gray), trace);
+    expectConserved(eg, trace);
+    EXPECT_EQ(eg.faults.grayWindows, 1u);
+    EXPECT_GT(eg.peakLiveParts, 5 * ec.peakLiveParts);
+    EXPECT_GT(eg.peakLiveQueries, 5 * ec.peakLiveQueries);
+    EXPECT_LT(eg.peakHeldParts * 4, eg.peakLiveParts);
+    EXPECT_LT(eg.peakHeldQueries * 4, eg.peakLiveQueries);
+
+    // With crashes as well, killed dispatches, stale arrivals and lost
+    // parts each release their records while the straggler pins the
+    // windows: a missed release point holds them until the window
+    // passes, and moves these exact counts.
+    ClusterConfig chaos = busyTier();
+    chaos.faults.graySlowdownFactor = 40.0;
+    chaos.faults.grayDurationSeconds = 0.3;
+    chaos.hedge.delaySeconds = 0.01;
+    const ClusterResult x = runStatic(chaos, trace);
+    const AutoscaleResult ex = runElastic(elasticSpec(chaos), trace);
+    expectConserved(x, trace);
+    expectConserved(ex, trace);
+    EXPECT_GT(x.faults.crashes, 0u);
+    EXPECT_GT(x.faults.hedged, 0u);
+    EXPECT_EQ(x.peakLiveParts, 7535u);
+    EXPECT_EQ(x.peakHeldParts, 752u);
+    EXPECT_EQ(x.peakLiveQueries, 1843u);
+    EXPECT_EQ(x.peakHeldQueries, 196u);
+    EXPECT_EQ(ex.peakLiveParts, 2565u);
+    EXPECT_EQ(ex.peakHeldParts, 92u);
+    EXPECT_EQ(ex.peakLiveQueries, 675u);
+    EXPECT_EQ(ex.peakHeldQueries, 26u);
 }
 
 TEST(QueryWindow, UnroutableQueryWithNoPartsSettles)

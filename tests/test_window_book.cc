@@ -4,8 +4,10 @@
  * ids that equal the indices of an ever-growing vector across chunk
  * boundaries, chunk reuse at a bounded live count, spare reuse when
  * the window grows again and when an empty window reopens, reference
- * stability across push, skipping never-issued ids, and the
- * retired-id panic.
+ * stability across push, skipping never-issued ids, out-of-order
+ * release (slots recycled, the window unchanged, released ids passed
+ * without being read, a gate on passing them), and the retired-,
+ * released- and twice-released-id panics.
  */
 
 #include <gtest/gtest.h>
@@ -201,6 +203,131 @@ TEST(WindowBook, RetireToSkipsIdsNeverIssued)
     EXPECT_EQ(book[skip_to + 1].key, 8u);
 }
 
+TEST(WindowBook, ReleaseFreesSlotsOutOfOrderAndKeepsTheWindow)
+{
+    // Release every record but the head and each 100th: the window
+    // and its counters move exactly as without releases, and only the
+    // held records take slots.
+    Book book;
+    const uint64_t n = 4 * Book::kChunkSize;
+    for (uint64_t i = 0; i < n; i++) {
+        book.push(recFor(i));
+        if (i > 0 && i % 100 != 0)
+            book.release(i);
+    }
+    EXPECT_EQ(book.live(), n);
+    EXPECT_EQ(book.peakLive(), n);
+    EXPECT_EQ(book.chunksAllocated(), 4u);
+    EXPECT_EQ(book.held(), 1 + (n - 1) / 100);
+    EXPECT_EQ(book.peakHeld(), book.held() + 1);
+    EXPECT_EQ(book.slotChunks(), 1u);
+    for (uint64_t i = 0; i < n; i++) {
+        ASSERT_EQ(book.find(i) != nullptr, i % 100 == 0);
+        if (book.find(i) != nullptr) {
+            EXPECT_EQ(book.find(i), &book[i]);
+            EXPECT_EQ(book[i].key, i);
+        }
+    }
+
+    // The window passes released ids without reading them and stops
+    // at the first held record the rule refuses.
+    uint64_t read = 0;
+    EXPECT_FALSE(book.retireWhile([&](const Rec& r) {
+        read++;
+        return r.key != 0;
+    }));
+    EXPECT_EQ(read, 1u);
+    EXPECT_TRUE(book.retireWhile([&](const Rec& r) {
+        read++;
+        return r.key < 1000;
+    }));
+    EXPECT_EQ(read, 1u + 11u);
+    EXPECT_EQ(book.lowId(), 1000u);
+    EXPECT_EQ(book.held(), (n - 1) / 100 - 9);
+    EXPECT_EQ(book.find(999), nullptr);
+    EXPECT_EQ(book.find(n), nullptr);
+}
+
+TEST(WindowBook, OnePinnedRecordCostsHandlesNotRecords)
+{
+    // A head record that never finishes pins the window, but the
+    // records behind it are released as they finish: their slots
+    // recycle, so the pool stays at one chunk while the window grows.
+    Book book;
+    book.push(recFor(0));
+    std::deque<uint64_t> running;
+    for (uint64_t i = 1; i <= 100'000; i++) {
+        running.push_back(book.push(recFor(i)));
+        if (running.size() > 30) {
+            book.release(running.front());
+            running.pop_front();
+        }
+        ASSERT_FALSE(book.retireWhile([](const Rec& r) { return r.key != 0; }));
+    }
+    EXPECT_EQ(book.peakLive(), 100'001u);
+    EXPECT_EQ(book.peakHeld(), 32u);
+    EXPECT_EQ(book.slotChunks(), 1u);
+    EXPECT_EQ(book.chunksAllocated(), 98u);
+
+    // Once the head finishes, the window drains to the running ones.
+    book.release(0);
+    EXPECT_TRUE(book.retireWhile([](const Rec&) { return false; }));
+    EXPECT_EQ(book.lowId(), running.front());
+    EXPECT_EQ(book.held(), running.size());
+}
+
+TEST(WindowBook, FreedSlotsAreReusedAndReset)
+{
+    Book book;
+    const uint64_t a = book.push(recFor(1));
+    book[a].tags = {4, 5, 6};
+    const Rec* slot = &book[a];
+    book.release(a);
+    // The next record takes the freed slot, with nothing of the
+    // released one left in it.
+    const uint64_t b = book.push(Rec{.key = 2});
+    EXPECT_EQ(&book[b], slot);
+    EXPECT_EQ(book[b].key, 2u);
+    EXPECT_TRUE(book[b].tags.empty());
+    EXPECT_EQ(book.slotChunks(), 1u);
+}
+
+TEST(WindowBook, PassableGatesReleasedIds)
+{
+    // An owner may hold the window at a released id (the query book
+    // does until the query's parts have left the part window).
+    Book book;
+    for (uint64_t i = 0; i < 6; i++)
+        book.push(recFor(i));
+    for (uint64_t i = 0; i < 4; i++)
+        book.release(i);
+    uint64_t gate = 2;
+    auto passable = [&](uint64_t id) { return id < gate; };
+    EXPECT_TRUE(book.retireWhile(anyRecord, passable));
+    EXPECT_EQ(book.lowId(), 2u);
+    EXPECT_FALSE(book.retireWhile(anyRecord, passable));
+    gate = 4;
+    // Past the gate the held records follow the owner's rule.
+    EXPECT_TRUE(book.retireWhile(
+        [](const Rec& r) { return r.key == 4; }, passable));
+    EXPECT_EQ(book.lowId(), 5u);
+    EXPECT_EQ(book.held(), 1u);
+}
+
+TEST(WindowBook, RetireToVisitsHeldRecordsInIdOrder)
+{
+    Book book;
+    for (uint64_t i = 0; i < 8; i++)
+        book.push(recFor(i));
+    book.release(2);
+    book.release(5);
+    std::vector<uint64_t> seen;
+    book.retireTo(7, [&](const Rec& r) { seen.push_back(r.key); });
+    EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1, 3, 4, 6}));
+    EXPECT_EQ(book.held(), 1u);
+    EXPECT_EQ(book[7].key, 7u);
+}
+
 TEST(WindowBookDeath, ReadingARetiredIdPanics)
 {
     WindowBook<std::string> book;
@@ -211,6 +338,28 @@ TEST(WindowBookDeath, ReadingARetiredIdPanics)
     EXPECT_EQ(book[1], "1");
     EXPECT_DEATH((void)book[0], "outside the live window");
     EXPECT_DEATH((void)book[3], "outside the live window");
+}
+
+TEST(WindowBookDeath, ReadingAReleasedIdPanics)
+{
+    Book book;
+    for (uint64_t i = 0; i < 3; i++)
+        book.push(recFor(i));
+    book.release(1);
+    EXPECT_EQ(book[0].key, 0u);
+    EXPECT_EQ(book[2].key, 2u);
+    EXPECT_DEATH((void)book[1], "record already released");
+}
+
+TEST(WindowBookDeath, ReleasingTwicePanics)
+{
+    Book book;
+    for (uint64_t i = 0; i < 3; i++)
+        book.push(recFor(i));
+    book.release(2);
+    EXPECT_DEATH(book.release(2), "record already released");
+    book.retireTo(1);
+    EXPECT_DEATH(book.release(0), "outside the live window");
 }
 
 } // namespace
