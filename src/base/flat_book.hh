@@ -1,16 +1,24 @@
 /**
  * @file
  * A flat book of rows: many short, variable-length rows stored as one
- * offsets array plus one array of elements, in row order.
+ * offsets array plus fixed-size chunks of elements, in row order.
  *
  * A vector of vectors pays a heap block and three words per row; this
- * pays one 32-bit offset per row and nothing else, and its rows are
- * contiguous. Rows are appended whole and never change afterwards.
+ * pays one 32-bit offset per row and nothing else. A row never
+ * straddles two chunks, so each row is contiguous and row() is a
+ * zero-copy view. Appending opens a new chunk when the next row does
+ * not fit the rest of the current one; it never copies or moves an
+ * element already stored, so views stay valid for the book's lifetime
+ * and a growing book never holds two copies of itself. With the rows
+ * reserved up front, heap use is the content plus under one chunk,
+ * plus the tail of each chunk a row skipped (shorter than that row).
+ * Rows are appended whole and never change afterwards.
  */
 
 #ifndef DRS_BASE_FLAT_BOOK_HH
 #define DRS_BASE_FLAT_BOOK_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -25,6 +33,12 @@ template <typename T>
 class FlatBook
 {
   public:
+    /** Bytes per chunk of elements. */
+    static constexpr size_t kChunkBytes = size_t{64} << 10;
+    /** Elements per chunk: the longest row the book can hold. */
+    static constexpr size_t kChunkElems = kChunkBytes / sizeof(T);
+    static_assert(kChunkElems > 0, "element larger than a chunk");
+
     /** Iterator over the rows, each yielded by value. */
     class const_iterator
     {
@@ -48,14 +62,24 @@ class FlatBook
         size_t row_;
     };
 
-    /** Append @p row as row size(). */
+    /** Append @p row as row size(); it must fit in one chunk. */
     void
     appendRow(std::span<const T> row)
     {
-        items_.insert(items_.end(), row.begin(), row.end());
-        drs_assert(items_.size() <= UINT32_MAX,
-                   "flat book outgrew its 32-bit offsets");
-        offsets_.push_back(static_cast<uint32_t>(items_.size()));
+        drs_assert(row.size() <= kChunkElems,
+                   "row of ", row.size(), " longer than a flat book chunk");
+        uint64_t begin = offsets_.back();
+        if (!row.empty()) {
+            if (begin % kChunkElems + row.size() > kChunkElems)
+                begin = chunkEnd(begin);
+            if (begin / kChunkElems == chunks_.size())
+                chunks_.emplace_back(kChunkElems);
+            std::ranges::copy(row, chunks_[begin / kChunkElems].begin() +
+                                       begin % kChunkElems);
+        }
+        const uint64_t end = begin + row.size();
+        drs_assert(end <= UINT32_MAX, "flat book outgrew its 32-bit offsets");
+        offsets_.push_back(static_cast<uint32_t>(end));
     }
 
     /** Pre-size the offsets for @p rows rows in all. */
@@ -64,12 +88,21 @@ class FlatBook
     /** Rows appended so far. */
     size_t size() const { return offsets_.size() - 1; }
 
-    /** Row @p i, zero-copy; valid until the next append. */
+    /** Row @p i, zero-copy; valid for the book's lifetime. */
     std::span<const T>
     row(size_t i) const
     {
         drs_assert(i < size(), "row outside the book");
-        return {items_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+        uint64_t begin = offsets_[i];
+        const uint64_t end = offsets_[i + 1];
+        if (begin == end)
+            return {};
+        // offsets_[i] is where row i - 1 ended; row i starts there
+        // unless it did not fit that chunk, and then it ends past it.
+        if (end > chunkEnd(begin))
+            begin = chunkEnd(begin);
+        return {chunks_[begin / kChunkElems].data() + begin % kChunkElems,
+                end - begin};
     }
 
     /** Row @p i as a vector (a copy; prefer row()). */
@@ -83,20 +116,34 @@ class FlatBook
     const_iterator begin() const { return {this, 0}; }
     const_iterator end() const { return {this, size()}; }
 
-    /** Heap bytes the book holds (capacity, not size). */
+    /** Heap bytes of the offsets (capacity, not size) and chunks. */
     size_t
     bytes() const
     {
         return offsets_.capacity() * sizeof(uint32_t) +
-            items_.capacity() * sizeof(T);
+            chunks_.size() * kChunkBytes;
     }
 
+    /** Row-wise: the layout is a function of the rows, and unused
+     *  slots stay value-initialized. */
     bool operator==(const FlatBook&) const = default;
 
   private:
-    /** Row i is items_[offsets_[i], offsets_[i + 1]). */
+    /** First position of the chunk after the one holding @p pos. */
+    static uint64_t
+    chunkEnd(uint64_t pos)
+    {
+        return (pos / kChunkElems + 1) * kChunkElems;
+    }
+
+    /**
+     * Positions count elements across the chunks in order: position p
+     * is chunks_[p / kChunkElems][p % kChunkElems]. offsets_[i + 1] is
+     * the position just past row i. Each chunk is allocated at its
+     * full size and never resized, so moving chunks_ moves no element.
+     */
     std::vector<uint32_t> offsets_ = {0};
-    std::vector<T> items_;
+    std::vector<std::vector<T>> chunks_;
 };
 
 } // namespace deeprecsys

@@ -671,15 +671,14 @@ Autoscaler::Autoscaler(AutoscaleSpec spec) : spec_(std::move(spec))
 }
 
 AutoscaleResult
-Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
+Autoscaler::run(const QueryTrace& trace, RoutingPolicy& router,
+                ScalingPolicy& policy) const
 {
     const ClusterConfig& cfg = spec_.cluster;
     AutoscaleResult result;
     result.poweredSecondsPerMachine.assign(cfg.machines.size(), 0.0);
-    const std::unique_ptr<RoutingPolicy> router = makeRoutingPolicy(
-        spec_.routing, cfg.sharding.has_value() ? &*cfg.sharding : nullptr);
     ElasticMembership members(spec_, policy, result);
-    ClusterLoop loop(cfg, trace, *router, members, obs_, result);
+    ClusterLoop loop(cfg, trace, router, members, obs_, result);
     loop.run();
 
     // The elastic books run from the first arrival to the last event.
@@ -689,6 +688,15 @@ Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
     for (double powered : result.poweredSecondsPerMachine)
         result.machineSeconds += powered;
     return result;
+}
+
+AutoscaleResult
+Autoscaler::run(const QueryTrace& trace, ScalingPolicy& policy) const
+{
+    const ClusterConfig& cfg = spec_.cluster;
+    const std::unique_ptr<RoutingPolicy> router = makeRoutingPolicy(
+        spec_.routing, cfg.sharding.has_value() ? &*cfg.sharding : nullptr);
+    return run(trace, *router, policy);
 }
 
 AutoscaleResult

@@ -378,10 +378,15 @@ class Autoscaler
     explicit Autoscaler(AutoscaleSpec spec);
 
     /**
-     * Run the trace (sorted by arrival) to completion, evaluating
-     * @p policy every control interval. Stateful policy: pass a fresh
-     * one to reproduce a run.
+     * Run the trace (sorted by arrival) to completion, routing each
+     * query through @p router and evaluating @p policy every control
+     * interval. Both are stateful: pass fresh ones to reproduce a run.
      */
+    AutoscaleResult run(const QueryTrace& trace, RoutingPolicy& router,
+                        ScalingPolicy& policy) const;
+
+    /** Convenience: route through a fresh router built from the
+     *  spec's routing, then run. */
     AutoscaleResult run(const QueryTrace& trace,
                         ScalingPolicy& policy) const;
 

@@ -18,6 +18,10 @@ RecModel::RecModel(const ModelConfig& cfg_in, uint64_t seed,
                    const ModelScale& scale)
     : cfg(cfg_in)
 {
+    if (cfg.tableRows > UINT32_MAX || cfg.behaviorTableRows > UINT32_MAX)
+        drs_fatal("model ", cfg.name, ": a table of more than UINT32_MAX "
+                  "rows (", std::max(cfg.tableRows, cfg.behaviorTableRows),
+                  ") does not fit 32-bit lookup indices");
     Rng rng(seed);
 
     if (!cfg.denseFcDims.empty()) {
@@ -99,22 +103,35 @@ RecModel::interactionWidth() const
 RecBatch
 RecModel::makeBatch(size_t batch_size, Rng& rng) const
 {
-    drs_assert(batch_size > 0, "batch size must be positive");
     RecBatch batch;
+    makeBatch(batch_size, rng, batch);
+    return batch;
+}
+
+void
+RecModel::makeBatch(size_t batch_size, Rng& rng, RecBatch& batch) const
+{
+    drs_assert(batch_size > 0, "batch size must be positive");
     if (cfg.denseInputDim > 0) {
-        batch.dense = Tensor::mat(batch_size, cfg.denseInputDim);
+        batch.dense.resizeMat(batch_size, cfg.denseInputDim);
         for (size_t i = 0; i < batch.dense.numel(); i++)
             batch.dense.at(i) = static_cast<float>(rng.normal(0.0, 1.0));
+    } else {
+        batch.dense = Tensor();
     }
     if (embeddings)
-        batch.sparse = embeddings->randomBatches(batch_size, rng);
+        embeddings->randomBatches(batch_size, rng, batch.sparse);
+    else
+        batch.sparse.clear();
     if (behaviorTable) {
-        batch.behaviors = SparseBatch::uniform(
-            batch_size, cfg.seqLen, behaviorTable->logicalRows(), rng);
-        batch.candidates = SparseBatch::uniform(
-            batch_size, 1, behaviorTable->logicalRows(), rng);
+        batch.behaviors.fillUniform(batch_size, cfg.seqLen,
+                                    behaviorTable->logicalRows(), rng);
+        batch.candidates.fillUniform(batch_size, 1,
+                                     behaviorTable->logicalRows(), rng);
+    } else {
+        batch.behaviors = SparseBatch();
+        batch.candidates = SparseBatch();
     }
-    return batch;
 }
 
 Tensor

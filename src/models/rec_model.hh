@@ -59,7 +59,8 @@ class RecModel
 {
   public:
     /**
-     * Build the model described by @p cfg.
+     * Build the model described by @p cfg. A table of more than
+     * UINT32_MAX rows is a config error (lookups use 32-bit indices).
      * @param cfg architecture parameters
      * @param seed deterministic weight-initialization seed
      * @param scale memory residency limits
@@ -72,6 +73,15 @@ class RecModel
 
     /** Draw a random but well-formed input batch. */
     RecBatch makeBatch(size_t batch_size, Rng& rng) const;
+
+    /**
+     * Refill @p batch with the batch makeBatch(batch_size, rng) would
+     * return, drawing the same numbers in the same order (dense
+     * features, tables in order, behaviors, candidates), in the
+     * storage @p batch already holds. A caller that keeps one batch
+     * and refills it allocates only when a request outgrows it.
+     */
+    void makeBatch(size_t batch_size, Rng& rng, RecBatch& batch) const;
 
     /**
      * Score a batch; returns [batch, numTasks] CTR probabilities in

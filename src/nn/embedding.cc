@@ -23,15 +23,28 @@ SparseBatch::uniform(size_t batch, size_t lookups_per_sample,
                      uint64_t num_rows, Rng& rng)
 {
     SparseBatch out;
-    out.offsets.reserve(batch + 1);
-    out.indices.reserve(batch * lookups_per_sample);
-    out.offsets.push_back(0);
+    out.fillUniform(batch, lookups_per_sample, num_rows, rng);
+    return out;
+}
+
+void
+SparseBatch::fillUniform(size_t batch, size_t lookups_per_sample,
+                         uint64_t num_rows, Rng& rng)
+{
+    drs_assert(num_rows > 0 && num_rows <= UINT32_MAX,
+               "sparse batch over ", num_rows,
+               " rows; 32-bit indices need 1..UINT32_MAX");
+    drs_assert(batch * lookups_per_sample <= UINT32_MAX,
+               "sparse batch outgrew its 32-bit offsets");
+    offsets.resize(batch + 1);
+    indices.resize(batch * lookups_per_sample);
+    size_t at = 0;
+    offsets[0] = 0;
     for (size_t i = 0; i < batch; i++) {
         for (size_t j = 0; j < lookups_per_sample; j++)
-            out.indices.push_back(rng() % num_rows);
-        out.offsets.push_back(out.indices.size());
+            indices[at++] = static_cast<uint32_t>(rng() % num_rows);
+        offsets[i + 1] = static_cast<uint32_t>(at);
     }
-    return out;
 }
 
 EmbeddingTable::EmbeddingTable(uint64_t logical_rows, size_t dim, Rng& rng,
@@ -149,16 +162,15 @@ EmbeddingGroup::forward(const std::vector<SparseBatch>& batches,
     return outs;
 }
 
-std::vector<SparseBatch>
-EmbeddingGroup::randomBatches(size_t batch, Rng& rng) const
+void
+EmbeddingGroup::randomBatches(size_t batch, Rng& rng,
+                              std::vector<SparseBatch>& out) const
 {
-    std::vector<SparseBatch> out;
-    out.reserve(tables.size());
-    for (const auto& table : tables) {
-        out.push_back(SparseBatch::uniform(batch, lookupsPerTable_,
-                                           table.logicalRows(), rng));
+    out.resize(tables.size());
+    for (size_t t = 0; t < tables.size(); t++) {
+        out[t].fillUniform(batch, lookupsPerTable_, tables[t].logicalRows(),
+                           rng);
     }
-    return out;
 }
 
 size_t

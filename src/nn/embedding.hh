@@ -28,12 +28,13 @@ enum class Pooling { Sum, Mean, Concat };
 
 /**
  * Sparse feature batch in CSR form: for sample i, its indices are
- * indices[offsets[i] .. offsets[i+1]).
+ * indices[offsets[i] .. offsets[i+1]). Indices and offsets are 32-bit:
+ * a table has at most UINT32_MAX rows (RecModel checks its config).
  */
 struct SparseBatch
 {
-    std::vector<uint64_t> indices;
-    std::vector<size_t> offsets;    ///< size batchSize()+1, offsets[0]==0
+    std::vector<uint32_t> indices;
+    std::vector<uint32_t> offsets;  ///< size batchSize()+1, offsets[0]==0
 
     /** Number of samples in the batch. */
     size_t batchSize() const { return offsets.empty() ? 0 : offsets.size() - 1; }
@@ -48,6 +49,14 @@ struct SparseBatch
     /** Build a batch with a fixed number of lookups per sample. */
     static SparseBatch uniform(size_t batch, size_t lookups_per_sample,
                                uint64_t num_rows, Rng& rng);
+
+    /**
+     * Refill this batch as uniform() would build it, drawing the same
+     * numbers from @p rng, but in the storage it already holds: a
+     * batch refilled at sizes it has seen allocates nothing.
+     */
+    void fillUniform(size_t batch, size_t lookups_per_sample,
+                     uint64_t num_rows, Rng& rng);
 };
 
 /** One embedding table plus its pooled-lookup operation. */
@@ -143,8 +152,12 @@ class EmbeddingGroup
     std::vector<Tensor> forward(const std::vector<SparseBatch>& batches,
                                 OperatorStats* stats = nullptr) const;
 
-    /** Generate a random sparse batch for every table. */
-    std::vector<SparseBatch> randomBatches(size_t batch, Rng& rng) const;
+    /**
+     * Refill @p out with one random sparse batch per table, in table
+     * order, reusing the storage it holds (SparseBatch::fillUniform).
+     */
+    void randomBatches(size_t batch, Rng& rng,
+                       std::vector<SparseBatch>& out) const;
 
     /** Output width per sample after pooling all tables and concat. */
     size_t pooledWidth() const;

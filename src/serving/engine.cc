@@ -35,21 +35,16 @@ ServingEngine::submitQuery(size_t query_idx, uint32_t size,
     auto& book = books[query_idx];
     const uint32_t batch = static_cast<uint32_t>(
         std::min<size_t>(cfg.perRequestBatch, size));
-    uint32_t remaining = size;
-    uint32_t parts = 0;
-    std::vector<Request> reqs;
-    while (remaining > 0) {
-        const uint32_t take = std::min(remaining, batch);
-        reqs.push_back({query_idx, take});
-        remaining -= take;
-        parts++;
-    }
     book->start = start;
-    book->requestsLeft.store(parts, std::memory_order_release);
+    book->requestsLeft.store(batch > 0 ? (size + batch - 1) / batch : 0,
+                             std::memory_order_release);
     {
         std::lock_guard<std::mutex> lock(mtx);
-        for (const Request& r : reqs)
-            queue.push_back(r);
+        for (uint32_t remaining = size; remaining > 0;) {
+            const uint32_t take = std::min(remaining, batch);
+            queue.push_back({query_idx, take});
+            remaining -= take;
+        }
     }
     cv.notify_all();
 }
@@ -58,6 +53,9 @@ void
 ServingEngine::workerLoop(size_t worker_idx)
 {
     Rng rng(cfg.inputSeed + worker_idx * 0x9e37ULL);
+    // The worker's one input batch, refilled per request: it grows to
+    // the largest request once and then allocates nothing.
+    RecBatch batch;
     while (true) {
         Request req{};
         {
@@ -72,7 +70,7 @@ ServingEngine::workerLoop(size_t worker_idx)
         // Synthesize the input batch (stands in for deserialization)
         // and run the real forward pass.
         OperatorStats local;
-        const RecBatch batch = model.makeBatch(req.batch, rng);
+        model.makeBatch(req.batch, rng, batch);
         model.forward(batch, &local);
         {
             std::lock_guard<std::mutex> lock(statsMtx);

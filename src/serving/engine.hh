@@ -61,6 +61,8 @@ struct EngineResult
  * into requests of at most perRequestBatch samples, synthesizes the
  * input batch (standing in for request deserialization), executes the
  * model, and records the query latency when its last request ends.
+ * Each worker owns one input batch and refills it per request, so the
+ * steady state allocates no input storage.
  */
 class ServingEngine
 {

@@ -107,6 +107,13 @@ Tensor::reshape(std::vector<size_t> new_shape)
 }
 
 void
+Tensor::resizeMat(size_t rows, size_t cols)
+{
+    shape_.assign({rows, cols});
+    data_.resize(rows * cols);
+}
+
+void
 matmulBiasTransB(const Tensor& a, const Tensor& b, const Tensor& bias,
                  Tensor& out)
 {

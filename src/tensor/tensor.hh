@@ -87,6 +87,14 @@ class Tensor
      */
     void reshape(std::vector<size_t> new_shape);
 
+    /**
+     * Make this a [rows, cols] matrix in place, keeping the storage:
+     * it reallocates only to grow past its capacity. Elements already
+     * held keep their values and new ones are zero, so a caller that
+     * reuses a tensor this way overwrites every element.
+     */
+    void resizeMat(size_t rows, size_t cols);
+
   private:
     std::vector<size_t> shape_;
     std::vector<float> data_;

@@ -4,7 +4,8 @@
  * conservation across scale events, connection-draining removal that
  * never drops work, warm-up delay semantics, equivalence with the
  * static cluster simulator when no scale event fires, bitwise
- * determinism across repeated runs and thread counts, shard-placement
+ * determinism across repeated runs and thread counts, an injected
+ * router running as the spec-built one, shard-placement
  * re-validation refusing drains that would orphan a table, and the
  * headline property — the reactive policy beats the static peak plan
  * on machine-hours over a 2x diurnal day without violating the SLA.
@@ -343,6 +344,51 @@ TEST(Autoscaler, DeterministicAcrossRepeatedRunsAndThreadCounts)
     ThreadPool::setSharedThreads(1);
     expectSameAutoscaleResult(serial, parallel);
     expectSameAutoscaleResult(first, serial);
+}
+
+TEST(Autoscaler, InjectedRouterRunsAsTheSpecBuiltOne)
+{
+    // Routing through a caller's router is the same run as routing
+    // through the one the spec builds: latencies, machine books and
+    // the scale history, bit for bit.
+    AutoscaleSpec spec = shardedSpec(6);
+    const QueryTrace trace = diurnalTrace(spec, 6000.0, 2.0, 8.0);
+    ScalingPolicySpec policy_spec;
+    policy_spec.kind = ScalingPolicyKind::Reactive;
+    const Autoscaler scaler(spec);
+    const AutoscaleResult built = scaler.run(trace, policy_spec);
+
+    const std::unique_ptr<RoutingPolicy> router =
+        makeRoutingPolicy(spec.routing, &*spec.cluster.sharding);
+    const std::unique_ptr<ScalingPolicy> policy =
+        makeScalingPolicy(policy_spec, spec);
+    const AutoscaleResult injected = scaler.run(trace, *router, *policy);
+
+    ASSERT_GT(built.scaleEvents.size(), 0u);
+    ASSERT_GT(built.numParts, built.numDispatched);
+    expectSameAutoscaleResult(built, injected);
+    EXPECT_EQ(built.fleetLatencySeconds.raw(),
+              injected.fleetLatencySeconds.raw());
+    EXPECT_EQ(built.poweredSecondsPerMachine,
+              injected.poweredSecondsPerMachine);
+    EXPECT_EQ(built.machineSeconds, injected.machineSeconds);
+    ASSERT_EQ(built.perMachine.size(), injected.perMachine.size());
+    for (size_t m = 0; m < built.perMachine.size(); m++) {
+        EXPECT_EQ(built.perMachine[m].queriesDispatched,
+                  injected.perMachine[m].queriesDispatched);
+        EXPECT_EQ(built.perMachine[m].busyCoreSeconds,
+                  injected.perMachine[m].busyCoreSeconds);
+    }
+
+    // And the run really routes through the injected router: another
+    // kind splits the same trace differently.
+    const std::unique_ptr<RoutingPolicy> round_robin =
+        makeRoutingPolicy(RoutingSpec{RoutingKind::RoundRobin});
+    const std::unique_ptr<ScalingPolicy> again =
+        makeScalingPolicy(policy_spec, spec);
+    const AutoscaleResult other = scaler.run(trace, *round_robin, *again);
+    EXPECT_NE(other.fleetLatencySeconds.raw(),
+              built.fleetLatencySeconds.raw());
 }
 
 TEST(Autoscaler, ReactiveBeatsStaticOverTwoXDiurnalDay)

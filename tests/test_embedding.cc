@@ -22,6 +22,14 @@ TEST(SparseBatch, UniformShape)
         EXPECT_LT(idx, 100u);
 }
 
+TEST(SparseBatchDeath, RowsBeyond32BitIndicesPanic)
+{
+    Rng rng(1);
+    EXPECT_DEATH((void)SparseBatch::uniform(1, 1, uint64_t{UINT32_MAX} + 1,
+                                            rng),
+                 "32-bit indices");
+}
+
 TEST(SparseBatch, EmptyHasZeroBatch)
 {
     SparseBatch b;
@@ -164,7 +172,8 @@ TEST(EmbeddingGroup, ForwardProducesOneOutputPerTable)
 {
     Rng rng(14);
     EmbeddingGroup g(3, 500, 4, 2, Pooling::Sum, rng);
-    const auto batches = g.randomBatches(6, rng);
+    std::vector<SparseBatch> batches;
+    g.randomBatches(6, rng, batches);
     EXPECT_EQ(batches.size(), 3u);
     const auto outs = g.forward(batches);
     EXPECT_EQ(outs.size(), 3u);

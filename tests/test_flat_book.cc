@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests for the flat book of rows (base/flat_book.hh): rows round-trip
- * in append order, empty rows included; row() is a zero-copy view
- * into one array; operator[] and iteration yield the same rows by
- * value; equality is row-wise; and an out-of-range row panics.
+ * in append order, empty rows included; row() is a zero-copy view,
+ * contiguous within a chunk, that later appends never move; heap use
+ * is the content plus under one chunk; operator[] and iteration yield
+ * the same rows by value; equality is row-wise; and an out-of-range
+ * row or a row longer than a chunk panics.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "base/flat_book.hh"
@@ -41,15 +45,71 @@ TEST(FlatBook, RowsRoundTripInAppendOrder)
     EXPECT_EQ(FlatBook<uint32_t>().size(), 0u);
 }
 
-TEST(FlatBook, RowsAreViewsIntoOneArray)
+TEST(FlatBook, RowsAreContiguousWithinAChunk)
 {
     const FlatBook<uint32_t> book = bookOf(kRows);
-    // Consecutive non-empty rows sit back to back in one array.
+    // Consecutive non-empty rows sit back to back in the first chunk.
     EXPECT_EQ(book.row(2).data(), book.row(0).data() + 1);
     EXPECT_EQ(book.row(4).data(), book.row(2).data() + 3);
     EXPECT_EQ(book.row(5).data(), book.row(4).data() + 2);
-    // One offset per row plus one past the end, and the 7 elements.
-    EXPECT_GE(book.bytes(), (kRows.size() + 1 + 7) * sizeof(uint32_t));
+    // One offset per row plus one past the end, and one chunk.
+    EXPECT_EQ(book.bytes(), (kRows.size() + 1) * sizeof(uint32_t) +
+                                FlatBook<uint32_t>::kChunkBytes);
+}
+
+TEST(FlatBook, RowThatDoesNotFitStartsTheNextChunk)
+{
+    constexpr size_t kChunk = FlatBook<uint32_t>::kChunkElems;
+    FlatBook<uint32_t> book;
+    const std::vector<uint32_t> head(kChunk - 2, 5);
+    const std::vector<uint32_t> tail = {1, 2, 3};
+    book.appendRow(head);
+    book.appendRow({});
+    book.appendRow(tail);
+    book.appendRow(std::vector<uint32_t>{4});
+    EXPECT_EQ(book[0], head);
+    EXPECT_TRUE(book.row(1).empty());
+    EXPECT_EQ(book[2], tail);
+    EXPECT_EQ(book[3], std::vector<uint32_t>{4});
+    // The three-element row skipped the first chunk's last two slots.
+    EXPECT_NE(book.row(2).data(), book.row(0).data() + head.size());
+    EXPECT_EQ(book.row(3).data(), book.row(2).data() + tail.size());
+    EXPECT_GE(book.bytes(), 2 * FlatBook<uint32_t>::kChunkBytes);
+}
+
+TEST(FlatBook, SpansTakenEarlyStayValidAcrossManyAppends)
+{
+    FlatBook<uint32_t> book = bookOf(kRows);
+    std::vector<std::span<const uint32_t>> early;
+    for (size_t i = 0; i < kRows.size(); i++)
+        early.push_back(book.row(i));
+    for (uint32_t i = 0; i < 100'000; i++)
+        book.appendRow(std::vector<uint32_t>(i % 7, i));
+    ASSERT_GT(book.bytes(), 20 * FlatBook<uint32_t>::kChunkBytes);
+    for (size_t i = 0; i < kRows.size(); i++) {
+        EXPECT_TRUE(std::ranges::equal(early[i], kRows[i])) << "row " << i;
+        EXPECT_EQ(early[i].data(), book.row(i).data()) << "row " << i;
+    }
+}
+
+TEST(FlatBook, BytesAreContentPlusUnderOneChunk)
+{
+    constexpr size_t kAppends = 100'000;
+    FlatBook<uint32_t> book;
+    book.reserveRows(kAppends);
+    size_t ids = 0;
+    for (uint32_t i = 0; i < kAppends; i++) {
+        const std::vector<uint32_t> row((i * 7919u) % 13, i);
+        book.appendRow(row);
+        ids += row.size();
+    }
+    const size_t content = (kAppends + 1 + ids) * sizeof(uint32_t);
+    EXPECT_GE(book.bytes(), content);
+    EXPECT_LE(book.bytes(), content + FlatBook<uint32_t>::kChunkBytes);
+    for (uint32_t i = 0; i < kAppends; i += 997) {
+        EXPECT_EQ(book[i], std::vector<uint32_t>((i * 7919u) % 13, i))
+            << "row " << i;
+    }
 }
 
 TEST(FlatBook, IterationYieldsEveryRowByValue)
@@ -73,6 +133,13 @@ TEST(FlatBookDeath, RowOutsideTheBookPanics)
 {
     const FlatBook<uint32_t> book = bookOf(kRows);
     EXPECT_DEATH((void)book.row(kRows.size()), "row outside the book");
+}
+
+TEST(FlatBookDeath, RowLongerThanAChunkPanics)
+{
+    FlatBook<uint32_t> book;
+    const std::vector<uint32_t> row(FlatBook<uint32_t>::kChunkElems + 1);
+    EXPECT_DEATH(book.appendRow(row), "longer than a flat book chunk");
 }
 
 } // namespace

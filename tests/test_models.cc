@@ -1,10 +1,15 @@
 /**
  * @file
  * Tests for the model zoo: every model in Table I builds, scores
- * batches, and reports consistent resource accounting.
+ * batches, refills one batch in place exactly as it draws a fresh one,
+ * and reports consistent resource accounting; a table too large for
+ * 32-bit lookup indices is a config error.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
 
 #include "models/rec_model.hh"
 
@@ -164,6 +169,52 @@ TEST_P(ModelZoo, OperatorBreakdownAccumulates)
     EXPECT_GT(stats.seconds(OpClass::Fc), 0.0);
 }
 
+/** True when @p a and @p b have one shape and the same bits. */
+bool
+sameDense(const Tensor& a, const Tensor& b)
+{
+    return a.shape() == b.shape() &&
+        (a.empty() ||
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
+}
+
+/** True when @p a and @p b hold the same samples, bit for bit. */
+bool
+sameSparse(const SparseBatch& a, const SparseBatch& b)
+{
+    return a.indices == b.indices && a.offsets == b.offsets;
+}
+
+TEST_P(ModelZoo, RefilledBatchMatchesFreshBitwise)
+{
+    // One batch refilled over shrinking and growing sizes equals a
+    // fresh makeBatch each time, and both draw the same numbers. It
+    // starts as another model's batch, with inputs this one lacks.
+    const RecModel model = build();
+    const bool sequence = model.config().useAttention;
+    const RecModel other(
+        modelConfig(sequence ? ModelId::WideAndDeep : ModelId::Din), 3,
+        ModelScale::tiny());
+    Rng other_rng(4);
+    RecBatch refilled = other.makeBatch(9, other_rng);
+    Rng fresh_rng(21);
+    Rng refill_rng(21);
+    for (size_t size : {7, 64, 3, 1, 128, 40}) {
+        const RecBatch fresh = model.makeBatch(size, fresh_rng);
+        model.makeBatch(size, refill_rng, refilled);
+        ASSERT_EQ(refilled.batchSize(), size);
+        EXPECT_TRUE(sameDense(refilled.dense, fresh.dense))
+            << "size " << size;
+        ASSERT_EQ(refilled.sparse.size(), fresh.sparse.size());
+        for (size_t t = 0; t < fresh.sparse.size(); t++)
+            EXPECT_TRUE(sameSparse(refilled.sparse[t], fresh.sparse[t]))
+                << "size " << size << " table " << t;
+        EXPECT_TRUE(sameSparse(refilled.behaviors, fresh.behaviors));
+        EXPECT_TRUE(sameSparse(refilled.candidates, fresh.candidates));
+        ASSERT_EQ(refill_rng(), fresh_rng()) << "size " << size;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllModels, ModelZoo, ::testing::ValuesIn(allModelIds()),
     [](const ::testing::TestParamInfo<ModelId>& info) {
@@ -214,6 +265,24 @@ TEST(RecModel, LogicalEmbeddingBytesExceedPhysical)
     const RecModel din(modelConfig(ModelId::Din), 1, ModelScale::tiny());
     EXPECT_GT(din.logicalEmbeddingBytes(),
               10ull * 1024 * 1024 * 1024 / 4);  // > 2.5 GB
+}
+
+TEST(RecModelDeath, TableBeyond32BitIndicesIsAConfigError)
+{
+    ModelConfig regular = modelConfig(ModelId::DlrmRmc1);
+    regular.tableRows = uint64_t{UINT32_MAX} + 1;
+    EXPECT_DEATH(RecModel(regular, 1, ModelScale::tiny()),
+                 "32-bit lookup indices");
+    ModelConfig behaviors = modelConfig(ModelId::Din);
+    behaviors.behaviorTableRows = uint64_t{UINT32_MAX} + 1;
+    EXPECT_DEATH(RecModel(behaviors, 1, ModelScale::tiny()),
+                 "32-bit lookup indices");
+    // The largest 32-bit table still builds.
+    behaviors.behaviorTableRows = UINT32_MAX;
+    EXPECT_EQ(RecModel(behaviors, 1, ModelScale::tiny())
+                  .config()
+                  .behaviorTableRows,
+              UINT32_MAX);
 }
 
 TEST(RecModel, MultiTaskSharesTrunk)

@@ -251,6 +251,14 @@ TEST(PartBookDriver, StaticPeakLivePartsIsExactAndSmall)
     EXPECT_EQ(r.peakHeldQueries, 49u);
     EXPECT_LT(r.peakHeldParts * 4, r.peakLiveParts);
     EXPECT_LT(r.peakHeldQueries * 4, r.peakLiveQueries);
+    // The flat part-machine book holds one offset per query plus one
+    // and one id per part, plus under one chunk: a book that grows by
+    // doubling, or copies itself as it grows, moves this.
+    const size_t content =
+        (trace.size() + 1 + r.numParts) * sizeof(uint32_t);
+    EXPECT_EQ(r.partMachinesOfQuery.bytes(), 155076u);
+    EXPECT_LE(r.partMachinesOfQuery.bytes(),
+              content + FlatBook<uint32_t>::kChunkBytes);
 }
 
 TEST(PartBookDriver, ElasticPeakLivePartsIsExactAndSmall)
