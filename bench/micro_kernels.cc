@@ -3,7 +3,9 @@
  * google-benchmark microbenchmarks for the NN substrate kernels that
  * the serving stack executes: FC/GEMM, embedding-bag gathers,
  * attention scoring, GRU steps, and whole-model forward passes. These
- * are the measurements that back the cost-model calibration.
+ * are the measurements that back the cost-model calibration. Each
+ * kernel writes into outputs reused across iterations, as the serving
+ * workers do, so the allocator is not timed.
  */
 
 #include <benchmark/benchmark.h>
@@ -54,9 +56,11 @@ BM_EmbeddingBagSum(benchmark::State& state)
     EmbeddingTable table(1ull << 20, 32, rng, 1ull << 17);
     const SparseBatch sparse =
         SparseBatch::uniform(batch, lookups, table.logicalRows(), rng);
+    Tensor out = Tensor::mat(batch, 32);
     for (auto _ : state) {
-        Tensor out = table.bagForward(sparse, Pooling::Sum);
+        table.bagForward(sparse, Pooling::Sum, out.data(), 32);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     state.counters["GB/s"] = benchmark::Counter(
         static_cast<double>(batch) * lookups * 32 * sizeof(float) *
@@ -81,9 +85,12 @@ BM_AttentionPool(benchmark::State& state)
     Tensor candidates = Tensor::mat(batch, 64);
     for (size_t i = 0; i < behaviors.numel(); i++)
         behaviors.at(i) = static_cast<float>(rng.uniform(-0.1, 0.1));
+    Tensor out;
+    AttentionScratch scratch;
     for (auto _ : state) {
-        Tensor out = att.pool(behaviors, candidates);
+        att.pool(behaviors, candidates, out, scratch);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_AttentionPool)->Args({8, 128})->Args({32, 128})->Args({8, 32});
@@ -98,9 +105,12 @@ BM_GruForward(benchmark::State& state)
     Tensor input({batch, seq, 64});
     for (size_t i = 0; i < input.numel(); i++)
         input.at(i) = static_cast<float>(rng.uniform(-0.1, 0.1));
+    Tensor out;
+    Tensor gates;
     for (auto _ : state) {
-        Tensor out = gru.forward(input);
+        gru.forward(input, nullptr, out, gates);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_GruForward)->Args({8, 32})->Args({32, 32});
@@ -115,9 +125,11 @@ BM_ModelForward(benchmark::State& state)
     const RecModel model(modelConfig(id), 5, scale);
     Rng rng(6);
     const RecBatch input = model.makeBatch(batch, rng);
+    ForwardScratch scratch;
     for (auto _ : state) {
-        Tensor out = model.forward(input);
+        const Tensor& out = model.forward(input, scratch);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     state.SetLabel(modelName(id));
     state.counters["us/sample"] = benchmark::Counter(

@@ -1,6 +1,7 @@
 #include "rec_model.hh"
 
 #include <algorithm>
+#include <array>
 
 namespace deeprecsys {
 
@@ -113,7 +114,7 @@ RecModel::makeBatch(size_t batch_size, Rng& rng, RecBatch& batch) const
 {
     drs_assert(batch_size > 0, "batch size must be positive");
     if (cfg.denseInputDim > 0) {
-        batch.dense.resizeMat(batch_size, cfg.denseInputDim);
+        batch.dense.resize({batch_size, cfg.denseInputDim});
         for (size_t i = 0; i < batch.dense.numel(); i++)
             batch.dense.at(i) = static_cast<float>(rng.normal(0.0, 1.0));
     } else {
@@ -134,126 +135,175 @@ RecModel::makeBatch(size_t batch_size, Rng& rng, RecBatch& batch) const
     }
 }
 
-Tensor
-RecModel::sequencePath(const RecBatch& batch, OperatorStats* stats) const
+void
+RecModel::sequencePath(const RecBatch& batch, ForwardScratch& s,
+                       OperatorStats* stats) const
 {
-    const Tensor seq = behaviorTable->gatherSequence(batch.behaviors, stats);
-    const Tensor cand = behaviorTable->gatherSequence(batch.candidates,
-                                                      stats);
     const size_t bs = batch.batchSize();
-    Tensor cand2d = cand;
-    cand2d.reshape({bs, cfg.embeddingDim});
+    const size_t dim = cfg.embeddingDim;
+    behaviorTable->gatherSequence(batch.behaviors, s.behaviors, stats);
+    // One lookup per sample: a concat bag gathers it as [batch, dim].
+    s.candidates.resize({bs, dim});
+    behaviorTable->bagForward(batch.candidates, Pooling::Concat,
+                              s.candidates.data(), dim, stats);
 
     if (!cfg.useRecurrent) {
-        // DIN: attention-pool behaviors against the candidate, then
-        // concat with the candidate embedding.
-        const Tensor pooled = attention->pool(seq, cand2d, stats);
-        return concatCols({&pooled, &cand2d});
+        // DIN: attention-pool behaviors against the candidate; the
+        // interaction then concats it with the candidate embedding.
+        attention->pool(s.behaviors, s.candidates, s.interest, s.attention,
+                        stats);
+        return;
     }
 
     // DIEN: interest extraction GRU over raw behaviors, attention
     // scores of each hidden state vs the candidate (projected), then
     // an attention-gated GRU evolves the interest state.
-    const Tensor states = extractionGru->forwardAllStates(seq, stats);
+    extractionGru->forwardAllStates(s.behaviors, s.states, s.gates, stats);
     const size_t steps = cfg.seqLen;
 
-    Tensor scores = Tensor::mat(bs, steps);
-    {
-        // Candidate must match the attention dim (gruHidden); DIEN
-        // uses equal embedding and hidden dims so reuse directly.
-        drs_assert(cfg.gruHidden == cfg.embeddingDim,
-                   "DIEN config requires gruHidden == embeddingDim");
-        for (size_t i = 0; i < bs; i++) {
-            Tensor sample = Tensor::mat(steps, cfg.gruHidden);
-            const float* src = states.data() + i * steps * cfg.gruHidden;
-            std::copy(src, src + steps * cfg.gruHidden, sample.data());
-            const std::vector<float> w =
-                attention->scores(sample, cand2d.row(i), stats);
-            for (size_t t = 0; t < steps; t++)
-                scores.at(i, t) = w[t];
-        }
+    // Candidate must match the attention dim (gruHidden); DIEN uses
+    // equal embedding and hidden dims so reuse directly.
+    drs_assert(cfg.gruHidden == cfg.embeddingDim,
+               "DIEN config requires gruHidden == embeddingDim");
+    s.scores.resize({bs, steps});
+    for (size_t i = 0; i < bs; i++) {
+        const float* sample = s.states.data() + i * steps * cfg.gruHidden;
+        const Tensor& w = attention->scores(sample, steps, s.candidates.row(i),
+                                            s.attention, stats);
+        std::copy(w.data(), w.data() + steps, s.scores.row(i));
     }
-    const Tensor evolved = evolutionGru->forward(states, &scores, stats);
-    return concatCols({&evolved, &cand2d});
+    evolutionGru->forward(s.states, &s.scores, s.interest, s.gates, stats);
+}
+
+void
+RecModel::interact(size_t bs, const Tensor* dense, ForwardScratch& s) const
+{
+    if (cfg.interaction == InteractionKind::GmfConcat) {
+        // NCF: tables 0/1 are the MF user/item pair -> GMF product;
+        // remaining tables feed the MLP path.
+        drs_assert(embeddings && embeddings->numTables() >= 2,
+                   "GMF needs two MF tables");
+        const size_t pooled = s.pooled.dim(1);
+        const size_t w = pooled / embeddings->numTables();
+        s.interaction.resize({bs, pooled - w});
+        for (size_t r = 0; r < bs; r++) {
+            const float* src = s.pooled.row(r);
+            float* dst = s.interaction.row(r);
+            for (size_t d = 0; d < w; d++)
+                dst[d] = src[d] * src[w + d];
+            std::copy(src + 2 * w, src + pooled, dst + w);
+        }
+        return;
+    }
+
+    if (cfg.interaction == InteractionKind::Sum) {
+        // The dense output and every table's vector, of one width,
+        // add up to one vector: the first is copied, the rest added.
+        drs_assert(!cfg.useAttention && !cfg.useRecurrent,
+                   "sum interaction takes no sequence path");
+        const size_t w = interactionWidth();
+        const size_t tables = embeddings ? embeddings->numTables() : 0;
+        drs_assert(dense || tables > 0, "sum interaction of zero parts");
+        drs_assert((!dense || dense->dim(1) == w) &&
+                       (!embeddings || s.pooled.dim(1) == tables * w),
+                   "sum interaction needs parts of one width");
+        s.interaction.resize({bs, w});
+        for (size_t r = 0; r < bs; r++) {
+            float* dst = s.interaction.row(r);
+            const float* pooled = tables > 0 ? s.pooled.row(r) : nullptr;
+            size_t t = 0;
+            const float* first = dense ? dense->row(r) : pooled + w * t++;
+            std::copy(first, first + w, dst);
+            for (; t < tables; t++) {
+                for (size_t d = 0; d < w; d++)
+                    dst[d] += pooled[t * w + d];
+            }
+        }
+        return;
+    }
+
+    std::array<const Tensor*, 4> parts{};
+    size_t n = 0;
+    if (dense)
+        parts[n++] = dense;
+    if (cfg.useAttention || cfg.useRecurrent) {
+        parts[n++] = &s.interest;
+        parts[n++] = &s.candidates;
+    }
+    if (embeddings)
+        parts[n++] = &s.pooled;
+    concatCols({parts.data(), n}, s.interaction);
+}
+
+const Tensor&
+RecModel::forward(const RecBatch& batch, ForwardScratch& s,
+                  OperatorStats* stats) const
+{
+    const size_t bs = batch.batchSize();
+    drs_assert(bs > 0, "forward on empty batch");
+    s.out.resize({bs, cfg.numTasks});
+
+    // Dense path: the stack's output, or the raw features (WnD bypass).
+    const Tensor* dense = nullptr;
+    if (denseStack)
+        dense = &denseStack->forward(batch.dense, s.act[0], s.act[1], stats);
+    else if (cfg.denseInputDim > 0)
+        dense = &batch.dense;
+
+    // Sparse path: each table's bag fills its slice of one block.
+    if (embeddings)
+        embeddings->forward(batch.sparse, s.pooled, stats);
+
+    // Sequence path (DIN / DIEN).
+    if (cfg.useAttention || cfg.useRecurrent)
+        sequencePath(batch, s, stats);
+
+    {
+        ScopedOpTimer timer(stats, OpClass::Interaction);
+        interact(bs, dense, s);
+    }
+
+    // Shared Predict-FC trunk (reusing the dense stack's buffers, whose
+    // output the interaction has copied), then one CTR head per task
+    // writing its column of the output.
+    const Tensor& trunk =
+        predictorTrunk.forward(s.interaction, s.act[0], s.act[1], stats);
+    {
+        ScopedOpTimer timer(stats, OpClass::Fc);
+        for (size_t t = 0; t < cfg.numTasks; t++)
+            taskHeads[t].forward(trunk, s.out.data() + t, cfg.numTasks);
+    }
+    return s.out;
 }
 
 Tensor
 RecModel::forward(const RecBatch& batch, OperatorStats* stats) const
 {
-    const size_t bs = batch.batchSize();
-    drs_assert(bs > 0, "forward on empty batch");
+    ForwardScratch scratch;
+    forward(batch, scratch, stats);
+    return std::move(scratch.out);
+}
 
-    std::vector<Tensor> parts;
-    parts.reserve(4);
-
-    // Dense path.
-    if (denseStack) {
-        parts.push_back(denseStack->forward(batch.dense, stats));
-    } else if (cfg.denseInputDim > 0) {
-        parts.push_back(batch.dense);   // bypass (WnD)
-    }
-
-    // Sparse path.
-    std::vector<Tensor> pooled;
-    if (embeddings)
-        pooled = embeddings->forward(batch.sparse, stats);
-
-    // Sequence path (DIN / DIEN).
-    if (cfg.useAttention || cfg.useRecurrent)
-        parts.push_back(sequencePath(batch, stats));
-
-    Tensor interacted;
-    {
-        ScopedOpTimer timer(stats, OpClass::Interaction);
-        if (cfg.interaction == InteractionKind::GmfConcat) {
-            // NCF: tables 0/1 are the MF user/item pair -> GMF
-            // product; remaining tables feed the MLP path.
-            drs_assert(pooled.size() >= 2, "GMF needs two MF tables");
-            Tensor gmf;
-            elementwiseMul(pooled[0], pooled[1], gmf);
-            std::vector<const Tensor*> ptrs{&gmf};
-            for (size_t i = 2; i < pooled.size(); i++)
-                ptrs.push_back(&pooled[i]);
-            interacted = concatCols(ptrs);
-        } else if (cfg.interaction == InteractionKind::Sum) {
-            std::vector<const Tensor*> ptrs;
-            for (const auto& p : parts)
-                ptrs.push_back(&p);
-            for (const auto& p : pooled)
-                ptrs.push_back(&p);
-            interacted = elementwiseSum(ptrs);
-        } else {
-            std::vector<const Tensor*> ptrs;
-            for (const auto& p : parts)
-                ptrs.push_back(&p);
-            for (const auto& p : pooled)
-                ptrs.push_back(&p);
-            interacted = concatCols(ptrs);
-        }
-    }
-
-    // Shared Predict-FC trunk, then one CTR head per task.
-    const Tensor trunk = predictorTrunk.forward(interacted, stats);
-    Tensor out = Tensor::mat(bs, cfg.numTasks);
-    {
-        ScopedOpTimer timer(stats, OpClass::Fc);
-        Tensor ctr;
-        for (size_t t = 0; t < cfg.numTasks; t++) {
-            taskHeads[t].forward(trunk, ctr);
-            for (size_t i = 0; i < bs; i++)
-                out.at(i, t) = ctr.at(i, 0);
-        }
-    }
-    return out;
+void
+RecModel::reserve(size_t max_batch, RecBatch& batch,
+                  ForwardScratch& scratch) const
+{
+    // Every buffer's size grows with the batch, so one pass at the
+    // largest size leaves each at its peak.
+    Rng rng(0);
+    makeBatch(max_batch, rng, batch);
+    forward(batch, scratch);
 }
 
 OperatorStats
 RecModel::measureBreakdown(size_t batch_size, size_t iters, Rng& rng) const
 {
     OperatorStats stats;
+    RecBatch batch;
+    ForwardScratch scratch;
     for (size_t it = 0; it < iters; it++) {
-        const RecBatch batch = makeBatch(batch_size, rng);
-        forward(batch, &stats);
+        makeBatch(batch_size, rng, batch);
+        forward(batch, scratch, &stats);
     }
     return stats;
 }

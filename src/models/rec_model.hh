@@ -44,6 +44,27 @@ struct RecBatch
     size_t batchSize() const;
 };
 
+/**
+ * Every buffer one forward pass writes. A caller that keeps one and
+ * hands it to each RecModel::forward allocates only when a batch
+ * outgrows it; RecModel::reserve grows it up front.
+ */
+struct ForwardScratch
+{
+    Tensor act[2];          ///< Dense-FC and Predict-FC ping-pong
+    Tensor pooled;          ///< [batch, pooledWidth] embedding bags
+    Tensor interaction;     ///< [batch, interactionWidth] predictor input
+    Tensor out;             ///< [batch, numTasks] CTR heads
+    // Sequence path (DIN / DIEN).
+    Tensor behaviors;       ///< [batch, seqLen, dim] gathered behaviors
+    Tensor candidates;      ///< [batch, dim] candidate item embeddings
+    Tensor states;          ///< DIEN: [batch, seqLen, gruHidden]
+    Tensor scores;          ///< DIEN: [batch, seqLen] attention scores
+    Tensor interest;        ///< [batch, dim] pooled or evolved interest
+    Tensor gates;           ///< GRU step gates
+    AttentionScratch attention;
+};
+
 /** Resource limits applied when materializing a model in memory. */
 struct ModelScale
 {
@@ -85,10 +106,26 @@ class RecModel
 
     /**
      * Score a batch; returns [batch, numTasks] CTR probabilities in
-     * (0, 1). Charges per-operator time to @p stats when non-null.
+     * (0, 1), held in @p scratch.out. Every layer writes into
+     * @p scratch, so a caller that reuses one scratch allocates only
+     * when a batch outgrows it. Charges per-operator time to @p stats
+     * when non-null.
      */
+    const Tensor& forward(const RecBatch& batch, ForwardScratch& scratch,
+                          OperatorStats* stats = nullptr) const;
+
+    /** Score a batch into a fresh tensor (own scratch per call). */
     Tensor forward(const RecBatch& batch,
                    OperatorStats* stats = nullptr) const;
+
+    /**
+     * Grow @p batch and @p scratch to their size at @p max_batch
+     * samples, by drawing one batch that large and scoring it: later
+     * refills and forward passes of at most that many samples
+     * allocate nothing.
+     */
+    void reserve(size_t max_batch, RecBatch& batch,
+                 ForwardScratch& scratch) const;
 
     /**
      * Run @p iters timed forward passes at @p batch_size and return
@@ -127,8 +164,19 @@ class RecModel
     uint64_t logicalEmbeddingBytes() const;
 
   private:
-    /** Gather + pool the behavior path (attention / GRU). */
-    Tensor sequencePath(const RecBatch& batch, OperatorStats* stats) const;
+    /**
+     * Gather + pool the behavior path (attention / GRU) into
+     * @p scratch's candidates and interest.
+     */
+    void sequencePath(const RecBatch& batch, ForwardScratch& scratch,
+                      OperatorStats* stats) const;
+
+    /**
+     * Build @p scratch.interaction for @p bs samples from the dense
+     * part (null when absent), the pooled block and the sequence path.
+     */
+    void interact(size_t bs, const Tensor* dense,
+                  ForwardScratch& scratch) const;
 
     ModelConfig cfg;
     std::optional<Mlp> denseStack;

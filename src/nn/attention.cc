@@ -10,20 +10,21 @@ LocalActivationUnit::LocalActivationUnit(size_t dim, size_t hidden, Rng& rng)
     drs_assert(dim > 0 && hidden > 0, "attention dims must be positive");
 }
 
-std::vector<float>
-LocalActivationUnit::scores(const Tensor& behaviors, const float* candidate,
+const Tensor&
+LocalActivationUnit::scores(const float* behaviors, size_t seq,
+                            const float* candidate,
+                            AttentionScratch& scratch,
                             OperatorStats* stats) const
 {
     ScopedOpTimer timer(stats, OpClass::Attention);
-    drs_assert(behaviors.rank() == 2 && behaviors.dim(1) == dim_,
-               "behavior tensor must be [seq, dim]");
-    const size_t seq = behaviors.dim(0);
+    drs_assert(seq > 0, "attention over an empty sequence");
 
     // Pack [behavior, candidate, behavior*candidate] rows, score all
     // pairs with one FC pass.
-    Tensor packed = Tensor::mat(seq, 3 * dim_);
+    Tensor& packed = scratch.packed;
+    packed.resize({seq, 3 * dim_});
     for (size_t t = 0; t < seq; t++) {
-        const float* b = behaviors.row(t);
+        const float* b = behaviors + t * dim_;
         float* dst = packed.row(t);
         for (size_t d = 0; d < dim_; d++) {
             dst[d] = b[d];
@@ -34,15 +35,25 @@ LocalActivationUnit::scores(const Tensor& behaviors, const float* candidate,
     // Note: the scorer is an FC stack, but its time is the attention
     // unit's time; charge it to Attention, not Fc, to match Figure 3's
     // operator accounting. Pass nullptr so Mlp does not double-charge.
-    Tensor out = scorer.forward(packed, nullptr);
-    std::vector<float> result(seq);
-    for (size_t t = 0; t < seq; t++)
-        result[t] = out.at(t, 0);
-    return result;
+    return scorer.forward(packed, scratch.layers[0], scratch.layers[1],
+                          nullptr);
 }
 
-Tensor
+std::vector<float>
+LocalActivationUnit::scores(const Tensor& behaviors, const float* candidate,
+                            OperatorStats* stats) const
+{
+    drs_assert(behaviors.rank() == 2 && behaviors.dim(1) == dim_,
+               "behavior tensor must be [seq, dim]");
+    AttentionScratch scratch;
+    const Tensor& out = scores(behaviors.data(), behaviors.dim(0), candidate,
+                               scratch, stats);
+    return std::vector<float>(out.data(), out.data() + out.numel());
+}
+
+void
 LocalActivationUnit::pool(const Tensor& behaviors, const Tensor& candidates,
+                          Tensor& out, AttentionScratch& scratch,
                           OperatorStats* stats) const
 {
     drs_assert(behaviors.rank() == 3, "behaviors must be [batch, seq, dim]");
@@ -53,24 +64,31 @@ LocalActivationUnit::pool(const Tensor& behaviors, const Tensor& candidates,
     const size_t seq = behaviors.dim(1);
     drs_assert(candidates.dim(0) == batch, "batch size mismatch");
 
-    Tensor out = Tensor::mat(batch, dim_);
+    out.resize({batch, dim_});
     for (size_t i = 0; i < batch; i++) {
-        // View one sample's behaviors as a [seq, dim] matrix.
-        Tensor sample = Tensor::mat(seq, dim_);
-        const float* src = behaviors.data() + i * seq * dim_;
-        std::copy(src, src + seq * dim_, sample.data());
-
-        const std::vector<float> w =
-            scores(sample, candidates.row(i), stats);
+        // One sample's behaviors are seq contiguous rows of dim.
+        const float* sample = behaviors.data() + i * seq * dim_;
+        const float* w =
+            scores(sample, seq, candidates.row(i), scratch, stats).data();
 
         ScopedOpTimer timer(stats, OpClass::Attention);
         float* dst = out.row(i);
+        std::fill(dst, dst + dim_, 0.0f);
         for (size_t t = 0; t < seq; t++) {
-            const float* b = sample.row(t);
+            const float* b = sample + t * dim_;
             for (size_t d = 0; d < dim_; d++)
                 dst[d] += w[t] * b[d];
         }
     }
+}
+
+Tensor
+LocalActivationUnit::pool(const Tensor& behaviors, const Tensor& candidates,
+                          OperatorStats* stats) const
+{
+    Tensor out;
+    AttentionScratch scratch;
+    pool(behaviors, candidates, out, scratch, stats);
     return out;
 }
 

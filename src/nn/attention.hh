@@ -21,6 +21,13 @@
 
 namespace deeprecsys {
 
+/** Buffers one scoring pass writes; a caller keeps one and reuses it. */
+struct AttentionScratch
+{
+    Tensor packed;      ///< [seq, 3*dim] scorer input
+    Tensor layers[2];   ///< scorer FC ping-pong; ends as [seq, 1]
+};
+
 /** Local activation unit over a fixed-length behavior sequence. */
 class LocalActivationUnit
 {
@@ -35,11 +42,19 @@ class LocalActivationUnit
     /**
      * Compute per-behavior attention scores.
      *
-     * @param behaviors [seq_len, dim] one sample's behavior embeddings
+     * @param behaviors @p seq rows of dim() floats: one sample's
+     *        behavior embeddings
      * @param candidate [dim] candidate item embedding
+     * @param scratch buffers the pass writes
      * @param stats optional operator timing sink (Attention class)
-     * @return [seq_len] scores (unnormalized, post-sigmoid weights)
+     * @return [seq, 1] scores (unnormalized, post-sigmoid weights),
+     *         held in @p scratch
      */
+    const Tensor& scores(const float* behaviors, size_t seq,
+                         const float* candidate, AttentionScratch& scratch,
+                         OperatorStats* stats = nullptr) const;
+
+    /** Scores of a [seq, dim] behavior tensor, by value. */
     std::vector<float> scores(const Tensor& behaviors,
                               const float* candidate,
                               OperatorStats* stats = nullptr) const;
@@ -49,8 +64,15 @@ class LocalActivationUnit
      *
      * @param behaviors [batch, seq_len, dim]
      * @param candidates [batch, dim]
-     * @return [batch, dim] attention-pooled behavior representation
+     * @param out becomes [batch, dim], the attention-pooled behavior
+     *        representation, in its own storage
+     * @param scratch buffers the scoring passes write
      */
+    void pool(const Tensor& behaviors, const Tensor& candidates, Tensor& out,
+              AttentionScratch& scratch,
+              OperatorStats* stats = nullptr) const;
+
+    /** Attention pooling into a fresh [batch, dim] tensor. */
     Tensor pool(const Tensor& behaviors, const Tensor& candidates,
                 OperatorStats* stats = nullptr) const;
 

@@ -76,29 +76,44 @@ Tensor
 EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
                            OperatorStats* stats) const
 {
+    const size_t bs = batch.batchSize();
+    drs_assert(bs > 0, "empty sparse batch");
+    const size_t width =
+        pooling == Pooling::Concat ? batch.lookups(0) * dim_ : dim_;
+    Tensor out = Tensor::mat(bs, width);
+    bagForward(batch, pooling, out.data(), width, stats);
+    return out;
+}
+
+void
+EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
+                           float* out, size_t ldo,
+                           OperatorStats* stats) const
+{
     ScopedOpTimer timer(stats, OpClass::Embedding);
     const size_t bs = batch.batchSize();
     drs_assert(bs > 0, "empty sparse batch");
 
     if (pooling == Pooling::Concat) {
         const size_t lookups = batch.lookups(0);
-        Tensor out = Tensor::mat(bs, lookups * dim_);
+        drs_assert(ldo >= lookups * dim_, "bag row stride too narrow");
         for (size_t i = 0; i < bs; i++) {
             drs_assert(batch.lookups(i) == lookups,
                        "concat pooling needs a uniform lookup count");
-            float* dst = out.row(i);
+            float* dst = out + i * ldo;
             for (size_t j = 0; j < lookups; j++) {
                 const float* src =
                     rowFor(batch.indices[batch.offsets[i] + j]);
                 dst = std::copy(src, src + dim_, dst);
             }
         }
-        return out;
+        return;
     }
 
-    Tensor out = Tensor::mat(bs, dim_);
+    drs_assert(ldo >= dim_, "bag row stride too narrow");
     for (size_t i = 0; i < bs; i++) {
-        float* dst = out.row(i);
+        float* dst = out + i * ldo;
+        std::fill(dst, dst + dim_, 0.0f);
         const size_t begin = batch.offsets[i];
         const size_t end = batch.offsets[i + 1];
         for (size_t j = begin; j < end; j++) {
@@ -112,18 +127,26 @@ EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
                 dst[d] *= inv;
         }
     }
-    return out;
 }
 
 Tensor
 EmbeddingTable::gatherSequence(const SparseBatch& batch,
                                OperatorStats* stats) const
 {
+    Tensor out;
+    gatherSequence(batch, out, stats);
+    return out;
+}
+
+void
+EmbeddingTable::gatherSequence(const SparseBatch& batch, Tensor& out,
+                               OperatorStats* stats) const
+{
     ScopedOpTimer timer(stats, OpClass::Embedding);
     const size_t bs = batch.batchSize();
     drs_assert(bs > 0, "empty sparse batch");
     const size_t seq = batch.lookups(0);
-    Tensor out({bs, seq, dim_});
+    out.resize({bs, seq, dim_});
     for (size_t i = 0; i < bs; i++) {
         drs_assert(batch.lookups(i) == seq,
                    "gatherSequence needs a uniform lookup count");
@@ -133,7 +156,6 @@ EmbeddingTable::gatherSequence(const SparseBatch& batch,
             dst = std::copy(src, src + dim_, dst);
         }
     }
-    return out;
 }
 
 EmbeddingGroup::EmbeddingGroup(size_t num_tables, uint64_t logical_rows,
@@ -149,17 +171,34 @@ EmbeddingGroup::EmbeddingGroup(size_t num_tables, uint64_t logical_rows,
         tables.emplace_back(logical_rows, dim, rng, max_physical_rows);
 }
 
-std::vector<Tensor>
-EmbeddingGroup::forward(const std::vector<SparseBatch>& batches,
+void
+EmbeddingGroup::forward(const std::vector<SparseBatch>& batches, Tensor& out,
                         OperatorStats* stats) const
 {
     drs_assert(batches.size() == tables.size(),
                "need one sparse batch per table");
-    std::vector<Tensor> outs;
-    outs.reserve(tables.size());
-    for (size_t t = 0; t < tables.size(); t++)
-        outs.push_back(tables[t].bagForward(batches[t], pooling_, stats));
-    return outs;
+    const size_t bs = batches.front().batchSize();
+    const size_t width = pooledWidth();
+    const size_t per_table = width / tables.size();
+    out.resize({bs, width});
+    for (size_t t = 0; t < tables.size(); t++) {
+        drs_assert(batches[t].batchSize() == bs,
+                   "per-table batches differ in size");
+        drs_assert(pooling_ != Pooling::Concat ||
+                       batches[t].lookups(0) == lookupsPerTable_,
+                   "concat-pooled table needs lookupsPerTable lookups");
+        tables[t].bagForward(batches[t], pooling_, out.data() + t * per_table,
+                             width, stats);
+    }
+}
+
+Tensor
+EmbeddingGroup::forward(const std::vector<SparseBatch>& batches,
+                        OperatorStats* stats) const
+{
+    Tensor out;
+    forward(batches, out, stats);
+    return out;
 }
 
 void

@@ -101,6 +101,14 @@ class EmbeddingTable
                       OperatorStats* stats = nullptr) const;
 
     /**
+     * The same pooled lookup written in place: sample i's pooled row
+     * goes to out[i * ldo, i * ldo + width), so a table can fill its
+     * column slice of a wider [batch, ...] block.
+     */
+    void bagForward(const SparseBatch& batch, Pooling pooling, float* out,
+                    size_t ldo, OperatorStats* stats = nullptr) const;
+
+    /**
      * Unpooled gather producing a behavior sequence tensor
      * [batch, L, dim]; every sample must have the same lookup count L.
      * Used for the attention (DIN) and recurrent (DIEN) paths which
@@ -108,6 +116,10 @@ class EmbeddingTable
      */
     Tensor gatherSequence(const SparseBatch& batch,
                           OperatorStats* stats = nullptr) const;
+
+    /** The same gather into @p out, resized in its own storage. */
+    void gatherSequence(const SparseBatch& batch, Tensor& out,
+                        OperatorStats* stats = nullptr) const;
 
   private:
     uint64_t logicalRows_;
@@ -146,11 +158,17 @@ class EmbeddingGroup
     const EmbeddingTable& table(size_t i) const { return tables[i]; }
 
     /**
-     * Forward all tables over a per-table sparse batch and return the
-     * per-table pooled outputs.
+     * Forward all tables over a per-table sparse batch into one
+     * [batch, pooledWidth()] block: table t's pooled output fills
+     * columns [t * w, (t + 1) * w) for its width w, written in place.
+     * @p out is resized in its own storage.
      */
-    std::vector<Tensor> forward(const std::vector<SparseBatch>& batches,
-                                OperatorStats* stats = nullptr) const;
+    void forward(const std::vector<SparseBatch>& batches, Tensor& out,
+                 OperatorStats* stats = nullptr) const;
+
+    /** The same forward into a fresh block. */
+    Tensor forward(const std::vector<SparseBatch>& batches,
+                   OperatorStats* stats = nullptr) const;
 
     /**
      * Refill @p out with one random sparse batch per table, in table

@@ -1,7 +1,7 @@
 #include "gru.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace deeprecsys {
 
@@ -32,11 +32,12 @@ GruCell::GruCell(size_t input_dim, size_t hidden_dim, Rng& rng)
 }
 
 void
-GruCell::step(const float* x, float* h, float att_scale) const
+GruCell::step(const float* x, float* h, float* gates, float att_scale) const
 {
     const size_t hd = hiddenDim_;
     // gates = Wx*x + Wh*h + b, blocks: [reset | update | candidate-x].
-    std::vector<float> gx(3 * hd);
+    float* gx = gates;
+    float* gh = gates + 3 * hd;
     for (size_t g = 0; g < 3 * hd; g++) {
         const float* wrow = wx.row(g);
         float acc = bias.at(g);
@@ -44,7 +45,6 @@ GruCell::step(const float* x, float* h, float att_scale) const
             acc += wrow[k] * x[k];
         gx[g] = acc;
     }
-    std::vector<float> gh(3 * hd);
     for (size_t g = 0; g < 3 * hd; g++) {
         const float* wrow = wh.row(g);
         float acc = 0.0f;
@@ -75,9 +75,9 @@ GruLayer::GruLayer(size_t input_dim, size_t hidden_dim, Rng& rng)
 {
 }
 
-Tensor
-GruLayer::forward(const Tensor& seq, const Tensor* att_scores,
-                  OperatorStats* stats) const
+void
+GruLayer::forward(const Tensor& seq, const Tensor* att_scores, Tensor& h,
+                  Tensor& gates, OperatorStats* stats) const
 {
     ScopedOpTimer timer(stats, OpClass::Recurrent);
     drs_assert(seq.rank() == 3, "GRU input must be [batch, seq, dim]");
@@ -91,21 +91,33 @@ GruLayer::forward(const Tensor& seq, const Tensor* att_scores,
                    "attention scores must be [batch, seq]");
     }
 
-    Tensor h = Tensor::mat(batch, cell.hiddenDim());
+    h.resize({batch, cell.hiddenDim()});
+    gates.resize({6 * cell.hiddenDim()});
     for (size_t i = 0; i < batch; i++) {
         float* state = h.row(i);
+        std::fill(state, state + cell.hiddenDim(), 0.0f);
         for (size_t t = 0; t < steps; t++) {
             const float* x = seq.data() + (i * steps + t) * in_dim;
             const float scale =
                 att_scores ? att_scores->at(i, t) : 1.0f;
-            cell.step(x, state, scale);
+            cell.step(x, state, gates.data(), scale);
         }
     }
-    return h;
 }
 
 Tensor
-GruLayer::forwardAllStates(const Tensor& seq, OperatorStats* stats) const
+GruLayer::forward(const Tensor& seq, const Tensor* att_scores,
+                  OperatorStats* stats) const
+{
+    Tensor h;
+    Tensor gates;
+    forward(seq, att_scores, h, gates, stats);
+    return h;
+}
+
+void
+GruLayer::forwardAllStates(const Tensor& seq, Tensor& all, Tensor& gates,
+                           OperatorStats* stats) const
 {
     ScopedOpTimer timer(stats, OpClass::Recurrent);
     drs_assert(seq.rank() == 3, "GRU input must be [batch, seq, dim]");
@@ -115,17 +127,29 @@ GruLayer::forwardAllStates(const Tensor& seq, OperatorStats* stats) const
     drs_assert(in_dim == cell.inputDim(), "GRU input dim mismatch");
 
     const size_t hd = cell.hiddenDim();
-    Tensor all = Tensor({batch, steps, hd});
-    std::vector<float> state(hd);
+    all.resize({batch, steps, hd});
+    gates.resize({6 * hd});
     for (size_t i = 0; i < batch; i++) {
-        std::fill(state.begin(), state.end(), 0.0f);
-        for (size_t t = 0; t < steps; t++) {
+        // Each step starts from the previous step's state (zero at the
+        // first) and updates it in place in its own row of @p all.
+        float* state = all.data() + i * steps * hd;
+        for (size_t t = 0; t < steps; t++, state += hd) {
+            if (t == 0)
+                std::fill(state, state + hd, 0.0f);
+            else
+                std::copy(state - hd, state, state);
             const float* x = seq.data() + (i * steps + t) * in_dim;
-            cell.step(x, state.data());
-            float* dst = all.data() + (i * steps + t) * hd;
-            std::copy(state.begin(), state.end(), dst);
+            cell.step(x, state, gates.data());
         }
     }
+}
+
+Tensor
+GruLayer::forwardAllStates(const Tensor& seq, OperatorStats* stats) const
+{
+    Tensor all;
+    Tensor gates;
+    forwardAllStates(seq, all, gates, stats);
     return all;
 }
 

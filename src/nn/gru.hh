@@ -35,10 +35,12 @@ class GruCell
      *
      * @param x [input_dim] input at this step
      * @param h [hidden_dim] state, updated in place
+     * @param gates [6 * hidden_dim] caller scratch the step overwrites
      * @param att_scale attention scaling of the update gate
      *        (1.0 recovers a standard GRU step)
      */
-    void step(const float* x, float* h, float att_scale = 1.0f) const;
+    void step(const float* x, float* h, float* gates,
+              float att_scale = 1.0f) const;
 
     size_t inputDim() const { return inputDim_; }
     size_t hiddenDim() const { return hiddenDim_; }
@@ -66,20 +68,29 @@ class GruLayer
     GruLayer(size_t input_dim, size_t hidden_dim, Rng& rng);
 
     /**
-     * Forward over a batch of sequences; returns final hidden states.
+     * Forward over a batch of sequences into final hidden states.
      *
      * @param seq [batch, seq_len, input_dim]
      * @param att_scores optional [batch, seq_len] update-gate scales
+     * @param h becomes [batch, hidden_dim], in its own storage
+     * @param gates step scratch, resized in its own storage
      * @param stats optional timing sink (Recurrent class)
-     * @return [batch, hidden_dim]
      */
+    void forward(const Tensor& seq, const Tensor* att_scores, Tensor& h,
+                 Tensor& gates, OperatorStats* stats = nullptr) const;
+
+    /** Final hidden states [batch, hidden_dim] in a fresh tensor. */
     Tensor forward(const Tensor& seq, const Tensor* att_scores = nullptr,
                    OperatorStats* stats = nullptr) const;
 
     /**
-     * Forward returning every step's hidden state
+     * Forward writing every step's hidden state into @p all
      * ([batch, seq_len, hidden_dim]) for feeding a downstream AUGRU.
      */
+    void forwardAllStates(const Tensor& seq, Tensor& all, Tensor& gates,
+                          OperatorStats* stats = nullptr) const;
+
+    /** Every step's hidden state in a fresh tensor. */
     Tensor forwardAllStates(const Tensor& seq,
                             OperatorStats* stats = nullptr) const;
 

@@ -7,19 +7,19 @@ namespace deeprecsys {
 namespace {
 
 void
-applyActivation(Tensor& t, Activation act)
+applyActivation(float* data, size_t n, Activation act)
 {
     switch (act) {
       case Activation::None:
         break;
       case Activation::Relu:
-        reluInPlace(t);
+        reluInPlace(data, n);
         break;
       case Activation::Sigmoid:
-        sigmoidInPlace(t);
+        sigmoidInPlace(data, n);
         break;
       case Activation::Tanh:
-        tanhInPlace(t);
+        tanhInPlace(data, n);
         break;
     }
 }
@@ -43,10 +43,19 @@ FcLayer::FcLayer(size_t in_dim, size_t out_dim, Activation act, Rng& rng)
 void
 FcLayer::forward(const Tensor& x, Tensor& out) const
 {
+    out.resize({x.dim(0), outDim()});
+    forward(x, out.data(), outDim());
+}
+
+void
+FcLayer::forward(const Tensor& x, float* out, size_t ldo) const
+{
     drs_assert(x.rank() == 2 && x.dim(1) == inDim(),
                "FC input width ", x.dim(1), " != expected ", inDim());
-    matmulBiasTransB(x, weights, bias, out);
-    applyActivation(out, act);
+    const size_t rows = x.dim(0);
+    matmulBiasTransB(x.data(), inDim(), rows, weights, bias, out, ldo);
+    for (size_t i = 0; i < rows; i++)
+        applyActivation(out + i * ldo, outDim(), act);
 }
 
 uint64_t
@@ -79,20 +88,31 @@ Mlp::outDim() const
     return layers.back().outDim();
 }
 
-Tensor
-Mlp::forward(const Tensor& x, OperatorStats* stats) const
+const Tensor&
+Mlp::forward(const Tensor& x, Tensor& ping, Tensor& pong,
+             OperatorStats* stats) const
 {
     ScopedOpTimer timer(stats, OpClass::Fc);
     drs_assert(!layers.empty(), "forward through empty MLP");
+    drs_assert(&x != &ping && &x != &pong && &ping != &pong,
+               "MLP buffers must be distinct from each other and x");
     // The first layer reads the input in place: no copy of x.
-    Tensor cur;
-    Tensor next;
-    layers.front().forward(x, cur);
+    Tensor* cur = &ping;
+    Tensor* next = &pong;
+    layers.front().forward(x, *cur);
     for (size_t i = 1; i < layers.size(); i++) {
-        layers[i].forward(cur, next);
+        layers[i].forward(*cur, *next);
         std::swap(cur, next);
     }
-    return cur;
+    return *cur;
+}
+
+Tensor
+Mlp::forward(const Tensor& x, OperatorStats* stats) const
+{
+    Tensor ping;
+    Tensor pong;
+    return forward(x, ping, pong, stats);
 }
 
 uint64_t

@@ -34,6 +34,13 @@ class FcLayer
     /** Forward pass; x is [batch, inDim], out becomes [batch, outDim]. */
     void forward(const Tensor& x, Tensor& out) const;
 
+    /**
+     * Forward pass into rows of stride @p ldo: row i of the output is
+     * out[i * ldo, i * ldo + outDim), so a layer can fill a column
+     * slice of a wider matrix (a task head its column of the output).
+     */
+    void forward(const Tensor& x, float* out, size_t ldo) const;
+
     size_t inDim() const { return weights.dim(1); }
     size_t outDim() const { return weights.dim(0); }
 
@@ -77,9 +84,16 @@ class Mlp
     size_t outDim() const;
 
     /**
-     * Forward pass through all layers; time is charged to OpClass::Fc
-     * of @p stats when non-null.
+     * Forward pass through all layers, alternating between the two
+     * caller buffers @p ping and @p pong (neither may be @p x); returns
+     * the one holding the output. They grow to the widest layer once
+     * and are then reused. Time is charged to OpClass::Fc of @p stats
+     * when non-null.
      */
+    const Tensor& forward(const Tensor& x, Tensor& ping, Tensor& pong,
+                          OperatorStats* stats = nullptr) const;
+
+    /** Forward pass into a fresh tensor (own buffers per call). */
     Tensor forward(const Tensor& x, OperatorStats* stats = nullptr) const;
 
     /** Multiply-accumulate count for one sample across all layers. */
@@ -93,8 +107,6 @@ class Mlp
 
   private:
     std::vector<FcLayer> layers;
-    // Scratch buffers would make forward() non-reentrant; allocate per
-    // call instead so the serving engine can run batches concurrently.
 };
 
 } // namespace deeprecsys

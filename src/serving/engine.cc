@@ -12,6 +12,7 @@ ServingEngine::ServingEngine(const RecModel& model, const EngineConfig& config)
 {
     drs_assert(cfg.numWorkers >= 1, "engine needs at least one worker");
     drs_assert(cfg.perRequestBatch >= 1, "batch must be >= 1");
+    workerState.resize(cfg.numWorkers);
     workers.reserve(cfg.numWorkers);
     for (size_t w = 0; w < cfg.numWorkers; w++)
         workers.emplace_back([this, w] { workerLoop(w); });
@@ -53,9 +54,8 @@ void
 ServingEngine::workerLoop(size_t worker_idx)
 {
     Rng rng(cfg.inputSeed + worker_idx * 0x9e37ULL);
-    // The worker's one input batch, refilled per request: it grows to
-    // the largest request once and then allocates nothing.
-    RecBatch batch;
+    // Sized by beginServe before any request of a trace is queued.
+    WorkerState& state = workerState[worker_idx];
     while (true) {
         Request req{};
         {
@@ -70,8 +70,8 @@ ServingEngine::workerLoop(size_t worker_idx)
         // Synthesize the input batch (stands in for deserialization)
         // and run the real forward pass.
         OperatorStats local;
-        model.makeBatch(req.batch, rng, batch);
-        model.forward(batch, &local);
+        model.makeBatch(req.batch, rng, state.batch);
+        model.forward(state.batch, state.scratch, &local);
         {
             std::lock_guard<std::mutex> lock(statsMtx);
             opStats.merge(local);
@@ -93,12 +93,13 @@ ServingEngine::workerLoop(size_t worker_idx)
     }
 }
 
-EngineResult
-ServingEngine::serveAll(const QueryTrace& trace)
+void
+ServingEngine::beginServe(const QueryTrace& trace)
 {
     {
         std::lock_guard<std::mutex> lock(statsMtx);
         latencies.clear();
+        latencies.reserve(trace.size());
         opStats.clear();
     }
     queriesDone.store(0);
@@ -108,12 +109,25 @@ ServingEngine::serveAll(const QueryTrace& trace)
     for (size_t i = 0; i < trace.size(); i++)
         books.push_back(std::make_unique<QueryBook>());
 
-    const auto wall_start = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < trace.size(); i++)
-        submitQuery(i, trace[i].size, std::chrono::steady_clock::now());
+    // The workers are idle until submitQuery releases a request, and
+    // the queue's mutex orders these writes before their reads.
+    uint32_t largest = 0;
+    for (const Query& q : trace)
+        largest = std::max(largest, q.size);
+    const size_t batch = std::min<size_t>(cfg.perRequestBatch, largest);
+    if (batch > 0) {
+        for (WorkerState& state : workerState)
+            model.reserve(batch, state.batch, state.scratch);
+    }
+}
+
+EngineResult
+ServingEngine::finishServe(const QueryTrace& trace,
+                           std::chrono::steady_clock::time_point start)
+{
     while (queriesDone.load(std::memory_order_acquire) < trace.size())
         std::this_thread::sleep_for(std::chrono::microseconds(50));
-    const auto wall_end = std::chrono::steady_clock::now();
+    const auto end = std::chrono::steady_clock::now();
 
     EngineResult result;
     {
@@ -121,29 +135,27 @@ ServingEngine::serveAll(const QueryTrace& trace)
         result.queryLatencySeconds = latencies;
         result.operatorBreakdown = opStats;
     }
-    result.wallSeconds =
-        std::chrono::duration<double>(wall_end - wall_start).count();
+    result.wallSeconds = std::chrono::duration<double>(end - start).count();
     result.numQueries = trace.size();
     result.numRequests = requestsDone.load();
     return result;
 }
 
 EngineResult
+ServingEngine::serveAll(const QueryTrace& trace)
+{
+    beginServe(trace);
+    const auto wall_start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < trace.size(); i++)
+        submitQuery(i, trace[i].size, std::chrono::steady_clock::now());
+    return finishServe(trace, wall_start);
+}
+
+EngineResult
 ServingEngine::serveOpenLoop(const QueryTrace& trace, double time_scale)
 {
     drs_assert(time_scale > 0.0, "time scale must be positive");
-    {
-        std::lock_guard<std::mutex> lock(statsMtx);
-        latencies.clear();
-        opStats.clear();
-    }
-    queriesDone.store(0);
-    requestsDone.store(0);
-    books.clear();
-    books.reserve(trace.size());
-    for (size_t i = 0; i < trace.size(); i++)
-        books.push_back(std::make_unique<QueryBook>());
-
+    beginServe(trace);
     const auto wall_start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < trace.size(); i++) {
         const auto release = wall_start + std::chrono::duration_cast<
@@ -156,21 +168,7 @@ ServingEngine::serveOpenLoop(const QueryTrace& trace, double time_scale)
         std::this_thread::sleep_until(release);
         submitQuery(i, trace[i].size, release);
     }
-    while (queriesDone.load(std::memory_order_acquire) < trace.size())
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    const auto wall_end = std::chrono::steady_clock::now();
-
-    EngineResult result;
-    {
-        std::lock_guard<std::mutex> lock(statsMtx);
-        result.queryLatencySeconds = latencies;
-        result.operatorBreakdown = opStats;
-    }
-    result.wallSeconds =
-        std::chrono::duration<double>(wall_end - wall_start).count();
-    result.numQueries = trace.size();
-    result.numRequests = requestsDone.load();
-    return result;
+    return finishServe(trace, wall_start);
 }
 
 } // namespace deeprecsys

@@ -61,8 +61,10 @@ struct EngineResult
  * into requests of at most perRequestBatch samples, synthesizes the
  * input batch (standing in for request deserialization), executes the
  * model, and records the query latency when its last request ends.
- * Each worker owns one input batch and refills it per request, so the
- * steady state allocates no input storage.
+ * Each worker owns one input batch and one set of forward buffers,
+ * refilled per request. The serving thread sizes them, and the latency
+ * book, before it releases a trace's first request, so the workers
+ * never allocate.
  */
 class ServingEngine
 {
@@ -103,14 +105,33 @@ class ServingEngine
         std::atomic<uint32_t> requestsLeft{0};
     };
 
+    /** What one worker writes per request. */
+    struct WorkerState
+    {
+        RecBatch batch;
+        ForwardScratch scratch;
+    };
+
     void workerLoop(size_t worker_idx);
     /** Queue query @p query_idx; its latency counts from @p start. */
     void submitQuery(size_t query_idx, uint32_t size,
                      std::chrono::steady_clock::time_point start);
 
+    /**
+     * Reset the books for @p trace and, on the calling thread, size
+     * the worker state for its largest request and the latency book
+     * for its queries.
+     */
+    void beginServe(const QueryTrace& trace);
+
+    /** Wait for @p trace to complete and gather its result. */
+    EngineResult finishServe(const QueryTrace& trace,
+                             std::chrono::steady_clock::time_point start);
+
     const RecModel& model;
     EngineConfig cfg;
 
+    std::vector<WorkerState> workerState;   ///< one per worker
     std::vector<std::thread> workers;
     std::mutex mtx;
     std::condition_variable cv;
@@ -123,7 +144,6 @@ class ServingEngine
     OperatorStats opStats;
     std::atomic<uint64_t> requestsDone{0};
     std::atomic<uint64_t> queriesDone{0};
-    std::atomic<uint64_t> rngSalt{0};
 };
 
 } // namespace deeprecsys

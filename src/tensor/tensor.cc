@@ -107,10 +107,12 @@ Tensor::reshape(std::vector<size_t> new_shape)
 }
 
 void
-Tensor::resizeMat(size_t rows, size_t cols)
+Tensor::resize(std::initializer_list<size_t> shape)
 {
-    shape_.assign({rows, cols});
-    data_.resize(rows * cols);
+    drs_assert(shape.size() >= 1 && shape.size() <= 3,
+               "tensor rank must be 1..3, got ", shape.size());
+    shape_.assign(shape);
+    data_.resize(shapeNumel(shape_));
 }
 
 void
@@ -118,27 +120,33 @@ matmulBiasTransB(const Tensor& a, const Tensor& b, const Tensor& bias,
                  Tensor& out)
 {
     drs_assert(a.rank() == 2 && b.rank() == 2, "matmul needs matrices");
-    const size_t m = a.dim(0);
-    const size_t k = a.dim(1);
-    const size_t n = b.dim(0);
-    drs_assert(b.dim(1) == k, "inner dimensions mismatch: ", k, " vs ",
-               b.dim(1));
-    drs_assert(bias.numel() == n, "bias size mismatch");
-    if (out.rank() != 2 || out.dim(0) != m || out.dim(1) != n)
-        out = Tensor::mat(m, n);
+    drs_assert(b.dim(1) == a.dim(1), "inner dimensions mismatch: ",
+               a.dim(1), " vs ", b.dim(1));
+    out.resize({a.dim(0), b.dim(0)});
+    matmulBiasTransB(a.data(), a.dim(1), a.dim(0), b, bias, out.data(),
+                     b.dim(0));
+}
 
-    const float* a_data = a.data();
+void
+matmulBiasTransB(const float* a, size_t lda, size_t m, const Tensor& b,
+                 const Tensor& bias, float* out, size_t ldc)
+{
+    drs_assert(b.rank() == 2, "matmul needs a weight matrix");
+    const size_t n = b.dim(0);
+    const size_t k = b.dim(1);
+    drs_assert(lda >= k && ldc >= n, "row strides narrower than rows");
+    drs_assert(bias.numel() == n, "bias size mismatch");
+
     const float* b_data = b.data();
     const float* bias_data = bias.data();
-    float* out_data = out.data();
 
     // Eight independent accumulator lanes break the serial FP-add
     // chain so the compiler can vectorize the dot product without
     // -ffast-math reassociation.
     constexpr size_t lanes = 8;
     for (size_t i = 0; i < m; i++) {
-        const float* a_row = a_data + i * k;
-        float* out_row = out_data + i * n;
+        const float* a_row = a + i * lda;
+        float* out_row = out + i * ldc;
         for (size_t j = 0; j < n; j++) {
             const float* b_row = b_data + j * k;
             float acc[lanes] = {};
@@ -158,27 +166,24 @@ matmulBiasTransB(const Tensor& a, const Tensor& b, const Tensor& bias,
 }
 
 void
-reluInPlace(Tensor& t)
+reluInPlace(float* data, size_t n)
 {
-    float* d = t.data();
-    for (size_t i = 0; i < t.numel(); i++)
-        d[i] = d[i] > 0.0f ? d[i] : 0.0f;
+    for (size_t i = 0; i < n; i++)
+        data[i] = data[i] > 0.0f ? data[i] : 0.0f;
 }
 
 void
-sigmoidInPlace(Tensor& t)
+sigmoidInPlace(float* data, size_t n)
 {
-    float* d = t.data();
-    for (size_t i = 0; i < t.numel(); i++)
-        d[i] = 1.0f / (1.0f + std::exp(-d[i]));
+    for (size_t i = 0; i < n; i++)
+        data[i] = 1.0f / (1.0f + std::exp(-data[i]));
 }
 
 void
-tanhInPlace(Tensor& t)
+tanhInPlace(float* data, size_t n)
 {
-    float* d = t.data();
-    for (size_t i = 0; i < t.numel(); i++)
-        d[i] = std::tanh(d[i]);
+    for (size_t i = 0; i < n; i++)
+        data[i] = std::tanh(data[i]);
 }
 
 void
@@ -202,8 +207,8 @@ softmaxRows(Tensor& t)
     }
 }
 
-Tensor
-concatCols(const std::vector<const Tensor*>& parts)
+void
+concatCols(std::span<const Tensor* const> parts, Tensor& out)
 {
     drs_assert(!parts.empty(), "concat of zero tensors");
     const size_t rows = parts.front()->dim(0);
@@ -213,7 +218,7 @@ concatCols(const std::vector<const Tensor*>& parts)
         drs_assert(p->dim(0) == rows, "concatCols row count mismatch");
         cols += p->dim(1);
     }
-    Tensor out = Tensor::mat(rows, cols);
+    out.resize({rows, cols});
     for (size_t r = 0; r < rows; r++) {
         float* dst = out.row(r);
         for (const Tensor* p : parts) {
@@ -221,36 +226,6 @@ concatCols(const std::vector<const Tensor*>& parts)
             dst = std::copy(src, src + p->dim(1), dst);
         }
     }
-    return out;
-}
-
-Tensor
-elementwiseSum(const std::vector<const Tensor*>& parts)
-{
-    drs_assert(!parts.empty(), "sum of zero tensors");
-    Tensor out = *parts.front();
-    for (size_t i = 1; i < parts.size(); i++) {
-        const Tensor* p = parts[i];
-        drs_assert(p->numel() == out.numel(), "elementwiseSum shape mismatch");
-        float* dst = out.data();
-        const float* src = p->data();
-        for (size_t j = 0; j < out.numel(); j++)
-            dst[j] += src[j];
-    }
-    return out;
-}
-
-void
-elementwiseMul(const Tensor& a, const Tensor& b, Tensor& out)
-{
-    drs_assert(a.numel() == b.numel(), "elementwiseMul shape mismatch");
-    if (out.numel() != a.numel())
-        out = a;
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    for (size_t i = 0; i < a.numel(); i++)
-        po[i] = pa[i] * pb[i];
 }
 
 Tensor

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "base/logging.hh"
@@ -88,12 +89,13 @@ class Tensor
     void reshape(std::vector<size_t> new_shape);
 
     /**
-     * Make this a [rows, cols] matrix in place, keeping the storage:
-     * it reallocates only to grow past its capacity. Elements already
+     * Give this tensor @p shape in place, keeping the storage: it
+     * reallocates only to grow past its capacity (or, for the shape
+     * itself, past the largest rank it has held). Elements already
      * held keep their values and new ones are zero, so a caller that
      * reuses a tensor this way overwrites every element.
      */
-    void resizeMat(size_t rows, size_t cols);
+    void resize(std::initializer_list<size_t> shape);
 
   private:
     std::vector<size_t> shape_;
@@ -105,34 +107,37 @@ class Tensor
  *
  * A is [m, k] (batch of activations), B is [n, k] (weights stored one
  * output neuron per row, which makes the inner loop a dot product over
- * contiguous memory), bias is [n] and broadcast over rows.
+ * contiguous memory), bias is [n] and broadcast over rows. @p out is
+ * resized to [m, n] in its own storage.
  */
 void matmulBiasTransB(const Tensor& a, const Tensor& b, const Tensor& bias,
                       Tensor& out);
 
-/** In-place ReLU. */
-void reluInPlace(Tensor& t);
+/**
+ * The same product over row-strided operands: row i of A starts at
+ * a + i * lda, row i of C at out + i * ldc, so C may be a column
+ * slice of a wider matrix. k is b.dim(1).
+ */
+void matmulBiasTransB(const float* a, size_t lda, size_t m, const Tensor& b,
+                      const Tensor& bias, float* out, size_t ldc);
 
-/** In-place logistic sigmoid. */
-void sigmoidInPlace(Tensor& t);
+/** In-place ReLU over @p n contiguous elements. */
+void reluInPlace(float* data, size_t n);
 
-/** In-place tanh. */
-void tanhInPlace(Tensor& t);
+/** In-place logistic sigmoid over @p n contiguous elements. */
+void sigmoidInPlace(float* data, size_t n);
+
+/** In-place tanh over @p n contiguous elements. */
+void tanhInPlace(float* data, size_t n);
 
 /** Row-wise softmax over a rank-2 tensor. */
 void softmaxRows(Tensor& t);
 
 /**
- * Concatenate rank-2 tensors along columns. All inputs must share the
- * same row count.
+ * Concatenate rank-2 tensors along columns into @p out, resized in
+ * its own storage. All inputs must share the same row count.
  */
-Tensor concatCols(const std::vector<const Tensor*>& parts);
-
-/** Elementwise sum of equally-shaped tensors. */
-Tensor elementwiseSum(const std::vector<const Tensor*>& parts);
-
-/** Elementwise product of two equally-shaped tensors into out. */
-void elementwiseMul(const Tensor& a, const Tensor& b, Tensor& out);
+void concatCols(std::span<const Tensor* const> parts, Tensor& out);
 
 /** Row-wise dot product of two [m, k] tensors producing [m, 1]. */
 Tensor rowwiseDot(const Tensor& a, const Tensor& b);

@@ -175,11 +175,19 @@ TEST(EmbeddingGroup, ForwardProducesOneOutputPerTable)
     std::vector<SparseBatch> batches;
     g.randomBatches(6, rng, batches);
     EXPECT_EQ(batches.size(), 3u);
-    const auto outs = g.forward(batches);
-    EXPECT_EQ(outs.size(), 3u);
-    for (const Tensor& t : outs) {
-        EXPECT_EQ(t.dim(0), 6u);
-        EXPECT_EQ(t.dim(1), 4u);
+    // One [batch, 3 * 4] block: table t's bag fills columns
+    // [4t, 4t + 4), bit for bit as the table's own forward.
+    const Tensor block = g.forward(batches);
+    EXPECT_EQ(block.dim(0), 6u);
+    EXPECT_EQ(block.dim(1), 3u * 4u);
+    for (size_t t = 0; t < 3; t++) {
+        const Tensor own = g.table(t).bagForward(batches[t], Pooling::Sum);
+        EXPECT_EQ(own.dim(0), 6u);
+        EXPECT_EQ(own.dim(1), 4u);
+        for (size_t i = 0; i < 6; i++) {
+            for (size_t d = 0; d < 4; d++)
+                EXPECT_EQ(block.at(i, 4 * t + d), own.at(i, d));
+        }
     }
 }
 

@@ -18,7 +18,8 @@ TEST(GruCell, ZeroAttentionFreezesState)
     std::vector<float> x(4, 1.0f);
     std::vector<float> h(6, 0.5f);
     const std::vector<float> before = h;
-    cell.step(x.data(), h.data(), /*att_scale=*/0.0f);
+    std::vector<float> gates(6 * 6);
+    cell.step(x.data(), h.data(), gates.data(), /*att_scale=*/0.0f);
     for (size_t i = 0; i < h.size(); i++)
         EXPECT_FLOAT_EQ(h[i], before[i]);
 }
@@ -29,7 +30,8 @@ TEST(GruCell, UnitAttentionMovesState)
     GruCell cell(4, 6, rng);
     std::vector<float> x(4, 1.0f);
     std::vector<float> h(6, 0.0f);
-    cell.step(x.data(), h.data(), 1.0f);
+    std::vector<float> gates(6 * 6);
+    cell.step(x.data(), h.data(), gates.data(), 1.0f);
     bool moved = false;
     for (float v : h)
         moved |= (v != 0.0f);
@@ -43,10 +45,11 @@ TEST(GruCell, StateStaysBounded)
     GruCell cell(4, 4, rng);
     std::vector<float> h(4, 0.0f);
     std::vector<float> x(4);
+    std::vector<float> gates(6 * 4);
     for (int t = 0; t < 100; t++) {
         for (auto& v : x)
             v = static_cast<float>(rng.normal(0.0, 2.0));
-        cell.step(x.data(), h.data());
+        cell.step(x.data(), h.data(), gates.data());
         for (float v : h) {
             EXPECT_LE(std::abs(v), 1.0f + 1e-5);
             EXPECT_TRUE(std::isfinite(v));

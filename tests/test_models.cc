@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the model zoo: every model in Table I builds, scores
- * batches, refills one batch in place exactly as it draws a fresh one,
- * and reports consistent resource accounting; a table too large for
- * 32-bit lookup indices is a config error.
+ * batches to pinned output bits, scores them alike through a reused
+ * ForwardScratch, refills one batch in place exactly as it draws a
+ * fresh one, and reports consistent resource accounting; a table too
+ * large for 32-bit lookup indices is a config error.
  */
 
 #include <gtest/gtest.h>
@@ -167,6 +168,9 @@ TEST_P(ModelZoo, OperatorBreakdownAccumulates)
     const OperatorStats stats = model.measureBreakdown(4, 2, rng);
     EXPECT_GT(stats.total(), 0.0);
     EXPECT_GT(stats.seconds(OpClass::Fc), 0.0);
+    // The concat (or sum, or GMF product) into the predictor input is
+    // its own timed copy (Figure 3's interaction class).
+    EXPECT_GT(stats.seconds(OpClass::Interaction), 0.0);
 }
 
 /** True when @p a and @p b have one shape and the same bits. */
@@ -212,6 +216,74 @@ TEST_P(ModelZoo, RefilledBatchMatchesFreshBitwise)
         EXPECT_TRUE(sameSparse(refilled.behaviors, fresh.behaviors));
         EXPECT_TRUE(sameSparse(refilled.candidates, fresh.candidates));
         ASSERT_EQ(refill_rng(), fresh_rng()) << "size " << size;
+    }
+}
+
+/** FNV-1a over a tensor's shape and the bits of its elements. */
+uint64_t
+digestOf(const Tensor& t, uint64_t h = 0xcbf29ce484222325ULL)
+{
+    auto mix = [&h](const void* p, size_t n) {
+        const auto* bytes = static_cast<const unsigned char*>(p);
+        for (size_t i = 0; i < n; i++) {
+            h ^= bytes[i];
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (size_t d : t.shape())
+        mix(&d, sizeof(d));
+    mix(t.data(), t.numel() * sizeof(float));
+    return h;
+}
+
+/** Digest of the zoo model's outputs at batches 1, 7, 64 and 256. */
+uint64_t
+pinnedDigest(ModelId id)
+{
+    switch (id) {
+      case ModelId::Ncf: return 0x11138eb43e0f4108ULL;
+      case ModelId::WideAndDeep: return 0xe965f69d96966718ULL;
+      case ModelId::MtWideAndDeep: return 0x0484ae6114fec338ULL;
+      case ModelId::DlrmRmc1: return 0x266fb3e8ed44058aULL;
+      case ModelId::DlrmRmc2: return 0x55a3b96df540fdc3ULL;
+      case ModelId::DlrmRmc3: return 0x25406013209b7156ULL;
+      case ModelId::Din: return 0x9c2c8ad32b1ce4beULL;
+      case ModelId::Dien: return 0x590539c063f67752ULL;
+      default: return 0;
+    }
+}
+
+TEST_P(ModelZoo, ForwardOutputsPinned)
+{
+    // Output bits, not just ranges: a kernel or buffer change that
+    // moves one rounding anywhere in the forward pass shows here.
+    const RecModel model = build();
+    Rng rng(17);
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (size_t size : {1, 7, 64, 256})
+        h = digestOf(model.forward(model.makeBatch(size, rng)), h);
+    EXPECT_EQ(h, pinnedDigest(GetParam()))
+        << std::hex << "0x" << h << "ULL";
+}
+
+TEST(RecModel, ReusedScratchMatchesFreshForwardBitwise)
+{
+    // One scratch and one batch carried through every zoo model, at
+    // growing and shrinking sizes: each pass leaves buffers of another
+    // shape (or another model's) behind, and none of it may show.
+    ForwardScratch scratch;
+    RecBatch batch;
+    for (ModelId id : allModelIds()) {
+        const RecModel model(modelConfig(id), 11, ModelScale::tiny());
+        Rng rng(23);
+        for (size_t size : {7, 64, 1, 100, 3}) {
+            model.makeBatch(size, rng, batch);
+            const Tensor& reused = model.forward(batch, scratch);
+            const Tensor fresh = model.forward(batch);
+            EXPECT_EQ(&reused, &scratch.out);
+            EXPECT_TRUE(sameDense(reused, fresh))
+                << modelName(id) << " size " << size;
+        }
     }
 }
 

@@ -3,6 +3,7 @@
  * Unit tests for the dense tensor type and its kernels.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -109,10 +110,34 @@ TEST(MatmulBiasTransB, ReusesOutputBuffer)
     EXPECT_EQ(out.data(), ptr);   // no reallocation on same shape
 }
 
+TEST(MatmulBiasTransB, StridedFormFillsAColumnSlice)
+{
+    // A's rows sit 5 floats apart (k = 3), C's 4 apart from column 1
+    // (n = 2): the product lands in columns 1..2 and the padding keeps
+    // its sentinel.
+    const Tensor b({2, 3}, {1, 0, 2, -1, 1, 0});
+    const Tensor bias({2}, {0.5f, -0.5f});
+    const Tensor a_dense({2, 3}, {1, 2, 3, 4, 5, 6});
+    Tensor ref;
+    matmulBiasTransB(a_dense, b, bias, ref);
+    const float a[] = {1, 2, 3, -9, -9, 4, 5, 6, -9, -9};
+    float c[8];
+    std::fill(c, c + 8, 7.0f);
+    matmulBiasTransB(a, 5, 2, b, bias, c + 1, 4);
+    for (size_t i = 0; i < 2; i++) {
+        EXPECT_EQ(c[i * 4], 7.0f);
+        EXPECT_EQ(c[i * 4 + 1], ref.at(i, 0));
+        EXPECT_EQ(c[i * 4 + 2], ref.at(i, 1));
+        EXPECT_EQ(c[i * 4 + 3], 7.0f);
+    }
+    EXPECT_FLOAT_EQ(ref.at(0, 0), 7.5f);    // 1 + 6 + 0.5
+    EXPECT_FLOAT_EQ(ref.at(1, 1), 0.5f);    // -4 + 5 - 0.5
+}
+
 TEST(Activations, ReluClampsNegatives)
 {
     Tensor t({4}, {-1.0f, 0.0f, 2.0f, -3.5f});
-    reluInPlace(t);
+    reluInPlace(t.data(), t.numel());
     EXPECT_FLOAT_EQ(t.at(0), 0.0f);
     EXPECT_FLOAT_EQ(t.at(1), 0.0f);
     EXPECT_FLOAT_EQ(t.at(2), 2.0f);
@@ -122,7 +147,7 @@ TEST(Activations, ReluClampsNegatives)
 TEST(Activations, SigmoidRangeAndCenter)
 {
     Tensor t({3}, {0.0f, 100.0f, -100.0f});
-    sigmoidInPlace(t);
+    sigmoidInPlace(t.data(), t.numel());
     EXPECT_FLOAT_EQ(t.at(0), 0.5f);
     EXPECT_NEAR(t.at(1), 1.0f, 1e-6);
     EXPECT_NEAR(t.at(2), 0.0f, 1e-6);
@@ -131,7 +156,7 @@ TEST(Activations, SigmoidRangeAndCenter)
 TEST(Activations, TanhOddSymmetry)
 {
     Tensor t({2}, {1.5f, -1.5f});
-    tanhInPlace(t);
+    tanhInPlace(t.data(), t.numel());
     EXPECT_NEAR(t.at(0), -t.at(1), 1e-6);
     EXPECT_NEAR(t.at(0), std::tanh(1.5), 1e-6);
 }
@@ -162,7 +187,9 @@ TEST(ConcatCols, JoinsWidths)
 {
     Tensor a({2, 2}, {1, 2, 3, 4});
     Tensor b({2, 1}, {9, 8});
-    const Tensor out = concatCols({&a, &b});
+    const Tensor* parts[] = {&a, &b};
+    Tensor out;
+    concatCols(parts, out);
     EXPECT_EQ(out.dim(0), 2u);
     EXPECT_EQ(out.dim(1), 3u);
     EXPECT_FLOAT_EQ(out.at(0, 2), 9.0f);
@@ -172,30 +199,11 @@ TEST(ConcatCols, JoinsWidths)
 TEST(ConcatCols, SingleInputCopies)
 {
     Tensor a({1, 3}, {1, 2, 3});
-    const Tensor out = concatCols({&a});
+    const Tensor* parts[] = {&a};
+    Tensor out;
+    concatCols(parts, out);
     EXPECT_EQ(out.dim(1), 3u);
     EXPECT_FLOAT_EQ(out.at(0, 1), 2.0f);
-}
-
-TEST(ElementwiseSum, AddsAll)
-{
-    Tensor a({2, 2}, {1, 2, 3, 4});
-    Tensor b({2, 2}, {10, 20, 30, 40});
-    Tensor c({2, 2}, {100, 200, 300, 400});
-    const Tensor out = elementwiseSum({&a, &b, &c});
-    EXPECT_FLOAT_EQ(out.at(0, 0), 111.0f);
-    EXPECT_FLOAT_EQ(out.at(1, 1), 444.0f);
-}
-
-TEST(ElementwiseMul, Hadamard)
-{
-    Tensor a({1, 3}, {2, 3, 4});
-    Tensor b({1, 3}, {5, 6, 7});
-    Tensor out;
-    elementwiseMul(a, b, out);
-    EXPECT_FLOAT_EQ(out.at(0, 0), 10.0f);
-    EXPECT_FLOAT_EQ(out.at(0, 1), 18.0f);
-    EXPECT_FLOAT_EQ(out.at(0, 2), 28.0f);
 }
 
 TEST(RowwiseDot, PerRowInnerProduct)
