@@ -19,7 +19,9 @@
  *    query windows spanned and the most records each book held at
  *    once, the most chunks each window allocated (the driver's memory
  *    high-water marks), and the heap bytes of the flat per-query
- *    part-machine book the result keeps.
+ *    part-machine book the result keeps. Those bytes are gated: at
+ *    most 2 B per machine id, 4 B per row offset and one 64 KB chunk,
+ *    or the run exits non-zero.
  *  - `cluster16_obs_off` / `cluster16_obs_on`: the same workload with
  *    the observability layer explicitly detached and fully attached.
  *    The detached run gates the obs integration's disabled path (the
@@ -314,6 +316,7 @@ main(int argc, char** argv)
     // process, trace, and best-of-N so the comparison sees the same
     // cache and frequency state.
     bool obs_gate_pass = true;
+    bool book_gate_pass = true;
     double obs_base_wall = 0.0;
     double obs_off_wall = 0.0;
     double obs_on_wall = 0.0;
@@ -365,6 +368,15 @@ main(int argc, char** argv)
             report.partMachinesBytes = base.partMachinesOfQuery.bytes();
             obs_base_wall = report.wallSerial;
             reports.push_back(report);
+
+            // The flat book's layout: a 2-byte id per part and a
+            // 4-byte offset per row (plus one), plus under one chunk.
+            const uint64_t bound = 2 * base.numParts +
+                4 * (trace.size() + 1) + (uint64_t{64} << 10);
+            book_gate_pass = report.partMachinesBytes <= bound;
+            std::cout << "part-machine book: " << report.partMachinesBytes
+                      << " B (gate <= " << bound << " B: "
+                      << (book_gate_pass ? "PASS" : "FAIL") << ")\n";
         }
 
         {
@@ -568,5 +580,7 @@ main(int argc, char** argv)
     writeJson(out_path, reports, threads, combined, setup, gate);
     if (!obs_gate_pass)
         std::cerr << "obs disabled-path overhead gate FAILED\n";
-    return (all_identical && obs_gate_pass) ? 0 : 1;
+    if (!book_gate_pass)
+        std::cerr << "part-machine book content bound FAILED\n";
+    return (all_identical && obs_gate_pass && book_gate_pass) ? 0 : 1;
 }

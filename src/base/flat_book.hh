@@ -13,23 +13,31 @@
  * reserved up front, heap use is the content plus under one chunk,
  * plus the tail of each chunk a row skipped (shorter than that row).
  * Rows are appended whole and never change afterwards.
+ *
+ * The book may store its elements narrower than it hands them out:
+ * FlatBook<uint16_t, uint32_t> keeps 2-byte elements, takes and yields
+ * rows of uint32_t, and asserts that every appended value fits.
  */
 
 #ifndef DRS_BASE_FLAT_BOOK_HH
 #define DRS_BASE_FLAT_BOOK_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
 
 namespace deeprecsys {
 
-/** Append-only rows of T, addressed by row index. */
-template <typename T>
+/**
+ * Append-only rows addressed by row index: stored as T, appended and
+ * yielded by value as Value (T unless the storage is narrower).
+ */
+template <typename T, typename Value = T>
 class FlatBook
 {
   public:
@@ -46,7 +54,7 @@ class FlatBook
         const_iterator(const FlatBook* book, size_t row)
             : book_(book), row_(row) {}
 
-        std::vector<T> operator*() const { return (*book_)[row_]; }
+        std::vector<Value> operator*() const { return (*book_)[row_]; }
 
         const_iterator&
         operator++()
@@ -62,9 +70,10 @@ class FlatBook
         size_t row_;
     };
 
-    /** Append @p row as row size(); it must fit in one chunk. */
+    /** Append @p row as row size(); it must fit in one chunk, and
+     *  each of its values in a T. */
     void
-    appendRow(std::span<const T> row)
+    appendRow(std::span<const Value> row)
     {
         drs_assert(row.size() <= kChunkElems,
                    "row of ", row.size(), " longer than a flat book chunk");
@@ -74,8 +83,13 @@ class FlatBook
                 begin = chunkEnd(begin);
             if (begin / kChunkElems == chunks_.size())
                 chunks_.emplace_back(kChunkElems);
-            std::ranges::copy(row, chunks_[begin / kChunkElems].begin() +
-                                       begin % kChunkElems);
+            T* out = chunks_[begin / kChunkElems].data() + begin % kChunkElems;
+            for (const Value& v : row) {
+                if constexpr (!std::is_same_v<T, Value>)
+                    drs_assert(std::in_range<T>(v), "value ", v,
+                               " does not fit a flat book element");
+                *out++ = static_cast<T>(v);
+            }
         }
         const uint64_t end = begin + row.size();
         drs_assert(end <= UINT32_MAX, "flat book outgrew its 32-bit offsets");
@@ -105,12 +119,12 @@ class FlatBook
                 end - begin};
     }
 
-    /** Row @p i as a vector (a copy; prefer row()). */
-    std::vector<T>
+    /** Row @p i as a vector of Value (a copy; prefer row()). */
+    std::vector<Value>
     operator[](size_t i) const
     {
         const std::span<const T> r = row(i);
-        return std::vector<T>(r.begin(), r.end());
+        return std::vector<Value>(r.begin(), r.end());
     }
 
     const_iterator begin() const { return {this, 0}; }

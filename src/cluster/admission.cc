@@ -6,6 +6,7 @@
 
 #include "base/logging.hh"
 #include "cluster/routing_policy.hh"
+#include "loadgen/query_stream.hh"
 
 namespace deeprecsys {
 
@@ -49,8 +50,7 @@ AdmissionController::AdmissionController(
     if (cfg.admission == AdmissionKind::Deadline || cfg.degrade)
         drs_assert(cfg.deadlineSeconds > 0.0,
                    "deadline admission/degrade needs deadlineSeconds > 0");
-    drs_assert(cfg.priorityClasses >= 1,
-               "at least one priority class is required");
+    validatePriorityClassCount(cfg.priorityClasses);
     if (cfg.priorityClasses > 1) {
         drs_assert(cfg.priorityMargin >= 0.0,
                    "priorityMargin cannot be negative");
@@ -350,7 +350,7 @@ AdmissionController::decide(const Query& query,
     // — same query and view, lower class dropped implies higher class
     // index dropped).
     const uint32_t cls = cfg.priorityClasses > 1
-        ? std::min(query.priorityClass, cfg.priorityClasses - 1)
+        ? std::min<uint32_t>(query.priorityClass, cfg.priorityClasses - 1)
         : 0;
     const double margin = cfg.priorityMargin * static_cast<double>(cls);
 

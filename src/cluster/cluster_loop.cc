@@ -452,7 +452,8 @@ ClusterLoop::present(uint64_t idx, double now)
         span.onArrival(in.arrivalSeconds);
     q.model = in.model;
     q.cls = cfg.overload.priorityClasses > 1
-        ? std::min(in.priorityClass, cfg.overload.priorityClasses - 1)
+        ? std::min<uint32_t>(in.priorityClass,
+                             cfg.overload.priorityClasses - 1)
         : 0;
     ClassOverloadStats& cs = classStats(q.cls);
     if (q.attempt == 0 && q.failovers == 0)

@@ -23,8 +23,15 @@ validateClusterConfig(const ClusterConfig& cfg, const char* tier)
 {
     if (cfg.machines.empty())
         drs_fatal(tier, " needs machines");
+    if (cfg.machines.size() > kMaxClusterMachines)
+        drs_fatal(tier, ": ", cfg.machines.size(), " machines exceed the ",
+                  kMaxClusterMachines, " a tier can hold");
     for (const SimConfig& machine : cfg.machines)
         MachineEngine::validate(machine);
+    validatePriorityClassCount(cfg.overload.priorityClasses);
+    if (cfg.modelMix.size() > kMaxMixModels)
+        drs_fatal(tier, ": a mix of ", cfg.modelMix.size(),
+                  " models exceeds the ", kMaxMixModels, " a query can name");
     if (!cfg.modelMix.empty()) {
         // Fraction rules are the trace splitter's (non-negative, sum
         // to 1); every mix model needs a binding somewhere or no

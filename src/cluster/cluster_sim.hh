@@ -124,12 +124,18 @@ struct ClusterConfig
     std::vector<ModelMixEntry> modelMix;
 };
 
+/** Most machines a tier can hold: ClusterResult::partMachinesOfQuery
+ *  stores machine ids 0..65535 in 16 bits. */
+constexpr size_t kMaxClusterMachines = size_t{1} << 16;
+
 /**
  * Check a tier's configuration, reporting the first error through
- * drs_fatal: machines present and valid, a well-formed model mix,
- * a placement that fits the tier and its memory budgets, a fault plan
- * the placement survives, and a hedge on a sharded tier. @p tier
- * names the tier in the message. Both cluster facades call it.
+ * drs_fatal: 1..kMaxClusterMachines valid machines, a well-formed
+ * model mix of at most kMaxMixModels models, a priority-class count
+ * a query can carry, a placement that fits the tier and its memory
+ * budgets, a fault plan the placement survives, and a hedge on a
+ * sharded tier. @p tier names the tier in the message. Both cluster
+ * facades call it.
  */
 void validateClusterConfig(const ClusterConfig& cfg, const char* tier);
 
@@ -206,10 +212,12 @@ struct ClusterResult
      * trace index, in creation order: the leader first, then its
      * fan-out parts, hedge twins and failover re-dispatches (each
      * re-dispatch again leader first). A query shed at the router or
-     * unroutable on every presentation has an empty row. Read rows
-     * through row(i), which does not copy.
+     * unroutable on every presentation has an empty row. Machine
+     * ids are stored in 16 bits (validateClusterConfig caps a tier
+     * at kMaxClusterMachines) and read back as uint32_t; row(i) is
+     * the stored ids and does not copy.
      */
-    FlatBook<uint32_t> partMachinesOfQuery;
+    FlatBook<uint16_t, uint32_t> partMachinesOfQuery;
 
     uint64_t numQueries = 0;           ///< measured completions
     uint64_t numDispatched = 0;        ///< all routed queries

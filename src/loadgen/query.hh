@@ -10,6 +10,7 @@
 #ifndef DRS_LOADGEN_QUERY_HH
 #define DRS_LOADGEN_QUERY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +30,7 @@ struct Query
      * (all 0) unless the trace assigns classes
      * (assignPriorityClasses in loadgen/query_stream.hh).
      */
-    uint32_t priorityClass = 0;
+    uint16_t priorityClass = 0;
 
     /**
      * Which model of the serving tier's mix this query targets: an
@@ -39,8 +40,17 @@ struct Query
      * primary cost/policy fields serve model 0, so the default is
      * bitwise invisible.
      */
-    uint32_t model = 0;
+    uint16_t model = 0;
 };
+
+// Traces hold one Query per arrival, so the record stays unpadded.
+static_assert(sizeof(Query) == 24, "Query grew past 24 bytes");
+
+/** Most priority classes a query can carry (classes 0..65535). */
+constexpr uint32_t kMaxPriorityClasses = 1u << 16;
+
+/** Most models a mix can hold (Query::model 0..65535). */
+constexpr size_t kMaxMixModels = size_t{1} << 16;
 
 /**
  * Query-id stride of mixed-model traces: model k's queries carry ids

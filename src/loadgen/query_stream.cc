@@ -195,6 +195,9 @@ MixedTraceTemplate::MixedTraceTemplate(const LoadSpec& base,
                                        const std::vector<double>& fractions)
     : fractions_(fractions)
 {
+    if (fractions_.size() > kMaxMixModels)
+        drs_fatal("a mix of ", fractions_.size(), " models exceeds the ",
+                  kMaxMixModels, " a query can name");
     // Validate the fractions eagerly (same rules as the splitter).
     (void)splitCountByFraction(fractions_, 0);
     perModel.reserve(fractions_.size());
@@ -252,7 +255,7 @@ MixedTraceTemplate::materialize(double qps, size_t count) const
         // Per-model ids are strided so a model's id sequence (and the
         // shard tables, retry jitter, and classes hashed off it)
         // never shifts when the mix changes; model 0 keeps plain ids.
-        q.model = static_cast<uint32_t>(best);
+        q.model = static_cast<uint16_t>(best);
         q.id += static_cast<uint64_t>(best) * kMixedQueryIdStride;
         out.push_back(q);
     }
@@ -262,10 +265,18 @@ MixedTraceTemplate::materialize(double qps, size_t count) const
 void
 assignPriorityClasses(QueryTrace& trace, uint32_t classes, uint64_t seed)
 {
-    drs_assert(classes >= 1, "need at least one priority class");
+    validatePriorityClassCount(classes);
     for (Query& q : trace)
         q.priorityClass =
-            static_cast<uint32_t>(mix64(q.id ^ seed) % classes);
+            static_cast<uint16_t>(mix64(q.id ^ seed) % classes);
+}
+
+void
+validatePriorityClassCount(uint64_t classes)
+{
+    if (classes < 1 || classes > kMaxPriorityClasses)
+        drs_fatal("priority class count ", classes, " is outside 1..",
+                  kMaxPriorityClasses);
 }
 
 double

@@ -146,7 +146,8 @@ std::vector<size_t> splitCountByFraction(
 class MixedTraceTemplate
 {
   public:
-    /** @p fractions must be non-negative and sum to 1 (±1e-9). */
+    /** @p fractions must be non-negative and sum to 1 (±1e-9), and
+     *  number at most kMaxMixModels. */
     MixedTraceTemplate(const LoadSpec& base,
                        const std::vector<double>& fractions);
 
@@ -188,6 +189,12 @@ class MixedTraceTemplate
  */
 void assignPriorityClasses(QueryTrace& trace, uint32_t classes,
                            uint64_t seed);
+
+/**
+ * Fatal unless @p classes is a usable priority-class count: 1 through
+ * kMaxPriorityClasses, so every class fits Query::priorityClass.
+ */
+void validatePriorityClassCount(uint64_t classes);
 
 /**
  * The client-side re-timer of a dropped query: how long a client

@@ -667,5 +667,43 @@ TEST(AdmissionDiff, RetryAndPriorityDecisionsBitwiseAcrossThreadCounts)
     }
 }
 
+// ----------------------------------------- 16-bit priority classes
+
+TEST(AdmissionDeath, PriorityClassCountOutsideSixteenBitsIsAConfigError)
+{
+    const ClusterConfig cfg = tier(2);
+    for (uint32_t classes : {0u, kMaxPriorityClasses + 1}) {
+        SCOPED_TRACE(classes);
+        OverloadConfig overload = deadlinePolicy();
+        overload.priorityClasses = classes;
+        overload.priorityMargin = 0.0;
+        EXPECT_EXIT(AdmissionController(overload, cfg.machines),
+                    ::testing::ExitedWithCode(1), "outside 1..65536");
+        EXPECT_EXIT(ClusterSimulator{tier(2, overload)},
+                    ::testing::ExitedWithCode(1), "outside 1..65536");
+        QueryTrace trace = makeTrace(10, 100.0);
+        EXPECT_EXIT(assignPriorityClasses(trace, classes, 1),
+                    ::testing::ExitedWithCode(1), "outside 1..65536");
+    }
+}
+
+TEST(Admission, WidestPriorityClassCountFitsEveryQuery)
+{
+    QueryTrace trace = makeTrace(2000, 100.0);
+    assignPriorityClasses(trace, kMaxPriorityClasses, 0xc1a55);
+    // Classes are hash % 65536: all 16 bits in use, none truncated.
+    uint16_t top = 0;
+    for (const Query& q : trace)
+        top = std::max(top, q.priorityClass);
+    EXPECT_GT(top, 60000u);
+    OverloadConfig overload = deadlinePolicy();
+    overload.priorityClasses = kMaxPriorityClasses;
+    overload.priorityMargin = 0.0;
+    const ClusterResult r = ClusterSimulator(tier(2, overload))
+                                .run(trace, {RoutingKind::RoundRobin, 0, 0});
+    EXPECT_EQ(r.overload.perClass.size(), kMaxPriorityClasses);
+    EXPECT_EQ(r.overload.offered, trace.size());
+}
+
 } // namespace
 } // namespace deeprecsys

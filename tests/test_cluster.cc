@@ -257,5 +257,17 @@ TEST(ClusterQps, DeterministicAcrossCalls)
     EXPECT_DOUBLE_EQ(a, b);
 }
 
+TEST(ClusterConfigDeath, MoreMachinesThanSixteenBitIdsIsAConfigError)
+{
+    // ClusterResult::partMachinesOfQuery stores machine ids in 16 bits.
+    EXPECT_EXIT(
+        {
+            ClusterConfig cfg;
+            cfg.machines.assign(kMaxClusterMachines + 1, cpuMachine());
+            validateClusterConfig(cfg, "cluster");
+        },
+        ::testing::ExitedWithCode(1), "65537 machines exceed the 65536");
+}
+
 } // namespace
 } // namespace deeprecsys

@@ -183,6 +183,29 @@ TEST(ColocationDeath, EmptyMixTableSpaceIsAConfigError)
                 ::testing::ExitedWithCode(1), "non-empty model mix");
 }
 
+TEST(ColocationDeath, MixBeyondSixteenBitModelIdsIsAConfigError)
+{
+    const std::vector<double> fractions(
+        kMaxMixModels + 1, 1.0 / static_cast<double>(kMaxMixModels + 1));
+    EXPECT_EXIT(MixedTraceTemplate(mixLoad(), fractions),
+                ::testing::ExitedWithCode(1),
+                "a mix of 65537 models exceeds the 65536");
+    EXPECT_EXIT(
+        {
+            ClusterConfig cfg;
+            cfg.machines.push_back(colocatedMachine(
+                {mixEntry(ModelId::DlrmRmc1, 1.0, 64)},
+                CpuPlatform::skylake()));
+            cfg.modelMix.assign(
+                kMaxMixModels + 1,
+                mixEntry(ModelId::DlrmRmc1,
+                         1.0 / static_cast<double>(kMaxMixModels + 1), 64));
+            validateClusterConfig(cfg, "cluster");
+        },
+        ::testing::ExitedWithCode(1),
+        "cluster: a mix of 65537 models exceeds the 65536");
+}
+
 // ------------------------------------------------- engine-level batch
 
 TEST(Colocation, NoCrossModelBatchEverForms)

@@ -5,7 +5,9 @@
  * contiguous within a chunk, that later appends never move; heap use
  * is the content plus under one chunk; operator[] and iteration yield
  * the same rows by value; equality is row-wise; and an out-of-range
- * row or a row longer than a chunk panics.
+ * row or a row longer than a chunk panics. A book with narrow storage
+ * (16-bit elements yielded as uint32_t) round-trips its values, counts
+ * 2-byte elements, and panics on a value that does not fit.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "base/flat_book.hh"
@@ -127,6 +130,74 @@ TEST(FlatBook, EqualityIsRowWise)
     // Same elements, different row boundaries.
     EXPECT_NE(bookOf({{1, 2}, {3}}), bookOf({{1}, {2, 3}}));
     EXPECT_NE(bookOf({{1}}), bookOf({{1}, {}}));
+}
+
+using NarrowBook = FlatBook<uint16_t, uint32_t>;
+
+NarrowBook
+narrowBookOf(const Rows& rows)
+{
+    NarrowBook book;
+    book.reserveRows(rows.size());
+    for (const std::vector<uint32_t>& row : rows)
+        book.appendRow(row);
+    return book;
+}
+
+TEST(FlatBookNarrow, ValuesRoundTripThroughTwoByteStorage)
+{
+    const Rows rows = {{0, 65535}, {}, {1, 40000, 7}, {65534}};
+    const NarrowBook book = narrowBookOf(rows);
+    ASSERT_EQ(book.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); i++) {
+        EXPECT_EQ(book[i], rows[i]) << "row " << i;
+        const std::span<const uint16_t> stored = book.row(i);
+        EXPECT_TRUE(std::ranges::equal(stored, rows[i])) << "row " << i;
+    }
+    // Rows still sit back to back, two bytes per element.
+    EXPECT_EQ(book.row(2).data(), book.row(0).data() + 2);
+    EXPECT_EQ(narrowBookOf(rows), book);
+}
+
+TEST(FlatBookNarrow, IterationYieldsWideRows)
+{
+    const NarrowBook book = narrowBookOf(kRows);
+    static_assert(std::is_same_v<decltype(*book.begin()),
+                                 std::vector<uint32_t>>);
+    Rows seen;
+    for (const std::vector<uint32_t>& row : book)
+        seen.push_back(row);
+    EXPECT_EQ(seen, kRows);
+}
+
+TEST(FlatBookNarrow, BytesCountTwoByteElements)
+{
+    static_assert(NarrowBook::kChunkElems == NarrowBook::kChunkBytes / 2);
+    constexpr size_t kAppends = 100'000;
+    NarrowBook book;
+    book.reserveRows(kAppends);
+    size_t ids = 0;
+    for (uint32_t i = 0; i < kAppends; i++) {
+        const std::vector<uint32_t> row((i * 7919u) % 13, i % 65536);
+        book.appendRow(row);
+        ids += row.size();
+    }
+    const size_t content =
+        (kAppends + 1) * sizeof(uint32_t) + ids * sizeof(uint16_t);
+    EXPECT_GE(book.bytes(), content);
+    EXPECT_LE(book.bytes(), content + NarrowBook::kChunkBytes);
+    for (uint32_t i = 0; i < kAppends; i += 997) {
+        EXPECT_EQ(book[i],
+                  std::vector<uint32_t>((i * 7919u) % 13, i % 65536))
+            << "row " << i;
+    }
+}
+
+TEST(FlatBookDeath, NarrowValueOutOfRangePanics)
+{
+    NarrowBook book;
+    const std::vector<uint32_t> row = {1, 65536};
+    EXPECT_DEATH(book.appendRow(row), "does not fit a flat book element");
 }
 
 TEST(FlatBookDeath, RowOutsideTheBookPanics)

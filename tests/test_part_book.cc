@@ -251,14 +251,15 @@ TEST(PartBookDriver, StaticPeakLivePartsIsExactAndSmall)
     EXPECT_EQ(r.peakHeldQueries, 49u);
     EXPECT_LT(r.peakHeldParts * 4, r.peakLiveParts);
     EXPECT_LT(r.peakHeldQueries * 4, r.peakLiveQueries);
-    // The flat part-machine book holds one offset per query plus one
-    // and one id per part, plus under one chunk: a book that grows by
-    // doubling, or copies itself as it grows, moves this.
-    const size_t content =
-        (trace.size() + 1 + r.numParts) * sizeof(uint32_t);
-    EXPECT_EQ(r.partMachinesOfQuery.bytes(), 155076u);
+    // The flat part-machine book holds one 4-byte offset per query
+    // plus one and one 2-byte machine id per part, plus under one
+    // chunk: a book that grows by doubling, copies itself as it grows
+    // or stores wider ids moves this.
+    const size_t content = (trace.size() + 1) * sizeof(uint32_t) +
+        r.numParts * sizeof(uint16_t);
+    EXPECT_EQ(r.partMachinesOfQuery.bytes(), 89540u);
     EXPECT_LE(r.partMachinesOfQuery.bytes(),
-              content + FlatBook<uint32_t>::kChunkBytes);
+              content + decltype(r.partMachinesOfQuery)::kChunkBytes);
 }
 
 TEST(PartBookDriver, ElasticPeakLivePartsIsExactAndSmall)
@@ -652,12 +653,12 @@ hedgesOf(const obs::RunObserver& observer)
 void
 expectRowsTileParts(const ClusterResult& r, const QueryTrace& trace)
 {
-    const FlatBook<uint32_t>& book = r.partMachinesOfQuery;
+    const FlatBook<uint16_t, uint32_t>& book = r.partMachinesOfQuery;
     ASSERT_EQ(book.size(), trace.size());
     uint64_t sum = 0;
     size_t i = 0;
     for (const std::vector<uint32_t>& by_value : book) {
-        const std::span<const uint32_t> row = book.row(i);
+        const std::span<const uint16_t> row = book.row(i);
         sum += row.size();
         ASSERT_TRUE(std::ranges::equal(row, by_value)) << "row " << i;
         ASSERT_EQ(book[i], by_value) << "row " << i;
@@ -685,7 +686,7 @@ TEST(PartMachineBook, HedgedChaoticRetryTierRowsHoldEveryPart)
     ASSERT_GT(r.faults.hedged, 0u);
     EXPECT_EQ(hedges.size(), r.faults.hedged);
     for (const auto& [query, from, to] : hedges) {
-        const std::span<const uint32_t> row =
+        const std::span<const uint16_t> row =
             r.partMachinesOfQuery.row(query);
         EXPECT_NE(std::ranges::find(row, from), row.end()) << query;
         EXPECT_NE(std::ranges::find(row, to), row.end()) << query;

@@ -235,7 +235,7 @@ TEST(ShardedCluster, RoutesOnlyToHoldersAndConservesQueries)
     for (size_t i = 0; i < trace.size(); i++) {
         const std::vector<uint32_t> tables =
             tablesOfQuery(trace[i].id, cfg.sharding->tableSet);
-        const std::span<const uint32_t> machines =
+        const std::span<const uint16_t> machines =
             r.partMachinesOfQuery.row(i);
         ASSERT_FALSE(machines.empty());
         EXPECT_EQ(machines.front(), r.machineOfQuery[i]);
