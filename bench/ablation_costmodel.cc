@@ -13,6 +13,9 @@
  *  A4  PCIe transfer cost -> the GPU offload threshold (Figure 10)
  */
 
+#include <functional>
+#include <tuple>
+
 #include "bench/bench_common.hh"
 #include "costmodel/cpu_cost.hh"
 #include "costmodel/gpu_cost.hh"
@@ -53,44 +56,86 @@ tuneBatch(const CpuCostParams& params, ModelId id, double sla_ms,
     return {best_batch, best_qps};
 }
 
+/** Max QPS under @p sla_ms of RMC1 at one fixed batch size. */
+double
+qpsAtBatch(const CpuCostParams& params, size_t batch, double sla_ms)
+{
+    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
+    const CpuCostModel cost(profile, CpuPlatform::skylake(), params);
+    QpsSearchSpec spec;
+    spec.slaMs = sla_ms;
+    spec.numQueries = benchQueries;
+    SchedulerPolicy policy;
+    policy.perRequestBatch = batch;
+    SimConfig sim{cost, std::nullopt, policy, 0.05, 1.0};
+    return findMaxQps(sim, spec).maxQps;
+}
+
 } // namespace
 
 int
 main()
 {
+    // Each ablation's parameter set next to the default.
+    const CpuCostParams defaults;
+    CpuCostParams flat = defaults;
+    // Pin gather efficiency at (roughly) the unbatched level so
+    // batching no longer buys DRAM bandwidth.
+    flat.gatherHalfBatch = 1e12;
+    flat.gatherEffFloor = 0.5;
+    CpuCostParams nocontention = defaults;
+    nocontention.inclusiveContention = 0.0;
+    nocontention.exclusiveContention = 0.0;
+    nocontention.inclusiveThrashWeight = 0.0;
+    nocontention.exclusiveThrashWeight = 0.0;
+    CpuCostParams free_dispatch = defaults;
+    free_dispatch.requestOverheadS = 0.0;
+
+    // The tuning runs of A1-A3 are independent of each other, so they
+    // run as one parallel sweep before any section prints. Each yields
+    // (batch, QPS).
+    using Tuned = std::pair<size_t, double>;
+    enum Run
+    {
+        A1Default, A1Flat, A1DefaultAt8, A1FlatAt8,
+        A2Default, A2NoContention,
+        A3Default, A3FreeDispatch,
+    };
+    const std::vector<std::function<Tuned()>> runs = {
+        [&] { return tuneBatch(defaults, ModelId::DlrmRmc1, 100.0); },
+        [&] { return tuneBatch(flat, ModelId::DlrmRmc1, 100.0); },
+        [&] { return Tuned{8, qpsAtBatch(defaults, 8, 100.0)}; },
+        [&] { return Tuned{8, qpsAtBatch(flat, 8, 100.0)}; },
+        [&] {
+            return tuneBatch(defaults, ModelId::DlrmRmc3, 175.0,
+                             CpuPlatform::broadwell());
+        },
+        [&] {
+            return tuneBatch(nocontention, ModelId::DlrmRmc3, 175.0,
+                             CpuPlatform::broadwell());
+        },
+        [&] { return tuneBatch(defaults, ModelId::Ncf, 5.0); },
+        [&] { return tuneBatch(free_dispatch, ModelId::Ncf, 5.0); },
+    };
+    const std::vector<Tuned> tuned = sweepMap(
+        runs, [](const std::function<Tuned()>& run) { return run(); });
+
     // ---- A1: remove the gather batching benefit ----
     printBanner(std::cout,
                 "A1: embedding gather efficiency flat vs batched "
                 "(DLRM-RMC1, medium)");
     {
-        CpuCostParams baseline;
-        CpuCostParams flat = baseline;
-        // Pin gather efficiency at (roughly) the unbatched level so
-        // batching no longer buys DRAM bandwidth.
-        flat.gatherHalfBatch = 1e12;
-        flat.gatherEffFloor = 0.5;
         TextTable t({"gather model", "optimal batch", "QPS@opt",
                      "QPS@batch8", "batching benefit"});
-        for (const auto& [label, params] :
-             {std::pair<const char*, CpuCostParams&>{
-                  "batch-dependent (default)", baseline},
-              {"flat (ablated)", flat}}) {
-            const auto opt = tuneBatch(params, ModelId::DlrmRmc1, 100.0);
-            const ModelProfile profile =
-                ModelProfile::forModel(ModelId::DlrmRmc1);
-            const CpuCostModel cost(profile, CpuPlatform::skylake(),
-                                    params);
-            QpsSearchSpec spec;
-            spec.slaMs = 100.0;
-            spec.numQueries = benchQueries;
-            SchedulerPolicy small;
-            small.perRequestBatch = 8;
-            SimConfig sim{cost, std::nullopt, small, 0.05, 1.0};
-            const double qps8 = findMaxQps(sim, spec).maxQps;
-            t.addRow({label, std::to_string(opt.first),
-                      TextTable::num(opt.second, 0),
-                      TextTable::num(qps8, 0),
-                      TextTable::num(opt.second / qps8, 2) + "x"});
+        for (const auto& [label, opt, at8] :
+             {std::tuple{"batch-dependent (default)", A1Default,
+                         A1DefaultAt8},
+              std::tuple{"flat (ablated)", A1Flat, A1FlatAt8}}) {
+            const double qps = tuned[opt].second;
+            const double qps8 = tuned[at8].second;
+            t.addRow({label, std::to_string(tuned[opt].first),
+                      TextTable::num(qps, 0), TextTable::num(qps8, 0),
+                      TextTable::num(qps / qps8, 2) + "x"});
         }
         t.print(std::cout);
         std::cout << "The DRAM batching term is where the embedding-"
@@ -103,16 +148,8 @@ main()
                 "A2: LLC contention on vs off (DLRM-RMC3 on Broadwell, "
                 "175ms)");
     {
-        CpuCostParams baseline;
-        CpuCostParams nocontention = baseline;
-        nocontention.inclusiveContention = 0.0;
-        nocontention.exclusiveContention = 0.0;
-        nocontention.inclusiveThrashWeight = 0.0;
-        nocontention.exclusiveThrashWeight = 0.0;
-        const auto with = tuneBatch(baseline, ModelId::DlrmRmc3, 175.0,
-                                    CpuPlatform::broadwell());
-        const auto without = tuneBatch(nocontention, ModelId::DlrmRmc3,
-                                       175.0, CpuPlatform::broadwell());
+        const Tuned& with = tuned[A2Default];
+        const Tuned& without = tuned[A2NoContention];
         TextTable t({"contention model", "optimal batch", "QPS"});
         t.addRow({"inclusive-LLC thrash (default)",
                   std::to_string(with.first),
@@ -129,11 +166,8 @@ main()
     printBanner(std::cout,
                 "A3: request dispatch overhead on vs off (NCF, medium)");
     {
-        CpuCostParams baseline;
-        CpuCostParams free_dispatch = baseline;
-        free_dispatch.requestOverheadS = 0.0;
-        const auto with = tuneBatch(baseline, ModelId::Ncf, 5.0);
-        const auto without = tuneBatch(free_dispatch, ModelId::Ncf, 5.0);
+        const Tuned& with = tuned[A3Default];
+        const Tuned& without = tuned[A3FreeDispatch];
         TextTable t({"dispatch cost", "optimal batch", "QPS"});
         t.addRow({"150us/request (default)", std::to_string(with.first),
                   TextTable::num(with.second, 0)});

@@ -50,17 +50,23 @@ main()
                                TextTable::num(sla_ms, 0) + " ms)");
     TextTable scaling({"machines", "max global QPS", "QPS per machine",
                        "p99 at max (ms)", "evaluations"});
-    double one_machine_qps = 0.0;
-    for (size_t n : {1, 2, 4, 8, 16}) {
-        ClusterConfig cluster;
-        for (size_t m = 0; m < n; m++)
-            cluster.machines.push_back(cpuMachine(256));
-        ClusterQpsSpec spec;
-        spec.slaMs = sla_ms;
-        spec.routing.kind = RoutingKind::PowerOfTwoChoices;
-        const ClusterQpsResult r = findClusterMaxQps(cluster, spec);
-        if (n == 1)
-            one_machine_qps = r.maxQps;
+    // Each tier size is an independent search, so the sizes run in
+    // parallel; results come back in size order.
+    const std::vector<size_t> sizes = {1, 2, 4, 8, 16};
+    const std::vector<ClusterQpsResult> searches =
+        bench::sweepMap(sizes, [&](size_t n) {
+            ClusterConfig cluster;
+            for (size_t m = 0; m < n; m++)
+                cluster.machines.push_back(cpuMachine(256));
+            ClusterQpsSpec spec;
+            spec.slaMs = sla_ms;
+            spec.routing.kind = RoutingKind::PowerOfTwoChoices;
+            return findClusterMaxQps(cluster, spec);
+        });
+    const double one_machine_qps = searches.front().maxQps;
+    for (size_t i = 0; i < sizes.size(); i++) {
+        const size_t n = sizes[i];
+        const ClusterQpsResult& r = searches[i];
         scaling.addRow({std::to_string(n),
                         TextTable::num(r.maxQps, 0),
                         TextTable::num(r.maxQps / double(n), 0),
@@ -107,13 +113,18 @@ main()
                      "p99 at plan (ms)", "evaluations"});
     size_t worst_machines = 0;
     size_t best_machines = 0;
-    for (const Mix& mix : mixes) {
-        CapacityPlanSpec spec;
-        spec.unitMachines = mix.unit;
-        spec.targetQps = target_qps;
-        spec.slaMs = sla_ms;
-        spec.routing = mix.routing;
-        const CapacityPlan plan = planCapacity(spec);
+    const std::vector<CapacityPlan> planned =
+        bench::sweepMap(mixes, [&](const Mix& mix) {
+            CapacityPlanSpec spec;
+            spec.unitMachines = mix.unit;
+            spec.targetQps = target_qps;
+            spec.slaMs = sla_ms;
+            spec.routing = mix.routing;
+            return planCapacity(spec);
+        });
+    for (size_t i = 0; i < mixes.size(); i++) {
+        const Mix& mix = mixes[i];
+        const CapacityPlan& plan = planned[i];
         plans.addRow({mix.name,
                       plan.feasible ? std::to_string(plan.units) : "-",
                       plan.feasible ? std::to_string(plan.machines)

@@ -95,18 +95,35 @@ main(int argc, char** argv)
                     TextTable::num(total_qps, 0) +
                     " total QPS, per-model Medium SLAs)");
 
-    CapacityPlanSpec consolidated_spec;
-    consolidated_spec.unitMachines = {
-        colocatedMachine(mix, CpuPlatform::skylake())};
-    consolidated_spec.targetQps = total_qps;
-    consolidated_spec.slaMs = fleet_sla_ms;
-    consolidated_spec.modelMix = mix;
-    consolidated_spec.routing.kind = RoutingKind::PowerOfTwoChoices;
-    if (smoke) {
-        consolidated_spec.queriesPerMachine = 150;
-        consolidated_spec.minQueries = 1500;
+    // The consolidated plan first, then one dedicated plan per model.
+    // Each plan is an independent search, so they run in parallel.
+    std::vector<CapacityPlanSpec> specs(1 + mix.size());
+    specs[0].unitMachines = {colocatedMachine(mix, CpuPlatform::skylake())};
+    specs[0].targetQps = total_qps;
+    specs[0].slaMs = fleet_sla_ms;
+    specs[0].modelMix = mix;
+    for (size_t k = 0; k < mix.size(); k++) {
+        CapacityPlanSpec& spec = specs[1 + k];
+        ModelMixEntry alone = mix[k];
+        alone.trafficFraction = 1.0;
+        spec.unitMachines = {colocatedMachine({alone},
+                                              CpuPlatform::skylake())};
+        spec.targetQps = total_qps * mix[k].trafficFraction;
+        spec.slaMs = mix[k].slaMs;
     }
-    const CapacityPlan consolidated = planCapacity(consolidated_spec);
+    for (CapacityPlanSpec& spec : specs) {
+        spec.routing.kind = RoutingKind::PowerOfTwoChoices;
+        if (smoke) {
+            spec.queriesPerMachine = 150;
+            spec.minQueries = 1500;
+        }
+    }
+    const std::vector<CapacityPlan> plans =
+        bench::sweepMap(specs, [](const CapacityPlanSpec& spec) {
+            return planCapacity(spec);
+        });
+
+    const CapacityPlan& consolidated = plans[0];
     drs_assert(consolidated.feasible,
                "consolidated plan infeasible — raise maxUnits");
     drs_assert(consolidated.atPlan.perModel.size() == mix.size(),
@@ -114,19 +131,7 @@ main(int argc, char** argv)
 
     size_t dedicated_total = 0;
     for (size_t k = 0; k < mix.size(); k++) {
-        CapacityPlanSpec spec;
-        ModelMixEntry alone = mix[k];
-        alone.trafficFraction = 1.0;
-        spec.unitMachines = {colocatedMachine({alone},
-                                              CpuPlatform::skylake())};
-        spec.targetQps = total_qps * mix[k].trafficFraction;
-        spec.slaMs = mix[k].slaMs;
-        spec.routing.kind = RoutingKind::PowerOfTwoChoices;
-        if (smoke) {
-            spec.queriesPerMachine = 150;
-            spec.minQueries = 1500;
-        }
-        const CapacityPlan plan = planCapacity(spec);
+        const CapacityPlan& plan = plans[1 + k];
         drs_assert(plan.feasible, "dedicated plan infeasible");
         dedicated_total += plan.machines;
         results.addRow({"dedicated", std::to_string(plan.machines),

@@ -16,25 +16,32 @@ main()
 {
     const std::vector<uint32_t> thresholds = {1,   64,  128, 192, 256,
                                               320, 384, 512, 768, 1001};
-    for (ModelId id :
-         {ModelId::DlrmRmc1, ModelId::DlrmRmc3, ModelId::Dien}) {
-        DeepRecInfra infra(defaultInfra(id, /*gpu=*/true));
-        const double sla = infra.slaMs(SlaTier::Medium);
+    const std::vector<ModelId> models = {ModelId::DlrmRmc1,
+                                         ModelId::DlrmRmc3, ModelId::Dien};
+    // Each model tunes and sweeps independently, so the models run in
+    // parallel, and each model's threshold searches are a nested
+    // sweep; curves come back in input order.
+    const std::vector<std::vector<QpsSearchResult>> curves =
+        sweepMap(models, [&](ModelId id) {
+            DeepRecInfra infra(defaultInfra(id, /*gpu=*/true));
+            const double sla = infra.slaMs(SlaTier::Medium);
 
-        // The batch size for CPU-resident work comes from stage 1 of
-        // DeepRecSched (Section IV-C).
-        const TuningResult cpu = DeepRecSched::tuneCpu(infra, sla);
+            // The batch size for CPU-resident work comes from stage 1
+            // of DeepRecSched (Section IV-C).
+            const TuningResult cpu = DeepRecSched::tuneCpu(infra, sla);
 
-        // One independent max-QPS search per threshold, swept on the
-        // shared pool; rows print in input order.
-        const std::vector<QpsSearchResult> curve =
-            sweepMap(thresholds, [&](uint32_t t) {
+            // One independent max-QPS search per threshold.
+            return sweepMap(thresholds, [&](uint32_t t) {
                 SchedulerPolicy policy = cpu.policy;
                 policy.gpuEnabled = true;
                 policy.gpuQueryThreshold = t;
                 return infra.maxQps(policy, sla);
             });
+        });
 
+    for (size_t m = 0; m < models.size(); m++) {
+        const ModelId id = models[m];
+        const std::vector<QpsSearchResult>& curve = curves[m];
         TextTable table({"threshold", "QPS", "GPU work frac"});
         double best_qps = 0.0;
         uint32_t best_threshold = 1;

@@ -23,21 +23,37 @@ main()
         double qps = 0.0;
         double qpw = 0.0;
     };
-    // results[model][tier] per scheduler.
-    std::map<ModelId, std::map<SlaTier, Cell>> base, cpu, gpu;
+    struct Tuned
+    {
+        Cell base, cpu, gpu;
+    };
 
-    for (ModelId id : allModelIds()) {
-        DeepRecInfra cpu_infra(defaultInfra(id));
-        DeepRecInfra gpu_infra(defaultInfra(id, /*gpu=*/true));
-        for (SlaTier tier : allTiers()) {
-            const double sla = cpu_infra.slaMs(tier);
+    // Every (model, tier) cell tunes independently, so the cells run
+    // in parallel; results come back in grid order.
+    std::vector<std::pair<ModelId, SlaTier>> grid;
+    for (ModelId id : allModelIds())
+        for (SlaTier tier : allTiers())
+            grid.push_back({id, tier});
+    const std::vector<Tuned> tuned =
+        sweepMap(grid, [](const std::pair<ModelId, SlaTier>& cell) {
+            DeepRecInfra cpu_infra(defaultInfra(cell.first));
+            DeepRecInfra gpu_infra(defaultInfra(cell.first, /*gpu=*/true));
+            const double sla = cpu_infra.slaMs(cell.second);
             const TuningResult b = DeepRecSched::baseline(cpu_infra, sla);
             const TuningResult c = DeepRecSched::tuneCpu(cpu_infra, sla);
             const TuningResult g = DeepRecSched::tuneGpu(gpu_infra, sla);
-            base[id][tier] = {b.qps(), cpu_infra.qpsPerWatt(b.atBest)};
-            cpu[id][tier] = {c.qps(), cpu_infra.qpsPerWatt(c.atBest)};
-            gpu[id][tier] = {g.qps(), gpu_infra.qpsPerWatt(g.atBest)};
-        }
+            return Tuned{{b.qps(), cpu_infra.qpsPerWatt(b.atBest)},
+                         {c.qps(), cpu_infra.qpsPerWatt(c.atBest)},
+                         {g.qps(), gpu_infra.qpsPerWatt(g.atBest)}};
+        });
+
+    // results[model][tier] per scheduler.
+    std::map<ModelId, std::map<SlaTier, Cell>> base, cpu, gpu;
+    for (size_t i = 0; i < grid.size(); i++) {
+        const auto [id, tier] = grid[i];
+        base[id][tier] = tuned[i].base;
+        cpu[id][tier] = tuned[i].cpu;
+        gpu[id][tier] = tuned[i].gpu;
     }
 
     auto report = [&](const char* title, auto member) {

@@ -59,34 +59,51 @@ main()
         {ModelId::WideAndDeep, 780.0},
     };
 
-    std::vector<double> p95_ratios, p99_ratios;
-    for (const Case& c : cases) {
+    struct Row
+    {
+        size_t fixedBatch = 0;
+        size_t tunedBatch = 0;
+        double p95Fixed = 0.0, p95Tuned = 0.0;
+        double p99Fixed = 0.0, p99Tuned = 0.0;
+    };
+    // Each case tunes and simulates its fleets independently, so the
+    // cases run in parallel; rows come back in case order.
+    const std::vector<Row> rows = sweepMap(cases, [](const Case& c) {
         // Tuned batch from DeepRecSched at the medium tier.
         DeepRecInfra infra(defaultInfra(c.model));
         const TuningResult tuned_cfg =
             DeepRecSched::tuneCpu(infra, infra.slaMs(SlaTier::Medium));
-        const size_t fixed_batch = DeepRecSched::staticBaselineBatch(
+        Row row;
+        row.fixedBatch = DeepRecSched::staticBaselineBatch(
             1000, CpuPlatform::skylake().cores);
+        row.tunedBatch = tuned_cfg.policy.perRequestBatch;
 
-        const FleetResult fixed = runFleet(c.model, fixed_batch, c.qps);
-        const FleetResult tuned =
-            runFleet(c.model, tuned_cfg.policy.perRequestBatch, c.qps);
+        const FleetResult fixed = runFleet(c.model, row.fixedBatch, c.qps);
+        const FleetResult tuned = runFleet(c.model, row.tunedBatch, c.qps);
+        row.p95Fixed = fixed.tailMs(95.0);
+        row.p95Tuned = tuned.tailMs(95.0);
+        row.p99Fixed = fixed.tailMs(99.0);
+        row.p99Tuned = tuned.tailMs(99.0);
+        return row;
+    });
 
-        const double p95_ratio =
-            fixed.tailMs(95.0) / tuned.tailMs(95.0);
-        const double p99_ratio =
-            fixed.tailMs(99.0) / tuned.tailMs(99.0);
+    std::vector<double> p95_ratios, p99_ratios;
+    for (size_t i = 0; i < cases.size(); i++) {
+        const Case& c = cases[i];
+        const Row& row = rows[i];
+        const double p95_ratio = row.p95Fixed / row.p95Tuned;
+        const double p99_ratio = row.p99Fixed / row.p99Tuned;
         p95_ratios.push_back(p95_ratio);
         p99_ratios.push_back(p99_ratio);
 
         table.addRow({modelName(c.model), TextTable::num(c.qps, 0),
-                      std::to_string(fixed_batch),
-                      std::to_string(tuned_cfg.policy.perRequestBatch),
-                      TextTable::num(fixed.tailMs(95.0), 1),
-                      TextTable::num(tuned.tailMs(95.0), 1),
+                      std::to_string(row.fixedBatch),
+                      std::to_string(row.tunedBatch),
+                      TextTable::num(row.p95Fixed, 1),
+                      TextTable::num(row.p95Tuned, 1),
                       TextTable::num(p95_ratio, 2) + "x",
-                      TextTable::num(fixed.tailMs(99.0), 1),
-                      TextTable::num(tuned.tailMs(99.0), 1),
+                      TextTable::num(row.p99Fixed, 1),
+                      TextTable::num(row.p99Tuned, 1),
                       TextTable::num(p99_ratio, 2) + "x"});
     }
     table.print(std::cout);

@@ -24,10 +24,21 @@ main()
                      "CPU+GPU QPS", "threshold", "GPU work",
                      "CPU QPS/W", "CPU+GPU QPS/W", "QPS/W winner"});
 
-    for (double sla :
-         {3.0, 5.0, 8.0, 12.0, 20.0, 40.0, 60.0, 100.0, 150.0}) {
-        const TuningResult c = DeepRecSched::tuneCpu(cpu_infra, sla);
-        const TuningResult g = DeepRecSched::tuneGpu(gpu_infra, sla);
+    struct Row
+    {
+        TuningResult cpu, gpu;
+    };
+    const std::vector<double> targets = {3.0,  5.0,  8.0,   12.0, 20.0,
+                                         40.0, 60.0, 100.0, 150.0};
+    const std::vector<Row> rows = sweepMap(targets, [&](double sla) {
+        return Row{DeepRecSched::tuneCpu(cpu_infra, sla),
+                   DeepRecSched::tuneGpu(gpu_infra, sla)};
+    });
+
+    for (size_t i = 0; i < targets.size(); i++) {
+        const double sla = targets[i];
+        const TuningResult& c = rows[i].cpu;
+        const TuningResult& g = rows[i].gpu;
         const double cpw = cpu_infra.qpsPerWatt(c.atBest);
         const double gpw = gpu_infra.qpsPerWatt(g.atBest);
 

@@ -30,11 +30,16 @@
  *    baseline measured in the same process; both runs must reproduce
  *    the baseline's statistics exactly — observing a run must never
  *    change it.
- *  - `find_max_qps`, `cluster_max_qps`, `plan_capacity`,
- *    `grid_sweep`: the embarrassingly parallel search layers, each
- *    run at 1 thread and at N threads (in-process pool resize) with
- *    results checked bit-identical and the wall-clock speedup
- *    reported.
+ *  - `find_max_qps`, `cluster_max_qps`, `plan_capacity`: one search
+ *    each. A search is a serial walk on its calling thread, so each is
+ *    timed once, with no parallel column.
+ *  - `grid_sweep`, `tune_sweep`: the parallel layer — independent runs
+ *    mapped through `sweepMap`. `grid_sweep` is a fig09-style batch
+ *    grid of single simulations; `tune_sweep` is fig11's shape, the
+ *    DeepRecSched baseline, CPU and GPU tunings of every (model, tier)
+ *    cell. Each runs at 1 thread and at N threads (in-process pool
+ *    resize) with results checked bit-identical and the wall-clock
+ *    speedup reported; `combined_search_speedup` is over these two.
  *
  * Output: a table to stdout and a JSON report (default
  * BENCH_sim_perf.json) that CI archives. `--smoke` shrinks every
@@ -423,30 +428,16 @@ main(int argc, char** argv)
                   << "%\n";
     }
 
-    // ---- parallel layers: serial vs parallel wall, results must be
-    // bit-identical (the determinism contract).
-    auto timed_pair = [&](auto fn, auto& serial_out, auto& parallel_out,
-                          ScenarioReport& report) {
-        ThreadPool::setSharedThreads(1);
-        report.wallSerial = bestWall(repeats, [&] { serial_out = fn(); });
-        ThreadPool::setSharedThreads(threads);
-        report.wallParallel =
-            bestWall(repeats, [&] { parallel_out = fn(); });
-        ThreadPool::setSharedThreads(1);
-    };
-
+    // ---- searches: each one is a serial walk, timed once.
     {
         ScenarioReport report;
         report.name = "find_max_qps";
         QpsSearchSpec spec;
         spec.slaMs = 100.0;
         spec.numQueries = smoke ? 1200 : 4000;
-        QpsSearchResult serial, parallel;
-        timed_pair([&] { return findMaxQps(rmc1Machine(), spec); },
-                   serial, parallel, report);
-        report.identical = serial.maxQps == parallel.maxQps &&
-            serial.evaluations == parallel.evaluations &&
-            serial.atMax.p99Ms() == parallel.atMax.p99Ms();
+        QpsSearchResult serial;
+        report.wallSerial = bestWall(
+            repeats, [&] { serial = findMaxQps(rmc1Machine(), spec); });
         report.queries = static_cast<double>(serial.evaluations) *
             static_cast<double>(spec.numQueries);
         report.events = report.queries +
@@ -467,12 +458,9 @@ main(int argc, char** argv)
         ClusterConfig cluster;
         for (size_t m = 0; m < 8; m++)
             cluster.machines.push_back(rmc1Machine());
-        ClusterQpsResult serial, parallel;
-        timed_pair([&] { return findClusterMaxQps(cluster, spec); },
-                   serial, parallel, report);
-        report.identical = serial.maxQps == parallel.maxQps &&
-            serial.evaluations == parallel.evaluations &&
-            serial.atMax.p99Ms() == parallel.atMax.p99Ms();
+        ClusterQpsResult serial;
+        report.wallSerial = bestWall(
+            repeats, [&] { serial = findClusterMaxQps(cluster, spec); });
         report.queries = static_cast<double>(serial.evaluations) *
             static_cast<double>(spec.numQueries);
         reports.push_back(report);
@@ -490,16 +478,25 @@ main(int argc, char** argv)
         spec.queriesPerMachine = smoke ? 200 : 300;
         spec.minQueries = smoke ? 1000 : 2000;
         spec.maxUnits = 64;
-        CapacityPlan serial, parallel;
-        timed_pair([&] { return planCapacity(spec); }, serial, parallel,
-                   report);
-        report.identical = serial.units == parallel.units &&
-            serial.evaluations == parallel.evaluations &&
-            serial.atPlan.p99Ms() == parallel.atPlan.p99Ms();
+        CapacityPlan serial;
+        report.wallSerial =
+            bestWall(repeats, [&] { serial = planCapacity(spec); });
         reports.push_back(report);
         std::cout << "plan_capacity: units=" << serial.units
                   << " evaluations=" << serial.evaluations << "\n";
     }
+
+    // ---- parallel layer: serial vs parallel wall, results must be
+    // bit-identical (the determinism contract).
+    auto timed_pair = [&](auto fn, auto& serial_out, auto& parallel_out,
+                          ScenarioReport& report) {
+        ThreadPool::setSharedThreads(1);
+        report.wallSerial = bestWall(repeats, [&] { serial_out = fn(); });
+        ThreadPool::setSharedThreads(threads);
+        report.wallParallel =
+            bestWall(repeats, [&] { parallel_out = fn(); });
+        ThreadPool::setSharedThreads(1);
+    };
 
     {
         ScenarioReport report;
@@ -524,6 +521,53 @@ main(int argc, char** argv)
         report.queries =
             static_cast<double>(batches.size() * queries);
         reports.push_back(report);
+    }
+
+    {
+        ScenarioReport report;
+        report.name = "tune_sweep";
+        // fig11's shape: each (model, tier) cell tunes the baseline,
+        // DeepRecSched-CPU and DeepRecSched-GPU, cells in parallel.
+        const std::vector<ModelId> models = smoke
+            ? std::vector<ModelId>{ModelId::Ncf, ModelId::DlrmRmc1}
+            : std::vector<ModelId>{ModelId::Ncf, ModelId::WideAndDeep,
+                                   ModelId::DlrmRmc1, ModelId::DlrmRmc3};
+        std::vector<std::pair<ModelId, SlaTier>> cells;
+        for (ModelId id : models)
+            for (SlaTier tier : allTiers())
+                cells.push_back({id, tier});
+        const size_t queries = smoke ? 200 : 400;
+        auto sweep = [&] {
+            return sweepMap(cells, [&](const std::pair<ModelId, SlaTier>&
+                                           cell) {
+                InfraConfig cfg = defaultInfra(cell.first);
+                cfg.numQueries = queries;
+                const DeepRecInfra cpu_infra(cfg);
+                cfg.attachGpu = true;
+                const DeepRecInfra gpu_infra(cfg);
+                const double sla = cpu_infra.slaMs(cell.second);
+                std::vector<double> out;
+                for (const TuningResult& t :
+                     {DeepRecSched::baseline(cpu_infra, sla),
+                      DeepRecSched::tuneCpu(cpu_infra, sla),
+                      DeepRecSched::tuneGpu(gpu_infra, sla)}) {
+                    out.push_back(t.qps());
+                    out.push_back(
+                        static_cast<double>(t.policy.perRequestBatch));
+                    out.push_back(
+                        static_cast<double>(t.policy.gpuQueryThreshold));
+                    out.push_back(
+                        static_cast<double>(t.atBest.evaluations));
+                }
+                return out;
+            });
+        };
+        std::vector<std::vector<double>> serial, parallel;
+        timed_pair(sweep, serial, parallel, report);
+        report.identical = serial == parallel;
+        reports.push_back(report);
+        std::cout << "tune_sweep: " << cells.size() << " cells, "
+                  << queries << " queries per evaluation\n";
     }
 
     // ---- report
@@ -564,7 +608,7 @@ main(int argc, char** argv)
     const double combined = search_parallel > 0.0
         ? search_serial / search_parallel
         : 1.0;
-    std::cout << "\ncombined search/plan/sweep speedup at "
+    std::cout << "\ncombined sweep speedup at "
               << threads << " threads: "
               << TextTable::num(combined, 2) << "x"
               << (all_identical

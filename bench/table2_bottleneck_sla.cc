@@ -58,7 +58,9 @@ main()
                      "Measured dominant op", "SLA low (ms)",
                      "SLA medium (ms)", "SLA high (ms)"});
 
-    for (ModelId id : allModelIds()) {
+    // Each model is built and measured independently, so the models
+    // run in parallel; rows come back in model order.
+    const auto rows = bench::sweepMap(allModelIds(), [](ModelId id) {
         const ModelConfig cfg = modelConfig(id);
         const ModelProfile p = ModelProfile::forModel(id);
 
@@ -68,13 +70,15 @@ main()
         Rng rng(29);
         const OperatorStats stats = model.measureBreakdown(64, 2, rng);
 
-        table.addRow({cfg.name, paperBottleneck(id),
-                      modeledBottleneck(p),
-                      opClassName(stats.dominant()),
-                      TextTable::num(slaTargetMs(cfg, SlaTier::Low), 1),
-                      TextTable::num(slaTargetMs(cfg, SlaTier::Medium), 1),
-                      TextTable::num(slaTargetMs(cfg, SlaTier::High), 1)});
-    }
+        return std::vector<std::string>{
+            cfg.name, paperBottleneck(id), modeledBottleneck(p),
+            opClassName(stats.dominant()),
+            TextTable::num(slaTargetMs(cfg, SlaTier::Low), 1),
+            TextTable::num(slaTargetMs(cfg, SlaTier::Medium), 1),
+            TextTable::num(slaTargetMs(cfg, SlaTier::High), 1)};
+    });
+    for (const std::vector<std::string>& row : rows)
+        table.addRow(row);
     table.print(std::cout);
     return 0;
 }

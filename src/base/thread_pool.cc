@@ -1,86 +1,21 @@
 #include "thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 
 #include "base/logging.hh"
 
 namespace deeprecsys {
 
-namespace detail {
+namespace {
 
-bool
-TaskStateBase::tryRun()
-{
-    std::function<void()> claimed;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (status != TaskStatus::Pending)
-            return false;
-        status = TaskStatus::Running;
-        claimed = std::move(body);
-        body = nullptr;
-    }
-    std::exception_ptr thrown;
-    try {
-        claimed();
-    } catch (...) {
-        thrown = std::current_exception();
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        error = thrown;
-        status = TaskStatus::Done;
-    }
-    cv.notify_all();
-    return true;
-}
+/** Largest DRS_THREADS value accepted. */
+constexpr size_t kMaxThreads = 1024;
 
-void
-TaskStateBase::waitFinished()
-{
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] {
-        return status == TaskStatus::Done ||
-               status == TaskStatus::Cancelled;
-    });
-    drs_assert(status == TaskStatus::Done,
-               "waited on a cancelled task");
-}
-
-bool
-TaskStateBase::cancelIfPending()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    if (status != TaskStatus::Pending)
-        return false;
-    status = TaskStatus::Cancelled;
-    body = nullptr;
-    return true;
-}
-
-void
-TaskStateBase::cancelOrWait()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        switch (status) {
-          case TaskStatus::Pending:
-            status = TaskStatus::Cancelled;
-            body = nullptr;
-            return;
-          case TaskStatus::Done:
-          case TaskStatus::Cancelled:
-            return;   // already settled (repeat discards are no-ops)
-          case TaskStatus::Running:
-            break;    // wait below: captures must outlive the body
-        }
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return status == TaskStatus::Done; });
-}
-
-} // namespace detail
+} // namespace
 
 ThreadPool::ThreadPool(size_t threads)
 {
@@ -105,18 +40,28 @@ ThreadPool::~ThreadPool()
 size_t
 ThreadPool::defaultThreadCount()
 {
-    if (const char* env = std::getenv("DRS_THREADS")) {
-        char* end = nullptr;
-        const unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end != env && parsed >= 1 && parsed <= 1024)
-            return static_cast<size_t>(parsed);
-        if (end != env && parsed == 0)
-            ; // fall through to hardware concurrency
-        else if (env[0] != '\0')
-            drs_warn("ignoring unparseable DRS_THREADS=", env);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? hw : 1;
+    const size_t hardware = hw >= 1 ? hw : 1;
+    const char* env = std::getenv("DRS_THREADS");
+    if (env == nullptr || env[0] == '\0')
+        return hardware;
+    size_t parsed = 0;
+    for (const char* c = env; *c != '\0'; c++) {
+        if (*c < '0' || *c > '9') {
+            drs_warn("ignoring DRS_THREADS=", env,
+                     ": not a decimal number");
+            return hardware;
+        }
+        // Saturate past the limit so long digit strings cannot wrap.
+        parsed = std::min(parsed * 10 + static_cast<size_t>(*c - '0'),
+                          kMaxThreads + 1);
+    }
+    if (parsed > kMaxThreads) {
+        drs_warn("ignoring DRS_THREADS=", env, ": above the limit of ",
+                 kMaxThreads);
+        return hardware;
+    }
+    return parsed == 0 ? hardware : parsed;
 }
 
 namespace {
@@ -144,32 +89,20 @@ ThreadPool::setSharedThreads(size_t threads)
 }
 
 void
-ThreadPool::enqueue(std::shared_ptr<detail::TaskStateBase> task)
-{
-    if (workers.empty())
-        return;   // serial pool: the task runs inline at its get()
-    {
-        std::lock_guard<std::mutex> lock(queueMu);
-        queue.push_back(std::move(task));
-    }
-    queueCv.notify_one();
-}
-
-void
 ThreadPool::workerLoop()
 {
     for (;;) {
-        std::shared_ptr<detail::TaskStateBase> task;
+        std::function<void()> job;
         {
             std::unique_lock<std::mutex> lock(queueMu);
             queueCv.wait(lock,
                          [this] { return stopping || !queue.empty(); });
             if (queue.empty())
                 return;   // stopping with nothing left to drain
-            task = std::move(queue.front());
+            job = std::move(queue.front());
             queue.pop_front();
         }
-        task->tryRun();   // no-op if a get() already stole it
+        job();
     }
 }
 
@@ -185,59 +118,64 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)>& fn)
         return;
     }
 
-    // Shared claim counter: every participant (workers via helper
-    // tasks, plus this thread) grabs the next unclaimed index. Helper
-    // count never exceeds the iteration count, and each helper loops
-    // until the range drains, so scheduling order cannot change which
-    // indices run — only who runs them.
-    struct Sweep
+    // One loop's shared state. Every participant (queued helper jobs,
+    // plus this thread) claims the next index from one counter, so
+    // scheduling order cannot change which indices run — only who
+    // runs them. A helper that starts after the counter ran out reads
+    // nothing but this shared-owned state, never fn, so fn may go out
+    // of scope as soon as every claimed index is done.
+    struct Loop
     {
         std::atomic<size_t> next{0};
-        size_t total;
-        const std::function<void(size_t)>* fn;
+        size_t total = 0;
+        const std::function<void(size_t)>* fn = nullptr;
         std::mutex mu;
+        std::condition_variable finished;
+        size_t done = 0;
         std::exception_ptr firstError;
-        size_t firstErrorIndex;
+        size_t firstErrorIndex = 0;
     };
-    auto sweep = std::make_shared<Sweep>();
-    sweep->total = n;
-    sweep->fn = &fn;
-    sweep->firstErrorIndex = n;
+    auto loop = std::make_shared<Loop>();
+    loop->total = n;
+    loop->fn = &fn;
+    loop->firstErrorIndex = n;
 
-    auto drain = [](Sweep& s) {
+    auto drain = [](Loop& l) {
         for (;;) {
-            const size_t i = s.next.fetch_add(1);
-            if (i >= s.total)
+            const size_t i = l.next.fetch_add(1);
+            if (i >= l.total)
                 return;
+            std::exception_ptr error;
             try {
-                (*s.fn)(i);
+                (*l.fn)(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(s.mu);
-                if (i < s.firstErrorIndex) {
-                    s.firstError = std::current_exception();
-                    s.firstErrorIndex = i;
-                }
+                error = std::current_exception();
             }
+            std::lock_guard<std::mutex> lock(l.mu);
+            if (error && i < l.firstErrorIndex) {
+                l.firstError = error;
+                l.firstErrorIndex = i;
+            }
+            if (++l.done == l.total)
+                l.finished.notify_all();
         }
     };
 
     const size_t helpers = std::min(workers.size(), n - 1);
-    std::vector<TaskFuture<int>> futures;
-    futures.reserve(helpers);
-    for (size_t h = 0; h < helpers; h++) {
-        futures.push_back(submit([sweep, drain] {
-            drain(*sweep);
-            return 0;
-        }));
+    {
+        std::lock_guard<std::mutex> lock(queueMu);
+        for (size_t h = 0; h < helpers; h++)
+            queue.emplace_back([loop, drain] { drain(*loop); });
     }
-    drain(*sweep);
-    // Helpers either never started (cancel is then free — the range
-    // is already drained) or must finish before fn and the caller's
-    // captures go out of scope.
-    for (TaskFuture<int>& future : futures)
-        future.get();
-    if (sweep->firstError)
-        std::rethrow_exception(sweep->firstError);
+    queueCv.notify_all();
+    drain(*loop);
+
+    // Every index is claimed; wait out the ones other threads are
+    // still running (never a queued job, so nesting cannot deadlock).
+    std::unique_lock<std::mutex> lock(loop->mu);
+    loop->finished.wait(lock, [&] { return loop->done == loop->total; });
+    if (loop->firstError)
+        std::rethrow_exception(loop->firstError);
 }
 
 } // namespace deeprecsys

@@ -1,33 +1,30 @@
 /**
  * @file
- * Fixed-size thread pool with speculative-task futures — the parallel
- * runtime under every embarrassingly parallel layer of the repo (QPS
- * searches, the capacity planner, the bench sweep helpers).
+ * Fixed-size thread pool — the parallel runtime under the repo's
+ * embarrassingly parallel layers: the bench sweeps (`bench::sweepMap`)
+ * and any caller that maps a function over independent runs.
  *
  * Design constraints, in priority order:
  *
- *  1. **Determinism.** Callers consume task results in a fixed order
- *     they choose; the pool never reorders or merges results. Every
- *     parallel layer built on it is therefore bit-identical to its
- *     serial execution at any thread count (the contract
- *     tests/test_parallel_diff.cc enforces).
- *  2. **Lazy speculation.** submit() does not force execution: with no
- *     workers (DRS_THREADS=1) a task runs inline on the first get(),
- *     and a cancel() before that is free. Speculative evaluation
- *     frontiers (e.g. three bisection midpoints per generation) cost
- *     nothing extra at one thread and cut the critical path at many.
- *  3. **Deadlock freedom.** get() on a task nobody started *steals* it
- *     and runs it inline, so a worker may submit and await tasks
- *     (nested parallelism) without ever blocking on an idle queue.
+ *  1. **Determinism.** parallelMap returns results in index order,
+ *     never completion order. Every parallel layer built on it is
+ *     therefore bit-identical to its serial execution at any thread
+ *     count (the contract tests/test_parallel_diff.cc enforces).
+ *  2. **Deadlock freedom under nesting.** parallelFor queues plain
+ *     helper jobs that drain one shared index counter, and the caller
+ *     drains the same counter. The caller then waits only for indices
+ *     some thread has already claimed and is running, never for a
+ *     queued job, so a parallelFor body may itself call parallelFor.
  *
  * Thread count comes from DRS_THREADS (unset or 0 means hardware
  * concurrency; 1 means fully serial: no worker threads are created and
- * all execution is inline on the calling thread). Exceptions thrown by
- * a task are captured and re-thrown from get().
+ * all execution is inline on the calling thread).
  *
- * Where parallelism must NOT live: inside one simulation run. A
- * discrete-event simulation is a serial dependence chain; the pool
- * parallelizes across *independent runs* only.
+ * Where parallelism must NOT live: inside one simulation run, or
+ * inside one search. A discrete-event simulation is a serial
+ * dependence chain, and a search's next candidate depends on the last
+ * one's verdict; the pool parallelizes across *independent runs*
+ * only (see sim/rate_search.hh).
  */
 
 #ifndef DRS_BASE_THREAD_POOL_HH
@@ -35,111 +32,18 @@
 
 #include <condition_variable>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace deeprecsys {
 
-namespace detail {
-
-/** Lifecycle of one submitted task. */
-enum class TaskStatus
-{
-    Pending,    ///< not yet claimed: a worker or a get() may run it
-    Running,    ///< some thread is executing the body
-    Done,       ///< finished; value (or error) is available
-    Cancelled,  ///< cancelled before anybody claimed it; never runs
-};
-
-/** Type-erased shared state between a TaskFuture and the pool. */
-struct TaskStateBase
-{
-    std::mutex mu;
-    std::condition_variable cv;
-    TaskStatus status = TaskStatus::Pending;
-    std::function<void()> body;   ///< runs + stores result; cleared after
-    std::exception_ptr error;
-
-    /**
-     * Claim-and-run protocol shared by workers and stealing get()
-     * calls: returns false when the task was already claimed.
-     */
-    bool tryRun();
-
-    /** Block until the task leaves the Running state. */
-    void waitFinished();
-
-    /** Cancel if still Pending; returns true when the body never ran. */
-    bool cancelIfPending();
-
-    /** Discard semantics: cancel a Pending body, wait out a Running
-     *  one, and treat Done/Cancelled as already settled. */
-    void cancelOrWait();
-};
-
-} // namespace detail
-
-class ThreadPool;
-
 /**
- * Handle to one submitted task. get() yields the result, running the
- * task inline if no worker claimed it yet; cancel() discards an
- * unclaimed task for free. Handles are movable and share state with
- * the pool, so dropping one never dangles a running task.
- */
-template <typename R>
-class TaskFuture
-{
-  public:
-    TaskFuture() = default;
-
-    /**
-     * The task's result. Runs the body inline when still unclaimed
-     * (lazy/serial path), waits when a worker is mid-execution, and
-     * re-throws any exception the body raised.
-     */
-    R&
-    get()
-    {
-        state->tryRun();          // steal if nobody claimed it
-        state->waitFinished();
-        if (state->error)
-            std::rethrow_exception(state->error);
-        return **value;
-    }
-
-    /**
-     * Drop the task without consuming its result: a still-pending
-     * body never runs (free speculation); a body some worker already
-     * started is waited out, because its captures may not outlive the
-     * caller. Errors are swallowed. Idempotent, and a no-op on a
-     * default-constructed future; get() after discard() is invalid.
-     */
-    void
-    discard()
-    {
-        if (state)
-            state->cancelOrWait();
-    }
-
-  private:
-    friend class ThreadPool;
-
-    std::shared_ptr<detail::TaskStateBase> state;
-    std::shared_ptr<std::optional<R>> value;
-};
-
-/**
- * Fixed pool of worker threads fed from one FIFO task queue. With
- * thread count 1 the pool spawns no workers at all and every task runs
- * inline at its get() — the fully serial path.
+ * Fixed pool of worker threads fed from one FIFO job queue. With
+ * thread count 1 the pool spawns no workers at all and every loop runs
+ * inline on the calling thread — the fully serial path.
  */
 class ThreadPool
 {
@@ -147,9 +51,8 @@ class ThreadPool
     /** @param threads executor count; 0 picks defaultThreadCount(). */
     explicit ThreadPool(size_t threads = 0);
 
-    /** Joins the workers (queued-but-unclaimed tasks are abandoned
-     *  only if every future was dropped; pending get()s still run
-     *  them inline). */
+    /** Runs the jobs still queued (they find their loops drained),
+     *  then joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -162,8 +65,9 @@ class ThreadPool
     size_t threadCount() const { return workers.size() + 1; }
 
     /**
-     * DRS_THREADS environment override, else hardware concurrency
-     * (minimum 1).
+     * DRS_THREADS when it is a decimal from 0 to 1024 (0 means the
+     * hardware count), else — with a warning naming the reason — the
+     * hardware concurrency (minimum 1).
      */
     static size_t defaultThreadCount();
 
@@ -179,25 +83,6 @@ class ThreadPool
      * is in flight.
      */
     static void setSharedThreads(size_t threads);
-
-    /**
-     * Submit one task. The body runs at most once: on a worker, or
-     * inline at the future's get() — whichever claims it first.
-     */
-    template <typename Fn, typename R = std::invoke_result_t<Fn&>>
-    TaskFuture<R>
-    submit(Fn fn)
-    {
-        TaskFuture<R> future;
-        future.state = std::make_shared<detail::TaskStateBase>();
-        future.value = std::make_shared<std::optional<R>>();
-        auto* state = future.state.get();
-        state->body = [fn = std::move(fn), value = future.value]() mutable {
-            value->emplace(fn());
-        };
-        enqueue(future.state);
-        return future;
-    }
 
     /**
      * Run fn(0..n-1) to completion, the calling thread participating.
@@ -222,15 +107,12 @@ class ThreadPool
     }
 
   private:
-    /** Hand a task to the workers (no-op queue when serial). */
-    void enqueue(std::shared_ptr<detail::TaskStateBase> task);
-
     void workerLoop();
 
     std::vector<std::thread> workers;
     std::mutex queueMu;
     std::condition_variable queueCv;
-    std::deque<std::shared_ptr<detail::TaskStateBase>> queue;
+    std::deque<std::function<void()>> queue;
     bool stopping = false;
 };
 

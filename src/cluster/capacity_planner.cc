@@ -70,74 +70,55 @@ planCapacity(const CapacityPlanSpec& spec)
 
     // The query population is drawn once and re-timed per candidate
     // (bit-identical to regenerating); larger tiers consume a longer
-    // prefix. ensure() only ever runs on this thread, between
-    // generations — materialize() is what the workers share. A
-    // multi-model plan draws the mixed trace instead (per-model
-    // substreams merged by arrival).
+    // prefix. A multi-model plan draws the mixed trace instead
+    // (per-model substreams merged by arrival).
     LoadSpec load = spec.load;
     load.qps = spec.targetQps;
     TraceTemplate trace_template(load);
     MixedTraceTemplate mixed_template(
         load, mixOn ? mixFractions(spec.modelMix)
                     : std::vector<double>{1.0});
-    auto trace_length = [&](size_t units) {
-        return std::max(spec.minQueries,
-                        spec.queriesPerMachine * units *
-                            spec.unitMachines.size());
-    };
 
-    // Evaluate one candidate unit count end-to-end. Thread-safe: pure
-    // function of (spec, units) given a pre-drawn template.
-    auto evaluate = [&](size_t units)
-        -> std::pair<ClusterResult, bool> {
+    // Evaluate one candidate unit count end-to-end: infeasible counts
+    // raise lo, feasible ones lower hi. Returns whether it met the SLA.
+    size_t lo = 0;           // largest count proven infeasible
+    size_t hi = 0;           // smallest count proven feasible
+    ClusterResult atHi;
+    auto feasible = [&](size_t units) {
+        plan.evaluations++;
         ClusterConfig cluster = clusterOfUnits(spec, units);
         cluster.network = spec.network;
         cluster.modelMix = spec.modelMix;
         if (sharded) {
             std::optional<ShardPlacement> placement = placement_for(units);
-            if (!placement.has_value())
-                return {ClusterResult{}, false};  // memory infeasible
+            if (!placement.has_value()) {
+                lo = units;   // memory infeasible
+                return false;
+            }
             cluster.sharding =
                 ShardingConfig{std::move(*placement), spec.tableSet};
         }
-        const QueryTrace trace = mixOn
-            ? mixed_template.materialize(spec.targetQps,
-                                         trace_length(units))
-            : trace_template.materialize(spec.targetQps,
-                                         trace_length(units));
+        const size_t queries = std::max(
+            spec.minQueries,
+            spec.queriesPerMachine * units * spec.unitMachines.size());
+        QueryTrace trace;
+        if (mixOn) {
+            mixed_template.ensure(queries);
+            trace = mixed_template.materialize(spec.targetQps, queries);
+        } else {
+            trace_template.ensure(queries);
+            trace = trace_template.materialize(spec.targetQps, queries);
+        }
         ClusterResult r =
             ClusterSimulator(cluster).run(trace, spec.routing);
-        const bool meets = r.tailMs(spec.percentile) <= spec.slaMs &&
-            meetsPerModelSla(r, spec.modelMix, spec.percentile);
-        return {std::move(r), meets};
-    };
-
-    // Consume a generation of candidate counts ascending (the shared
-    // speculative primitive of sim/rate_search.hh): infeasible counts
-    // raise lo, the first feasible count becomes hi and stops the
-    // generation. Deterministic at any thread count.
-    size_t lo = 0;           // largest count proven infeasible
-    size_t hi = 0;           // smallest count proven feasible
-    ClusterResult atHi;
-    bool found = false;
-    auto consume = [&](const std::vector<size_t>& counts) {
-        if (mixOn)
-            mixed_template.ensure(trace_length(counts.back()));
-        else
-            trace_template.ensure(trace_length(counts.back()));
-        consumeGeneration(
-            counts, evaluate,
-            [&](size_t i, std::pair<ClusterResult, bool>& point) {
-                plan.evaluations++;
-                if (!point.second) {
-                    lo = counts[i];
-                    return false;
-                }
-                hi = counts[i];
-                atHi = std::move(point.first);
-                found = true;
-                return true;   // smallest feasible count this round
-            });
+        if (r.tailMs(spec.percentile) > spec.slaMs ||
+            !meetsPerModelSla(r, spec.modelMix, spec.percentile)) {
+            lo = units;
+            return false;
+        }
+        hi = units;
+        atHi = std::move(r);
+        return true;
     };
 
     // Memory floor first: the smallest unit count whose placement is
@@ -165,36 +146,27 @@ planCapacity(const CapacityPlanSpec& spec)
         plan.minUnitsForMemory = memory_floor;
     }
 
-    // Geometric probe for the first feasible unit count, speculating
-    // up to three rungs per generation.
-    constexpr size_t width = 3;
+    // Geometric probe for the first feasible unit count.
     lo = memory_floor - 1;
-    size_t rung = memory_floor;
-    while (!found) {
-        std::vector<size_t> rungs;
-        for (size_t j = 0; j < width; j++) {
-            rungs.push_back(rung);
-            if (rung >= spec.maxUnits)
-                break;
-            rung = std::min(2 * rung, spec.maxUnits);
-        }
-        consume(rungs);
-        if (!found && rungs.back() >= spec.maxUnits)
+    for (size_t rung = memory_floor; !feasible(rung);
+         rung = std::min(2 * rung, spec.maxUnits)) {
+        if (rung >= spec.maxUnits)
             return plan;    // infeasible within the unit budget
     }
 
-    // Bisect (lo infeasible, hi feasible] for the minimal count with
-    // a speculative midpoint frontier.
+    // Bisect (lo infeasible, hi feasible] for the minimal count, each
+    // step walking its midpoint ladder up to the first feasible count.
     while (hi - lo > 1) {
-        std::vector<size_t> mids;
-        for (size_t j = 1; j <= width; j++) {
-            const size_t mid = lo + (hi - lo) * j / (width + 1);
-            if (mid > lo && mid < hi &&
-                (mids.empty() || mid > mids.back()))
-                mids.push_back(mid);
+        const size_t width = hi - lo;
+        const std::vector<size_t> mids =
+            bisectionLadder(lo, hi, [width](size_t j) {
+                return width * j / (kBisectionMidpoints + 1);
+            });
+        drs_assert(!mids.empty(), "empty bisection step");
+        for (size_t mid : mids) {
+            if (feasible(mid))
+                break;
         }
-        drs_assert(!mids.empty(), "empty bisection generation");
-        consume(mids);   // every consumed midpoint moves lo or hi
     }
 
     plan.feasible = true;

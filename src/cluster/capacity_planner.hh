@@ -99,8 +99,7 @@ struct CapacityPlan
     size_t machines = 0;        ///< units * unit size
     ClusterResult atPlan;       ///< cluster stats at the plan point
 
-    /** Candidate counts the plan consumed (thread-count independent;
-     *  cancelled speculative candidates never count). */
+    /** Candidate unit counts the plan evaluated. */
     size_t evaluations = 0;
 
     /**
@@ -135,9 +134,9 @@ struct CapacityPlan
 /**
  * Find the minimal number of deployable units whose cluster meets the
  * SLA at the target global rate (geometric probe, then bisection on
- * the unit count, both with a speculative candidate frontier
- * evaluated on the shared ThreadPool — see sim/rate_search.hh for the
- * pattern). Deterministic for fixed seeds at every DRS_THREADS value.
+ * the unit count with the midpoint ladder of sim/rate_search.hh),
+ * evaluating candidates in order on the calling thread. Deterministic
+ * for fixed seeds at every DRS_THREADS value.
  */
 CapacityPlan planCapacity(const CapacityPlanSpec& spec);
 

@@ -20,7 +20,9 @@
  * Units: slaMs in milliseconds, rates in queries/second. Determinism:
  * the same seeds re-time the same query population at every candidate
  * rate and the routing policy is rebuilt from its seed per
- * evaluation, so the search is reproducible bit-for-bit.
+ * evaluation, so the search is reproducible bit-for-bit. The search
+ * runs serially on the calling thread (sim/rate_search.hh); callers
+ * parallelize across independent searches.
  */
 
 #ifndef DRS_CLUSTER_CLUSTER_QPS_SEARCH_HH
@@ -56,10 +58,7 @@ struct ClusterQpsResult
     double maxQps = 0.0;        ///< 0 when the SLA is unachievable
     ClusterResult atMax;        ///< cluster stats at the found rate
 
-    /**
-     * Candidate rates the search consumed — thread-count independent
-     * (speculative candidates that were cancelled never count).
-     */
+    /** Candidate rates the search evaluated (see sim/rate_search.hh). */
     size_t evaluations = 0;
 };
 

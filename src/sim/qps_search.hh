@@ -36,20 +36,16 @@ struct QpsSearchResult
     double maxQps = 0.0;        ///< 0 when the SLA is unachievable
     SimResult atMax;            ///< simulation stats at the found rate
 
-    /**
-     * Candidate rates the search consumed — thread-count independent
-     * (speculatively evaluated-but-cancelled candidates never count;
-     * see sim/rate_search.hh).
-     */
+    /** Candidate rates the search evaluated (see sim/rate_search.hh). */
     size_t evaluations = 0;
 };
 
 /**
  * Find the maximum Poisson arrival rate at which the simulated
  * machine's tail latency meets the SLA. The query population is drawn
- * once and re-timed per candidate rate, and candidate generations are
- * evaluated speculatively on the shared ThreadPool (DRS_THREADS).
- * Deterministic: results are bit-identical at every thread count.
+ * once and re-timed per candidate rate; candidates are evaluated in
+ * order on the calling thread. Deterministic: results are
+ * bit-identical at every DRS_THREADS value.
  */
 QpsSearchResult findMaxQps(const SimConfig& sim, const QpsSearchSpec& spec);
 

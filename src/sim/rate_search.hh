@@ -2,27 +2,22 @@
  * @file
  * The one latency-bounded rate search behind findMaxQps and
  * findClusterMaxQps: geometric growth to bracket the feasible
- * boundary, then bisection with a **speculative midpoint frontier**.
+ * boundary, then bisection on a ladder of kBisectionMidpoints evenly
+ * spaced midpoints per step.
  *
- * Each generation proposes a fixed, thread-count-independent ladder of
- * candidate rates (speculativeWidth of them), submits every candidate
- * to the shared ThreadPool, and consumes the results in ascending
- * order: feasible candidates advance the lower bound, the first
- * infeasible one becomes the upper bound and the rest of the
- * generation is cancelled. Because candidates are pure functions of
- * the spec and consumption order is fixed, the search result is
- * bit-identical at every DRS_THREADS value; threads only decide
- * whether the speculated candidates run concurrently (cutting the
- * critical path ~log_{width+1} vs log_2) or lazily one-by-one with
- * free cancellation (the serial path does no wasted work).
+ * The search is serial and runs on the calling thread: each candidate
+ * is evaluated in ascending order and its verdict decides the next
+ * one. Within a bisection step, feasible midpoints advance the lower
+ * bound and the first infeasible one becomes the upper bound and ends
+ * the step. Candidates are pure functions of the spec, so the result
+ * is bit-identical at every DRS_THREADS value. Parallelism belongs one
+ * level up, across independent searches (bench::sweepMap).
  *
- * `evaluations` counts the candidates the decision rule consumed —
- * also thread-count independent. Speculated-but-cancelled candidates
- * never count (and at 1 thread never even run).
+ * `evaluations` counts every candidate evaluated.
  *
  * The two public searches used to carry private near-copies of this
- * loop and diverged once (ceiling handling, fixed in PR 3); this
- * header owns the mechanics exactly once.
+ * loop and diverged once (ceiling handling); this header owns the
+ * mechanics exactly once.
  */
 
 #ifndef DRS_SIM_RATE_SEARCH_HH
@@ -32,9 +27,31 @@
 #include <utility>
 #include <vector>
 
-#include "base/thread_pool.hh"
-
 namespace deeprecsys {
+
+/** Midpoints per bisection step: each step splits (lo, hi) into
+ *  kBisectionMidpoints + 1 equal parts, walked from the bottom. */
+inline constexpr size_t kBisectionMidpoints = 3;
+
+/**
+ * The ascending midpoints of one bisection step over (lo, hi), where
+ * mid(j) = lo + step(j) for j = 1..kBisectionMidpoints. Midpoints
+ * that do not land strictly inside the interval, or do not rise, are
+ * dropped (floating-point or integer exhaustion), so the ladder may be
+ * empty.
+ */
+template <typename T, typename Step>
+std::vector<T>
+bisectionLadder(T lo, T hi, Step step)
+{
+    std::vector<T> mids;
+    for (size_t j = 1; j <= kBisectionMidpoints; j++) {
+        const T mid = lo + step(j);
+        if (mid > lo && mid < hi && (mids.empty() || mid > mids.back()))
+            mids.push_back(mid);
+    }
+    return mids;
+}
 
 /** Shape of the growth + bisection ladder. */
 struct RateSearchKnobs
@@ -43,9 +60,6 @@ struct RateSearchKnobs
     double qpsCeiling = 2e6;    ///< search upper bound (tested exactly)
     double relTolerance = 0.02; ///< bisection termination width
     double growthStart = 64.0;  ///< first geometric rung (doubles)
-
-    /** Candidates proposed per generation (growth and bisection). */
-    size_t speculativeWidth = 3;
 };
 
 /** Outcome of a rate search over an arbitrary result type. */
@@ -54,68 +68,14 @@ struct RateSearchOutcome
 {
     double maxRate = 0.0;   ///< 0 when the SLA is unachievable
     Result atMax{};         ///< evaluation at the found rate
-    size_t evaluations = 0; ///< candidates consumed by the search
+    size_t evaluations = 0; ///< candidates evaluated by the search
 };
-
-/**
- * The one speculative-generation primitive every parallel search
- * shares (rate searches here, unit-count probes in the capacity
- * planner — keeping a single copy of the submit/consume/discard
- * mechanics so their semantics cannot diverge).
- *
- * Submits eval(candidate) for the whole generation to the shared
- * pool, then consumes results **in candidate order**, passing each to
- * visit(index, result). When visit returns true (the boundary was
- * found) the speculated remainder is discarded — pending bodies are
- * cancelled for free, started ones are waited out so their captures
- * stay alive — and the stopping index is returned; if no candidate
- * stops the scan, returns candidates.size(). Deterministic at any
- * thread count: the candidate set and consumption order never depend
- * on DRS_THREADS.
- */
-template <typename Candidate, typename Eval, typename Visit>
-size_t
-consumeGeneration(const std::vector<Candidate>& candidates,
-                  const Eval& eval, Visit visit)
-{
-    using Result = decltype(eval(candidates.front()));
-    ThreadPool& pool = ThreadPool::shared();
-    std::vector<TaskFuture<Result>> futures;
-    futures.reserve(candidates.size());
-    for (const Candidate& candidate : candidates)
-        futures.push_back(pool.submit(
-            [&eval, candidate] { return eval(candidate); }));
-
-    // Every unconsumed future must be discarded before this frame
-    // unwinds — including when eval or visit throws — because the
-    // task bodies capture eval by reference. discard() is idempotent,
-    // so settling an already-consumed future is a no-op.
-    size_t consumed = 0;
-    struct DiscardRemaining
-    {
-        std::vector<TaskFuture<Result>>& futures;
-        size_t& from;
-        ~DiscardRemaining()
-        {
-            for (size_t j = from; j < futures.size(); j++)
-                futures[j].discard();
-        }
-    } guard{futures, consumed};
-
-    for (size_t i = 0; i < candidates.size(); i++) {
-        Result& point = futures[i].get();
-        consumed = i + 1;
-        if (visit(i, point))
-            return i;   // boundary found; guard discards the rest
-    }
-    return candidates.size();
-}
 
 /**
  * Find the maximum rate whose evaluation meets the SLA.
  *
- * @param eval thread-safe pure function: rate -> {Result, meets};
- *             equal rates must give bit-identical results.
+ * @param eval pure function: rate -> {Result, meets}; equal rates
+ *             must give bit-identical results.
  */
 template <typename Result, typename Eval>
 RateSearchOutcome<Result>
@@ -123,69 +83,57 @@ findMaxRateUnderSla(const Eval& eval, const RateSearchKnobs& knobs)
 {
     RateSearchOutcome<Result> result;
 
-    // Consume a candidate generation ascending: feasible rungs
-    // advance (lo, atLo); the first infeasible rung sets hi and stops
-    // the generation (discarding the speculated remainder).
+    // Evaluate one candidate: a feasible rate advances (lo, atLo); an
+    // infeasible one sets hi. Returns whether the rate was feasible.
     double lo = 0.0;
     Result atLo{};
     double hi = 0.0;
-    auto consume = [&](const std::vector<double>& rates) -> bool {
-        const size_t stop = consumeGeneration(
-            rates, eval, [&](size_t i, std::pair<Result, bool>& point) {
-                result.evaluations++;
-                if (point.second) {
-                    lo = rates[i];
-                    atLo = std::move(point.first);
-                    return false;
-                }
-                hi = rates[i];
-                return true;   // bracket found
-            });
-        return stop < rates.size();
+    auto feasible = [&](double rate) {
+        std::pair<Result, bool> point = eval(rate);
+        result.evaluations++;
+        if (point.second) {
+            lo = rate;
+            atLo = std::move(point.first);
+        } else {
+            hi = rate;
+        }
+        return point.second;
     };
 
     // Feasibility probe: if the SLA cannot be met when the system is
     // effectively unloaded, no rate will help.
-    if (consume({knobs.qpsFloor}))
+    if (!feasible(knobs.qpsFloor))
         return result;
 
     // Exponential growth until the SLA breaks (or the ceiling).
-    double rung = std::max(knobs.growthStart, 2.0 * knobs.qpsFloor);
     bool bracketed = false;
-    while (!bracketed && rung < knobs.qpsCeiling) {
-        std::vector<double> rungs;
-        for (size_t j = 0;
-             j < knobs.speculativeWidth && rung < knobs.qpsCeiling;
-             j++, rung *= 2.0)
-            rungs.push_back(rung);
-        bracketed = consume(rungs);
-    }
-    if (!bracketed) {
-        // Every rung below the ceiling was feasible: test the ceiling
-        // itself, and bisect up to it when it fails.
-        if (!consume({knobs.qpsCeiling})) {
-            result.maxRate = knobs.qpsCeiling;
-            result.atMax = std::move(atLo);
-            return result;
-        }
+    for (double rung = std::max(knobs.growthStart, 2.0 * knobs.qpsFloor);
+         !bracketed && rung < knobs.qpsCeiling; rung *= 2.0)
+        bracketed = !feasible(rung);
+    // Every rung below the ceiling was feasible: test the ceiling
+    // itself, and bisect up to it when it fails.
+    if (!bracketed && feasible(knobs.qpsCeiling)) {
+        result.maxRate = knobs.qpsCeiling;
+        result.atMax = std::move(atLo);
+        return result;
     }
 
-    // Speculative bisection on the feasible boundary: width midpoints
-    // per generation shrink (lo, hi) by (width + 1)x per consumed
-    // generation instead of 2x.
+    // Bisection on the feasible boundary: each step walks its ladder
+    // up to the first infeasible midpoint, shrinking (lo, hi) by
+    // (kBisectionMidpoints + 1)x.
     while ((hi - lo) / hi > knobs.relTolerance) {
         const double step =
-            (hi - lo) / static_cast<double>(knobs.speculativeWidth + 1);
-        std::vector<double> mids;
-        for (size_t j = 1; j <= knobs.speculativeWidth; j++) {
-            const double mid = lo + step * static_cast<double>(j);
-            if (mid > lo && mid < hi &&
-                (mids.empty() || mid > mids.back()))
-                mids.push_back(mid);
-        }
+            (hi - lo) / static_cast<double>(kBisectionMidpoints + 1);
+        const std::vector<double> mids =
+            bisectionLadder(lo, hi, [&](size_t j) {
+                return step * static_cast<double>(j);
+            });
         if (mids.empty())
             break;   // floating-point exhaustion of the interval
-        consume(mids);   // all-feasible generations just advance lo
+        for (double mid : mids) {
+            if (!feasible(mid))
+                break;
+        }
     }
     result.maxRate = lo;
     result.atMax = std::move(atLo);

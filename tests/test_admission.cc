@@ -359,8 +359,9 @@ TEST(AdmissionCluster, ConservationWithDropsPerMachineAndFleetWide)
 
         // Degrade log: shrunken, never grown, and only when enabled.
         ASSERT_EQ(r.overload.degradedQueries.size(), r.overload.degraded);
-        if (!degrade)
+        if (!degrade) {
             EXPECT_EQ(r.overload.degraded, 0u);
+        }
         for (const DegradeRecord& rec : r.overload.degradedQueries) {
             EXPECT_EQ(rec.originalSize, trace[rec.queryIdx].size);
             EXPECT_LT(rec.servedSize, rec.originalSize);

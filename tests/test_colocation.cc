@@ -431,8 +431,8 @@ TEST(ColocationParallelDiff, ModelAwareRoutingBitwiseAcrossThreadCounts)
         EXPECT_EQ(serial_run.fleetLatencySeconds.raw(),
                   parallel_run.fleetLatencySeconds.raw());
 
-        // The speculative search consumed the same candidates and
-        // found the same rate.
+        // The search evaluated the same candidates and found the
+        // same rate.
         EXPECT_EQ(serial.maxQps, parallel.maxQps);
         EXPECT_EQ(serial.evaluations, parallel.evaluations);
         ASSERT_EQ(serial.atMax.perModel.size(),

@@ -403,10 +403,12 @@ TEST(EngineProperties, RandomizedOverloadConfigsHoldInvariants)
         EXPECT_EQ(r.overload.offered, trace.size());
         EXPECT_EQ(r.overload.dropped + r.numDispatched, trace.size());
         EXPECT_EQ(r.numCompleted, r.numDispatched);
-        if (overload.admission == AdmissionKind::None)
+        if (overload.admission == AdmissionKind::None) {
             EXPECT_EQ(r.overload.dropped, 0u);
-        if (!overload.degrade)
+        }
+        if (!overload.degrade) {
             EXPECT_EQ(r.overload.degraded, 0u);
+        }
 
         // Degraded queries shrink, never grow, and respect the floor.
         for (const DegradeRecord& rec : r.overload.degradedQueries) {

@@ -1,12 +1,13 @@
 /**
  * @file
  * Parallel-vs-serial differential tests: the determinism contract of
- * the parallel runtime. Every parallel layer — the two QPS searches,
- * the capacity planner, the bench sweep helper, and the trace
- * template the searches re-time — must produce **bit-identical**
- * results at DRS_THREADS=1 and at many threads. Threads decide only
- * whether speculative candidates run concurrently, never which
- * results the decision rules consume.
+ * the parallel runtime. The bench sweep helper maps independent runs
+ * across threads, and the two QPS searches, the capacity planner and
+ * the trace template they re-time must give the same answer whatever
+ * the shared pool's size — so every result must be **bit-identical**
+ * at DRS_THREADS=1 and at many threads. Threads decide only which
+ * thread runs a sweep's point, never which results come back or in
+ * what order.
  *
  * The shared pool is resized in-process between runs; each assertion
  * uses exact equality (EXPECT_DOUBLE_EQ / EXPECT_EQ), not tolerances.

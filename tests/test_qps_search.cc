@@ -1,11 +1,21 @@
 /**
  * @file
- * Tests for the latency-bounded max-QPS search.
+ * Tests for the latency-bounded max-QPS search and the rate search
+ * under it.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "base/thread_pool.hh"
 #include "sim/qps_search.hh"
+#include "sim/rate_search.hh"
 
 namespace deeprecsys {
 namespace {
@@ -88,6 +98,40 @@ TEST(QpsSearch, BatchSizeChangesThroughput)
     const double q_large =
         findMaxQps(rmc1Config(1024), spec(100.0)).maxQps;
     EXPECT_GT(q_large, 1.3 * q_small);
+}
+
+TEST(RateSearch, EvaluatesCandidatesInOrderOnCallingThread)
+{
+    // Even with a many-thread shared pool, one search is a serial walk
+    // on its caller: every evaluation happens on the calling thread,
+    // no rate is evaluated twice, and `evaluations` counts them all.
+    ThreadPool::setSharedThreads(8);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mu;
+    std::vector<double> rates;
+    size_t offThread = 0;
+    auto eval = [&](double rate) -> std::pair<double, bool> {
+        // Slow enough that idle workers would pick up any candidate
+        // handed to them.
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+        std::lock_guard<std::mutex> lock(mu);
+        rates.push_back(rate);
+        if (std::this_thread::get_id() != caller)
+            offThread++;
+        return {rate, rate <= 1234.5};
+    };
+    RateSearchKnobs knobs;
+    const RateSearchOutcome<double> found =
+        findMaxRateUnderSla<double>(eval, knobs);
+    ThreadPool::setSharedThreads(1);
+
+    EXPECT_EQ(offThread, 0u);
+    EXPECT_EQ(rates.size(), found.evaluations);
+    EXPECT_EQ(std::set<double>(rates.begin(), rates.end()).size(),
+              rates.size());
+    EXPECT_LE(found.maxRate, 1234.5);
+    EXPECT_GE(found.maxRate, 1234.5 * (1.0 - knobs.relTolerance));
+    EXPECT_EQ(found.atMax, found.maxRate);
 }
 
 } // namespace

@@ -1,17 +1,21 @@
 /**
  * @file
  * Unit tests for the parallel runtime: inline degeneration at one
- * thread, exception propagation, nested submits, speculative
- * cancellation, and result ordering under concurrency.
+ * thread, exception propagation, nested loops, result ordering under
+ * concurrency, and DRS_THREADS parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "base/logging.hh"
 #include "base/thread_pool.hh"
 
 namespace deeprecsys {
@@ -29,31 +33,6 @@ TEST(ThreadPool, SingleThreadRunsInlineOnCallingThread)
     });
     for (const std::thread::id& id : ran)
         EXPECT_EQ(id, caller);
-}
-
-TEST(ThreadPool, SingleThreadSubmitIsLazyUntilGet)
-{
-    ThreadPool pool(1);
-    std::atomic<int> runs{0};
-    auto future = pool.submit([&] {
-        runs++;
-        return 7;
-    });
-    EXPECT_EQ(runs.load(), 0);    // nothing runs until consumed
-    EXPECT_EQ(future.get(), 7);
-    EXPECT_EQ(runs.load(), 1);
-}
-
-TEST(ThreadPool, CancelledSpeculationNeverRunsAtOneThread)
-{
-    ThreadPool pool(1);
-    std::atomic<int> runs{0};
-    auto future = pool.submit([&] {
-        runs++;
-        return 0;
-    });
-    future.discard();
-    EXPECT_EQ(runs.load(), 0);    // free speculation on the serial path
 }
 
 TEST(ThreadPool, ParallelMapPreservesInputOrder)
@@ -94,46 +73,21 @@ TEST(ThreadPool, ExceptionPropagatesFromParallelFor)
     }
 }
 
-TEST(ThreadPool, ExceptionPropagatesFromFutureGet)
+TEST(ThreadPool, NestedParallelForCompletes)
 {
-    ThreadPool pool(2);
-    auto future = pool.submit([]() -> int {
-        throw std::logic_error("task failed");
+    // An outer body that fans out again must complete even when every
+    // worker is busy with the outer loop: each caller drains its own
+    // loop and waits only for indices already running elsewhere.
+    ThreadPool pool(4);
+    constexpr size_t kOuter = 16;
+    constexpr size_t kInner = 32;
+    std::vector<std::atomic<int>> counts(kOuter * kInner);
+    pool.parallelFor(kOuter, [&](size_t i) {
+        pool.parallelFor(kInner,
+                         [&](size_t j) { counts[i * kInner + j]++; });
     });
-    EXPECT_THROW(future.get(), std::logic_error);
-}
-
-TEST(ThreadPool, NestedSubmitDoesNotDeadlock)
-{
-    // A task that itself fans out must complete even when every
-    // worker is occupied by the outer level: get() steals unclaimed
-    // work instead of blocking on it.
-    ThreadPool pool(2);
-    const std::vector<int> outer = pool.parallelMap(8, [&](size_t i) {
-        const std::vector<int> inner = pool.parallelMap(
-            8, [&](size_t j) { return static_cast<int>(i * 8 + j); });
-        return std::accumulate(inner.begin(), inner.end(), 0);
-    });
-    int total = 0;
-    for (int v : outer)
-        total += v;
-    EXPECT_EQ(total, (64 * 63) / 2);
-}
-
-TEST(ThreadPool, GetOnUnclaimedTaskStealsInline)
-{
-    // With a saturated pool, get() must not wait for a worker.
-    ThreadPool pool(2);
-    std::atomic<bool> release{false};
-    auto blocker = pool.submit([&] {
-        while (!release.load())
-            std::this_thread::yield();
-        return 0;
-    });
-    auto quick = pool.submit([] { return 42; });
-    EXPECT_EQ(quick.get(), 42);   // steals even if queued behind blocker
-    release = true;
-    EXPECT_EQ(blocker.get(), 0);
+    for (const std::atomic<int>& c : counts)
+        EXPECT_EQ(c.load(), 1);
 }
 
 TEST(ThreadPool, DefaultThreadCountIsPositive)
@@ -148,6 +102,109 @@ TEST(ThreadPool, ParallelForZeroAndOneAreTrivial)
     std::atomic<int> runs{0};
     pool.parallelFor(1, [&](size_t) { runs++; });
     EXPECT_EQ(runs.load(), 1);
+}
+
+std::vector<std::string>&
+warnings()
+{
+    static std::vector<std::string> lines;
+    return lines;
+}
+
+void
+captureSink(const std::string& line)
+{
+    warnings().push_back(line);
+}
+
+/** Sets DRS_THREADS per test and captures the warnings it raises;
+ *  restores the variable and the log sink afterwards. */
+class DrsThreadsEnv : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (const char* env = std::getenv("DRS_THREADS"))
+            saved_ = env;
+        warnings().clear();
+        previousSink_ = setLogSink(&captureSink);
+    }
+
+    void
+    TearDown() override
+    {
+        setLogSink(previousSink_);
+        if (saved_)
+            setenv("DRS_THREADS", saved_->c_str(), 1);
+        else
+            unsetenv("DRS_THREADS");
+    }
+
+    /** defaultThreadCount() under DRS_THREADS=@p value. */
+    static size_t
+    countFor(const char* value)
+    {
+        setenv("DRS_THREADS", value, 1);
+        return ThreadPool::defaultThreadCount();
+    }
+
+    static size_t
+    hardware()
+    {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw >= 1 ? hw : 1;
+    }
+
+    std::optional<std::string> saved_;
+    LogSink previousSink_ = nullptr;
+};
+
+TEST_F(DrsThreadsEnv, AcceptsDecimalsUpToTheLimit)
+{
+    EXPECT_EQ(countFor("1"), 1u);
+    EXPECT_EQ(countFor("4"), 4u);
+    EXPECT_EQ(countFor("1024"), 1024u);
+    EXPECT_TRUE(warnings().empty());
+}
+
+TEST_F(DrsThreadsEnv, ZeroAndEmptyMeanHardwareSilently)
+{
+    EXPECT_EQ(countFor("0"), hardware());
+    EXPECT_EQ(countFor(""), hardware());
+    unsetenv("DRS_THREADS");
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), hardware());
+    EXPECT_TRUE(warnings().empty());
+}
+
+TEST_F(DrsThreadsEnv, TrailingGarbageIsRejected)
+{
+    EXPECT_EQ(countFor("4abc"), hardware());
+    ASSERT_EQ(warnings().size(), 1u);
+    EXPECT_NE(warnings()[0].find("DRS_THREADS=4abc"), std::string::npos);
+    EXPECT_NE(warnings()[0].find("not a decimal number"),
+              std::string::npos);
+}
+
+TEST_F(DrsThreadsEnv, SignsAndSpacesAreRejected)
+{
+    for (const char* value : {"-1", "+4", " 4", "4 "})
+        EXPECT_EQ(countFor(value), hardware()) << value;
+    ASSERT_EQ(warnings().size(), 4u);
+    for (const std::string& line : warnings())
+        EXPECT_NE(line.find("not a decimal number"), std::string::npos);
+}
+
+TEST_F(DrsThreadsEnv, ValuesAboveTheLimitAreRejectedAsOutOfRange)
+{
+    EXPECT_EQ(countFor("2000"), hardware());
+    EXPECT_EQ(countFor("1025"), hardware());
+    EXPECT_EQ(countFor("99999999999999999999999"), hardware());
+    ASSERT_EQ(warnings().size(), 3u);
+    for (const std::string& line : warnings()) {
+        EXPECT_NE(line.find("above the limit of 1024"), std::string::npos);
+        EXPECT_EQ(line.find("not a decimal number"), std::string::npos);
+    }
 }
 
 } // namespace
