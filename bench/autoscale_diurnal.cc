@@ -169,10 +169,9 @@ main(int argc, char** argv)
         const Autoscaler scaler(spec);
         const AutoscaleResult r = scaler.run(trace, policy);
         // Fault-free elastic runs conserve exactly: the three-way
-        // algebra (offered == completed + droppedFinal + lost) with
-        // zero drop and fault books collapses to this.
-        assertFaultConservation(r.overload, r.faults, r.numDispatched,
-                                r.numCompleted, trace.size());
+        // algebra (offered == completed + droppedFinal + lost) the
+        // driver checks, with zero drop and fault books, collapses to
+        // this.
         drs_assert(r.numDispatched == r.numCompleted &&
                        r.numDispatched == trace.size(),
                    "elastic run lost queries");
@@ -287,9 +286,6 @@ main(int argc, char** argv)
         Autoscaler scaler(spec);
         scaler.setObserver(&observer);
         const AutoscaleResult obs_r = scaler.run(obs_trace, obs_policy);
-        assertFaultConservation(obs_r.overload, obs_r.faults,
-                                obs_r.numDispatched, obs_r.numCompleted,
-                                obs_trace.size());
         drs_assert(obs_r.numDispatched == obs_r.numCompleted &&
                        obs_r.numDispatched == obs_trace.size(),
                    "observed elastic run lost queries");

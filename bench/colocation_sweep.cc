@@ -235,9 +235,6 @@ main(int argc, char** argv)
 
     for (size_t k = 0; k < pair.size(); k++) {
         const ModelStats& stats = colocated_run.perModel[k];
-        drs_assert(stats.offered ==
-                       stats.completed + stats.droppedFinal + stats.lost,
-                   "per-model conservation broken in the bench");
         results.addRow({"colocated pair", std::to_string(tier_machines),
                         modelName(pair[k].id),
                         TextTable::num(pair[k].trafficFraction, 2),

@@ -10,6 +10,19 @@
 
 namespace deeprecsys {
 
+namespace {
+
+// The fixed degrade shape (see the file comment in admission.hh).
+/** Pressure at which shrinking starts; the floor is reached at 1. */
+constexpr double kDegradeStartPressure = 0.35;
+/** Floor of the shrink as a fraction of the original size. */
+constexpr double kMinSizeFraction = 0.25;
+/** Quality weight of a degraded answer:
+ *  (servedSize / originalSize)^kQualityExponent. */
+constexpr double kQualityExponent = 1.0;
+
+} // namespace
+
 const char*
 admissionKindName(AdmissionKind kind)
 {
@@ -43,43 +56,7 @@ AdmissionController::AdmissionController(
     drs_assert(!machines.empty(), "admission needs at least one machine");
     drs_assert(embShare > 0.0 && embShare <= 1.0,
                "embedding share must be in (0, 1]");
-    if (cfg.admission == AdmissionKind::QueueDepth)
-        drs_assert(cfg.queueDepthCap >= 1, "queue-depth cap must be >= 1");
-    // The deadline is the pressure scale of both the deadline policy
-    // and the degrade shrink, so either one requires it.
-    if (cfg.admission == AdmissionKind::Deadline || cfg.degrade)
-        drs_assert(cfg.deadlineSeconds > 0.0,
-                   "deadline admission/degrade needs deadlineSeconds > 0");
     validatePriorityClassCount(cfg.priorityClasses);
-    if (cfg.priorityClasses > 1) {
-        drs_assert(cfg.priorityMargin >= 0.0,
-                   "priorityMargin cannot be negative");
-        drs_assert(cfg.priorityMargin *
-                           static_cast<double>(cfg.priorityClasses - 1) <
-                       1.0,
-                   "priorityMargin * (priorityClasses - 1) must stay"
-                   " below 1 or the lowest class can never admit");
-    }
-    if (cfg.maxRetries > 0) {
-        drs_assert(cfg.retryBackoffSeconds > 0.0,
-                   "retries need a positive base backoff");
-        drs_assert(cfg.retryBackoffFactor >= 1.0,
-                   "retry backoff factor must be >= 1");
-        drs_assert(cfg.retryJitterFraction >= 0.0,
-                   "retry jitter fraction cannot be negative");
-        drs_assert(cfg.retryStormPressure > 0.0,
-                   "retry-storm pressure must be positive");
-    }
-    if (cfg.degrade) {
-        drs_assert(cfg.degradeStartPressure >= 0.0 &&
-                       cfg.degradeStartPressure < 1.0,
-                   "degradeStartPressure must be in [0, 1)");
-        drs_assert(cfg.minSizeFraction > 0.0 && cfg.minSizeFraction <= 1.0,
-                   "minSizeFraction must be in (0, 1]");
-        drs_assert(cfg.minSize >= 1, "minSize must be >= 1");
-        drs_assert(cfg.qualityExponent > 0.0,
-                   "qualityExponent must be positive");
-    }
 
     // Widest binding count across the tier: the calibration vectors
     // below are flattened per (machine, model). On a single-model
@@ -119,16 +96,6 @@ AdmissionController::AdmissionController(
 
 double
 AdmissionController::requestSecondsAt(size_t m, size_t req_batch,
-                                      uint32_t model) const
-{
-    // On a sharded tier a machine serves only its local slice of the
-    // embedding work (the leader also runs the dense stacks, the
-    // longest per-machine path) — price that, not the whole model.
-    return requestSecondsAt(m, req_batch, embShare, true, model);
-}
-
-double
-AdmissionController::requestSecondsAt(size_t m, size_t req_batch,
                                       double emb_fraction,
                                       bool include_dense,
                                       uint32_t model) const
@@ -147,41 +114,18 @@ double
 AdmissionController::backlogSeconds(size_t m, const ClusterView& view) const
 {
     drs_assert(m < cores.size(), "backlog of unknown machine");
-    // Live views expose the engine's own running queue-cost sum —
-    // each queued request priced through the machine's cost model
-    // with its true batch, shard fraction, and leader flag — which no
+    // The view exposes the engine's own running queue-cost sum — each
+    // queued request priced through the machine's cost model with its
+    // true batch, shard fraction, and leader flag — which no
     // outside-in estimate can reconstruct from counts alone (a
     // sharded tier's queue mixes covering-set sizes and leader /
-    // follower parts). Drain it across the whole core pool: the wait
-    // a new arrival sees is total queued work over pool throughput.
-    const double exact = view.queuedCostSeconds(m);
-    if (exact >= 0.0) {
-        // Second-order term: dense join phases this machine already
-        // owes for in-flight fan-outs it leads but has not queued yet
-        // — work a new arrival waits behind just the same.
-        return (exact + view.pendingJoinCostSeconds(m)) / cores[m];
-    }
-    // Fallback for views without engine state: price the queue at its
-    // own mean request batch (queued samples over queued requests).
-    // Views without sample-level state report queuedSamples ==
-    // queuedWork and price as single-sample requests, the
-    // conservative end of the efficiency curve. The divergence from
-    // the engine-exact path is bounded (AdmissionFallback tests) but
-    // real — mixed whole/shard queues are mispriced — so surface the
-    // downgrade once per controller instead of silently estimating.
-    const size_t requests = view.queuedWork(m);
-    if (requests == 0)
-        return 0.0;    // empty queue: the fallback is exact
-    if (!fallbackWarned) {
-        fallbackWarned = true;
-        drs_warn("admission estimator: view exposes no engine queue"
-                 " cost; falling back to mean-batch pricing");
-    }
-    const size_t samples = std::max(view.queuedSamples(m), requests);
-    const size_t meanBatch = samples / requests;
-    const double work =
-        static_cast<double>(requests) * requestSecondsAt(m, meanBatch);
-    return work / cores[m];
+    // follower parts). Add the second-order term — dense join phases
+    // this machine already owes for in-flight fan-outs it leads but
+    // has not queued yet — and drain it across the whole core pool:
+    // the wait a new arrival sees is total queued work over pool
+    // throughput.
+    return (view.queuedCostSeconds(m) + view.pendingJoinCostSeconds(m)) /
+        cores[m];
 }
 
 double
@@ -202,22 +146,6 @@ AdmissionController::meanBacklogSeconds(const ClusterView& view) const
 }
 
 double
-AdmissionController::pressureBacklogSeconds(const ClusterView& view) const
-{
-    // Unsharded, load-balanced tier: the mean over accepting machines
-    // tracks where the router actually lands queries. Sharded tier:
-    // a query fans out to a covering set and completes when its
-    // *slowest* shard part returns, and placement skew routinely
-    // pins the hot tables to a few machines every covering set must
-    // visit — the fleet mean dilutes the binding queue away (a
-    // saturated shard hides behind seven idle ones), so the honest
-    // pressure is the worst accepting backlog.
-    if (embShare >= 1.0)
-        return meanBacklogSeconds(view);
-    return worstBacklogSeconds(view);
-}
-
-double
 AdmissionController::worstBacklogSeconds(const ClusterView& view) const
 {
     double worst = 0.0;
@@ -232,6 +160,13 @@ AdmissionController::worstBacklogSeconds(const ClusterView& view) const
 double
 AdmissionController::queueWaitSeconds(const ClusterView& view) const
 {
+    // Unsharded, load-balanced tier: the mean over accepting machines
+    // tracks where the router actually lands queries. Sharded tier: a
+    // query fans out to a covering set and completes when its
+    // *slowest* shard part returns, and placement skew routinely pins
+    // the hot tables to a few machines every covering set must visit
+    // — the fleet mean dilutes the binding queue away, so the honest
+    // pressure is the worst accepting backlog.
     if (embShare >= 1.0)
         return meanBacklogSeconds(view);
     const double worst = worstBacklogSeconds(view);
@@ -246,13 +181,6 @@ AdmissionController::queueWaitSeconds(const ClusterView& view) const
     // the tier then settles where ONE wait fits the deadline and the
     // measured two-visit latency lands near twice it.
     return joinModel == JoinModel::TwoStage ? worst + worst : worst;
-}
-
-double
-AdmissionController::serviceSeconds(size_t m, uint32_t size,
-                                    uint32_t model) const
-{
-    return partServiceSeconds(m, size, embShare, true, model);
 }
 
 double
@@ -328,14 +256,6 @@ AdmissionController::serviceAndHopSeconds(uint32_t size,
         ret;
 }
 
-double
-AdmissionController::estimatedResponseSeconds(uint32_t size,
-                                              const ClusterView& view,
-                                              uint32_t model) const
-{
-    return queueWaitSeconds(view) + serviceAndHopSeconds(size, view, model);
-}
-
 AdmissionDecision
 AdmissionController::decide(const Query& query,
                             const ClusterView& view) const
@@ -366,13 +286,14 @@ AdmissionController::decide(const Query& query,
     // degraded answer beats no answer.
     if (cfg.degrade) {
         const double pressure = wait / cfg.deadlineSeconds + margin;
-        if (pressure > cfg.degradeStartPressure) {
+        if (pressure > kDegradeStartPressure) {
             const double t =
-                std::min(1.0, (pressure - cfg.degradeStartPressure) /
-                                  (1.0 - cfg.degradeStartPressure));
+                std::min(1.0, (pressure - kDegradeStartPressure) /
+                                  (1.0 - kDegradeStartPressure));
             const double frac =
-                1.0 - (1.0 - cfg.minSizeFraction) * t;
-            const uint32_t floorSize = std::min(query.size, cfg.minSize);
+                1.0 - (1.0 - kMinSizeFraction) * t;
+            const uint32_t floorSize =
+                std::min(query.size, OverloadConfig::minSize);
             const auto shrunk = static_cast<uint32_t>(
                 frac * static_cast<double>(query.size));
             d.servedSize = std::max(floorSize, shrunk);
@@ -380,7 +301,7 @@ AdmissionController::decide(const Query& query,
                 d.quality = std::pow(
                     static_cast<double>(d.servedSize) /
                         static_cast<double>(query.size),
-                    cfg.qualityExponent);
+                    kQualityExponent);
         }
     }
 

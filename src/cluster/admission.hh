@@ -22,22 +22,18 @@
  * The quality currency is **goodput**: completions within the
  * deadline per second, each weighted by a quality factor in (0, 1] —
  * full-size answers weigh 1, degraded answers weigh
- * (servedSize / originalSize)^qualityExponent, dropped or late
- * answers weigh 0. Goodput can never exceed the raw completion rate,
- * and shedding trades a lower ceiling for a *finite* tail where the
- * open-loop tier melts down.
+ * servedSize / originalSize (a fixed linear quality curve), dropped
+ * or late answers weigh 0. Goodput can never exceed the raw
+ * completion rate, and shedding trades a lower ceiling for a *finite*
+ * tail where the open-loop tier melts down.
  *
- * Backlog estimation: live views expose each machine's running
+ * Backlog estimation: the view exposes each machine's running
  * queue-cost sum (MachineEngine::queuedCostSeconds via
  * ClusterView::queuedCostSeconds) — every queued request priced
  * through the machine's own cost model at enqueue — plus the
  * committed-but-unqueued TwoStage join phases the machine already
  * owes (ClusterView::pendingJoinCostSeconds), which the controller
- * divides by the core pool for a drain-time estimate. Views without
- * engine state fall back to the controller pricing queued samples
- * itself at their mean request batch (warned once per controller
- * through the LogSink hook, and divergence-bounded by
- * AdmissionFallback tests).
+ * divides by the core pool for a drain-time estimate.
  *
  * Deadline admission prices the **full critical path** of the query
  * shape the tier actually serves. Unsharded: forward hop + mean
@@ -57,11 +53,17 @@
  * then equilibrates where first wait + service ≈ deadline and
  * *measured* sharded p99 settles near twice the deadline.
  *
+ * The degrade shape is fixed: shrinking starts at pressure 0.35,
+ * reaches a floor of a quarter of the original size (never below
+ * OverloadConfig::minSize candidates) at pressure 1, and a retried
+ * client's backoff doubles per attempt. Config errors are refused by
+ * validateClusterConfig (cluster/cluster_sim.hh) when a facade is
+ * built, not by the controller.
+ *
  * Units: seconds throughout; sizes in candidate samples. Ownership:
  * the controller copies its config and calibration and borrows
  * nothing; decisions read only the view passed in. Determinism: see
- * above — decide() is pure (the fallback warn-once flag gates a log
- * line only, never a decision).
+ * above — decide() is pure.
  */
 
 #ifndef DRS_CLUSTER_ADMISSION_HH
@@ -126,31 +128,13 @@ struct OverloadConfig
     double deadlineSeconds = 0.0;
 
     // ----------------------------------------------------- degrade
-    /** Score fewer candidates under pressure instead of dropping. */
+    /** Score fewer candidates under pressure instead of dropping
+     *  (the fixed shape is in the file comment). */
     bool degrade = false;
 
-    /**
-     * Backlog pressure (estimated drain seconds of the least-loaded
-     * machine over the deadline) at which shrinking starts; at
-     * pressure 1.0 the size reaches the floor. In [0, 1).
-     */
-    double degradeStartPressure = 0.35;
-
-    /** Floor of the shrink as a fraction of the original size. */
-    double minSizeFraction = 0.25;
-
-    /** Never shrink below this many candidates (ranking needs a
-     *  minimum slate to be useful at all). */
-    uint32_t minSize = 8;
-
-    /**
-     * Quality weight of a degraded answer:
-     * (servedSize / originalSize)^qualityExponent. 1.0 (linear) is
-     * the conservative default; recommendation quality typically
-     * falls off slower than linearly in the slate size, so operators
-     * may configure < 1.
-     */
-    double qualityExponent = 1.0;
+    /** Degrade never shrinks below this many candidates (ranking
+     *  needs a minimum slate to be useful at all). */
+    static constexpr uint32_t minSize = 8;
 
     // ---------------------------------------------------- priority
     /**
@@ -181,11 +165,9 @@ struct OverloadConfig
      */
     uint32_t maxRetries = 0;
 
-    /** Client backoff before the first retry, in seconds. */
+    /** Client backoff before the first retry, in seconds; it
+     *  doubles with each further attempt. */
     double retryBackoffSeconds = 0.05;
-
-    /** Exponential backoff growth per attempt (>= 1). */
-    double retryBackoffFactor = 2.0;
 
     /**
      * Deterministic jitter: each delay stretches by a factor in
@@ -362,7 +344,8 @@ class AdmissionController
 {
   public:
     /**
-     * @param config the overload policy (copied; asserted valid)
+     * @param config the overload policy (copied; validated by
+     *        validateClusterConfig)
      * @param machines the tier's machine configs, for calibration
      * @param embeddingShare the fraction of a query's embedding work
      *        a single machine serves — 1.0 for whole-query tiers; a
@@ -401,27 +384,6 @@ class AdmissionController
     double meanBacklogSeconds(const ClusterView& view) const;
 
     /**
-     * The pressure signal of both admission and degrade: mean
-     * backlog over accepting machines on an unsharded tier (routing
-     * balances load, so the mean is where queries land), worst
-     * accepting backlog on a sharded tier (a fanned-out query joins
-     * on its slowest shard, and placement skew means the fleet mean
-     * hides the one saturated machine every covering set visits).
-     */
-    double pressureBacklogSeconds(const ClusterView& view) const;
-
-    /**
-     * Estimated service seconds of a @p size-sample query of mix
-     * model @p model on machine @p m once it reaches the front of the
-     * queue (batch-split across the core pool). On a sharded tier
-     * this is the leader-part price (local embedding share plus dense
-     * stacks). Model 0 (the default) prices through the machine's
-     * primary binding — the historical single-model arithmetic.
-     */
-    double serviceSeconds(size_t m, uint32_t size,
-                          uint32_t model = 0) const;
-
-    /**
      * Total projected queue-wait seconds of the critical path: mean
      * accepting backlog on an unsharded tier; the worst accepting
      * backlog on a sharded tier — **twice** under the TwoStage join,
@@ -433,40 +395,22 @@ class AdmissionController
      */
     double queueWaitSeconds(const ClusterView& view) const;
 
-    /**
-     * Estimated response seconds of a @p size-sample query of mix
-     * model @p model admitted now: queueWaitSeconds plus the
-     * per-shape service and network terms (see the file comment for
-     * the three shapes). The queue-wait terms are *totals* across
-     * models — the tier's queues are shared, so a new arrival drains
-     * behind every model's queued work — while the service terms are
-     * priced through the query's own model binding. This against the
-     * class budget is the deadline admission test.
-     */
-    double estimatedResponseSeconds(uint32_t size, const ClusterView& view,
-                                    uint32_t model = 0) const;
-
     const OverloadConfig& config() const { return cfg; }
 
   private:
     OverloadConfig cfg;
 
     /** Per-request seconds for a @p req_batch-sample request on
-     *  machine @p m under full core contention, slowdown applied
-     *  (leader-part shape: embShare of the gathers plus dense). */
-    double requestSecondsAt(size_t m, size_t req_batch,
-                            uint32_t model = 0) const;
-
-    /** Same, for an arbitrary part shape: @p emb_fraction of the
-     *  embedding gathers, dense stacks iff @p include_dense. */
+     *  machine @p m under full core contention, slowdown applied, for
+     *  a part shape: @p emb_fraction of the embedding gathers, dense
+     *  stacks iff @p include_dense. */
     double requestSecondsAt(size_t m, size_t req_batch,
                             double emb_fraction, bool include_dense,
                             uint32_t model = 0) const;
 
     /**
      * Estimated service seconds of a @p size-sample part of the given
-     * shape on machine @p m (batch-split across the core pool);
-     * serviceSeconds above is the (embShare, dense) instance.
+     * shape on machine @p m (batch-split across the core pool).
      */
     double partServiceSeconds(size_t m, uint32_t size,
                               double emb_fraction, bool include_dense,
@@ -481,8 +425,12 @@ class AdmissionController
     /** Worst accepting machine's backlogSeconds. */
     double worstBacklogSeconds(const ClusterView& view) const;
 
-    /** The service and network terms of the response estimate — i.e.
-     *  estimatedResponseSeconds minus queueWaitSeconds. */
+    /**
+     * The service and network terms of the response estimate of a
+     * @p size-sample query of mix model @p model (see the file
+     * comment for the three shapes); queueWaitSeconds plus this
+     * against the class budget is the deadline admission test.
+     */
     double serviceAndHopSeconds(uint32_t size, const ClusterView& view,
                                 uint32_t model = 0) const;
 
@@ -527,14 +475,6 @@ class AdmissionController
     /** Configured per-request batch per (machine, model) binding,
      *  flattened like `cpu` (latency estimate). */
     std::vector<double> batch;
-
-    /**
-     * One warning per controller when a view without engine queue
-     * cost forces the mean-batch fallback estimate (satellite of the
-     * estimator-divergence fix; see AdmissionFallback tests). Gates a
-     * LogSink line only — never a decision, so decide() stays pure.
-     */
-    mutable bool fallbackWarned = false;
 };
 
 } // namespace deeprecsys

@@ -33,6 +33,44 @@ allScalingPolicyKinds()
 
 namespace {
 
+// The reactive policy's fixed shape.
+/** Utilization the tier is steered toward when resizing. */
+constexpr double kTargetUtilization = 0.65;
+
+/** Scale up when windowed tail latency exceeds this fraction of the
+ *  SLA, regardless of utilization. */
+constexpr double kSlaHeadroomFraction = 0.80;
+
+/**
+ * Knee ratchet on scale-down. The policy remembers the highest
+ * per-accepting-machine arrival rate it has ever served with a calm
+ * tail (a measured lower bound on per-machine capacity) and refuses
+ * sheds whose projected per-machine rate exceeds that high-water mark
+ * by more than this factor. Near the SLA knee, utilization and tail
+ * latency both still look calm one machine above the melt-down point
+ * — only the served-rate history reveals how little headroom is left.
+ * 1.10 allows ~10% of unexplored headroom per shed, so the mark
+ * ratchets down a machine at a time instead of leaping past the knee.
+ */
+constexpr double kShedRateHeadroom = 1.10;
+
+/** At most this many machines drained per control tick, so a
+ *  measurement dip cannot collapse the tier. */
+constexpr size_t kMaxStepDown = 1;
+
+/**
+ * Cap on *utilization-triggered* growth per tick: a rising ramp is
+ * tracked in steady steps instead of proportional jumps whose
+ * overshoot is then slowly shed again (a machine-hours sawtooth).
+ * Tail-triggered growth (windowed tail past kSlaHeadroomFraction) is
+ * never capped — that is the emergency response.
+ */
+constexpr size_t kMaxStepUp = 2;
+
+/** The predictive policy's fractional machine headroom on top of the
+ *  prediction. */
+constexpr double kSafetyMargin = 0.12;
+
 /** Clamp a policy's ask to what the tier can actually field. */
 size_t
 clampTarget(size_t desired, size_t min_machines, size_t max_machines)
@@ -68,16 +106,16 @@ class StaticPolicy final : public ScalingPolicy
 /**
  * Measurement-driven feedback: steer the accepting-capacity
  * utilization into [downUtilization, upUtilization], sizing jumps so
- * utilization lands near targetUtilization, with windowed tail
+ * utilization lands near kTargetUtilization, with windowed tail
  * latency as an override in both directions — a hot tail scales up
  * even when utilization looks fine (the queueing knee precedes core
  * saturation), and an elevated tail blocks scale-down even when
  * utilization looks low (near the knee, utilization is violently
  * nonlinear in offered rate, so it alone cannot be trusted). A
  * second shed gate ratchets on the measured capacity high-water mark
- * (ScalingPolicySpec::shedRateHeadroom). Tail-driven scale-up jumps
+ * (kShedRateHeadroom). Tail-driven scale-up jumps
  * proportionally (emergency); utilization-driven growth steps by
- * maxStepUp, and scale-down sheds at most maxStepDown per tick so a
+ * kMaxStepUp, and scale-down sheds at most kMaxStepDown per tick so a
  * measurement dip cannot collapse the tier.
  */
 class ReactivePolicy final : public ScalingPolicy
@@ -86,11 +124,8 @@ class ReactivePolicy final : public ScalingPolicy
     ReactivePolicy(const ScalingPolicySpec& spec, double sla_ms)
         : spec_(spec), slaMs(sla_ms)
     {
-        if (!(spec_.targetUtilization > 0.0 &&
-              spec_.targetUtilization < 1.0))
-            drs_fatal("target utilization must be in (0, 1)");
-        if (!(spec_.downUtilization <= spec_.targetUtilization &&
-              spec_.targetUtilization <= spec_.upUtilization))
+        if (!(spec_.downUtilization <= kTargetUtilization &&
+              kTargetUtilization <= spec_.upUtilization))
             drs_fatal("utilization band must bracket the target");
     }
 
@@ -107,7 +142,7 @@ class ReactivePolicy final : public ScalingPolicy
         const bool shedding = signals.windowDrops > 0;
         const bool hot_tail = shedding ||
             (signals.windowTailMs >= 0.0 &&
-             signals.windowTailMs > spec_.slaHeadroomFraction * slaMs);
+             signals.windowTailMs > kSlaHeadroomFraction * slaMs);
 
         const bool calm_tail = !shedding &&
             (signals.windowTailMs < 0.0 ||
@@ -135,14 +170,14 @@ class ReactivePolicy final : public ScalingPolicy
             // hot tail may jump proportionally (emergency).
             desired = static_cast<size_t>(std::ceil(
                 static_cast<double>(serving) * util /
-                spec_.targetUtilization));
+                kTargetUtilization));
             desired = std::max(desired, serving + 1);
             if (!hot_tail)
-                desired = std::min(desired, serving + spec_.maxStepUp);
+                desired = std::min(desired, serving + kMaxStepUp);
         } else if (util < spec_.downUtilization && calm_tail &&
                    serving > 1) {
             const size_t step =
-                std::min(spec_.maxStepDown, serving - 1);
+                std::min(kMaxStepDown, serving - 1);
             // Two shed gates. Projected utilization must stay under
             // the scale-up threshold, or the shed would immediately
             // bounce back; and the projected per-machine rate must
@@ -155,11 +190,11 @@ class ReactivePolicy final : public ScalingPolicy
                 util * static_cast<double>(serving) / shrunk;
             const bool rate_safe = highWaterQps <= 0.0 ||
                 signals.arrivalQps / shrunk <=
-                    highWaterQps * spec_.shedRateHeadroom;
+                    highWaterQps * kShedRateHeadroom;
             if (projected_util < spec_.upUtilization && rate_safe) {
                 const size_t want = static_cast<size_t>(std::ceil(
                     static_cast<double>(serving) * util /
-                    spec_.targetUtilization));
+                    kTargetUtilization));
                 desired = std::max(want, serving - step);
             }
         }
@@ -182,10 +217,11 @@ class ReactivePolicy final : public ScalingPolicy
 
 /**
  * Profile-aware feed-forward: provision machines proportional to the
- * rate the diurnal profile predicts one look-ahead out, anchored to
- * the static plan (machinesAtPeak machines carry the peak rate), plus
- * a safety margin for the stochastic arrival/size draws around the
- * profile's mean.
+ * rate the diurnal profile predicts one look-ahead out — warm-up
+ * delay plus control interval, so machines ordered now are accepting
+ * when the predicted rate materializes — anchored to the static plan
+ * (machinesAtPeak machines carry the peak rate), plus a safety margin
+ * for the stochastic arrival/size draws around the profile's mean.
  */
 class PredictivePolicy final : public ScalingPolicy
 {
@@ -200,9 +236,7 @@ class PredictivePolicy final : public ScalingPolicy
         drs_assert(machinesAtPeak > 0,
                    "predictive scaling needs AutoscaleSpec::machinesAtPeak");
         peakQps = meanQps * (1.0 + profile.swingAmplitude());
-        lead = spec_.leadSeconds > 0.0
-            ? spec_.leadSeconds
-            : run.warmupDelaySeconds + run.controlIntervalSeconds;
+        lead = run.warmupDelaySeconds + run.controlIntervalSeconds;
     }
 
     size_t
@@ -212,7 +246,7 @@ class PredictivePolicy final : public ScalingPolicy
             meanQps * profile.multiplier(signals.timeSeconds + lead);
         const size_t desired = static_cast<size_t>(std::ceil(
             static_cast<double>(machinesAtPeak) * (predicted / peakQps) *
-            (1.0 + spec_.safetyMargin)));
+            (1.0 + kSafetyMargin)));
         return clampTarget(desired, spec_.minMachines,
                            signals.maxMachines);
     }

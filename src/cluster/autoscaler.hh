@@ -44,12 +44,20 @@
  * Scale decisions come from a pluggable ScalingPolicy evaluated at
  * every control tick against windowed signals (tail latency of the
  * window's completions vs the SLA, fleet utilization over powered
- * capacity, observed arrival rate). Control ticks and warm-up
- * completions enter the same deterministic event queue as service
- * completions, so scale events interleave with traffic in one total
- * (time, insertion) order. On a sharded tier, a machine may only
- * drain if every embedding table it holds keeps at least one replica
- * among the machines that remain accepting — the placement is
+ * capacity, observed arrival rate). The policies' shapes are fixed
+ * in autoscaler.cc: the reactive policy steers toward 0.65
+ * utilization, treats a tail past 0.8 of the SLA as hot, sheds at most
+ * one machine and grows by at most two per tick on utilization alone,
+ * and allows 10% headroom over its served-rate high-water mark; the
+ * predictive policy looks ahead by warm-up delay plus control interval
+ * and adds a 12% safety margin. Beyond the kind, the machine floor
+ * and the static count, ScalingPolicySpec carries only the reactive
+ * utilization band and scale-down latency interlock. Control ticks
+ * and warm-up completions enter the same deterministic event queue
+ * as service completions, so scale events interleave with traffic in
+ * one total (time, insertion) order. On a sharded tier, a machine may
+ * only drain if every embedding table it holds keeps at least one
+ * replica among the machines that remain accepting — the placement is
  * re-validated on the surviving set at every scale-down, and drains
  * that would orphan a table are refused (logged in the scale-event
  * record).
@@ -176,8 +184,8 @@ struct ScalingPolicySpec
     size_t staticMachines = 0;
 
     // ---------------------------------------------------- reactive
-    /** Utilization the tier is steered toward when resizing. */
-    double targetUtilization = 0.65;
+    // Resizing steers utilization toward a fixed 0.65 target, which
+    // the band below must bracket.
 
     /** Scale up when window utilization exceeds this. */
     double upUtilization = 0.75;
@@ -189,10 +197,6 @@ struct ScalingPolicySpec
      *  a narrow band would flap across the knee. */
     double downUtilization = 0.40;
 
-    /** Scale up when windowed tail latency exceeds this fraction of
-     *  the SLA, regardless of utilization. */
-    double slaHeadroomFraction = 0.80;
-
     /**
      * Latency interlock on scale-down: only shed when the windowed
      * tail is also below this fraction of the SLA. Low utilization
@@ -201,44 +205,6 @@ struct ScalingPolicySpec
      * SLA violations.
      */
     double downLatencyFraction = 0.40;
-
-    /**
-     * Knee ratchet on scale-down. The policy remembers the highest
-     * per-accepting-machine arrival rate it has ever served with a
-     * calm tail (a measured lower bound on per-machine capacity) and
-     * refuses sheds whose projected per-machine rate exceeds that
-     * high-water mark by more than this factor. Near the SLA knee,
-     * utilization and tail latency both still look calm one machine
-     * above the melt-down point — only the served-rate history
-     * reveals how little headroom is left. 1.10 allows ~10% of
-     * unexplored headroom per shed, so the mark ratchets down a
-     * machine at a time instead of leaping past the knee.
-     */
-    double shedRateHeadroom = 1.10;
-
-    /** At most this many machines drained per control tick, so a
-     *  measurement dip cannot collapse the tier. */
-    size_t maxStepDown = 1;
-
-    /**
-     * Cap on *utilization-triggered* growth per tick: a rising ramp
-     * is tracked in steady steps instead of proportional jumps whose
-     * overshoot is then slowly shed again (a machine-hours sawtooth).
-     * Tail-triggered growth (windowed tail past slaHeadroomFraction)
-     * is never capped — that is the emergency response.
-     */
-    size_t maxStepUp = 2;
-
-    // -------------------------------------------------- predictive
-    /**
-     * Look-ahead in seconds when sampling the profile; 0 picks
-     * warm-up delay + control interval, so machines ordered now are
-     * accepting when the predicted rate materializes.
-     */
-    double leadSeconds = 0.0;
-
-    /** Fractional machine headroom added on top of the prediction. */
-    double safetyMargin = 0.12;
 };
 
 /** Configuration of an elastic cluster run. */

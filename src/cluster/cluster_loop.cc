@@ -10,6 +10,9 @@ namespace deeprecsys {
 
 namespace {
 
+/** Client backoff growth per retry attempt (OverloadConfig retries). */
+constexpr double kRetryBackoffFactor = 2.0;
+
 /** The observer-facing name of a part kind. */
 obs::PartStage
 stageOf(PartRec::Kind kind)
@@ -37,8 +40,7 @@ ClusterLoop::ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
       members(members), eagerClock(members.eagerClock()),
       queryBooks(members.queryBooks()), mixOn(!cfg.modelMix.empty()),
       numMix(std::max<size_t>(1, cfg.modelMix.size())),
-      faultsOn(cfg.faults.enabled()), hedgeOn(cfg.hedge.enabled()),
-      hedgeDelay(cfg.hedge.delayFor(cfg.overload.deadlineSeconds))
+      faultsOn(cfg.faults.enabled()), hedgeOn(cfg.hedge.enabled())
 {
     const size_t n = cfg.machines.size();
     inFlight.assign(n, 0);
@@ -371,9 +373,9 @@ ClusterLoop::killEngine(uint32_t m, double now)
 }
 
 // Tail-at-scale hedging: the query is still missing fan-out parts
-// hedgeDelay after dispatch. Duplicate each unfinished, unhedged,
-// non-leader embedding part onto the least-loaded accepting replica of
-// its tables and let the copies race.
+// HedgeConfig::delaySeconds after dispatch. Duplicate each unfinished,
+// unhedged, non-leader embedding part onto the least-loaded accepting
+// replica of its tables and let the copies race.
 void
 ClusterLoop::hedgeQuery(uint64_t idx, double now)
 {
@@ -469,8 +471,7 @@ ClusterLoop::present(uint64_t idx, double now)
             cs.dropped++;
             if (verdict.retryable && q.attempt < cfg.overload.maxRetries) {
                 const double delay = retryDelaySeconds(
-                    cfg.overload.retryBackoffSeconds,
-                    cfg.overload.retryBackoffFactor,
+                    cfg.overload.retryBackoffSeconds, kRetryBackoffFactor,
                     cfg.overload.retryJitterFraction,
                     verdict.retryAfterSeconds, in.id, q.attempt);
                 q.attempt++;
@@ -607,8 +608,8 @@ ClusterLoop::present(uint64_t idx, double now)
     // goes stale if the query completes or fails first.
     if (hedgeOn && plan.size() > 1) {
         q.hedgeChecks++;
-        events.push(now + hedgeDelay, SimEvent::Kind::HedgeCheck, 0, idx,
-                    q.gen);
+        events.push(now + cfg.hedge.delaySeconds, SimEvent::Kind::HedgeCheck,
+                    0, idx, q.gen);
     }
 }
 
@@ -1013,10 +1014,19 @@ ClusterLoop::finishBooks()
         util_sum / static_cast<double>(machines.size());
 
     // The three-way conservation algebra holds exactly on every run —
-    // chaos or not — at any thread count.
+    // chaos or not — at any thread count, and each per-query log names
+    // exactly the queries its counter counts.
     assertFaultConservation(result.overload, result.faults,
                             result.numDispatched, result.numCompleted,
                             trace.size());
+    drs_assert(result.overload.droppedQueries.size() ==
+                   result.overload.droppedFinal,
+               "drop log does not match the final-drop count");
+    drs_assert(result.overload.degradedQueries.size() ==
+                   result.overload.degraded,
+               "degrade log does not match the degraded count");
+    drs_assert(result.faults.lostQueries.size() == result.faults.lost,
+               "loss log does not match the lost count");
     if (queryBooks && mixOn) {
         // The same algebra per model, plus the cross-model sum checks:
         // every query is exactly one model's, so the per-model books

@@ -150,11 +150,6 @@ class ClusterLoop final : private ClusterView
     {
         return machines[m].queuedWork();
     }
-    size_t
-    queuedSamples(size_t m) const override
-    {
-        return machines[m].queuedSamples();
-    }
     double
     queuedCostSeconds(size_t m) const override
     {
@@ -237,7 +232,6 @@ class ClusterLoop final : private ClusterView
     const size_t numMix;     ///< mix width (1 on single-model tiers)
     const bool faultsOn;
     const bool hedgeOn;
-    const double hedgeDelay;
     size_t warmup = 0;       ///< leading queries kept out of statistics
 
     QueryBook queries;

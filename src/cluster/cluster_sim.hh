@@ -133,9 +133,10 @@ constexpr size_t kMaxClusterMachines = size_t{1} << 16;
  * drs_fatal: 1..kMaxClusterMachines valid machines, a well-formed
  * model mix of at most kMaxMixModels models, a priority-class count
  * a query can carry, a placement that fits the tier and its memory
- * budgets, a fault plan the placement survives, and a hedge on a
- * sharded tier. @p tier names the tier in the message. Both cluster
- * facades call it.
+ * budgets, a fault plan the placement survives, a hedge on a sharded
+ * tier, and an enabled overload policy's cap, deadline, priority
+ * margin and retry parameters. @p tier names the tier in the message.
+ * Both cluster facades call it at construction.
  */
 void validateClusterConfig(const ClusterConfig& cfg, const char* tier);
 

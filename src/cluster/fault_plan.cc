@@ -10,21 +10,23 @@ namespace deeprecsys {
 void
 validateFaultPlan(const FaultPlan& plan)
 {
-    drs_assert(plan.crashesPerHour >= 0.0 && plan.grayPerHour >= 0.0 &&
-                   plan.netDegradePerHour >= 0.0,
-               "fault rates must be non-negative");
-    drs_assert(plan.repairSeconds > 0.0, "repair time must be positive");
-    drs_assert(plan.graySlowdownFactor > 0.0 &&
-                   plan.netDegradeFactor > 0.0,
-               "degradation factors must be positive");
-    drs_assert(plan.grayDurationSeconds > 0.0 &&
-                   plan.netDegradeDurationSeconds > 0.0,
-               "degradation windows must have positive length");
-    drs_assert(plan.failoverDelaySeconds >= 0.0,
-               "failover delay must be non-negative");
+    if (!(plan.crashesPerHour >= 0.0 && plan.grayPerHour >= 0.0 &&
+          plan.netDegradePerHour >= 0.0))
+        drs_fatal("fault rates must be non-negative");
+    if (!(plan.repairSeconds > 0.0))
+        drs_fatal("repair time must be positive");
+    if (!(plan.graySlowdownFactor > 0.0 && plan.netDegradeFactor > 0.0))
+        drs_fatal("degradation factors must be positive");
+    if (!(plan.grayDurationSeconds > 0.0))
+        drs_fatal("degradation windows must have positive length");
+    if (!(plan.failoverDelaySeconds >= 0.0))
+        drs_fatal("failover delay must be non-negative");
 }
 
 namespace {
+
+/** Length of one network-degradation window in seconds. */
+constexpr double kNetDegradeDurationSeconds = 2.0;
 
 /**
  * Independent per-(machine, stream) RNG: the seed is mixed with the
@@ -83,7 +85,7 @@ buildFaultSchedule(const FaultPlan& plan, uint32_t num_machines,
                     plan.graySlowdownFactor);
         Rng net = streamRng(plan.seed, m, 0x7E7D);
         emitWindows(schedule, net, plan.netDegradePerHour,
-                    plan.netDegradeDurationSeconds, start_time, end_time,
+                    kNetDegradeDurationSeconds, start_time, end_time,
                     m, FaultEvent::Kind::NetDegradeStart,
                     FaultEvent::Kind::NetDegradeEnd,
                     plan.netDegradeFactor);

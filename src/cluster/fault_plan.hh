@@ -33,9 +33,13 @@
  * re-presented to the router after a small backoff, up to
  * `maxFailovers` times, where shard-aware routing re-covers its
  * working set from surviving replicas — and a straggling fan-out part
- * can be *hedged* (`HedgeConfig`): after a deadline-fraction delay
- * the router duplicates it on another replica and takes the first
- * response, cancellation keeping the books balanced.
+ * can be *hedged* (`HedgeConfig`): after a fixed delay the router
+ * duplicates it on another replica and takes the first response,
+ * cancellation keeping the books balanced.
+ *
+ * A network-degradation window always lasts 2 seconds; its rate and
+ * hop multiplier are configurable. Malformed plans are refused with
+ * drs_fatal (validateFaultPlan).
  *
  * Units: seconds; rates in events per hour per machine (fleet
  * operators think in per-machine annualized failure rates; the sim
@@ -87,11 +91,9 @@ struct FaultPlan
     double netDegradePerHour = 0.0;
 
     /** Multiplier on every network hop touching the machine while
-     *  degraded (forward, return, and embedding-join hops). */
+     *  degraded (forward, return, and embedding-join hops) for one
+     *  2-second window. */
     double netDegradeFactor = 8.0;
-
-    /** Length of one degradation window in seconds. */
-    double netDegradeDurationSeconds = 2.0;
 
     // ------------------------------------------ correlated failure
     /**
@@ -134,7 +136,8 @@ struct FaultPlan
     }
 };
 
-/** Fatally assert @p plan is well-formed (drivers call at run start). */
+/** Refuse a malformed @p plan with drs_fatal (validateClusterConfig
+ *  and buildFaultSchedule call it). */
 void validateFaultPlan(const FaultPlan& plan);
 
 /**
@@ -148,28 +151,12 @@ void validateFaultPlan(const FaultPlan& plan);
  */
 struct HedgeConfig
 {
-    /** Hedge delay as a fraction of the admission deadline
-     *  (OverloadConfig::deadlineSeconds); the classic operating point
-     *  is a tail quantile of expected latency, so ~0.3-0.7. */
-    double delayFraction = 0.0;
-
-    /** Absolute hedge delay in seconds; when > 0 it takes precedence
-     *  over delayFraction (tiers without a deadline need this). */
+    /** Hedge delay in seconds after dispatch; 0 disables hedging. The
+     *  classic operating point is a tail quantile of expected latency,
+     *  so ~0.3-0.7 of a deadline. */
     double delaySeconds = 0.0;
 
-    bool
-    enabled() const
-    {
-        return delaySeconds > 0.0 || delayFraction > 0.0;
-    }
-
-    /** The effective delay against @p deadline_seconds. */
-    double
-    delayFor(double deadline_seconds) const
-    {
-        return delaySeconds > 0.0 ? delaySeconds
-                                  : delayFraction * deadline_seconds;
-    }
+    bool enabled() const { return delaySeconds > 0.0; }
 };
 
 /** One scheduled fault transition (expanded from a FaultPlan). */
@@ -244,15 +231,6 @@ struct FaultStats
 
     /** Trace indices of lost queries, in loss order. */
     std::vector<uint64_t> lostQueries;
-
-    /** Lost fraction of @p offered queries, in [0, 1]. */
-    double
-    lossRate(uint64_t offered) const
-    {
-        return offered > 0
-            ? static_cast<double>(lost) / static_cast<double>(offered)
-            : 0.0;
-    }
 };
 
 /**

@@ -9,6 +9,14 @@
 
 namespace deeprecsys {
 
+namespace {
+
+/** Length of the simulated diurnal cycle in seconds (24 h); the
+ *  windows span exactly one cycle. */
+constexpr double kDiurnalPeriodSeconds = 86400.0;
+
+} // namespace
+
 SampleStats
 FleetResult::subsample(const std::vector<size_t>& machines) const
 {
@@ -34,7 +42,7 @@ FleetSimulator::run() const
     result.perMachine.resize(cfg.numMachines);
     Rng fleet_rng(cfg.seed);
     const DiurnalProfile diurnal(cfg.diurnalPeakToTrough,
-                                 cfg.diurnalPeriodSeconds);
+                                 kDiurnalPeriodSeconds);
 
     // Persistent machine heterogeneity: each machine forks its own
     // stream for its lognormal speed and per-window interference draws.
@@ -57,7 +65,7 @@ FleetSimulator::run() const
             ? static_cast<double>(w) / static_cast<double>(cfg.numWindows)
             : 0.25;
         const double per_machine_rate = cfg.perMachineQps *
-            diurnal.multiplier(t_frac * cfg.diurnalPeriodSeconds);
+            diurnal.multiplier(t_frac * kDiurnalPeriodSeconds);
 
         // One global stream per window, split across machines by the
         // cluster router. The default round-robin split smooths each
@@ -99,18 +107,7 @@ FleetSimulator::run() const
             SimConfig machine = base;
             machine.slowdown = slowdown[m];
 
-            ServingSimulator sim(machine);
-            // Fresh attribution-only observer per machine run: window
-            // traces overlap in time across machines, so only the
-            // stage aggregate is meaningful at the fleet tier.
-            obs::ObsConfig obs_cfg;
-            obs_cfg.attribution = true;
-            obs::RunObserver local(obs_cfg, 1);
-            if (cfg.attribution)
-                sim.setObserver(&local);
-            const SimResult r = sim.run(slices[m]);
-            if (cfg.attribution)
-                result.stageSplit.merge(local.stageSplit());
+            const SimResult r = ServingSimulator(machine).run(slices[m]);
             result.perMachine[m].addAll(r.queryLatencySeconds.raw());
             result.fleetLatency.addAll(r.queryLatencySeconds.raw());
             util_sum += r.cpuUtilization;

@@ -19,6 +19,10 @@
  * MachineEngine (sim/machine_engine.hh), so its per-machine
  * mechanics cannot diverge from the live cluster simulator's.
  *
+ * The windows span one fixed 24-hour diurnal cycle. The fleet tier
+ * takes no RunObserver: its per-machine window runs overlap in time,
+ * so spans and a pooled stage split belong to the live drivers.
+ *
  * Units: seconds in the samples, milliseconds from tailMs(). Fully
  * deterministic for a fixed FleetConfig::seed: machine speeds,
  * interference windows, per-window traffic, and the routing split all
@@ -34,7 +38,6 @@
 #include "cluster/routing_policy.hh"
 #include "loadgen/distributions.hh"
 #include "loadgen/query_stream.hh"
-#include "obs/observer.hh"
 #include "sim/serving_sim.hh"
 
 namespace deeprecsys {
@@ -59,17 +62,9 @@ struct FleetConfig
     /**
      * Diurnal peak-to-trough load ratio across windows
      * (dimensionless, >= 1; 1.0 = flat load). Window w of numWindows
-     * samples the profile at fraction w/numWindows of one period.
+     * samples a 24-hour profile at fraction w/numWindows of the day.
      */
     double diurnalPeakToTrough = 1.0;
-
-    /**
-     * Length of one diurnal cycle in **seconds** (default 24 h). The
-     * windows always span exactly one cycle regardless of this value
-     * — it matters once the same DiurnalProfile also paces something
-     * with real time units, like the elastic tier's control loop.
-     */
-    double diurnalPeriodSeconds = 86400.0;
     uint64_t seed = 1234;
     LoadSpec load;      ///< qps overridden per machine/window
 
@@ -82,16 +77,6 @@ struct FleetConfig
      * stream.
      */
     RoutingKind routing = RoutingKind::RoundRobin;
-
-    /**
-     * Collect the fleet-wide latency stage split
-     * (FleetResult::stageSplit) via a per-machine-run observer. Off
-     * by default: the aggregation costs a few percent of run time.
-     * Window traces overlap in time across machines, so the fleet
-     * tier aggregates attribution only — span traces belong to the
-     * live drivers.
-     */
-    bool attribution = false;
 };
 
 /** Latency outcome of one fleet run. */
@@ -100,10 +85,6 @@ struct FleetResult
     SampleStats fleetLatency;               ///< all machines pooled
     std::vector<SampleStats> perMachine;    ///< per-machine samples
     double meanCpuUtilization = 0.0;
-
-    /** Pooled latency attribution over every measured query of every
-     *  machine run (only when FleetConfig::attribution is set). */
-    obs::StageSplit stageSplit;
 
     /** Pooled latency of a machine subset (for Figure 7). */
     SampleStats subsample(const std::vector<size_t>& machines) const;

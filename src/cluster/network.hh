@@ -23,14 +23,19 @@ namespace deeprecsys {
  *
  * Units: hopSeconds is **seconds** one-way; bandwidth is gigabytes
  * per second (0 = infinite); payload terms are bytes per candidate
- * sample of the query.
+ * sample of the query. The request and response payloads are fixed;
+ * the pooled-embedding payload is configurable.
  */
 struct NetworkConfig
 {
     double hopSeconds = 0.0;          ///< one-way propagation + switching
     double gigabytesPerSecond = 0.0;  ///< serialization bandwidth; 0 = inf
-    double requestBytesPerSample = 512.0;  ///< features shipped per sample
-    double responseBytesPerSample = 8.0;   ///< scores returned per sample
+
+    /** Features shipped per sample on the forward hop. */
+    static constexpr double requestBytesPerSample = 512.0;
+
+    /** Scores returned per sample on the return hop. */
+    static constexpr double responseBytesPerSample = 8.0;
 
     /**
      * Pooled embedding state a remote shard part ships to its leader

@@ -98,22 +98,14 @@ class ClusterView
     virtual size_t queuedWork(size_t m) const = 0;
 
     /**
-     * Candidate samples waiting in machine @p m's queues — the unit
-     * the admission controller (cluster/admission.hh) prices backlog
-     * in. Views without sample-level state fall back to queuedWork,
-     * which overestimates granularity but preserves ordering.
-     */
-    virtual size_t queuedSamples(size_t m) const { return queuedWork(m); }
-
-    /**
      * Estimated service seconds of everything queued on machine @p m,
      * priced by the machine's own cost model
      * (MachineEngine::queuedCostSeconds) — the only estimate that is
      * honest about a heterogeneous queue of whole queries and shard
-     * parts. Negative means unavailable; the admission controller
-     * then falls back to pricing queuedSamples itself.
+     * parts; the admission controller (cluster/admission.hh) prices
+     * backlog with it. Views without engine state report 0.
      */
-    virtual double queuedCostSeconds(size_t) const { return -1.0; }
+    virtual double queuedCostSeconds(size_t) const { return 0.0; }
 
     /**
      * Engine-exact committed second-visit work on machine @p m:

@@ -55,7 +55,6 @@ class DeepRecInfra
     {
         return gpuCost ? &*gpuCost : nullptr;
     }
-    const PowerModel& powerModel() const { return power; }
 
     /** SLA target in ms at a tier for this model. */
     double slaMs(SlaTier tier) const;

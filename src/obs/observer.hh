@@ -4,11 +4,10 @@
  * metrics, and latency attribution for the simulation drivers.
  *
  * A RunObserver is attached to one driver run (ServingSimulator,
- * ClusterSimulator, Autoscaler, or a FleetSimulator machine run) and
- * receives a narrow stream of hooks as queries move through the
- * system: router dispatch -> per-machine queue wait -> service ->
- * fan-out network hops -> join wait -> completion. From that stream
- * it builds three products:
+ * ClusterSimulator or Autoscaler) and receives a narrow stream of
+ * hooks as queries move through the system: router dispatch ->
+ * per-machine queue wait -> service -> fan-out network hops -> join
+ * wait -> completion. From that stream it builds three products:
  *
  *  1. **Query span traces** — Chrome trace-event JSON (trace_json.hh)
  *     of a deterministic hash-sampled subset of queries, viewable in
@@ -69,8 +68,8 @@ struct ObsConfig
      */
     double spanSampleRate = 1.0;
 
-    /** Seed of the span-sampling hash. */
-    uint64_t spanSeed = 0x9e3779b97f4a7c15ULL;
+    /** Seed of the span-sampling hash (fixed). */
+    static constexpr uint64_t spanSeed = 0x9e3779b97f4a7c15ULL;
 
     /** Collect windowed metrics (driver snapshots on its ticks). */
     bool metrics = false;
@@ -112,18 +111,6 @@ struct StageSplit
     double totalSeconds = 0;
     uint64_t queries = 0;
 
-    /** Fold another split in (fleet-level aggregation). */
-    void
-    merge(const StageSplit& other)
-    {
-        queueSeconds += other.queueSeconds;
-        serviceSeconds += other.serviceSeconds;
-        networkSeconds += other.networkSeconds;
-        joinWaitSeconds += other.joinWaitSeconds;
-        totalSeconds += other.totalSeconds;
-        queries += other.queries;
-    }
-
     /** Share of total latency spent in @p stage_seconds, in [0, 1]. */
     double
     fraction(double stage_seconds) const
@@ -162,7 +149,6 @@ class RunObserver
 
     bool tracing() const { return cfg_.traceSpans; }
     bool metricsOn() const { return cfg_.metrics; }
-    bool attributionOn() const { return cfg_.attribution; }
 
     /** True when query @p idx is span-traced this run. */
     bool

@@ -11,26 +11,26 @@ MachineEngine::MachineEngine(const SimConfig* config, double start_time)
 {
     drs_assert(cfg != nullptr, "engine needs a machine config");
     validate(*cfg);
-    queuedCostByModel_.resize(cfg->numModels(), 0.0);
 }
 
 void
 MachineEngine::validate(const SimConfig& config)
 {
-    drs_assert(config.policy.perRequestBatch >= 1,
-               "per-request batch must be >= 1");
-    drs_assert(config.slowdown > 0.0, "slowdown must be positive");
-    if (config.policy.gpuEnabled)
-        drs_assert(config.gpu.has_value(), "GPU policy without a GPU model");
+    if (config.policy.perRequestBatch < 1)
+        drs_fatal("per-request batch must be >= 1");
+    if (!(config.slowdown > 0.0))
+        drs_fatal("slowdown must be positive");
+    if (config.policy.gpuEnabled && !config.gpu.has_value())
+        drs_fatal("GPU policy without a GPU model");
     for (const ModelService& co : config.coModels) {
-        drs_assert(co.policy.perRequestBatch >= 1,
-                   "co-model per-request batch must be >= 1");
-        if (co.policy.gpuEnabled)
-            drs_assert(co.gpu.has_value(),
-                       "co-model GPU policy without a GPU model");
+        if (co.policy.perRequestBatch < 1)
+            drs_fatal("co-model per-request batch must be >= 1");
+        if (co.policy.gpuEnabled && !co.gpu.has_value())
+            drs_fatal("co-model GPU policy without a GPU model");
         // Every binding shares this machine's physical core pool.
-        drs_assert(co.cpu.platform().cores == config.cpu.platform().cores,
-                   "co-model platform core count differs from the machine");
+        if (co.cpu.platform().cores != config.cpu.platform().cores)
+            drs_fatal("co-model platform core count differs from the "
+                      "machine");
     }
 }
 
@@ -60,9 +60,7 @@ MachineEngine::crash(double now, std::vector<uint64_t>& lost_parts)
     gpuQueue.clear();
     busyCores_ = 0;
     gpuBusy = false;
-    queuedSamples_ = 0;
     queuedCostSeconds_ = 0;
-    std::fill(queuedCostByModel_.begin(), queuedCostByModel_.end(), 0.0);
     serviceFactor_ = 1.0;
     lastFinishedFirstStart_ = -1.0;
 }
@@ -161,12 +159,9 @@ MachineEngine::dispatchCpu(double now, std::vector<EngineEvent>& out)
     while (busyCores_ < cores && !cpuQueue.empty()) {
         const PendingRequest req = cpuQueue.front();
         cpuQueue.pop_front();
-        queuedSamples_ -= req.batch;
         busyCores_++;
         PartBook& book = slab[req.slot];
-        const double queued_cost = queuedRequestCost(book, req.batch);
-        queuedCostSeconds_ -= queued_cost;
-        queuedCostByModel_[book.model] -= queued_cost;
+        queuedCostSeconds_ -= queuedRequestCost(book, req.batch);
         if (book.firstStart < 0)
             book.firstStart = now;
         // Whole queries take the historical full-model path; shard
@@ -197,10 +192,7 @@ MachineEngine::startGpu(double now, std::vector<EngineEvent>& out)
     gpuQueue.pop_front();
     gpuBusy = true;
     PartBook& book = slab[slot];
-    queuedSamples_ -= book.samples;
-    const double queued_cost = queuedGpuCost(book);
-    queuedCostSeconds_ -= queued_cost;
-    queuedCostByModel_[book.model] -= queued_cost;
+    queuedCostSeconds_ -= queuedGpuCost(book);
     if (book.firstStart < 0)
         book.firstStart = now;
     const double service =
@@ -240,10 +232,7 @@ MachineEngine::admit(const PartSpec& part, double now,
     if (offload) {
         gpuSamples_ += part.samples;
         gpuQueue.push_back(slot);
-        queuedSamples_ += part.samples;
-        const double queued_cost = queuedGpuCost(book);
-        queuedCostSeconds_ += queued_cost;
-        queuedCostByModel_[book.model] += queued_cost;
+        queuedCostSeconds_ += queuedGpuCost(book);
         startGpu(now, out);
         return;
     }
@@ -253,10 +242,7 @@ MachineEngine::admit(const PartSpec& part, double now,
     while (remaining > 0) {
         const uint32_t take = std::min(remaining, batch);
         cpuQueue.push_back({slot, take});
-        queuedSamples_ += take;
-        const double queued_cost = queuedRequestCost(book, take);
-        queuedCostSeconds_ += queued_cost;
-        queuedCostByModel_[book.model] += queued_cost;
+        queuedCostSeconds_ += queuedRequestCost(book, take);
         book.requestsLeft++;
         remaining -= take;
     }

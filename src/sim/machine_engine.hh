@@ -179,8 +179,9 @@ class MachineEngine
      */
     MachineEngine(const SimConfig* config, double start_time);
 
-    /** Fatally assert @p config is servable (both drivers call this
-     *  at construction so bad configs fail before any run). */
+    /** Refuse a @p config that cannot be served (drs_fatal; both
+     *  drivers call this at construction so bad configs fail before
+     *  any run). */
     static void validate(const SimConfig& config);
 
     /**
@@ -245,15 +246,6 @@ class MachineEngine
     size_t queuedWork() const { return cpuQueue.size() + gpuQueue.size(); }
 
     /**
-     * Candidate samples waiting in the two queues (excludes requests
-     * already on a core or the accelerator). The admission controller
-     * (cluster/admission.hh) prices backlog in samples because
-     * service cost is per-sample to first order, while queuedWork
-     * counts a 1-sample and a 256-sample request equally.
-     */
-    size_t queuedSamples() const { return queuedSamples_; }
-
-    /**
      * Estimated service seconds of everything waiting in the two
      * queues, priced per request through this machine's own cost
      * model at full core contention (the overload steady state). The
@@ -265,21 +257,6 @@ class MachineEngine
     double queuedCostSeconds() const
     {
         return std::max(0.0, queuedCostSeconds_);
-    }
-
-    /**
-     * Mix model @p model's slice of queuedCostSeconds(): the same
-     * push/pop-symmetric book, kept per model alongside the total
-     * (each update adds the identical addend to both, so the slices
-     * sum exactly to the total at all times). This is what lets the
-     * per-model view and the colocation tests attribute queue
-     * pressure to the model that caused it.
-     */
-    double queuedCostSeconds(uint32_t model) const
-    {
-        return model < queuedCostByModel_.size()
-            ? std::max(0.0, queuedCostByModel_[model])
-            : 0.0;
     }
 
     /**
@@ -427,10 +404,7 @@ class MachineEngine
     std::vector<uint32_t> freeSlots;         ///< LIFO free list
     size_t busyCores_ = 0;
     bool gpuBusy = false;
-    size_t queuedSamples_ = 0;
     double queuedCostSeconds_ = 0;
-    /** Per-mix-model slices of queuedCostSeconds_ (sized numModels). */
-    std::vector<double> queuedCostByModel_;
     double serviceFactor_ = 1.0;   ///< gray-failure multiplier
 
     // Lazy utilization integrals: advanced whenever the driver says.

@@ -14,8 +14,8 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <string>
 
-#include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "bench/bench_common.hh"
 #include "cluster/autoscaler.hh"
@@ -87,20 +87,32 @@ deadlinePolicy(bool degrade = false)
     return overload;
 }
 
+/**
+ * Engine-style price of @p requests queued requests of @p batch
+ * samples each on cpuMachine(): each priced at full core contention,
+ * as MachineEngine::queuedCostSeconds prices its queue.
+ */
+double
+queuedCost(size_t requests, size_t batch)
+{
+    const SimConfig machine = cpuMachine();
+    return static_cast<double>(requests) *
+        machine.cpu.requestSeconds(batch, machine.cpu.platform().cores);
+}
+
 /** A cluster view whose queue state is set by hand. */
 class FakeView : public ClusterView
 {
   public:
     explicit FakeView(size_t machines)
-        : work_(machines, 0), samples_(machines, 0),
-          costs_(machines, -1.0), accepting_(machines, true)
+        : work_(machines, 0), costs_(machines, 0.0),
+          accepting_(machines, true)
     {
     }
 
     size_t numMachines() const override { return work_.size(); }
     size_t inFlightQueries(size_t m) const override { return work_[m]; }
     size_t queuedWork(size_t m) const override { return work_[m]; }
-    size_t queuedSamples(size_t m) const override { return samples_[m]; }
     double queuedCostSeconds(size_t m) const override { return costs_[m]; }
     bool hasGpu(size_t) const override { return false; }
     double speedFactor(size_t) const override { return 1.0; }
@@ -112,21 +124,19 @@ class FakeView : public ClusterView
                            [](bool a) { return a; });
     }
 
+    /** Queue @p requests requests of @p batch samples on machine
+     *  @p m: queue pressure is their queued cost. */
     void
-    setQueue(size_t m, size_t requests, size_t samples)
+    setQueue(size_t m, size_t requests, size_t batch)
     {
         work_[m] = requests;
-        samples_[m] = samples;
+        costs_[m] = queuedCost(requests, batch);
     }
 
     void setAccepting(size_t m, bool on) { accepting_[m] = on; }
 
-    /** Expose an engine-exact queue cost (-1 = viewless fallback). */
-    void setQueuedCost(size_t m, double cost) { costs_[m] = cost; }
-
   private:
     std::vector<size_t> work_;
-    std::vector<size_t> samples_;
     std::vector<double> costs_;
     std::vector<bool> accepting_;
 };
@@ -154,7 +164,7 @@ TEST(AdmissionUnit, DeadlineDropsWhenEveryMachineIsHopeless)
     FakeView view(2);
     // Queues deep enough that draining them alone blows the deadline.
     for (size_t m = 0; m < 2; m++)
-        view.setQueue(m, 100000, 100000 * 200);
+        view.setQueue(m, 100000, 200);
     const AdmissionDecision d = ctl.decide(Query{0, 0.0, 128}, view);
     EXPECT_FALSE(d.admit);
     EXPECT_EQ(d.servedSize, 0u);
@@ -170,7 +180,7 @@ TEST(AdmissionUnit, QueueDepthCapCountsOnlyAcceptingMachines)
     const ClusterConfig cfg = tier(2);
     const AdmissionController ctl(overload, cfg.machines);
     FakeView view(2);
-    view.setQueue(0, 50, 50 * 200);
+    view.setQueue(0, 50, 200);
 
     // Machine 1 is idle: under the cap somewhere, admit.
     EXPECT_TRUE(ctl.decide(Query{0, 0.0, 100}, view).admit);
@@ -189,7 +199,7 @@ TEST(AdmissionUnit, DegradeShrinksMonotonicallyWithPressure)
     uint32_t last = size;
     FakeView view(1);
     for (size_t depth = 0; depth <= 400; depth += 25) {
-        view.setQueue(0, depth, depth * 150);
+        view.setQueue(0, depth, 150);
         const AdmissionDecision d = ctl.decide(Query{0, 0.0, size}, view);
         if (!d.admit)
             break; // pressure past the drop point: nothing to serve
@@ -217,7 +227,7 @@ TEST(AdmissionUnit, DegradeRescuesAQueryTheDeadlineWouldDrop)
     bool rescued = false;
     FakeView view(1);
     for (size_t depth = 1; depth <= 2000 && !rescued; depth++) {
-        view.setQueue(0, depth, depth * 200);
+        view.setQueue(0, depth, 200);
         const AdmissionDecision hard = strict.decide(q, view);
         const AdmissionDecision soft = lenient.decide(q, view);
         if (!hard.admit && soft.admit) {
@@ -234,8 +244,8 @@ TEST(AdmissionUnit, DecisionIsPure)
     const ClusterConfig cfg = tier(2);
     const AdmissionController ctl(deadlinePolicy(true), cfg.machines);
     FakeView view(2);
-    view.setQueue(0, 40, 40 * 180);
-    view.setQueue(1, 90, 90 * 180);
+    view.setQueue(0, 40, 180);
+    view.setQueue(1, 90, 180);
     const Query q{7, 1.25, 310};
     const AdmissionDecision first = ctl.decide(q, view);
     for (int i = 0; i < 10; i++) {
@@ -244,70 +254,6 @@ TEST(AdmissionUnit, DecisionIsPure)
         EXPECT_EQ(again.servedSize, first.servedSize);
         EXPECT_DOUBLE_EQ(again.quality, first.quality);
     }
-}
-
-// --------------------------------------------- estimator fallback
-
-/** LogSink is a bare function pointer, so capture through a global. */
-std::vector<std::string> g_capturedLogs;
-
-void
-captureLog(const std::string& line)
-{
-    g_capturedLogs.push_back(line);
-}
-
-TEST(AdmissionUnit, ViewlessFallbackBoundedAgainstEngineAndWarnsOnce)
-{
-    // Queue real heterogeneous work on one engine, then price the
-    // same queue twice: through the engine-exact queuedCostSeconds
-    // the live views expose, and through the viewless mean-batch
-    // fallback a bare view forces. The fallback may diverge — that is
-    // why live views exist — but it must stay within 2x of truth, and
-    // the controller must say it is guessing, exactly once.
-    const SimConfig machine = cpuMachine();
-    MachineEngine engine(&machine, 0.0);
-    std::vector<EngineEvent> scheduled;
-    for (uint64_t i = 0; i < 120; i++) {
-        PartSpec spec;
-        spec.partIdx = i;
-        spec.samples = static_cast<uint32_t>(40 + (i * 37) % 216);
-        engine.admit(spec, 0.0, scheduled);
-        scheduled.clear();
-    }
-    const double exact_cost = engine.queuedCostSeconds();
-    ASSERT_GT(exact_cost, 0.0) << "work must actually be queued";
-
-    const ClusterConfig cfg = tier(1, deadlinePolicy());
-    FakeView fallback_view(1);
-    fallback_view.setQueue(0, engine.queuedWork(),
-                           engine.queuedSamples());
-    FakeView exact_view(1);
-    exact_view.setQueue(0, engine.queuedWork(), engine.queuedSamples());
-    exact_view.setQueuedCost(0, exact_cost);
-
-    const LogSink prev = setLogSink(captureLog);
-    g_capturedLogs.clear();
-    const AdmissionController ctl(cfg.overload, cfg.machines);
-    const double exact = ctl.meanBacklogSeconds(exact_view);
-    EXPECT_TRUE(g_capturedLogs.empty())
-        << "the exact path must not warn";
-    const double approx = ctl.meanBacklogSeconds(fallback_view);
-    for (int i = 0; i < 5; i++) {
-        ctl.meanBacklogSeconds(fallback_view);
-        ctl.decide(Query{0, 0.0, 128}, fallback_view);
-    }
-    setLogSink(prev);
-
-    EXPECT_GT(exact, 0.0);
-    EXPECT_GE(approx, 0.5 * exact)
-        << "fallback underprices the queue more than 2x";
-    EXPECT_LE(approx, 2.0 * exact)
-        << "fallback overprices the queue more than 2x";
-
-    ASSERT_EQ(g_capturedLogs.size(), 1u)
-        << "fallback must warn exactly once per controller";
-    EXPECT_NE(g_capturedLogs[0].find("mean-batch"), std::string::npos);
 }
 
 // ------------------------------------------- conservation with drops
@@ -687,6 +633,85 @@ TEST(AdmissionDeath, PriorityClassCountOutsideSixteenBitsIsAConfigError)
                     ::testing::ExitedWithCode(1), "outside 1..65536");
     }
 }
+
+// ------------------------------------- overload config errors at build
+
+/** One overload config error the cluster facades must refuse. */
+struct BadOverload
+{
+    const char* name;
+    void (*spoil)(OverloadConfig&);
+    const char* message;
+};
+
+void
+PrintTo(const BadOverload& bad, std::ostream* os)
+{
+    *os << bad.name;
+}
+
+class AdmissionConfigDeath : public ::testing::TestWithParam<BadOverload>
+{
+};
+
+TEST_P(AdmissionConfigDeath, RefusedWhenAFacadeIsBuilt)
+{
+    OverloadConfig overload = deadlinePolicy();
+    GetParam().spoil(overload);
+    EXPECT_EXIT(ClusterSimulator{tier(2, overload)},
+                ::testing::ExitedWithCode(1), GetParam().message);
+    AutoscaleSpec spec;
+    spec.cluster = tier(2, overload);
+    EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
+                GetParam().message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OverloadChecks, AdmissionConfigDeath,
+    ::testing::Values(
+        BadOverload{"QueueDepthCapZero",
+                    [](OverloadConfig& o) {
+                        o.admission = AdmissionKind::QueueDepth;
+                        o.queueDepthCap = 0;
+                    },
+                    "queue-depth cap must be >= 1"},
+        BadOverload{"DeadlineZero",
+                    [](OverloadConfig& o) { o.deadlineSeconds = 0.0; },
+                    "deadline admission/degrade needs deadlineSeconds > 0"},
+        BadOverload{"NegativePriorityMargin",
+                    [](OverloadConfig& o) {
+                        o.priorityClasses = 2;
+                        o.priorityMargin = -0.1;
+                    },
+                    "priorityMargin cannot be negative"},
+        BadOverload{"PriorityMarginShutsOutTheLowestClass",
+                    [](OverloadConfig& o) {
+                        o.priorityClasses = 3;
+                        o.priorityMargin = 0.5;
+                    },
+                    "priorityMargin \\* \\(priorityClasses - 1\\) "
+                    "must stay below 1"},
+        BadOverload{"RetryBackoffZero",
+                    [](OverloadConfig& o) {
+                        o.maxRetries = 1;
+                        o.retryBackoffSeconds = 0.0;
+                    },
+                    "retries need a positive base backoff"},
+        BadOverload{"NegativeRetryJitter",
+                    [](OverloadConfig& o) {
+                        o.maxRetries = 1;
+                        o.retryJitterFraction = -0.5;
+                    },
+                    "retry jitter fraction cannot be negative"},
+        BadOverload{"RetryStormPressureZero",
+                    [](OverloadConfig& o) {
+                        o.maxRetries = 1;
+                        o.retryStormPressure = 0.0;
+                    },
+                    "retry-storm pressure must be positive"}),
+    [](const ::testing::TestParamInfo<BadOverload>& info) {
+        return std::string(info.param.name);
+    });
 
 TEST(Admission, WidestPriorityClassCountFitsEveryQuery)
 {

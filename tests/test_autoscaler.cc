@@ -571,19 +571,6 @@ TEST(AutoscalerConfigDeath, InitialMachinesAboveTheTierIsAConfigError)
                 "initial machines exceed the tier");
 }
 
-TEST(AutoscalerConfigDeath, ReactiveTargetOutsideTheUnitIntervalIsAConfigError)
-{
-    const AutoscaleSpec spec = flatSpec(2);
-    ScalingPolicySpec policy;
-    policy.kind = ScalingPolicyKind::Reactive;
-    for (double target : {0.0, 1.0}) {
-        policy.targetUtilization = target;
-        EXPECT_EXIT(makeScalingPolicy(policy, spec),
-                    ::testing::ExitedWithCode(1),
-                    "target utilization must be in \\(0, 1\\)");
-    }
-}
-
 TEST(AutoscalerConfigDeath, ReactiveBandNotBracketingTheTargetIsAConfigError)
 {
     const AutoscaleSpec spec = flatSpec(2);

@@ -221,13 +221,16 @@ TEST(FaultPlanDeath, RejectsMalformedPlans)
 {
     FaultPlan negative_rate;
     negative_rate.crashesPerHour = -1.0;
-    EXPECT_DEATH(validateFaultPlan(negative_rate), "non-negative");
+    EXPECT_EXIT(validateFaultPlan(negative_rate),
+                ::testing::ExitedWithCode(1), "non-negative");
     FaultPlan zero_repair;
     zero_repair.repairSeconds = 0.0;
-    EXPECT_DEATH(validateFaultPlan(zero_repair), "repair");
+    EXPECT_EXIT(validateFaultPlan(zero_repair),
+                ::testing::ExitedWithCode(1), "repair");
     FaultPlan zero_window;
     zero_window.grayDurationSeconds = 0.0;
-    EXPECT_DEATH(validateFaultPlan(zero_window), "positive length");
+    EXPECT_EXIT(validateFaultPlan(zero_window),
+                ::testing::ExitedWithCode(1), "positive length");
 }
 
 TEST(FaultPlanDeath, DriverRefusesUnderReplicatedPlacement)

@@ -211,7 +211,6 @@ TEST(MachineEngine, CrashLosesLiveWorkAndResetsTheProcess)
     // Fresh-process state: nothing queued, nothing running, health
     // restored...
     EXPECT_EQ(engine.queuedWork(), 0u);
-    EXPECT_EQ(engine.queuedSamples(), 0u);
     EXPECT_EQ(engine.busyCores(), 0u);
     EXPECT_EQ(engine.partsInService(), 0u);
     EXPECT_DOUBLE_EQ(engine.queuedCostSeconds(), 0.0);
@@ -257,13 +256,16 @@ TEST(MachineEngineDeath, RejectsBadConfigs)
 {
     SimConfig zero_batch = engineConfig();
     zero_batch.policy.perRequestBatch = 0;
-    EXPECT_DEATH(MachineEngine::validate(zero_batch), "batch");
+    EXPECT_EXIT(MachineEngine::validate(zero_batch),
+                ::testing::ExitedWithCode(1), "batch");
     SimConfig bad_slowdown = engineConfig();
     bad_slowdown.slowdown = 0.0;
-    EXPECT_DEATH(MachineEngine::validate(bad_slowdown), "slowdown");
+    EXPECT_EXIT(MachineEngine::validate(bad_slowdown),
+                ::testing::ExitedWithCode(1), "slowdown");
     SimConfig gpu_less = engineConfig();
     gpu_less.policy.gpuEnabled = true;
-    EXPECT_DEATH(MachineEngine::validate(gpu_less), "GPU");
+    EXPECT_EXIT(MachineEngine::validate(gpu_less),
+                ::testing::ExitedWithCode(1), "GPU");
 }
 
 TEST(MachineEngineDeath, RejectsStaleAndUnknownSlots)
