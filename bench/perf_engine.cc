@@ -18,18 +18,21 @@
  *    reports the parts the driver created, the most ids its part and
  *    query windows spanned and the most records each book held at
  *    once, the most chunks each window allocated (the driver's memory
- *    high-water marks), and the heap bytes of the flat per-query
- *    part-machine book the result keeps. Those bytes are gated: at
- *    most 2 B per machine id, 4 B per row offset and one 64 KB chunk,
- *    or the run exits non-zero.
+ *    high-water marks), the heap bytes of the flat per-query
+ *    part-machine book the result keeps, and the heap bytes of the
+ *    per-machine latency books. Both byte counts are gated, or the
+ *    run exits non-zero: the part-machine book holds at most 2 B per
+ *    machine id, 4 B per row offset and one 64 KB chunk, and the
+ *    latency books exactly 8 B per measured query.
  *  - `cluster16_obs_off` / `cluster16_obs_on`: the same workload with
  *    the observability layer explicitly detached and fully attached.
  *    The detached run gates the obs integration's disabled path (the
  *    null-observer pointer test plus the engine's first-service
  *    stamp) at <1% overhead (+5 ms timer-noise floor) against the
- *    baseline measured in the same process; both runs must reproduce
- *    the baseline's statistics exactly — observing a run must never
- *    change it.
+ *    baseline. The two are timed in interleaved pairs (A B, B A,
+ *    ...) in the same process and their median walls compared. Both
+ *    observed runs must reproduce the baseline's statistics exactly
+ *    — observing a run must never change it.
  *  - `find_max_qps`, `cluster_max_qps`, `plan_capacity`: one search
  *    each. A search is a serial walk on its calling thread, so each is
  *    timed once, with no parallel column.
@@ -95,6 +98,35 @@ bestWall(size_t repeats, Fn&& fn)
     return best;
 }
 
+/**
+ * Median wall clocks of two callables, each run @p repeats times in
+ * interleaved pairs (A B, B A, A B, ...): a drift in host speed lands
+ * on both alike, where two blocks run one after the other would each
+ * time a different host.
+ */
+template <typename FnA, typename FnB>
+std::pair<double, double>
+interleavedMedianWalls(size_t repeats, FnA&& a, FnB&& b)
+{
+    SampleStats walls_a;
+    SampleStats walls_b;
+    auto time = [](auto& fn, SampleStats& walls) {
+        const auto start = Clock::now();
+        fn();
+        walls.add(seconds(start, Clock::now()));
+    };
+    for (size_t r = 0; r < repeats; r++) {
+        if (r % 2 == 0) {
+            time(a, walls_a);
+            time(b, walls_b);
+        } else {
+            time(b, walls_b);
+            time(a, walls_a);
+        }
+    }
+    return {walls_a.p50(), walls_b.p50()};
+}
+
 struct ScenarioReport
 {
     std::string name;
@@ -110,6 +142,7 @@ struct ScenarioReport
     uint64_t partChunks = 0;      ///< part-book chunk high-water mark
     uint64_t queryChunks = 0;     ///< query-book chunk high-water mark
     uint64_t partMachinesBytes = 0; ///< result's flat book, heap bytes
+    uint64_t latencyBooksBytes = 0; ///< per-machine latency books, heap
     bool identical = true;     ///< parallel result bitwise == serial
 
     double
@@ -242,6 +275,8 @@ writeJson(const std::string& path,
                 << "\"part_chunks\": " << r.partChunks << ", "
                 << "\"query_chunks\": " << r.queryChunks << ", "
                 << "\"part_machines_bytes\": " << r.partMachinesBytes
+                << ", "
+                << "\"latency_books_bytes\": " << r.latencyBooksBytes
                 << ", ";
         }
         out << "\"parallel_identical\": "
@@ -318,10 +353,11 @@ main(int argc, char** argv)
 
     // ---- cluster driver hot path: 16-machine sharded fan-out/join,
     // plus the observability overhead gate. All three runs share one
-    // process, trace, and best-of-N so the comparison sees the same
-    // cache and frequency state.
+    // process and trace; the gated pair alternates so the comparison
+    // sees the same cache and frequency state.
     bool obs_gate_pass = true;
     bool book_gate_pass = true;
+    bool latency_gate_pass = true;
     double obs_base_wall = 0.0;
     double obs_off_wall = 0.0;
     double obs_on_wall = 0.0;
@@ -334,7 +370,7 @@ main(int argc, char** argv)
             stream.generate(smoke ? 10000 : 60000);
         const RoutingSpec routing{RoutingKind::ShardAware};
         // Wall noise at 1 repeat is far above the 1% gate band; the
-        // gated trio always takes best-of-3, smoke or not.
+        // gated runs always take 3 repeats, smoke or not.
         const size_t gate_repeats = repeats < 3 ? 3 : repeats;
 
         auto cluster_events = [](const ClusterResult& r) {
@@ -356,11 +392,17 @@ main(int argc, char** argv)
 
         ClusterSimulator sim(cluster);
         ClusterResult base;
+        ClusterResult off;
+        const auto [base_wall, off_wall] = interleavedMedianWalls(
+            gate_repeats, [&] { base = sim.run(trace, routing); },
+            [&] {
+                sim.setObserver(nullptr);   // the default disabled path
+                off = sim.run(trace, routing);
+            });
         {
             ScenarioReport report;
             report.name = "cluster16_sharded";
-            report.wallSerial = bestWall(
-                gate_repeats, [&] { base = sim.run(trace, routing); });
+            report.wallSerial = base_wall;
             report.events = cluster_events(base);
             report.queries = static_cast<double>(base.numCompleted);
             report.parts = base.numParts;
@@ -371,6 +413,9 @@ main(int argc, char** argv)
             report.partChunks = base.peakPartChunks;
             report.queryChunks = base.peakQueryChunks;
             report.partMachinesBytes = base.partMachinesOfQuery.bytes();
+            for (const MachineStats& m : base.perMachine)
+                report.latencyBooksBytes +=
+                    m.latencySeconds.raw().capacity() * sizeof(double);
             obs_base_wall = report.wallSerial;
             reports.push_back(report);
 
@@ -382,15 +427,20 @@ main(int argc, char** argv)
             std::cout << "part-machine book: " << report.partMachinesBytes
                       << " B (gate <= " << bound << " B: "
                       << (book_gate_pass ? "PASS" : "FAIL") << ")\n";
+
+            // Each measured latency sits in its leader's book, and the
+            // books are held at content size: 8 B per measured query.
+            latency_gate_pass =
+                report.latencyBooksBytes == 8 * base.numQueries;
+            std::cout << "latency books: " << report.latencyBooksBytes
+                      << " B (gate == " << 8 * base.numQueries << " B: "
+                      << (latency_gate_pass ? "PASS" : "FAIL") << ")\n";
         }
 
         {
             ScenarioReport report;
             report.name = "cluster16_obs_off";
-            sim.setObserver(nullptr);   // the default disabled path
-            ClusterResult off;
-            report.wallSerial = bestWall(
-                gate_repeats, [&] { off = sim.run(trace, routing); });
+            report.wallSerial = off_wall;
             report.events = cluster_events(off);
             report.queries = static_cast<double>(off.numCompleted);
             report.identical = same_result(base, off);
@@ -626,5 +676,10 @@ main(int argc, char** argv)
         std::cerr << "obs disabled-path overhead gate FAILED\n";
     if (!book_gate_pass)
         std::cerr << "part-machine book content bound FAILED\n";
-    return (all_identical && obs_gate_pass && book_gate_pass) ? 0 : 1;
+    if (!latency_gate_pass)
+        std::cerr << "latency books content size FAILED\n";
+    return (all_identical && obs_gate_pass && book_gate_pass &&
+            latency_gate_pass)
+        ? 0
+        : 1;
 }

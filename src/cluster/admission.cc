@@ -18,7 +18,7 @@ constexpr double kDegradeStartPressure = 0.35;
 /** Floor of the shrink as a fraction of the original size. */
 constexpr double kMinSizeFraction = 0.25;
 /** Quality weight of a degraded answer:
- *  (servedSize / originalSize)^kQualityExponent. */
+ *  (served size / original size)^kQualityExponent. */
 constexpr double kQualityExponent = 1.0;
 
 } // namespace
@@ -46,6 +46,14 @@ allAdmissionKinds()
         AdmissionKind::Deadline,
     };
     return kinds;
+}
+
+void
+validateTraceLength(uint64_t queries)
+{
+    if (queries > kMaxTraceQueries)
+        drs_fatal("a trace of ", queries, " queries exceeds the ",
+                  kMaxTraceQueries, " one cluster run can index");
 }
 
 AdmissionController::AdmissionController(

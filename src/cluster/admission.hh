@@ -22,7 +22,7 @@
  * The quality currency is **goodput**: completions within the
  * deadline per second, each weighted by a quality factor in (0, 1] —
  * full-size answers weigh 1, degraded answers weigh
- * servedSize / originalSize (a fixed linear quality curve), dropped
+ * served size / original size (a fixed linear quality curve), dropped
  * or late answers weigh 0. Goodput can never exceed the raw
  * completion rate, and shedding trades a lower ceiling for a *finite*
  * tail where the open-loop tier melts down.
@@ -223,21 +223,30 @@ struct AdmissionDecision
     double retryAfterSeconds = 0.0;
 };
 
-/** One degraded admission (trace index plus the size it shrank to). */
+/** Most queries one cluster run takes: a DegradeRecord holds its
+ *  trace index in 32 bits. */
+constexpr uint64_t kMaxTraceQueries = UINT32_MAX;
+
+/** Refuse a trace of more than kMaxTraceQueries queries with
+ *  drs_fatal. ClusterLoop calls it when a run starts. */
+void validateTraceLength(uint64_t queries);
+
+/**
+ * One degraded admission: the trace index (below kMaxTraceQueries)
+ * and the size the query shrank to; its original size is
+ * trace[queryIdx].size. Degrade fires on most queries of an
+ * overloaded day, so the record is 8 bytes. The fields are uint64_t
+ * bit-fields rather than uint32_t so that they still read as
+ * uint64_t: a caller overloaded on uint64_t and double stays exact.
+ */
 struct DegradeRecord
 {
-    uint64_t queryIdx = 0;
-    uint32_t originalSize = 0;
-    uint32_t servedSize = 0;
+    uint64_t queryIdx : 32 = 0;
+    uint64_t servedSize : 32 = 0;
 
-    bool
-    operator==(const DegradeRecord& other) const
-    {
-        return queryIdx == other.queryIdx &&
-               originalSize == other.originalSize &&
-               servedSize == other.servedSize;
-    }
+    bool operator==(const DegradeRecord&) const = default;
 };
+static_assert(sizeof(DegradeRecord) == 8);
 
 /** Per-priority-class slice of OverloadStats (same field meanings). */
 struct ClassOverloadStats
@@ -311,7 +320,9 @@ struct OverloadStats
     std::vector<uint64_t> droppedQueries;
 
     /** Degraded admissions in decision order (empty when disabled; a
-     *  retried query may appear once per degraded presentation). */
+     *  retried query may appear once per degraded presentation). A
+     *  run takes at most kMaxTraceQueries queries, so each record
+     *  holds its trace index in 32 bits. */
     std::vector<DegradeRecord> degradedQueries;
 
     /** Finally-dropped fraction of offered queries, in [0, 1]. */

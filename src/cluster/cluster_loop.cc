@@ -25,6 +25,31 @@ stageOf(PartRec::Kind kind)
     return obs::PartStage::Whole;
 }
 
+/**
+ * Hand each fleet latency sample to the book its tag names, in fleet
+ * order, then free the tags. Each book is reserved to exactly its
+ * count, and it is the fleet book filtered in completion order, so
+ * its samples and sum() are bitwise those of appending at each
+ * completion.
+ */
+template <typename Stats>
+void
+fanOutLatencies(const SampleStats& fleet, std::vector<uint16_t>& tags,
+                std::vector<Stats>& books)
+{
+    drs_assert(tags.size() == fleet.count(),
+               "a measured completion has no latency tag");
+    std::vector<size_t> counts(books.size(), 0);
+    for (uint16_t tag : tags)
+        counts[tag]++;
+    for (size_t i = 0; i < books.size(); i++)
+        books[i].latencySeconds.reserve(counts[i]);
+    const std::vector<double>& samples = fleet.raw();
+    for (size_t i = 0; i < tags.size(); i++)
+        books[tags[i]].latencySeconds.add(samples[i]);
+    std::vector<uint16_t>().swap(tags);
+}
+
 } // namespace
 
 void
@@ -148,9 +173,9 @@ ClusterLoop::completeQuery(uint64_t query_idx)
     members.onCompletion(latency);
     if (q.measured) {
         result.fleetLatencySeconds.add(latency);
-        result.perMachine[q.machine].latencySeconds.add(latency);
+        latencyMachine.push_back(static_cast<uint16_t>(q.machine));
         if (queryBooks && mixOn)
-            result.perModel[q.model].latencySeconds.add(latency);
+            latencyModel.push_back(static_cast<uint16_t>(q.model));
         span.onCompletion(q.joinTime);
         if (cfg.overload.deadlineSeconds > 0.0) {
             result.overload.measuredCompleted++;
@@ -518,8 +543,7 @@ ClusterLoop::present(uint64_t idx, double now)
     if (admission && served.size < in.size) {
         result.overload.degraded++;
         cs.degraded++;
-        result.overload.degradedQueries.push_back(
-            {idx, in.size, served.size});
+        result.overload.degradedQueries.push_back({idx, served.size});
         if (obs)
             obs->onQueryDegrade(idx, now, in.size, served.size);
     }
@@ -837,6 +861,7 @@ ClusterLoop::retireBooks()
 void
 ClusterLoop::run()
 {
+    validateTraceLength(trace.size());
     const size_t n = cfg.machines.size();
     result.perMachine.resize(n);
     if (queryBooks)
@@ -854,6 +879,9 @@ ClusterLoop::run()
     lastFaultAdvance = t0;
     warmup = warmupCount(cfg.warmupFraction, trace.size());
     result.fleetLatencySeconds.reserve(trace.size() - warmup);
+    latencyMachine.reserve(trace.size() - warmup);
+    if (queryBooks && mixOn)
+        latencyModel.reserve(trace.size() - warmup);
 
     machines.reserve(n);
     for (const SimConfig& machine : cfg.machines)
@@ -975,6 +1003,11 @@ ClusterLoop::finishBooks()
     result.peakPartChunks = parts.chunksAllocated();
     result.peakQueryChunks = queries.chunksAllocated();
     result.numQueries = result.fleetLatencySeconds.count();
+    fanOutLatencies(result.fleetLatencySeconds, latencyMachine,
+                    result.perMachine);
+    if (queryBooks && mixOn)
+        fanOutLatencies(result.fleetLatencySeconds, latencyModel,
+                        result.perModel);
     result.meanFanout = result.numDispatched > 0
         ? static_cast<double>(result.numParts) /
               static_cast<double>(result.numDispatched)

@@ -250,6 +250,16 @@ class ClusterLoop final : private ClusterView
      *  order, when the query window passes its query. */
     WindowBook<std::vector<uint32_t>> partMachineRows;
 
+    /**
+     * The leader of each measured completion and, on a run that keeps
+     * per-model books of a mix, its model, in fleet-book order. Ids
+     * fit 16 bits (kMaxClusterMachines, kMaxMixModels). finishBooks
+     * fans the fleet samples out to the per-machine and per-model
+     * books, each reserved to its exact count, then frees these.
+     */
+    std::vector<uint16_t> latencyMachine;
+    std::vector<uint16_t> latencyModel;
+
     std::vector<uint8_t> accepting_;
     size_t acceptingCount_ = 0;
 

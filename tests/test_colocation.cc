@@ -19,12 +19,19 @@
  *  - a model's tail latency is monotone in its own offered fraction
  *    when it is the heavier co-tenant;
  *  - model-aware routing decisions are bitwise identical at 1 and
- *    many threads (ColocationParallelDiff — run under TSan in CI).
+ *    many threads (ColocationParallelDiff — run under TSan in CI);
+ *  - on a tier with every feature on, each per-machine and per-model
+ *    latency book is the fleet book filtered in completion order, at
+ *    capacity == size, under both cluster drivers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "base/thread_pool.hh"
+#include "cluster/autoscaler.hh"
 #include "cluster/cluster_qps_search.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
@@ -429,6 +436,136 @@ TEST(ColocationParallelDiff, ModelAwareRoutingBitwiseAcrossThreadCounts)
                       parallel.atMax.perModel[k].latencySeconds.raw());
         }
     }
+}
+
+// ------------------------------------------------ latency books
+
+/**
+ * Six colocated machines with every feature on: a sharded three-model
+ * mix under the TwoStage join, deadline admission with degrade,
+ * crashes and gray windows, and (when @p hedge) hedged fan-out parts.
+ */
+ClusterConfig
+fullStackTier(bool hedge)
+{
+    const std::vector<ModelMixEntry> mix = {
+        mixEntry(ModelId::DlrmRmc2, 0.4, 256),
+        mixEntry(ModelId::WideAndDeep, 0.4, 256),
+        mixEntry(ModelId::Ncf, 0.2, 256),
+    };
+    ClusterConfig cluster;
+    for (size_t m = 0; m < 6; m++)
+        cluster.machines.push_back(colocatedMachine(
+            mix, CpuPlatform::skylake(), 2'000'000'000ULL));
+    PlacementSpec placement;
+    placement.strategy = PlacementStrategy::GreedyBySize;
+    placement.minReplicas = 2;
+    cluster.sharding = colocatedSharding(
+        mix, machineMemoryBudgets(cluster.machines), placement, 6);
+    cluster.modelMix = mix;
+    cluster.network.hopSeconds = 150e-6;
+    cluster.network.gigabytesPerSecond = 12.5;
+    cluster.join = JoinModel::TwoStage;
+    cluster.overload.admission = AdmissionKind::Deadline;
+    cluster.overload.deadlineSeconds = 0.1;
+    cluster.overload.degrade = true;
+    cluster.faults.seed = 0xb00c5;
+    cluster.faults.crashesPerHour = 6000.0;
+    cluster.faults.repairSeconds = 0.3;
+    cluster.faults.grayPerHour = 6000.0;
+    cluster.faults.grayDurationSeconds = 0.3;
+    cluster.faults.faultTolerance = 1;
+    cluster.faults.maxFailovers = 3;
+    if (hedge)
+        cluster.hedge.delaySeconds = 0.03;
+    return cluster;
+}
+
+QueryTrace
+fullStackTrace(const ClusterConfig& cluster)
+{
+    MixedTraceTemplate mixed(mixLoad(3000.0, 0x707),
+                             mixFractions(cluster.modelMix));
+    mixed.ensure(4000);
+    return mixed.materialize(3000.0, 4000);
+}
+
+/**
+ * Each book of @p books is an in-order subsequence of the fleet book,
+ * held at capacity == size, whose sum() is its in-order re-sum
+ * bitwise; together the books hold exactly the fleet's samples.
+ */
+template <typename Stats>
+void
+expectBooksTileFleet(const SampleStats& fleet,
+                     const std::vector<Stats>& books)
+{
+    const std::vector<double>& all = fleet.raw();
+    std::vector<double> pooled;
+    for (size_t i = 0; i < books.size(); i++) {
+        SCOPED_TRACE(i);
+        const std::vector<double>& raw = books[i].latencySeconds.raw();
+        EXPECT_EQ(raw.capacity(), raw.size());
+        double sum = 0.0;
+        auto at = all.begin();
+        for (double v : raw) {
+            sum += v;
+            at = std::find(at, all.end(), v);
+            ASSERT_NE(at, all.end()) << "not in fleet order";
+            ++at;
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(sum),
+                  std::bit_cast<uint64_t>(books[i].latencySeconds.sum()));
+        pooled.insert(pooled.end(), raw.begin(), raw.end());
+    }
+    EXPECT_EQ(pooled.size(), all.size());
+    std::vector<double> sorted_fleet = all;
+    std::sort(pooled.begin(), pooled.end());
+    std::sort(sorted_fleet.begin(), sorted_fleet.end());
+    EXPECT_EQ(pooled, sorted_fleet);
+}
+
+TEST(Colocation, LatencyBooksAreTheFleetBookFilteredOnAFullStackTier)
+{
+    const ClusterConfig cluster = fullStackTier(true);
+    const QueryTrace trace = fullStackTrace(cluster);
+    const ClusterResult r = ClusterSimulator(cluster).run(
+        trace, RoutingSpec{RoutingKind::ShardAware});
+
+    // Every feature the books must survive actually fired.
+    EXPECT_GT(r.meanFanout, 1.0);
+    EXPECT_GT(r.overload.degraded, 0u);
+    EXPECT_GT(r.faults.crashes, 0u);
+    EXPECT_GT(r.faults.hedged, 0u);
+    ASSERT_GT(r.numQueries, 0u);
+
+    ASSERT_EQ(r.perModel.size(), cluster.modelMix.size());
+    for (const ModelStats& ms : r.perModel)
+        EXPECT_GT(ms.latencySeconds.count(), 0u);
+    expectBooksTileFleet(r.fleetLatencySeconds, r.perMachine);
+    expectBooksTileFleet(r.fleetLatencySeconds, r.perModel);
+}
+
+TEST(Colocation, ElasticLatencyBooksAreTheFleetBookFiltered)
+{
+    // The elastic tier refuses hedging; everything else stays on.
+    AutoscaleSpec spec;
+    spec.cluster = fullStackTier(false);
+    spec.routing.kind = RoutingKind::ShardAware;
+    spec.slaMs = 80.0;
+    spec.controlIntervalSeconds = 0.25;
+    spec.warmupDelaySeconds = 0.15;
+    const QueryTrace trace = fullStackTrace(spec.cluster);
+    ScalingPolicySpec policy;
+    policy.minMachines = 3;
+    const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
+
+    EXPECT_GT(r.meanFanout, 1.0);
+    EXPECT_GT(r.overload.degraded, 0u);
+    EXPECT_GT(r.faults.crashes, 0u);
+    ASSERT_GT(r.numQueries, 0u);
+    EXPECT_TRUE(r.perModel.empty());
+    expectBooksTileFleet(r.fleetLatencySeconds, r.perMachine);
 }
 
 } // namespace

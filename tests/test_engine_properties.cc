@@ -414,10 +414,9 @@ TEST(EngineProperties, RandomizedOverloadConfigsHoldInvariants)
 
         // Degraded queries shrink, never grow, and respect the floor.
         for (const DegradeRecord& rec : r.overload.degradedQueries) {
-            EXPECT_EQ(rec.originalSize, trace[rec.queryIdx].size);
-            EXPECT_LT(rec.servedSize, rec.originalSize);
-            EXPECT_GE(rec.servedSize,
-                      std::min(rec.originalSize, overload.minSize));
+            const uint32_t original = trace[rec.queryIdx].size;
+            EXPECT_LT(rec.servedSize, original);
+            EXPECT_GE(rec.servedSize, std::min(original, overload.minSize));
         }
 
         // Deadline accounting: within-deadline completions are a
