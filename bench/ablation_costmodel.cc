@@ -11,6 +11,9 @@
  *      penalty (Figure 12c)
  *  A3  per-request dispatch overhead -> the cost of over-splitting
  *  A4  PCIe transfer cost -> the GPU offload threshold (Figure 10)
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <functional>

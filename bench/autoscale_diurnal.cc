@@ -40,6 +40,9 @@
  * spans and stages the unsharded study cells cannot show. Output —
  * files included — is deterministic and bitwise identical at every
  * DRS_THREADS value.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <cstring>

@@ -46,6 +46,9 @@
  * trace-event JSON; the optional path writes the grid as a JSON array
  * (CI archives it as BENCH_chaos.json). Output is deterministic and
  * bitwise identical at every DRS_THREADS value.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <array>

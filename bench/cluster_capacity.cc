@@ -6,6 +6,9 @@
  * machine mixes and scheduler policies — the provisioning question the
  * paper's introduction motivates (double per-machine QPS-under-SLA,
  * halve the tier).
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include "bench/bench_common.hh"

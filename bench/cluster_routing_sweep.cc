@@ -11,6 +11,9 @@
  * and round-robin routing leave on slow machines, which shows up
  * directly in fleet p99 — the cluster-tier analogue of the paper's
  * tail-latency argument.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <fstream>

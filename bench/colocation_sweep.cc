@@ -37,6 +37,9 @@
  * result table as a JSON array (CI archives it as
  * BENCH_colocation.json). Output is deterministic and bitwise
  * identical at every DRS_THREADS value.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <cstring>

@@ -6,6 +6,9 @@
  * breakdown between dense (MLP weights/activations) and sparse
  * (embedding gather) traffic that drives the paper's model-level
  * heterogeneity argument.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include "bench/bench_common.hh"

@@ -5,6 +5,11 @@
  * (not the analytical model). DLRM-class models should be dominated
  * by embedding lookups, WnD/NCF/RMC3 by FC, DIN by attention+
  * embedding, DIEN by recurrent layers.
+ *
+ * Host-measured lines: every line of the breakdown table. The shares
+ * and the "Dominant" column are wall-clock splits of real kernels,
+ * and the column widths follow the shares, so the header and rule
+ * lines move with them. The closing note is fixed.
  */
 
 #include "bench/bench_common.hh"

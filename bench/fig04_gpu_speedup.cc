@@ -4,6 +4,9 @@
  * for every model, the batch size at which the GPU starts to win
  * (annotated in the paper's figure), and the fraction of GPU time
  * spent loading data (60-80% in the paper).
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include "bench/bench_common.hh"

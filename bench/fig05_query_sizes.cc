@@ -4,6 +4,9 @@
  * production recommendation services against the canonical lognormal
  * (and normal) assumptions — percentile table, p75 marker, and the
  * heavy-tail mass shares the scheduler exploits.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <algorithm>

@@ -4,6 +4,9 @@
  * size) and large (> p75) queries on CPU and GPU. Despite being only
  * 25% of queries, large queries carry ~half of CPU execution time;
  * the GPU accelerates exactly that half.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <algorithm>

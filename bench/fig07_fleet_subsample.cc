@@ -3,6 +3,9 @@
  * Reproduces Figure 7: the latency distribution measured on a small
  * subsample of machines tracks the full datacenter fleet to within
  * ~10%, justifying single-node studies of tail behaviour.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include "bench/bench_common.hh"

@@ -5,6 +5,9 @@
  * batch as the target relaxes). Bottom: the optimal batch differs
  * across DLRM-RMC1 (embedding), DLRM-RMC3 (MLP), and DIEN (attention)
  * model classes.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include "bench/bench_common.hh"

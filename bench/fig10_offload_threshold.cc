@@ -4,6 +4,9 @@
  * query-size threshold. Threshold 1 offloads every query ("all GPU");
  * beyond the maximum query size nothing offloads ("all CPU"). The
  * optimum sits between and varies per model class.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include "bench/bench_common.hh"

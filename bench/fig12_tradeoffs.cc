@@ -5,6 +5,9 @@
  * (including the penalty for tuning against the wrong distribution),
  * (b) the model architecture, and (c) the CPU platform (inclusive
  * Broadwell vs exclusive Skylake cache hierarchies).
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <functional>

@@ -5,6 +5,9 @@
  * unlocks targets the CPU cannot reach and its share of work falls as
  * the target relaxes; (b) QPS/Watt — the GPU wins at strict targets,
  * the CPU at relaxed ones.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include "bench/bench_common.hh"

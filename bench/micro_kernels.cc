@@ -6,6 +6,8 @@
  * are the measurements that back the cost-model calibration. Each
  * kernel writes into outputs reused across iterations, as the serving
  * workers do, so the allocator is not timed.
+ *
+ * Host-measured lines: every timing line google-benchmark prints.
  */
 
 #include <benchmark/benchmark.h>

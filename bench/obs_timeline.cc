@@ -23,6 +23,9 @@
  * timeline table as a JSON array. Output — files included — is
  * deterministic and bitwise identical at every DRS_THREADS value (a
  * single run is single-threaded by design).
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <cstring>

@@ -40,6 +40,9 @@
  * writes the sweep table as a JSON array (CI archives it as
  * BENCH_overload.json). Output is deterministic and bitwise identical
  * at every DRS_THREADS value.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <cstring>

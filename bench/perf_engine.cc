@@ -52,6 +52,12 @@
  * Events metric: CPU request completions + query completions (+ parts
  * and joins for the cluster), i.e. heap pops — the unit of work of a
  * discrete-event simulator.
+ *
+ * Host-measured lines: the setup_colocated128 line, the obs overhead
+ * line, every line of the scenario table (its walls, speedups and
+ * rates set the column widths) and the combined sweep speedup line.
+ * The part-machine book, latency book, find_max_qps, cluster_max_qps,
+ * plan_capacity and tune_sweep lines are fixed.
  */
 
 #include <chrono>

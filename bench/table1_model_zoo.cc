@@ -4,6 +4,9 @@
  * recommendation models, augmented with the derived resource profile
  * (FLOPs, embedding traffic, logical table storage) each configuration
  * implies.
+ *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <sstream>

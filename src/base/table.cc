@@ -64,18 +64,23 @@ TextTable::num(int64_t value)
 void
 TextTable::print(std::ostream& os) const
 {
+    // Columns count UTF-8 code points, not bytes ("FC ≈ Embedding").
+    auto width = [](const std::string& cell) {
+        return static_cast<size_t>(
+            std::count_if(cell.begin(), cell.end(), [](char ch) {
+                return (static_cast<unsigned char>(ch) & 0xC0) != 0x80;
+            }));
+    };
     std::vector<size_t> widths(headers.size(), 0);
     for (size_t c = 0; c < headers.size(); c++)
-        widths[c] = headers[c].size();
+        widths[c] = width(headers[c]);
     for (const auto& row : rows)
         for (size_t c = 0; c < row.size(); c++)
-            widths[c] = std::max(widths[c], row[c].size());
+            widths[c] = std::max(widths[c], width(row[c]));
 
     auto emit_row = [&](const std::vector<std::string>& row) {
-        for (size_t c = 0; c < row.size(); c++) {
-            os << std::left << std::setw(static_cast<int>(widths[c]) + 2)
-               << row[c];
-        }
+        for (size_t c = 0; c < row.size(); c++)
+            os << row[c] << std::string(widths[c] + 2 - width(row[c]), ' ');
         os << "\n";
     };
 

@@ -59,69 +59,19 @@ validateTraceLength(uint64_t queries)
 AdmissionController::AdmissionController(
     const OverloadConfig& config, const std::vector<SimConfig>& machines,
     double embeddingShare, const NetworkConfig& network, JoinModel join)
-    : cfg(config), embShare(embeddingShare), net(network), joinModel(join)
+    : cfg(config), machines_(machines), embShare(embeddingShare),
+      net(network), joinModel(join)
 {
-    drs_assert(!machines.empty(), "admission needs at least one machine");
+    drs_assert(!machines_.empty(), "admission needs at least one machine");
     drs_assert(embShare > 0.0 && embShare <= 1.0,
                "embedding share must be in (0, 1]");
     validatePriorityClassCount(cfg.priorityClasses);
-
-    // Widest binding count across the tier: the calibration vectors
-    // below are flattened per (machine, model). On a single-model
-    // tier numModels_ is 1 and the layout degenerates to the
-    // historical one-entry-per-machine vectors.
-    for (const SimConfig& m : machines)
-        numModels_ = std::max(numModels_, m.numModels());
-
-    cpu.reserve(machines.size() * numModels_);
-    slowdown.reserve(machines.size());
-    cores.reserve(machines.size());
-    batch.reserve(machines.size() * numModels_);
-    for (const SimConfig& m : machines) {
-        slowdown.push_back(m.slowdown);
-        cores.push_back(static_cast<double>(m.cpu.platform().cores));
-        for (uint32_t k = 0; k < numModels_; ++k) {
-            // Keep each binding's own cost model: the efficiency
-            // curves are saturating (per-sample cost falls with
-            // batch), so no linear fit prices a mid-size request
-            // honestly. Estimates are priced under full core
-            // contention — the steady state an overloaded machine
-            // actually runs in, which is when the estimate matters.
-            // Slots for models this machine does not serve hold the
-            // primary binding as a placeholder; candidate filtering
-            // (bestServiceSeconds) guarantees they are never priced.
-            const bool served = m.servesModel(k);
-            const CpuCostModel& c =
-                served && k > 0 ? m.coModels[k - 1].cpu : m.cpu;
-            const SchedulerPolicy& p =
-                served && k > 0 ? m.coModels[k - 1].policy : m.policy;
-            cpu.push_back(c);
-            batch.push_back(static_cast<double>(
-                std::max<size_t>(1, p.perRequestBatch)));
-        }
-    }
-}
-
-double
-AdmissionController::requestSecondsAt(size_t m, size_t req_batch,
-                                      double emb_fraction,
-                                      bool include_dense,
-                                      uint32_t model) const
-{
-    const CpuCostModel& c = cpu[bindAt(m, model)];
-    const size_t pool = c.platform().cores;
-    const double seconds =
-        emb_fraction < 1.0 || !include_dense
-            ? c.partialRequestSeconds(req_batch, pool, emb_fraction,
-                                      include_dense)
-            : c.requestSeconds(req_batch, pool);
-    return seconds * slowdown[m];
 }
 
 double
 AdmissionController::backlogSeconds(size_t m, const ClusterView& view) const
 {
-    drs_assert(m < cores.size(), "backlog of unknown machine");
+    drs_assert(m < machines_.size(), "backlog of unknown machine");
     // The view exposes the engine's own running queue-cost sum — each
     // queued request priced through the machine's cost model with its
     // true batch, shard fraction, and leader flag — which no
@@ -133,7 +83,7 @@ AdmissionController::backlogSeconds(size_t m, const ClusterView& view) const
     // the wait a new arrival sees is total queued work over pool
     // throughput.
     return (view.queuedCostSeconds(m) + view.pendingJoinCostSeconds(m)) /
-        cores[m];
+        coresOf(m);
 }
 
 double
@@ -197,19 +147,24 @@ AdmissionController::partServiceSeconds(size_t m, uint32_t size,
                                         bool include_dense,
                                         uint32_t model) const
 {
-    drs_assert(m < cores.size(), "service on unknown machine");
+    drs_assert(m < machines_.size(), "service on unknown machine");
     // The query splits into ceil(size / batch) requests that run on
     // up to `cores` cores at once: critical path is total work over
     // the achievable parallelism. Single-request queries (the common
-    // case) are priced exactly.
-    const double b = batch[bindAt(m, model)];
-    const double requests = std::ceil(static_cast<double>(size) / b);
-    const double parallelism = std::min(cores[m], requests);
-    const size_t req_batch =
-        std::min<size_t>(size, static_cast<size_t>(b));
+    // case) are priced exactly. The efficiency curves are saturating
+    // (per-sample cost falls with batch), so each request is priced
+    // through the binding's own cost model, at full core contention —
+    // the steady state an overloaded machine actually runs in.
+    const SimConfig& machine = machines_[m];
+    const size_t b = machine.policyOf(model).perRequestBatch;
+    const double requests =
+        std::ceil(static_cast<double>(size) / static_cast<double>(b));
+    const double parallelism = std::min(coresOf(m), requests);
+    const size_t req_batch = std::min<size_t>(size, b);
+    const bool whole = emb_fraction >= 1.0 && include_dense;
     const double work = requests *
-        requestSecondsAt(m, std::max<size_t>(1, req_batch), emb_fraction,
-                         include_dense, model);
+        machine.queuedRequestSeconds(model, std::max<size_t>(1, req_batch),
+                                     whole, emb_fraction, include_dense);
     return work / parallelism;
 }
 
@@ -221,8 +176,8 @@ AdmissionController::bestServiceSeconds(const ClusterView& view,
 {
     // Only machines that carry a binding for the query's model are
     // admission candidates — a colocated tier may be partially
-    // heterogeneous, and pricing a model on a machine that cannot
-    // serve it would consult the placeholder calibration slots.
+    // heterogeneous, and a machine that cannot serve the model has no
+    // binding to price it with.
     double best = std::numeric_limits<double>::infinity();
     const size_t n = view.numMachines();
     for (size_t m = 0; m < n; ++m) {

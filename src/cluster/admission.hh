@@ -61,9 +61,10 @@
  * built, not by the controller.
  *
  * Units: seconds throughout; sizes in candidate samples. Ownership:
- * the controller copies its config and calibration and borrows
- * nothing; decisions read only the view passed in. Determinism: see
- * above — decide() is pure.
+ * the controller copies its config and borrows the tier's machine
+ * configs, which it prices through (SimConfig::queuedRequestSeconds,
+ * the engine's own pricing function); decisions read only those and
+ * the view passed in. Determinism: see above — decide() is pure.
  */
 
 #ifndef DRS_CLUSTER_ADMISSION_HH
@@ -347,7 +348,7 @@ struct OverloadStats
 };
 
 /**
- * The router-side overload controller: calibrated once per tier, then
+ * The router-side overload controller: built once per tier, then
  * consulted at every arrival. See the file comment for the estimation
  * and decision rules.
  */
@@ -357,7 +358,8 @@ class AdmissionController
     /**
      * @param config the overload policy (copied; validated by
      *        validateClusterConfig)
-     * @param machines the tier's machine configs, for calibration
+     * @param machines the tier's machine configs, read by reference
+     *        for pricing: they must outlive the controller
      * @param embeddingShare the fraction of a query's embedding work
      *        a single machine serves — 1.0 for whole-query tiers; a
      *        sharded tier passes its per-machine share so heavy
@@ -375,6 +377,11 @@ class AdmissionController
                         const NetworkConfig& network = {},
                         JoinModel join = JoinModel::TwoStage);
 
+    /** A temporary machine list would dangle. */
+    AdmissionController(const OverloadConfig&, std::vector<SimConfig>&&,
+                        double = 1.0, const NetworkConfig& = {},
+                        JoinModel = JoinModel::TwoStage) = delete;
+
     /**
      * Decide @p query's fate against the live @p view: admit as-is,
      * admit degraded, or drop. Pure — equal (query, view state) pairs
@@ -385,8 +392,8 @@ class AdmissionController
 
     /**
      * Estimated seconds for machine @p m to drain its queue (0 when
-     * idle): queued requests priced at their mean batch through the
-     * machine's own cost model, drained across the core pool.
+     * idle): its queued and committed join-phase work, as the engine
+     * priced it, drained across the core pool.
      */
     double backlogSeconds(size_t m, const ClusterView& view) const;
 
@@ -411,13 +418,15 @@ class AdmissionController
   private:
     OverloadConfig cfg;
 
-    /** Per-request seconds for a @p req_batch-sample request on
-     *  machine @p m under full core contention, slowdown applied, for
-     *  a part shape: @p emb_fraction of the embedding gathers, dense
-     *  stacks iff @p include_dense. */
-    double requestSecondsAt(size_t m, size_t req_batch,
-                            double emb_fraction, bool include_dense,
-                            uint32_t model = 0) const;
+    /** The tier's machine configs (owned by the caller). */
+    const std::vector<SimConfig>& machines_;
+
+    /** Core count of machine @p m (backlog drains across the pool). */
+    double
+    coresOf(size_t m) const
+    {
+        return static_cast<double>(machines_[m].cpu.platform().cores);
+    }
 
     /**
      * Estimated service seconds of a @p size-sample part of the given
@@ -445,32 +454,6 @@ class AdmissionController
     double serviceAndHopSeconds(uint32_t size, const ClusterView& view,
                                 uint32_t model = 0) const;
 
-    /** Index of machine @p m's binding for @p model in the flattened
-     *  per-(machine, model) calibration vectors below. */
-    size_t
-    bindAt(size_t m, uint32_t model) const
-    {
-        return m * numModels_ + model;
-    }
-
-    /**
-     * Widest model count across the tier's machines (1 on every
-     * single-model tier, where the flattened calibration layout below
-     * degenerates to the historical one-entry-per-machine vectors).
-     */
-    size_t numModels_ = 1;
-
-    /** Each (machine, model) binding's own CPU cost model, flattened
-     *  [m * numModels_ + model] — the efficiency curves are too
-     *  nonlinear in batch for scalar calibration. Slots for models a
-     *  machine does not serve hold its primary binding as a
-     *  placeholder; bestServiceSeconds never consults them because it
-     *  filters candidates by ClusterView::servesModel. */
-    std::vector<CpuCostModel> cpu;
-
-    /** Per-machine slowdown factor (SimConfig::slowdown). */
-    std::vector<double> slowdown;
-
     /** Leader-side share of a query's embedding work, in (0, 1]. */
     double embShare = 1.0;
 
@@ -479,13 +462,6 @@ class AdmissionController
 
     /** Join model of the tier (prices the second visit iff TwoStage). */
     JoinModel joinModel = JoinModel::TwoStage;
-
-    /** Core count per machine (backlog drains across the pool). */
-    std::vector<double> cores;
-
-    /** Configured per-request batch per (machine, model) binding,
-     *  flattened like `cpu` (latency estimate). */
-    std::vector<double> batch;
 };
 
 } // namespace deeprecsys

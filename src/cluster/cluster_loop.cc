@@ -111,17 +111,14 @@ ClusterLoop::flightSub(uint32_t m, uint32_t model, const char* what)
     }
 }
 
-// The committed phase leaves the estimator's backlog exactly once:
-// when it becomes real queued work, or when a failure kills the
-// dispatch (identical joinPhaseCostSeconds inputs as at the commit).
+// The committed phase leaves the estimator's backlog exactly once,
+// at its stored price: when it becomes real queued work, or when a
+// failure kills the dispatch.
 void
 ClusterLoop::releaseJoinCost(QueryState& q)
 {
-    if (!q.joinCommitted)
-        return;
-    pendingJoinCost[q.machine] -=
-        machines[q.machine].joinPhaseCostSeconds(q.size, q.model);
-    q.joinCommitted = false;
+    pendingJoinCost[q.machine] -= q.joinCost;
+    q.joinCost = 0;
 }
 
 // A part reaches its machine (after the forward hop, if any).
@@ -624,9 +621,9 @@ ClusterLoop::present(uint64_t idx, double now)
     // second-order backlog (released exactly once, see
     // releaseJoinCost).
     if (trackJoinCost && plan.size() > 1) {
-        pendingJoinCost[q.machine] +=
+        q.joinCost =
             machines[q.machine].joinPhaseCostSeconds(served.size, q.model);
-        q.joinCommitted = true;
+        pendingJoinCost[q.machine] += q.joinCost;
     }
     // Arm the tail-at-scale hedge for fanned-out dispatches; the check
     // goes stale if the query completes or fails first.

@@ -269,9 +269,10 @@ class ClusterLoop final : private ClusterView
 
     /**
      * Committed-but-unqueued TwoStage join-phase cost per machine:
-     * engine-exact (MachineEngine::joinPhaseCostSeconds added at
-     * fan-out dispatch, the identical value subtracted when the phase
-     * is admitted), kept only when the admission estimator reads it.
+     * each phase's MachineEngine::joinPhaseCostSeconds, stored on its
+     * QueryState at fan-out dispatch and subtracted when the phase is
+     * admitted or killed; kept only when the admission estimator
+     * reads it.
      */
     std::vector<double> pendingJoinCost;
     bool trackJoinCost = false;

@@ -32,6 +32,12 @@ struct QueryState
     double joinTime = 0;      ///< latest part completion + return hop
     double leaderReady = 0;   ///< TwoStage: last pooled part at leader
     double quality = 1.0;     ///< answer quality (< 1 when degraded)
+    /**
+     * The dispatch's committed TwoStage join-phase price (0 when
+     * none): added to the leader's pendingJoinCost at fan-out and
+     * subtracted exactly once (JoinPhase admission or kill).
+     */
+    double joinCost = 0;
     uint64_t firstPart = 0;   ///< part id of this dispatch's first part
     /** One past the last part id created for the query (0 if none). */
     uint64_t partsEnd = 0;
@@ -52,9 +58,6 @@ struct QueryState
 
     bool measured = true;
     bool dead = false;        ///< killed by a failure (awaiting failover)
-    /** The dispatch holds a committed TwoStage join-phase cost that
-     *  must be released exactly once (JoinPhase admission or kill). */
-    bool joinCommitted = false;
     /** The leader owes a pendingJoins release (TwoStage fan-out). */
     bool joinLeadership = false;
     /** Completed, finally dropped or lost: no new work will start. */

@@ -102,28 +102,22 @@ MachineEngine::freeSlot(uint32_t slot)
 }
 
 double
-MachineEngine::queuedRequestCost(const PartBook& book, uint32_t batch) const
+SimConfig::queuedRequestSeconds(uint32_t model, size_t batch, bool whole,
+                                double emb_fraction, bool leader) const
 {
-    // Priced at full contention — the steady state of a machine deep
-    // enough in backlog for this estimate to matter. The expression is
-    // evaluated once at enqueue and once at dequeue with identical
-    // inputs, so the running sum reverses to the same double. Priced
-    // through the part's own model binding (model 0 = the primary
-    // fields, the historical arithmetic verbatim).
-    const CpuCostModel& cpu = cpuOf(book.model);
-    const size_t cores = cfg->cpu.platform().cores;
-    return (book.whole
-                ? cpu.requestSeconds(batch, cores)
-                : cpu.partialRequestSeconds(batch, cores,
-                                            book.embFraction,
-                                            book.leader)) *
-           cfg->slowdown;
+    // Every binding shares the machine's core pool (validate()).
+    const CpuCostModel& c = cpuOf(model);
+    const size_t cores = cpu.platform().cores;
+    return (whole ? c.requestSeconds(batch, cores)
+                  : c.partialRequestSeconds(batch, cores, emb_fraction,
+                                            leader)) *
+           slowdown;
 }
 
 double
-MachineEngine::queuedGpuCost(const PartBook& book) const
+SimConfig::queuedGpuSeconds(uint32_t model, uint32_t samples) const
 {
-    return gpuOf(book.model)->querySeconds(book.samples) * cfg->slowdown;
+    return gpuOf(model)->querySeconds(samples) * slowdown;
 }
 
 double
@@ -131,24 +125,12 @@ MachineEngine::joinPhaseCostSeconds(uint32_t samples, uint32_t model) const
 {
     drs_assert(samples >= 1, "join phase needs samples");
     drs_assert(cfg->servesModel(model), "join phase for an unserved model");
-    // Mirror the admit() batch split and queuedRequestCost pricing of
-    // a dense-only leader part, so the value a driver adds when a
-    // fan-out commits this phase equals, bit for bit, the value the
-    // phase later adds to queuedCostSeconds_ at admission.
-    PartBook book;
-    book.embFraction = 0.0;
-    book.leader = true;
-    book.whole = false;
-    book.model = model;
-    const uint32_t batch = static_cast<uint32_t>(
-        std::min<size_t>(policyOf(model).perRequestBatch, samples));
     double cost = 0.0;
-    uint32_t remaining = samples;
-    while (remaining > 0) {
-        const uint32_t take = std::min(remaining, batch);
-        cost += queuedRequestCost(book, take);
-        remaining -= take;
-    }
+    cfg->policyOf(model).forEachRequest(samples, [&](uint32_t take) {
+        cost += cfg->queuedRequestSeconds(model, take, /*whole=*/false,
+                                          /*emb_fraction=*/0.0,
+                                          /*leader=*/true);
+    });
     return cost;
 }
 
@@ -161,7 +143,7 @@ MachineEngine::dispatchCpu(double now, std::vector<EngineEvent>& out)
         cpuQueue.pop_front();
         busyCores_++;
         PartBook& book = slab[req.slot];
-        queuedCostSeconds_ -= queuedRequestCost(book, req.batch);
+        queuedCostSeconds_ -= req.cost;
         if (book.firstStart < 0)
             book.firstStart = now;
         // Whole queries take the historical full-model path; shard
@@ -169,7 +151,7 @@ MachineEngine::dispatchCpu(double now, std::vector<EngineEvent>& out)
         // (plus the dense stacks when they lead). The contention term
         // sees how many cores are busy at dispatch, this one included.
         // Service is priced through the part's own model binding.
-        const CpuCostModel& cpu = cpuOf(book.model);
+        const CpuCostModel& cpu = cfg->cpuOf(book.model);
         const double service =
             (book.whole
                  ? cpu.requestSeconds(req.batch, busyCores_)
@@ -188,18 +170,18 @@ MachineEngine::startGpu(double now, std::vector<EngineEvent>& out)
 {
     if (gpuBusy || gpuQueue.empty())
         return;
-    const uint32_t slot = gpuQueue.front();
+    const PendingRequest req = gpuQueue.front();
     gpuQueue.pop_front();
     gpuBusy = true;
-    PartBook& book = slab[slot];
-    queuedCostSeconds_ -= queuedGpuCost(book);
+    PartBook& book = slab[req.slot];
+    queuedCostSeconds_ -= req.cost;
     if (book.firstStart < 0)
         book.firstStart = now;
     const double service =
-        gpuOf(book.model)->querySeconds(book.samples) * cfg->slowdown *
-        serviceFactor_;
+        cfg->gpuOf(book.model)->querySeconds(book.samples) *
+        cfg->slowdown * serviceFactor_;
     out.push_back({now + service, EngineEvent::Kind::GpuQuery,
-                   book.partIdx, slot});
+                   book.partIdx, req.slot});
 }
 
 void
@@ -226,26 +208,26 @@ MachineEngine::admit(const PartSpec& part, double now,
     // Batch formation and offload follow the part's own model
     // binding; the query is the batch-split source, so requests never
     // mix models (model 0 = the primary policy, historical path).
-    const SchedulerPolicy& sched = policyOf(part.model);
+    // Each queued item is priced once, here; dispatch subtracts the
+    // stored price.
+    const SchedulerPolicy& sched = cfg->policyOf(part.model);
     const bool offload = part.whole && sched.gpuEnabled &&
         part.samples >= sched.gpuQueryThreshold;
     if (offload) {
         gpuSamples_ += part.samples;
-        gpuQueue.push_back(slot);
-        queuedCostSeconds_ += queuedGpuCost(book);
+        const double cost = cfg->queuedGpuSeconds(part.model, part.samples);
+        gpuQueue.push_back({slot, part.samples, cost});
+        queuedCostSeconds_ += cost;
         startGpu(now, out);
         return;
     }
-    const uint32_t batch = static_cast<uint32_t>(
-        std::min<size_t>(sched.perRequestBatch, part.samples));
-    uint32_t remaining = part.samples;
-    while (remaining > 0) {
-        const uint32_t take = std::min(remaining, batch);
-        cpuQueue.push_back({slot, take});
-        queuedCostSeconds_ += queuedRequestCost(book, take);
+    sched.forEachRequest(part.samples, [&](uint32_t take) {
+        const double cost = cfg->queuedRequestSeconds(
+            part.model, take, part.whole, part.embFraction, part.leader);
+        cpuQueue.push_back({slot, take, cost});
+        queuedCostSeconds_ += cost;
         book.requestsLeft++;
-        remaining -= take;
-    }
+    });
     dispatchCpu(now, out);
 }
 

@@ -58,6 +58,24 @@ struct SchedulerPolicy
     /** Offload queries of size >= threshold to the accelerator. */
     bool gpuEnabled = false;
     uint32_t gpuQueryThreshold = 1;
+
+    /**
+     * The batch split: call @p each(take) once per CPU request a
+     * @p samples-sample part splits into, in queue order — requests
+     * of perRequestBatch samples, then a ragged last one.
+     */
+    template <class F>
+    void
+    forEachRequest(uint32_t samples, F&& each) const
+    {
+        const uint32_t batch = static_cast<uint32_t>(
+            std::min<size_t>(perRequestBatch, samples));
+        for (uint32_t remaining = samples; remaining > 0;) {
+            const uint32_t take = std::min(remaining, batch);
+            each(take);
+            remaining -= take;
+        }
+    }
 };
 
 /**
@@ -109,6 +127,44 @@ struct SimConfig
 
     /** True when mix model @p model has a binding on this machine. */
     bool servesModel(uint32_t model) const { return model < numModels(); }
+
+    // Model-binding lookups. Model 0 returns the primary fields — the
+    // very same objects the single-model engine always priced
+    // through, so the model-0 arithmetic is bit-identical to the
+    // pre-colocation engine.
+    const CpuCostModel&
+    cpuOf(uint32_t model) const
+    {
+        return model == 0 ? cpu : coModels[model - 1].cpu;
+    }
+
+    const std::optional<GpuCostModel>&
+    gpuOf(uint32_t model) const
+    {
+        return model == 0 ? gpu : coModels[model - 1].gpu;
+    }
+
+    const SchedulerPolicy&
+    policyOf(uint32_t model) const
+    {
+        return model == 0 ? policy : coModels[model - 1].policy;
+    }
+
+    /**
+     * The full-contention price of a queued CPU request: seconds of a
+     * @p batch-sample request of mix model @p model with every core
+     * busy (the steady state of a machine deep enough in backlog for
+     * the estimate to matter), slowdown applied. @p whole takes the
+     * full-model path; otherwise the request runs @p emb_fraction of
+     * the embedding gathers, plus the dense stacks iff @p leader. The
+     * engine's backlog, its join-phase estimate and admission all
+     * price through this one function; each caller chooses @p whole.
+     */
+    double queuedRequestSeconds(uint32_t model, size_t batch, bool whole,
+                                double emb_fraction, bool leader) const;
+
+    /** Same, for an accelerator query of @p samples of @p model. */
+    double queuedGpuSeconds(uint32_t model, uint32_t samples) const;
 };
 
 /** What one admitted part asks of its machine. */
@@ -247,12 +303,13 @@ class MachineEngine
 
     /**
      * Estimated service seconds of everything waiting in the two
-     * queues, priced per request through this machine's own cost
-     * model at full core contention (the overload steady state). The
-     * exact cost composition of a mixed queue — whole vs shard parts,
+     * queues, each entry priced once at enqueue through
+     * SimConfig::queuedRequestSeconds / queuedGpuSeconds. The exact
+     * cost composition of a mixed queue — whole vs shard parts,
      * leaders vs followers, ragged batches — which no outside-in
-     * estimate can reconstruct from counts alone. Maintained
-     * push/pop-symmetrically; clamped against ulp-scale residue.
+     * estimate can reconstruct from counts alone. Each entry's stored
+     * price is subtracted at dispatch; clamped against ulp-scale
+     * residue.
      */
     double queuedCostSeconds() const
     {
@@ -262,15 +319,11 @@ class MachineEngine
     /**
      * Estimated service seconds of a dense-only TwoStage join phase
      * of @p samples of mix model @p model on this machine
-     * (embFraction 0, leader, not whole), batch-split exactly as
-     * admit() would under that model's policy and priced at full core
-     * contention through that model's cost model — the same
-     * expression the phase will add to queuedCostSeconds when it is
-     * eventually admitted. Drivers call it with identical inputs when
-     * a fan-out commits a future join phase to this machine (+) and
-     * when that phase is admitted (−), so their running
-     * committed-second-visit sum
-     * (ClusterView::pendingJoinCostSeconds) reverses exactly.
+     * (embFraction 0, leader, not whole): the model's batch split
+     * priced through SimConfig::queuedRequestSeconds — what the phase
+     * will add to queuedCostSeconds when it is admitted. A driver
+     * stores the value when a fan-out commits the phase to this
+     * machine and subtracts the stored value when it releases it.
      */
     double joinPhaseCostSeconds(uint32_t samples, uint32_t model = 0) const;
 
@@ -344,48 +397,20 @@ class MachineEngine
         uint32_t model = 0;        ///< mix model binding of the part
     };
 
-    /** A queued CPU request: part of a part awaiting a core. */
+    /**
+     * A queued work item: a CPU request of a part awaiting a core, or
+     * a whole part awaiting the accelerator (batch = its samples),
+     * with the price it added to queuedCostSeconds_ at enqueue.
+     */
     struct PendingRequest
     {
         uint32_t slot;
         uint32_t batch;
+        double cost;
     };
 
     void dispatchCpu(double now, std::vector<EngineEvent>& out);
     void startGpu(double now, std::vector<EngineEvent>& out);
-
-    // Model-binding lookups. Model 0 returns the SimConfig's primary
-    // fields — the very same objects the single-model engine always
-    // priced through, so the model-0 arithmetic is bit-identical to
-    // the pre-colocation engine.
-    const CpuCostModel&
-    cpuOf(uint32_t model) const
-    {
-        return model == 0 ? cfg->cpu : cfg->coModels[model - 1].cpu;
-    }
-
-    const std::optional<GpuCostModel>&
-    gpuOf(uint32_t model) const
-    {
-        return model == 0 ? cfg->gpu : cfg->coModels[model - 1].gpu;
-    }
-
-    const SchedulerPolicy&
-    policyOf(uint32_t model) const
-    {
-        return model == 0 ? cfg->policy : cfg->coModels[model - 1].policy;
-    }
-
-    /**
-     * Estimated service seconds of a queued CPU request of @p batch
-     * samples of the part at @p book, priced at full core contention.
-     * Called with identical inputs at enqueue (+) and dequeue (−) so
-     * the running queuedCostSeconds_ sum reverses exactly.
-     */
-    double queuedRequestCost(const PartBook& book, uint32_t batch) const;
-
-    /** Same, for a queued accelerator query of the part at @p book. */
-    double queuedGpuCost(const PartBook& book) const;
 
     /** The live book at @p slot, validated against the event's part
      *  id (panics on a stale, recycled, or bad slot). */
@@ -399,7 +424,7 @@ class MachineEngine
 
     const SimConfig* cfg;
     std::deque<PendingRequest> cpuQueue;
-    std::deque<uint32_t> gpuQueue;           ///< slots awaiting offload
+    std::deque<PendingRequest> gpuQueue;     ///< parts awaiting offload
     std::vector<PartBook> slab;              ///< indexed by slot
     std::vector<uint32_t> freeSlots;         ///< LIFO free list
     size_t busyCores_ = 0;

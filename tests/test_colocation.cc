@@ -13,6 +13,8 @@
  *    an empty mix is a fatal config error;
  *  - a batch is model-homogeneous by construction — each part
  *    batch-splits under its own model's policy;
+ *  - a committed join phase's price is, bit for bit, the backlog its
+ *    dense-only part adds when admitted, under each binding;
  *  - per-model conservation holds under overload (offered ==
  *    completed + droppedFinal + lost per ModelId) and the per-model
  *    books sum exactly to the fleet totals;
@@ -270,9 +272,62 @@ TEST(Colocation, NoCrossModelBatchEverForms)
     }
     EXPECT_EQ(engine.requestsDispatched(),
               parts_per_model * (requests0 + requests1));
-    // The push/pop-symmetric books reverse to zero up to ulp-scale
-    // floating-point residue (the accessor clamps negatives only).
+    // Every stored price was subtracted at dispatch, so the book is
+    // back to zero up to ulp-scale floating-point residue (the
+    // accessor clamps negatives only).
     EXPECT_NEAR(engine.queuedCostSeconds(), 0.0, 1e-12);
+}
+
+TEST(Colocation, JoinPhaseCostIsTheBacklogItsPartAdds)
+{
+    // A driver commits joinPhaseCostSeconds to its backlog estimate at
+    // fan-out, before the dense phase exists. It must equal, bit for
+    // bit, what admitting that dense-only leader part adds to the
+    // queue: the same split under the model's own batch, the same
+    // price per request. 100 samples are a multiple of neither batch,
+    // so each split ends in a ragged request.
+    const std::vector<ModelMixEntry> mix = {
+        mixEntry(ModelId::DlrmRmc1, 0.5, 64),
+        mixEntry(ModelId::WideAndDeep, 0.5, 24),
+    };
+    const SimConfig machine = colocatedMachine(mix, CpuPlatform::skylake());
+    const size_t cores = machine.cpu.platform().cores;
+    const uint32_t samples = 100;
+
+    std::vector<double> prices;
+    for (uint32_t model = 0; model < machine.numModels(); model++) {
+        MachineEngine engine(&machine, 0.0);
+        std::vector<EngineEvent> out;
+        // Occupy every core with one-request parts admitted one at a
+        // time: each is priced in and dispatched at once, so the
+        // backlog returns to exactly 0 after each.
+        for (size_t c = 0; c < cores; c++) {
+            PartSpec busy;
+            busy.partIdx = c;
+            engine.admit(busy, 0.0, out);
+        }
+        ASSERT_EQ(engine.busyCores(), cores);
+        ASSERT_EQ(std::bit_cast<uint64_t>(engine.queuedCostSeconds()),
+                  std::bit_cast<uint64_t>(0.0));
+
+        PartSpec dense;
+        dense.partIdx = cores;
+        dense.samples = samples;
+        dense.embFraction = 0.0;
+        dense.leader = true;
+        dense.whole = false;
+        dense.model = model;
+        engine.admit(dense, 0.0, out);
+        ASSERT_EQ(out.size(), cores) << "the dense part must queue whole";
+
+        const double price = engine.joinPhaseCostSeconds(samples, model);
+        EXPECT_GT(price, 0.0);
+        EXPECT_EQ(std::bit_cast<uint64_t>(engine.queuedCostSeconds()),
+                  std::bit_cast<uint64_t>(price))
+            << "model " << model;
+        prices.push_back(price);
+    }
+    EXPECT_NE(prices[0], prices[1]) << "each binding prices its own model";
 }
 
 // ----------------------------------------------- cluster conservation
