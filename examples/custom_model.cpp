@@ -5,6 +5,9 @@
  * recommendation service (a hybrid with a dense stack, multi-hot
  * embeddings, and an attention path), checks its resource profile,
  * classifies its bottleneck, and tunes a scheduler for it.
+ *
+ * Host-measured lines: "measured dominant", the operator class that
+ * took the most kernel wall time over two real forward passes.
  */
 
 #include <iostream>

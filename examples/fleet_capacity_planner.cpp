@@ -9,7 +9,9 @@
  * throughput halves the number of machines a service needs.
  *
  * Run: ./fleet_capacity_planner [model-name] [global-qps]
- *      (defaults: DLRM-RMC1, 50000)
+ *      (defaults: DLRM-RMC1, 50000) *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <iostream>

@@ -5,7 +5,9 @@
  * two-stage tuning (batch size, then query-size threshold), the
  * resulting work split, and whether the extra board power pays off.
  *
- * Run: ./gpu_offload_study [model-name]   (default DLRM-RMC1)
+ * Run: ./gpu_offload_study [model-name]   (default DLRM-RMC1) *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <iostream>

@@ -5,7 +5,9 @@
  * chosen operating point move? Mirrors the paper's Section VI-A
  * methodology for an arbitrary model/target grid.
  *
- * Run: ./sla_explorer [model-name]   (default DIEN)
+ * Run: ./sla_explorer [model-name]   (default DIEN) *
+ * Host-measured lines: none; every printed figure is seeded and
+ * deterministic.
  */
 
 #include <iostream>

@@ -53,11 +53,5 @@ warnImpl(const std::string& msg)
     emitLine("warn: " + msg + "\n");
 }
 
-void
-informImpl(const std::string& msg)
-{
-    emitLine("info: " + msg + "\n");
-}
-
 } // namespace detail
 } // namespace deeprecsys

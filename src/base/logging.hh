@@ -19,7 +19,7 @@ namespace deeprecsys {
 
 /**
  * Process-wide log sink: receives each complete, newline-terminated
- * diagnostic line ("warn: ...\n", "info: ...\n") in a single call.
+ * diagnostic line ("warn: ...\n") in a single call.
  * The default sink writes the line to std::cerr with one write, so
  * concurrent bench harness threads never interleave mid-line; trace
  * and metric writers report through the same hook.
@@ -27,7 +27,7 @@ namespace deeprecsys {
 using LogSink = void (*)(const std::string& line);
 
 /**
- * Install @p sink for warn/inform lines (nullptr restores the
+ * Install @p sink for warn lines (nullptr restores the
  * default stderr sink). Returns the previously installed sink.
  * Intended for test capture and embedding harnesses.
  */
@@ -50,7 +50,6 @@ concat(Args&&... args)
 [[noreturn]] void panicImpl(const std::string& msg, const char* file,
                             int line);
 void warnImpl(const std::string& msg);
-void informImpl(const std::string& msg);
 
 } // namespace detail
 
@@ -73,11 +72,6 @@ void informImpl(const std::string& msg);
 /** Report a suspicious-but-survivable condition. */
 #define drs_warn(...) \
     ::deeprecsys::detail::warnImpl(::deeprecsys::detail::concat(__VA_ARGS__))
-
-/** Report normal operating status. */
-#define drs_inform(...) \
-    ::deeprecsys::detail::informImpl( \
-        ::deeprecsys::detail::concat(__VA_ARGS__))
 
 /** Assert an internal invariant; panics with the expression on failure. */
 #define drs_assert(cond, ...) \

@@ -36,32 +36,6 @@ SampleStats::mean() const
 }
 
 double
-SampleStats::stddev() const
-{
-    if (samples.empty())
-        return 0.0;
-    const double m = mean();
-    double acc = 0.0;
-    for (double v : samples)
-        acc += (v - m) * (v - m);
-    return std::sqrt(acc / static_cast<double>(samples.size()));
-}
-
-double
-SampleStats::min() const
-{
-    ensureSorted();
-    return sorted.empty() ? 0.0 : sorted.front();
-}
-
-double
-SampleStats::max() const
-{
-    ensureSorted();
-    return sorted.empty() ? 0.0 : sorted.back();
-}
-
-double
 SampleStats::percentile(double p) const
 {
     drs_assert(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
@@ -94,126 +68,6 @@ SampleStats::ensureSorted() const
         std::sort(sorted.begin(), sorted.end());
         sortedValid = true;
     }
-}
-
-Histogram::Histogram(double lo, double hi, size_t num_bins)
-    : lo(lo), hi(hi), width((hi - lo) / static_cast<double>(num_bins)),
-      counts(num_bins, 0)
-{
-    drs_assert(hi > lo, "histogram range must be non-empty");
-    drs_assert(num_bins >= 1, "histogram needs at least one bin");
-}
-
-void
-Histogram::add(double value)
-{
-    double idx_f = (value - lo) / width;
-    size_t idx;
-    if (idx_f < 0.0) {
-        idx = 0;
-    } else {
-        idx = static_cast<size_t>(idx_f);
-        if (idx >= counts.size())
-            idx = counts.size() - 1;
-    }
-    counts[idx]++;
-    total++;
-}
-
-uint64_t
-Histogram::binCount(size_t bin) const
-{
-    drs_assert(bin < counts.size(), "bin index out of range");
-    return counts[bin];
-}
-
-double
-Histogram::binLow(size_t bin) const
-{
-    return lo + width * static_cast<double>(bin);
-}
-
-double
-Histogram::binFraction(size_t bin) const
-{
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(binCount(bin)) / static_cast<double>(total);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    drs_assert(q >= 0.0 && q <= 1.0, "quantile out of range: ", q);
-    if (total == 0)
-        return lo;
-    const double target = q * static_cast<double>(total);
-    double seen = 0.0;
-    for (size_t i = 0; i < counts.size(); i++) {
-        seen += static_cast<double>(counts[i]);
-        if (seen >= target)
-            return binLow(i) + width;
-    }
-    return hi;
-}
-
-Cdf::Cdf(std::vector<double> samples) : sorted(std::move(samples))
-{
-    std::sort(sorted.begin(), sorted.end());
-}
-
-double
-Cdf::at(double x) const
-{
-    if (sorted.empty())
-        return 0.0;
-    const auto it = std::upper_bound(sorted.begin(), sorted.end(), x);
-    return static_cast<double>(it - sorted.begin()) /
-           static_cast<double>(sorted.size());
-}
-
-double
-Cdf::inverse(double q) const
-{
-    drs_assert(q >= 0.0 && q <= 1.0, "quantile out of range: ", q);
-    if (sorted.empty())
-        return 0.0;
-    const size_t idx = std::min(
-        sorted.size() - 1,
-        static_cast<size_t>(q * static_cast<double>(sorted.size())));
-    return sorted[idx];
-}
-
-double
-Cdf::ksDistance(const Cdf& other) const
-{
-    // Linear merge over the two sorted arrays: at every sample value
-    // x (from either set) compare the empirical CDFs. Equivalent to
-    // evaluating at()/upper_bound per sample — |F_a(x) - F_b(x)| at
-    // the same evaluation points with the same count/size divisions —
-    // but O(n + m) instead of O((n + m) log nm).
-    if (sorted.empty() || other.sorted.empty())
-        return sorted.empty() == other.sorted.empty() ? 0.0 : 1.0;
-    const double na = static_cast<double>(sorted.size());
-    const double nb = static_cast<double>(other.sorted.size());
-    double max_d = 0.0;
-    size_t i = 0;
-    size_t j = 0;
-    while (i < sorted.size() || j < other.sorted.size()) {
-        // Next evaluation point: the smaller of the two heads.
-        const double x = (j >= other.sorted.size() ||
-                          (i < sorted.size() && sorted[i] <= other.sorted[j]))
-            ? sorted[i]
-            : other.sorted[j];
-        while (i < sorted.size() && sorted[i] <= x)
-            i++;
-        while (j < other.sorted.size() && other.sorted[j] <= x)
-            j++;
-        const double fa = static_cast<double>(i) / na;
-        const double fb = static_cast<double>(j) / nb;
-        max_d = std::max(max_d, std::abs(fa - fb));
-    }
-    return max_d;
 }
 
 } // namespace deeprecsys

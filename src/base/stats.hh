@@ -1,6 +1,6 @@
 /**
  * @file
- * Summary statistics, exact percentile tracking, and histograms.
+ * Summary statistics and exact percentile tracking.
  *
  * Tail latency is the central metric of the paper (p95/p99 under SLA),
  * so percentiles here are computed exactly from retained samples rather
@@ -18,8 +18,8 @@
 namespace deeprecsys {
 
 /**
- * Accumulates scalar samples and answers mean / percentile / extrema
- * queries. Samples are retained; percentile queries sort lazily.
+ * Accumulates scalar samples and answers mean / percentile queries.
+ * Samples are retained; percentile queries sort lazily.
  */
 class SampleStats
 {
@@ -51,15 +51,6 @@ class SampleStats
     /** Arithmetic mean; 0 when empty. */
     double mean() const;
 
-    /** Population standard deviation; 0 when empty. */
-    double stddev() const;
-
-    /** Smallest sample; 0 when empty. */
-    double min() const;
-
-    /** Largest sample; 0 when empty. */
-    double max() const;
-
     /** Sum of all samples. */
     double sum() const { return total; }
 
@@ -89,77 +80,6 @@ class SampleStats
     mutable std::vector<double> sorted;
     mutable bool sortedValid = true;
     double total = 0.0;
-};
-
-/**
- * Fixed-bin linear histogram over [lo, hi); out-of-range samples clamp
- * to the edge bins so mass is never silently dropped.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo inclusive lower bound of the tracked range
-     * @param hi exclusive upper bound of the tracked range
-     * @param num_bins number of equal-width bins (>= 1)
-     */
-    Histogram(double lo, double hi, size_t num_bins);
-
-    /** Record one sample. */
-    void add(double value);
-
-    /** Count in the given bin. */
-    uint64_t binCount(size_t bin) const;
-
-    /** Total samples recorded. */
-    uint64_t totalCount() const { return total; }
-
-    /** Number of bins. */
-    size_t numBins() const { return counts.size(); }
-
-    /** Inclusive lower edge of the given bin. */
-    double binLow(size_t bin) const;
-
-    /** Fraction of samples in the given bin (0 when empty). */
-    double binFraction(size_t bin) const;
-
-    /**
-     * Value below which the given fraction of samples fall, estimated
-     * from bin boundaries.
-     * @param q quantile in [0, 1].
-     */
-    double quantile(double q) const;
-
-  private:
-    double lo;
-    double hi;
-    double width;
-    std::vector<uint64_t> counts;
-    uint64_t total = 0;
-};
-
-/**
- * Cumulative distribution over a retained sample set; convenience for
- * comparing latency CDFs (Figure 7).
- */
-struct Cdf
-{
-    /** Build from samples (copied and sorted). */
-    explicit Cdf(std::vector<double> samples);
-
-    /** Fraction of samples <= x. */
-    double at(double x) const;
-
-    /** Value at quantile q in [0, 1]. */
-    double inverse(double q) const;
-
-    /**
-     * Maximum vertical distance to another CDF evaluated at both
-     * sample sets (two-sided Kolmogorov-Smirnov statistic).
-     */
-    double ksDistance(const Cdf& other) const;
-
-    std::vector<double> sorted;
 };
 
 } // namespace deeprecsys

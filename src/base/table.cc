@@ -94,22 +94,6 @@ TextTable::print(std::ostream& os) const
 }
 
 void
-TextTable::printCsv(std::ostream& os) const
-{
-    auto emit_row = [&](const std::vector<std::string>& row) {
-        for (size_t c = 0; c < row.size(); c++) {
-            if (c)
-                os << ",";
-            os << row[c];
-        }
-        os << "\n";
-    };
-    emit_row(headers);
-    for (const auto& row : rows)
-        emit_row(row);
-}
-
-void
 TextTable::printJson(std::ostream& os) const
 {
     auto is_number = [](const std::string& cell) {

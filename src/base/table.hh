@@ -44,9 +44,6 @@ class TextTable
     /** Print with aligned columns to the stream. */
     void print(std::ostream& os) const;
 
-    /** Print in CSV form to the stream. */
-    void printCsv(std::ostream& os) const;
-
     /**
      * Print as a JSON array of objects, one per row, keyed by the
      * column headers. Numeric-looking cells are emitted as JSON

@@ -23,31 +23,6 @@ constexpr double kQualityExponent = 1.0;
 
 } // namespace
 
-const char*
-admissionKindName(AdmissionKind kind)
-{
-    switch (kind) {
-      case AdmissionKind::None:
-        return "none";
-      case AdmissionKind::QueueDepth:
-        return "queue-depth";
-      case AdmissionKind::Deadline:
-        return "deadline";
-    }
-    drs_panic("unknown admission kind");
-}
-
-const std::vector<AdmissionKind>&
-allAdmissionKinds()
-{
-    static const std::vector<AdmissionKind> kinds = {
-        AdmissionKind::None,
-        AdmissionKind::QueueDepth,
-        AdmissionKind::Deadline,
-    };
-    return kinds;
-}
-
 void
 validateTraceLength(uint64_t queries)
 {

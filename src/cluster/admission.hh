@@ -100,12 +100,6 @@ enum class AdmissionKind
     Deadline,
 };
 
-/** Name for printing. */
-const char* admissionKindName(AdmissionKind kind);
-
-/** Every admission kind, in declaration order (for sweeps). */
-const std::vector<AdmissionKind>& allAdmissionKinds();
-
 /**
  * Overload-control configuration of one cluster tier. The default is
  * fully disabled — admission None, degrade off — and the drivers are

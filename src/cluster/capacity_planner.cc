@@ -28,23 +28,29 @@ clusterOfUnits(const CapacityPlanSpec& spec, size_t units)
 CapacityPlan
 planCapacity(const CapacityPlanSpec& spec)
 {
-    drs_assert(!spec.unitMachines.empty(), "plan needs a machine mix");
-    drs_assert(spec.targetQps > 0.0, "target rate must be positive");
-    drs_assert(spec.slaMs > 0.0, "SLA target must be positive");
-    drs_assert(spec.maxUnits >= 1, "plan needs a unit budget");
+    // A bad spec is the caller's error, not a library bug.
+    if (spec.unitMachines.empty())
+        drs_fatal("plan needs a machine mix");
+    if (!(spec.targetQps > 0.0))
+        drs_fatal("target rate must be positive");
+    if (!(spec.slaMs > 0.0))
+        drs_fatal("SLA target must be positive");
+    if (spec.maxUnits < 1)
+        drs_fatal("plan needs a unit budget");
     const bool sharded = !spec.tables.empty();
-    if (sharded)
-        drs_assert(spec.tableSet.numTables == spec.tables.size(),
-                   "table-set model must match the table list");
+    if (sharded && spec.tableSet.numTables != spec.tables.size())
+        drs_fatal("table-set model must match the table list");
     const bool mixOn = !spec.modelMix.empty();
     if (mixOn) {
-        drs_assert(!sharded,
-                   "multi-model plans must be unsharded — a colocated "
-                   "placement depends on the fixed tier size "
-                   "(colocatedSharding); drive ClusterSimulator directly");
+        if (sharded)
+            drs_fatal("multi-model plans must be unsharded — a colocated "
+                      "placement depends on the fixed tier size "
+                      "(colocatedSharding); drive ClusterSimulator "
+                      "directly");
         for (const SimConfig& m : spec.unitMachines)
-            drs_assert(m.numModels() >= spec.modelMix.size(),
-                       "every unit machine needs a binding per mix entry");
+            if (m.numModels() < spec.modelMix.size())
+                drs_fatal("every unit machine needs a binding per mix "
+                          "entry");
     }
 
     CapacityPlan plan;

@@ -50,7 +50,8 @@ evaluateClusterAtQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec,
 ClusterQpsResult
 findClusterMaxQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec)
 {
-    drs_assert(spec.slaMs > 0.0, "SLA target must be positive");
+    if (!(spec.slaMs > 0.0))
+        drs_fatal("SLA target must be positive");
 
     // Drawn once, re-timed per candidate rate (bit-identical to
     // regenerating); the simulator is built once and shared — run()

@@ -576,12 +576,4 @@ splitTrace(const QueryTrace& global,
     return slices;
 }
 
-std::vector<QueryTrace>
-splitTrace(const QueryTrace& global, size_t num_machines,
-           RoutingPolicy& policy)
-{
-    return splitTrace(global, std::vector<BackendAttrs>(num_machines),
-                      policy);
-}
-
 } // namespace deeprecsys

@@ -289,11 +289,6 @@ std::vector<QueryTrace> splitTrace(const QueryTrace& global,
                                    const std::vector<BackendAttrs>& machines,
                                    RoutingPolicy& policy);
 
-/** Convenience overload: @p num_machines identical CPU-only backends. */
-std::vector<QueryTrace> splitTrace(const QueryTrace& global,
-                                   size_t num_machines,
-                                   RoutingPolicy& policy);
-
 } // namespace deeprecsys
 
 #endif // DRS_CLUSTER_ROUTING_POLICY_HH

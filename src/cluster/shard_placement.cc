@@ -298,13 +298,6 @@ ShardPlacement::minReplication() const
 }
 
 std::vector<uint32_t>
-tablesOfQuery(uint64_t query_id, const TableSetSpec& spec)
-{
-    return tablesOfQuery(query_id, spec,
-                         tablePopularity(spec.numTables, spec.zipfS));
-}
-
-std::vector<uint32_t>
 tablesOfQuery(uint64_t query_id, const TableSetSpec& spec,
               const std::vector<double>& weights)
 {

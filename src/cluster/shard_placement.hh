@@ -212,15 +212,9 @@ std::vector<double> tablePopularity(uint32_t num_tables, double zipf_s);
 
 /**
  * The table working set of query @p query_id under @p spec: a sorted
- * set of distinct table ids. Pure function of its arguments.
- */
-std::vector<uint32_t> tablesOfQuery(uint64_t query_id,
-                                    const TableSetSpec& spec);
-
-/**
- * Same draw with the popularity weights precomputed
- * (tablePopularity(spec.numTables, spec.zipfS)) — the hot-path form
- * for per-query routing, identical output to the two-argument one.
+ * set of distinct table ids. @p popularity is
+ * tablePopularity(spec.numTables, spec.zipfS), computed once by the
+ * caller. Pure function of its arguments.
  */
 std::vector<uint32_t> tablesOfQuery(uint64_t query_id,
                                     const TableSetSpec& spec,

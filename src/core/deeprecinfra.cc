@@ -36,17 +36,6 @@ DeepRecInfra::simConfig(const SchedulerPolicy& policy) const
     return sim;
 }
 
-SimResult
-DeepRecInfra::evaluate(const SchedulerPolicy& policy, double qps) const
-{
-    LoadSpec load;
-    load.arrival = cfg.arrival;
-    load.sizes = cfg.sizeDist;
-    load.arrivalSeed = cfg.seed;
-    load.sizeSeed = cfg.seed + 1;
-    return evaluateAtQps(simConfig(policy), load, qps, cfg.numQueries);
-}
-
 QpsSearchResult
 DeepRecInfra::maxQps(const SchedulerPolicy& policy, double sla_ms) const
 {

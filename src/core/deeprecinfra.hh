@@ -62,9 +62,6 @@ class DeepRecInfra
     /** Simulator configuration for a policy. */
     SimConfig simConfig(const SchedulerPolicy& policy) const;
 
-    /** Run the simulator at one offered rate. */
-    SimResult evaluate(const SchedulerPolicy& policy, double qps) const;
-
     /** Latency-bounded throughput of a policy at an SLA (ms). */
     QpsSearchResult maxQps(const SchedulerPolicy& policy,
                            double sla_ms) const;

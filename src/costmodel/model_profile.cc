@@ -61,14 +61,4 @@ ModelProfile::forModel(ModelId id)
     return table.at(static_cast<size_t>(id));
 }
 
-double
-ModelProfile::intensity(double batch) const
-{
-    const double flops_total = flops(batch);
-    const double bytes_total =
-        embBytesPerSample * batch + denseParamBytes +
-        inputBytesPerSample * batch;
-    return bytes_total > 0 ? flops_total / bytes_total : 0.0;
-}
-
 } // namespace deeprecsys

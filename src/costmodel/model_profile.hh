@@ -51,9 +51,6 @@ struct ModelProfile
     {
         return (denseFlopsPerSample + seqFlopsPerSample) * b;
     }
-
-    /** Arithmetic intensity (flops per byte) at a batch size. */
-    double intensity(double batch) const;
 };
 
 } // namespace deeprecsys

@@ -30,15 +30,6 @@ QueryStream::generate(size_t count)
     return trace;
 }
 
-void
-QueryStream::reset()
-{
-    arrivals = ArrivalProcess(spec_.arrival, spec_.qps, spec_.arrivalSeed);
-    sizes = QuerySizeDistribution::byKind(spec_.sizes, spec_.sizeSeed);
-    clock = 0.0;
-    nextId = 0;
-}
-
 TraceTemplate::TraceTemplate(const LoadSpec& spec)
     : spec_(spec), arrivals(spec.arrival, 1.0, spec.arrivalSeed),
       sizeDist(QuerySizeDistribution::byKind(spec.sizes, spec.sizeSeed))

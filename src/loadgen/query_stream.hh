@@ -38,9 +38,6 @@ class QueryStream
     /** Generate the next @p count queries of the trace. */
     QueryTrace generate(size_t count);
 
-    /** Reset to the start of the trace (same seeds). */
-    void reset();
-
     const LoadSpec& spec() const { return spec_; }
 
   private:
@@ -166,7 +163,6 @@ class MixedTraceTemplate
     size_t countOfModel(uint32_t model, size_t total) const;
 
     size_t numModels() const { return fractions_.size(); }
-    const std::vector<double>& fractions() const { return fractions_; }
 
     /** Model k's underlying single-model template. */
     const TraceTemplate& templateOf(uint32_t model) const

@@ -344,12 +344,6 @@ RecModel::sequenceFlopsPerSample() const
 }
 
 uint64_t
-RecModel::flopsPerSample() const
-{
-    return denseFlopsPerSample() + sequenceFlopsPerSample();
-}
-
-uint64_t
 RecModel::embeddingBytesPerSample() const
 {
     uint64_t bytes = 0;
@@ -383,12 +377,6 @@ RecModel::logicalEmbeddingBytes() const
     if (behaviorTable)
         bytes += behaviorTable->logicalBytes();
     return bytes;
-}
-
-RecModel
-buildModel(ModelId id, uint64_t seed, const ModelScale& scale)
-{
-    return RecModel(modelConfig(id), seed, scale);
 }
 
 } // namespace deeprecsys

@@ -151,9 +151,6 @@ class RecModel
     /** Attention + recurrent FLOPs for one sample. */
     uint64_t sequenceFlopsPerSample() const;
 
-    /** Total FLOPs for one sample. */
-    uint64_t flopsPerSample() const;
-
     /** Embedding bytes gathered for one sample (sparse traffic). */
     uint64_t embeddingBytesPerSample() const;
 
@@ -190,10 +187,6 @@ class RecModel
     Mlp predictorTrunk;
     std::vector<FcLayer> taskHeads;         ///< numTasks sigmoid heads
 };
-
-/** Convenience: build the canonical model for an id. */
-RecModel buildModel(ModelId id, uint64_t seed,
-                    const ModelScale& scale = ModelScale{});
 
 } // namespace deeprecsys
 

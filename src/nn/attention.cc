@@ -39,18 +39,6 @@ LocalActivationUnit::scores(const float* behaviors, size_t seq,
                           nullptr);
 }
 
-std::vector<float>
-LocalActivationUnit::scores(const Tensor& behaviors, const float* candidate,
-                            OperatorStats* stats) const
-{
-    drs_assert(behaviors.rank() == 2 && behaviors.dim(1) == dim_,
-               "behavior tensor must be [seq, dim]");
-    AttentionScratch scratch;
-    const Tensor& out = scores(behaviors.data(), behaviors.dim(0), candidate,
-                               scratch, stats);
-    return std::vector<float>(out.data(), out.data() + out.numel());
-}
-
 void
 LocalActivationUnit::pool(const Tensor& behaviors, const Tensor& candidates,
                           Tensor& out, AttentionScratch& scratch,
@@ -80,16 +68,6 @@ LocalActivationUnit::pool(const Tensor& behaviors, const Tensor& candidates,
                 dst[d] += w[t] * b[d];
         }
     }
-}
-
-Tensor
-LocalActivationUnit::pool(const Tensor& behaviors, const Tensor& candidates,
-                          OperatorStats* stats) const
-{
-    Tensor out;
-    AttentionScratch scratch;
-    pool(behaviors, candidates, out, scratch, stats);
-    return out;
 }
 
 } // namespace deeprecsys

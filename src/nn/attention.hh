@@ -12,8 +12,6 @@
 #ifndef DRS_NN_ATTENTION_HH
 #define DRS_NN_ATTENTION_HH
 
-#include <vector>
-
 #include "base/random.hh"
 #include "nn/mlp.hh"
 #include "nn/op_stats.hh"
@@ -54,11 +52,6 @@ class LocalActivationUnit
                          const float* candidate, AttentionScratch& scratch,
                          OperatorStats* stats = nullptr) const;
 
-    /** Scores of a [seq, dim] behavior tensor, by value. */
-    std::vector<float> scores(const Tensor& behaviors,
-                              const float* candidate,
-                              OperatorStats* stats = nullptr) const;
-
     /**
      * Weighted-sum pooling of a batch of behavior sequences.
      *
@@ -71,10 +64,6 @@ class LocalActivationUnit
     void pool(const Tensor& behaviors, const Tensor& candidates, Tensor& out,
               AttentionScratch& scratch,
               OperatorStats* stats = nullptr) const;
-
-    /** Attention pooling into a fresh [batch, dim] tensor. */
-    Tensor pool(const Tensor& behaviors, const Tensor& candidates,
-                OperatorStats* stats = nullptr) const;
 
     size_t dim() const { return dim_; }
 

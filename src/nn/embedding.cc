@@ -72,19 +72,6 @@ EmbeddingTable::rowFor(uint64_t logical_index) const
     return storage.data() + physical * dim_;
 }
 
-Tensor
-EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
-                           OperatorStats* stats) const
-{
-    const size_t bs = batch.batchSize();
-    drs_assert(bs > 0, "empty sparse batch");
-    const size_t width =
-        pooling == Pooling::Concat ? batch.lookups(0) * dim_ : dim_;
-    Tensor out = Tensor::mat(bs, width);
-    bagForward(batch, pooling, out.data(), width, stats);
-    return out;
-}
-
 void
 EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
                            float* out, size_t ldo,
@@ -127,15 +114,6 @@ EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
                 dst[d] *= inv;
         }
     }
-}
-
-Tensor
-EmbeddingTable::gatherSequence(const SparseBatch& batch,
-                               OperatorStats* stats) const
-{
-    Tensor out;
-    gatherSequence(batch, out, stats);
-    return out;
 }
 
 void
@@ -190,15 +168,6 @@ EmbeddingGroup::forward(const std::vector<SparseBatch>& batches, Tensor& out,
         tables[t].bagForward(batches[t], pooling_, out.data() + t * per_table,
                              width, stats);
     }
-}
-
-Tensor
-EmbeddingGroup::forward(const std::vector<SparseBatch>& batches,
-                        OperatorStats* stats) const
-{
-    Tensor out;
-    forward(batches, out, stats);
-    return out;
 }
 
 void

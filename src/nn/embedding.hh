@@ -92,32 +92,23 @@ class EmbeddingTable
     const float* rowFor(uint64_t logical_index) const;
 
     /**
-     * Pooled lookup: gathers each sample's rows and pools them.
-     * Output is [batch, dim] for Sum/Mean. For Concat every sample
-     * must have the same lookup count L and output is [batch, L*dim].
-     * Time is charged to OpClass::Embedding of @p stats when non-null.
-     */
-    Tensor bagForward(const SparseBatch& batch, Pooling pooling,
-                      OperatorStats* stats = nullptr) const;
-
-    /**
-     * The same pooled lookup written in place: sample i's pooled row
-     * goes to out[i * ldo, i * ldo + width), so a table can fill its
-     * column slice of a wider [batch, ...] block.
+     * Pooled lookup: gathers each sample's rows and pools them, and
+     * writes sample i's pooled row to out[i * ldo, i * ldo + width),
+     * so a table can fill its column slice of a wider [batch, ...]
+     * block. width is dim for Sum/Mean. For Concat every sample must
+     * have the same lookup count L and width is L * dim. Time is
+     * charged to OpClass::Embedding of @p stats when non-null.
      */
     void bagForward(const SparseBatch& batch, Pooling pooling, float* out,
                     size_t ldo, OperatorStats* stats = nullptr) const;
 
     /**
-     * Unpooled gather producing a behavior sequence tensor
-     * [batch, L, dim]; every sample must have the same lookup count L.
-     * Used for the attention (DIN) and recurrent (DIEN) paths which
-     * consume per-step embeddings rather than a pooled vector.
+     * Unpooled gather into a behavior sequence tensor [batch, L, dim],
+     * resized in its own storage; every sample must have the same
+     * lookup count L. Used for the attention (DIN) and recurrent
+     * (DIEN) paths which consume per-step embeddings rather than a
+     * pooled vector.
      */
-    Tensor gatherSequence(const SparseBatch& batch,
-                          OperatorStats* stats = nullptr) const;
-
-    /** The same gather into @p out, resized in its own storage. */
     void gatherSequence(const SparseBatch& batch, Tensor& out,
                         OperatorStats* stats = nullptr) const;
 
@@ -152,7 +143,6 @@ class EmbeddingGroup
     size_t numTables() const { return tables.size(); }
     size_t dim() const { return tables.empty() ? 0 : tables.front().dim(); }
     size_t lookupsPerTable() const { return lookupsPerTable_; }
-    Pooling pooling() const { return pooling_; }
 
     /** Per-table access. */
     const EmbeddingTable& table(size_t i) const { return tables[i]; }
@@ -165,10 +155,6 @@ class EmbeddingGroup
      */
     void forward(const std::vector<SparseBatch>& batches, Tensor& out,
                  OperatorStats* stats = nullptr) const;
-
-    /** The same forward into a fresh block. */
-    Tensor forward(const std::vector<SparseBatch>& batches,
-                   OperatorStats* stats = nullptr) const;
 
     /**
      * Refill @p out with one random sparse batch per table, in table

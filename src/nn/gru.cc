@@ -105,16 +105,6 @@ GruLayer::forward(const Tensor& seq, const Tensor* att_scores, Tensor& h,
     }
 }
 
-Tensor
-GruLayer::forward(const Tensor& seq, const Tensor* att_scores,
-                  OperatorStats* stats) const
-{
-    Tensor h;
-    Tensor gates;
-    forward(seq, att_scores, h, gates, stats);
-    return h;
-}
-
 void
 GruLayer::forwardAllStates(const Tensor& seq, Tensor& all, Tensor& gates,
                            OperatorStats* stats) const
@@ -142,15 +132,6 @@ GruLayer::forwardAllStates(const Tensor& seq, Tensor& all, Tensor& gates,
             cell.step(x, state, gates.data());
         }
     }
-}
-
-Tensor
-GruLayer::forwardAllStates(const Tensor& seq, OperatorStats* stats) const
-{
-    Tensor all;
-    Tensor gates;
-    forwardAllStates(seq, all, gates, stats);
-    return all;
 }
 
 uint64_t

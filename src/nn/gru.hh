@@ -79,22 +79,12 @@ class GruLayer
     void forward(const Tensor& seq, const Tensor* att_scores, Tensor& h,
                  Tensor& gates, OperatorStats* stats = nullptr) const;
 
-    /** Final hidden states [batch, hidden_dim] in a fresh tensor. */
-    Tensor forward(const Tensor& seq, const Tensor* att_scores = nullptr,
-                   OperatorStats* stats = nullptr) const;
-
     /**
      * Forward writing every step's hidden state into @p all
      * ([batch, seq_len, hidden_dim]) for feeding a downstream AUGRU.
      */
     void forwardAllStates(const Tensor& seq, Tensor& all, Tensor& gates,
                           OperatorStats* stats = nullptr) const;
-
-    /** Every step's hidden state in a fresh tensor. */
-    Tensor forwardAllStates(const Tensor& seq,
-                            OperatorStats* stats = nullptr) const;
-
-    size_t hiddenDim() const { return cell.hiddenDim(); }
 
     /** MACs per sample for a given sequence length. */
     uint64_t flopsPerSample(size_t seq_len) const;

@@ -75,13 +75,6 @@ Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng, Activation final_act)
 }
 
 size_t
-Mlp::inDim() const
-{
-    drs_assert(!layers.empty(), "inDim of empty MLP");
-    return layers.front().inDim();
-}
-
-size_t
 Mlp::outDim() const
 {
     drs_assert(!layers.empty(), "outDim of empty MLP");
@@ -105,14 +98,6 @@ Mlp::forward(const Tensor& x, Tensor& ping, Tensor& pong,
         std::swap(cur, next);
     }
     return *cur;
-}
-
-Tensor
-Mlp::forward(const Tensor& x, OperatorStats* stats) const
-{
-    Tensor ping;
-    Tensor pong;
-    return forward(x, ping, pong, stats);
 }
 
 uint64_t

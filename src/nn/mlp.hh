@@ -77,9 +77,6 @@ class Mlp
     /** True when the stack has no layers (absent Dense-FC stack). */
     bool empty() const { return layers.empty(); }
 
-    /** Input width of the first layer. */
-    size_t inDim() const;
-
     /** Output width of the last layer. */
     size_t outDim() const;
 
@@ -92,9 +89,6 @@ class Mlp
      */
     const Tensor& forward(const Tensor& x, Tensor& ping, Tensor& pong,
                           OperatorStats* stats = nullptr) const;
-
-    /** Forward pass into a fresh tensor (own buffers per call). */
-    Tensor forward(const Tensor& x, OperatorStats* stats = nullptr) const;
 
     /** Multiply-accumulate count for one sample across all layers. */
     uint64_t flopsPerSample() const;

@@ -98,26 +98,12 @@ MetricRegistry::snapshot(double t)
     }
 }
 
-std::vector<uint64_t>
-MetricRegistry::counterPoints(const std::string& name) const
-{
-    const auto it = counterIndex_.find(name);
-    return it != counterIndex_.end() ? counters_[it->second].points
-                                     : std::vector<uint64_t>{};
-}
-
 std::vector<double>
 MetricRegistry::gaugePoints(const std::string& name) const
 {
     const auto it = gaugeIndex_.find(name);
     return it != gaugeIndex_.end() ? gauges_[it->second].points
                                    : std::vector<double>{};
-}
-
-size_t
-MetricRegistry::numMetrics() const
-{
-    return counters_.size() + gauges_.size() + hists_.size();
 }
 
 namespace {

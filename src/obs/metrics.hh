@@ -143,14 +143,8 @@ class MetricRegistry
     /** Number of snapshots taken. */
     size_t numSnapshots() const { return times_.size(); }
 
-    /** Recorded points of the counter named @p name (empty if absent). */
-    std::vector<uint64_t> counterPoints(const std::string& name) const;
-
     /** Recorded points of the gauge named @p name (empty if absent). */
     std::vector<double> gaugePoints(const std::string& name) const;
-
-    /** Registered metric count (all kinds). */
-    size_t numMetrics() const;
 
     /**
      * Serialize the whole time series as one JSON object:

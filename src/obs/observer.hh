@@ -147,7 +147,6 @@ class RunObserver
 
     const ObsConfig& config() const { return cfg_; }
 
-    bool tracing() const { return cfg_.traceSpans; }
     bool metricsOn() const { return cfg_.metrics; }
 
     /** True when query @p idx is span-traced this run. */

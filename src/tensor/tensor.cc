@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace deeprecsys {
 
@@ -50,14 +49,6 @@ Tensor::at(size_t i) const
     return data_[i];
 }
 
-float&
-Tensor::at(size_t r, size_t c)
-{
-    drs_assert(rank() == 2, "2-index access on non-matrix");
-    drs_assert(r < shape_[0] && c < shape_[1], "matrix index out of range");
-    return data_[r * shape_[1] + c];
-}
-
 float
 Tensor::at(size_t r, size_t c) const
 {
@@ -99,32 +90,12 @@ Tensor::fill(float value)
 }
 
 void
-Tensor::reshape(std::vector<size_t> new_shape)
-{
-    drs_assert(shapeNumel(new_shape) == data_.size(),
-               "reshape changes element count");
-    shape_ = std::move(new_shape);
-}
-
-void
 Tensor::resize(std::initializer_list<size_t> shape)
 {
     drs_assert(shape.size() >= 1 && shape.size() <= 3,
                "tensor rank must be 1..3, got ", shape.size());
     shape_.assign(shape);
     data_.resize(shapeNumel(shape_));
-}
-
-void
-matmulBiasTransB(const Tensor& a, const Tensor& b, const Tensor& bias,
-                 Tensor& out)
-{
-    drs_assert(a.rank() == 2 && b.rank() == 2, "matmul needs matrices");
-    drs_assert(b.dim(1) == a.dim(1), "inner dimensions mismatch: ",
-               a.dim(1), " vs ", b.dim(1));
-    out.resize({a.dim(0), b.dim(0)});
-    matmulBiasTransB(a.data(), a.dim(1), a.dim(0), b, bias, out.data(),
-                     b.dim(0));
 }
 
 void
@@ -187,27 +158,6 @@ tanhInPlace(float* data, size_t n)
 }
 
 void
-softmaxRows(Tensor& t)
-{
-    drs_assert(t.rank() == 2, "softmaxRows needs a matrix");
-    const size_t rows = t.dim(0);
-    const size_t cols = t.dim(1);
-    for (size_t r = 0; r < rows; r++) {
-        float* row = t.row(r);
-        float mx = row[0];
-        for (size_t c = 1; c < cols; c++)
-            mx = std::max(mx, row[c]);
-        float sum = 0.0f;
-        for (size_t c = 0; c < cols; c++) {
-            row[c] = std::exp(row[c] - mx);
-            sum += row[c];
-        }
-        for (size_t c = 0; c < cols; c++)
-            row[c] /= sum;
-    }
-}
-
-void
 concatCols(std::span<const Tensor* const> parts, Tensor& out)
 {
     drs_assert(!parts.empty(), "concat of zero tensors");
@@ -226,24 +176,6 @@ concatCols(std::span<const Tensor* const> parts, Tensor& out)
             dst = std::copy(src, src + p->dim(1), dst);
         }
     }
-}
-
-Tensor
-rowwiseDot(const Tensor& a, const Tensor& b)
-{
-    drs_assert(a.rank() == 2 && b.rank() == 2, "rowwiseDot needs matrices");
-    drs_assert(a.dim(0) == b.dim(0) && a.dim(1) == b.dim(1),
-               "rowwiseDot shape mismatch");
-    Tensor out = Tensor::mat(a.dim(0), 1);
-    for (size_t r = 0; r < a.dim(0); r++) {
-        const float* pa = a.row(r);
-        const float* pb = b.row(r);
-        float acc = 0.0f;
-        for (size_t c = 0; c < a.dim(1); c++)
-            acc += pa[c] * pb[c];
-        out.at(r, 0) = acc;
-    }
-    return out;
 }
 
 } // namespace deeprecsys

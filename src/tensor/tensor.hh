@@ -65,8 +65,7 @@ class Tensor
     float& at(size_t i);
     float at(size_t i) const;
 
-    /** Rank-2 element access (row, col). */
-    float& at(size_t r, size_t c);
+    /** Rank-2 element read (row, col). */
     float at(size_t r, size_t c) const;
 
     /** Raw pointer to contiguous storage. */
@@ -82,11 +81,6 @@ class Tensor
 
     /** Fill every element with the given value. */
     void fill(float value);
-
-    /**
-     * Reinterpret the flat data with a new shape of identical numel.
-     */
-    void reshape(std::vector<size_t> new_shape);
 
     /**
      * Give this tensor @p shape in place, keeping the storage: it
@@ -107,16 +101,10 @@ class Tensor
  *
  * A is [m, k] (batch of activations), B is [n, k] (weights stored one
  * output neuron per row, which makes the inner loop a dot product over
- * contiguous memory), bias is [n] and broadcast over rows. @p out is
- * resized to [m, n] in its own storage.
- */
-void matmulBiasTransB(const Tensor& a, const Tensor& b, const Tensor& bias,
-                      Tensor& out);
-
-/**
- * The same product over row-strided operands: row i of A starts at
- * a + i * lda, row i of C at out + i * ldc, so C may be a column
- * slice of a wider matrix. k is b.dim(1).
+ * contiguous memory), bias is [n] and broadcast over rows. Operands
+ * are row-strided: row i of A starts at a + i * lda, row i of C at
+ * out + i * ldc, so C may be a column slice of a wider matrix. k is
+ * b.dim(1).
  */
 void matmulBiasTransB(const float* a, size_t lda, size_t m, const Tensor& b,
                       const Tensor& bias, float* out, size_t ldc);
@@ -130,17 +118,11 @@ void sigmoidInPlace(float* data, size_t n);
 /** In-place tanh over @p n contiguous elements. */
 void tanhInPlace(float* data, size_t n);
 
-/** Row-wise softmax over a rank-2 tensor. */
-void softmaxRows(Tensor& t);
-
 /**
  * Concatenate rank-2 tensors along columns into @p out, resized in
  * its own storage. All inputs must share the same row count.
  */
 void concatCols(std::span<const Tensor* const> parts, Tensor& out);
-
-/** Row-wise dot product of two [m, k] tensors producing [m, 1]. */
-Tensor rowwiseDot(const Tensor& a, const Tensor& b);
 
 } // namespace deeprecsys
 

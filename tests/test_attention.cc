@@ -16,8 +16,10 @@ TEST(LocalActivationUnit, ScoreCountMatchesSequence)
     LocalActivationUnit att(8, 16, rng);
     Tensor behaviors = Tensor::mat(5, 8);
     std::vector<float> cand(8, 0.1f);
-    const auto scores = att.scores(behaviors, cand.data());
-    EXPECT_EQ(scores.size(), 5u);
+    AttentionScratch scratch;
+    const Tensor& scores =
+        att.scores(behaviors.data(), 5, cand.data(), scratch);
+    EXPECT_EQ(scores.numel(), 5u);
 }
 
 TEST(LocalActivationUnit, ScoresAreSigmoidBounded)
@@ -30,10 +32,12 @@ TEST(LocalActivationUnit, ScoresAreSigmoidBounded)
     std::vector<float> cand(8);
     for (auto& v : cand)
         v = static_cast<float>(rng.normal());
-    const auto scores = att.scores(behaviors, cand.data());
-    for (float s : scores) {
-        EXPECT_GT(s, 0.0f);
-        EXPECT_LT(s, 1.0f);
+    AttentionScratch scratch;
+    const Tensor& scores =
+        att.scores(behaviors.data(), 10, cand.data(), scratch);
+    for (size_t i = 0; i < scores.numel(); i++) {
+        EXPECT_GT(scores.at(i), 0.0f);
+        EXPECT_LT(scores.at(i), 1.0f);
     }
 }
 
@@ -43,7 +47,9 @@ TEST(LocalActivationUnit, PoolShape)
     LocalActivationUnit att(6, 12, rng);
     Tensor behaviors({4, 7, 6});
     Tensor candidates = Tensor::mat(4, 6);
-    const Tensor out = att.pool(behaviors, candidates);
+    Tensor out;
+    AttentionScratch scratch;
+    att.pool(behaviors, candidates, out, scratch);
     EXPECT_EQ(out.dim(0), 4u);
     EXPECT_EQ(out.dim(1), 6u);
 }
@@ -55,7 +61,9 @@ TEST(LocalActivationUnit, ZeroBehaviorsPoolToZero)
     Tensor behaviors({2, 3, 4});    // all zeros
     Tensor candidates = Tensor::mat(2, 4);
     candidates.fill(1.0f);
-    const Tensor out = att.pool(behaviors, candidates);
+    Tensor out;
+    AttentionScratch scratch;
+    att.pool(behaviors, candidates, out, scratch);
     for (size_t i = 0; i < out.numel(); i++)
         EXPECT_FLOAT_EQ(out.at(i), 0.0f);
 }
@@ -71,13 +79,13 @@ TEST(LocalActivationUnit, PoolIsWeightedSumOfBehaviors)
     Tensor candidates = Tensor::mat(1, 4);
     candidates.fill(0.5f);
 
-    Tensor sample = Tensor::mat(1, 4);
-    for (size_t i = 0; i < 4; i++)
-        sample.at(0, i) = behaviors.at(i);
-    const auto scores = att.scores(sample, candidates.row(0));
-    const Tensor out = att.pool(behaviors, candidates);
+    AttentionScratch scratch;
+    const float score =
+        att.scores(behaviors.data(), 1, candidates.row(0), scratch).at(0);
+    Tensor out;
+    att.pool(behaviors, candidates, out, scratch);
     for (size_t d = 0; d < 4; d++)
-        EXPECT_NEAR(out.at(0, d), scores[0] * behaviors.at(d), 1e-5);
+        EXPECT_NEAR(out.at(0, d), score * behaviors.at(d), 1e-5);
 }
 
 TEST(LocalActivationUnit, ChargesAttentionTime)
@@ -86,8 +94,10 @@ TEST(LocalActivationUnit, ChargesAttentionTime)
     LocalActivationUnit att(8, 16, rng);
     Tensor behaviors({2, 16, 8});
     Tensor candidates = Tensor::mat(2, 8);
+    Tensor out;
+    AttentionScratch scratch;
     OperatorStats stats;
-    att.pool(behaviors, candidates, &stats);
+    att.pool(behaviors, candidates, out, scratch, &stats);
     EXPECT_GT(stats.seconds(OpClass::Attention), 0.0);
     EXPECT_DOUBLE_EQ(stats.seconds(OpClass::Fc), 0.0);
 }
@@ -109,10 +119,12 @@ TEST(LocalActivationUnit, DeterministicGivenSeed)
     Tensor behaviors = Tensor::mat(3, 4);
     behaviors.fill(0.25f);
     std::vector<float> cand(4, -0.5f);
-    const auto sa = a.scores(behaviors, cand.data());
-    const auto sb = b.scores(behaviors, cand.data());
-    for (size_t i = 0; i < sa.size(); i++)
-        EXPECT_FLOAT_EQ(sa[i], sb[i]);
+    AttentionScratch scratch_a;
+    AttentionScratch scratch_b;
+    const Tensor& sa = a.scores(behaviors.data(), 3, cand.data(), scratch_a);
+    const Tensor& sb = b.scores(behaviors.data(), 3, cand.data(), scratch_b);
+    for (size_t i = 0; i < sa.numel(); i++)
+        EXPECT_FLOAT_EQ(sa.at(i), sb.at(i));
 }
 
 } // namespace

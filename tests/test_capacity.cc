@@ -117,5 +117,39 @@ TEST(CapacityPlanner, DeterministicAcrossCalls)
     EXPECT_DOUBLE_EQ(a.tailMs(99.0), b.tailMs(99.0));
 }
 
+// A bad spec is a user error: it exits with status 1, not an abort.
+
+TEST(CapacityPlannerDeath, ZeroTargetRateIsAValidatedError)
+{
+    EXPECT_EXIT((void)planCapacity(baseSpec(0.0)),
+                ::testing::ExitedWithCode(1), "target rate must be positive");
+}
+
+TEST(CapacityPlannerDeath, EmptyMachineMixIsAValidatedError)
+{
+    CapacityPlanSpec spec = baseSpec(6000.0);
+    spec.unitMachines.clear();
+    EXPECT_EXIT((void)planCapacity(spec), ::testing::ExitedWithCode(1),
+                "plan needs a machine mix");
+}
+
+TEST(CapacityPlannerDeath, NonPositiveSlaIsAValidatedError)
+{
+    CapacityPlanSpec spec = baseSpec(6000.0);
+    spec.slaMs = 0.0;
+    EXPECT_EXIT((void)planCapacity(spec), ::testing::ExitedWithCode(1),
+                "SLA target must be positive");
+}
+
+TEST(ClusterQpsSearchDeath, NonPositiveSlaIsAValidatedError)
+{
+    ClusterConfig cluster;
+    cluster.machines = {cpuMachine()};
+    ClusterQpsSpec spec;
+    spec.slaMs = -1.0;
+    EXPECT_EXIT((void)findClusterMaxQps(cluster, spec),
+                ::testing::ExitedWithCode(1), "SLA target must be positive");
+}
+
 } // namespace
 } // namespace deeprecsys

@@ -119,12 +119,6 @@ TEST(ModelProfile, MlpModelsAreComputeHeavier)
     EXPECT_LT(rmc3.embBytesPerSample, rmc1.embBytesPerSample);
 }
 
-TEST(ModelProfile, IntensityGrowsWithBatchForMlpModels)
-{
-    const ModelProfile wnd = ModelProfile::forModel(ModelId::WideAndDeep);
-    EXPECT_GT(wnd.intensity(256), wnd.intensity(1));
-}
-
 TEST(ModelProfile, LogicalEmbeddingBytesAreLarge)
 {
     // DLRM-class models store GB-scale embedding tables.

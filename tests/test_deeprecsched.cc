@@ -116,16 +116,6 @@ TEST(DeepRecInfra, SlaTiersScaleFromTableTwo)
     EXPECT_DOUBLE_EQ(infra.slaMs(SlaTier::High), 52.5);
 }
 
-TEST(DeepRecInfra, EvaluateReportsLatency)
-{
-    DeepRecInfra infra(smallInfra(ModelId::Ncf));
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 64;
-    const SimResult r = infra.evaluate(policy, 500.0);
-    EXPECT_GT(r.numQueries, 0u);
-    EXPECT_GT(r.p95Ms(), 0.0);
-}
-
 TEST(DeepRecInfra, QpsPerWattUsesPlatformTdp)
 {
     DeepRecInfra infra(smallInfra(ModelId::Ncf));

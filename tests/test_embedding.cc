@@ -10,6 +10,18 @@
 namespace deeprecsys {
 namespace {
 
+/** One table's pooled lookup written into a fresh [batch, width] block. */
+Tensor
+bag(const EmbeddingTable& t, const SparseBatch& b, Pooling pooling,
+    OperatorStats* stats = nullptr)
+{
+    const size_t width =
+        pooling == Pooling::Concat ? b.lookups(0) * t.dim() : t.dim();
+    Tensor out = Tensor::mat(b.batchSize(), width);
+    t.bagForward(b, pooling, out.data(), width, stats);
+    return out;
+}
+
 TEST(SparseBatch, UniformShape)
 {
     Rng rng(1);
@@ -79,7 +91,7 @@ TEST(EmbeddingTable, SumPoolingMatchesManual)
     SparseBatch b;
     b.indices = {3, 7, 7};
     b.offsets = {0, 3};
-    const Tensor out = t.bagForward(b, Pooling::Sum);
+    const Tensor out = bag(t, b, Pooling::Sum);
     const float* r3 = t.rowFor(3);
     const float* r7 = t.rowFor(7);
     for (size_t d = 0; d < 4; d++)
@@ -93,8 +105,8 @@ TEST(EmbeddingTable, MeanPoolingDividesByCount)
     SparseBatch b;
     b.indices = {1, 2};
     b.offsets = {0, 2};
-    const Tensor sum = t.bagForward(b, Pooling::Sum);
-    const Tensor mean = t.bagForward(b, Pooling::Mean);
+    const Tensor sum = bag(t, b, Pooling::Sum);
+    const Tensor mean = bag(t, b, Pooling::Mean);
     for (size_t d = 0; d < 4; d++)
         EXPECT_NEAR(mean.at(0, d), sum.at(0, d) / 2.0f, 1e-6);
 }
@@ -104,7 +116,7 @@ TEST(EmbeddingTable, ConcatPoolingWidth)
     Rng rng(8);
     EmbeddingTable t(50, 4, rng);
     const SparseBatch b = SparseBatch::uniform(3, 5, 50, rng);
-    const Tensor out = t.bagForward(b, Pooling::Concat);
+    const Tensor out = bag(t, b, Pooling::Concat);
     EXPECT_EQ(out.dim(0), 3u);
     EXPECT_EQ(out.dim(1), 20u);
 }
@@ -116,7 +128,7 @@ TEST(EmbeddingTable, ConcatPreservesOrder)
     SparseBatch b;
     b.indices = {4, 9};
     b.offsets = {0, 2};
-    const Tensor out = t.bagForward(b, Pooling::Concat);
+    const Tensor out = bag(t, b, Pooling::Concat);
     const float* r4 = t.rowFor(4);
     const float* r9 = t.rowFor(9);
     EXPECT_FLOAT_EQ(out.at(0, 0), r4[0]);
@@ -132,7 +144,8 @@ TEST(EmbeddingTable, GatherSequenceShapeAndContent)
     SparseBatch b;
     b.indices = {1, 2, 3, 4};
     b.offsets = {0, 2, 4};
-    const Tensor seq = t.gatherSequence(b);
+    Tensor seq;
+    t.gatherSequence(b, seq);
     EXPECT_EQ(seq.rank(), 3u);
     EXPECT_EQ(seq.dim(0), 2u);
     EXPECT_EQ(seq.dim(1), 2u);
@@ -147,7 +160,7 @@ TEST(EmbeddingTable, ChargesEmbeddingTime)
     EmbeddingTable t(1000, 16, rng);
     const SparseBatch b = SparseBatch::uniform(32, 8, 1000, rng);
     OperatorStats stats;
-    t.bagForward(b, Pooling::Sum, &stats);
+    bag(t, b, Pooling::Sum, &stats);
     EXPECT_GT(stats.seconds(OpClass::Embedding), 0.0);
     EXPECT_DOUBLE_EQ(stats.seconds(OpClass::Fc), 0.0);
 }
@@ -177,11 +190,12 @@ TEST(EmbeddingGroup, ForwardProducesOneOutputPerTable)
     EXPECT_EQ(batches.size(), 3u);
     // One [batch, 3 * 4] block: table t's bag fills columns
     // [4t, 4t + 4), bit for bit as the table's own forward.
-    const Tensor block = g.forward(batches);
+    Tensor block;
+    g.forward(batches, block);
     EXPECT_EQ(block.dim(0), 6u);
     EXPECT_EQ(block.dim(1), 3u * 4u);
     for (size_t t = 0; t < 3; t++) {
-        const Tensor own = g.table(t).bagForward(batches[t], Pooling::Sum);
+        const Tensor own = bag(g.table(t), batches[t], Pooling::Sum);
         EXPECT_EQ(own.dim(0), 6u);
         EXPECT_EQ(own.dim(1), 4u);
         for (size_t i = 0; i < 6; i++) {
@@ -217,7 +231,7 @@ TEST_P(EmbeddingLookupSweep, FiniteSumPooling)
     EmbeddingTable t(10'000, 16, rng, 1024);
     const size_t lookups = static_cast<size_t>(GetParam());
     const SparseBatch b = SparseBatch::uniform(8, lookups, 10'000, rng);
-    const Tensor out = t.bagForward(b, Pooling::Sum);
+    const Tensor out = bag(t, b, Pooling::Sum);
     for (size_t i = 0; i < out.numel(); i++)
         EXPECT_TRUE(std::isfinite(out.at(i)));
 }

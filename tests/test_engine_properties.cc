@@ -369,7 +369,7 @@ TEST(EngineProperties, RandomizedOverloadConfigsHoldInvariants)
     for (int round = 0; round < 16; round++) {
         OverloadConfig overload;
         const int kind = static_cast<int>(rng.uniformInt(0, 2));
-        overload.admission = allAdmissionKinds()[static_cast<size_t>(kind)];
+        overload.admission = static_cast<AdmissionKind>(kind);
         overload.queueDepthCap = static_cast<size_t>(
             rng.uniformInt(4, 200));
         overload.deadlineSeconds = rng.uniform(0.03, 0.3);
@@ -388,7 +388,7 @@ TEST(EngineProperties, RandomizedOverloadConfigsHoldInvariants)
             rng.uniformInt(500, 2000));
 
         SCOPED_TRACE("round " + std::to_string(round) + " admission " +
-                     admissionKindName(overload.admission) + " degrade " +
+                     std::to_string(kind) + " degrade " +
                      std::to_string(overload.degrade) + " machines " +
                      std::to_string(machines) + " qps " +
                      std::to_string(qps));

@@ -70,7 +70,9 @@ TEST(GruLayer, ForwardShape)
     Rng rng(5);
     GruLayer gru(8, 12, rng);
     Tensor seq({3, 6, 8});
-    const Tensor h = gru.forward(seq);
+    Tensor h;
+    Tensor gates;
+    gru.forward(seq, nullptr, h, gates);
     EXPECT_EQ(h.dim(0), 3u);
     EXPECT_EQ(h.dim(1), 12u);
 }
@@ -80,7 +82,9 @@ TEST(GruLayer, AllStatesShape)
     Rng rng(6);
     GruLayer gru(8, 12, rng);
     Tensor seq({2, 5, 8});
-    const Tensor states = gru.forwardAllStates(seq);
+    Tensor states;
+    Tensor gates;
+    gru.forwardAllStates(seq, states, gates);
     EXPECT_EQ(states.rank(), 3u);
     EXPECT_EQ(states.dim(0), 2u);
     EXPECT_EQ(states.dim(1), 5u);
@@ -94,8 +98,11 @@ TEST(GruLayer, LastStateMatchesForward)
     Tensor seq({2, 3, 4});
     for (size_t i = 0; i < seq.numel(); i++)
         seq.at(i) = static_cast<float>((i % 5) * 0.1);
-    const Tensor h = gru.forward(seq);
-    const Tensor all = gru.forwardAllStates(seq);
+    Tensor h;
+    Tensor all;
+    Tensor gates;
+    gru.forward(seq, nullptr, h, gates);
+    gru.forwardAllStates(seq, all, gates);
     for (size_t b = 0; b < 2; b++) {
         for (size_t d = 0; d < 6; d++) {
             const float last = all.data()[(b * 3 + 2) * 6 + d];
@@ -112,13 +119,16 @@ TEST(GruLayer, AttentionScoresGateUpdates)
     for (size_t i = 0; i < seq.numel(); i++)
         seq.at(i) = 0.5f;
     Tensor zero_scores = Tensor::mat(1, 4);   // all-zero attention
-    const Tensor frozen = gru.forward(seq, &zero_scores);
+    Tensor frozen;
+    Tensor gates;
+    gru.forward(seq, &zero_scores, frozen, gates);
     for (size_t d = 0; d < 6; d++)
         EXPECT_FLOAT_EQ(frozen.at(0, d), 0.0f);
 
     Tensor unit_scores = Tensor::mat(1, 4);
     unit_scores.fill(1.0f);
-    const Tensor active = gru.forward(seq, &unit_scores);
+    Tensor active;
+    gru.forward(seq, &unit_scores, active, gates);
     bool moved = false;
     for (size_t d = 0; d < 6; d++)
         moved |= (active.at(0, d) != 0.0f);
@@ -130,8 +140,10 @@ TEST(GruLayer, ChargesRecurrentTime)
     Rng rng(9);
     GruLayer gru(8, 8, rng);
     Tensor seq({4, 16, 8});
+    Tensor h;
+    Tensor gates;
     OperatorStats stats;
-    gru.forward(seq, nullptr, &stats);
+    gru.forward(seq, nullptr, h, gates, &stats);
     EXPECT_GT(stats.seconds(OpClass::Recurrent), 0.0);
     EXPECT_DOUBLE_EQ(stats.seconds(OpClass::Fc), 0.0);
 }

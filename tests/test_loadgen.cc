@@ -182,19 +182,6 @@ TEST(QueryStream, OfferedRateMatchesSpec)
     EXPECT_NEAR(trace.size() / span, 250.0, 10.0);
 }
 
-TEST(QueryStream, ResetReplaysTrace)
-{
-    LoadSpec spec;
-    QueryStream stream(spec);
-    const QueryTrace a = stream.generate(50);
-    stream.reset();
-    const QueryTrace b = stream.generate(50);
-    for (size_t i = 0; i < a.size(); i++) {
-        EXPECT_DOUBLE_EQ(a[i].arrivalSeconds, b[i].arrivalSeconds);
-        EXPECT_EQ(a[i].size, b[i].size);
-    }
-}
-
 TEST(QueryStream, SizeSequenceIndependentOfRate)
 {
     // Rate sweeps must re-time the same query population.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the logging sink hook: warn/inform lines arrive at
+ * Unit tests for the logging sink hook: warn lines arrive at
  * an installed LogSink as single complete newline-terminated strings,
  * and removing the sink restores the default stderr path.
  */
@@ -49,21 +49,14 @@ TEST_F(LogSinkTest, WarnArrivesAsOneCompleteLine)
     EXPECT_EQ(captured()[0], "warn: disk 3 is 0.5 full\n");
 }
 
-TEST_F(LogSinkTest, InformArrivesAsOneCompleteLine)
-{
-    drs_inform("checkpoint at ", 42);
-    ASSERT_EQ(captured().size(), 1u);
-    EXPECT_EQ(captured()[0], "info: checkpoint at 42\n");
-}
-
 TEST_F(LogSinkTest, LinesArriveInEmissionOrder)
 {
     drs_warn("first");
-    drs_inform("second");
+    drs_warn("second");
     drs_warn("third");
     ASSERT_EQ(captured().size(), 3u);
     EXPECT_EQ(captured()[0], "warn: first\n");
-    EXPECT_EQ(captured()[1], "info: second\n");
+    EXPECT_EQ(captured()[1], "warn: second\n");
     EXPECT_EQ(captured()[2], "warn: third\n");
 }
 

@@ -68,7 +68,6 @@ TEST(Mlp, LayerCountFollowsDims)
     Rng rng(4);
     Mlp mlp({256, 128, 32}, rng);
     EXPECT_EQ(mlp.numLayers(), 2u);
-    EXPECT_EQ(mlp.inDim(), 256u);
     EXPECT_EQ(mlp.outDim(), 32u);
 }
 
@@ -77,7 +76,9 @@ TEST(Mlp, ForwardShape)
     Rng rng(5);
     Mlp mlp({12, 8, 4}, rng);
     Tensor x = Tensor::mat(5, 12);
-    const Tensor out = mlp.forward(x);
+    Tensor ping;
+    Tensor pong;
+    const Tensor& out = mlp.forward(x, ping, pong);
     EXPECT_EQ(out.dim(0), 5u);
     EXPECT_EQ(out.dim(1), 4u);
 }
@@ -90,8 +91,12 @@ TEST(Mlp, DeterministicGivenSeed)
     Mlp b({8, 8, 2}, rng_b);
     Tensor x = Tensor::mat(2, 8);
     x.fill(0.3f);
-    const Tensor out_a = a.forward(x);
-    const Tensor out_b = b.forward(x);
+    Tensor ping_a;
+    Tensor pong_a;
+    const Tensor& out_a = a.forward(x, ping_a, pong_a);
+    Tensor ping_b;
+    Tensor pong_b;
+    const Tensor& out_b = b.forward(x, ping_b, pong_b);
     for (size_t i = 0; i < out_a.numel(); i++)
         EXPECT_FLOAT_EQ(out_a.at(i), out_b.at(i));
 }
@@ -104,8 +109,12 @@ TEST(Mlp, DifferentSeedsDifferentWeights)
     Mlp b({8, 4}, rng_b);
     Tensor x = Tensor::mat(1, 8);
     x.fill(1.0f);
-    const Tensor out_a = a.forward(x);
-    const Tensor out_b = b.forward(x);
+    Tensor ping_a;
+    Tensor pong_a;
+    const Tensor& out_a = a.forward(x, ping_a, pong_a);
+    Tensor ping_b;
+    Tensor pong_b;
+    const Tensor& out_b = b.forward(x, ping_b, pong_b);
     bool any_diff = false;
     for (size_t i = 0; i < out_a.numel(); i++)
         any_diff |= (out_a.at(i) != out_b.at(i));
@@ -133,8 +142,10 @@ TEST(Mlp, ChargesTimeToFcClass)
     Rng rng(11);
     Mlp mlp({64, 64, 64}, rng);
     Tensor x = Tensor::mat(16, 64);
+    Tensor ping;
+    Tensor pong;
     OperatorStats stats;
-    mlp.forward(x, &stats);
+    mlp.forward(x, ping, pong, &stats);
     EXPECT_GT(stats.seconds(OpClass::Fc), 0.0);
     EXPECT_DOUBLE_EQ(stats.seconds(OpClass::Embedding), 0.0);
 }
@@ -146,7 +157,9 @@ TEST(Mlp, SigmoidFinalActivationBounded)
     Tensor x = Tensor::mat(32, 16);
     for (size_t i = 0; i < x.numel(); i++)
         x.at(i) = static_cast<float>(rng.normal(0.0, 2.0));
-    const Tensor out = mlp.forward(x);
+    Tensor ping;
+    Tensor pong;
+    const Tensor& out = mlp.forward(x, ping, pong);
     for (size_t i = 0; i < out.numel(); i++) {
         EXPECT_GT(out.at(i), 0.0f);
         EXPECT_LT(out.at(i), 1.0f);
@@ -166,7 +179,9 @@ TEST_P(MlpBatchSweep, ShapeAndFiniteness)
     Tensor x = Tensor::mat(batch, 32);
     for (size_t i = 0; i < x.numel(); i++)
         x.at(i) = static_cast<float>(rng.uniform(-1.0, 1.0));
-    const Tensor out = mlp.forward(x);
+    Tensor ping;
+    Tensor pong;
+    const Tensor& out = mlp.forward(x, ping, pong);
     EXPECT_EQ(out.dim(0), batch);
     for (size_t i = 0; i < out.numel(); i++)
         EXPECT_TRUE(std::isfinite(out.at(i)));

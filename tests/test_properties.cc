@@ -132,7 +132,7 @@ TEST_P(SimBatchGrid, LatencyNeverBelowSingleRequestService)
     ServingSimulator sim(cfg);
     const SimResult r = sim.run(trace);
     // No query can complete faster than one minimum-size request.
-    EXPECT_GE(r.queryLatencySeconds.min(),
+    EXPECT_GE(r.queryLatencySeconds.percentile(0),
               cost.requestSeconds(1, 1) * 0.999);
 }
 
@@ -188,7 +188,8 @@ TEST_P(ProfileGrid, ScaleDoesNotChangeAccounting)
     ModelScale bigger;
     bigger.maxPhysicalRows = 1ull << 12;
     const RecModel big(modelConfig(GetParam()), 31, bigger);
-    EXPECT_EQ(tiny.flopsPerSample(), big.flopsPerSample());
+    EXPECT_EQ(tiny.denseFlopsPerSample(), big.denseFlopsPerSample());
+    EXPECT_EQ(tiny.sequenceFlopsPerSample(), big.sequenceFlopsPerSample());
     EXPECT_EQ(tiny.embeddingBytesPerSample(),
               big.embeddingBytesPerSample());
     EXPECT_EQ(tiny.logicalEmbeddingBytes(),

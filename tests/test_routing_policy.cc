@@ -152,7 +152,8 @@ TEST(SplitTrace, PartitionsGlobalTrace)
 {
     const QueryTrace global = productionTrace(800);
     const auto policy = makeRoutingPolicy({RoutingKind::RoundRobin, 0, 0});
-    const std::vector<QueryTrace> slices = splitTrace(global, 8, *policy);
+    const std::vector<QueryTrace> slices =
+        splitTrace(global, std::vector<BackendAttrs>(8), *policy);
     ASSERT_EQ(slices.size(), 8u);
 
     size_t total = 0;
@@ -175,7 +176,8 @@ TEST(SplitTrace, RoundRobinSplitsEvenly)
 {
     const QueryTrace global = productionTrace(800);
     const auto policy = makeRoutingPolicy({RoutingKind::RoundRobin, 0, 0});
-    const std::vector<QueryTrace> slices = splitTrace(global, 8, *policy);
+    const std::vector<QueryTrace> slices =
+        splitTrace(global, std::vector<BackendAttrs>(8), *policy);
     for (const QueryTrace& slice : slices)
         EXPECT_EQ(slice.size(), 100u);
 }
@@ -185,8 +187,8 @@ TEST(SplitTrace, DeterministicForEqualSeeds)
     const QueryTrace global = productionTrace(500);
     const auto a = makeRoutingPolicy({RoutingKind::UniformRandom, 42, 0});
     const auto b = makeRoutingPolicy({RoutingKind::UniformRandom, 42, 0});
-    const auto sa = splitTrace(global, 5, *a);
-    const auto sb = splitTrace(global, 5, *b);
+    const auto sa = splitTrace(global, std::vector<BackendAttrs>(5), *a);
+    const auto sb = splitTrace(global, std::vector<BackendAttrs>(5), *b);
     for (size_t m = 0; m < 5; m++) {
         ASSERT_EQ(sa[m].size(), sb[m].size());
         for (size_t i = 0; i < sa[m].size(); i++)

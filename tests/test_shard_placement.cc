@@ -23,6 +23,14 @@ namespace {
 
 constexpr uint64_t kGB = 1'000'000'000ULL;
 
+/** The working set of query @p id, drawn as the router draws it. */
+std::vector<uint32_t>
+tablesOf(uint64_t id, const TableSetSpec& spec)
+{
+    return tablesOfQuery(id, spec,
+                         tablePopularity(spec.numTables, spec.zipfS));
+}
+
 std::vector<EmbeddingTableInfo>
 rmc2Tables()
 {
@@ -168,8 +176,8 @@ TEST(TablesOfQuery, DeterministicDistinctAndBounded)
     spec.numTables = 32;
     spec.tablesPerQuery = 8;
     for (uint64_t id : {0ULL, 1ULL, 999ULL}) {
-        const std::vector<uint32_t> a = tablesOfQuery(id, spec);
-        const std::vector<uint32_t> b = tablesOfQuery(id, spec);
+        const std::vector<uint32_t> a = tablesOf(id, spec);
+        const std::vector<uint32_t> b = tablesOf(id, spec);
         EXPECT_EQ(a, b);
         ASSERT_EQ(a.size(), spec.tablesPerQuery);
         EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
@@ -179,10 +187,10 @@ TEST(TablesOfQuery, DeterministicDistinctAndBounded)
             EXPECT_LT(t, spec.numTables);
     }
     // Different queries draw different working sets (zipf, not const).
-    EXPECT_NE(tablesOfQuery(1, spec), tablesOfQuery(2, spec));
+    EXPECT_NE(tablesOf(1, spec), tablesOf(2, spec));
     // tablesPerQuery 0 means the DLRM worst case: every table.
     spec.tablesPerQuery = 0;
-    EXPECT_EQ(tablesOfQuery(7, spec).size(), spec.numTables);
+    EXPECT_EQ(tablesOf(7, spec).size(), spec.numTables);
 }
 
 TEST(TablesOfQuery, ZipfSkewPrefersHotTables)
@@ -194,7 +202,7 @@ TEST(TablesOfQuery, ZipfSkewPrefersHotTables)
     size_t hot_hits = 0;
     const size_t queries = 2000;
     for (uint64_t id = 0; id < queries; id++) {
-        const std::vector<uint32_t> tables = tablesOfQuery(id, spec);
+        const std::vector<uint32_t> tables = tablesOf(id, spec);
         hot_hits += std::count_if(tables.begin(), tables.end(),
                                   [](uint32_t t) { return t < 4; });
     }
@@ -234,7 +242,7 @@ TEST(ShardedCluster, RoutesOnlyToHoldersAndConservesQueries)
     const ShardPlacement& placement = cfg.sharding->placement;
     for (size_t i = 0; i < trace.size(); i++) {
         const std::vector<uint32_t> tables =
-            tablesOfQuery(trace[i].id, cfg.sharding->tableSet);
+            tablesOf(trace[i].id, cfg.sharding->tableSet);
         const std::span<const uint16_t> machines =
             r.partMachinesOfQuery.row(i);
         ASSERT_FALSE(machines.empty());

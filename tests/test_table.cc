@@ -23,22 +23,13 @@ TEST(TextTable, PrintsHeadersAndRows)
     EXPECT_NE(out.find("123"), std::string::npos);
 }
 
-TEST(TextTable, CsvHasCommas)
-{
-    TextTable t({"a", "b", "c"});
-    t.addRow({"1", "2", "3"});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "a,b,c\n1,2,3\n");
-}
-
 TEST(TextTable, ShortRowsArePadded)
 {
     TextTable t({"a", "b"});
     t.addRow({"only"});
     std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "a,b\nonly,\n");
+    t.printJson(oss);
+    EXPECT_EQ(oss.str(), "[\n  {\"a\": \"only\", \"b\": \"\"}\n]\n");
 }
 
 TEST(TextTable, NumFormatting)

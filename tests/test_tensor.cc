@@ -12,6 +12,15 @@
 namespace deeprecsys {
 namespace {
 
+/** C = A * B^T + bias over dense rows, into @p out resized to [m, n]. */
+void
+matmul(const Tensor& a, const Tensor& b, const Tensor& bias, Tensor& out)
+{
+    out.resize({a.dim(0), b.dim(0)});
+    matmulBiasTransB(a.data(), a.dim(1), a.dim(0), b, bias, out.data(),
+                     b.dim(0));
+}
+
 TEST(Tensor, DefaultIsEmpty)
 {
     Tensor t;
@@ -41,9 +50,9 @@ TEST(Tensor, ShapeAccessors)
 TEST(Tensor, MatrixIndexing)
 {
     Tensor t = Tensor::mat(2, 3);
-    t.at(1, 2) = 7.0f;
+    t.row(1)[2] = 7.0f;
     EXPECT_FLOAT_EQ(t.at(1 * 3 + 2), 7.0f);
-    EXPECT_FLOAT_EQ(t.row(1)[2], 7.0f);
+    EXPECT_FLOAT_EQ(t.at(1, 2), 7.0f);
 }
 
 TEST(Tensor, DataConstructorValidatesSize)
@@ -60,15 +69,6 @@ TEST(Tensor, FillSetsAll)
         EXPECT_FLOAT_EQ(t.at(i), 2.5f);
 }
 
-TEST(Tensor, ReshapeKeepsData)
-{
-    Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
-    t.reshape({3, 2});
-    EXPECT_EQ(t.dim(0), 3u);
-    EXPECT_FLOAT_EQ(t.at(0, 1), 2.0f);
-    EXPECT_FLOAT_EQ(t.at(2, 1), 6.0f);
-}
-
 TEST(MatmulBiasTransB, KnownValues)
 {
     // a = [1 2; 3 4], b (stored row-per-output) = [1 1; 2 0],
@@ -77,7 +77,7 @@ TEST(MatmulBiasTransB, KnownValues)
     Tensor b({2, 2}, {1, 1, 2, 0});
     Tensor bias({2}, {10, 20});
     Tensor out;
-    matmulBiasTransB(a, b, bias, out);
+    matmul(a, b, bias, out);
     // Row 0: [1+2+10, 2+0+20] = [13, 22]
     // Row 1: [3+4+10, 6+0+20] = [17, 26]
     EXPECT_FLOAT_EQ(out.at(0, 0), 13.0f);
@@ -92,7 +92,7 @@ TEST(MatmulBiasTransB, IdentityPassThrough)
     Tensor identity({3, 3}, {1, 0, 0, 0, 1, 0, 0, 0, 1});
     Tensor bias({3}, {0, 0, 0});
     Tensor out;
-    matmulBiasTransB(a, identity, bias, out);
+    matmul(a, identity, bias, out);
     EXPECT_FLOAT_EQ(out.at(0, 0), 2.0f);
     EXPECT_FLOAT_EQ(out.at(0, 1), -1.0f);
     EXPECT_FLOAT_EQ(out.at(0, 2), 5.0f);
@@ -104,9 +104,9 @@ TEST(MatmulBiasTransB, ReusesOutputBuffer)
     Tensor b({3, 8});
     Tensor bias({3});
     Tensor out;
-    matmulBiasTransB(a, b, bias, out);
+    matmul(a, b, bias, out);
     const float* ptr = out.data();
-    matmulBiasTransB(a, b, bias, out);
+    matmul(a, b, bias, out);
     EXPECT_EQ(out.data(), ptr);   // no reallocation on same shape
 }
 
@@ -119,7 +119,7 @@ TEST(MatmulBiasTransB, StridedFormFillsAColumnSlice)
     const Tensor bias({2}, {0.5f, -0.5f});
     const Tensor a_dense({2, 3}, {1, 2, 3, 4, 5, 6});
     Tensor ref;
-    matmulBiasTransB(a_dense, b, bias, ref);
+    matmul(a_dense, b, bias, ref);
     const float a[] = {1, 2, 3, -9, -9, 4, 5, 6, -9, -9};
     float c[8];
     std::fill(c, c + 8, 7.0f);
@@ -161,28 +161,6 @@ TEST(Activations, TanhOddSymmetry)
     EXPECT_NEAR(t.at(0), std::tanh(1.5), 1e-6);
 }
 
-TEST(Softmax, RowsSumToOne)
-{
-    Tensor t({2, 4}, {1, 2, 3, 4, -1, 0, 1, 2});
-    softmaxRows(t);
-    for (size_t r = 0; r < 2; r++) {
-        float sum = 0.0f;
-        for (size_t c = 0; c < 4; c++) {
-            EXPECT_GT(t.at(r, c), 0.0f);
-            sum += t.at(r, c);
-        }
-        EXPECT_NEAR(sum, 1.0f, 1e-5);
-    }
-}
-
-TEST(Softmax, LargeValuesAreStable)
-{
-    Tensor t({1, 3}, {1000.0f, 1000.0f, 1000.0f});
-    softmaxRows(t);
-    for (size_t c = 0; c < 3; c++)
-        EXPECT_NEAR(t.at(0, c), 1.0f / 3.0f, 1e-5);
-}
-
 TEST(ConcatCols, JoinsWidths)
 {
     Tensor a({2, 2}, {1, 2, 3, 4});
@@ -206,17 +184,6 @@ TEST(ConcatCols, SingleInputCopies)
     EXPECT_FLOAT_EQ(out.at(0, 1), 2.0f);
 }
 
-TEST(RowwiseDot, PerRowInnerProduct)
-{
-    Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
-    Tensor b({2, 3}, {1, 1, 1, 2, 2, 2});
-    const Tensor out = rowwiseDot(a, b);
-    EXPECT_EQ(out.dim(0), 2u);
-    EXPECT_EQ(out.dim(1), 1u);
-    EXPECT_FLOAT_EQ(out.at(0, 0), 6.0f);
-    EXPECT_FLOAT_EQ(out.at(1, 0), 30.0f);
-}
-
 /** Matmul agrees with a naive reference over random shapes. */
 class MatmulShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>>
@@ -237,7 +204,7 @@ TEST_P(MatmulShapes, AgreesWithReference)
         bias.at(i) = static_cast<float>(i);
 
     Tensor out;
-    matmulBiasTransB(a, b, bias, out);
+    matmul(a, b, bias, out);
 
     for (int i = 0; i < m; i++) {
         for (int j = 0; j < n; j++) {
