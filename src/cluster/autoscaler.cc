@@ -231,10 +231,11 @@ class PredictivePolicy final : public ScalingPolicy
         : spec_(spec), profile(run.profile), meanQps(run.meanQps),
           machinesAtPeak(run.machinesAtPeak)
     {
-        drs_assert(meanQps > 0.0,
-                   "predictive scaling needs AutoscaleSpec::meanQps");
-        drs_assert(machinesAtPeak > 0,
-                   "predictive scaling needs AutoscaleSpec::machinesAtPeak");
+        if (!(meanQps > 0.0))
+            drs_fatal("predictive scaling needs AutoscaleSpec::meanQps");
+        if (machinesAtPeak < 1)
+            drs_fatal(
+                "predictive scaling needs AutoscaleSpec::machinesAtPeak");
         peakQps = meanQps * (1.0 + profile.swingAmplitude());
         lead = run.warmupDelaySeconds + run.controlIntervalSeconds;
     }
@@ -591,7 +592,7 @@ class ElasticMembership final : public Membership
         row.slaViolation = violation;
         result_.timeline.push_back(row);
 
-        if (loop.obs && loop.obs->metricsOn()) {
+        if (loop.obs) {
             obs::MetricRegistry& reg = loop.obs->metrics();
             auto set = [&](const char* name, double value) {
                 reg.gauge(name).set(value);

@@ -82,14 +82,13 @@ findClusterMaxQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec)
         return {std::move(r), meets};
     };
 
-    RateSearchKnobs knobs;
-    knobs.qpsFloor = spec.qpsFloor;
-    knobs.qpsCeiling = spec.qpsCeiling;
-    knobs.relTolerance = spec.relTolerance;
-    // Start the probe high enough that small clusters don't waste
-    // rounds (the historical per-machine rung).
-    knobs.growthStart =
-        64.0 * static_cast<double>(cluster.machines.size());
+    // The probe starts at the per-machine rung times the machine count
+    // so small clusters don't waste rounds.
+    const RateSearchKnobs knobs{
+        .qpsFloor = 1.0,
+        .qpsCeiling = 4e6,
+        .relTolerance = 0.02,
+        .growthStart = 64.0 * static_cast<double>(cluster.machines.size())};
 
     RateSearchOutcome<ClusterResult> found =
         findMaxRateUnderSla<ClusterResult>(eval, knobs);

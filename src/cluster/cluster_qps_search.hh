@@ -47,9 +47,6 @@ struct ClusterQpsSpec
 
     LoadSpec load;              ///< arrival/size config (qps overridden)
     RoutingSpec routing;        ///< router policy under test
-    double relTolerance = 0.02; ///< bisection termination width
-    double qpsFloor = 1.0;      ///< declare infeasible below this rate
-    double qpsCeiling = 4e6;    ///< search upper bound
 };
 
 /** Outcome of a cluster max-QPS search. */

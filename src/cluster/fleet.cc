@@ -4,7 +4,7 @@
 
 #include "base/logging.hh"
 #include "base/random.hh"
-#include "cluster/routing_policy.hh"
+#include "loadgen/distributions.hh"
 #include "loadgen/query_stream.hh"
 
 namespace deeprecsys {
@@ -31,8 +31,10 @@ FleetResult::subsample(const std::vector<size_t>& machines) const
 FleetSimulator::FleetSimulator(SimConfig base_in, FleetConfig cfg_in)
     : base(std::move(base_in)), cfg(std::move(cfg_in))
 {
-    drs_assert(cfg.numMachines >= 1, "fleet needs machines");
-    drs_assert(cfg.numWindows >= 1, "fleet needs at least one window");
+    if (cfg.numMachines < 1)
+        drs_fatal("fleet needs machines");
+    if (cfg.numWindows < 1)
+        drs_fatal("fleet needs at least one window");
 }
 
 FleetResult
@@ -55,9 +57,6 @@ FleetSimulator::run() const
     }
     Rng window_rng = fleet_rng.fork();
 
-    double util_sum = 0.0;
-    size_t util_count = 0;
-
     for (size_t w = 0; w < cfg.numWindows; w++) {
         // Window position in the (simulated) day drives the diurnal
         // rate swing of the *global* stream.
@@ -67,55 +66,37 @@ FleetSimulator::run() const
         const double per_machine_rate = cfg.perMachineQps *
             diurnal.multiplier(t_frac * kDiurnalPeriodSeconds);
 
-        // One global stream per window, split across machines by the
-        // cluster router. The default round-robin split smooths each
-        // machine's arrivals relative to the historical independent
-        // Poisson streams (Erlang-N gaps); cfg.routing selects
-        // uniform-random when Poisson thinning is wanted instead.
-        LoadSpec load = cfg.load;
+        // One global stream per window, dealt round-robin: query i
+        // lands on machine i % numMachines. The split smooths each
+        // machine's arrivals relative to independent Poisson streams
+        // (Erlang-N gaps).
+        LoadSpec load;
         load.qps = per_machine_rate *
             static_cast<double>(cfg.numMachines);
         load.arrivalSeed = window_rng();
         load.sizeSeed = window_rng();
+        // A third draw per window is discarded: dropping it would
+        // shift every later window's seeds and move fig13's figures.
+        (void)window_rng();
         QueryStream stream(load);
         const QueryTrace global =
             stream.generate(cfg.queriesPerWindow * cfg.numMachines);
-
-        // This window's effective machine speeds (persistent speed x
-        // interference) feed the router, so speed-aware routing kinds
-        // see the fleet's heterogeneity.
-        std::vector<double> slowdown(cfg.numMachines);
-        std::vector<BackendAttrs> attrs(cfg.numMachines);
-        for (size_t m = 0; m < cfg.numMachines; m++) {
-            slowdown[m] = 1.0 / speed[m];
-            if (machine_rngs[m].uniform() < cfg.interferenceProb)
-                slowdown[m] *= cfg.interferenceSlowdown;
-            attrs[m].speedFactor = 1.0 / slowdown[m];
-            attrs[m].hasGpu = base.policy.gpuEnabled &&
-                base.gpu.has_value();
-        }
-
-        RoutingSpec routing;
-        routing.kind = cfg.routing;
-        routing.seed = window_rng();
-        const std::unique_ptr<RoutingPolicy> policy =
-            makeRoutingPolicy(routing);
-        const std::vector<QueryTrace> slices =
-            splitTrace(global, attrs, *policy);
+        std::vector<QueryTrace> slices(cfg.numMachines);
+        for (size_t i = 0; i < global.size(); i++)
+            slices[i % cfg.numMachines].push_back(global[i]);
 
         for (size_t m = 0; m < cfg.numMachines; m++) {
+            // Persistent speed x this window's interference draw.
             SimConfig machine = base;
-            machine.slowdown = slowdown[m];
+            machine.slowdown = 1.0 / speed[m];
+            if (machine_rngs[m].uniform() < cfg.interferenceProb)
+                machine.slowdown *= cfg.interferenceSlowdown;
 
             const SimResult r = ServingSimulator(machine).run(slices[m]);
             result.perMachine[m].addAll(r.queryLatencySeconds.raw());
             result.fleetLatency.addAll(r.queryLatencySeconds.raw());
-            util_sum += r.cpuUtilization;
-            util_count++;
         }
     }
-    if (util_count > 0)
-        result.meanCpuUtilization = util_sum / double(util_count);
     return result;
 }
 

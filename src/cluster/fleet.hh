@@ -10,13 +10,14 @@
  * measures p95/p99 across the fleet over a diurnal day of traffic for
  * a fixed versus tuned batch size.
  *
- * This is cluster-tier code (it routes one global stream across
+ * This is cluster-tier code (it spreads one global stream across
  * machines) and lives in cluster/ accordingly; it differs from
  * ClusterSimulator in simulating each machine *independently* from a
- * statically split trace, which scales to hundreds of machines but
- * cannot model queue-aware routing. It is a driver, not an engine:
- * each machine runs a ServingSimulator and therefore the shared
- * MachineEngine (sim/machine_engine.hh), so its per-machine
+ * statically split trace: each window's stream is dealt round-robin
+ * (query i to machine i % numMachines), which scales to hundreds of
+ * machines but cannot model queue-aware routing. It is a driver, not
+ * an engine: each machine runs a ServingSimulator and therefore the
+ * shared MachineEngine (sim/machine_engine.hh), so its per-machine
  * mechanics cannot diverge from the live cluster simulator's.
  *
  * The windows span one fixed 24-hour diurnal cycle. The fleet tier
@@ -25,8 +26,8 @@
  *
  * Units: seconds in the samples, milliseconds from tailMs(). Fully
  * deterministic for a fixed FleetConfig::seed: machine speeds,
- * interference windows, per-window traffic, and the routing split all
- * derive from forks of that one stream.
+ * interference windows and per-window traffic all derive from forks
+ * of that one stream.
  */
 
 #ifndef DRS_CLUSTER_FLEET_HH
@@ -35,14 +36,15 @@
 #include <vector>
 
 #include "base/stats.hh"
-#include "cluster/routing_policy.hh"
-#include "loadgen/distributions.hh"
-#include "loadgen/query_stream.hh"
 #include "sim/serving_sim.hh"
 
 namespace deeprecsys {
 
-/** Configuration of a simulated fleet. */
+/**
+ * Configuration of a simulated fleet. Every query is a Poisson
+ * arrival with a production-distribution size (the LoadSpec
+ * defaults); the rate follows perMachineQps and the diurnal swing.
+ */
 struct FleetConfig
 {
     size_t numMachines = 200;
@@ -66,17 +68,6 @@ struct FleetConfig
      */
     double diurnalPeakToTrough = 1.0;
     uint64_t seed = 1234;
-    LoadSpec load;      ///< qps overridden per machine/window
-
-    /**
-     * How the global window stream is split across machines.
-     * Round-robin slices evenly but smooths each machine's arrivals
-     * (Erlang-N inter-arrival gaps); uniform-random preserves Poisson
-     * per-machine streams (Poisson thinning) at the cost of slice-size
-     * jitter. The policy's seed is re-drawn per window from the fleet
-     * stream.
-     */
-    RoutingKind routing = RoutingKind::RoundRobin;
 };
 
 /** Latency outcome of one fleet run. */
@@ -84,7 +75,6 @@ struct FleetResult
 {
     SampleStats fleetLatency;               ///< all machines pooled
     std::vector<SampleStats> perMachine;    ///< per-machine samples
-    double meanCpuUtilization = 0.0;
 
     /** Pooled latency of a machine subset (for Figure 7). */
     SampleStats subsample(const std::vector<size_t>& machines) const;

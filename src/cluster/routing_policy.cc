@@ -491,47 +491,7 @@ class ShardAwarePolicy final : public RoutingPolicy
     obs::RunObserver* obs_ = nullptr;  ///< per-table load reporting
 };
 
-/** View for open-loop splitting: dispatch counts, no live queues. */
-class SplitView final : public ClusterView
-{
-  public:
-    explicit SplitView(const std::vector<BackendAttrs>& attrs_in)
-        : attrs(attrs_in), dispatched(attrs_in.size(), 0)
-    {
-    }
-
-    size_t numMachines() const override { return attrs.size(); }
-
-    size_t
-    inFlightQueries(size_t m) const override
-    {
-        return dispatched[m];
-    }
-
-    size_t queuedWork(size_t) const override { return 0; }
-
-    bool hasGpu(size_t m) const override { return attrs[m].hasGpu; }
-
-    double
-    speedFactor(size_t m) const override
-    {
-        return attrs[m].speedFactor;
-    }
-
-    void record(size_t m) { dispatched[m]++; }
-
-  private:
-    const std::vector<BackendAttrs>& attrs;
-    std::vector<size_t> dispatched;
-};
-
 } // namespace
-
-std::unique_ptr<RoutingPolicy>
-makeRoutingPolicy(const RoutingSpec& spec)
-{
-    return makeRoutingPolicy(spec, nullptr);
-}
 
 std::unique_ptr<RoutingPolicy>
 makeRoutingPolicy(const RoutingSpec& spec, const ShardingConfig* sharding)
@@ -558,22 +518,6 @@ makeRoutingPolicy(const RoutingSpec& spec, const ShardingConfig* sharding)
     }
     drs_assert(false, "unknown routing kind");
     return nullptr;
-}
-
-std::vector<QueryTrace>
-splitTrace(const QueryTrace& global,
-           const std::vector<BackendAttrs>& machines, RoutingPolicy& policy)
-{
-    drs_assert(!machines.empty(), "splitTrace needs machines");
-    std::vector<QueryTrace> slices(machines.size());
-    SplitView view(machines);
-    for (const Query& q : global) {
-        const size_t m = policy.route(q, view);
-        drs_assert(m < machines.size(), "policy routed out of range");
-        slices[m].push_back(q);
-        view.record(m);
-    }
-    return slices;
 }
 
 } // namespace deeprecsys

@@ -79,9 +79,9 @@ const char* routingKindName(RoutingKind kind);
 const std::vector<RoutingKind>& allRoutingKinds();
 
 /**
- * What a routing policy may observe about the cluster. The live
- * simulator exposes real queue state; the open-loop trace splitter
- * exposes only dispatch counts.
+ * What a routing policy may observe about the cluster. The cluster
+ * event loop (ClusterLoop) is the one implementation and exposes
+ * live queue and engine state.
  */
 class ClusterView
 {
@@ -257,37 +257,12 @@ struct RoutingSpec
 };
 
 /**
- * Build a concrete policy. ShardAware requires the two-argument
- * overload; building it without a ShardingConfig is fatal.
- */
-std::unique_ptr<RoutingPolicy> makeRoutingPolicy(const RoutingSpec& spec);
-
-/**
- * Build a concrete policy with sharding context. @p sharding may be
- * null for every kind except ShardAware; when non-null it must
- * outlive the returned policy (the policy keeps a reference).
+ * Build a concrete policy. @p sharding may be null for every kind
+ * except ShardAware, which cannot be built without one; when non-null
+ * it must outlive the returned policy (the policy keeps a reference).
  */
 std::unique_ptr<RoutingPolicy> makeRoutingPolicy(
-    const RoutingSpec& spec, const ShardingConfig* sharding);
-
-/** Static attributes of one backend for open-loop trace splitting. */
-struct BackendAttrs
-{
-    bool hasGpu = false;
-    double speedFactor = 1.0;
-};
-
-/**
- * Open-loop split of a global trace into per-machine sub-traces: each
- * query keeps its global arrival time and lands on the machine the
- * policy picks. The view exposed to the policy carries dispatch counts
- * but no live queue state (queue-aware policies degrade to
- * least-dispatched). This is the slicing primitive the fleet simulator
- * uses for its statically partitioned traffic.
- */
-std::vector<QueryTrace> splitTrace(const QueryTrace& global,
-                                   const std::vector<BackendAttrs>& machines,
-                                   RoutingPolicy& policy);
+    const RoutingSpec& spec, const ShardingConfig* sharding = nullptr);
 
 } // namespace deeprecsys
 

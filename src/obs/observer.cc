@@ -38,12 +38,10 @@ sampledIndex(uint64_t idx, double rate, uint64_t seed)
 RunObserver::RunObserver(ObsConfig config, size_t num_machines)
     : cfg_(config), numMachines_(num_machines)
 {
-    if (cfg_.traceSpans) {
-        writer_.processName(0, "router");
-        for (size_t m = 0; m < numMachines_; m++)
-            writer_.processName(1 + static_cast<uint32_t>(m),
-                                "machine " + std::to_string(m));
-    }
+    writer_.processName(0, "router");
+    for (size_t m = 0; m < numMachines_; m++)
+        writer_.processName(1 + static_cast<uint32_t>(m),
+                            "machine " + std::to_string(m));
 }
 
 void
@@ -68,12 +66,10 @@ RunObserver::onQueryDispatch(uint64_t idx, double arrival, uint32_t size,
     rec.sampled = sampledQuery(idx);
     rec.measured = measured;
 
-    if (cfg_.metrics) {
-        if (!querySize_)
-            querySize_ = &registry_.histogram("query_size", 0, 512, 32);
-        registry_.counter("queries_dispatched").add();
-        querySize_->add(size);
-    }
+    if (!querySize_)
+        querySize_ = &registry_.histogram("query_size", 0, 512, 32);
+    registry_.counter("queries_dispatched").add();
+    querySize_->add(size);
 }
 
 void
@@ -108,16 +104,13 @@ RunObserver::onPartDone(uint64_t idx, uint32_t machine, PartStage stage,
         }
     }
 
-    if (cfg_.metrics) {
-        if (!queueWaitMs_) {
-            queueWaitMs_ =
-                &registry_.histogram("queue_wait_ms", 0, 50, 25);
-            serviceMs_ = &registry_.histogram("service_ms", 0, 50, 25);
-        }
-        registry_.counter("parts_completed").add();
-        queueWaitMs_->add((first_service_s - start_s) * 1e3);
-        serviceMs_->add((end_s - first_service_s) * 1e3);
+    if (!queueWaitMs_) {
+        queueWaitMs_ = &registry_.histogram("queue_wait_ms", 0, 50, 25);
+        serviceMs_ = &registry_.histogram("service_ms", 0, 50, 25);
     }
+    registry_.counter("parts_completed").add();
+    queueWaitMs_->add((first_service_s - start_s) * 1e3);
+    serviceMs_->add((end_s - first_service_s) * 1e3);
 
     if (rec.sampled) {
         const uint32_t pid = 1 + machine;
@@ -160,7 +153,7 @@ RunObserver::onQueryComplete(uint64_t idx, double completion_s,
     const double network =
         std::max(0.0, total - queue - service - joinWait);
 
-    if (cfg_.attribution && rec.measured) {
+    if (rec.measured) {
         split_.queueSeconds += queue;
         split_.serviceSeconds += service;
         split_.networkSeconds += network;
@@ -169,8 +162,7 @@ RunObserver::onQueryComplete(uint64_t idx, double completion_s,
         split_.queries++;
     }
 
-    if (cfg_.metrics)
-        registry_.counter("queries_completed").add();
+    registry_.counter("queries_completed").add();
 
     if (rec.sampled) {
         writer_.complete("query", "router", 0, idx, rec.arrival,
@@ -196,8 +188,7 @@ RunObserver::onQueryComplete(uint64_t idx, double completion_s,
 void
 RunObserver::onQueryDrop(uint64_t idx, double t_s, uint32_t size)
 {
-    if (cfg_.metrics)
-        registry_.counter("queries_dropped").add();
+    registry_.counter("queries_dropped").add();
     if (sampledQuery(idx)) {
         writer_.instant("drop", "router", 0, t_s,
                         "\"query\": " + std::to_string(idx) +
@@ -209,8 +200,7 @@ void
 RunObserver::onQueryRetry(uint64_t idx, double t_s, uint32_t attempt,
                           double delay_s)
 {
-    if (cfg_.metrics)
-        registry_.counter("queries_retried").add();
+    registry_.counter("queries_retried").add();
     if (sampledQuery(idx)) {
         writer_.instant("retry", "router", 0, t_s,
                         "\"query\": " + std::to_string(idx) +
@@ -223,8 +213,7 @@ void
 RunObserver::onQueryDegrade(uint64_t idx, double t_s, uint32_t orig_size,
                             uint32_t served_size)
 {
-    if (cfg_.metrics)
-        registry_.counter("queries_degraded").add();
+    registry_.counter("queries_degraded").add();
     if (sampledQuery(idx)) {
         writer_.instant("degrade", "router", 0, t_s,
                         "\"query\": " + std::to_string(idx) +
@@ -238,8 +227,6 @@ RunObserver::onQueryDegrade(uint64_t idx, double t_s, uint32_t orig_size,
 void
 RunObserver::onTablesTouched(const std::vector<uint32_t>& tables)
 {
-    if (!cfg_.metrics)
-        return;
     for (uint32_t t : tables) {
         if (t >= tableLoad_.size())
             tableLoad_.resize(t + 1, nullptr);
@@ -253,31 +240,24 @@ RunObserver::onTablesTouched(const std::vector<uint32_t>& tables)
 void
 RunObserver::onMachineDown(uint32_t machine, double t_s)
 {
-    if (cfg_.metrics)
-        registry_.counter("machines_crashed").add();
-    if (cfg_.traceSpans) {
-        writer_.instant("machine_down", "fault", 1 + machine, t_s,
-                        "\"machine\": " + std::to_string(machine));
-    }
+    registry_.counter("machines_crashed").add();
+    writer_.instant("machine_down", "fault", 1 + machine, t_s,
+                    "\"machine\": " + std::to_string(machine));
 }
 
 void
 RunObserver::onMachineUp(uint32_t machine, double t_s)
 {
-    if (cfg_.metrics)
-        registry_.counter("machines_recovered").add();
-    if (cfg_.traceSpans) {
-        writer_.instant("machine_up", "fault", 1 + machine, t_s,
-                        "\"machine\": " + std::to_string(machine));
-    }
+    registry_.counter("machines_recovered").add();
+    writer_.instant("machine_up", "fault", 1 + machine, t_s,
+                    "\"machine\": " + std::to_string(machine));
 }
 
 void
 RunObserver::onPartHedged(uint64_t idx, double t_s, uint32_t from_machine,
                           uint32_t to_machine)
 {
-    if (cfg_.metrics)
-        registry_.counter("parts_hedged").add();
+    registry_.counter("parts_hedged").add();
     if (sampledQuery(idx)) {
         writer_.instant("hedge", "router", 0, t_s,
                         "\"query\": " + std::to_string(idx) +
@@ -290,8 +270,7 @@ void
 RunObserver::onQueryFailover(uint64_t idx, double t_s, uint32_t attempt,
                              double delay_s)
 {
-    if (cfg_.metrics)
-        registry_.counter("queries_failover").add();
+    registry_.counter("queries_failover").add();
     if (sampledQuery(idx)) {
         writer_.instant("failover", "router", 0, t_s,
                         "\"query\": " + std::to_string(idx) +
@@ -303,8 +282,7 @@ RunObserver::onQueryFailover(uint64_t idx, double t_s, uint32_t attempt,
 void
 RunObserver::onQueryLost(uint64_t idx, double t_s)
 {
-    if (cfg_.metrics)
-        registry_.counter("queries_lost").add();
+    registry_.counter("queries_lost").add();
     if (sampledQuery(idx)) {
         writer_.instant("lost", "router", 0, t_s,
                         "\"query\": " + std::to_string(idx));
@@ -315,26 +293,18 @@ void
 RunObserver::onScaleEvent(double t_s, size_t serving_before,
                           size_t target, size_t granted)
 {
-    if (cfg_.metrics)
-        registry_.counter("scale_events").add();
-    if (cfg_.traceSpans) {
-        writer_.instant(
-            granted >= serving_before ? "scale_up" : "scale_down",
-            "autoscaler", 0, t_s,
-            "\"serving\": " + std::to_string(serving_before) +
-                ", \"target\": " + std::to_string(target) +
-                ", \"granted\": " + std::to_string(granted));
-    }
+    registry_.counter("scale_events").add();
+    writer_.instant(granted >= serving_before ? "scale_up" : "scale_down",
+                    "autoscaler", 0, t_s,
+                    "\"serving\": " + std::to_string(serving_before) +
+                        ", \"target\": " + std::to_string(target) +
+                        ", \"granted\": " + std::to_string(granted));
 }
 
 void
 RunObserver::snapshot(double t_s)
 {
-    if (!cfg_.metrics)
-        return;
     registry_.snapshot(t_s);
-    if (!cfg_.traceSpans)
-        return;
     // Mirror the headline gauges as Perfetto counter tracks so the
     // timeline renders next to the spans.
     for (const char* name : {"machines", "utilization", "window_p99_ms"}) {

@@ -55,12 +55,13 @@
 
 namespace deeprecsys::obs {
 
-/** What a RunObserver records (any subset may be enabled). */
+/**
+ * How a RunObserver samples. An attached observer always records all
+ * three products (spans, metrics, attribution); only the share of
+ * queries that get spans is set here.
+ */
 struct ObsConfig
 {
-    /** Emit Chrome-trace spans for sampled queries. */
-    bool traceSpans = false;
-
     /**
      * Fraction of queries span-traced, in [0, 1]. Sampling is by
      * deterministic hash of the query index: the same queries are
@@ -71,21 +72,12 @@ struct ObsConfig
     /** Seed of the span-sampling hash (fixed). */
     static constexpr uint64_t spanSeed = 0x9e3779b97f4a7c15ULL;
 
-    /** Collect windowed metrics (driver snapshots on its ticks). */
-    bool metrics = false;
-
-    /** Aggregate the per-query latency stage split. */
-    bool attribution = false;
-
-    /** Everything on — the bench/tooling convenience. */
+    /** Spans for @p sample_rate of the queries. */
     static ObsConfig
     full(double sample_rate = 1.0)
     {
         ObsConfig cfg;
-        cfg.traceSpans = true;
         cfg.spanSampleRate = sample_rate;
-        cfg.metrics = true;
-        cfg.attribution = true;
         return cfg;
     }
 };
@@ -145,16 +137,11 @@ class RunObserver
      */
     RunObserver(ObsConfig config, size_t num_machines);
 
-    const ObsConfig& config() const { return cfg_; }
-
-    bool metricsOn() const { return cfg_.metrics; }
-
     /** True when query @p idx is span-traced this run. */
     bool
     sampledQuery(uint64_t idx) const
     {
-        return cfg_.traceSpans &&
-            sampledIndex(idx, cfg_.spanSampleRate, cfg_.spanSeed);
+        return sampledIndex(idx, cfg_.spanSampleRate, cfg_.spanSeed);
     }
 
     // ------------------------------------------------- driver hooks
@@ -269,9 +256,9 @@ class RunObserver
     const MetricRegistry& metrics() const { return registry_; }
 
     /**
-     * Take a metrics snapshot at @p t_s and, when tracing, extend the
-     * router-pid counter tracks (`machines`, `utilization`,
-     * `window_p99_ms`) from the same-named gauges if present.
+     * Take a metrics snapshot at @p t_s and extend the router-pid
+     * counter tracks (`machines`, `utilization`, `window_p99_ms`) from
+     * the same-named gauges if present.
      */
     void snapshot(double t_s);
 

@@ -10,8 +10,10 @@ namespace deeprecsys {
 ServingEngine::ServingEngine(const RecModel& model, const EngineConfig& config)
     : model(model), cfg(config)
 {
-    drs_assert(cfg.numWorkers >= 1, "engine needs at least one worker");
-    drs_assert(cfg.perRequestBatch >= 1, "batch must be >= 1");
+    if (cfg.numWorkers < 1)
+        drs_fatal("engine needs at least one worker");
+    if (cfg.perRequestBatch < 1)
+        drs_fatal("batch must be >= 1");
     workerState.resize(cfg.numWorkers);
     workers.reserve(cfg.numWorkers);
     for (size_t w = 0; w < cfg.numWorkers; w++)

@@ -22,7 +22,8 @@ evaluateAtQps(const SimConfig& sim, const LoadSpec& load, double qps,
 QpsSearchResult
 findMaxQps(const SimConfig& sim, const QpsSearchSpec& spec)
 {
-    drs_assert(spec.slaMs > 0.0, "SLA target must be positive");
+    if (!(spec.slaMs > 0.0))
+        drs_fatal("SLA target must be positive");
 
     // The query population is drawn once; every candidate rate only
     // re-times it (bit-identical to regenerating the trace per rate).
@@ -38,11 +39,10 @@ findMaxQps(const SimConfig& sim, const QpsSearchSpec& spec)
         return {std::move(r), meets};
     };
 
-    RateSearchKnobs knobs;
-    knobs.qpsFloor = spec.qpsFloor;
-    knobs.qpsCeiling = spec.qpsCeiling;
-    knobs.relTolerance = spec.relTolerance;
-    knobs.growthStart = 64.0;
+    const RateSearchKnobs knobs{.qpsFloor = 0.5,
+                                .qpsCeiling = 2e6,
+                                .relTolerance = 0.02,
+                                .growthStart = 64.0};
 
     RateSearchOutcome<SimResult> found =
         findMaxRateUnderSla<SimResult>(eval, knobs);

@@ -25,9 +25,6 @@ struct QpsSearchSpec
     double percentile = 95.0;   ///< which tail (p95 by default)
     size_t numQueries = 3000;   ///< trace length per evaluation
     LoadSpec load;              ///< arrival/size config (qps overridden)
-    double relTolerance = 0.02; ///< bisection termination width
-    double qpsFloor = 0.5;      ///< declare infeasible below this rate
-    double qpsCeiling = 2e6;    ///< search upper bound
 };
 
 /** Outcome of a max-QPS search. */

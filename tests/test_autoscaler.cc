@@ -587,5 +587,27 @@ TEST(AutoscalerConfigDeath, ReactiveBandNotBracketingTheTargetIsAConfigError)
                 "utilization band must bracket the target");
 }
 
+TEST(AutoscalerConfigDeath, PredictiveWithoutMeanQpsIsAConfigError)
+{
+    AutoscaleSpec spec = flatSpec(2);
+    spec.machinesAtPeak = 2;
+    ScalingPolicySpec policy;
+    policy.kind = ScalingPolicyKind::Predictive;
+    EXPECT_EXIT(makeScalingPolicy(policy, spec),
+                ::testing::ExitedWithCode(1),
+                "predictive scaling needs AutoscaleSpec::meanQps");
+}
+
+TEST(AutoscalerConfigDeath, PredictiveWithoutPeakMachinesIsAConfigError)
+{
+    AutoscaleSpec spec = flatSpec(2);
+    spec.meanQps = 1000.0;
+    ScalingPolicySpec policy;
+    policy.kind = ScalingPolicyKind::Predictive;
+    EXPECT_EXIT(makeScalingPolicy(policy, spec),
+                ::testing::ExitedWithCode(1),
+                "predictive scaling needs AutoscaleSpec::machinesAtPeak");
+}
+
 } // namespace
 } // namespace deeprecsys

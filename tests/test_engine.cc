@@ -128,5 +128,26 @@ TEST(ServingEngine, SequenceModelServes)
     EXPECT_GT(r.operatorBreakdown.seconds(OpClass::Recurrent), 0.0);
 }
 
+// A bad engine config is a user error: it exits with status 1
+// (drs_fatal), it does not abort like a broken invariant.
+
+TEST(ServingEngineDeath, ZeroWorkersIsAConfigError)
+{
+    const RecModel model = tinyModel();
+    EngineConfig cfg;
+    cfg.numWorkers = 0;
+    EXPECT_EXIT((void)ServingEngine(model, cfg), ::testing::ExitedWithCode(1),
+                "engine needs at least one worker");
+}
+
+TEST(ServingEngineDeath, ZeroBatchIsAConfigError)
+{
+    const RecModel model = tinyModel();
+    EngineConfig cfg;
+    cfg.perRequestBatch = 0;
+    EXPECT_EXIT((void)ServingEngine(model, cfg), ::testing::ExitedWithCode(1),
+                "batch must be >= 1");
+}
+
 } // namespace
 } // namespace deeprecsys

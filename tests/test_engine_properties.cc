@@ -273,22 +273,6 @@ TEST(EngineProperties, FindClusterMaxQpsScalesWithMachines)
     EXPECT_GT(large, 1.6 * small);
 }
 
-TEST(EngineProperties, QpsSearchCeilingIsTestedNotSkipped)
-{
-    // Regression for a divergence between the twin searches: the
-    // single-machine bisection used to return the last feasible
-    // geometric probe when the ceiling was reached, while the cluster
-    // search tested the ceiling itself. Both now report a feasible
-    // ceiling exactly.
-    QpsSearchSpec spec;
-    spec.slaMs = 200.0;
-    spec.numQueries = 1200;
-    spec.qpsCeiling = 500.0;    // easily sustained by the machine
-    const QpsSearchResult r = findMaxQps(cpuMachine(), spec);
-    EXPECT_DOUBLE_EQ(r.maxQps, 500.0);
-    EXPECT_LE(r.atMax.tailMs(spec.percentile), spec.slaMs);
-}
-
 // ------------------------------------------------------- two-stage join
 
 TEST(EngineProperties, TwoStageJoinNeverFasterThanOptimistic)

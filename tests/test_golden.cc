@@ -3,9 +3,9 @@
  * Golden regression tests: small deterministic traces with checked-in
  * expected latency percentiles (JSON under tests/golden/). Every
  * scenario follows a figure-reproduction path — the single-machine
- * fig11 operating points, the fig13 fleet day, the
- * cluster_routing_sweep policies, and the sharded fan-out/join paths
- * — so an engine refactor that shifts numbers fails loudly here
+ * fig11 operating points, the fig07 fleet subsample, the fig13 fleet
+ * day, the cluster_routing_sweep policies, and the sharded
+ * fan-out/join paths — so an engine refactor that shifts numbers fails loudly here
  * instead of silently redrawing figures.
  *
  * When a shift is *intended* (a modeling change), regenerate with:
@@ -282,6 +282,30 @@ TEST(Golden, FleetFig13Path)
         measured[name] = percentilesOf(r.fleetLatency);
     }
     checkGolden("fleet_fig13.json", measured);
+}
+
+TEST(Golden, FleetFig07Path)
+{
+    // A compressed fig07 fleet: fig07's milder heterogeneity over one
+    // window, with the pooled fleet and a machine subsample.
+    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
+    SchedulerPolicy policy;
+    policy.perRequestBatch = 256;
+    const SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
+                            std::nullopt, policy, 0.05, 1.0};
+    FleetConfig cfg;
+    cfg.numMachines = 16;
+    cfg.perMachineQps = 1200.0;
+    cfg.queriesPerWindow = 400;
+    cfg.speedSigma = 0.04;
+    cfg.interferenceProb = 0.08;
+    cfg.interferenceSlowdown = 1.10;
+    cfg.seed = 4321;
+    const FleetResult r = FleetSimulator(machine, cfg).run();
+    GoldenMap measured;
+    measured["fleet"] = percentilesOf(r.fleetLatency);
+    measured["subsample"] = percentilesOf(r.subsample({3, 7, 11, 14}));
+    checkGolden("fleet_fig07.json", measured);
 }
 
 TEST(Golden, ClusterRoutingSweepPaths)

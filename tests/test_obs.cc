@@ -366,17 +366,5 @@ TEST(Observer, EmptyRunStillWritesValidDocuments)
     EXPECT_EQ(observer.stageSplit().queries, 0u);
 }
 
-TEST(Observer, DisabledConfigRecordsNothing)
-{
-    obs::RunObserver observer(obs::ObsConfig{}, 1);
-    ServingSimulator sim(testMachine());
-    sim.setObserver(&observer);
-    sim.run(testTrace(500, 400.0));
-    EXPECT_EQ(observer.numTraceEvents(), 0u);
-    EXPECT_NE(jsonOf(observer.metrics()).find("\"metrics\": []"),
-              std::string::npos);
-    EXPECT_EQ(observer.stageSplit().queries, 0u);
-}
-
 } // namespace
 } // namespace deeprecsys

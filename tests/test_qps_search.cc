@@ -134,5 +134,35 @@ TEST(RateSearch, EvaluatesCandidatesInOrderOnCallingThread)
     EXPECT_EQ(found.atMax, found.maxRate);
 }
 
+TEST(RateSearch, FeasibleCeilingIsTestedNotSkipped)
+{
+    // Regression for a divergence between the twin searches: the
+    // single-machine bisection used to return the last feasible
+    // geometric probe when the ceiling was reached, while the cluster
+    // search tested the ceiling itself. A feasible ceiling is now
+    // reported exactly.
+    RateSearchKnobs knobs;
+    knobs.qpsCeiling = 500.0;
+    std::vector<double> rates;
+    auto eval = [&](double rate) -> std::pair<double, bool> {
+        rates.push_back(rate);
+        return {rate, true};
+    };
+    const RateSearchOutcome<double> found =
+        findMaxRateUnderSla<double>(eval, knobs);
+    EXPECT_DOUBLE_EQ(found.maxRate, 500.0);
+    EXPECT_DOUBLE_EQ(found.atMax, 500.0);
+    ASSERT_FALSE(rates.empty());
+    EXPECT_DOUBLE_EQ(rates.back(), 500.0);
+}
+
+// A bad search spec is a user error: it exits with status 1
+// (drs_fatal), it does not abort like a broken invariant.
+TEST(QpsSearchDeath, NonPositiveSlaIsAValidatedError)
+{
+    EXPECT_EXIT((void)findMaxQps(rmc1Config(256), spec(0.0)),
+                ::testing::ExitedWithCode(1), "SLA target must be positive");
+}
+
 } // namespace
 } // namespace deeprecsys

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the cluster routing policies and the open-loop trace
- * splitter.
+ * Tests for the cluster routing policies.
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +42,23 @@ query(uint64_t id, uint32_t size = 10)
     q.arrivalSeconds = static_cast<double>(id) * 1e-3;
     q.size = size;
     return q;
+}
+
+/**
+ * Route every query of @p global through @p policy, counting each
+ * dispatch as in flight on @p view (nothing completes), and return
+ * the per-machine slices.
+ */
+std::vector<QueryTrace>
+dealTrace(const QueryTrace& global, FakeView& view, RoutingPolicy& policy)
+{
+    std::vector<QueryTrace> slices(view.numMachines());
+    for (const Query& q : global) {
+        const size_t m = policy.route(q, view);
+        slices.at(m).push_back(q);
+        view.inFlight[m]++;
+    }
+    return slices;
 }
 
 QueryTrace
@@ -148,36 +164,12 @@ TEST(RoutingPolicy, SizeAwareFallsBackWithoutGpus)
         EXPECT_LT(policy->route(query(i, 500), view), 3u);
 }
 
-TEST(SplitTrace, PartitionsGlobalTrace)
-{
-    const QueryTrace global = productionTrace(800);
-    const auto policy = makeRoutingPolicy({RoutingKind::RoundRobin, 0, 0});
-    const std::vector<QueryTrace> slices =
-        splitTrace(global, std::vector<BackendAttrs>(8), *policy);
-    ASSERT_EQ(slices.size(), 8u);
-
-    size_t total = 0;
-    std::set<uint64_t> ids;
-    for (const QueryTrace& slice : slices) {
-        total += slice.size();
-        for (size_t i = 0; i < slice.size(); i++) {
-            ids.insert(slice[i].id);
-            if (i > 0) {
-                EXPECT_LE(slice[i - 1].arrivalSeconds,
-                          slice[i].arrivalSeconds);
-            }
-        }
-    }
-    EXPECT_EQ(total, global.size());
-    EXPECT_EQ(ids.size(), global.size());    // no duplicates, no drops
-}
-
 TEST(SplitTrace, RoundRobinSplitsEvenly)
 {
     const QueryTrace global = productionTrace(800);
     const auto policy = makeRoutingPolicy({RoutingKind::RoundRobin, 0, 0});
-    const std::vector<QueryTrace> slices =
-        splitTrace(global, std::vector<BackendAttrs>(8), *policy);
+    FakeView view(8);
+    const std::vector<QueryTrace> slices = dealTrace(global, view, *policy);
     for (const QueryTrace& slice : slices)
         EXPECT_EQ(slice.size(), 100u);
 }
@@ -187,8 +179,10 @@ TEST(SplitTrace, DeterministicForEqualSeeds)
     const QueryTrace global = productionTrace(500);
     const auto a = makeRoutingPolicy({RoutingKind::UniformRandom, 42, 0});
     const auto b = makeRoutingPolicy({RoutingKind::UniformRandom, 42, 0});
-    const auto sa = splitTrace(global, std::vector<BackendAttrs>(5), *a);
-    const auto sb = splitTrace(global, std::vector<BackendAttrs>(5), *b);
+    FakeView view_a(5);
+    FakeView view_b(5);
+    const auto sa = dealTrace(global, view_a, *a);
+    const auto sb = dealTrace(global, view_b, *b);
     for (size_t m = 0; m < 5; m++) {
         ASSERT_EQ(sa[m].size(), sb[m].size());
         for (size_t i = 0; i < sa[m].size(); i++)
@@ -196,7 +190,7 @@ TEST(SplitTrace, DeterministicForEqualSeeds)
     }
 }
 
-TEST(SplitTrace, SizeAwareUsesBackendAttrs)
+TEST(SplitTrace, SizeAwareSteersByGpuPresence)
 {
     const QueryTrace global = productionTrace(600);
     RoutingSpec spec;
@@ -204,9 +198,9 @@ TEST(SplitTrace, SizeAwareUsesBackendAttrs)
     spec.sizeThreshold = 200;
     const auto policy = makeRoutingPolicy(spec);
 
-    std::vector<BackendAttrs> machines(4);
-    machines[3].hasGpu = true;
-    const auto slices = splitTrace(global, machines, *policy);
+    FakeView view(4);
+    view.gpu[3] = true;
+    const auto slices = dealTrace(global, view, *policy);
     for (size_t m = 0; m < 3; m++) {
         for (const Query& q : slices[m])
             EXPECT_LT(q.size, 200u);
