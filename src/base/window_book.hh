@@ -126,37 +126,26 @@ class WindowBook
     size_t slotChunks() const { return slots_.size(); }
 
     /**
-     * Advance the window past every head id that is released and that
-     * @p passable (called with the id) lets go, and past every held
-     * head record for which @p retirable holds, releasing it. Stops at
-     * the first head that fails. Returns true when the window moved.
+     * Advance the window past every head id that is released, and past
+     * every held head record for which @p retirable holds, releasing
+     * it. Stops at the first head that fails. Returns true when the
+     * window moved.
      */
-    template <typename Retirable, typename Passable>
-    bool
-    retireWhile(Retirable&& retirable, Passable&& passable)
-    {
-        const uint64_t before = low_;
-        for (; low_ < next_; low_++) {
-            const uint32_t slot = handle(low_);
-            if (slot == kReleased) {
-                if (!passable(low_))
-                    break;
-            } else if (retirable(slotAt(slot))) {
-                freeSlot(slot);
-            } else {
-                break;
-            }
-        }
-        releaseChunks();
-        return low_ != before;
-    }
-
-    /** retireWhile() that passes every released id. */
     template <typename Retirable>
     bool
     retireWhile(Retirable&& retirable)
     {
-        return retireWhile(retirable, [](uint64_t) { return true; });
+        const uint64_t before = low_;
+        for (; low_ < next_; low_++) {
+            const uint32_t slot = handle(low_);
+            if (slot == kReleased)
+                continue;
+            if (!retirable(slotAt(slot)))
+                break;
+            freeSlot(slot);
+        }
+        releaseChunks();
+        return low_ != before;
     }
 
     /**

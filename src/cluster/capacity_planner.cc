@@ -76,14 +76,11 @@ planCapacity(const CapacityPlanSpec& spec)
 
     // The query population is drawn once and re-timed per candidate
     // (bit-identical to regenerating); larger tiers consume a longer
-    // prefix. A multi-model plan draws the mixed trace instead
-    // (per-model substreams merged by arrival).
+    // prefix. Each model of the mix draws its own substream, merged by
+    // arrival.
     LoadSpec load = spec.load;
     load.qps = spec.targetQps;
-    TraceTemplate trace_template(load);
-    MixedTraceTemplate mixed_template(
-        load, mixOn ? mixFractions(spec.modelMix)
-                    : std::vector<double>{1.0});
+    MixedTraceTemplate mixed_template(load, mixFractions(spec.modelMix));
 
     // Evaluate one candidate unit count end-to-end: infeasible counts
     // raise lo, feasible ones lower hi. Returns whether it met the SLA.
@@ -107,16 +104,10 @@ planCapacity(const CapacityPlanSpec& spec)
         const size_t queries = std::max(
             spec.minQueries,
             spec.queriesPerMachine * units * spec.unitMachines.size());
-        QueryTrace trace;
-        if (mixOn) {
-            mixed_template.ensure(queries);
-            trace = mixed_template.materialize(spec.targetQps, queries);
-        } else {
-            trace_template.ensure(queries);
-            trace = trace_template.materialize(spec.targetQps, queries);
-        }
-        ClusterResult r =
-            ClusterSimulator(cluster).run(trace, spec.routing);
+        mixed_template.ensure(queries);
+        ClusterResult r = ClusterSimulator(cluster).run(
+            mixed_template.materialize(spec.targetQps, queries),
+            spec.routing);
         if (r.tailMs(spec.percentile) > spec.slaMs ||
             !meetsPerModelSla(r, spec.modelMix, spec.percentile)) {
             lo = units;

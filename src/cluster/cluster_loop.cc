@@ -13,18 +13,6 @@ namespace {
 /** Client backoff growth per retry attempt (OverloadConfig retries). */
 constexpr double kRetryBackoffFactor = 2.0;
 
-/** The observer-facing name of a part kind. */
-obs::PartStage
-stageOf(PartRec::Kind kind)
-{
-    switch (kind) {
-      case PartRec::Kind::Whole:    return obs::PartStage::Whole;
-      case PartRec::Kind::FanEmb:   return obs::PartStage::FanEmb;
-      case PartRec::Kind::FanDense: return obs::PartStage::FanDense;
-    }
-    return obs::PartStage::Whole;
-}
-
 /**
  * Hand each fleet latency sample to the book its tag names, in fleet
  * order, then free the tags. Each book is reserved to exactly its
@@ -188,10 +176,15 @@ ClusterLoop::completeQuery(uint64_t query_idx)
     }
     lastEventTime = std::max(lastEventTime, q.joinTime);
     if (obs) {
-        const double back = cfg.network.oneWaySeconds(
-            static_cast<double>(q.size) *
-            cfg.network.responseBytesPerSample);
-        obs->onQueryComplete(query_idx, q.joinTime, back);
+        // The hops as the dispatch priced them, before NIC degradation.
+        const double samples = static_cast<double>(q.size);
+        obs->onQueryComplete(
+            query_idx, q.stamps, q.size, q.numParts, q.measured,
+            cfg.network.oneWaySeconds(samples *
+                                      cfg.network.requestBytesPerSample),
+            q.joinTime,
+            cfg.network.oneWaySeconds(samples *
+                                      cfg.network.responseBytesPerSample));
     }
     // The finishing part is still held, so the query is tested again
     // when its last part is released.
@@ -204,10 +197,17 @@ ClusterLoop::finishPart(uint64_t part_idx, double now, bool gpu)
 {
     PartRec& part = parts[part_idx];
     if (obs) {
-        obs->onPartDone(
-            part.queryIdx, part.machine, stageOf(part.kind), part.leader,
-            gpu, part.start,
+        const obs::PartTimes times = obs::PartTimes::of(
+            part.start,
             machines[part.machine].lastFinishedFirstServiceStart(), now);
+        obs->onPartDone(part.queryIdx, part.machine, gpu, times);
+        // Every finishing leader part stamps its query, a ghost of a
+        // dispatch that failed over included.
+        if (part.leader) {
+            obs::QueryStamps& stamps = queries[part.queryIdx].stamps;
+            (part.kind == PartRec::Kind::FanDense ? stamps.join
+                                                  : stamps.leader) = times;
+        }
     }
     flightSub(part.machine, queries[part.queryIdx].model,
               "completion with nothing in flight");
@@ -263,7 +263,6 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
             {.queryIdx = part.queryIdx, .machine = q.machine,
              .kind = PartRec::Kind::FanDense, .embFraction = 0.0,
              .gen = q.gen});
-        q.partsEnd = dense_idx + 1;
         q.heldParts++;
         // The leader may already be draining; its join phase is
         // in-flight work and still runs there.
@@ -434,7 +433,6 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
              .leader = false, .hedged = true, .tables = parts[pi].tables,
              .gen = q.gen});
         parts[pi].partner = dup_idx;
-        q.partsEnd = dup_idx + 1;
         q.heldParts++;
         flightAdd(to, q.model);
         result.perMachine[to].remoteParts++;
@@ -565,9 +563,10 @@ ClusterLoop::present(uint64_t idx, double now)
     const double forward = cfg.network.oneWaySeconds(
         static_cast<double>(served.size) *
         cfg.network.requestBytesPerSample);
-    if (obs)
-        obs->onQueryDispatch(idx, now, served.size, plan.size(), forward,
-                             q.measured);
+    if (obs) {
+        q.stamps.dispatch = now;
+        obs->onQueryDispatch(served.size);
+    }
 
     if (queryBooks) {
         std::vector<uint32_t>& row = partMachineRows[idx];
@@ -612,7 +611,6 @@ ClusterLoop::present(uint64_t idx, double now)
         }
     }
     drs_assert(leaders == 1, "plan needs exactly one leader");
-    q.partsEnd = parts.nextId();
     if (plan.size() > 1 && cfg.join == JoinModel::TwoStage) {
         pendingJoins[q.machine]++;
         q.joinLeadership = true;
@@ -817,24 +815,20 @@ ClusterLoop::releaseRecords()
     partChecks.clear();
     for (uint64_t idx : queryChecks) {
         const QueryState* q = queries.find(idx);
-        if (q != nullptr && QueryBook::over(*q)) {
-            queries.releaseQuery(idx, parts);
-            if (obs)
-                obs->onQueryReleased(idx);
-        }
+        if (q != nullptr && QueryBook::over(*q))
+            queries.release(idx);
     }
     queryChecks.clear();
 }
 
 // Records are released out of order as soon as no reader can reach
 // them (PartBook::unreachable, QueryBook::over); the windows then
-// advance past head ids as they always did (PartBook::retire,
+// advance past released head ids (PartBook::retire,
 // QueryBook::retire). Every record is released by then, so a held head
-// whose rule holds means a missed release point, and that panics. The
-// observer drops a query's span record when the query is released, and
-// its window with the query window. Nothing appends to a retired
-// query's part machines, and queries retire in trace order, so each
-// row leaves for the flat book as its query retires.
+// whose rule holds means a missed release point, and that panics.
+// Nothing appends to a retired query's part machines, and queries
+// retire in trace order, so each row leaves for the flat book as its
+// query retires.
 void
 ClusterLoop::retireBooks()
 {
@@ -843,16 +837,12 @@ ClusterLoop::retireBooks()
                  [](const PartRec&) {
                      drs_panic("an unreachable part was never released");
                  });
-    if (!queries.retire(parts))
-        return;
-    if (queryBooks) {
+    if (queries.retire() && queryBooks) {
         partMachineRows.retireTo(
             queries.lowId(), [&](const std::vector<uint32_t>& row) {
                 result.partMachinesOfQuery.appendRow(row);
             });
     }
-    if (obs)
-        obs->onQueriesRetired(queries.lowId());
 }
 
 void

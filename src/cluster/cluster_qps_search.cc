@@ -35,16 +35,10 @@ evaluateClusterAtQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec,
                      double qps)
 {
     const size_t num_queries = clusterTraceLength(cluster, spec);
-    const ClusterSimulator sim(cluster);
-    if (!cluster.modelMix.empty()) {
-        MixedTraceTemplate mixed(spec.load, mixFractions(cluster.modelMix));
-        mixed.ensure(num_queries);
-        return sim.run(mixed.materialize(qps, num_queries), spec.routing);
-    }
-    LoadSpec load = spec.load;
-    load.qps = qps;
-    QueryStream stream(load);
-    return sim.run(stream.generate(num_queries), spec.routing);
+    MixedTraceTemplate mixed(spec.load, mixFractions(cluster.modelMix));
+    mixed.ensure(num_queries);
+    return ClusterSimulator(cluster).run(mixed.materialize(qps, num_queries),
+                                         spec.routing);
 }
 
 ClusterQpsResult
@@ -55,28 +49,20 @@ findClusterMaxQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec)
 
     // Drawn once, re-timed per candidate rate (bit-identical to
     // regenerating); the simulator is built once and shared — run()
-    // is const and the routing policy is rebuilt per evaluation. A
-    // multi-model tier draws its mixed trace instead (per-model
-    // substreams, merged by arrival) and a rate is feasible only if
-    // the fleet tail AND every per-model SLA hold — the consolidated
-    // tier is provisioned for its most demanding tenant.
+    // is const and the routing policy is rebuilt per evaluation. Each
+    // model of the mix draws its own substream, merged by arrival, and
+    // a rate is feasible only if the fleet tail AND every per-model
+    // SLA hold — the consolidated tier is provisioned for its most
+    // demanding tenant.
     const size_t num_queries = clusterTraceLength(cluster, spec);
-    const bool mixOn = !cluster.modelMix.empty();
-    TraceTemplate trace_template(spec.load);
-    MixedTraceTemplate mixed_template(
-        spec.load, mixOn ? mixFractions(cluster.modelMix)
-                         : std::vector<double>{1.0});
-    if (mixOn)
-        mixed_template.ensure(num_queries);
-    else
-        trace_template.ensure(num_queries);
+    MixedTraceTemplate mixed_template(spec.load,
+                                      mixFractions(cluster.modelMix));
+    mixed_template.ensure(num_queries);
     const ClusterSimulator sim(cluster);
 
     auto eval = [&](double qps) -> std::pair<ClusterResult, bool> {
-        const QueryTrace trace = mixOn
-            ? mixed_template.materialize(qps, num_queries)
-            : trace_template.materialize(qps, num_queries);
-        ClusterResult r = sim.run(trace, spec.routing);
+        ClusterResult r = sim.run(
+            mixed_template.materialize(qps, num_queries), spec.routing);
         const bool meets = r.tailMs(spec.percentile) <= spec.slaMs &&
             meetsPerModelSla(r, cluster.modelMix, spec.percentile);
         return {std::move(r), meets};

@@ -65,6 +65,8 @@ validateClusterConfig(const ClusterConfig& cfg, const char* tier)
                   kMaxClusterMachines, " a tier can hold");
     for (const SimConfig& machine : cfg.machines)
         MachineEngine::validate(machine);
+    if (!(cfg.warmupFraction >= 0.0 && cfg.warmupFraction < 1.0))
+        drs_fatal(tier, ": warm-up fraction must be in [0, 1)");
     validatePriorityClassCount(cfg.overload.priorityClasses);
     if (cfg.modelMix.size() > kMaxMixModels)
         drs_fatal(tier, ": a mix of ", cfg.modelMix.size(),

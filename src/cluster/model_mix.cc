@@ -8,6 +8,8 @@ namespace deeprecsys {
 std::vector<double>
 mixFractions(const std::vector<ModelMixEntry>& mix)
 {
+    if (mix.empty())
+        return {1.0};
     std::vector<double> fractions;
     fractions.reserve(mix.size());
     for (const ModelMixEntry& entry : mix)

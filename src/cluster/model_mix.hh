@@ -54,7 +54,8 @@ struct ModelMixEntry
     SchedulerPolicy policy;
 };
 
-/** The traffic fractions of @p mix, in mix order. */
+/** The traffic fractions of @p mix, in mix order; {1.0} for an empty
+ *  mix, whose tier serves one model. */
 std::vector<double> mixFractions(const std::vector<ModelMixEntry>& mix);
 
 /** Entry with the model's published SLA at @p tier filled in. */

@@ -16,12 +16,10 @@
 #ifndef DRS_CLUSTER_QUERY_BOOK_HH
 #define DRS_CLUSTER_QUERY_BOOK_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "base/window_book.hh"
-#include "cluster/part_book.hh"
+#include "obs/observer.hh"
 
 namespace deeprecsys {
 
@@ -39,8 +37,6 @@ struct QueryState
      */
     double joinCost = 0;
     uint64_t firstPart = 0;   ///< part id of this dispatch's first part
-    /** One past the last part id created for the query (0 if none). */
-    uint64_t partsEnd = 0;
     uint32_t size = 0;
     uint32_t partsLeft = 0;
     uint32_t machine = 0;     ///< leader machine
@@ -55,6 +51,9 @@ struct QueryState
     uint32_t numParts = 0;    ///< fan-out width of this dispatch
     uint32_t hedgeChecks = 0; ///< HedgeCheck events still pending
     uint32_t heldParts = 0;   ///< parts of the query the PartBook holds
+
+    /** The observer's span stamps (written only when one is attached). */
+    obs::QueryStamps stamps;
 
     bool measured = true;
     bool dead = false;        ///< killed by a failure (awaiting failover)
@@ -84,71 +83,21 @@ class QueryBook : public WindowBook<QueryState>
     }
 
     /**
-     * Release query @p id, for which over() holds. The window passes
-     * its id only once every part created for it has left @p parts'
-     * window, as it would have passed the record; until then the book
-     * keeps the two ids (16 bytes) in place of the record.
-     */
-    void
-    releaseQuery(uint64_t id, const PartBook& parts)
-    {
-        const uint64_t parts_end = (*this)[id].partsEnd;
-        release(id);
-        if (parts_end > parts.lowId()) {
-            waiting_.push_back({id, parts_end});
-            std::push_heap(waiting_.begin(), waiting_.end(), laterId);
-        }
-    }
-
-    /**
-     * Advance the live window past every head query that no reader
-     * can reach again and whose parts have all left @p parts' window
-     * (every part id below its partsEnd is retired). The owner
-     * releases each query as soon as over() holds, so only released
-     * heads pass; a held head that is settled, has no HedgeCheck
-     * pending and whose parts are gone was never released, and that
-     * panics. Stops at the first head that fails; returns true when
-     * any query was retired.
+     * Advance the live window past every head query the owner
+     * released. The owner releases each query as soon as over() holds,
+     * so a held head for which over() holds was never released, and
+     * that panics. Stops at the first held head; returns true when any
+     * query was retired.
      */
     bool
-    retire(const PartBook& parts)
+    retire()
     {
-        return retireWhile(
-            [&](const QueryState& q) {
-                drs_assert(!(q.settled && q.hedgeChecks == 0 &&
-                             q.partsEnd <= parts.lowId()),
-                           "a query no reader can reach was never released");
-                return false;
-            },
-            [&](uint64_t id) {
-                if (waiting_.empty() || waiting_.front().id != id)
-                    return true;
-                if (waiting_.front().partsEnd > parts.lowId())
-                    return false;
-                std::pop_heap(waiting_.begin(), waiting_.end(), laterId);
-                waiting_.pop_back();
-                return true;
-            });
+        return retireWhile([](const QueryState& q) {
+            drs_assert(!over(q),
+                       "a query no reader can reach was never released");
+            return false;
+        });
     }
-
-  private:
-    /** A released query whose parts were still in the part window. */
-    struct Waiting
-    {
-        uint64_t id;
-        uint64_t partsEnd;
-    };
-
-    /** Heap order: the lowest id on top. */
-    static bool
-    laterId(const Waiting& a, const Waiting& b)
-    {
-        return a.id > b.id;
-    }
-
-    /** Released queries the window may not pass yet, lowest id first:
-     *  the window reaches them in id order. */
-    std::vector<Waiting> waiting_;
 };
 
 } // namespace deeprecsys

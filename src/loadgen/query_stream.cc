@@ -225,6 +225,9 @@ MixedTraceTemplate::materialize(double qps, size_t count) const
     std::vector<QueryTrace> parts(perModel.size());
     for (uint32_t k = 0; k < perModel.size(); k++)
         parts[k] = perModel[k].materialize(fractions_[k] * qps, counts[k]);
+    // One model is its own merge: model 0 keeps plain ids.
+    if (parts.size() == 1)
+        return std::move(parts[0]);
 
     // K-way merge by arrival time, ties to the lower model index —
     // a deterministic total order.

@@ -45,27 +45,8 @@ RunObserver::RunObserver(ObsConfig config, size_t num_machines)
 }
 
 void
-RunObserver::onRunStart(double t0)
+RunObserver::onQueryDispatch(uint32_t size)
 {
-    writer_.setOrigin(t0);
-    book_ = WindowBook<QueryRec>();
-}
-
-void
-RunObserver::onQueryDispatch(uint64_t idx, double arrival, uint32_t size,
-                             size_t fanout, double forward_s,
-                             bool measured)
-{
-    while (book_.nextId() <= idx)
-        book_.push(QueryRec{});
-    QueryRec& rec = book_[idx];
-    rec.arrival = arrival;
-    rec.forward = forward_s;
-    rec.size = size;
-    rec.fanout = static_cast<uint32_t>(fanout);
-    rec.sampled = sampledQuery(idx);
-    rec.measured = measured;
-
     if (!querySize_)
         querySize_ = &registry_.histogram("query_size", 0, 512, 32);
     registry_.counter("queries_dispatched").add();
@@ -73,87 +54,61 @@ RunObserver::onQueryDispatch(uint64_t idx, double arrival, uint32_t size,
 }
 
 void
-RunObserver::onQueryReleased(uint64_t idx)
+RunObserver::onPartDone(uint64_t idx, uint32_t machine, bool gpu,
+                        const PartTimes& times)
 {
-    // A query released before any dispatch (shed or unroutable) has
-    // no record yet; issue it so its id is accounted for.
-    while (book_.nextId() <= idx)
-        book_.push(QueryRec{});
-    book_.release(idx);
-}
-
-void
-RunObserver::onPartDone(uint64_t idx, uint32_t machine, PartStage stage,
-                        bool leader, bool gpu, double start_s,
-                        double first_service_s, double end_s)
-{
-    QueryRec& rec = book_[idx];
-    // A part admitted to an idle machine serves immediately; guard the
-    // bookkeeping default for robustness.
-    first_service_s = std::clamp(first_service_s, start_s, end_s);
-
-    if (leader) {
-        if (stage == PartStage::FanDense) {
-            rec.joinStart = start_s;
-            rec.joinFirst = first_service_s;
-            rec.joinEnd = end_s;
-        } else {
-            rec.leaderStart = start_s;
-            rec.leaderFirst = first_service_s;
-            rec.leaderEnd = end_s;
-        }
-    }
-
     if (!queueWaitMs_) {
         queueWaitMs_ = &registry_.histogram("queue_wait_ms", 0, 50, 25);
         serviceMs_ = &registry_.histogram("service_ms", 0, 50, 25);
     }
     registry_.counter("parts_completed").add();
-    queueWaitMs_->add((first_service_s - start_s) * 1e3);
-    serviceMs_->add((end_s - first_service_s) * 1e3);
+    queueWaitMs_->add((times.first - times.start) * 1e3);
+    serviceMs_->add((times.end - times.first) * 1e3);
 
-    if (rec.sampled) {
+    if (sampledQuery(idx)) {
         const uint32_t pid = 1 + machine;
-        if (first_service_s > start_s)
-            writer_.complete("queue", "machine", pid, idx, start_s,
-                             first_service_s);
+        if (times.first > times.start)
+            writer_.complete("queue", "machine", pid, idx, times.start,
+                             times.first);
         writer_.complete(gpu ? "gpu_service" : "service", "machine",
-                         pid, idx, first_service_s, end_s);
+                         pid, idx, times.first, times.end);
     }
 }
 
 void
-RunObserver::onQueryComplete(uint64_t idx, double completion_s,
-                             double back_s)
+RunObserver::onQueryComplete(uint64_t idx, const QueryStamps& stamps,
+                             uint32_t size, uint32_t fanout,
+                             bool measured, double forward_s,
+                             double completion_s, double back_s)
 {
-    const QueryRec& rec = book_[idx];
-    const bool fan = rec.fanout > 1;
-    const bool twoStage = rec.joinStart >= 0;
+    const PartTimes& leader = stamps.leader;
+    const PartTimes& join = stamps.join;
+    const bool fan = fanout > 1;
+    const bool twoStage = join.start >= 0;
 
     // Leader critical-path stage split (see observer.hh for the
     // bucket semantics).
     double queue = 0, service = 0;
-    if (rec.leaderStart >= 0) {
-        queue += rec.leaderFirst - rec.leaderStart;
-        service += rec.leaderEnd - rec.leaderFirst;
+    if (leader.start >= 0) {
+        queue += leader.first - leader.start;
+        service += leader.end - leader.first;
     }
     if (twoStage) {
-        queue += rec.joinFirst - rec.joinStart;
-        service += rec.joinEnd - rec.joinFirst;
+        queue += join.first - join.start;
+        service += join.end - join.first;
     }
     double joinWait = 0;
     if (fan) {
         if (twoStage)
-            joinWait = std::max(0.0, rec.joinStart - rec.leaderEnd);
+            joinWait = std::max(0.0, join.start - leader.end);
         else
-            joinWait = std::max(
-                0.0, completion_s - (rec.leaderEnd + back_s));
+            joinWait = std::max(0.0, completion_s - (leader.end + back_s));
     }
-    const double total = completion_s - rec.arrival;
+    const double total = completion_s - stamps.dispatch;
     const double network =
         std::max(0.0, total - queue - service - joinWait);
 
-    if (rec.measured) {
+    if (measured) {
         split_.queueSeconds += queue;
         split_.serviceSeconds += service;
         split_.networkSeconds += network;
@@ -164,21 +119,19 @@ RunObserver::onQueryComplete(uint64_t idx, double completion_s,
 
     registry_.counter("queries_completed").add();
 
-    if (rec.sampled) {
-        writer_.complete("query", "router", 0, idx, rec.arrival,
+    if (sampledQuery(idx)) {
+        writer_.complete("query", "router", 0, idx, stamps.dispatch,
                          completion_s,
-                         "\"size\": " + std::to_string(rec.size) +
-                             ", \"fanout\": " +
-                             std::to_string(rec.fanout));
-        if (rec.forward > 0)
-            writer_.complete("net_fwd", "network", 0, idx, rec.arrival,
-                             rec.arrival + rec.forward);
+                         "\"size\": " + std::to_string(size) +
+                             ", \"fanout\": " + std::to_string(fanout));
+        if (forward_s > 0)
+            writer_.complete("net_fwd", "network", 0, idx, stamps.dispatch,
+                             stamps.dispatch + forward_s);
         if (back_s > 0)
             writer_.complete("net_ret", "network", 0, idx,
                              completion_s - back_s, completion_s);
         if (fan && joinWait > 0) {
-            const double js = twoStage ? rec.leaderEnd
-                                       : rec.leaderEnd + back_s;
+            const double js = twoStage ? leader.end : leader.end + back_s;
             writer_.complete("join_wait", "router", 0, idx, js,
                              js + joinWait);
         }

@@ -35,21 +35,23 @@
  * guard every hook behind one pointer test; bench/perf_engine gates
  * the disabled path at <1% overhead against its recorded baseline.
  *
- * Ownership: the observer owns all recorded state; drivers only call
- * hooks. One observer per run — attach a fresh one to reproduce a
- * run. Not thread-safe (a single simulation run is single-threaded;
+ * Ownership: the observer owns its products and keeps no per-query
+ * state. A driver stamps each query's dispatch and leader part times
+ * on its own query record (QueryStamps) and hands them over at
+ * completion. One observer per run — attach a fresh one to reproduce
+ * a run. Not thread-safe (a single simulation run is single-threaded;
  * parallel sweeps use one observer per observed run).
  */
 
 #ifndef DRS_OBS_OBSERVER_HH
 #define DRS_OBS_OBSERVER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "base/window_book.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_json.hh"
 
@@ -82,12 +84,37 @@ struct ObsConfig
     }
 };
 
-/** Which engine phase a finished part ran (mirrors the drivers). */
-enum class PartStage : uint8_t
+/** When a finished part was admitted, first served and done; -1
+ *  until a part is stamped. */
+struct PartTimes
 {
-    Whole,     ///< single-part dispatch, full model
-    FanEmb,    ///< fan-out embedding phase
-    FanDense,  ///< TwoStage second phase: leader dense stacks
+    double start = -1;
+    double first = -1;
+    double end = -1;
+
+    /** The times of a part admitted at @p start_s, first served at
+     *  @p first_service_s and done at @p end_s. */
+    static PartTimes
+    of(double start_s, double first_service_s, double end_s)
+    {
+        // A part admitted to an idle machine serves immediately; guard
+        // the bookkeeping default for robustness.
+        return {start_s, std::clamp(first_service_s, start_s, end_s),
+                end_s};
+    }
+};
+
+/**
+ * A query's span stamps, kept by the driver on its own query record
+ * while an observer is attached. Every finished leader part stamps
+ * them, a part of a dispatch that failed over included, and a new
+ * dispatch keeps the old part stamps until its own leader finishes.
+ */
+struct QueryStamps
+{
+    double dispatch = 0;   ///< when the router last dispatched it
+    PartTimes leader;      ///< the leader's whole or embedding part
+    PartTimes join;        ///< the leader's TwoStage join phase
 };
 
 /**
@@ -147,33 +174,30 @@ class RunObserver
     // ------------------------------------------------- driver hooks
     /**
      * The run begins: @p t0 is the trace origin (subtracted from all
-     * trace timestamps). The span book starts empty.
+     * trace timestamps).
      */
-    void onRunStart(double t0);
+    void onRunStart(double t0) { writer_.setOrigin(t0); }
+
+    /** The router dispatched a query of @p size candidates. */
+    void onQueryDispatch(uint32_t size);
 
     /**
-     * The router dispatched query @p idx at @p arrival: @p fanout
-     * parts, @p forward_s one-way forward-hop seconds, @p measured
-     * per the warmup rule.
-     */
-    void onQueryDispatch(uint64_t idx, double arrival, uint32_t size,
-                         size_t fanout, double forward_s, bool measured);
-
-    /**
-     * A part of query @p idx finished on @p machine: admitted at
-     * @p start_s, first served at @p first_service_s, done at
-     * @p end_s. @p leader / @p stage mirror the driver's part record;
+     * A part of query @p idx finished on @p machine at @p times;
      * @p gpu marks accelerator service.
      */
-    void onPartDone(uint64_t idx, uint32_t machine, PartStage stage,
-                    bool leader, bool gpu, double start_s,
-                    double first_service_s, double end_s);
+    void onPartDone(uint64_t idx, uint32_t machine, bool gpu,
+                    const PartTimes& times);
 
     /**
-     * Query @p idx completed at @p completion_s; @p back_s is the
-     * one-way return-hop seconds its final part paid.
+     * Query @p idx completed at @p completion_s with @p stamps from
+     * its driver. Its last dispatch sent @p fanout parts of @p size
+     * candidates over a @p forward_s one-way forward hop; @p back_s is
+     * the one-way return hop its final part paid, and @p measured
+     * follows the warmup rule.
      */
-    void onQueryComplete(uint64_t idx, double completion_s,
+    void onQueryComplete(uint64_t idx, const QueryStamps& stamps,
+                         uint32_t size, uint32_t fanout, bool measured,
+                         double forward_s, double completion_s,
                          double back_s);
 
     /**
@@ -202,19 +226,6 @@ class RunObserver
      */
     void onQueryRetry(uint64_t idx, double t_s, uint32_t attempt,
                       double delay_s);
-
-    /**
-     * The driver will never report on query @p idx again: its span
-     * record is dropped at once, out of order. Drivers that never call
-     * it (or onQueriesRetired) keep every record.
-     */
-    void onQueryReleased(uint64_t idx);
-
-    /**
-     * The driver will never report on a query below @p low again: the
-     * book's window moves past them, dropping any record still held.
-     */
-    void onQueriesRetired(uint64_t low) { book_.retireTo(low); }
 
     /** Shard-aware routing touched these tables (per-table load). */
     void onTablesTouched(const std::vector<uint32_t>& tables);
@@ -265,12 +276,6 @@ class RunObserver
     /** The aggregated latency attribution over measured queries. */
     const StageSplit& stageSplit() const { return split_; }
 
-    /** Query span records currently held (not yet released). */
-    uint64_t liveQueryRecords() const { return book_.held(); }
-
-    /** High-water mark of liveQueryRecords() over the run. */
-    uint64_t peakQueryRecords() const { return book_.peakHeld(); }
-
     /** Trace events recorded so far (sampled spans and counters). */
     size_t numTraceEvents() const { return writer_.numEvents(); }
 
@@ -288,31 +293,11 @@ class RunObserver
     bool writeMetricsFile(const std::string& path) const;
 
   private:
-    /** In-flight span state of one query (indexed by query idx). */
-    struct QueryRec
-    {
-        double arrival = 0;
-        double forward = 0;
-        double leaderStart = -1;
-        double leaderFirst = -1;
-        double leaderEnd = -1;
-        double joinStart = -1;
-        double joinFirst = -1;
-        double joinEnd = -1;
-        uint32_t size = 0;
-        uint32_t fanout = 1;
-        bool sampled = false;
-        bool measured = true;
-    };
-
     ObsConfig cfg_;
     size_t numMachines_;
     TraceEventWriter writer_;
     MetricRegistry registry_;
     StageSplit split_;
-    /** Filled up to each dispatched or released idx; released and
-     *  retired by the driver. */
-    WindowBook<QueryRec> book_;
 
     // Cached hot-path metric handles (built on first use).
     WindowHistogram* queueWaitMs_ = nullptr;

@@ -602,7 +602,8 @@ struct MeasuredSpan
     }
 };
 
-/** Leading queries excluded from statistics at @p fraction. */
+/** Leading queries excluded from statistics at @p fraction, which the
+ *  drivers validate into [0, 1). */
 size_t warmupCount(double fraction, size_t trace_size);
 
 /** Offered rate implied by a trace's arrival stamps (0 if degenerate). */

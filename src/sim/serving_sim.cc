@@ -38,21 +38,23 @@ ServingSimulator::run(const QueryTrace& trace)
     if (obs_)
         obs_->onRunStart(trace.front().arrivalSeconds);
 
-    auto complete_query = [&](uint64_t idx, double now) {
-        if (idx >= warmup) {
+    // Single machine, single whole part: the part span and the query
+    // span coincide, with no network hops.
+    auto complete_query = [&](uint64_t idx, bool gpu, double now) {
+        const bool measured = idx >= warmup;
+        if (measured) {
             result.queryLatencySeconds.add(now - trace[idx].arrivalSeconds);
             span.onCompletion(now);
         }
-        if (obs_)
-            obs_->onQueryComplete(idx, now, 0.0);
-    };
-
-    // Single machine, single whole part: the part span and the query
-    // span coincide, with no network hops.
-    auto observe_part = [&](uint64_t idx, bool gpu, double now) {
-        obs_->onPartDone(idx, 0, obs::PartStage::Whole, true, gpu,
-                         trace[idx].arrivalSeconds,
-                         engine.lastFinishedFirstServiceStart(), now);
+        if (obs_) {
+            obs::QueryStamps stamps;
+            stamps.dispatch = trace[idx].arrivalSeconds;
+            stamps.leader = obs::PartTimes::of(
+                stamps.dispatch, engine.lastFinishedFirstServiceStart(), now);
+            obs_->onPartDone(idx, 0, gpu, stamps.leader);
+            obs_->onQueryComplete(idx, stamps, trace[idx].size, 1, measured,
+                                  0.0, now, 0.0);
+        }
     };
 
     size_t nextArrival = 0;
@@ -77,8 +79,7 @@ ServingSimulator::run(const QueryTrace& trace)
             if (measured)
                 span.onArrival(in.arrivalSeconds);
             if (obs_)
-                obs_->onQueryDispatch(nextArrival, in.arrivalSeconds,
-                                      in.size, 1, 0.0, measured);
+                obs_->onQueryDispatch(in.size);
 
             scheduled.clear();
             engine.admit({nextArrival, in.size, 1.0, true, true},
@@ -94,16 +95,11 @@ ServingSimulator::run(const QueryTrace& trace)
         scheduled.clear();
         if (ev.kind == SimEvent::Kind::CpuRequest) {
             if (engine.cpuRequestDone(ev.slot, ev.partIdx, ev.time,
-                                      scheduled)) {
-                if (obs_)
-                    observe_part(ev.partIdx, false, ev.time);
-                complete_query(ev.partIdx, ev.time);
-            }
+                                      scheduled))
+                complete_query(ev.partIdx, false, ev.time);
         } else {
             engine.gpuQueryDone(ev.slot, ev.partIdx, ev.time, scheduled);
-            if (obs_)
-                observe_part(ev.partIdx, true, ev.time);
-            complete_query(ev.partIdx, ev.time);
+            complete_query(ev.partIdx, true, ev.time);
         }
         events.pushAll(scheduled, 0);
     }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "base/thread_pool.hh"
 #include "cluster/autoscaler.hh"
@@ -561,6 +562,17 @@ TEST(AutoscalerConfigDeath, NegativeWarmupIsAConfigError)
     spec.warmupDelaySeconds = -0.25;
     EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
                 "warm-up delay cannot be negative");
+}
+
+TEST(AutoscalerConfigDeath, WarmupFractionOutsideZeroToOneIsAConfigError)
+{
+    for (double fraction : {1.0, 1.5, -0.3, std::nan("")}) {
+        AutoscaleSpec spec = flatSpec(2);
+        spec.cluster.warmupFraction = fraction;
+        EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
+                    "elastic tier: warm-up fraction must be in \\[0, 1\\)")
+            << fraction;
+    }
 }
 
 TEST(AutoscalerConfigDeath, InitialMachinesAboveTheTierIsAConfigError)

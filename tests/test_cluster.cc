@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "cluster/cluster_qps_search.hh"
@@ -255,6 +256,17 @@ TEST(ClusterQps, DeterministicAcrossCalls)
     const double a = findClusterMaxQps(homogeneousCluster(3), spec).maxQps;
     const double b = findClusterMaxQps(homogeneousCluster(3), spec).maxQps;
     EXPECT_DOUBLE_EQ(a, b);
+}
+
+TEST(ClusterConfigDeath, WarmupFractionOutsideZeroToOneIsAConfigError)
+{
+    for (double fraction : {1.0, 1.5, -0.3, std::nan("")}) {
+        ClusterConfig cfg = homogeneousCluster(2);
+        cfg.warmupFraction = fraction;
+        EXPECT_EXIT(ClusterSimulator{cfg}, ::testing::ExitedWithCode(1),
+                    "cluster: warm-up fraction must be in \\[0, 1\\)")
+            << fraction;
+    }
 }
 
 TEST(ClusterConfigDeath, MoreMachinesThanSixteenBitIdsIsAConfigError)

@@ -5,11 +5,14 @@
  * zero-backfill alignment), deterministic span sampling, driver
  * integration invariants (snapshot axis == control-tick axis, the
  * attribution identity against the drivers' own latency statistics),
- * and the bitwise-identical-output contract across thread counts.
+ * the bitwise-identical-output contract across thread counts, and
+ * the exact output of fixed observed runs on every driver.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -21,6 +24,7 @@
 #include "obs/metrics.hh"
 #include "obs/observer.hh"
 #include "sim/serving_sim.hh"
+#include "tests/busy_tier.hh"
 
 namespace deeprecsys {
 namespace {
@@ -347,6 +351,104 @@ TEST(ObserverAutoscaler, OutputBytesIdenticalAcrossThreadCounts)
     EXPECT_EQ(serial.second, parallel.second);
     EXPECT_NE(serial.first.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(serial.second.find("\"snapshots_s\""), std::string::npos);
+}
+
+// --------------------------------------------------- pinned outputs
+
+/** An observed run's products, reduced to exact values. */
+struct ObservedPins
+{
+    /** Bits of the split's queue, service, network, join-wait and
+     *  total seconds. */
+    std::array<uint64_t, 5> splitBits;
+    uint64_t queries;
+    size_t traceEvents;
+    /** FNV-1a 64 of the trace bytes followed by the metrics bytes. */
+    uint64_t outputHash;
+
+    bool operator==(const ObservedPins&) const = default;
+};
+
+std::ostream&
+operator<<(std::ostream& os, const ObservedPins& p)
+{
+    os << std::hex << "{{0x" << p.splitBits[0] << ", 0x" << p.splitBits[1]
+       << ", 0x" << p.splitBits[2] << ", 0x" << p.splitBits[3] << ", 0x"
+       << p.splitBits[4] << "}, " << std::dec << p.queries << ", "
+       << p.traceEvents << ", 0x" << std::hex << p.outputHash << "}"
+       << std::dec;
+    return os;
+}
+
+ObservedPins
+pinsOf(const obs::RunObserver& observer)
+{
+    std::ostringstream bytes;
+    observer.writeTrace(bytes);
+    observer.writeMetrics(bytes);
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bytes.str())
+        hash = (hash ^ c) * 0x100000001b3ULL;
+    const obs::StageSplit& s = observer.stageSplit();
+    return {{std::bit_cast<uint64_t>(s.queueSeconds),
+             std::bit_cast<uint64_t>(s.serviceSeconds),
+             std::bit_cast<uint64_t>(s.networkSeconds),
+             std::bit_cast<uint64_t>(s.joinWaitSeconds),
+             std::bit_cast<uint64_t>(s.totalSeconds)},
+            s.queries,
+            observer.numTraceEvents(),
+            hash};
+}
+
+// The observer's stage split, event count and trace and metrics bytes
+// on runs where every hook fires: crashes, failovers, hedges, client
+// retries, TwoStage join phases and, on the single machine, queueing.
+// A change to what the observer records, or to when a driver stamps a
+// query, moves them.
+
+TEST(ObserverPinned, StaticHedgedChaoticRetryTier)
+{
+    ClusterConfig cfg = retryTier();
+    cfg.hedge.delaySeconds = 0.01;
+    obs::RunObserver observer(obs::ObsConfig::full(1.0),
+                              cfg.machines.size());
+    const ClusterResult r = runStatic(cfg, busyTrace(), &observer);
+    EXPECT_GT(r.faults.failovers, 0u);
+    EXPECT_GT(r.faults.hedged, 0u);
+    EXPECT_GT(r.overload.retried, 0u);
+    const ObservedPins pinned{{0x0, 0x40327c903c8eda9f, 0x3ff196ddc758e00a,
+                                0x3fed1ec7350fcf7d, 0x40347ef452ace710},
+                               3624, 39180, 0xe6eccd2cc5fb4e00};
+    EXPECT_EQ(pinsOf(observer), pinned);
+}
+
+TEST(ObserverPinned, ElasticHedgedChaoticRetryTier)
+{
+    ClusterConfig cfg = retryTier();
+    cfg.hedge.delaySeconds = 0.01;
+    const AutoscaleSpec spec = elasticSpec(cfg);
+    obs::RunObserver observer(obs::ObsConfig::full(1.0),
+                              cfg.machines.size());
+    const AutoscaleResult r = runElastic(spec, busyTrace(), &observer);
+    EXPECT_GT(r.faults.failovers, 0u);
+    EXPECT_GT(r.faults.hedged, 0u);
+    EXPECT_GT(r.overload.retried, 0u);
+    const ObservedPins pinned{{0x0, 0x4031e99e6937ef73, 0x3ff0bda0be5ec77d,
+                                0x3feaaf59d34d4aa1, 0x4033caf343b84630},
+                               3449, 38181, 0xb609728ec31c2756};
+    EXPECT_EQ(pinsOf(observer), pinned);
+}
+
+TEST(ObserverPinned, ServingSimulator)
+{
+    obs::RunObserver observer(obs::ObsConfig::full(1.0), 1);
+    ServingSimulator sim(testMachine());
+    sim.setObserver(&observer);
+    sim.run(testTrace(3000, 2200.0));
+    const ObservedPins pinned{{0x408316846717c90d, 0x4043d8965947f4b8, 0x0,
+                                0x0, 0x4084540dccac4850},
+                               2850, 8862, 0x56edec49c00e17ed};
+    EXPECT_EQ(pinsOf(observer), pinned);
 }
 
 TEST(Observer, EmptyRunStillWritesValidDocuments)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/serving_sim.hh"
 
 namespace deeprecsys {
@@ -213,6 +215,19 @@ TEST(ServingSim, OverloadProducesHugeTail)
     ServingSimulator sim(makeConfig(ModelId::DlrmRmc1, 256));
     const SimResult r = sim.run(trace);
     EXPECT_GT(r.p95Ms(), 1000.0);
+}
+
+TEST(ServingSimDeath, WarmupFractionOutsideZeroToOneIsAConfigError)
+{
+    // A fraction of 1 or more would measure nothing, and a search over
+    // such runs would report its ceiling as the answer.
+    for (double fraction : {1.0, 1.5, -0.3, std::nan("")}) {
+        SimConfig cfg = makeConfig();
+        cfg.warmupFraction = fraction;
+        EXPECT_EXIT(ServingSimulator{cfg}, ::testing::ExitedWithCode(1),
+                    "warm-up fraction must be in \\[0, 1\\)")
+            << fraction;
+    }
 }
 
 TEST(ServingSim, BatchOnePureRequestParallelism)

@@ -6,8 +6,8 @@
  * the window grows again and when an empty window reopens, reference
  * stability across push, skipping never-issued ids, out-of-order
  * release (slots recycled, the window unchanged, released ids passed
- * without being read, a gate on passing them), and the retired-,
- * released- and twice-released-id panics.
+ * without being read), and the retired-, released- and
+ * twice-released-id panics.
  */
 
 #include <gtest/gtest.h>
@@ -290,28 +290,6 @@ TEST(WindowBook, FreedSlotsAreReusedAndReset)
     EXPECT_EQ(book[b].key, 2u);
     EXPECT_TRUE(book[b].tags.empty());
     EXPECT_EQ(book.slotChunks(), 1u);
-}
-
-TEST(WindowBook, PassableGatesReleasedIds)
-{
-    // An owner may hold the window at a released id (the query book
-    // does until the query's parts have left the part window).
-    Book book;
-    for (uint64_t i = 0; i < 6; i++)
-        book.push(recFor(i));
-    for (uint64_t i = 0; i < 4; i++)
-        book.release(i);
-    uint64_t gate = 2;
-    auto passable = [&](uint64_t id) { return id < gate; };
-    EXPECT_TRUE(book.retireWhile(anyRecord, passable));
-    EXPECT_EQ(book.lowId(), 2u);
-    EXPECT_FALSE(book.retireWhile(anyRecord, passable));
-    gate = 4;
-    // Past the gate the held records follow the owner's rule.
-    EXPECT_TRUE(book.retireWhile(
-        [](const Rec& r) { return r.key == 4; }, passable));
-    EXPECT_EQ(book.lowId(), 5u);
-    EXPECT_EQ(book.held(), 1u);
 }
 
 TEST(WindowBook, RetireToVisitsHeldRecordsInIdOrder)
