@@ -73,7 +73,7 @@ AdmissionController::meanBacklogSeconds(const ClusterView& view) const
         sum += backlogSeconds(m, view);
         accepting++;
     }
-    // At least one machine always accepts (ClusterView contract).
+    // The loop asks only while some machine accepts (decide()).
     drs_assert(accepting > 0, "no accepting machine to estimate against");
     return sum / static_cast<double>(accepting);
 }

@@ -14,10 +14,13 @@
  * cost model, instead of dropping the query outright.
  *
  * Both policies are evaluated by the router at each arrival against
- * the live ClusterView. The decision is a pure function of (config,
- * query, observed view), with no random draws, so drop and degrade
- * decisions are bitwise deterministic at any DRS_THREADS value and
- * across repeated runs.
+ * the tier's live ClusterView (cluster/routing_policy.hh), the one
+ * state the cluster loop writes, and only while some machine accepts:
+ * with every machine down a query is unroutable and fails over as it
+ * would without admission, never shed. The decision is a pure
+ * function of (config, query, observed view), with no random draws,
+ * so drop and degrade decisions are bitwise deterministic at any
+ * DRS_THREADS value and across repeated runs.
  *
  * The quality currency is **goodput**: completions within the
  * deadline per second, each weighted by a quality factor in (0, 1] —
@@ -377,9 +380,10 @@ class AdmissionController
                         JoinModel = JoinModel::TwoStage) = delete;
 
     /**
-     * Decide @p query's fate against the live @p view: admit as-is,
-     * admit degraded, or drop. Pure — equal (query, view state) pairs
-     * produce equal decisions.
+     * Decide @p query's fate against the live @p view, in which at
+     * least one machine accepts: admit as-is, admit degraded, or
+     * drop. Pure — equal (query, view state) pairs produce equal
+     * decisions.
      */
     AdmissionDecision decide(const Query& query,
                              const ClusterView& view) const;

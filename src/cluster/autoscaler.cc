@@ -307,7 +307,7 @@ class ElasticMembership final : public Membership
                 poweredSince[m] = loop.t0;
                 acceptingSince[m] = loop.t0;
             } else {
-                loop.setAccepting(m, false);
+                loop.view.setAccepting(m, false);
             }
         }
         result_.minServingMachines = initial;
@@ -325,7 +325,7 @@ class ElasticMembership final : public Membership
     {
         if (state[m] == MState::Off)
             return;    // nothing powered to kill
-        loop.setAccepting(m, false);
+        loop.view.setAccepting(m, false);
         if (state[m] != MState::Warming)
             loop.killEngine(m, now);
         powerOff(m, now);
@@ -360,7 +360,7 @@ class ElasticMembership final : public Membership
         if (state[m] == MState::Warming && ev.partIdx == upEpoch[m]) {
             state[m] = MState::Accepting;
             acceptingSince[m] = ev.time;
-            loop.setAccepting(m, true);
+            loop.view.setAccepting(m, true);
         }
     }
 
@@ -368,8 +368,9 @@ class ElasticMembership final : public Membership
     void
     workDone(ClusterLoop& loop, uint32_t m, double now) override
     {
-        if (state[m] == MState::Draining && loop.inFlight[m] == 0 &&
-            loop.pendingJoins[m] == 0 && loop.machines[m].idle())
+        if (state[m] == MState::Draining &&
+            loop.view.inFlightQueries(m) == 0 &&
+            loop.pendingJoins[m] == 0 && loop.view.engine(m).idle())
             powerOff(m, now);
     }
 
@@ -451,7 +452,7 @@ class ElasticMembership final : public Membership
                 if (state[m] == MState::Draining) {
                     state[m] = MState::Accepting;
                     acceptingSince[m] = now;
-                    loop.setAccepting(m, true);
+                    loop.view.setAccepting(m, true);
                     need--;
                     serving++;
                     accepting++;
@@ -474,7 +475,7 @@ class ElasticMembership final : public Membership
                 } else {
                     state[m] = MState::Accepting;
                     acceptingSince[m] = now;
-                    loop.setAccepting(m, true);
+                    loop.view.setAccepting(m, true);
                     accepting++;
                 }
             }
@@ -493,7 +494,7 @@ class ElasticMembership final : public Membership
                 if (!canDrain(m))
                     continue;    // would orphan a shard: refused
                 state[m] = MState::Draining;
-                loop.setAccepting(m, false);
+                loop.view.setAccepting(m, false);
                 accepting--;
                 serving--;
                 excess--;
@@ -509,7 +510,7 @@ class ElasticMembership final : public Membership
     tick(ClusterLoop& loop, double now)
     {
         for (size_t m = 0; m < n; m++)
-            loop.machines[m].advanceTo(now);
+            loop.view.engine(m).advanceTo(now);
 
         // Utilization over *accepting* capacity only: draining and
         // warming machines would dilute the signal right after a
@@ -517,7 +518,7 @@ class ElasticMembership final : public Membership
         double busy = 0.0;
         double capacity = 0.0;
         for (size_t m = 0; m < n; m++) {
-            const double busy_now = loop.machines[m].busyCoreSeconds();
+            const double busy_now = loop.view.engine(m).busyCoreSeconds();
             const double delta = busy_now - windowBusyStart[m];
             windowBusyStart[m] = busy_now;
             if (state[m] == MState::Accepting) {
@@ -545,9 +546,10 @@ class ElasticMembership final : public Membership
             ? static_cast<double>(arrivals) / sig.windowSeconds
             : 0.0;
         sig.windowDrops = drops;
-        drs_assert(countState(MState::Accepting) == loop.acceptingCount(),
+        drs_assert(countState(MState::Accepting) ==
+                       loop.view.acceptingCount(),
                    "accepting counter drifted from machine states");
-        sig.acceptingMachines = loop.acceptingCount();
+        sig.acceptingMachines = loop.view.acceptingCount();
         sig.warmingMachines = countState(MState::Warming);
         sig.drainingMachines = countState(MState::Draining);
         sig.maxMachines = n;
@@ -599,7 +601,7 @@ class ElasticMembership final : public Membership
             };
             set("machines", static_cast<double>(row.servingMachines));
             set("accepting_machines",
-                static_cast<double>(loop.acceptingCount()));
+                static_cast<double>(loop.view.acceptingCount()));
             set("warming_machines",
                 static_cast<double>(countState(MState::Warming)));
             set("draining_machines",
@@ -612,7 +614,7 @@ class ElasticMembership final : public Membership
             size_t queued_total = 0;
             size_t queued_max = 0;
             for (size_t m = 0; m < n; m++) {
-                const size_t queued = loop.machines[m].queuedWork();
+                const size_t queued = loop.view.engine(m).queuedWork();
                 queued_total += queued;
                 queued_max = std::max(queued_max, queued);
             }

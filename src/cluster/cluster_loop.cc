@@ -49,19 +49,16 @@ Membership::onEvent(ClusterLoop&, const SimEvent&)
 ClusterLoop::ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
                          RoutingPolicy& router, Membership& members,
                          obs::RunObserver* obs, ClusterResult& result)
-    : cfg(cfg), trace(trace), obs(obs), result(result), router(router),
-      members(members), eagerClock(members.eagerClock()),
+    : cfg(cfg), trace(trace), obs(obs), result(result),
+      t0(trace.empty() ? 0.0 : trace.front().arrivalSeconds),
+      view(cfg.machines, std::max<size_t>(1, cfg.modelMix.size()), t0),
+      router(router), members(members), eagerClock(members.eagerClock()),
       queryBooks(members.queryBooks()), mixOn(!cfg.modelMix.empty()),
       numMix(std::max<size_t>(1, cfg.modelMix.size())),
       faultsOn(cfg.faults.enabled()), hedgeOn(cfg.hedge.enabled())
 {
     const size_t n = cfg.machines.size();
-    inFlight.assign(n, 0);
     pendingJoins.assign(n, 0);
-    pendingJoinCost.assign(n, 0.0);
-    inFlightByModel.assign(mixOn ? n * numMix : 0, 0);
-    accepting_.assign(n, 1);
-    acceptingCount_ = n;
     downDepth.assign(n, 0);
     grayDepth.assign(n, 0);
     netDepth.assign(n, 0);
@@ -69,35 +66,7 @@ ClusterLoop::ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
     engineEpoch.assign(n, 0);
 }
 
-void
-ClusterLoop::setAccepting(size_t m, bool on)
-{
-    if (accepting(m) != on) {
-        accepting_[m] = on;
-        on ? acceptingCount_++ : acceptingCount_--;
-    }
-}
-
 // ------------------------------------------------------ part plumbing
-
-void
-ClusterLoop::flightAdd(uint32_t m, uint32_t model)
-{
-    inFlight[m]++;
-    if (mixOn)
-        inFlightByModel[m * numMix + model]++;
-}
-
-void
-ClusterLoop::flightSub(uint32_t m, uint32_t model, const char* what)
-{
-    drs_assert(inFlight[m] > 0, what);
-    inFlight[m]--;
-    if (mixOn) {
-        drs_assert(inFlightByModel[m * numMix + model] > 0, what);
-        inFlightByModel[m * numMix + model]--;
-    }
-}
 
 // The committed phase leaves the estimator's backlog exactly once,
 // at its stored price: when it becomes real queued work, or when a
@@ -105,7 +74,7 @@ ClusterLoop::flightSub(uint32_t m, uint32_t model, const char* what)
 void
 ClusterLoop::releaseJoinCost(QueryState& q)
 {
-    pendingJoinCost[q.machine] -= q.joinCost;
+    view.addJoinCost(q.machine, -q.joinCost);
     q.joinCost = 0;
 }
 
@@ -139,9 +108,9 @@ ClusterLoop::startPart(uint64_t part_idx, double now)
         break;
     }
     const uint32_t m = part.machine;
-    machines[m].advanceTo(now);
+    view.engine(m).advanceTo(now);
     scheduled.clear();
-    machines[m].admit(spec, now, scheduled);
+    view.engine(m).admit(spec, now, scheduled);
     events.pushAll(scheduled, m, engineEpoch[m]);
 }
 
@@ -199,7 +168,7 @@ ClusterLoop::finishPart(uint64_t part_idx, double now, bool gpu)
     if (obs) {
         const obs::PartTimes times = obs::PartTimes::of(
             part.start,
-            machines[part.machine].lastFinishedFirstServiceStart(), now);
+            view.engine(part.machine).lastFinishedFirstServiceStart(), now);
         obs->onPartDone(part.queryIdx, part.machine, gpu, times);
         // Every finishing leader part stamps its query, a ghost of a
         // dispatch that failed over included.
@@ -209,8 +178,8 @@ ClusterLoop::finishPart(uint64_t part_idx, double now, bool gpu)
                                                   : stamps.leader) = times;
         }
     }
-    flightSub(part.machine, queries[part.queryIdx].model,
-              "completion with nothing in flight");
+    view.flightSub(part.machine, queries[part.queryIdx].model,
+                   "completion with nothing in flight");
     part.done = true;
     const uint32_t m = part.machine;
     deliverPart(part_idx, now);
@@ -270,7 +239,7 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
                    "join phase with no pending leadership");
         pendingJoins[q.machine]--;
         q.joinLeadership = false;
-        flightAdd(q.machine, q.model);
+        view.flightAdd(q.machine, q.model);
         result.perMachine[q.machine].joinPhases++;
         events.push(q.leaderReady, SimEvent::Kind::JoinPhase, q.machine,
                     dense_idx);
@@ -350,8 +319,8 @@ ClusterLoop::cancelPart(uint64_t part_idx, double now)
     PartRec& part = parts[part_idx];
     part.cancelled = true;
     checkPart(part_idx);
-    flightSub(part.machine, queries[part.queryIdx].model,
-              "cancel with nothing in flight");
+    view.flightSub(part.machine, queries[part.queryIdx].model,
+                   "cancel with nothing in flight");
     members.workDone(*this, part.machine, now);
 }
 
@@ -364,8 +333,8 @@ ClusterLoop::lostPartFate(uint64_t part_idx, double now)
     PartRec& part = parts[part_idx];
     part.cancelled = true;
     checkPart(part_idx);
-    flightSub(part.machine, queries[part.queryIdx].model,
-              "lost part with nothing in flight");
+    view.flightSub(part.machine, queries[part.queryIdx].model,
+                   "lost part with nothing in flight");
     result.faults.partsLost++;
     if (staleDispatch(part))
         return;    // that dispatch already died
@@ -388,7 +357,7 @@ ClusterLoop::killEngine(uint32_t m, double now)
 {
     lastFaultAdvance = std::max(lastFaultAdvance, now);
     lostBuf.clear();
-    machines[m].crash(now, lostBuf);
+    view.engine(m).crash(now, lostBuf);
     for (uint64_t lost_part : lostBuf)
         lostPartFate(lost_part, now);
 }
@@ -408,23 +377,20 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
             parts[pi].kind != PartRec::Kind::FanEmb)
             continue;
         const uint32_t src = parts[pi].machine;
-        size_t best = machines.size();
+        size_t best = view.numMachines();
         double best_load = 0.0;
-        for (size_t m = 0; m < machines.size(); m++) {
-            if (m == src || !accepting(m) ||
+        for (size_t m = 0; m < view.numMachines(); m++) {
+            if (m == src || !view.accepting(m) ||
                 !placement.holdsAll(m, parts[pi].tables))
                 continue;
-            // The router's load signal (outstanding work scaled by
-            // machine speed), lowest index winning ties.
-            const double load =
-                static_cast<double>(inFlight[m] + machines[m].queuedWork()) *
-                cfg.machines[m].slowdown;
-            if (best == machines.size() || load < best_load) {
+            // The router's load signal, lowest index winning ties.
+            const double load = view.loadSignal(m);
+            if (best == view.numMachines() || load < best_load) {
                 best = m;
                 best_load = load;
             }
         }
-        if (best == machines.size())
+        if (best == view.numMachines())
             continue;    // no surviving replica to hedge onto
         const uint32_t to = static_cast<uint32_t>(best);
         const uint64_t dup_idx = parts.push(
@@ -434,7 +400,7 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
              .gen = q.gen});
         parts[pi].partner = dup_idx;
         q.heldParts++;
-        flightAdd(to, q.model);
+        view.flightAdd(to, q.model);
         result.perMachine[to].remoteParts++;
         result.numParts++;
         if (queryBooks)
@@ -481,10 +447,13 @@ ClusterLoop::present(uint64_t idx, double now)
     if (q.attempt == 0 && q.failovers == 0)
         cs.offered++;
 
+    // With every machine down (fault injection) admission has nothing
+    // to price against: the query is unroutable below, as it is
+    // without admission, never shed.
     Query served = in;
     double quality = 1.0;
-    if (admission) {
-        const AdmissionDecision verdict = admission->decide(in, *this);
+    if (admission && view.acceptingCount() > 0) {
+        const AdmissionDecision verdict = admission->decide(in, view);
         if (!verdict.admit) {
             // Shed at the router: nothing reaches a machine.
             result.overload.dropped++;
@@ -527,8 +496,8 @@ ClusterLoop::present(uint64_t idx, double now)
     // covers its tables), which is neither an admission nor a drop —
     // admission never saw a servable query.
     std::vector<ShardTarget> plan;
-    if (!faultsOn || acceptingCount_ > 0)
-        plan = router.routeParts(served, *this);
+    if (!faultsOn || view.acceptingCount() > 0)
+        plan = router.routeParts(served, view);
     if (plan.empty()) {
         drs_assert(faultsOn, "policy returned no targets");
         result.faults.unroutable++;
@@ -574,12 +543,13 @@ ClusterLoop::present(uint64_t idx, double now)
     }
     size_t leaders = 0;
     for (ShardTarget& target : plan) {
-        drs_assert(target.machine < machines.size(),
+        drs_assert(target.machine < view.numMachines(),
                    "policy routed out of range");
         const uint32_t m = target.machine;
-        drs_assert(accepting(m), "policy routed to a non-accepting machine");
-        machines[m].advanceTo(now);
-        flightAdd(m, q.model);
+        drs_assert(view.accepting(m),
+                   "policy routed to a non-accepting machine");
+        view.engine(m).advanceTo(now);
+        view.flightAdd(m, q.model);
         if (target.leader) {
             leaders++;
             q.machine = m;
@@ -620,8 +590,8 @@ ClusterLoop::present(uint64_t idx, double now)
     // releaseJoinCost).
     if (trackJoinCost && plan.size() > 1) {
         q.joinCost =
-            machines[q.machine].joinPhaseCostSeconds(served.size, q.model);
-        pendingJoinCost[q.machine] += q.joinCost;
+            view.engine(q.machine).joinPhaseCostSeconds(served.size, q.model);
+        view.addJoinCost(q.machine, q.joinCost);
     }
     // Arm the tail-at-scale hedge for fanned-out dispatches; the check
     // goes stale if the query completes or fails first.
@@ -666,13 +636,13 @@ ClusterLoop::onFault(const FaultEvent& fe, double now)
         return;
       case FaultEvent::Kind::GrayStart:
         if (grayDepth[m]++ == 0) {
-            machines[m].setServiceFactor(fe.factor);
+            view.engine(m).setServiceFactor(fe.factor);
             result.faults.grayWindows++;
         }
         return;
       case FaultEvent::Kind::GrayEnd:
         if (--grayDepth[m] == 0)
-            machines[m].setServiceFactor(1.0);
+            view.engine(m).setServiceFactor(1.0);
         return;
       case FaultEvent::Kind::NetDegradeStart:
         if (netDepth[m]++ == 0) {
@@ -729,18 +699,18 @@ ClusterLoop::onTraffic(const SimEvent& ev)
       }
 
       case SimEvent::Kind::CpuRequest:
-        machines[m].advanceTo(ev.time);
+        view.engine(m).advanceTo(ev.time);
         scheduled.clear();
-        if (machines[m].cpuRequestDone(ev.slot, ev.partIdx, ev.time,
-                                       scheduled))
+        if (view.engine(m).cpuRequestDone(ev.slot, ev.partIdx, ev.time,
+                                          scheduled))
             finishPart(ev.partIdx, ev.time, false);
         events.pushAll(scheduled, m, engineEpoch[m]);
         return;
 
       case SimEvent::Kind::GpuQuery:
-        machines[m].advanceTo(ev.time);
+        view.engine(m).advanceTo(ev.time);
         scheduled.clear();
-        machines[m].gpuQueryDone(ev.slot, ev.partIdx, ev.time, scheduled);
+        view.engine(m).gpuQueryDone(ev.slot, ev.partIdx, ev.time, scheduled);
         finishPart(ev.partIdx, ev.time, true);
         events.pushAll(scheduled, m, engineEpoch[m]);
         return;
@@ -861,7 +831,6 @@ ClusterLoop::run()
     if (trace.empty())
         return;
 
-    t0 = trace.front().arrivalSeconds;
     lastEventTime = t0;
     lastFaultAdvance = t0;
     warmup = warmupCount(cfg.warmupFraction, trace.size());
@@ -869,10 +838,6 @@ ClusterLoop::run()
     latencyMachine.reserve(trace.size() - warmup);
     if (queryBooks && mixOn)
         latencyModel.reserve(trace.size() - warmup);
-
-    machines.reserve(n);
-    for (const SimConfig& machine : cfg.machines)
-        machines.emplace_back(&machine, t0);
 
     // Pre-size the heap: per machine at most one completion per busy
     // core plus one offload, plus forwarded parts in flight.
@@ -968,7 +933,7 @@ ClusterLoop::run()
             continue;
 
         if (eagerClock)
-            machines[ev.machine].advanceTo(ev.time);
+            view.engine(ev.machine).advanceTo(ev.time);
         lastEventTime = std::max(lastEventTime, ev.time);
         onTraffic(ev);
     }
@@ -1015,12 +980,12 @@ ClusterLoop::finishBooks()
     const double full_span = lastEventTime - t0;
     const double finalAdvance = std::max(lastEventTime, lastFaultAdvance);
     double util_sum = 0.0;
-    for (size_t m = 0; m < machines.size(); m++) {
-        machines[m].advanceTo(finalAdvance);
+    for (size_t m = 0; m < view.numMachines(); m++) {
+        view.engine(m).advanceTo(finalAdvance);
         MachineStats& stats = result.perMachine[m];
-        stats.requestsDispatched = machines[m].requestsDispatched();
-        stats.busyCoreSeconds = machines[m].busyCoreSeconds();
-        stats.gpuBusySeconds = machines[m].gpuBusySeconds();
+        stats.requestsDispatched = view.engine(m).requestsDispatched();
+        stats.busyCoreSeconds = view.engine(m).busyCoreSeconds();
+        stats.gpuBusySeconds = view.engine(m).gpuBusySeconds();
         const double billed = members.billedSeconds(m, full_span);
         if (billed > 0.0) {
             const double cores = static_cast<double>(
@@ -1031,7 +996,7 @@ ClusterLoop::finishBooks()
         util_sum += stats.cpuUtilization;
     }
     result.meanCpuUtilization =
-        util_sum / static_cast<double>(machines.size());
+        util_sum / static_cast<double>(view.numMachines());
 
     // The three-way conservation algebra holds exactly on every run —
     // chaos or not — at any thread count, and each per-query log names

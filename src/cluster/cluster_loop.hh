@@ -7,10 +7,11 @@
  * it; what differs between the tiers is which machines take new
  * queries and how that set changes, and that is a Membership: fixed
  * (cluster_sim.cc) or elastic (autoscaler.cc). The loop owns the
- * accepting mask the router sees and reports crashes, repairs,
- * completions and idle machines to the membership, which changes the
- * mask through setAccepting() and may push Control and MachineUp
- * events of its own. Internal to src/cluster/.
+ * tier's ClusterView, the state the router and the admission
+ * controller read, and reports crashes, repairs, completions and idle
+ * machines to the membership, which changes the accepting set through
+ * view.setAccepting() and may push Control and MachineUp events of
+ * its own. Internal to src/cluster/.
  */
 
 #ifndef DRS_CLUSTER_CLUSTER_LOOP_HH
@@ -84,11 +85,11 @@ class Membership
 };
 
 /**
- * One run of a cluster tier: its state and its event loop. The loop is
- * also the live ClusterView the router and the admission controller
- * read at each arrival.
+ * One run of a cluster tier: its state and its event loop. The loop
+ * writes the tier's ClusterView, which the router and the admission
+ * controller read at each arrival.
  */
-class ClusterLoop final : private ClusterView
+class ClusterLoop final
 {
   public:
     ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
@@ -98,13 +99,6 @@ class ClusterLoop final : private ClusterView
     /** Run the trace (sorted by arrival) to completion into the
      *  result. Call once. */
     void run();
-
-    /** Add machine @p m to, or remove it from, the router's
-     *  accepting set. */
-    void setAccepting(size_t m, bool on);
-
-    bool accepting(size_t m) const override { return accepting_[m] != 0; }
-    size_t acceptingCount() const { return acceptingCount_; }
 
     /** Machine @p m is crashed and not yet repaired. */
     bool down(size_t m) const { return downDepth[m] > 0; }
@@ -119,9 +113,10 @@ class ClusterLoop final : private ClusterView
     obs::RunObserver* const obs;
     ClusterResult& result;
 
-    std::vector<MachineEngine> machines;
-    /** Parts dispatched to each machine and not yet finished. */
-    std::vector<uint64_t> inFlight;
+    double t0 = 0;              ///< first arrival
+
+    /** The live tier: engines, in-flight books, accepting set. */
+    ClusterView view;
 
     /**
      * Fanned-out TwoStage queries led by each machine whose dense
@@ -137,56 +132,10 @@ class ClusterLoop final : private ClusterView
     /** Dispatches that ended without completing (killed or lost). */
     uint64_t endedDispatches = 0;
 
-    double t0 = 0;              ///< first arrival
     double lastEventTime = 0;   ///< latest traffic event or completion
     size_t nextArrival = 0;     ///< trace index of the next arrival
 
   private:
-    // ClusterView: the live tier as the router sees it.
-    size_t numMachines() const override { return machines.size(); }
-    size_t inFlightQueries(size_t m) const override { return inFlight[m]; }
-    size_t
-    queuedWork(size_t m) const override
-    {
-        return machines[m].queuedWork();
-    }
-    double
-    queuedCostSeconds(size_t m) const override
-    {
-        return machines[m].queuedCostSeconds();
-    }
-    double
-    pendingJoinCostSeconds(size_t m) const override
-    {
-        return pendingJoinCost[m];
-    }
-    bool
-    hasGpu(size_t m) const override
-    {
-        return cfg.machines[m].policy.gpuEnabled &&
-            cfg.machines[m].gpu.has_value();
-    }
-    double
-    speedFactor(size_t m) const override
-    {
-        return 1.0 / cfg.machines[m].slowdown;
-    }
-    bool
-    allAccepting() const override
-    {
-        return acceptingCount_ == machines.size();
-    }
-    bool
-    servesModel(size_t m, uint32_t model) const override
-    {
-        return cfg.machines[m].servesModel(model);
-    }
-    size_t
-    inFlightQueriesOfModel(size_t m, uint32_t model) const override
-    {
-        return mixOn ? inFlightByModel[m * numMix + model] : inFlight[m];
-    }
-
     void present(uint64_t idx, double now);
     void startPart(uint64_t part_idx, double now);
     void finishPart(uint64_t part_idx, double now, bool gpu);
@@ -201,8 +150,6 @@ class ClusterLoop final : private ClusterView
     void hedgeQuery(uint64_t idx, double now);
     void onFault(const FaultEvent& fe, double now);
     void onTraffic(const SimEvent& ev);
-    void flightAdd(uint32_t m, uint32_t model);
-    void flightSub(uint32_t m, uint32_t model, const char* what);
     void releaseJoinCost(QueryState& q);
     /** Part @p part_idx just turned terminal: test it and its twin. */
     void checkPart(uint64_t part_idx);
@@ -260,21 +207,13 @@ class ClusterLoop final : private ClusterView
     std::vector<uint16_t> latencyMachine;
     std::vector<uint16_t> latencyModel;
 
-    std::vector<uint8_t> accepting_;
-    size_t acceptingCount_ = 0;
-
-    /** Per-(machine, model) in-flight book of a mixed tier, flattened
-     *  [m * numMix + model]; empty on single-model tiers. */
-    std::vector<uint64_t> inFlightByModel;
-
     /**
-     * Committed-but-unqueued TwoStage join-phase cost per machine:
-     * each phase's MachineEngine::joinPhaseCostSeconds, stored on its
-     * QueryState at fan-out dispatch and subtracted when the phase is
-     * admitted or killed; kept only when the admission estimator
-     * reads it.
+     * Keep the view's committed-but-unqueued TwoStage join-phase cost
+     * per machine: each phase's MachineEngine::joinPhaseCostSeconds,
+     * stored on its QueryState at fan-out dispatch and released when
+     * the phase is admitted or killed. Only when the admission
+     * estimator reads it.
      */
-    std::vector<double> pendingJoinCost;
     bool trackJoinCost = false;
     std::optional<AdmissionController> admission;
 

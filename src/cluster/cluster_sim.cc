@@ -138,20 +138,20 @@ class FixedMembership final : public Membership
     void
     crash(ClusterLoop& loop, uint32_t m, double now) override
     {
-        loop.setAccepting(m, false);
+        loop.view.setAccepting(m, false);
         loop.killEngine(m, now);
     }
 
     void
     recover(ClusterLoop& loop, uint32_t m) override
     {
-        loop.setAccepting(m, true);
+        loop.view.setAccepting(m, true);
     }
 
     bool
     serving(const ClusterLoop& loop, size_t m) const override
     {
-        return loop.accepting(m);
+        return loop.view.accepting(m);
     }
 };
 

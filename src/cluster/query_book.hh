@@ -32,8 +32,9 @@ struct QueryState
     double quality = 1.0;     ///< answer quality (< 1 when degraded)
     /**
      * The dispatch's committed TwoStage join-phase price (0 when
-     * none): added to the leader's pendingJoinCost at fan-out and
-     * subtracted exactly once (JoinPhase admission or kill).
+     * none): added to the leader's pending join cost in the tier's
+     * ClusterView at fan-out and released exactly once (JoinPhase
+     * admission or kill).
      */
     double joinCost = 0;
     uint64_t firstPart = 0;   ///< part id of this dispatch's first part

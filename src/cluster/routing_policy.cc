@@ -41,20 +41,23 @@ allRoutingKinds()
     return kinds;
 }
 
-namespace {
-
-/**
- * Load signal shared by the queue-aware policies: outstanding work
- * normalized by machine speed, so a 2x-slower machine at equal depth
- * looks twice as loaded (shortest-expected-delay routing).
- */
-double
-loadSignal(const ClusterView& view, size_t m)
+ClusterView::ClusterView(const std::vector<SimConfig>& machines,
+                         size_t num_models, double start_time)
+    : inFlight_(machines.size(), 0),
+      byModel_(num_models > 1 ? machines.size() * num_models : 0, 0),
+      numModels_(num_models), joinCost_(machines.size(), 0.0),
+      accepting_(machines.size(), 1), acceptingCount_(machines.size())
 {
-    const double outstanding = static_cast<double>(
-        view.inFlightQueries(m) + view.queuedWork(m));
-    return outstanding / view.speedFactor(m);
+    engines_.reserve(machines.size());
+    for (const SimConfig& machine : machines) {
+        engines_.emplace_back(&machine, start_time);
+        gpu_.push_back(machine.policy.gpuEnabled && machine.gpu.has_value());
+        speed_.push_back(1.0 / machine.slowdown);
+        modelsOf_.push_back(machine.numModels());
+    }
 }
+
+namespace {
 
 /** Least-loaded machine among @p candidates (ties to the lowest index). */
 size_t
@@ -62,9 +65,9 @@ leastLoaded(const ClusterView& view, const std::vector<size_t>& candidates)
 {
     drs_assert(!candidates.empty(), "no routing candidates");
     size_t best = candidates.front();
-    double best_load = loadSignal(view, best);
+    double best_load = view.loadSignal(best);
     for (size_t i = 1; i < candidates.size(); i++) {
-        const double load = loadSignal(view, candidates[i]);
+        const double load = view.loadSignal(candidates[i]);
         if (load < best_load) {
             best = candidates[i];
             best_load = load;
@@ -144,9 +147,9 @@ class JoinShortestQueuePolicy final : public RoutingPolicy
     {
         if (view.allAccepting()) {
             size_t best = 0;
-            double best_load = loadSignal(view, 0);
+            double best_load = view.loadSignal(0);
             for (size_t m = 1; m < view.numMachines(); m++) {
-                const double load = loadSignal(view, m);
+                const double load = view.loadSignal(m);
                 if (load < best_load) {
                     best = m;
                     best_load = load;
@@ -185,7 +188,7 @@ class PowerOfTwoChoicesPolicy final : public RoutingPolicy
             size_t b = static_cast<size_t>(rng.uniformInt(0, n - 2));
             if (b >= a)
                 b++;    // sample without replacement
-            return loadSignal(view, b) < loadSignal(view, a) ? b : a;
+            return view.loadSignal(b) < view.loadSignal(a) ? b : a;
         }
         acceptingMachines(view, candidates);
         const int64_t n = static_cast<int64_t>(candidates.size());
@@ -195,8 +198,8 @@ class PowerOfTwoChoicesPolicy final : public RoutingPolicy
         size_t b = static_cast<size_t>(rng.uniformInt(0, n - 2));
         if (b >= a)
             b++;    // sample without replacement
-        return loadSignal(view, candidates[b]) <
-                       loadSignal(view, candidates[a])
+        return view.loadSignal(candidates[b]) <
+                       view.loadSignal(candidates[a])
                    ? candidates[b]
                    : candidates[a];
     }
@@ -441,7 +444,7 @@ class ShardAwarePolicy final : public RoutingPolicy
                 }
                 if (cover == 0)
                     continue;
-                const double load = loadSignal(view, m);
+                const double load = view.loadSignal(m);
                 if (best == view.numMachines() || cover > best_cover ||
                     (cover == best_cover && load < best_load)) {
                     best = m;

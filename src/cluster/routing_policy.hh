@@ -14,12 +14,13 @@
  * routes each query to machines holding (replicas of) its embedding
  * tables, fanning out over a set cover when no machine holds them all.
  *
- * Policies observe machine availability through
+ * ClusterView is the tier's one live state: a concrete class the
+ * cluster event loop owns and writes, which policies read through
+ * inline accessors. Policies observe machine availability through
  * ClusterView::accepting(): under the elastic tier
  * (cluster/autoscaler.hh) the accepting set changes mid-run as
- * machines warm up or drain, and every policy routes only within it.
- * Static tiers accept everywhere, preserving historical behavior
- * bit-for-bit.
+ * machines warm up or drain, a crash takes a machine out of it on
+ * either tier, and every policy routes only within it.
  *
  * Ownership: policies are stateful and single-run — build a fresh one
  * (same seed) per run to reproduce results. The shard-aware policy
@@ -35,8 +36,10 @@
 #include <memory>
 #include <vector>
 
+#include "base/logging.hh"
 #include "cluster/shard_placement.hh"
 #include "loadgen/query.hh"
+#include "sim/machine_engine.hh"
 
 namespace deeprecsys {
 
@@ -79,23 +82,50 @@ const char* routingKindName(RoutingKind kind);
 const std::vector<RoutingKind>& allRoutingKinds();
 
 /**
- * What a routing policy may observe about the cluster. The cluster
- * event loop (ClusterLoop) is the one implementation and exposes
- * live queue and engine state.
+ * The live state of a cluster tier, as the routing policies and the
+ * admission controller read it at each arrival: per-machine work in
+ * flight and queued, the accepting set, committed join-phase cost,
+ * and what each machine is (accelerator, speed, served models). The
+ * cluster event loop (ClusterLoop) owns one and writes it where work
+ * is dispatched and finishes and where machines enter or leave the
+ * accepting set. Tests build one directly and queue work through
+ * engine(m).admit, as the loop does. Every read is inline and
+ * non-virtual.
  */
 class ClusterView
 {
   public:
-    virtual ~ClusterView() = default;
+    /**
+     * A tier of @p machines serving @p num_models mix models (1 on a
+     * single-model tier): one engine per machine, whose busy-time
+     * integrals start at @p start_time. Every machine accepts and
+     * nothing is in flight. @p machines must outlive the view.
+     */
+    explicit ClusterView(const std::vector<SimConfig>& machines,
+                         size_t num_models = 1, double start_time = 0.0);
+
+    /** The engines point into @p machines: a temporary would dangle. */
+    ClusterView(std::vector<SimConfig>&&, size_t = 1, double = 0.0) = delete;
 
     /** Number of machines behind the router. */
-    virtual size_t numMachines() const = 0;
+    size_t numMachines() const { return engines_.size(); }
 
-    /** Queries dispatched to machine @p m and not yet completed. */
-    virtual size_t inFlightQueries(size_t m) const = 0;
+    /**
+     * Work dispatched to machine @p m and not yet finished, counted
+     * in parts: a whole query, a shard part or a join phase.
+     */
+    size_t inFlightQueries(size_t m) const { return inFlight_[m]; }
+
+    /** Mix model @p model's share of inFlightQueries(@p m). */
+    size_t
+    inFlightQueriesOfModel(size_t m, uint32_t model) const
+    {
+        return byModel_.empty() ? inFlight_[m]
+                                : byModel_[m * numModels_ + model];
+    }
 
     /** Work items (requests/queries) waiting in machine @p m's queues. */
-    virtual size_t queuedWork(size_t m) const = 0;
+    size_t queuedWork(size_t m) const { return engines_[m].queuedWork(); }
 
     /**
      * Estimated service seconds of everything queued on machine @p m,
@@ -103,9 +133,13 @@ class ClusterView
      * (MachineEngine::queuedCostSeconds) — the only estimate that is
      * honest about a heterogeneous queue of whole queries and shard
      * parts; the admission controller (cluster/admission.hh) prices
-     * backlog with it. Views without engine state report 0.
+     * backlog with it.
      */
-    virtual double queuedCostSeconds(size_t) const { return 0.0; }
+    double
+    queuedCostSeconds(size_t m) const
+    {
+        return engines_[m].queuedCostSeconds();
+    }
 
     /**
      * Engine-exact committed second-visit work on machine @p m:
@@ -116,54 +150,110 @@ class ClusterView
      * queue-cost sum cannot see the phase. A new arrival queues
      * behind this work too, so the admission controller adds it to
      * its backlog estimate (the second-order term of the two-stage
-     * critical path). Views without driver state report 0.
+     * critical path). 0 unless the loop tracks it (TwoStage tiers
+     * with overload control).
      */
-    virtual double pendingJoinCostSeconds(size_t) const { return 0.0; }
+    double pendingJoinCostSeconds(size_t m) const { return joinCost_[m]; }
 
-    /** True when machine @p m has an attached accelerator. */
-    virtual bool hasGpu(size_t m) const = 0;
+    /** True when machine @p m has an enabled accelerator. */
+    bool hasGpu(size_t m) const { return gpu_[m] != 0; }
 
-    /** Relative machine speed (1.0 nominal; > 1.0 is faster). */
-    virtual double speedFactor(size_t m) const = 0;
+    /** Relative machine speed, 1 / SimConfig::slowdown (> 1.0 is
+     *  faster). */
+    double speedFactor(size_t m) const { return speed_[m]; }
+
+    /** True when machine @p m has a binding for mix model @p model. */
+    bool
+    servesModel(size_t m, uint32_t model) const
+    {
+        return model < modelsOf_[m];
+    }
 
     /**
-     * True when machine @p m accepts new queries. Statically
-     * provisioned tiers accept everywhere (the default); the elastic
-     * tier (cluster/autoscaler.hh) excludes machines that are powered
-     * off, still warming up, or draining toward removal. Policies
-     * must never route to a non-accepting machine; at least one
-     * machine always accepts.
+     * Load signal of the queue-aware policies: outstanding work
+     * normalized by machine speed, so a 2x-slower machine at equal
+     * depth looks twice as loaded (shortest-expected-delay routing).
      */
-    virtual bool accepting(size_t) const { return true; }
+    double
+    loadSignal(size_t m) const
+    {
+        return static_cast<double>(inFlightQueries(m) + queuedWork(m)) /
+            speedFactor(m);
+    }
+
+    /**
+     * True when machine @p m accepts new queries. A static tier
+     * accepts everywhere but on crashed machines; the elastic tier
+     * (cluster/autoscaler.hh) also excludes machines that are powered
+     * off, still warming up, or draining toward removal. Policies
+     * never route to a non-accepting machine. Under fault injection
+     * no machine may accept; the loop then routes nothing.
+     */
+    bool accepting(size_t m) const { return accepting_[m] != 0; }
+
+    /** Number of accepting machines. */
+    size_t acceptingCount() const { return acceptingCount_; }
 
     /**
      * True when every machine is accepting — the static-tier fast
      * path. Policies that would otherwise build a candidate list per
-     * decision check this first and keep their historical O(1)-probe
-     * hot path; views with live machine-set state override it with a
-     * maintained counter, never an O(n) scan.
+     * decision check this first and keep their O(1)-probe hot path.
      */
-    virtual bool allAccepting() const { return true; }
+    bool allAccepting() const { return acceptingCount_ == numMachines(); }
 
-    // ------------------------------------------------- per-model view
-    // The multi-model tier's slice of the same signals, consumed by
-    // the model-aware policies and the per-model admission pricing.
-    // Single-model views keep the defaults: one model, served
-    // everywhere, whose slice IS the total.
+    // ------------------------------------------------------ writes
+    /** Machine @p m's engine: the loop (and tests) admit work here. */
+    MachineEngine& engine(size_t m) { return engines_[m]; }
 
-    /** True when machine @p m has a binding for mix model @p model. */
-    virtual bool
-    servesModel(size_t, uint32_t model) const
+    /** Add machine @p m to, or remove it from, the accepting set. */
+    void
+    setAccepting(size_t m, bool on)
     {
-        return model == 0;
+        if (accepting(m) != on) {
+            accepting_[m] = on;
+            on ? acceptingCount_++ : acceptingCount_--;
+        }
     }
 
-    /** Mix model @p model's share of inFlightQueries(@p m). */
-    virtual size_t
-    inFlightQueriesOfModel(size_t m, uint32_t) const
+    /** A part of mix model @p model was dispatched to machine @p m. */
+    void
+    flightAdd(size_t m, uint32_t model)
     {
-        return inFlightQueries(m);
+        inFlight_[m]++;
+        if (!byModel_.empty())
+            byModel_[m * numModels_ + model]++;
     }
+
+    /** A part of mix model @p model left machine @p m; @p what names
+     *  the caller in the underflow panic. */
+    void
+    flightSub(size_t m, uint32_t model, const char* what)
+    {
+        drs_assert(inFlight_[m] > 0, what);
+        inFlight_[m]--;
+        if (!byModel_.empty()) {
+            drs_assert(byModel_[m * numModels_ + model] > 0, what);
+            byModel_[m * numModels_ + model]--;
+        }
+    }
+
+    /** Add @p seconds (negative to release) to machine @p m's
+     *  committed join-phase cost. */
+    void addJoinCost(size_t m, double seconds) { joinCost_[m] += seconds; }
+
+  private:
+    std::vector<MachineEngine> engines_;
+    std::vector<size_t> inFlight_;
+    /** Per-(machine, model) in-flight book of a mixed tier, flattened
+     *  [m * numModels_ + model]; empty on single-model tiers. */
+    std::vector<size_t> byModel_;
+    size_t numModels_ = 1;
+    std::vector<double> joinCost_;
+    std::vector<uint8_t> accepting_;
+    size_t acceptingCount_ = 0;
+    std::vector<uint8_t> gpu_;
+    std::vector<double> speed_;
+    std::vector<size_t> modelsOf_;   ///< SimConfig::numModels()
 };
 
 /**

@@ -1,9 +1,10 @@
 /**
  * @file
  * Property tests for the overload-control layer (cluster/
- * admission.hh): decision-rule unit tests against a hand-set cluster
- * view, drop-path conservation through the live cluster simulator
- * (per machine and fleet-wide), monotonicity of goodput and shed
+ * admission.hh): decision-rule unit tests against a cluster view
+ * whose engines hold hand-queued work, drop-path conservation through
+ * the live cluster simulator (per machine and fleet-wide), the
+ * all-machines-down path, monotonicity of goodput and shed
  * rate in offered load, flash-crowd conservation through the elastic
  * tier, and bitwise determinism of drop decisions across thread
  * counts.
@@ -88,58 +89,23 @@ deadlinePolicy(bool degrade = false)
 }
 
 /**
- * Engine-style price of @p requests queued requests of @p batch
- * samples each on cpuMachine(): each priced at full core contention,
- * as MachineEngine::queuedCostSeconds prices its queue.
+ * Fill machine @p m's queue in @p view up to @p requests queued
+ * requests of @p batch samples each, behind a busy core pool, by
+ * admitting parts to its engine as the cluster loop does: queue
+ * pressure is their cost as the engine priced it. Only grows.
  */
-double
-queuedCost(size_t requests, size_t batch)
+void
+fillQueue(ClusterView& view, size_t m, size_t requests, size_t batch)
 {
-    const SimConfig machine = cpuMachine();
-    return static_cast<double>(requests) *
-        machine.cpu.requestSeconds(batch, machine.cpu.platform().cores);
+    std::vector<EngineEvent> started;
+    MachineEngine& engine = view.engine(m);
+    PartSpec part;
+    part.samples = static_cast<uint32_t>(batch);
+    while (engine.queuedWork() < requests) {
+        engine.admit(part, 0.0, started);
+        part.partIdx++;
+    }
 }
-
-/** A cluster view whose queue state is set by hand. */
-class FakeView : public ClusterView
-{
-  public:
-    explicit FakeView(size_t machines)
-        : work_(machines, 0), costs_(machines, 0.0),
-          accepting_(machines, true)
-    {
-    }
-
-    size_t numMachines() const override { return work_.size(); }
-    size_t inFlightQueries(size_t m) const override { return work_[m]; }
-    size_t queuedWork(size_t m) const override { return work_[m]; }
-    double queuedCostSeconds(size_t m) const override { return costs_[m]; }
-    bool hasGpu(size_t) const override { return false; }
-    double speedFactor(size_t) const override { return 1.0; }
-    bool accepting(size_t m) const override { return accepting_[m]; }
-    bool
-    allAccepting() const override
-    {
-        return std::all_of(accepting_.begin(), accepting_.end(),
-                           [](bool a) { return a; });
-    }
-
-    /** Queue @p requests requests of @p batch samples on machine
-     *  @p m: queue pressure is their queued cost. */
-    void
-    setQueue(size_t m, size_t requests, size_t batch)
-    {
-        work_[m] = requests;
-        costs_[m] = queuedCost(requests, batch);
-    }
-
-    void setAccepting(size_t m, bool on) { accepting_[m] = on; }
-
-  private:
-    std::vector<size_t> work_;
-    std::vector<double> costs_;
-    std::vector<bool> accepting_;
-};
 
 // ------------------------------------------------------ decision rules
 
@@ -147,7 +113,7 @@ TEST(AdmissionUnit, IdleTierAdmitsEveryQueryAtFullSize)
 {
     const ClusterConfig cfg = tier(3);
     const AdmissionController ctl(deadlinePolicy(true), cfg.machines);
-    const FakeView view(3);
+    const ClusterView view(cfg.machines);
     for (uint32_t size : {1u, 64u, 256u, 500u}) {
         const AdmissionDecision d = ctl.decide(Query{0, 0.0, size}, view);
         EXPECT_TRUE(d.admit);
@@ -161,10 +127,10 @@ TEST(AdmissionUnit, DeadlineDropsWhenEveryMachineIsHopeless)
 {
     const ClusterConfig cfg = tier(2);
     const AdmissionController ctl(deadlinePolicy(), cfg.machines);
-    FakeView view(2);
+    ClusterView view(cfg.machines);
     // Queues deep enough that draining them alone blows the deadline.
     for (size_t m = 0; m < 2; m++)
-        view.setQueue(m, 100000, 200);
+        fillQueue(view, m, 100000, 200);
     const AdmissionDecision d = ctl.decide(Query{0, 0.0, 128}, view);
     EXPECT_FALSE(d.admit);
     EXPECT_EQ(d.servedSize, 0u);
@@ -179,8 +145,8 @@ TEST(AdmissionUnit, QueueDepthCapCountsOnlyAcceptingMachines)
     overload.queueDepthCap = 8;
     const ClusterConfig cfg = tier(2);
     const AdmissionController ctl(overload, cfg.machines);
-    FakeView view(2);
-    view.setQueue(0, 50, 200);
+    ClusterView view(cfg.machines);
+    fillQueue(view, 0, 50, 200);
 
     // Machine 1 is idle: under the cap somewhere, admit.
     EXPECT_TRUE(ctl.decide(Query{0, 0.0, 100}, view).admit);
@@ -197,9 +163,9 @@ TEST(AdmissionUnit, DegradeShrinksMonotonicallyWithPressure)
     const AdmissionController ctl(deadlinePolicy(true), cfg.machines);
     const uint32_t size = 400;
     uint32_t last = size;
-    FakeView view(1);
+    ClusterView view(cfg.machines);
     for (size_t depth = 0; depth <= 400; depth += 25) {
-        view.setQueue(0, depth, 150);
+        fillQueue(view, 0, depth, 150);
         const AdmissionDecision d = ctl.decide(Query{0, 0.0, size}, view);
         if (!d.admit)
             break; // pressure past the drop point: nothing to serve
@@ -225,9 +191,9 @@ TEST(AdmissionUnit, DegradeRescuesAQueryTheDeadlineWouldDrop)
     // the 256 batch) so shrinking actually cuts the service estimate.
     const Query q{0, 0.0, 200};
     bool rescued = false;
-    FakeView view(1);
+    ClusterView view(cfg.machines);
     for (size_t depth = 1; depth <= 2000 && !rescued; depth++) {
-        view.setQueue(0, depth, 200);
+        fillQueue(view, 0, depth, 200);
         const AdmissionDecision hard = strict.decide(q, view);
         const AdmissionDecision soft = lenient.decide(q, view);
         if (!hard.admit && soft.admit) {
@@ -243,9 +209,9 @@ TEST(AdmissionUnit, DecisionIsPure)
 {
     const ClusterConfig cfg = tier(2);
     const AdmissionController ctl(deadlinePolicy(true), cfg.machines);
-    FakeView view(2);
-    view.setQueue(0, 40, 180);
-    view.setQueue(1, 90, 180);
+    ClusterView view(cfg.machines);
+    fillQueue(view, 0, 40, 180);
+    fillQueue(view, 1, 90, 180);
     const Query q{7, 1.25, 310};
     const AdmissionDecision first = ctl.decide(q, view);
     for (int i = 0; i < 10; i++) {
@@ -324,6 +290,36 @@ retryPolicy(uint32_t max_retries, uint32_t classes = 1)
     overload.maxRetries = max_retries;
     overload.priorityClasses = classes;
     return overload;
+}
+
+TEST(AdmissionCluster, EveryMachineDownIsUnroutableNotShed)
+{
+    // One machine, down about half the time: a query presented while
+    // it is down has no machine to price against or route to. It is
+    // unroutable and fails over (here, with no failovers allowed, it
+    // is lost) whatever the admission policy; none is shed.
+    ClusterConfig base = tier(1);
+    base.faults.crashesPerHour = 3600.0;
+    base.faults.repairSeconds = 2.0;
+    const QueryTrace trace = makeTrace(4000, 200.0);
+    const RoutingSpec rr{RoutingKind::RoundRobin};
+    const ClusterResult none = ClusterSimulator(base).run(trace, rr);
+    EXPECT_GT(none.faults.unroutable, 0u);
+    EXPECT_EQ(none.overload.dropped, 0u);
+
+    OverloadConfig depth;
+    depth.admission = AdmissionKind::QueueDepth;
+    for (const OverloadConfig& overload :
+         {depth, deadlinePolicy(false), deadlinePolicy(true)}) {
+        ClusterConfig cfg = base;
+        cfg.overload = overload;
+        const ClusterResult r = ClusterSimulator(cfg).run(trace, rr);
+        EXPECT_EQ(r.overload.dropped, 0u);
+        EXPECT_EQ(r.numDispatched, none.numDispatched);
+        EXPECT_EQ(r.faults.unroutable, none.faults.unroutable);
+        EXPECT_EQ(r.faults.lost, none.faults.lost);
+        EXPECT_EQ(r.numCompleted, none.numCompleted);
+    }
 }
 
 TEST(AdmissionCluster, RetriesConserveOfferedLoad)
