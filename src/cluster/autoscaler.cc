@@ -417,17 +417,14 @@ class ElasticMembership final : public Membership
         if (!spec_.cluster.sharding.has_value())
             return true;
         const ShardPlacement& placement = spec_.cluster.sharding->placement;
-        for (uint32_t t = 0;
-             t < static_cast<uint32_t>(placement.numTables()); t++) {
-            if (!placement.holds(m, t))
-                continue;
-            bool covered = false;
-            for (size_t other = 0; other < n && !covered; other++) {
-                covered = other != m &&
-                    state[other] == MState::Accepting &&
-                    placement.holds(other, t);
-            }
-            if (!covered)
+        for (uint32_t t : placement.tablesOnMachine(m)) {
+            const std::vector<uint32_t>& holders =
+                placement.machinesOfTable(t);
+            if (std::none_of(holders.begin(), holders.end(),
+                             [&](uint32_t other) {
+                                 return other != m &&
+                                     state[other] == MState::Accepting;
+                             }))
                 return false;
         }
         return true;
@@ -690,17 +687,17 @@ Autoscaler::Autoscaler(AutoscaleSpec spec) : spec_(std::move(spec))
     if (cfg.sharding.has_value()) {
         // The machines accepting at trace start must already cover
         // every table — the mirror of the drain re-validation: a
-        // query cannot be routed to a replica that is powered off.
+        // query cannot be routed to a replica that is powered off. The
+        // initial set is machines [0, initial), so a table is covered
+        // when its lowest holder is in it.
         const ShardPlacement& placement = cfg.sharding->placement;
         const size_t initial = spec_.initialMachines == 0
             ? cfg.machines.size()
             : spec_.initialMachines;
         for (uint32_t t = 0;
              t < static_cast<uint32_t>(placement.numTables()); t++) {
-            bool covered = false;
-            for (size_t m = 0; m < initial && !covered; m++)
-                covered = placement.holds(m, t);
-            if (!covered)
+            const auto& holders = placement.machinesOfTable(t);
+            if (holders.empty() || holders.front() >= initial)
                 drs_fatal("initial accepting set leaves a table with no "
                           "replica; raise initialMachines");
         }

@@ -377,11 +377,12 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
             parts[pi].kind != PartRec::Kind::FanEmb)
             continue;
         const uint32_t src = parts[pi].machine;
+        const std::vector<uint32_t>& tables = parts[pi].tables;
         size_t best = view.numMachines();
         double best_load = 0.0;
-        for (size_t m = 0; m < view.numMachines(); m++) {
+        for (uint32_t m : placement.fewestHolders(tables)) {
             if (m == src || !view.accepting(m) ||
-                !placement.holdsAll(m, parts[pi].tables))
+                !placement.holdsAll(m, tables))
                 continue;
             // The router's load signal, lowest index winning ties.
             const double load = view.loadSignal(m);

@@ -1,5 +1,8 @@
 #include "routing_policy.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "base/logging.hh"
 #include "base/random.hh"
 #include "obs/observer.hh"
@@ -359,10 +362,14 @@ class ShardAwarePolicy final : public RoutingPolicy
     explicit ShardAwarePolicy(const ShardingConfig& sharding_in)
         : sharding(sharding_in),
           popularity(tablePopularity(sharding_in.tableSet.numTables,
-                                     sharding_in.tableSet.zipfS))
+                                     sharding_in.tableSet.zipfS)),
+          cover(sharding_in.placement.numMachines(), 0)
     {
         drs_assert(sharding.placement.feasible(),
                    "shard-aware routing needs a feasible placement");
+        drs_assert(sharding.tableSet.numTables <=
+                       sharding.placement.numTables(),
+                   "query tables outside the placement");
         // Multi-model namespaces: cache each model's own popularity
         // weights (drawn in its local table space) once.
         popularityOfModel.reserve(sharding.models.size());
@@ -409,10 +416,15 @@ class ShardAwarePolicy final : public RoutingPolicy
             obs_->onTablesTouched(tables);
 
         // Single-hop when some accepting machine holds every table
-        // the query touches (always true under full replication).
+        // the query touches (always true under full replication):
+        // the accepting holders of its least-replicated table that
+        // hold the rest, as all do when that table is on every machine.
+        const std::vector<uint32_t>& holders = placement.fewestHolders(tables);
+        const bool everywhere = holders.size() == view.numMachines();
         candidates.clear();
-        for (size_t m = 0; m < view.numMachines(); m++) {
-            if (view.accepting(m) && placement.holdsAll(m, tables))
+        for (uint32_t m : holders) {
+            if (view.accepting(m) &&
+                (everywhere || placement.holdsAll(m, tables)))
                 candidates.push_back(m);
         }
         if (!candidates.empty()) {
@@ -425,30 +437,37 @@ class ShardAwarePolicy final : public RoutingPolicy
         }
 
         // Greedy set cover over replicas; the first pick covers the
-        // most tables and leads.
+        // most tables and leads. Each pick tallies the cover of every
+        // accepting holder of a still-uncovered table; a picked machine
+        // holds no uncovered table afterwards, so it is never tallied
+        // again.
         std::vector<ShardTarget> parts;
-        std::vector<bool> used(view.numMachines(), false);
-        std::vector<bool> covered(tables.size(), false);
+        covered.assign(tables.size(), false);
         size_t uncovered = tables.size();
         while (uncovered > 0) {
+            tallied.clear();
+            for (size_t i = 0; i < tables.size(); i++) {
+                if (covered[i])
+                    continue;
+                for (uint32_t m : placement.machinesOfTable(tables[i])) {
+                    if (view.accepting(m) && cover[m]++ == 0)
+                        tallied.push_back(m);
+                }
+            }
+            // Pick the most cover, then the lower load signal, then
+            // the lower index. Leaves the tally zeroed.
             size_t best = view.numMachines();
             size_t best_cover = 0;
             double best_load = 0.0;
-            for (size_t m = 0; m < view.numMachines(); m++) {
-                if (used[m] || !view.accepting(m))
-                    continue;
-                size_t cover = 0;
-                for (size_t i = 0; i < tables.size(); i++) {
-                    if (!covered[i] && placement.holds(m, tables[i]))
-                        cover++;
-                }
-                if (cover == 0)
-                    continue;
+            for (uint32_t m : tallied) {
+                const size_t c = std::exchange(cover[m], 0);
                 const double load = view.loadSignal(m);
-                if (best == view.numMachines() || cover > best_cover ||
-                    (cover == best_cover && load < best_load)) {
+                if (best == view.numMachines() || c > best_cover ||
+                    (c == best_cover &&
+                     (load < best_load ||
+                      (load == best_load && m < best)))) {
                     best = m;
-                    best_cover = cover;
+                    best_cover = c;
                     best_load = load;
                 }
             }
@@ -459,7 +478,6 @@ class ShardAwarePolicy final : public RoutingPolicy
             // cover every table and static tiers accept everywhere.
             if (best == view.numMachines())
                 return {};
-            used[best] = true;
             ShardTarget part;
             part.machine = static_cast<uint32_t>(best);
             part.leader = parts.empty();
@@ -491,6 +509,10 @@ class ShardAwarePolicy final : public RoutingPolicy
     /** Per-model weights of a multi-model tier (local table spaces). */
     std::vector<std::vector<double>> popularityOfModel;
     std::vector<size_t> candidates;    ///< scratch, reused per call
+    std::vector<bool> covered;         ///< scratch: per touched table
+    std::vector<uint32_t> tallied;     ///< scratch: machines with cover
+    /** Cover tally per machine; all zero between set-cover picks. */
+    std::vector<size_t> cover;
     obs::RunObserver* obs_ = nullptr;  ///< per-table load reporting
 };
 

@@ -105,20 +105,26 @@ byPopularityDesc(const std::vector<EmbeddingTableInfo>& tables)
     return order;
 }
 
+/** Insert @p value into the ascending list @p list, keeping it so. */
+void
+insertSorted(std::vector<uint32_t>& list, uint32_t value)
+{
+    list.insert(std::upper_bound(list.begin(), list.end(), value), value);
+}
+
 } // namespace
 
 bool
 ShardPlacement::assign(uint32_t table, size_t machine, uint64_t bytes,
                        const std::vector<uint64_t>& budgets)
 {
-    if (holds_[machine][table])
+    if (holds(machine, table))
         return true;
     if (freeBytes(budgets[machine], bytesOnMachine_[machine]) < bytes)
         return false;
-    holds_[machine][table] = true;
     bytesOnMachine_[machine] += bytes;
-    tablesOnMachine_[machine].push_back(table);
-    machinesOfTable_[table].push_back(static_cast<uint32_t>(machine));
+    insertSorted(tablesOnMachine_[machine], table);
+    insertSorted(machinesOfTable_[table], static_cast<uint32_t>(machine));
     return true;
 }
 
@@ -136,9 +142,28 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
     p.bytesOnMachine_.assign(budget_bytes.size(), 0);
     p.tablesOnMachine_.assign(budget_bytes.size(), {});
     p.machinesOfTable_.assign(tables.size(), {});
-    p.holds_.assign(budget_bytes.size(),
-                    std::vector<bool>(tables.size(), false));
     const size_t machines = budget_bytes.size();
+
+    // The machine with the most free bytes that fits table @p t and
+    // does not hold it yet, the lowest index on ties; `machines` when
+    // none fits.
+    auto most_free = [&](const EmbeddingTableInfo& t) {
+        size_t best = machines;
+        uint64_t best_free = 0;
+        for (size_t m = 0; m < machines; m++) {
+            // The holder list is a few replicas; the machine's own
+            // table list can be long.
+            if (std::ranges::binary_search(p.machinesOfTable_[t.id], m))
+                continue;
+            const uint64_t free =
+                freeBytes(budget_bytes[m], p.bytesOnMachine_[m]);
+            if (free >= t.bytes && (best == machines || free > best_free)) {
+                best = m;
+                best_free = free;
+            }
+        }
+        return best;
+    };
 
     // Greedy single-copy placement of the tables listed in @p order:
     // each goes to the machine with the most free bytes that fits it.
@@ -147,17 +172,7 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
             const EmbeddingTableInfo& t = tables[idx];
             if (!p.machinesOfTable_[t.id].empty())
                 continue;    // already replicated by a hot phase
-            size_t best = machines;
-            uint64_t best_free = 0;
-            for (size_t m = 0; m < machines; m++) {
-                const uint64_t free =
-                    freeBytes(budget_bytes[m], p.bytesOnMachine_[m]);
-                if (free >= t.bytes && (best == machines ||
-                                        free > best_free)) {
-                    best = m;
-                    best_free = free;
-                }
-            }
+            const size_t best = most_free(t);
             if (best < machines)
                 p.assign(t.id, best, t.bytes, budget_bytes);
         }
@@ -186,11 +201,9 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
                        spec.hotReplicaFraction <= 1.0,
                    "hot replica fraction must be in [0, 1]");
         uint64_t hot_bytes = 0;
-        std::vector<size_t> cold;
-        bool replicating = true;
         for (size_t idx : byPopularityDesc(tables)) {
             const EmbeddingTableInfo& t = tables[idx];
-            bool fits_everywhere = replicating;
+            bool fits_everywhere = true;
             for (size_t m = 0; fits_everywhere && m < machines; m++) {
                 if (budget_bytes[m] == 0)
                     continue;    // unconstrained machine
@@ -199,22 +212,14 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
                 fits_everywhere =
                     static_cast<double>(hot_bytes + t.bytes) <= reserve;
             }
-            if (fits_everywhere) {
-                hot_bytes += t.bytes;
-                for (size_t m = 0; m < machines; m++)
-                    p.assign(t.id, m, t.bytes, budget_bytes);
-            } else {
-                replicating = false;    // popularity prefix only
-                cold.push_back(idx);
-            }
+            if (!fits_everywhere)
+                break;    // popularity prefix only
+            hot_bytes += t.bytes;
+            for (size_t m = 0; m < machines; m++)
+                p.assign(t.id, m, t.bytes, budget_bytes);
         }
         // Cold phase: single copy each, largest first.
-        std::sort(cold.begin(), cold.end(), [&](size_t a, size_t b) {
-            if (tables[a].bytes != tables[b].bytes)
-                return tables[a].bytes > tables[b].bytes;
-            return tables[a].id < tables[b].id;
-        });
-        place_greedy(cold);
+        place_greedy(bySizeDesc(tables));
         break;
       }
     }
@@ -229,19 +234,7 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
         for (size_t idx : bySizeDesc(tables)) {
             const EmbeddingTableInfo& t = tables[idx];
             while (p.machinesOfTable_[t.id].size() < spec.minReplicas) {
-                size_t best = machines;
-                uint64_t best_free = 0;
-                for (size_t m = 0; m < machines; m++) {
-                    if (p.holds_[m][t.id])
-                        continue;
-                    const uint64_t free =
-                        freeBytes(budget_bytes[m], p.bytesOnMachine_[m]);
-                    if (free >= t.bytes &&
-                        (best == machines || free > best_free)) {
-                        best = m;
-                        best_free = free;
-                    }
-                }
+                const size_t best = most_free(t);
                 if (best == machines ||
                     !p.assign(t.id, best, t.bytes, budget_bytes))
                     break;
@@ -249,8 +242,6 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
         }
     }
 
-    for (auto& on_machine : p.tablesOnMachine_)
-        std::sort(on_machine.begin(), on_machine.end());
     p.feasible_ = !tables.empty();
     for (const auto& replicas : p.machinesOfTable_) {
         if (replicas.empty()) {
@@ -261,20 +252,27 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
     return p;
 }
 
+const std::vector<uint32_t>&
+ShardPlacement::fewestHolders(const std::vector<uint32_t>& tables) const
+{
+    drs_assert(!tables.empty(), "fewestHolders needs a table");
+    return machinesOfTable_[*std::ranges::min_element(
+        tables, {}, [&](uint32_t t) { return machinesOfTable_[t].size(); })];
+}
+
 bool
 ShardPlacement::holds(size_t m, uint32_t t) const
 {
-    return m < holds_.size() && t < holds_[m].size() && holds_[m][t];
+    return m < tablesOnMachine_.size() &&
+           std::binary_search(tablesOnMachine_[m].begin(),
+                              tablesOnMachine_[m].end(), t);
 }
 
 bool
 ShardPlacement::holdsAll(size_t m, const std::vector<uint32_t>& tables) const
 {
-    for (uint32_t t : tables) {
-        if (!holds(m, t))
-            return false;
-    }
-    return true;
+    return std::all_of(tables.begin(), tables.end(),
+                       [&](uint32_t t) { return holds(m, t); });
 }
 
 uint64_t

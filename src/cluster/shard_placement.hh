@@ -103,9 +103,13 @@ struct PlacementSpec
 };
 
 /**
- * An assignment of embedding tables to machines. Query-time views
- * (which machines hold table t; does machine m hold all of a set) are
- * precomputed so the router's per-query work stays O(tables touched).
+ * An assignment of embedding tables to machines, kept once as two
+ * ascending holder lists: the tables on each machine and the machines
+ * holding each table. Per-table questions walk the holders of the
+ * tables asked about, so the router's per-query work is O(tables
+ * touched x replicas): independent of the machine count when tables
+ * have a few replicas each, and a walk of the whole tier only when
+ * every table the query touches is on every machine.
  */
 class ShardPlacement
 {
@@ -149,10 +153,18 @@ class ShardPlacement
         return machinesOfTable_[t];
     }
 
-    /** True when machine @p m holds a replica of table @p t. */
+    /** The holders of whichever table in @p tables has the fewest
+     *  (the first such table on ties). Every machine that holds all of
+     *  @p tables is on it; @p tables must not be empty. */
+    const std::vector<uint32_t>&
+    fewestHolders(const std::vector<uint32_t>& tables) const;
+
+    /** True when machine @p m holds a replica of table @p t: a binary
+     *  search of tablesOnMachine(m). */
     bool holds(size_t m, uint32_t t) const;
 
-    /** True when machine @p m holds every table in @p tables. */
+    /** True when machine @p m holds every table in @p tables: one
+     *  holds() per table. */
     bool holdsAll(size_t m, const std::vector<uint32_t>& tables) const;
 
     /** Total replicas across machines (= numTables when single-copy). */
@@ -187,7 +199,6 @@ class ShardPlacement
     std::vector<uint64_t> bytesOnMachine_;
     std::vector<std::vector<uint32_t>> tablesOnMachine_;
     std::vector<std::vector<uint32_t>> machinesOfTable_;
-    std::vector<std::vector<bool>> holds_;   ///< [machine][table]
 };
 
 /**

@@ -6,14 +6,16 @@
  * static cluster simulator when no scale event fires, bitwise
  * determinism across repeated runs and thread counts, an injected
  * router running as the spec-built one, shard-placement
- * re-validation refusing drains that would orphan a table, and the
- * headline property — the reactive policy beats the static peak plan
- * on machine-hours over a 2x diurnal day without violating the SLA.
+ * re-validation refusing drains that would orphan a table, a pinned
+ * sharded elastic day, and the headline property — the reactive
+ * policy beats the static peak plan on machine-hours over a 2x
+ * diurnal day without violating the SLA.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "base/thread_pool.hh"
@@ -519,6 +521,55 @@ TEST(Autoscaler, ShardDrainAllowedUnderFullReplication)
 
     EXPECT_EQ(r.minServingMachines, 2u);
     EXPECT_EQ(r.numCompleted, trace.size());
+}
+
+TEST(AutoscalePin, ShardedElasticDayScalesAndServesTheSame)
+{
+    // Six machines with 2/3/4 GB budgets, two replicas per table where
+    // they fit, five accepting at the start: the reactive policy's
+    // first scale-downs pass drain re-validation and later ones are
+    // refused. Pins every scale decision and every latency bit.
+    const std::vector<EmbeddingTableInfo> tables =
+        embeddingTables(modelConfig(ModelId::DlrmRmc2));
+    AutoscaleSpec spec = flatSpec(0);
+    for (size_t m = 0; m < 6; m++)
+        spec.cluster.machines.push_back(
+            cpuMachine((2 + m % 3) * 1'000'000'000ULL));
+    const ShardPlacement placement = ShardPlacement::build(
+        tables, machineMemoryBudgets(spec.cluster.machines),
+        PlacementSpec{.minReplicas = 2});
+    ASSERT_TRUE(placement.feasible());
+    spec.cluster.sharding = ShardingConfig{
+        placement,
+        TableSetSpec{.numTables = static_cast<uint32_t>(tables.size()),
+                     .tablesPerQuery = 4}};
+    spec.cluster.network.hopSeconds = 150e-6;
+    spec.cluster.network.gigabytesPerSecond = 12.5;
+    spec.routing.kind = RoutingKind::ShardAware;
+    spec.initialMachines = 5;
+    const QueryTrace trace = diurnalTrace(spec, 6000.0, 3.0, 20.0);
+    ScalingPolicySpec reactive;
+    reactive.kind = ScalingPolicyKind::Reactive;
+    const AutoscaleResult r = Autoscaler(spec).run(trace, reactive);
+
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; i++) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    bool refused_drain = false;
+    for (const ScaleEvent& ev : r.scaleEvents) {
+        mix(ev.target);
+        mix(ev.granted);
+        refused_drain |= ev.granted > ev.target;
+    }
+    for (double latency : r.fleetLatencySeconds.raw())
+        mix(std::bit_cast<uint64_t>(latency));
+    EXPECT_TRUE(refused_drain);
+    EXPECT_EQ(r.numCompleted, trace.size());
+    EXPECT_EQ(h, 0x73a81edb986ec1c6ULL);
 }
 
 TEST(ScalingPolicies, FactoryBuildsEveryKindWithNames)

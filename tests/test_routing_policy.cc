@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 
 #include "cluster/cluster_sim.hh"
 #include "cluster/routing_policy.hh"
+#include "base/random.hh"
 #include "loadgen/query_stream.hh"
 #include "models/model_config.hh"
 
@@ -502,6 +505,238 @@ TEST(RoutingPin, EveryPolicyRoutesEveryQueryToTheSameMachines)
         EXPECT_GT(r.overload.dropped, 0u);
         EXPECT_EQ(routingHash(r), pinned.at(kind));
     }
+}
+
+TEST(RoutingPin, HedgedReplicatedTierRoutesEveryQueryToTheSameMachines)
+{
+    // Eight machines with 2/3/4 GB budgets and three replicas per
+    // table where they fit: extra replicas land out of index order,
+    // so routing and hedging walk holder lists the placement had to
+    // sort. Crashes fail parts over; hedges duplicate slow parts.
+    const ModelConfig rmc2 = modelConfig(ModelId::DlrmRmc2);
+    ClusterConfig cfg;
+    for (size_t m = 0; m < 8; m++) {
+        SimConfig machine = cpuMachine(m % 2 == 0 ? 1.0 : 1.3);
+        machine.memoryBytes = (2 + m % 3) * 1'000'000'000ULL;
+        cfg.machines.push_back(machine);
+    }
+    cfg.network.hopSeconds = 150e-6;
+    cfg.network.gigabytesPerSecond = 12.5;
+    const ShardPlacement placement = ShardPlacement::build(
+        embeddingTables(rmc2), machineMemoryBudgets(cfg.machines),
+        PlacementSpec{.minReplicas = 3});
+    ASSERT_TRUE(placement.feasible());
+    cfg.sharding = ShardingConfig{
+        placement,
+        TableSetSpec{.numTables = static_cast<uint32_t>(rmc2.numTables),
+                     .tablesPerQuery = 8}};
+    cfg.faults.crashesPerHour = 3600.0;
+    cfg.faults.repairSeconds = 0.1;
+    cfg.faults.maxFailovers = 2;
+    cfg.hedge.delaySeconds = 0.004;
+
+    LoadSpec load;
+    load.qps = 6000.0;
+    load.arrivalSeed = 0x6ed9;
+    load.sizeSeed = 0x6eda;
+    const QueryTrace trace = QueryStream(load).generate(4000);
+    const ClusterResult r =
+        ClusterSimulator(cfg).run(trace, RoutingSpec{RoutingKind::ShardAware});
+    EXPECT_GT(r.faults.crashes, 0u);
+    EXPECT_GT(r.faults.hedged, 0u);
+    EXPECT_EQ(routingHash(r), 0x80e8a5a35c29573eULL);
+}
+
+/**
+ * The shard-aware router as a scan over every machine: the reference
+ * the holder-list router must match plan for plan. @p holds is the
+ * placement as a [machine][table] bitmap.
+ */
+std::vector<ShardTarget>
+scanRouteParts(const std::vector<std::vector<bool>>& holds,
+               const std::vector<uint32_t>& tables, const ClusterView& view)
+{
+    const size_t n = view.numMachines();
+    size_t whole = n;
+    for (size_t m = 0; m < n; m++) {
+        const bool all = std::ranges::all_of(
+            tables, [&](uint32_t t) { return holds[m][t]; });
+        if (view.accepting(m) && all &&
+            (whole == n || view.loadSignal(m) < view.loadSignal(whole)))
+            whole = m;
+    }
+    if (whole < n) {
+        ShardTarget part;
+        part.machine = static_cast<uint32_t>(whole);
+        part.leader = true;
+        return {part};
+    }
+    std::vector<ShardTarget> parts;
+    std::vector<bool> used(n, false);
+    std::vector<bool> covered(tables.size(), false);
+    size_t uncovered = tables.size();
+    while (uncovered > 0) {
+        size_t best = n;
+        size_t best_cover = 0;
+        for (size_t m = 0; m < n; m++) {
+            if (used[m] || !view.accepting(m))
+                continue;
+            size_t cover = 0;
+            for (size_t i = 0; i < tables.size(); i++)
+                cover += !covered[i] && holds[m][tables[i]];
+            if (cover > 0 &&
+                (best == n || cover > best_cover ||
+                 (cover == best_cover &&
+                  view.loadSignal(m) < view.loadSignal(best)))) {
+                best = m;
+                best_cover = cover;
+            }
+        }
+        if (best == n)
+            return {};
+        used[best] = true;
+        ShardTarget part;
+        part.machine = static_cast<uint32_t>(best);
+        part.leader = parts.empty();
+        for (size_t i = 0; i < tables.size(); i++) {
+            if (!covered[i] && holds[best][tables[i]]) {
+                covered[i] = true;
+                uncovered--;
+                part.tables.push_back(tables[i]);
+            }
+        }
+        part.embFraction = static_cast<double>(best_cover) /
+                           static_cast<double>(tables.size());
+        parts.push_back(std::move(part));
+    }
+    return parts;
+}
+
+/** The tables query @p q touches, drawn as the shard-aware router
+ *  draws them (in its model's namespace on a multi-model tier). */
+std::vector<uint32_t>
+touchedTables(const ShardingConfig& sharding, const Query& q)
+{
+    const ModelTableSpace space = sharding.models.empty()
+        ? ModelTableSpace{sharding.tableSet, 0}
+        : sharding.models[q.model];
+    std::vector<uint32_t> tables = tablesOfQuery(
+        q.id, space.set, tablePopularity(space.set.numTables, space.set.zipfS));
+    for (uint32_t& t : tables)
+        t += space.base;
+    return tables;
+}
+
+TEST(ShardAwareRouting, HolderListRouterMatchesTheMachineScan)
+{
+    // Random placements (every strategy, 1-3 replicas, heterogeneous
+    // budgets, some on a two-model table namespace), random down
+    // machines and random load: every plan equals the scan's.
+    Rng rng(0xd1ffULL);
+    const auto draw = [&rng](int64_t lo, int64_t hi) {
+        return static_cast<size_t>(rng.uniformInt(lo, hi));
+    };
+    size_t single_hop = 0;
+    size_t fanned = 0;
+    size_t empty = 0;
+    for (PlacementStrategy strategy : allPlacementStrategies()) {
+        for (uint32_t replicas = 1; replicas <= 3; replicas++) {
+            for (int trial = 0; trial < 4; trial++) {
+                SCOPED_TRACE(std::string(placementStrategyName(strategy)) +
+                             " x" + std::to_string(replicas) + " trial " +
+                             std::to_string(trial));
+                const size_t n = draw(4, 24);
+                const uint32_t num_tables =
+                    static_cast<uint32_t>(draw(8, 48));
+                const std::vector<double> weights =
+                    tablePopularity(num_tables, 1.1);
+                std::vector<EmbeddingTableInfo> tables;
+                uint64_t total = 0;
+                for (uint32_t t = 0; t < num_tables; t++) {
+                    tables.push_back({t, draw(1, 13) * 100'000'000ULL,
+                                      weights[t]});
+                    total += tables.back().bytes;
+                }
+                std::vector<uint64_t> budgets;
+                for (size_t m = 0; m < n; m++) {
+                    budgets.push_back(draw(0, 15) == 0
+                        ? 0    // unconstrained
+                        : std::max<uint64_t>(1'300'000'000ULL,
+                                             total * draw(15, 40) /
+                                                 (10 * n)));
+                }
+                ShardingConfig sharding{
+                    ShardPlacement::build(
+                        tables, budgets,
+                        PlacementSpec{.strategy = strategy,
+                                      .minReplicas = replicas}),
+                    TableSetSpec{.numTables = num_tables,
+                                 .tablesPerQuery =
+                                     static_cast<uint32_t>(draw(1, 10))}};
+                ASSERT_TRUE(sharding.placement.feasible());
+                if (trial % 2 == 1) {
+                    // Two models splitting the table id space.
+                    const uint32_t first = num_tables / 2;
+                    for (uint32_t k = 0; k < 2; k++) {
+                        sharding.models.push_back(
+                            {TableSetSpec{
+                                 .numTables = k == 0 ? first
+                                                     : num_tables - first,
+                                 .tablesPerQuery =
+                                     static_cast<uint32_t>(draw(1, 6)),
+                                 .seed = 0x7ab1e5ULL + k},
+                             k == 0 ? 0 : first});
+                    }
+                }
+                std::vector<std::vector<bool>> holds(
+                    n, std::vector<bool>(num_tables, false));
+                for (size_t m = 0; m < n; m++) {
+                    for (uint32_t t : sharding.placement.tablesOnMachine(m))
+                        holds[m][t] = true;
+                }
+                const auto policy = makeRoutingPolicy(
+                    {RoutingKind::ShardAware}, &sharding);
+                std::vector<SimConfig> configs;
+                for (size_t m = 0; m < n; m++)
+                    configs.push_back(cpuMachine(1.0 + 0.5 * draw(0, 2)));
+
+                for (int state = 0; state < 6; state++) {
+                    ClusterView view(configs);
+                    for (size_t m = 0; m < n; m++) {
+                        view.setAccepting(m, draw(0, 3) != 0);
+                        addInFlight(view, m, draw(0, 3));
+                        queueWork(view, m, draw(0, 2));
+                    }
+                    for (int i = 0; i < 40; i++) {
+                        const Query q = query(
+                            draw(0, 1'000'000), 10,
+                            static_cast<uint16_t>(
+                                sharding.models.empty() ? 0 : draw(0, 1)));
+                        const std::vector<ShardTarget> got =
+                            policy->routeParts(q, view);
+                        const std::vector<ShardTarget> want = scanRouteParts(
+                            holds, touchedTables(sharding, q), view);
+                        ASSERT_EQ(got.size(), want.size());
+                        for (size_t k = 0; k < got.size(); k++) {
+                            EXPECT_EQ(got[k].machine, want[k].machine);
+                            EXPECT_EQ(got[k].leader, want[k].leader);
+                            EXPECT_EQ(got[k].tables, want[k].tables);
+                            EXPECT_EQ(std::bit_cast<uint64_t>(
+                                          got[k].embFraction),
+                                      std::bit_cast<uint64_t>(
+                                          want[k].embFraction));
+                        }
+                        single_hop += got.size() == 1;
+                        fanned += got.size() > 1;
+                        empty += got.empty();
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(single_hop, 100u);
+    EXPECT_GT(fanned, 100u);
+    EXPECT_GT(empty, 100u);
 }
 
 } // namespace

@@ -170,6 +170,52 @@ TEST(ShardPlacement, HotColdReplicatesThePopularPrefix)
     EXPECT_EQ(full.totalReplicas(), tables.size() * 4);
 }
 
+TEST(ShardPlacement, HolderListsAscendAndMirrorEachOther)
+{
+    // 40 tables of 0.1-1.3 GB on 16 machines with 2/3/4 GB budgets:
+    // extra replicas go to whichever machine has the most free bytes,
+    // out of index order, and both lists must still come out sorted.
+    const std::vector<double> weights = tablePopularity(40, 1.1);
+    std::vector<EmbeddingTableInfo> tables;
+    for (uint32_t t = 0; t < 40; t++)
+        tables.push_back({t, (1 + (t * 7) % 13) * kGB / 10, weights[t]});
+    std::vector<uint64_t> budgets;
+    for (uint64_t m = 0; m < 16; m++)
+        budgets.push_back((2 + m % 3) * kGB);
+
+    const auto strictly_ascending = [](const std::vector<uint32_t>& list) {
+        return std::ranges::adjacent_find(
+                   list, std::ranges::greater_equal{}) == list.end();
+    };
+    for (PlacementStrategy strategy : allPlacementStrategies()) {
+        for (uint32_t replicas = 1; replicas <= 3; replicas++) {
+            SCOPED_TRACE(std::string(placementStrategyName(strategy)) +
+                         " x" + std::to_string(replicas));
+            const ShardPlacement p = ShardPlacement::build(
+                tables, budgets,
+                PlacementSpec{.strategy = strategy,
+                              .minReplicas = replicas});
+            ASSERT_TRUE(p.feasible());
+            for (uint32_t t = 0; t < tables.size(); t++)
+                EXPECT_TRUE(strictly_ascending(p.machinesOfTable(t)))
+                    << "table " << t;
+            for (size_t m = 0; m < budgets.size(); m++) {
+                EXPECT_TRUE(strictly_ascending(p.tablesOnMachine(m)))
+                    << "machine " << m;
+                for (uint32_t t = 0; t < tables.size(); t++) {
+                    const bool on_machine =
+                        std::ranges::count(p.tablesOnMachine(m), t) == 1;
+                    const bool of_table =
+                        std::ranges::count(p.machinesOfTable(t), m) == 1;
+                    EXPECT_EQ(on_machine, of_table)
+                        << "machine " << m << ", table " << t;
+                    EXPECT_EQ(p.holds(m, t), on_machine);
+                }
+            }
+        }
+    }
+}
+
 TEST(TablesOfQuery, DeterministicDistinctAndBounded)
 {
     TableSetSpec spec;
