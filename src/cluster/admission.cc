@@ -149,14 +149,10 @@ AdmissionController::bestServiceSeconds(const ClusterView& view,
                                         bool include_dense,
                                         uint32_t model) const
 {
-    // Only machines that carry a binding for the query's model are
-    // admission candidates — a colocated tier may be partially
-    // heterogeneous, and a machine that cannot serve the model has no
-    // binding to price it with.
     double best = std::numeric_limits<double>::infinity();
     const size_t n = view.numMachines();
     for (size_t m = 0; m < n; ++m) {
-        if (view.accepting(m) && view.servesModel(m, model))
+        if (view.accepting(m))
             best = std::min(best, partServiceSeconds(m, size, emb_fraction,
                                                      include_dense, model));
     }

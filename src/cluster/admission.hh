@@ -434,8 +434,8 @@ class AdmissionController
                               double emb_fraction, bool include_dense,
                               uint32_t model = 0) const;
 
-    /** Cheapest machine's price for a part shape over the machines
-     *  that are accepting *and* carry a binding for @p model. */
+    /** Cheapest accepting machine's price for a part shape of mix
+     *  model @p model; every machine binds the whole mix. */
     double bestServiceSeconds(const ClusterView& view, uint32_t size,
                               double emb_fraction, bool include_dense,
                               uint32_t model = 0) const;

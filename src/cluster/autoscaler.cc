@@ -677,13 +677,6 @@ Autoscaler::Autoscaler(AutoscaleSpec spec) : spec_(std::move(spec))
         drs_fatal("warm-up delay cannot be negative");
     if (spec_.initialMachines > cfg.machines.size())
         drs_fatal("initial machines exceed the tier");
-    // Machines power on and off, so every machine must serve the whole
-    // mix or a scale-down could strand a model unservable.
-    for (const SimConfig& machine : cfg.machines) {
-        if (machine.numModels() < cfg.modelMix.size())
-            drs_fatal("every elastic machine needs a binding per mix "
-                      "entry");
-    }
     if (cfg.sharding.has_value()) {
         // The machines accepting at trace start must already cover
         // every table — the mirror of the drain re-validation: a

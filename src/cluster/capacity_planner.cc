@@ -40,18 +40,10 @@ planCapacity(const CapacityPlanSpec& spec)
     const bool sharded = !spec.tables.empty();
     if (sharded && spec.tableSet.numTables != spec.tables.size())
         drs_fatal("table-set model must match the table list");
-    const bool mixOn = !spec.modelMix.empty();
-    if (mixOn) {
-        if (sharded)
-            drs_fatal("multi-model plans must be unsharded — a colocated "
-                      "placement depends on the fixed tier size "
-                      "(colocatedSharding); drive ClusterSimulator "
-                      "directly");
-        for (const SimConfig& m : spec.unitMachines)
-            if (m.numModels() < spec.modelMix.size())
-                drs_fatal("every unit machine needs a binding per mix "
-                          "entry");
-    }
+    if (!spec.modelMix.empty() && sharded)
+        drs_fatal("multi-model plans must be unsharded — a colocated "
+                  "placement depends on the fixed tier size "
+                  "(colocatedSharding); drive ClusterSimulator directly");
 
     CapacityPlan plan;
 

@@ -51,7 +51,7 @@ ClusterLoop::ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
                          obs::RunObserver* obs, ClusterResult& result)
     : cfg(cfg), trace(trace), obs(obs), result(result),
       t0(trace.empty() ? 0.0 : trace.front().arrivalSeconds),
-      view(cfg.machines, std::max<size_t>(1, cfg.modelMix.size()), t0),
+      view(cfg.machines, t0),
       router(router), members(members), eagerClock(members.eagerClock()),
       queryBooks(members.queryBooks()), mixOn(!cfg.modelMix.empty()),
       numMix(std::max<size_t>(1, cfg.modelMix.size())),
@@ -178,8 +178,7 @@ ClusterLoop::finishPart(uint64_t part_idx, double now, bool gpu)
                                                   : stamps.leader) = times;
         }
     }
-    view.flightSub(part.machine, queries[part.queryIdx].model,
-                   "completion with nothing in flight");
+    view.flightSub(part.machine, "completion with nothing in flight");
     part.done = true;
     const uint32_t m = part.machine;
     deliverPart(part_idx, now);
@@ -239,7 +238,7 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
                    "join phase with no pending leadership");
         pendingJoins[q.machine]--;
         q.joinLeadership = false;
-        view.flightAdd(q.machine, q.model);
+        view.flightAdd(q.machine);
         result.perMachine[q.machine].joinPhases++;
         events.push(q.leaderReady, SimEvent::Kind::JoinPhase, q.machine,
                     dense_idx);
@@ -319,8 +318,7 @@ ClusterLoop::cancelPart(uint64_t part_idx, double now)
     PartRec& part = parts[part_idx];
     part.cancelled = true;
     checkPart(part_idx);
-    view.flightSub(part.machine, queries[part.queryIdx].model,
-                   "cancel with nothing in flight");
+    view.flightSub(part.machine, "cancel with nothing in flight");
     members.workDone(*this, part.machine, now);
 }
 
@@ -333,8 +331,7 @@ ClusterLoop::lostPartFate(uint64_t part_idx, double now)
     PartRec& part = parts[part_idx];
     part.cancelled = true;
     checkPart(part_idx);
-    view.flightSub(part.machine, queries[part.queryIdx].model,
-                   "lost part with nothing in flight");
+    view.flightSub(part.machine, "lost part with nothing in flight");
     result.faults.partsLost++;
     if (staleDispatch(part))
         return;    // that dispatch already died
@@ -401,7 +398,7 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
              .gen = q.gen});
         parts[pi].partner = dup_idx;
         q.heldParts++;
-        view.flightAdd(to, q.model);
+        view.flightAdd(to);
         result.perMachine[to].remoteParts++;
         result.numParts++;
         if (queryBooks)
@@ -550,7 +547,7 @@ ClusterLoop::present(uint64_t idx, double now)
         drs_assert(view.accepting(m),
                    "policy routed to a non-accepting machine");
         view.engine(m).advanceTo(now);
-        view.flightAdd(m, q.model);
+        view.flightAdd(m);
         if (target.leader) {
             leaders++;
             q.machine = m;

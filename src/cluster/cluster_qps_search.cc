@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "sim/rate_search.hh"
 
 namespace deeprecsys {
 
@@ -76,14 +75,7 @@ findClusterMaxQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec)
         .relTolerance = 0.02,
         .growthStart = 64.0 * static_cast<double>(cluster.machines.size())};
 
-    RateSearchOutcome<ClusterResult> found =
-        findMaxRateUnderSla<ClusterResult>(eval, knobs);
-
-    ClusterQpsResult result;
-    result.maxQps = found.maxRate;
-    result.atMax = std::move(found.atMax);
-    result.evaluations = found.evaluations;
-    return result;
+    return findMaxRateUnderSla<ClusterResult>(eval, knobs);
 }
 
 } // namespace deeprecsys

@@ -30,6 +30,7 @@
 
 #include "cluster/cluster_sim.hh"
 #include "loadgen/query_stream.hh"
+#include "sim/rate_search.hh"
 
 namespace deeprecsys {
 
@@ -49,15 +50,10 @@ struct ClusterQpsSpec
     RoutingSpec routing;        ///< router policy under test
 };
 
-/** Outcome of a cluster max-QPS search. */
-struct ClusterQpsResult
-{
-    double maxQps = 0.0;        ///< 0 when the SLA is unachievable
-    ClusterResult atMax;        ///< cluster stats at the found rate
-
-    /** Candidate rates the search evaluated (see sim/rate_search.hh). */
-    size_t evaluations = 0;
-};
+/** Outcome of a cluster max-QPS search: the found rate, the cluster
+ *  stats at it, and the candidates evaluated (see
+ *  sim/rate_search.hh). */
+using ClusterQpsResult = RateSearchOutcome<ClusterResult>;
 
 /**
  * Per-model SLA feasibility of one evaluated run: every mix entry

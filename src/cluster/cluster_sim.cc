@@ -1,7 +1,5 @@
 #include "cluster_sim.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "cluster/cluster_loop.hh"
 #include "loadgen/query_stream.hh"
@@ -73,14 +71,17 @@ validateClusterConfig(const ClusterConfig& cfg, const char* tier)
                   " models exceeds the ", kMaxMixModels, " a query can name");
     if (!cfg.modelMix.empty()) {
         // Fraction rules are the trace splitter's (non-negative, sum
-        // to 1); every mix model needs a binding somewhere or no
-        // routing policy could legally place its queries.
+        // to 1). Every machine serves the whole mix, so every routing
+        // policy, admission estimate and scale-down may pick any
+        // accepting machine for any query.
         (void)splitCountByFraction(mixFractions(cfg.modelMix), 0);
-        size_t max_served = 0;
-        for (const SimConfig& machine : cfg.machines)
-            max_served = std::max(max_served, machine.numModels());
-        if (max_served < cfg.modelMix.size())
-            drs_fatal(tier, ": no machine serves the mix's last model");
+        for (size_t m = 0; m < cfg.machines.size(); m++) {
+            if (cfg.machines[m].numModels() < cfg.modelMix.size())
+                drs_fatal(tier, ": machine ", m, " binds ",
+                          cfg.machines[m].numModels(), " of the mix's ",
+                          cfg.modelMix.size(), " models; every machine "
+                          "needs a binding per mix entry");
+        }
         if (cfg.modelMix.size() > 1 && cfg.sharding.has_value() &&
             cfg.sharding->models.size() != cfg.modelMix.size())
             drs_fatal(tier, ": a multi-model sharded tier needs one table "

@@ -114,8 +114,9 @@ struct ClusterConfig
     /**
      * The model mix a colocated tier serves (cluster/model_mix.hh):
      * Query::model indexes this vector, every machine must carry a
-     * binding for each model it receives, and per-model statistics
-     * (ClusterResult::perModel) and SLA checks key off it. Empty on
+     * binding for every entry (colocatedMachine builds one), and
+     * per-model statistics (ClusterResult::perModel) and SLA checks
+     * key off it. Empty on
      * single-model tiers — the historical configuration, in which the
      * whole multi-model layer is bitwise invisible. Traffic fractions
      * must sum to 1; a multi-model *sharded* tier additionally needs
@@ -131,12 +132,13 @@ constexpr size_t kMaxClusterMachines = size_t{1} << 16;
 /**
  * Check a tier's configuration, reporting the first error through
  * drs_fatal: 1..kMaxClusterMachines valid machines, a well-formed
- * model mix of at most kMaxMixModels models, a priority-class count
- * a query can carry, a placement that fits the tier and its memory
- * budgets, a fault plan the placement survives, a hedge on a sharded
- * tier, and an enabled overload policy's cap, deadline, priority
- * margin and retry parameters. @p tier names the tier in the message.
- * Both cluster facades call it at construction.
+ * model mix of at most kMaxMixModels models that every machine binds
+ * in full, a priority-class count a query can carry, a placement that
+ * fits the tier and its memory budgets, a fault plan the placement
+ * survives, a hedge on a sharded tier, and an enabled overload
+ * policy's cap, deadline, priority margin and retry parameters. @p tier names the tier in the message.
+ * Both cluster facades call it at construction; the capacity planner
+ * reaches it through each candidate tier's ClusterSimulator.
  */
 void validateClusterConfig(const ClusterConfig& cfg, const char* tier);
 

@@ -19,8 +19,6 @@ routingKindName(RoutingKind kind)
       case RoutingKind::PowerOfTwoChoices: return "power-of-two";
       case RoutingKind::SizeAware:         return "size-aware";
       case RoutingKind::ShardAware:        return "shard-aware";
-      case RoutingKind::ModelAwareJsq:     return "model-aware-jsq";
-      case RoutingKind::ModelAwarePo2c:    return "model-aware-po2c";
     }
     return "unknown";
 }
@@ -31,9 +29,6 @@ allRoutingKinds()
     // ShardAware is deliberately absent: it is the one policy that
     // cannot be built from a bare RoutingSpec (it needs a
     // ShardingConfig), so generic sweeps over this list stay valid.
-    // The model-aware kinds are absent too — they only differ from
-    // the classic policies against a multi-model view, and keeping
-    // them out keeps existing single-model sweeps byte-identical.
     static const std::vector<RoutingKind> kinds = {
         RoutingKind::RoundRobin,
         RoutingKind::UniformRandom,
@@ -45,10 +40,8 @@ allRoutingKinds()
 }
 
 ClusterView::ClusterView(const std::vector<SimConfig>& machines,
-                         size_t num_models, double start_time)
-    : inFlight_(machines.size(), 0),
-      byModel_(num_models > 1 ? machines.size() * num_models : 0, 0),
-      numModels_(num_models), joinCost_(machines.size(), 0.0),
+                         double start_time)
+    : inFlight_(machines.size(), 0), joinCost_(machines.size(), 0.0),
       accepting_(machines.size(), 1), acceptingCount_(machines.size())
 {
     engines_.reserve(machines.size());
@@ -56,7 +49,6 @@ ClusterView::ClusterView(const std::vector<SimConfig>& machines,
         engines_.emplace_back(&machine, start_time);
         gpu_.push_back(machine.policy.gpuEnabled && machine.gpu.has_value());
         speed_.push_back(1.0 / machine.slowdown);
-        modelsOf_.push_back(machine.numModels());
     }
 }
 
@@ -256,97 +248,6 @@ class SizeAwarePolicy final : public RoutingPolicy
 };
 
 /**
- * Per-model load signal of the model-aware policies: the query's own
- * model's in-flight count (which includes its queued parts — the
- * driver counts a query in flight from dispatch to completion),
- * normalized by machine speed. Cross-model pressure is deliberately
- * excluded: the point of model-aware balancing is to keep one model's
- * burst from scrambling another model's placement decisions.
- */
-double
-modelLoadSignal(const ClusterView& view, size_t m, uint32_t model)
-{
-    return static_cast<double>(view.inFlightQueriesOfModel(m, model)) /
-           view.speedFactor(m);
-}
-
-/**
- * Machines accepting queries *and* holding a binding for @p model,
- * ascending. Fatal when empty: a mix model with no live replica set
- * is a configuration error, not a routable state.
- */
-void
-modelReplicaSet(const ClusterView& view, uint32_t model,
-                std::vector<size_t>& out)
-{
-    out.clear();
-    for (size_t m = 0; m < view.numMachines(); m++) {
-        if (view.accepting(m) && view.servesModel(m, model))
-            out.push_back(m);
-    }
-    drs_assert(!out.empty(), "no accepting machine serves this model");
-}
-
-/** JSQ within the query's own model's replica set, on that model's
- *  own in-flight signal (ties to the lowest index). */
-class ModelAwareJsqPolicy final : public RoutingPolicy
-{
-  public:
-    size_t
-    route(const Query& query, const ClusterView& view) override
-    {
-        modelReplicaSet(view, query.model, candidates);
-        size_t best = candidates.front();
-        double best_load = modelLoadSignal(view, best, query.model);
-        for (size_t i = 1; i < candidates.size(); i++) {
-            const double load =
-                modelLoadSignal(view, candidates[i], query.model);
-            if (load < best_load) {
-                best = candidates[i];
-                best_load = load;
-            }
-        }
-        return best;
-    }
-
-    RoutingKind kind() const override { return RoutingKind::ModelAwareJsq; }
-
-  private:
-    std::vector<size_t> candidates;    ///< scratch, reused per call
-};
-
-/** Power-of-two-choices within the query's own model's replica set,
- *  compared on that model's own in-flight signal. */
-class ModelAwarePo2cPolicy final : public RoutingPolicy
-{
-  public:
-    explicit ModelAwarePo2cPolicy(uint64_t seed) : rng(seed) {}
-
-    size_t
-    route(const Query& query, const ClusterView& view) override
-    {
-        modelReplicaSet(view, query.model, candidates);
-        const int64_t n = static_cast<int64_t>(candidates.size());
-        if (n == 1)
-            return candidates.front();
-        const size_t a = static_cast<size_t>(rng.uniformInt(0, n - 1));
-        size_t b = static_cast<size_t>(rng.uniformInt(0, n - 2));
-        if (b >= a)
-            b++;    // sample without replacement
-        return modelLoadSignal(view, candidates[b], query.model) <
-                       modelLoadSignal(view, candidates[a], query.model)
-                   ? candidates[b]
-                   : candidates[a];
-    }
-
-    RoutingKind kind() const override { return RoutingKind::ModelAwarePo2c; }
-
-  private:
-    Rng rng;
-    std::vector<size_t> candidates;    ///< scratch, reused per call
-};
-
-/**
  * Routes each query to machines holding (a replica of) its embedding
  * tables. When some machine holds the whole working set the query
  * stays single-hop on the least-loaded such machine; otherwise the
@@ -536,10 +437,6 @@ makeRoutingPolicy(const RoutingSpec& spec, const ShardingConfig* sharding)
         drs_assert(sharding != nullptr,
                    "shard-aware routing needs a ShardingConfig");
         return std::make_unique<ShardAwarePolicy>(*sharding);
-      case RoutingKind::ModelAwareJsq:
-        return std::make_unique<ModelAwareJsqPolicy>();
-      case RoutingKind::ModelAwarePo2c:
-        return std::make_unique<ModelAwarePo2cPolicy>(spec.seed);
     }
     drs_assert(false, "unknown routing kind");
     return nullptr;

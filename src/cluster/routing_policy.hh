@@ -13,6 +13,9 @@
  * to accelerator-equipped machines, and a shard-aware policy that
  * routes each query to machines holding (replicas of) its embedding
  * tables, fanning out over a set cover when no machine holds them all.
+ * On a colocated tier every machine binds every model of the mix
+ * (validateClusterConfig), so the same policies route a query of any
+ * model.
  *
  * ClusterView is the tier's one live state: a concrete class the
  * cluster event loop owns and writes, which policies read through
@@ -54,19 +57,6 @@ enum class RoutingKind
     PowerOfTwoChoices,
     SizeAware,
     ShardAware,
-
-    /**
-     * Model-aware balancing for multi-model tiers: each query is
-     * routed within its own model's replica set (the machines with a
-     * binding for query.model) on that model's own load signal —
-     * JSQ over per-model in-flight queries, or power-of-two-choices
-     * over the same signal. On a single-model tier both degrade to
-     * their classic counterparts' candidate sets (every machine
-     * serves model 0), though ModelAwareJsq's signal differs from
-     * JoinShortestQueue's (per-model in-flight vs in-flight+queued).
-     */
-    ModelAwareJsq,
-    ModelAwarePo2c,
 };
 
 /** Name for printing. */
@@ -75,9 +65,7 @@ const char* routingKindName(RoutingKind kind);
 /**
  * Every self-contained routing policy, in declaration order (for
  * sweeps). Excludes ShardAware, which cannot be built from a bare
- * RoutingSpec — it needs a ShardingConfig — and the model-aware
- * kinds, which only make sense against a multi-model view; generic
- * single-model sweeps over this list stay byte-identical.
+ * RoutingSpec — it needs a ShardingConfig.
  */
 const std::vector<RoutingKind>& allRoutingKinds();
 
@@ -85,27 +73,26 @@ const std::vector<RoutingKind>& allRoutingKinds();
  * The live state of a cluster tier, as the routing policies and the
  * admission controller read it at each arrival: per-machine work in
  * flight and queued, the accepting set, committed join-phase cost,
- * and what each machine is (accelerator, speed, served models). The
- * cluster event loop (ClusterLoop) owns one and writes it where work
- * is dispatched and finishes and where machines enter or leave the
- * accepting set. Tests build one directly and queue work through
- * engine(m).admit, as the loop does. Every read is inline and
- * non-virtual.
+ * and what each machine is (accelerator, speed). Nothing is kept per
+ * model: every machine serves the whole mix. The cluster event loop
+ * (ClusterLoop) owns one and writes it where work is dispatched and
+ * finishes and where machines enter or leave the accepting set. Tests
+ * build one directly and queue work through engine(m).admit, as the
+ * loop does. Every read is inline and non-virtual.
  */
 class ClusterView
 {
   public:
     /**
-     * A tier of @p machines serving @p num_models mix models (1 on a
-     * single-model tier): one engine per machine, whose busy-time
+     * A tier of @p machines: one engine per machine, whose busy-time
      * integrals start at @p start_time. Every machine accepts and
      * nothing is in flight. @p machines must outlive the view.
      */
     explicit ClusterView(const std::vector<SimConfig>& machines,
-                         size_t num_models = 1, double start_time = 0.0);
+                         double start_time = 0.0);
 
     /** The engines point into @p machines: a temporary would dangle. */
-    ClusterView(std::vector<SimConfig>&&, size_t = 1, double = 0.0) = delete;
+    ClusterView(std::vector<SimConfig>&&, double = 0.0) = delete;
 
     /** Number of machines behind the router. */
     size_t numMachines() const { return engines_.size(); }
@@ -115,14 +102,6 @@ class ClusterView
      * in parts: a whole query, a shard part or a join phase.
      */
     size_t inFlightQueries(size_t m) const { return inFlight_[m]; }
-
-    /** Mix model @p model's share of inFlightQueries(@p m). */
-    size_t
-    inFlightQueriesOfModel(size_t m, uint32_t model) const
-    {
-        return byModel_.empty() ? inFlight_[m]
-                                : byModel_[m * numModels_ + model];
-    }
 
     /** Work items (requests/queries) waiting in machine @p m's queues. */
     size_t queuedWork(size_t m) const { return engines_[m].queuedWork(); }
@@ -161,13 +140,6 @@ class ClusterView
     /** Relative machine speed, 1 / SimConfig::slowdown (> 1.0 is
      *  faster). */
     double speedFactor(size_t m) const { return speed_[m]; }
-
-    /** True when machine @p m has a binding for mix model @p model. */
-    bool
-    servesModel(size_t m, uint32_t model) const
-    {
-        return model < modelsOf_[m];
-    }
 
     /**
      * Load signal of the queue-aware policies: outstanding work
@@ -215,26 +187,16 @@ class ClusterView
         }
     }
 
-    /** A part of mix model @p model was dispatched to machine @p m. */
-    void
-    flightAdd(size_t m, uint32_t model)
-    {
-        inFlight_[m]++;
-        if (!byModel_.empty())
-            byModel_[m * numModels_ + model]++;
-    }
+    /** A part was dispatched to machine @p m. */
+    void flightAdd(size_t m) { inFlight_[m]++; }
 
-    /** A part of mix model @p model left machine @p m; @p what names
-     *  the caller in the underflow panic. */
+    /** A part left machine @p m; @p what names the caller in the
+     *  underflow panic. */
     void
-    flightSub(size_t m, uint32_t model, const char* what)
+    flightSub(size_t m, const char* what)
     {
         drs_assert(inFlight_[m] > 0, what);
         inFlight_[m]--;
-        if (!byModel_.empty()) {
-            drs_assert(byModel_[m * numModels_ + model] > 0, what);
-            byModel_[m * numModels_ + model]--;
-        }
     }
 
     /** Add @p seconds (negative to release) to machine @p m's
@@ -244,16 +206,11 @@ class ClusterView
   private:
     std::vector<MachineEngine> engines_;
     std::vector<size_t> inFlight_;
-    /** Per-(machine, model) in-flight book of a mixed tier, flattened
-     *  [m * numModels_ + model]; empty on single-model tiers. */
-    std::vector<size_t> byModel_;
-    size_t numModels_ = 1;
     std::vector<double> joinCost_;
     std::vector<uint8_t> accepting_;
     size_t acceptingCount_ = 0;
     std::vector<uint8_t> gpu_;
     std::vector<double> speed_;
-    std::vector<size_t> modelsOf_;   ///< SimConfig::numModels()
 };
 
 /**

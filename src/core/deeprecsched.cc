@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "base/logging.hh"
 #include "loadgen/distributions.hh"
@@ -27,40 +28,55 @@ DeepRecSched::baseline(const DeepRecInfra& infra, double sla_ms)
     return result;
 }
 
-TuningResult
-DeepRecSched::tuneCpu(const DeepRecInfra& infra, double sla_ms)
+namespace {
+
+/**
+ * Hill-climb one knob of @p policy (Section IV-C): evaluate it at
+ * @p first and then at each value @p next yields, up to @p last. A
+ * value becomes the best when its achievable QPS beats the best so far
+ * by more than the slack margin; a second value in a row that does not
+ * confirms the peak and ends the climb, so a single noisy plateau step
+ * does not. Each evaluation is appended to @p curve. Leaves the best
+ * value in @p policy and returns the search at it.
+ */
+template <typename Knob, typename Next>
+QpsSearchResult
+climb(const DeepRecInfra& infra, double sla_ms, SchedulerPolicy& policy,
+      Knob SchedulerPolicy::*knob, Knob first, Knob last, Next next,
+      std::vector<TuningPoint>& curve)
 {
-    TuningResult result;
-    SchedulerPolicy policy;
-    policy.gpuEnabled = false;
-
-    double best_qps = -1.0;
-    size_t best_batch = 1;
     QpsSearchResult best;
-
-    // Hill climbing from unit batch, doubling, per Section IV-C: the
-    // batch grows while the achievable QPS keeps improving by at
-    // least the slack margin. A second strike confirms the peak so a
-    // single noisy plateau step does not end the climb early.
+    Knob best_value = first;
     size_t strikes = 0;
-    for (size_t batch = 1; batch <= maxBatch; batch *= 2) {
-        policy.perRequestBatch = batch;
-        const QpsSearchResult r = infra.maxQps(policy, sla_ms);
-        result.batchCurve.push_back(
-            {static_cast<double>(batch), r.maxQps});
-        if (r.maxQps > best_qps * (1.0 + climbSlack) || best_qps < 0.0) {
-            best_qps = r.maxQps;
-            best_batch = batch;
-            best = r;
+    for (Knob value = first; value <= last; value = next(value)) {
+        policy.*knob = value;
+        QpsSearchResult r = infra.maxQps(policy, sla_ms);
+        curve.push_back({static_cast<double>(value), r.maxQps});
+        if (value == first ||
+            r.maxQps > best.maxQps * (1.0 + DeepRecSched::climbSlack)) {
+            best_value = value;
+            best = std::move(r);
             strikes = 0;
         } else if (++strikes >= 2) {
             break;  // past the peak
         }
     }
+    policy.*knob = best_value;
+    return best;
+}
 
-    result.policy = policy;
-    result.policy.perRequestBatch = best_batch;
-    result.atBest = best;
+} // namespace
+
+TuningResult
+DeepRecSched::tuneCpu(const DeepRecInfra& infra, double sla_ms)
+{
+    // The batch doubles from a unit batch.
+    TuningResult result;
+    result.policy.gpuEnabled = false;
+    result.atBest = climb(
+        infra, sla_ms, result.policy, &SchedulerPolicy::perRequestBatch,
+        size_t{1}, maxBatch, [](size_t batch) { return batch * 2; },
+        result.batchCurve);
     return result;
 }
 
@@ -71,50 +87,30 @@ DeepRecSched::tuneGpu(const DeepRecInfra& infra, double sla_ms)
                "tuneGpu needs an attached accelerator");
 
     // Stage 1: batch size for the CPU-resident share of the work.
-    TuningResult cpu = tuneCpu(infra, sla_ms);
+    const TuningResult cpu = tuneCpu(infra, sla_ms);
 
     // Stage 2: climb the offload threshold from "everything on the
     // accelerator" upward. Thresholds walk the query-size range
-    // geometrically; 1 offloads all queries, maxSize+1 would be none.
+    // geometrically with a floor step of 16 sizes; 1 offloads all
+    // queries, maxSize+1 would be none.
     TuningResult result;
     result.batchCurve = cpu.batchCurve;
-
-    SchedulerPolicy policy = cpu.policy;
-    policy.gpuEnabled = true;
-
-    double best_qps = -1.0;
-    uint32_t best_threshold = 1;
-    QpsSearchResult best;
-
-    uint32_t threshold = 1;
-    size_t strikes = 0;
-    while (threshold <= QuerySizeDistribution::maxSize) {
-        policy.gpuQueryThreshold = threshold;
-        const QpsSearchResult r = infra.maxQps(policy, sla_ms);
-        result.thresholdCurve.push_back(
-            {static_cast<double>(threshold), r.maxQps});
-        if (r.maxQps > best_qps * (1.0 + climbSlack) || best_qps < 0.0) {
-            best_qps = r.maxQps;
-            best_threshold = threshold;
-            best = r;
-            strikes = 0;
-        } else if (++strikes >= 2) {
-            break;
-        }
-        // Geometric walk with a floor step of 16 sizes.
-        threshold = std::max<uint32_t>(threshold + 16,
-            static_cast<uint32_t>(std::lround(threshold * 1.5)));
-    }
+    result.policy = cpu.policy;
+    result.policy.gpuEnabled = true;
+    result.atBest = climb(
+        infra, sla_ms, result.policy, &SchedulerPolicy::gpuQueryThreshold,
+        uint32_t{1}, QuerySizeDistribution::maxSize,
+        [](uint32_t threshold) {
+            return std::max<uint32_t>(threshold + 16,
+                static_cast<uint32_t>(std::lround(threshold * 1.5)));
+        },
+        result.thresholdCurve);
 
     // The CPU-only configuration remains a candidate: if keeping all
     // queries on cores beats every offload split, use it.
-    if (cpu.qps() > best_qps) {
+    if (cpu.qps() > result.qps()) {
         result.policy = cpu.policy;
         result.atBest = cpu.atBest;
-    } else {
-        result.policy = policy;
-        result.policy.gpuQueryThreshold = best_threshold;
-        result.atBest = best;
     }
     return result;
 }

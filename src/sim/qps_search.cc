@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "sim/rate_search.hh"
 
 namespace deeprecsys {
 
@@ -44,14 +43,7 @@ findMaxQps(const SimConfig& sim, const QpsSearchSpec& spec)
                                 .relTolerance = 0.02,
                                 .growthStart = 64.0};
 
-    RateSearchOutcome<SimResult> found =
-        findMaxRateUnderSla<SimResult>(eval, knobs);
-
-    QpsSearchResult result;
-    result.maxQps = found.maxRate;
-    result.atMax = std::move(found.atMax);
-    result.evaluations = found.evaluations;
-    return result;
+    return findMaxRateUnderSla<SimResult>(eval, knobs);
 }
 
 } // namespace deeprecsys

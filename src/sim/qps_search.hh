@@ -14,6 +14,7 @@
 #define DRS_SIM_QPS_SEARCH_HH
 
 #include "loadgen/query_stream.hh"
+#include "sim/rate_search.hh"
 #include "sim/serving_sim.hh"
 
 namespace deeprecsys {
@@ -27,15 +28,9 @@ struct QpsSearchSpec
     LoadSpec load;              ///< arrival/size config (qps overridden)
 };
 
-/** Outcome of a max-QPS search. */
-struct QpsSearchResult
-{
-    double maxQps = 0.0;        ///< 0 when the SLA is unachievable
-    SimResult atMax;            ///< simulation stats at the found rate
-
-    /** Candidate rates the search evaluated (see sim/rate_search.hh). */
-    size_t evaluations = 0;
-};
+/** Outcome of a max-QPS search: the found rate, the simulation stats
+ *  at it, and the candidates evaluated (see sim/rate_search.hh). */
+using QpsSearchResult = RateSearchOutcome<SimResult>;
 
 /**
  * Find the maximum Poisson arrival rate at which the simulated

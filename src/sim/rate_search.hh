@@ -66,7 +66,7 @@ struct RateSearchKnobs
 template <typename Result>
 struct RateSearchOutcome
 {
-    double maxRate = 0.0;   ///< 0 when the SLA is unachievable
+    double maxQps = 0.0;    ///< 0 when the SLA is unachievable
     Result atMax{};         ///< evaluation at the found rate
     size_t evaluations = 0; ///< candidates evaluated by the search
 };
@@ -113,7 +113,7 @@ findMaxRateUnderSla(const Eval& eval, const RateSearchKnobs& knobs)
     // Every rung below the ceiling was feasible: test the ceiling
     // itself, and bisect up to it when it fails.
     if (!bracketed && feasible(knobs.qpsCeiling)) {
-        result.maxRate = knobs.qpsCeiling;
+        result.maxQps = knobs.qpsCeiling;
         result.atMax = std::move(atLo);
         return result;
     }
@@ -135,7 +135,7 @@ findMaxRateUnderSla(const Eval& eval, const RateSearchKnobs& knobs)
                 break;
         }
     }
-    result.maxRate = lo;
+    result.maxQps = lo;
     result.atMax = std::move(atLo);
     return result;
 }

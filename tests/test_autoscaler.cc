@@ -210,12 +210,12 @@ TEST(Autoscaler, StaticFullTierMatchesClusterSimulatorExactly)
     expectElasticMatchesClusterSimulator(sharded, trace);
 }
 
-TEST(Autoscaler, ColocatedModelAwareJsqRoutesAsClusterSimulator)
+TEST(Autoscaler, ColocatedJsqRoutesAsClusterSimulator)
 {
-    // Model-aware routing balances on each machine's in-flight count
-    // of the query's own model. The elastic tier reads the same
-    // per-model book as the static tier, so at a fixed full tier both
-    // place every query on the same machine.
+    // JSQ balances a two-model mix on each machine's in-flight and
+    // queued work. The elastic tier keeps the same view as the static
+    // tier, so at a fixed full tier both place every query on the
+    // same machine.
     std::vector<ModelMixEntry> mix;
     for (auto [id, share] : {std::pair{ModelId::DlrmRmc2, 0.5},
                              std::pair{ModelId::WideAndDeep, 0.5}}) {
@@ -228,7 +228,7 @@ TEST(Autoscaler, ColocatedModelAwareJsqRoutesAsClusterSimulator)
         spec.cluster.machines.push_back(
             colocatedMachine(mix, CpuPlatform::skylake()));
     spec.cluster.modelMix = mix;
-    spec.routing.kind = RoutingKind::ModelAwareJsq;
+    spec.routing.kind = RoutingKind::JoinShortestQueue;
 
     LoadSpec load;
     load.arrivalSeed = 0x505;
@@ -632,6 +632,21 @@ TEST(AutoscalerConfigDeath, InitialMachinesAboveTheTierIsAConfigError)
     spec.initialMachines = 3;
     EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
                 "initial machines exceed the tier");
+}
+
+TEST(AutoscalerConfigDeath, MachineMissingAMixBindingIsAConfigError)
+{
+    const std::vector<ModelMixEntry> mix = {
+        makeMixEntry(ModelId::DlrmRmc2, 0.5),
+        makeMixEntry(ModelId::WideAndDeep, 0.5),
+    };
+    AutoscaleSpec spec = flatSpec(0);
+    spec.cluster.machines = {
+        colocatedMachine(mix, CpuPlatform::skylake()),
+        colocatedMachine({mix[0]}, CpuPlatform::skylake())};
+    spec.cluster.modelMix = mix;
+    EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
+                "elastic tier: machine 1 binds 1 of the mix's 2 models");
 }
 
 TEST(AutoscalerConfigDeath, ReactiveBandNotBracketingTheTargetIsAConfigError)

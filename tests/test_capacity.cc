@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/capacity_planner.hh"
+#include "cluster/model_mix.hh"
 
 namespace deeprecsys {
 namespace {
@@ -139,6 +140,20 @@ TEST(CapacityPlannerDeath, NonPositiveSlaIsAValidatedError)
     spec.slaMs = 0.0;
     EXPECT_EXIT((void)planCapacity(spec), ::testing::ExitedWithCode(1),
                 "SLA target must be positive");
+}
+
+TEST(CapacityPlannerDeath, UnitMachineMissingAMixBindingIsAValidatedError)
+{
+    const std::vector<ModelMixEntry> mix = {
+        makeMixEntry(ModelId::DlrmRmc2, 0.5),
+        makeMixEntry(ModelId::WideAndDeep, 0.5),
+    };
+    CapacityPlanSpec spec = baseSpec(4000.0);
+    spec.unitMachines = {colocatedMachine({mix[0]}, CpuPlatform::skylake()),
+                         colocatedMachine(mix, CpuPlatform::skylake())};
+    spec.modelMix = mix;
+    EXPECT_EXIT((void)planCapacity(spec), ::testing::ExitedWithCode(1),
+                "cluster: machine 0 binds 1 of the mix's 2 models");
 }
 
 TEST(ClusterQpsSearchDeath, NonPositiveSlaIsAValidatedError)

@@ -12,6 +12,7 @@
 
 #include "cluster/cluster_qps_search.hh"
 #include "cluster/cluster_sim.hh"
+#include "cluster/model_mix.hh"
 #include "loadgen/query_stream.hh"
 
 namespace deeprecsys {
@@ -267,6 +268,22 @@ TEST(ClusterConfigDeath, WarmupFractionOutsideZeroToOneIsAConfigError)
                     "cluster: warm-up fraction must be in \\[0, 1\\)")
             << fraction;
     }
+}
+
+TEST(ClusterConfigDeath, MachineMissingAMixBindingIsAConfigError)
+{
+    // Machine 0 binds RMC2 only; the mix also sends it WnD queries,
+    // which any routing policy may place there.
+    const std::vector<ModelMixEntry> mix = {
+        makeMixEntry(ModelId::DlrmRmc2, 0.5),
+        makeMixEntry(ModelId::WideAndDeep, 0.5),
+    };
+    ClusterConfig cfg;
+    cfg.machines = {colocatedMachine({mix[0]}, CpuPlatform::skylake()),
+                    colocatedMachine(mix, CpuPlatform::skylake())};
+    cfg.modelMix = mix;
+    EXPECT_EXIT(ClusterSimulator{cfg}, ::testing::ExitedWithCode(1),
+                "cluster: machine 0 binds 1 of the mix's 2 models");
 }
 
 TEST(ClusterConfigDeath, MoreMachinesThanSixteenBitIdsIsAConfigError)

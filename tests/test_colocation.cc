@@ -20,8 +20,9 @@
  *    books sum exactly to the fleet totals;
  *  - a model's tail latency is monotone in its own offered fraction
  *    when it is the heavier co-tenant;
- *  - model-aware routing decisions are bitwise identical at 1 and
- *    many threads (ColocationParallelDiff — run under TSan in CI);
+ *  - JSQ and power-of-two routing decisions over a mix are bitwise
+ *    identical at 1 and many threads (ColocationParallelDiff — run
+ *    under TSan in CI);
  *  - on a tier with every feature on, each per-machine and per-model
  *    latency book is the fleet book filtered in completion order, at
  *    capacity == size, under both cluster drivers.
@@ -431,13 +432,13 @@ TEST(Colocation, HeavyModelTailMonotoneInItsOfferedFraction)
 
 // ------------------------------------------------ thread-count parity
 
-TEST(ColocationParallelDiff, ModelAwareRoutingBitwiseAcrossThreadCounts)
+TEST(ColocationParallelDiff, JsqAndPo2cRoutingBitwiseAcrossThreadCounts)
 {
-    // Model-aware routing reads per-model queue signals the engines
-    // maintain during the run; the search layer above it is the only
-    // parallel code. Both must be bitwise thread-invariant: the same
-    // per-query routing decisions and the same found rate at 1 and at
-    // many threads.
+    // Routing a mix reads the queue signals the engines maintain
+    // during the run; the search layer above it is the only parallel
+    // code. Both must be bitwise thread-invariant: the same per-query
+    // routing decisions and the same found rate at 1 and at many
+    // threads.
     const std::vector<ModelMixEntry> mix = {
         mixEntry(ModelId::DlrmRmc2, 0.5, 256),
         mixEntry(ModelId::WideAndDeep, 0.5, 256),
@@ -452,8 +453,8 @@ TEST(ColocationParallelDiff, ModelAwareRoutingBitwiseAcrossThreadCounts)
     mixed.ensure(4000);
     const QueryTrace trace = mixed.materialize(2200.0, 4000);
 
-    for (RoutingKind kind :
-         {RoutingKind::ModelAwareJsq, RoutingKind::ModelAwarePo2c}) {
+    for (RoutingKind kind : {RoutingKind::JoinShortestQueue,
+                             RoutingKind::PowerOfTwoChoices}) {
         SCOPED_TRACE(routingKindName(kind));
         ClusterQpsSpec spec;
         spec.slaMs = 200.0;

@@ -129,9 +129,9 @@ TEST(RateSearch, EvaluatesCandidatesInOrderOnCallingThread)
     EXPECT_EQ(rates.size(), found.evaluations);
     EXPECT_EQ(std::set<double>(rates.begin(), rates.end()).size(),
               rates.size());
-    EXPECT_LE(found.maxRate, 1234.5);
-    EXPECT_GE(found.maxRate, 1234.5 * (1.0 - knobs.relTolerance));
-    EXPECT_EQ(found.atMax, found.maxRate);
+    EXPECT_LE(found.maxQps, 1234.5);
+    EXPECT_GE(found.maxQps, 1234.5 * (1.0 - knobs.relTolerance));
+    EXPECT_EQ(found.atMax, found.maxQps);
 }
 
 TEST(RateSearch, FeasibleCeilingIsTestedNotSkipped)
@@ -150,7 +150,7 @@ TEST(RateSearch, FeasibleCeilingIsTestedNotSkipped)
     };
     const RateSearchOutcome<double> found =
         findMaxRateUnderSla<double>(eval, knobs);
-    EXPECT_DOUBLE_EQ(found.maxRate, 500.0);
+    EXPECT_DOUBLE_EQ(found.maxQps, 500.0);
     EXPECT_DOUBLE_EQ(found.atMax, 500.0);
     ASSERT_FALSE(rates.empty());
     EXPECT_DOUBLE_EQ(rates.back(), 500.0);

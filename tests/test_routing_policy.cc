@@ -68,7 +68,7 @@ void
 addInFlight(ClusterView& view, size_t m, size_t count)
 {
     for (size_t i = 0; i < count; i++)
-        view.flightAdd(m, 0);
+        view.flightAdd(m);
 }
 
 /** Queue @p items requests on machine @p m behind its busy cores. */
@@ -96,7 +96,7 @@ dealTrace(const QueryTrace& global, ClusterView& view, RoutingPolicy& policy)
     for (const Query& q : global) {
         const size_t m = policy.route(q, view);
         slices.at(m).push_back(q);
-        view.flightAdd(m, q.model);
+        view.flightAdd(m);
     }
     return slices;
 }
@@ -129,14 +129,12 @@ rmc2Sharding(const std::vector<SimConfig>& configs, uint32_t min_replicas)
     return ShardingConfig{placement, table_set};
 }
 
-/** All eight policies, ShardAware and the model-aware kinds included. */
+/** All six policies, ShardAware included. */
 std::vector<RoutingKind>
 everyRoutingKind()
 {
     std::vector<RoutingKind> kinds = allRoutingKinds();
     kinds.push_back(RoutingKind::ShardAware);
-    kinds.push_back(RoutingKind::ModelAwareJsq);
-    kinds.push_back(RoutingKind::ModelAwarePo2c);
     return kinds;
 }
 
@@ -285,53 +283,10 @@ TEST(RoutingPolicy, NoPolicyRoutesToANonAcceptingMachine)
                 EXPECT_TRUE(view.accepting(part.machine))
                     << "routed to machine " << part.machine;
                 used.insert(part.machine);
-                view.flightAdd(part.machine, q.model);
+                view.flightAdd(part.machine);
             }
         }
         EXPECT_EQ(used.count(1) + used.count(3), 0u);
-    }
-}
-
-TEST(RoutingPolicy, ModelAwarePoliciesStayInTheModelsReplicaSet)
-{
-    // Machines 1 and 3 also serve model 1; 0 and 2 serve model 0 only.
-    std::vector<SimConfig> configs = machines(4);
-    const ModelProfile profile = ModelProfile::forModel(ModelId::Ncf);
-    SchedulerPolicy co_policy;
-    co_policy.perRequestBatch = 256;
-    for (size_t m : {1, 3})
-        configs[m].coModels.push_back(
-            {CpuCostModel(profile, CpuPlatform::skylake()), std::nullopt,
-             co_policy});
-    for (RoutingKind kind :
-         {RoutingKind::ModelAwareJsq, RoutingKind::ModelAwarePo2c}) {
-        SCOPED_TRACE(routingKindName(kind));
-        const auto policy = makeRoutingPolicy({kind, 3, 0});
-        ClusterView view(configs, 2);
-        EXPECT_FALSE(view.servesModel(0, 1));
-        EXPECT_TRUE(view.servesModel(1, 1));
-        std::map<size_t, size_t> model1;
-        std::set<size_t> model0;
-        for (uint64_t i = 0; i < 200; i++) {
-            const uint16_t model = static_cast<uint16_t>(i % 2);
-            const size_t m = policy->route(query(i, 10, model), view);
-            view.flightAdd(m, model);
-            if (model == 1)
-                model1[m]++;
-            else
-                model0.insert(m);
-        }
-        ASSERT_EQ(model1.size(), 2u);
-        EXPECT_EQ(model1.count(1) + model1.count(3), 2u);
-        // Model 0 balances on its own in-flight signal over all four.
-        EXPECT_EQ(model0.size(), 4u);
-        EXPECT_EQ(view.inFlightQueriesOfModel(1, 1) +
-                      view.inFlightQueriesOfModel(3, 1),
-                  100u);
-        for (size_t m = 0; m < 4; m++)
-            EXPECT_EQ(view.inFlightQueriesOfModel(m, 0) +
-                          view.inFlightQueriesOfModel(m, 1),
-                      view.inFlightQueries(m));
     }
 }
 
@@ -493,8 +448,6 @@ TEST(RoutingPin, EveryPolicyRoutesEveryQueryToTheSameMachines)
         {RoutingKind::PowerOfTwoChoices, 0x56af3f41689e129cULL},
         {RoutingKind::SizeAware, 0x5745f20bc769f034ULL},
         {RoutingKind::ShardAware, 0x1882c205d71bc3cdULL},
-        {RoutingKind::ModelAwareJsq, 0x1dbca913305b449bULL},
-        {RoutingKind::ModelAwarePo2c, 0x8384b27b6a27d14aULL},
     };
     for (RoutingKind kind : everyRoutingKind()) {
         SCOPED_TRACE(routingKindName(kind));
