@@ -46,7 +46,7 @@ tuneBatch(const CpuCostParams& params, ModelId id, double sla_ms,
     size_t strikes = 0;
     for (size_t batch = 1; batch <= 1024; batch *= 2) {
         policy.perRequestBatch = batch;
-        SimConfig sim{cost, std::nullopt, policy, 0.05, 1.0};
+        SimConfig sim{cost, std::nullopt, policy};
         const double qps = findMaxQps(sim, spec).maxQps;
         if (qps > best_qps * 1.02 || best_qps < 0.0) {
             best_qps = qps;
@@ -70,7 +70,7 @@ qpsAtBatch(const CpuCostParams& params, size_t batch, double sla_ms)
     spec.numQueries = benchQueries;
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
-    SimConfig sim{cost, std::nullopt, policy, 0.05, 1.0};
+    SimConfig sim{cost, std::nullopt, policy};
     return findMaxQps(sim, spec).maxQps;
 }
 

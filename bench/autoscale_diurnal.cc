@@ -64,7 +64,7 @@ cpuMachine(size_t batch)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, 1.0};
+                     std::nullopt, policy};
 }
 
 } // namespace
@@ -242,7 +242,7 @@ main(int argc, char** argv)
             sched.perRequestBatch = 256;
             SimConfig machine{
                 CpuCostModel(profile, CpuPlatform::skylake()),
-                std::nullopt, sched, 0.05, 1.0};
+                std::nullopt, sched};
             machine.memoryBytes = 1'500'000'000ULL;
             spec.cluster.machines.push_back(machine);
         }

@@ -84,7 +84,7 @@ shardedTier(uint32_t min_replicas)
         SchedulerPolicy policy;
         policy.perRequestBatch = 256;
         SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy, 0.05, 1.0};
+                          std::nullopt, policy};
         machine.memoryBytes = min_replicas > 1 ? 3'000'000'000ULL
                                                : 2'000'000'000ULL;
         cluster.machines.push_back(machine);

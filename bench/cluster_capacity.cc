@@ -26,7 +26,7 @@ cpuMachine(size_t batch)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, 1.0};
+                     std::nullopt, policy};
 }
 
 SimConfig
@@ -39,7 +39,7 @@ gpuMachine(size_t batch, uint32_t threshold)
     policy.gpuQueryThreshold = threshold;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
                      GpuCostModel(profile, GpuPlatform::gtx1080Ti()),
-                     policy, 0.05, 1.0};
+                     policy};
 }
 
 } // namespace

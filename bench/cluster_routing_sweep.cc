@@ -38,7 +38,7 @@ mixedCluster()
         SchedulerPolicy policy;
         policy.perRequestBatch = 256;
         cfg.machines.push_back(
-            SimConfig{cpu, std::nullopt, policy, 0.05,
+            SimConfig{cpu, std::nullopt, policy,
                       m % 3 == 2 ? 1.4 : 1.0});
     }
     for (size_t m = 0; m < 4; m++) {
@@ -48,7 +48,7 @@ mixedCluster()
         policy.gpuQueryThreshold = 400;
         cfg.machines.push_back(
             SimConfig{cpu, GpuCostModel(profile, GpuPlatform::gtx1080Ti()),
-                      policy, 0.05, 1.0});
+                      policy});
     }
     return cfg;
 }

@@ -22,7 +22,7 @@ machineConfig(ModelId model, const CpuPlatform& platform)
     SchedulerPolicy policy;
     policy.perRequestBatch = 256;
     return SimConfig{CpuCostModel(profile, platform), std::nullopt,
-                     policy, 0.05, 1.0};
+                     policy};
 }
 
 } // namespace

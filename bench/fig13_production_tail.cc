@@ -24,7 +24,7 @@ runFleet(ModelId model, size_t batch, double per_machine_qps)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy, 0.05, 1.0};
+                      std::nullopt, policy};
 
     FleetConfig cfg;
     cfg.numMachines = 100;

@@ -66,7 +66,7 @@ cpuMachine(size_t batch)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, 1.0};
+                     std::nullopt, policy};
 }
 
 /** One router policy under test. */
@@ -269,7 +269,7 @@ main(int argc, char** argv)
             SchedulerPolicy policy;
             policy.perRequestBatch = 256;
             SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                              std::nullopt, policy, 0.05, 1.0};
+                              std::nullopt, policy};
             machine.memoryBytes = 2'000'000'000ULL;
             sharded.machines.push_back(machine);
         }

@@ -165,7 +165,7 @@ rmc1Machine(size_t batch = 256)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, 1.0};
+                     std::nullopt, policy};
 }
 
 ClusterConfig
@@ -177,7 +177,7 @@ shardedCluster16()
         SchedulerPolicy policy;
         policy.perRequestBatch = 256;
         SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy, 0.05, 1.0};
+                          std::nullopt, policy};
         machine.memoryBytes = 1'500'000'000ULL;
         cluster.machines.push_back(machine);
     }

@@ -55,7 +55,7 @@ tierWithBudget(double budget_gb)
     for (size_t m = 0; m < 8; m++) {
         SchedulerPolicy policy;
         policy.perRequestBatch = 256;
-        SimConfig machine{cpu, std::nullopt, policy, 0.05, 1.0};
+        SimConfig machine{cpu, std::nullopt, policy};
         machine.memoryBytes = static_cast<uint64_t>(budget_gb * kGB);
         cfg.machines.push_back(machine);
     }

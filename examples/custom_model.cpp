@@ -82,7 +82,7 @@ main()
     size_t best_batch = 1;
     for (size_t batch = 1; batch <= 1024; batch *= 2) {
         policy.perRequestBatch = batch;
-        SimConfig sim{cost, std::nullopt, policy, 0.05, 1.0};
+        SimConfig sim{cost, std::nullopt, policy};
         const double qps = findMaxQps(sim, spec).maxQps;
         table.addRow({std::to_string(batch), TextTable::num(qps, 0)});
         if (qps > best_qps * 1.02) {

@@ -71,36 +71,32 @@ constexpr size_t kMaxStepUp = 2;
  *  prediction. */
 constexpr double kSafetyMargin = 0.12;
 
-/** Clamp a policy's ask to what the tier can actually field. */
+/** Clamp a policy's ask to what the tier can actually field. The
+ *  floor never passes the ceiling: std::clamp's order is undefined
+ *  then (makeScalingPolicy refuses such a floor). */
 size_t
 clampTarget(size_t desired, size_t min_machines, size_t max_machines)
 {
-    return std::clamp(desired, std::max<size_t>(1, min_machines),
-                      max_machines);
+    const size_t floor =
+        std::min(std::max<size_t>(1, min_machines), max_machines);
+    return std::clamp(desired, floor, max_machines);
 }
 
-/** The static peak plan as a policy: the comparison baseline. */
+/** The static peak plan as a policy: the comparison baseline. It
+ *  always asks for the full tier. */
 class StaticPolicy final : public ScalingPolicy
 {
   public:
-    explicit StaticPolicy(const ScalingPolicySpec& spec) : spec_(spec) {}
-
     size_t
     targetMachines(const ScalingSignals& signals) override
     {
-        const size_t fixed = spec_.staticMachines > 0
-            ? spec_.staticMachines
-            : signals.maxMachines;
-        return clampTarget(fixed, spec_.minMachines, signals.maxMachines);
+        return signals.maxMachines;
     }
 
     ScalingPolicyKind kind() const override
     {
         return ScalingPolicyKind::Static;
     }
-
-  private:
-    ScalingPolicySpec spec_;
 };
 
 /**
@@ -656,9 +652,13 @@ std::unique_ptr<ScalingPolicy>
 makeScalingPolicy(const ScalingPolicySpec& policy,
                   const AutoscaleSpec& spec)
 {
+    if (policy.minMachines > spec.cluster.machines.size())
+        drs_fatal("scaling floor of ", policy.minMachines,
+                  " machines exceeds the tier's ",
+                  spec.cluster.machines.size());
     switch (policy.kind) {
       case ScalingPolicyKind::Static:
-        return std::make_unique<StaticPolicy>(policy);
+        return std::make_unique<StaticPolicy>();
       case ScalingPolicyKind::Reactive:
         return std::make_unique<ReactivePolicy>(policy, spec.slaMs);
       case ScalingPolicyKind::Predictive:

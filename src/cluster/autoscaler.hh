@@ -50,17 +50,17 @@
  * one machine and grows by at most two per tick on utilization alone,
  * and allows 10% headroom over its served-rate high-water mark; the
  * predictive policy looks ahead by warm-up delay plus control interval
- * and adds a 12% safety margin. Beyond the kind, the machine floor
- * and the static count, ScalingPolicySpec carries only the reactive
- * utilization band and scale-down latency interlock. Control ticks
- * and warm-up completions enter the same deterministic event queue
- * as service completions, so scale events interleave with traffic in
- * one total (time, insertion) order. On a sharded tier, a machine may
- * only drain if every embedding table it holds keeps at least one
- * replica among the machines that remain accepting — the placement is
- * re-validated on the surviving set at every scale-down, and drains
- * that would orphan a table are refused (logged in the scale-event
- * record).
+ * and adds a 12% safety margin; the static policy always asks for the
+ * full tier. Beyond the kind and the machine floor, ScalingPolicySpec
+ * carries only the reactive utilization band and scale-down latency
+ * interlock. Control ticks and warm-up completions enter the same
+ * deterministic event queue as service completions, so scale events
+ * interleave with traffic in one total (time, insertion) order. On a
+ * sharded tier, a machine may only drain if every embedding table it
+ * holds keeps at least one replica among the machines that remain
+ * accepting — the placement is re-validated on the surviving set at
+ * every scale-down, and drains that would orphan a table are refused
+ * (logged in the scale-event record).
  *
  * Units: all times in **seconds** unless the member name says
  * otherwise (…Ms in milliseconds, machineHours() in hours); rates in
@@ -87,7 +87,7 @@ namespace deeprecsys {
 /** The scaling-policy families the elastic tier can run. */
 enum class ScalingPolicyKind
 {
-    /** Fixed machine count — the static peak plan as a policy; the
+    /** The full tier, always — the static peak plan as a policy; the
      *  baseline every elastic policy is compared against. */
     Static,
 
@@ -177,11 +177,9 @@ struct ScalingPolicySpec
 {
     ScalingPolicyKind kind = ScalingPolicyKind::Reactive;
 
-    /** Floor on the serving machine count (every kind). */
+    /** Floor on the serving machine count (every kind); at most the
+     *  tier's size, which makeScalingPolicy checks. */
     size_t minMachines = 1;
-
-    /** Static only: the fixed count; 0 means the full tier. */
-    size_t staticMachines = 0;
 
     // ---------------------------------------------------- reactive
     // Resizing steers utilization toward a fixed 0.65 target, which
@@ -213,8 +211,7 @@ struct AutoscaleSpec
     /**
      * The full tier — typically the static peak plan from
      * planCapacity. machines.size() is the maximum fleet; sharding,
-     * network, join model, and warmup fraction all behave as in
-     * ClusterSimulator.
+     * network and join model all behave as in ClusterSimulator.
      */
     ClusterConfig cluster;
 
@@ -246,7 +243,8 @@ struct AutoscaleSpec
 
 /**
  * Build a concrete scaling policy. Predictive reads its profile and
- * plan anchors from @p spec and asserts they are set.
+ * plan anchors from @p spec and asserts they are set. A machine floor
+ * above the tier's size is refused through drs_fatal.
  */
 std::unique_ptr<ScalingPolicy> makeScalingPolicy(
     const ScalingPolicySpec& policy, const AutoscaleSpec& spec);

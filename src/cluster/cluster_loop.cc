@@ -61,8 +61,6 @@ ClusterLoop::ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
     pendingJoins.assign(n, 0);
     downDepth.assign(n, 0);
     grayDepth.assign(n, 0);
-    netDepth.assign(n, 0);
-    netFactor.assign(n, 1.0);
     engineEpoch.assign(n, 0);
 }
 
@@ -214,14 +212,12 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
     if (part.kind == PartRec::Kind::FanEmb &&
         cfg.join == JoinModel::TwoStage) {
         // The dense phase starts once the last part (the leader's own
-        // hop-free) lands. A degraded NIC on either end stretches the
-        // hop.
+        // hop-free) lands.
         const double to_leader = part.leader
             ? 0.0
             : cfg.network.oneWaySeconds(
                   static_cast<double>(q.size) *
-                  cfg.network.embeddingBytesPerSample) *
-                  std::max(netFactor[part.machine], netFactor[q.machine]);
+                  cfg.network.embeddingBytesPerSample);
         q.leaderReady = std::max(q.leaderReady, now + to_leader);
         drs_assert(q.partsLeft > 0, "query with no pending parts");
         if (--q.partsLeft > 0)
@@ -248,8 +244,7 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
     // Whole parts, optimistic fan-out parts, and dense phases all
     // return scores to the router and join there.
     const double back = cfg.network.oneWaySeconds(
-        static_cast<double>(q.size) * cfg.network.responseBytesPerSample) *
-        netFactor[part.machine];
+        static_cast<double>(q.size) * cfg.network.responseBytesPerSample);
     q.joinTime = std::max(q.joinTime, now + back);
     drs_assert(q.partsLeft > 0, "query with no pending parts");
     if (--q.partsLeft == 0)
@@ -408,7 +403,7 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
             obs->onPartHedged(idx, now, src, to);
         const double forward = cfg.network.oneWaySeconds(
             static_cast<double>(q.size) *
-            cfg.network.requestBytesPerSample) * netFactor[to];
+            cfg.network.requestBytesPerSample);
         if (forward > 0.0) {
             events.push(now + forward, SimEvent::Kind::PartArrival, to,
                         dup_idx);
@@ -572,8 +567,8 @@ ClusterLoop::present(uint64_t idx, double now)
         q.heldParts++;
         result.numParts++;
         if (forward > 0.0) {
-            events.push(now + forward * netFactor[m],
-                        SimEvent::Kind::PartArrival, m, part_idx);
+            events.push(now + forward, SimEvent::Kind::PartArrival, m,
+                        part_idx);
         } else {
             startPart(part_idx, now);
         }
@@ -634,23 +629,13 @@ ClusterLoop::onFault(const FaultEvent& fe, double now)
         return;
       case FaultEvent::Kind::GrayStart:
         if (grayDepth[m]++ == 0) {
-            view.engine(m).setServiceFactor(fe.factor);
+            view.engine(m).setServiceFactor(cfg.faults.graySlowdownFactor);
             result.faults.grayWindows++;
         }
         return;
       case FaultEvent::Kind::GrayEnd:
         if (--grayDepth[m] == 0)
             view.engine(m).setServiceFactor(1.0);
-        return;
-      case FaultEvent::Kind::NetDegradeStart:
-        if (netDepth[m]++ == 0) {
-            netFactor[m] = fe.factor;
-            result.faults.netDegradeWindows++;
-        }
-        return;
-      case FaultEvent::Kind::NetDegradeEnd:
-        if (--netDepth[m] == 0)
-            netFactor[m] = 1.0;
         return;
     }
 }
@@ -831,7 +816,7 @@ ClusterLoop::run()
 
     lastEventTime = t0;
     lastFaultAdvance = t0;
-    warmup = warmupCount(cfg.warmupFraction, trace.size());
+    warmup = warmupCount(trace.size());
     result.fleetLatencySeconds.reserve(trace.size() - warmup);
     latencyMachine.reserve(trace.size() - warmup);
     if (queryBooks && mixOn)

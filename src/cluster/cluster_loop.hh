@@ -221,8 +221,6 @@ class ClusterLoop final
     std::vector<FaultEvent> faultSchedule;
     std::vector<int> downDepth;
     std::vector<int> grayDepth;
-    std::vector<int> netDepth;
-    std::vector<double> netFactor;
     std::vector<uint32_t> engineEpoch;
     std::vector<uint64_t> lostBuf;
     /** Engines advanced by a crash may run ahead of lastEventTime; the

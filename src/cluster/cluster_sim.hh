@@ -69,9 +69,6 @@ struct ClusterConfig
     /** One SimConfig per machine (heterogeneous mix allowed). */
     std::vector<SimConfig> machines;
 
-    /** Fraction of leading queries excluded from statistics. */
-    double warmupFraction = 0.05;
-
     /** Router->machine hop model (zero-cost by default). */
     NetworkConfig network;
 
@@ -97,10 +94,9 @@ struct ClusterConfig
 
     /**
      * Deterministic fault injection (cluster/fault_plan.hh): seeded
-     * crash / gray-failure / network-degradation schedules plus the
-     * failover budget. Disabled by default, in which case every new
-     * code path is gated off and runs are bitwise-identical to the
-     * fault-free driver.
+     * crash and gray-failure schedules plus the failover budget.
+     * Disabled by default, in which case every new code path is gated
+     * off and runs are bitwise-identical to the fault-free driver.
      */
     FaultPlan faults;
 

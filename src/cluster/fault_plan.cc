@@ -10,13 +10,12 @@ namespace deeprecsys {
 void
 validateFaultPlan(const FaultPlan& plan)
 {
-    if (!(plan.crashesPerHour >= 0.0 && plan.grayPerHour >= 0.0 &&
-          plan.netDegradePerHour >= 0.0))
+    if (!(plan.crashesPerHour >= 0.0 && plan.grayPerHour >= 0.0))
         drs_fatal("fault rates must be non-negative");
     if (!(plan.repairSeconds > 0.0))
         drs_fatal("repair time must be positive");
-    if (!(plan.graySlowdownFactor > 0.0 && plan.netDegradeFactor > 0.0))
-        drs_fatal("degradation factors must be positive");
+    if (!(plan.graySlowdownFactor > 0.0))
+        drs_fatal("gray slowdown factor must be positive");
     if (!(plan.grayDurationSeconds > 0.0))
         drs_fatal("degradation windows must have positive length");
     if (!(plan.failoverDelaySeconds >= 0.0))
@@ -24,9 +23,6 @@ validateFaultPlan(const FaultPlan& plan)
 }
 
 namespace {
-
-/** Length of one network-degradation window in seconds. */
-constexpr double kNetDegradeDurationSeconds = 2.0;
 
 /**
  * Independent per-(machine, stream) RNG: the seed is mixed with the
@@ -51,15 +47,15 @@ streamRng(uint64_t seed, uint32_t machine, uint64_t salt)
 void
 emitWindows(std::vector<FaultEvent>& out, Rng& rng, double per_hour,
             double duration, double start, double end, uint32_t machine,
-            FaultEvent::Kind open, FaultEvent::Kind close, double factor)
+            FaultEvent::Kind open, FaultEvent::Kind close)
 {
     if (per_hour <= 0.0 || end <= start)
         return;
     const double rate = per_hour / 3600.0;
     double t = start + rng.exponential(rate);
     while (t < end) {
-        out.push_back({t, open, machine, factor});
-        out.push_back({t + duration, close, machine, 1.0});
+        out.push_back({t, open, machine});
+        out.push_back({t + duration, close, machine});
         t += duration + rng.exponential(rate);
     }
 }
@@ -76,19 +72,11 @@ buildFaultSchedule(const FaultPlan& plan, uint32_t num_machines,
         Rng crash = streamRng(plan.seed, m, 0xC5A5);
         emitWindows(schedule, crash, plan.crashesPerHour,
                     plan.repairSeconds, start_time, end_time, m,
-                    FaultEvent::Kind::Crash, FaultEvent::Kind::Recover,
-                    1.0);
+                    FaultEvent::Kind::Crash, FaultEvent::Kind::Recover);
         Rng gray = streamRng(plan.seed, m, 0x6A41);
         emitWindows(schedule, gray, plan.grayPerHour,
                     plan.grayDurationSeconds, start_time, end_time, m,
-                    FaultEvent::Kind::GrayStart, FaultEvent::Kind::GrayEnd,
-                    plan.graySlowdownFactor);
-        Rng net = streamRng(plan.seed, m, 0x7E7D);
-        emitWindows(schedule, net, plan.netDegradePerHour,
-                    kNetDegradeDurationSeconds, start_time, end_time,
-                    m, FaultEvent::Kind::NetDegradeStart,
-                    FaultEvent::Kind::NetDegradeEnd,
-                    plan.netDegradeFactor);
+                    FaultEvent::Kind::GrayStart, FaultEvent::Kind::GrayEnd);
     }
     if (plan.correlatedCrashSeconds >= 0.0 &&
         plan.correlatedCrashMachines > 0) {
@@ -96,10 +84,9 @@ buildFaultSchedule(const FaultPlan& plan, uint32_t num_machines,
         const uint32_t n =
             std::min(plan.correlatedCrashMachines, num_machines);
         for (uint32_t m = 0; m < n; m++) {
-            schedule.push_back({t, FaultEvent::Kind::Crash, m, 1.0});
+            schedule.push_back({t, FaultEvent::Kind::Crash, m});
             schedule.push_back(
-                {t + plan.repairSeconds, FaultEvent::Kind::Recover, m,
-                 1.0});
+                {t + plan.repairSeconds, FaultEvent::Kind::Recover, m});
         }
     }
     // Total order (time, machine, kind): the generation order above is

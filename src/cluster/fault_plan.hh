@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic fault injection for the cluster serving tier: seeded
- * fail-stop crashes, gray failures (straggler machines), transient
- * network-hop degradation, and timed recoveries.
+ * fail-stop crashes, gray failures (straggler machines), and timed
+ * recoveries.
  *
  * Every machine in the simulated fleet used to be immortal, so
  * availability under failure was unmeasurable and replication only
@@ -37,9 +37,7 @@
  * duplicates it on another replica and takes the first response,
  * cancellation keeping the books balanced.
  *
- * A network-degradation window always lasts 2 seconds; its rate and
- * hop multiplier are configurable. Malformed plans are refused with
- * drs_fatal (validateFaultPlan).
+ * Malformed plans are refused with drs_fatal (validateFaultPlan).
  *
  * Units: seconds; rates in events per hour per machine (fleet
  * operators think in per-machine annualized failure rates; the sim
@@ -86,15 +84,6 @@ struct FaultPlan
     /** Length of one gray window in seconds. */
     double grayDurationSeconds = 2.0;
 
-    // ------------------------------------- network-hop degradation
-    /** Transient NIC/link degradation rate per machine per hour. */
-    double netDegradePerHour = 0.0;
-
-    /** Multiplier on every network hop touching the machine while
-     *  degraded (forward, return, and embedding-join hops) for one
-     *  2-second window. */
-    double netDegradeFactor = 8.0;
-
     // ------------------------------------------ correlated failure
     /**
      * Correlated-failure scenario: at this offset from the first
@@ -130,7 +119,6 @@ struct FaultPlan
     enabled() const
     {
         return crashesPerHour > 0.0 || grayPerHour > 0.0 ||
-               netDegradePerHour > 0.0 ||
                (correlatedCrashSeconds >= 0.0 &&
                 correlatedCrashMachines > 0);
     }
@@ -169,23 +157,18 @@ struct FaultEvent
         Recover,
         GrayStart,
         GrayEnd,
-        NetDegradeStart,
-        NetDegradeEnd,
     } kind = Kind::Crash;
     uint32_t machine = 0;
-
-    /** Gray/net multiplier for the Start kinds (1.0 otherwise). */
-    double factor = 1.0;
 };
 
 /**
  * Expand @p plan into the full fault schedule for machines
  * [0, num_machines) over [start_time, end_time), sorted by
  * (time, machine, kind). Pure: equal arguments give bitwise equal
- * schedules; each machine's crash/gray/net streams are independently
+ * schedules; each machine's crash and gray streams are independently
  * seeded so the schedule of machine m never depends on num_machines.
- * Window-closing events (Recover/GrayEnd/NetDegradeEnd) may land
- * beyond end_time so every opened window closes.
+ * Window-closing events (Recover/GrayEnd) may land beyond end_time so
+ * every opened window closes.
  */
 std::vector<FaultEvent> buildFaultSchedule(const FaultPlan& plan,
                                            uint32_t num_machines,
@@ -217,7 +200,9 @@ struct FaultStats
     uint64_t crashes = 0;           ///< machines-went-down transitions
     uint64_t recoveries = 0;        ///< machines-came-back transitions
     uint64_t grayWindows = 0;       ///< gray windows opened
-    uint64_t netDegradeWindows = 0; ///< net-degrade windows opened
+    /** Always 0, since network hops do not fail; kept only because
+     *  the repository benchmark's digest reads it. */
+    uint64_t netDegradeWindows = 0;
 
     uint64_t partsLost = 0;    ///< parts destroyed by crashes
     uint64_t lost = 0;         ///< queries destroyed, no failover left

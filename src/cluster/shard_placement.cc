@@ -68,6 +68,13 @@ allPlacementStrategies()
 
 namespace {
 
+/**
+ * HotColdReplicated: fraction of each machine's budget reserved for
+ * replicated hot tables. Replication stops at the first table that
+ * would overflow this reserve on any machine.
+ */
+constexpr double kHotReplicaFraction = 0.5;
+
 /** Free bytes on a machine; budget 0 means unconstrained. */
 uint64_t
 freeBytes(uint64_t budget, uint64_t used)
@@ -197,9 +204,6 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
       case PlacementStrategy::HotColdReplicated: {
         // Hot phase: replicate in popularity order while the replica
         // set stays within the hot reserve on every machine.
-        drs_assert(spec.hotReplicaFraction >= 0.0 &&
-                       spec.hotReplicaFraction <= 1.0,
-                   "hot replica fraction must be in [0, 1]");
         uint64_t hot_bytes = 0;
         for (size_t idx : byPopularityDesc(tables)) {
             const EmbeddingTableInfo& t = tables[idx];
@@ -207,7 +211,7 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
             for (size_t m = 0; fits_everywhere && m < machines; m++) {
                 if (budget_bytes[m] == 0)
                     continue;    // unconstrained machine
-                const double reserve = spec.hotReplicaFraction *
+                const double reserve = kHotReplicaFraction *
                                        static_cast<double>(budget_bytes[m]);
                 fits_everywhere =
                     static_cast<double>(hot_bytes + t.bytes) <= reserve;

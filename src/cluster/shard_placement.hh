@@ -66,9 +66,9 @@ enum class PlacementStrategy
      *  budget is short); one copy of each table. */
     RoundRobin,
 
-    /** Replicate the most popular tables onto every machine within a
-     *  budget fraction, then greedy-place the cold remainder with one
-     *  copy each. Popular tables never force a remote hop. */
+    /** Replicate the most popular tables onto every machine within
+     *  half of each budget, then greedy-place the cold remainder with
+     *  one copy each. Popular tables never force a remote hop. */
     HotColdReplicated,
 };
 
@@ -82,13 +82,6 @@ const std::vector<PlacementStrategy>& allPlacementStrategies();
 struct PlacementSpec
 {
     PlacementStrategy strategy = PlacementStrategy::GreedyBySize;
-
-    /**
-     * HotColdReplicated only: fraction of each machine's budget
-     * reserved for replicated hot tables. Replication stops at the
-     * first table that would overflow this reserve on any machine.
-     */
-    double hotReplicaFraction = 0.5;
 
     /**
      * Replication-for-availability floor: after the strategy runs,

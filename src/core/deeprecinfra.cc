@@ -31,9 +31,7 @@ DeepRecInfra::slaMs(SlaTier tier) const
 SimConfig
 DeepRecInfra::simConfig(const SchedulerPolicy& policy) const
 {
-    SimConfig sim{cpuCost, gpuCost, policy, /*warmupFraction=*/0.05,
-                  /*slowdown=*/1.0};
-    return sim;
+    return SimConfig{cpuCost, gpuCost, policy};
 }
 
 QpsSearchResult
@@ -43,7 +41,6 @@ DeepRecInfra::maxQps(const SchedulerPolicy& policy, double sla_ms) const
     spec.slaMs = sla_ms;
     spec.percentile = cfg.percentile;
     spec.numQueries = cfg.numQueries;
-    spec.load.arrival = cfg.arrival;
     spec.load.sizes = cfg.sizeDist;
     spec.load.arrivalSeed = cfg.seed;
     spec.load.sizeSeed = cfg.seed + 1;

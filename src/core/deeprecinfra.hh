@@ -31,7 +31,6 @@ struct InfraConfig
     bool attachGpu = false;
     GpuPlatform gpu = GpuPlatform::gtx1080Ti();
 
-    ArrivalKind arrival = ArrivalKind::Poisson;
     SizeDistKind sizeDist = SizeDistKind::Production;
     uint64_t seed = 42;
 

@@ -7,8 +7,8 @@
 
 namespace deeprecsys {
 
-ArrivalProcess::ArrivalProcess(ArrivalKind kind, double qps, uint64_t seed)
-    : kind(kind), rate(qps), rng(seed)
+ArrivalProcess::ArrivalProcess(double qps, uint64_t seed)
+    : rate(qps), rng(seed)
 {
     drs_assert(qps > 0.0, "arrival rate must be positive");
 }
@@ -16,17 +16,7 @@ ArrivalProcess::ArrivalProcess(ArrivalKind kind, double qps, uint64_t seed)
 double
 ArrivalProcess::nextGap()
 {
-    switch (kind) {
-      case ArrivalKind::Poisson:
-        return rng.exponential(rate);
-      case ArrivalKind::Fixed:
-        return 1.0 / rate;
-      case ArrivalKind::Uniform:
-        // Same mean as Fixed but with +/-50% jitter.
-        return rng.uniform(0.5, 1.5) / rate;
-      default:
-        drs_panic("unknown arrival kind");
-    }
+    return rng.exponential(rate);
 }
 
 const char*
@@ -36,7 +26,6 @@ sizeDistName(SizeDistKind kind)
       case SizeDistKind::Production: return "production";
       case SizeDistKind::Lognormal: return "lognormal";
       case SizeDistKind::Normal: return "normal";
-      case SizeDistKind::Fixed: return "fixed";
       default: return "unknown";
     }
 }
@@ -81,19 +70,12 @@ QuerySizeDistribution::normal(uint64_t seed, double mean, double stddev)
 }
 
 QuerySizeDistribution
-QuerySizeDistribution::fixed(uint64_t seed, uint32_t size)
-{
-    return {SizeDistKind::Fixed, seed, static_cast<double>(size), 0.0};
-}
-
-QuerySizeDistribution
 QuerySizeDistribution::byKind(SizeDistKind kind, uint64_t seed)
 {
     switch (kind) {
       case SizeDistKind::Production: return production(seed);
       case SizeDistKind::Lognormal: return lognormal(seed);
       case SizeDistKind::Normal: return normal(seed);
-      case SizeDistKind::Fixed: return fixed(seed);
       default: drs_panic("unknown size distribution kind");
     }
 }
@@ -114,9 +96,6 @@ QuerySizeDistribution::sample()
         break;
       case SizeDistKind::Normal:
         value = rng.normal(paramA, paramB);
-        break;
-      case SizeDistKind::Fixed:
-        value = paramA;
         break;
       default:
         drs_panic("unknown size distribution kind");

@@ -6,8 +6,8 @@
  * Arrivals follow a Poisson process as observed in production; sizes
  * follow a heavy-tailed distribution (lognormal body + Pareto tail)
  * whose top quartile carries roughly half the total work, the property
- * Figure 6 builds on. Fixed / normal / lognormal alternatives are
- * provided for the ablations of Figure 12a.
+ * Figure 6 builds on. Normal and lognormal alternatives are provided
+ * for the ablations of Figure 12a.
  *
  * Units: all times are **seconds** (gaps, profile periods, absolute
  * stamps); rates are queries per second; query sizes are candidate
@@ -30,25 +30,21 @@
 
 namespace deeprecsys {
 
-/** Inter-arrival time models. */
-enum class ArrivalKind { Poisson, Fixed, Uniform };
-
 /**
- * Generates inter-arrival gaps for a target average rate. Owns its
- * random stream: two processes with equal (kind, qps, seed) emit the
- * same gap sequence, and every kind prices a gap as gap(1.0) / qps,
- * which is what lets TraceTemplate re-time one drawn population at
- * any candidate rate bit-identically.
+ * Generates the exponential inter-arrival gaps of a Poisson process
+ * at a target average rate. Owns its random stream: two processes
+ * with equal (qps, seed) emit the same gap sequence, and a gap is
+ * priced as gap(1.0) / qps, which is what lets TraceTemplate re-time
+ * one drawn population at any candidate rate bit-identically.
  */
 class ArrivalProcess
 {
   public:
     /**
-     * @param kind process type
      * @param qps average queries per second (> 0)
      * @param seed deterministic stream seed
      */
-    ArrivalProcess(ArrivalKind kind, double qps, uint64_t seed);
+    ArrivalProcess(double qps, uint64_t seed);
 
     /** Seconds until the next arrival. */
     double nextGap();
@@ -57,13 +53,12 @@ class ArrivalProcess
     double qps() const { return rate; }
 
   private:
-    ArrivalKind kind;
     double rate;
     Rng rng;
 };
 
 /** Query working-set-size distribution families. */
-enum class SizeDistKind { Production, Lognormal, Normal, Fixed };
+enum class SizeDistKind { Production, Lognormal, Normal };
 
 /** Name for printing. */
 const char* sizeDistName(SizeDistKind kind);
@@ -92,9 +87,6 @@ class QuerySizeDistribution
     static QuerySizeDistribution normal(uint64_t seed, double mean = 140.0,
                                         double stddev = 60.0);
 
-    /** Every query has the same size. */
-    static QuerySizeDistribution fixed(uint64_t seed, uint32_t size = 140);
-
     /** Build by kind with default parameters. */
     static QuerySizeDistribution byKind(SizeDistKind kind, uint64_t seed);
 
@@ -113,7 +105,7 @@ class QuerySizeDistribution
 
     SizeDistKind kind_;
     Rng rng;
-    double paramA;  ///< mu / mean / fixed size
+    double paramA;  ///< mu / mean
     double paramB;  ///< sigma / stddev
 };
 

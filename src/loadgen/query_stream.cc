@@ -9,7 +9,7 @@
 namespace deeprecsys {
 
 QueryStream::QueryStream(const LoadSpec& spec)
-    : spec_(spec), arrivals(spec.arrival, spec.qps, spec.arrivalSeed),
+    : spec_(spec), arrivals(spec.qps, spec.arrivalSeed),
       sizes(QuerySizeDistribution::byKind(spec.sizes, spec.sizeSeed))
 {
 }
@@ -31,7 +31,7 @@ QueryStream::generate(size_t count)
 }
 
 TraceTemplate::TraceTemplate(const LoadSpec& spec)
-    : spec_(spec), arrivals(spec.arrival, 1.0, spec.arrivalSeed),
+    : spec_(spec), arrivals(1.0, spec.arrivalSeed),
       sizeDist(QuerySizeDistribution::byKind(spec.sizes, spec.sizeSeed))
 {
 }

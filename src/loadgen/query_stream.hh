@@ -17,7 +17,6 @@ namespace deeprecsys {
 /** Configuration of one generated query stream. */
 struct LoadSpec
 {
-    ArrivalKind arrival = ArrivalKind::Poisson;
     SizeDistKind sizes = SizeDistKind::Production;
     double qps = 100.0;
     uint64_t arrivalSeed = 1;
@@ -51,7 +50,7 @@ class QueryStream
 /**
  * The rate-sweep form of a query stream: sizes and *unit-rate*
  * inter-arrival gaps are drawn once, and materialize() re-times them
- * at any candidate rate. Every ArrivalKind prices a gap as
+ * at any candidate rate. ArrivalProcess prices a gap as
  * gap(rate) = gap(1.0) / rate, and IEEE division by 1.0 is exact, so
  * a materialized trace is **bit-identical** to QueryStream::generate
  * at that rate with the same LoadSpec — the draw order never changes.
@@ -79,12 +78,11 @@ class TraceTemplate
     /**
      * First @p count queries re-timed under a time-varying rate:
      * mean_qps modulated by @p profile (a non-homogeneous Poisson
-     * process when the template's ArrivalKind is Poisson, by
-     * inversion of the profile's cumulative integral). The same drawn
-     * population — sizes and draw order untouched — arrives denser at
-     * the peak and sparser at the trough, which is what the elastic
-     * cluster tier serves over a simulated day. A flat profile
-     * (peak_to_trough 1.0) is **bit-identical** to
+     * process, by inversion of the profile's cumulative integral).
+     * The same drawn population — sizes and draw order untouched —
+     * arrives denser at the peak and sparser at the trough, which is
+     * what the elastic cluster tier serves over a simulated day. A
+     * flat profile (peak_to_trough 1.0) is **bit-identical** to
      * materialize(mean_qps, count). Deterministic: a pure function of
      * the drawn template and the arguments.
      */

@@ -20,9 +20,6 @@ MachineEngine::validate(const SimConfig& config)
         drs_fatal("per-request batch must be >= 1");
     if (!(config.slowdown > 0.0))
         drs_fatal("slowdown must be positive");
-    // A fraction of 1 or more would measure no query at all.
-    if (!(config.warmupFraction >= 0.0 && config.warmupFraction < 1.0))
-        drs_fatal("warm-up fraction must be in [0, 1)");
     if (config.policy.gpuEnabled && !config.gpu.has_value())
         drs_fatal("GPU policy without a GPU model");
     for (const ModelService& co : config.coModels) {
@@ -264,9 +261,9 @@ MachineEngine::gpuQueryDone(uint32_t slot, uint64_t part_idx, double now,
 }
 
 size_t
-warmupCount(double fraction, size_t trace_size)
+warmupCount(size_t trace_size)
 {
-    return static_cast<size_t>(fraction *
+    return static_cast<size_t>(kWarmupFraction *
                                static_cast<double>(trace_size));
 }
 

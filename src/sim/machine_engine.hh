@@ -99,9 +99,6 @@ struct SimConfig
     std::optional<GpuCostModel> gpu;
     SchedulerPolicy policy;
 
-    /** Fraction of leading queries excluded from statistics. */
-    double warmupFraction = 0.05;
-
     /** Machine speed multiplier (>1 is slower; fleet heterogeneity). */
     double slowdown = 1.0;
 
@@ -602,9 +599,13 @@ struct MeasuredSpan
     }
 };
 
-/** Leading queries excluded from statistics at @p fraction, which the
- *  drivers validate into [0, 1). */
-size_t warmupCount(double fraction, size_t trace_size);
+/** Fraction of a trace's leading queries every driver excludes from
+ *  statistics, as the load generator's warm-up. */
+constexpr double kWarmupFraction = 0.05;
+
+/** Leading queries of a @p trace_size -query trace excluded from
+ *  statistics: kWarmupFraction of them, truncated. */
+size_t warmupCount(size_t trace_size);
 
 /** Offered rate implied by a trace's arrival stamps (0 if degenerate). */
 double traceOfferedQps(const QueryTrace& trace);

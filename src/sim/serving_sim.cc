@@ -20,7 +20,7 @@ ServingSimulator::run(const QueryTrace& trace)
     if (trace.empty())
         return result;
 
-    const size_t warmup = warmupCount(cfg.warmupFraction, trace.size());
+    const size_t warmup = warmupCount(trace.size());
     result.queryLatencySeconds.reserve(trace.size() - warmup);
 
     MachineEngine engine(&cfg, trace.front().arrivalSeconds);

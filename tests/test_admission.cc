@@ -37,7 +37,7 @@ cpuMachine(size_t batch = 256, double slowdown = 1.0)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, slowdown};
+                     std::nullopt, policy, slowdown};
 }
 
 ClusterConfig

@@ -34,10 +34,27 @@ cpuMachine(uint64_t memory_bytes = 0)
     SchedulerPolicy policy;
     policy.perRequestBatch = 256;
     SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy, 0.05, 1.0};
+                      std::nullopt, policy};
     machine.memoryBytes = memory_bytes;
     return machine;
 }
+
+/** A test policy that always asks for the same machine count. */
+class FixedTarget final : public ScalingPolicy
+{
+  public:
+    explicit FixedTarget(size_t target) : target_(target) {}
+
+    size_t targetMachines(const ScalingSignals&) override { return target_; }
+
+    ScalingPolicyKind kind() const override
+    {
+        return ScalingPolicyKind::Static;
+    }
+
+  private:
+    size_t target_;
+};
 
 AutoscaleSpec
 flatSpec(size_t machines)
@@ -268,9 +285,7 @@ TEST(Autoscaler, DrainFinishesInFlightWorkAndPowersOff)
     AutoscaleSpec spec = flatSpec(6);
     const QueryTrace trace = flatTrace(3000.0, 15000);
 
-    ScalingPolicySpec policy;
-    policy.kind = ScalingPolicyKind::Static;
-    policy.staticMachines = 2;
+    FixedTarget policy(2);
     const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
 
     EXPECT_EQ(r.numCompleted, trace.size());
@@ -469,9 +484,7 @@ TEST(Autoscaler, ShardRevalidationRefusesOrphaningDrains)
     spec.warmupDelaySeconds = 0.25;
 
     const QueryTrace trace = flatTrace(2000.0, 6000);
-    ScalingPolicySpec policy;
-    policy.kind = ScalingPolicyKind::Static;
-    policy.staticMachines = 1;    // asks for a 1-machine tier
+    FixedTarget policy(1);    // asks for a 1-machine tier
     const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
 
     // Every drain was refused: each machine holds tables nobody else
@@ -500,7 +513,6 @@ TEST(Autoscaler, ShardDrainAllowedUnderFullReplication)
         spec.cluster.machines.push_back(cpuMachine(0));
     PlacementSpec placement_spec;
     placement_spec.strategy = PlacementStrategy::HotColdReplicated;
-    placement_spec.hotReplicaFraction = 1.0;
     const ShardPlacement placement = ShardPlacement::build(
         tables, std::vector<uint64_t>(n, 0), placement_spec);
     ASSERT_TRUE(placement.feasible());
@@ -514,9 +526,7 @@ TEST(Autoscaler, ShardDrainAllowedUnderFullReplication)
     spec.warmupDelaySeconds = 0.25;
 
     const QueryTrace trace = flatTrace(2000.0, 6000);
-    ScalingPolicySpec policy;
-    policy.kind = ScalingPolicyKind::Static;
-    policy.staticMachines = 2;
+    FixedTarget policy(2);
     const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
 
     EXPECT_EQ(r.minServingMachines, 2u);
@@ -615,14 +625,20 @@ TEST(AutoscalerConfigDeath, NegativeWarmupIsAConfigError)
                 "warm-up delay cannot be negative");
 }
 
-TEST(AutoscalerConfigDeath, WarmupFractionOutsideZeroToOneIsAConfigError)
+TEST(AutoscalerConfigDeath, MinMachinesAboveTheTierIsAConfigError)
 {
-    for (double fraction : {1.0, 1.5, -0.3, std::nan("")}) {
-        AutoscaleSpec spec = flatSpec(2);
-        spec.cluster.warmupFraction = fraction;
-        EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
-                    "elastic tier: warm-up fraction must be in \\[0, 1\\)")
-            << fraction;
+    // A floor above the tier cannot be met, and std::clamp with a
+    // floor above its ceiling is undefined (it aborts under
+    // _GLIBCXX_ASSERTIONS and returns the ceiling in Release).
+    const AutoscaleSpec spec = flatSpec(2);
+    for (ScalingPolicyKind kind : allScalingPolicyKinds()) {
+        ScalingPolicySpec policy;
+        policy.kind = kind;
+        policy.minMachines = 3;
+        EXPECT_EXIT(makeScalingPolicy(policy, spec),
+                    ::testing::ExitedWithCode(1),
+                    "scaling floor of 3 machines exceeds the tier's 2")
+            << scalingPolicyName(kind);
     }
 }
 

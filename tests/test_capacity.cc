@@ -18,7 +18,7 @@ cpuMachine(size_t batch = 256)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, 1.0};
+                     std::nullopt, policy};
 }
 
 CapacityPlanSpec
@@ -97,8 +97,7 @@ TEST(CapacityPlanner, MixedUnitScalesIntegrally)
     gpu_policy.gpuQueryThreshold = 64;
     const SimConfig gpu_machine{
         CpuCostModel(profile, CpuPlatform::skylake()),
-        GpuCostModel(profile, GpuPlatform::gtx1080Ti()), gpu_policy,
-        0.05, 1.0};
+        GpuCostModel(profile, GpuPlatform::gtx1080Ti()), gpu_policy};
 
     CapacityPlanSpec spec = baseSpec(8000.0);
     spec.unitMachines = {cpuMachine(), cpuMachine(), gpu_machine};

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 #include "cluster/cluster_qps_search.hh"
@@ -25,7 +24,7 @@ cpuMachine(double slowdown = 1.0, size_t batch = 256)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, slowdown};
+                     std::nullopt, policy, slowdown};
 }
 
 SimConfig
@@ -38,7 +37,7 @@ gpuMachine(uint32_t threshold = 64, double slowdown = 1.0)
     policy.gpuQueryThreshold = threshold;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
                      GpuCostModel(profile, GpuPlatform::gtx1080Ti()),
-                     policy, 0.05, slowdown};
+                     policy, slowdown};
 }
 
 ClusterConfig
@@ -183,11 +182,10 @@ TEST(ClusterSim, SizeAwareSendsLargeQueriesOnlyToGpuMachines)
 TEST(ClusterSim, WarmupExcludedFromStats)
 {
     const QueryTrace trace = globalTrace(2000, 6000.0);
-    ClusterConfig cfg = homogeneousCluster(4);
-    cfg.warmupFraction = 0.10;
-    const ClusterResult r =
-        ClusterSimulator(cfg).run(trace, {RoutingKind::RoundRobin, 0, 0});
-    EXPECT_EQ(r.numQueries, trace.size() - 200);
+    const ClusterResult r = ClusterSimulator(homogeneousCluster(4))
+                                .run(trace, {RoutingKind::RoundRobin, 0, 0});
+    EXPECT_EQ(warmupCount(trace.size()), 100u);
+    EXPECT_EQ(r.numQueries, trace.size() - 100);
     EXPECT_EQ(r.numCompleted, trace.size());
 }
 
@@ -257,17 +255,6 @@ TEST(ClusterQps, DeterministicAcrossCalls)
     const double a = findClusterMaxQps(homogeneousCluster(3), spec).maxQps;
     const double b = findClusterMaxQps(homogeneousCluster(3), spec).maxQps;
     EXPECT_DOUBLE_EQ(a, b);
-}
-
-TEST(ClusterConfigDeath, WarmupFractionOutsideZeroToOneIsAConfigError)
-{
-    for (double fraction : {1.0, 1.5, -0.3, std::nan("")}) {
-        ClusterConfig cfg = homogeneousCluster(2);
-        cfg.warmupFraction = fraction;
-        EXPECT_EXIT(ClusterSimulator{cfg}, ::testing::ExitedWithCode(1),
-                    "cluster: warm-up fraction must be in \\[0, 1\\)")
-            << fraction;
-    }
 }
 
 TEST(ClusterConfigDeath, MachineMissingAMixBindingIsAConfigError)

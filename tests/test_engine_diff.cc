@@ -27,8 +27,7 @@ namespace {
 
 SimConfig
 machineConfig(ModelId model, size_t batch, bool gpu, uint32_t threshold,
-              double slowdown = 1.0, double warmup = 0.05,
-              bool broadwell = false)
+              double slowdown = 1.0, bool broadwell = false)
 {
     const ModelProfile profile = ModelProfile::forModel(model);
     SchedulerPolicy policy;
@@ -37,7 +36,7 @@ machineConfig(ModelId model, size_t batch, bool gpu, uint32_t threshold,
     policy.gpuQueryThreshold = threshold;
     SimConfig cfg{CpuCostModel(profile, broadwell ? CpuPlatform::broadwell()
                                                   : CpuPlatform::skylake()),
-                  std::nullopt, policy, warmup, slowdown};
+                  std::nullopt, policy, slowdown};
     if (gpu)
         cfg.gpu.emplace(profile, GpuPlatform::gtx1080Ti());
     return cfg;
@@ -49,7 +48,6 @@ oneMachineCluster(const SimConfig& machine)
 {
     ClusterConfig cluster;
     cluster.machines.push_back(machine);
-    cluster.warmupFraction = machine.warmupFraction;
     return cluster;
 }
 
@@ -129,7 +127,6 @@ TEST(EngineDiff, RandomizedConfigTraceSchedulerCombinations)
         const uint32_t threshold = static_cast<uint32_t>(
             rng.uniformInt(1, 600));
         const double slowdown = rng.uniform(0.7, 1.6);
-        const double warmup = rng.uniform(0.0, 0.3);
         const bool broadwell = rng.uniform() < 0.5;
         const double qps = rng.uniform(50.0, 2500.0);
         const size_t count = static_cast<size_t>(
@@ -141,7 +138,7 @@ TEST(EngineDiff, RandomizedConfigTraceSchedulerCombinations)
                      std::to_string(gpu) + " qps " + std::to_string(qps));
         expectIdenticalRuns(
             machineConfig(model, batch, gpu, threshold, slowdown,
-                          warmup, broadwell),
+                          broadwell),
             poissonTrace(count, qps, rng()));
     }
 }
@@ -184,11 +181,12 @@ TEST(EngineDiff, OverloadBurstMatches)
 
 TEST(EngineDiff, WarmupFractionsMatch)
 {
-    for (double warmup : {0.0, 0.1, 0.5, 0.9}) {
-        SCOPED_TRACE(warmup);
-        expectIdenticalRuns(
-            machineConfig(ModelId::Ncf, 16, false, 1, 1.0, warmup),
-            poissonTrace(400, 300.0));
+    // Both drivers exclude warmupCount(size) leading queries; these
+    // lengths sit on either side of the count's truncation steps.
+    for (size_t count : {19u, 20u, 39u, 40u, 400u}) {
+        SCOPED_TRACE(count);
+        expectIdenticalRuns(machineConfig(ModelId::Ncf, 16, false, 1),
+                            poissonTrace(count, 300.0));
     }
 }
 

@@ -32,7 +32,7 @@ cpuMachine(ModelId model = ModelId::DlrmRmc1, double slowdown = 1.0,
     SchedulerPolicy policy;
     policy.perRequestBatch = 256;
     SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy, 0.05, slowdown};
+                      std::nullopt, policy, slowdown};
     machine.memoryBytes = memory_bytes;
     return machine;
 }
@@ -47,7 +47,7 @@ gpuMachine(uint32_t threshold = 64)
     policy.gpuQueryThreshold = threshold;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
                      GpuCostModel(profile, GpuPlatform::gtx1080Ti()),
-                     policy, 0.05, 1.0};
+                     policy};
 }
 
 /** Mixed tier: CPU-only, slow, and accelerated machines. */

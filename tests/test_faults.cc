@@ -38,7 +38,7 @@ chaosTier(uint32_t min_replicas)
         SchedulerPolicy policy;
         policy.perRequestBatch = 256;
         SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy, 0.05, 1.0};
+                          std::nullopt, policy};
         machine.memoryBytes = min_replicas > 1 ? 3'000'000'000ULL
                                                : 2'000'000'000ULL;
         cluster.machines.push_back(machine);
@@ -83,27 +83,28 @@ hotPlan()
     return plan;
 }
 
-/** A hot plan with replication and failover, plus variants that
- *  reach every way a part can die or outlive its dispatch. */
-std::vector<std::pair<const char*, FaultPlan>>
-partDeathPlans()
+/** The replicated chaos tier under a hot plan with failover, plus
+ *  variants that reach every way a part can die or outlive its
+ *  dispatch. */
+std::vector<std::pair<const char*, ClusterConfig>>
+partDeathTiers()
 {
-    FaultPlan hot = hotPlan();
-    hot.faultTolerance = 2;
-    hot.maxFailovers = 2;
-    // Degraded NICs stretch forward hops and the pooled-embedding hop
-    // to the leader past a zero failover backoff: stale PartArrivals
-    // land after their query was re-presented, and leaders restart
-    // while their join phase is in flight.
-    FaultPlan slow_net = hot;
-    slow_net.netDegradePerHour = 480.0;
-    slow_net.netDegradeFactor = 40.0;
-    slow_net.failoverDelaySeconds = 0.0;
+    ClusterConfig hot = chaosTier(2);
+    hot.faults = hotPlan();
+    hot.faults.faultTolerance = 2;
+    hot.faults.maxFailovers = 2;
+    // A slow network stretches forward hops and the pooled-embedding
+    // hop to the leader past a zero failover backoff: stale
+    // PartArrivals land after their query was re-presented, and
+    // leaders restart while their join phase is in flight.
+    ClusterConfig slow_net = hot;
+    slow_net.network.hopSeconds = 20e-3;
+    slow_net.faults.failoverDelaySeconds = 0.0;
     // A backoff far longer than any part lives: the re-presented
     // dispatch starts long after its dead one left the part window.
-    FaultPlan long_backoff = hot;
-    long_backoff.maxFailovers = 3;
-    long_backoff.failoverDelaySeconds = 0.5;
+    ClusterConfig long_backoff = hot;
+    long_backoff.faults.maxFailovers = 3;
+    long_backoff.faults.failoverDelaySeconds = 0.5;
     return {{"hot", hot},
             {"slow_net_zero_backoff", slow_net},
             {"long_backoff", long_backoff}};
@@ -130,7 +131,6 @@ TEST(FaultSchedule, PureAndSorted)
         EXPECT_EQ(a[i].time, b[i].time);
         EXPECT_EQ(a[i].kind, b[i].kind);
         EXPECT_EQ(a[i].machine, b[i].machine);
-        EXPECT_EQ(a[i].factor, b[i].factor);
     }
     for (size_t i = 1; i < a.size(); i++) {
         const bool ordered =
@@ -182,7 +182,6 @@ TEST(FaultSchedule, EveryWindowCloses)
               case FaultEvent::Kind::Recover: depth_crash--; break;
               case FaultEvent::Kind::GrayStart: depth_gray++; break;
               case FaultEvent::Kind::GrayEnd: depth_gray--; break;
-              default: break;
             }
         }
         EXPECT_EQ(depth_crash, 0) << "machine " << m;
@@ -258,10 +257,8 @@ TEST(FaultPlanDeath, HedgeNeedsShardedTier)
 TEST(FaultConservation, ThreeWayAlgebraExactUnderChaos)
 {
     const QueryTrace trace = chaosTrace();
-    for (const auto& [name, plan] : partDeathPlans()) {
+    for (const auto& [name, cfg] : partDeathTiers()) {
         SCOPED_TRACE(name);
-        ClusterConfig cfg = chaosTier(2);
-        cfg.faults = plan;
         const ClusterResult r = runChaos(cfg, trace);
 
         // The run must actually exercise the machinery it claims to.
@@ -323,7 +320,7 @@ TEST(FaultConservation, ElasticAlgebraExactUnderCrashes)
         sched.perRequestBatch = 256;
         spec.cluster.machines.push_back(
             SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, sched, 0.05, 1.0});
+                      std::nullopt, sched});
     }
     spec.routing.kind = RoutingKind::PowerOfTwoChoices;
     spec.slaMs = 100.0;
@@ -344,10 +341,9 @@ TEST(FaultConservation, ElasticAlgebraExactUnderCrashes)
     AutoscaleSpec sharded = spec;
     sharded.routing.kind = RoutingKind::ShardAware;
     const QueryTrace trace = chaosTrace();
-    for (const auto& [name, plan] : partDeathPlans()) {
+    for (const auto& [name, cfg] : partDeathTiers()) {
         SCOPED_TRACE(name);
-        sharded.cluster = chaosTier(2);
-        sharded.cluster.faults = plan;
+        sharded.cluster = cfg;
         check(sharded, trace);
     }
 }

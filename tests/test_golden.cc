@@ -246,7 +246,7 @@ TEST(Golden, ServingSimFig11Paths)
         policy.gpuEnabled = c.gpu;
         policy.gpuQueryThreshold = c.threshold;
         SimConfig cfg{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy, 0.05, 1.0};
+                      std::nullopt, policy};
         if (c.gpu)
             cfg.gpu.emplace(profile, GpuPlatform::gtx1080Ti());
         ServingSimulator sim(cfg);
@@ -270,7 +270,7 @@ TEST(Golden, FleetFig13Path)
         policy.perRequestBatch = batch;
         const SimConfig machine{
             CpuCostModel(profile, CpuPlatform::skylake()),
-            std::nullopt, policy, 0.05, 1.0};
+            std::nullopt, policy};
         FleetConfig cfg;
         cfg.numMachines = 12;
         cfg.perMachineQps = 540.0;
@@ -292,7 +292,7 @@ TEST(Golden, FleetFig07Path)
     SchedulerPolicy policy;
     policy.perRequestBatch = 256;
     const SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                            std::nullopt, policy, 0.05, 1.0};
+                            std::nullopt, policy};
     FleetConfig cfg;
     cfg.numMachines = 16;
     cfg.perMachineQps = 1200.0;
@@ -318,7 +318,7 @@ TEST(Golden, ClusterRoutingSweepPaths)
         SchedulerPolicy policy;
         policy.perRequestBatch = 256;
         SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy, 0.05,
+                          std::nullopt, policy,
                           m % 2 == 0 ? 1.0 : 1.3};
         cluster.machines.push_back(machine);
     }
@@ -354,7 +354,7 @@ TEST(Golden, ShardedFanOutJoinPaths)
             policy.perRequestBatch = 256;
             SimConfig machine{
                 CpuCostModel(profile, CpuPlatform::skylake()),
-                std::nullopt, policy, 0.05, 1.0};
+                std::nullopt, policy};
             machine.memoryBytes = 2'000'000'000ULL;
             cluster.machines.push_back(machine);
         }
@@ -396,7 +396,7 @@ TEST(Golden, OverloadGoodputCurve)
         SchedulerPolicy policy;
         policy.perRequestBatch = 256;
         SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy, 0.05, 1.0};
+                          std::nullopt, policy};
         machine.memoryBytes = 2'000'000'000ULL;
         cluster.machines.push_back(machine);
     }
@@ -490,7 +490,7 @@ TEST(Golden, ChaosAvailabilityCurve)
             policy.perRequestBatch = 256;
             SimConfig machine{
                 CpuCostModel(profile, CpuPlatform::skylake()),
-                std::nullopt, policy, 0.05, 1.0};
+                std::nullopt, policy};
             // Two full copies of RMC2 need headroom over 2 GB x 8.
             machine.memoryBytes = p.minReplicas > 1
                 ? 3'000'000'000ULL : 2'000'000'000ULL;

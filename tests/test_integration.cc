@@ -72,7 +72,7 @@ TEST(Integration, EngineAndSimAgreeOnRequestCounts)
     SchedulerPolicy policy;
     policy.perRequestBatch = 25;
     SimConfig scfg{CpuCostModel(profile, CpuPlatform::skylake()),
-                   std::nullopt, policy, 0.0, 1.0};
+                   std::nullopt, policy};
     ServingSimulator sim(scfg);
     const SimResult sr = sim.run(trace);
 

@@ -17,7 +17,7 @@ namespace {
 
 TEST(ArrivalProcess, PoissonMeanGap)
 {
-    ArrivalProcess p(ArrivalKind::Poisson, 100.0, 1);
+    ArrivalProcess p(100.0, 1);
     double sum = 0.0;
     const int n = 50000;
     for (int i = 0; i < n; i++)
@@ -25,27 +25,10 @@ TEST(ArrivalProcess, PoissonMeanGap)
     EXPECT_NEAR(sum / n, 0.01, 0.001);
 }
 
-TEST(ArrivalProcess, FixedGapExact)
-{
-    ArrivalProcess p(ArrivalKind::Fixed, 50.0, 1);
-    for (int i = 0; i < 10; i++)
-        EXPECT_DOUBLE_EQ(p.nextGap(), 0.02);
-}
-
-TEST(ArrivalProcess, UniformGapBounds)
-{
-    ArrivalProcess p(ArrivalKind::Uniform, 10.0, 1);
-    for (int i = 0; i < 1000; i++) {
-        const double g = p.nextGap();
-        EXPECT_GE(g, 0.05);
-        EXPECT_LT(g, 0.15);
-    }
-}
-
 TEST(ArrivalProcess, PoissonCoefficientOfVariation)
 {
-    // Exponential gaps have CV = 1; fixed gaps CV = 0.
-    ArrivalProcess p(ArrivalKind::Poisson, 10.0, 2);
+    // Exponential gaps have CV = 1.
+    ArrivalProcess p(10.0, 2);
     std::vector<double> gaps;
     for (int i = 0; i < 20000; i++)
         gaps.push_back(p.nextGap());
@@ -61,7 +44,7 @@ TEST(ArrivalProcess, PoissonCoefficientOfVariation)
 TEST(QuerySizeDistribution, SamplesWithinRange)
 {
     for (auto kind : {SizeDistKind::Production, SizeDistKind::Lognormal,
-                      SizeDistKind::Normal, SizeDistKind::Fixed}) {
+                      SizeDistKind::Normal}) {
         auto dist = QuerySizeDistribution::byKind(kind, 3);
         for (int i = 0; i < 20000; i++) {
             const uint32_t s = dist.sample();
@@ -69,13 +52,6 @@ TEST(QuerySizeDistribution, SamplesWithinRange)
             EXPECT_LE(s, QuerySizeDistribution::maxSize);
         }
     }
-}
-
-TEST(QuerySizeDistribution, FixedIsConstant)
-{
-    auto dist = QuerySizeDistribution::fixed(4, 140);
-    for (int i = 0; i < 100; i++)
-        EXPECT_EQ(dist.sample(), 140u);
 }
 
 TEST(QuerySizeDistribution, DeterministicGivenSeed)
@@ -358,20 +334,21 @@ TEST(TraceTemplate, DiurnalDensityTracksTheProfile)
 
 TEST(TraceTemplate, DiurnalInvertsTheCumulativeIntegral)
 {
-    // Each arrival time t_i satisfies mean_qps * cumulative(t_i) =
-    // sum of the first i+1 unit gaps: verify the round trip.
+    // Each arrival time t_i satisfies cumulative(t_i) = u_i, the
+    // sum of the first i+1 unit gaps over mean_qps: the flat trace's
+    // arrival i, which adds up the same gaps in the same order.
     LoadSpec spec;
-    spec.arrival = ArrivalKind::Fixed;    // unit gaps are exactly 1
     spec.qps = 100.0;
     TraceTemplate tmpl(spec);
     tmpl.ensure(1000);
     const DiurnalProfile profile(3.0, 10.0);
     const QueryTrace trace =
         tmpl.materializeDiurnal(100.0, profile, 1000);
+    const QueryTrace flat = tmpl.materialize(100.0, 1000);
     for (size_t i = 0; i < trace.size(); i++) {
-        const double expected_u = static_cast<double>(i + 1) / 100.0;
+        const double expected_u = flat[i].arrivalSeconds;
         EXPECT_NEAR(profile.cumulativeSeconds(trace[i].arrivalSeconds),
-                    expected_u, 1e-9);
+                    expected_u, 1e-9 * (1.0 + expected_u));
     }
 }
 
@@ -396,8 +373,7 @@ TEST_P(StreamKinds, GeneratesValidTrace)
 INSTANTIATE_TEST_SUITE_P(Kinds, StreamKinds,
                          ::testing::Values(SizeDistKind::Production,
                                            SizeDistKind::Lognormal,
-                                           SizeDistKind::Normal,
-                                           SizeDistKind::Fixed));
+                                           SizeDistKind::Normal));
 
 } // namespace
 } // namespace deeprecsys

@@ -22,7 +22,7 @@ engineConfig(size_t batch = 64, bool gpu = false, uint32_t threshold = 1)
     policy.gpuEnabled = gpu;
     policy.gpuQueryThreshold = threshold;
     SimConfig cfg{CpuCostModel(profile, CpuPlatform::skylake()),
-                  std::nullopt, policy, 0.0, 1.0};
+                  std::nullopt, policy};
     if (gpu)
         cfg.gpu.emplace(profile, GpuPlatform::gtx1080Ti());
     return cfg;
@@ -318,9 +318,11 @@ TEST(EventQueueOrder, TiesBreakOnInsertionSequence)
 
 TEST(DriverHelpers, WarmupCountMatchesHistoricalTruncation)
 {
-    EXPECT_EQ(warmupCount(0.05, 100), 5u);
-    EXPECT_EQ(warmupCount(0.0, 1000), 0u);
-    EXPECT_EQ(warmupCount(0.5, 99), 49u);
+    EXPECT_EQ(warmupCount(100), 5u);
+    EXPECT_EQ(warmupCount(99), 4u);
+    EXPECT_EQ(warmupCount(20), 1u);
+    EXPECT_EQ(warmupCount(19), 0u);
+    EXPECT_EQ(warmupCount(0), 0u);
 }
 
 TEST(DriverHelpers, TraceOfferedQpsFromStamps)

@@ -171,7 +171,7 @@ testMachine()
     SchedulerPolicy policy;
     policy.perRequestBatch = 128;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, 1.0};
+                     std::nullopt, policy};
 }
 
 QueryTrace
@@ -234,7 +234,7 @@ shardedCluster(size_t machines)
         SchedulerPolicy policy;
         policy.perRequestBatch = 128;
         SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy, 0.05, 1.0};
+                          std::nullopt, policy};
         machine.memoryBytes = 1'500'000'000ULL;
         cluster.machines.push_back(machine);
     }

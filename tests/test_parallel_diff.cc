@@ -34,7 +34,7 @@ cpuMachine(size_t batch = 256)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, 1.0};
+                     std::nullopt, policy};
 }
 
 /** Run fn twice — serial pool, then kManyThreads — returning both. */
@@ -115,25 +115,30 @@ TEST(ParallelDiff, TraceTemplateMatchesQueryStreamBitwise)
 {
     // The foundation of the trace-reuse optimization: a re-timed
     // template is indistinguishable from a freshly generated trace.
-    for (ArrivalKind kind :
-         {ArrivalKind::Poisson, ArrivalKind::Fixed, ArrivalKind::Uniform}) {
-        LoadSpec load;
-        load.arrival = kind;
-        TraceTemplate tpl(load);
-        tpl.ensure(2000);
-        for (double qps : {37.5, 600.0, 12345.0}) {
-            LoadSpec at_rate = load;
-            at_rate.qps = qps;
-            QueryStream stream(at_rate);
-            const QueryTrace fresh = stream.generate(2000);
-            const QueryTrace retimed = tpl.materialize(qps, 2000);
-            ASSERT_EQ(fresh.size(), retimed.size());
-            for (size_t i = 0; i < fresh.size(); i++) {
-                EXPECT_EQ(fresh[i].arrivalSeconds,
-                          retimed[i].arrivalSeconds)
-                    << "arrival " << i << " at qps " << qps;
-                EXPECT_EQ(fresh[i].size, retimed[i].size);
-                EXPECT_EQ(fresh[i].id, retimed[i].id);
+    for (SizeDistKind sizes : {SizeDistKind::Production,
+                               SizeDistKind::Lognormal,
+                               SizeDistKind::Normal}) {
+        for (uint64_t seed : {1u, 29u}) {
+            LoadSpec load;
+            load.sizes = sizes;
+            load.arrivalSeed = seed;
+            load.sizeSeed = seed + 1;
+            TraceTemplate tpl(load);
+            tpl.ensure(2000);
+            for (double qps : {37.5, 600.0, 12345.0}) {
+                LoadSpec at_rate = load;
+                at_rate.qps = qps;
+                QueryStream stream(at_rate);
+                const QueryTrace fresh = stream.generate(2000);
+                const QueryTrace retimed = tpl.materialize(qps, 2000);
+                ASSERT_EQ(fresh.size(), retimed.size());
+                for (size_t i = 0; i < fresh.size(); i++) {
+                    EXPECT_EQ(fresh[i].arrivalSeconds,
+                              retimed[i].arrivalSeconds)
+                        << "arrival " << i << " at qps " << qps;
+                    EXPECT_EQ(fresh[i].size, retimed[i].size);
+                    EXPECT_EQ(fresh[i].id, retimed[i].id);
+                }
             }
         }
     }

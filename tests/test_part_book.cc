@@ -282,8 +282,7 @@ TEST(QueryWindow, ShedRetryPinsTheHeadUntilItSettles)
     SchedulerPolicy sched;
     sched.perRequestBatch = 256;
     cfg.machines.push_back(SimConfig{
-        CpuCostModel(profile, CpuPlatform::skylake()), std::nullopt, sched,
-        0.05, 1.0});
+        CpuCostModel(profile, CpuPlatform::skylake()), std::nullopt, sched});
     cfg.overload.admission = AdmissionKind::QueueDepth;
     cfg.overload.queueDepthCap = 2;
     cfg.overload.maxRetries = 1;

@@ -101,7 +101,7 @@ TEST_P(SimBatchGrid, RequestAccountingExact)
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
     SimConfig cfg{CpuCostModel(profile, CpuPlatform::skylake()),
-                  std::nullopt, policy, 0.0, 1.0};
+                  std::nullopt, policy};
 
     QueryTrace trace;
     uint64_t expected_requests = 0;
@@ -123,7 +123,7 @@ TEST_P(SimBatchGrid, LatencyNeverBelowSingleRequestService)
     const CpuCostModel cost(profile, CpuPlatform::skylake());
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
-    SimConfig cfg{cost, std::nullopt, policy, 0.0, 1.0};
+    SimConfig cfg{cost, std::nullopt, policy};
 
     QueryTrace trace;
     for (int i = 0; i < 50; i++)

@@ -29,7 +29,7 @@ cpuMachine(double slowdown = 1.0)
     SchedulerPolicy policy;
     policy.perRequestBatch = 256;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, 0.05, slowdown};
+                     std::nullopt, policy, slowdown};
 }
 
 SimConfig
@@ -380,7 +380,7 @@ pinTier()
             gpu = GpuCostModel(profile, GpuPlatform::gtx1080Ti());
         }
         SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          gpu, policy, 0.05, m % 2 == 0 ? 1.0 : 1.3};
+                          gpu, policy, m % 2 == 0 ? 1.0 : 1.3};
         machine.memoryBytes = 4'000'000'000ULL;
         cluster.machines.push_back(machine);
     }

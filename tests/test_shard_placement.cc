@@ -44,7 +44,7 @@ cpuMachine(uint64_t memory_bytes)
     SchedulerPolicy policy;
     policy.perRequestBatch = 256;
     SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy, 0.05, 1.0};
+                      std::nullopt, policy};
     machine.memoryBytes = memory_bytes;
     return machine;
 }

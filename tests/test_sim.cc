@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "sim/serving_sim.hh"
 
 namespace deeprecsys {
@@ -23,8 +21,7 @@ makeConfig(ModelId model = ModelId::DlrmRmc1, size_t batch = 256,
     policy.gpuEnabled = gpu;
     policy.gpuQueryThreshold = threshold;
     SimConfig cfg{CpuCostModel(profile, CpuPlatform::skylake()),
-                  std::nullopt, policy, /*warmupFraction=*/0.0,
-                  /*slowdown=*/1.0};
+                  std::nullopt, policy};
     if (gpu)
         cfg.gpu.emplace(profile, GpuPlatform::gtx1080Ti());
     return cfg;
@@ -124,14 +121,13 @@ TEST(ServingSim, SlowdownScalesLatency)
 
 TEST(ServingSim, WarmupExcludesLeadingQueries)
 {
-    SimConfig cfg = makeConfig();
-    cfg.warmupFraction = 0.5;
     QueryTrace trace;
     for (int i = 0; i < 100; i++)
         trace.push_back({static_cast<uint64_t>(i), i * 0.01, 50});
-    ServingSimulator sim(cfg);
+    ServingSimulator sim(makeConfig());
     const SimResult r = sim.run(trace);
-    EXPECT_EQ(r.numQueries, 50u);
+    EXPECT_EQ(warmupCount(trace.size()), 5u);
+    EXPECT_EQ(r.numQueries, 95u);
 }
 
 TEST(ServingSim, GpuThresholdRoutesLargeQueries)
@@ -215,19 +211,6 @@ TEST(ServingSim, OverloadProducesHugeTail)
     ServingSimulator sim(makeConfig(ModelId::DlrmRmc1, 256));
     const SimResult r = sim.run(trace);
     EXPECT_GT(r.p95Ms(), 1000.0);
-}
-
-TEST(ServingSimDeath, WarmupFractionOutsideZeroToOneIsAConfigError)
-{
-    // A fraction of 1 or more would measure nothing, and a search over
-    // such runs would report its ceiling as the answer.
-    for (double fraction : {1.0, 1.5, -0.3, std::nan("")}) {
-        SimConfig cfg = makeConfig();
-        cfg.warmupFraction = fraction;
-        EXPECT_EXIT(ServingSimulator{cfg}, ::testing::ExitedWithCode(1),
-                    "warm-up fraction must be in \\[0, 1\\)")
-            << fraction;
-    }
 }
 
 TEST(ServingSim, BatchOnePureRequestParallelism)
