@@ -55,20 +55,6 @@
 
 using namespace deeprecsys;
 
-namespace {
-
-SimConfig
-cpuMachine(size_t batch)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
-}
-
-} // namespace
-
 int
 main(int argc, char** argv)
 {
@@ -101,7 +87,7 @@ main(int argc, char** argv)
 
     // Static plan at the peak rate: the machine-hours baseline.
     CapacityPlanSpec plan_spec;
-    plan_spec.unitMachines = {cpuMachine(256)};
+    plan_spec.unitMachines = {bench::cpuMachine(256)};
     plan_spec.targetQps = peak_qps;
     plan_spec.slaMs = sla_ms;
     plan_spec.routing.kind = RoutingKind::PowerOfTwoChoices;
@@ -148,7 +134,7 @@ main(int argc, char** argv)
 
         AutoscaleSpec spec;
         for (size_t m = 0; m < plan.machines; m++)
-            spec.cluster.machines.push_back(cpuMachine(256));
+            spec.cluster.machines.push_back(bench::cpuMachine(256));
         spec.routing.kind = RoutingKind::PowerOfTwoChoices;
         spec.slaMs = sla_ms;
         // The control cadence is absolute, not day-relative: near

@@ -45,6 +45,18 @@ defaultInfra(ModelId model, bool gpu = false)
     return cfg;
 }
 
+/** One CPU-only DLRM-RMC1 machine on Skylake at batch @p batch: the
+ *  unit machine of the cluster benches. */
+inline SimConfig
+cpuMachine(size_t batch)
+{
+    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
+    SchedulerPolicy policy;
+    policy.perRequestBatch = batch;
+    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
+                     std::nullopt, policy};
+}
+
 /** Geometric mean of a series (requires positive entries). */
 inline double
 geomean(const std::vector<double>& values)

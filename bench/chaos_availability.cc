@@ -1,17 +1,16 @@
 /**
  * @file
- * Availability under chaos: crash/gray/network fault injection over a
+ * Availability under chaos: crash and gray fault injection over a
  * sharded two-stage tier, with and without replication, failover, and
  * hedged requests.
  *
  * The fault layer (cluster/fault_plan.hh) makes machine failure a
- * first-class event: seeded fail-stop crashes with timed repair, gray
- * straggler windows, and transient network-hop degradation, all
- * expanded into one deterministic schedule before the run. This bench
- * measures what that chaos costs and what the recovery machinery buys
- * back. The main grid drives the same 8-machine DLRM-RMC2 tier
- * through four chaos levels (calm, gray-only, moderate, heavy) under
- * three serving postures:
+ * first-class event: seeded fail-stop crashes with timed repair and
+ * gray straggler windows, both expanded into one deterministic
+ * schedule before the run. This bench measures what that chaos costs
+ * and what the recovery machinery buys back. The main grid drives the
+ * same 8-machine DLRM-RMC2 tier through four chaos levels (calm,
+ * gray-only, moderate, heavy) under three serving postures:
  *
  *   - single-copy: one replica per table, no failover budget — the
  *     naive tier every crash hurts. Queries on or routed through a

@@ -20,16 +20,6 @@ using namespace deeprecsys;
 namespace {
 
 SimConfig
-cpuMachine(size_t batch)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
-}
-
-SimConfig
 gpuMachine(size_t batch, uint32_t threshold)
 {
     const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
@@ -60,7 +50,7 @@ main()
         bench::sweepMap(sizes, [&](size_t n) {
             ClusterConfig cluster;
             for (size_t m = 0; m < n; m++)
-                cluster.machines.push_back(cpuMachine(256));
+                cluster.machines.push_back(bench::cpuMachine(256));
             ClusterQpsSpec spec;
             spec.slaMs = sla_ms;
             spec.routing.kind = RoutingKind::PowerOfTwoChoices;
@@ -104,11 +94,11 @@ main()
     size_aware.sizeThreshold = 400;
 
     const std::vector<Mix> mixes = {
-        {"static batch (25), CPU-only", {cpuMachine(25)}, po2c},
-        {"tuned batch (256), CPU-only", {cpuMachine(256)}, po2c},
+        {"static batch (25), CPU-only", {bench::cpuMachine(25)}, po2c},
+        {"tuned batch (256), CPU-only", {bench::cpuMachine(256)}, po2c},
         {"3 CPU + 1 GPU, size-aware",
-         {cpuMachine(256), cpuMachine(256), cpuMachine(256),
-          gpuMachine(256, 400)},
+         {bench::cpuMachine(256), bench::cpuMachine(256),
+          bench::cpuMachine(256), gpuMachine(256, 400)},
          size_aware},
     };
 

@@ -37,20 +37,6 @@
 
 using namespace deeprecsys;
 
-namespace {
-
-SimConfig
-cpuMachine(size_t batch)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
-}
-
-} // namespace
-
 int
 main(int argc, char** argv)
 {
@@ -95,7 +81,7 @@ main(int argc, char** argv)
 
     AutoscaleSpec spec;
     for (size_t m = 0; m < machines; m++)
-        spec.cluster.machines.push_back(cpuMachine(256));
+        spec.cluster.machines.push_back(bench::cpuMachine(256));
     spec.routing.kind = RoutingKind::PowerOfTwoChoices;
     spec.slaMs = sla_ms;
     spec.controlIntervalSeconds = 0.75;

@@ -59,16 +59,6 @@ using namespace deeprecsys;
 
 namespace {
 
-SimConfig
-cpuMachine(size_t batch)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
-}
-
 /** One router policy under test. */
 struct Mode
 {
@@ -154,7 +144,7 @@ main(int argc, char** argv)
     // multiplier is anchored to.
     ClusterConfig cluster;
     for (size_t m = 0; m < tier_machines; m++)
-        cluster.machines.push_back(cpuMachine(256));
+        cluster.machines.push_back(bench::cpuMachine(256));
     ClusterQpsSpec qps_spec;
     qps_spec.slaMs = sla_ms;
     qps_spec.routing.kind = RoutingKind::PowerOfTwoChoices;
@@ -460,7 +450,7 @@ main(int argc, char** argv)
     for (const bool shed : {false, true}) {
         AutoscaleSpec spec;
         for (size_t m = 0; m < flash_machines; m++)
-            spec.cluster.machines.push_back(cpuMachine(256));
+            spec.cluster.machines.push_back(bench::cpuMachine(256));
         spec.routing.kind = RoutingKind::PowerOfTwoChoices;
         spec.slaMs = sla_ms;
         spec.controlIntervalSeconds = 0.25;

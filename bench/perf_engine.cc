@@ -15,14 +15,14 @@
  *    hot-path metric: simulated events/second on one thread.
  *  - `cluster16_sharded`: a 16-machine sharded TwoStage cluster run
  *    with shard-aware routing — the cluster driver hot path. It also
- *    reports the parts the driver created, the most ids its part and
- *    query windows spanned and the most records each book held at
- *    once, the most chunks each window allocated (the driver's memory
- *    high-water marks), the heap bytes of the flat per-query
- *    part-machine book the result keeps, and the heap bytes of the
- *    per-machine latency books. Both byte counts are gated, or the
- *    run exits non-zero: the part-machine book holds at most 2 B per
- *    machine id, 4 B per row offset and one 64 KB chunk, and the
+ *    reports the parts the driver created, the most ids its query
+ *    window spanned, the most queries (each with its parts) its book
+ *    held at once and the most chunks the window allocated (the
+ *    driver's memory high-water marks), the heap bytes of the flat
+ *    per-query part-machine book the result keeps, and the heap bytes
+ *    of the per-machine latency books. Both byte counts are gated, or
+ *    the run exits non-zero: the part-machine book holds at most 2 B
+ *    per machine id, 4 B per row offset and one 64 KB chunk, and the
  *    latency books exactly 8 B per measured query.
  *  - `cluster16_obs_off` / `cluster16_obs_on`: the same workload with
  *    the observability layer explicitly detached and fully attached.
@@ -141,11 +141,8 @@ struct ScenarioReport
     double events = 0;         ///< simulated events (serial run)
     double queries = 0;        ///< simulated queries (serial run)
     uint64_t parts = 0;        ///< driver parts created (cluster only)
-    uint64_t peakLiveParts = 0;   ///< part-book high-water mark
     uint64_t peakLiveQueries = 0; ///< query-book high-water mark
-    uint64_t peakHeldParts = 0;   ///< part records held at once
     uint64_t peakHeldQueries = 0; ///< query records held at once
-    uint64_t partChunks = 0;      ///< part-book chunk high-water mark
     uint64_t queryChunks = 0;     ///< query-book chunk high-water mark
     uint64_t partMachinesBytes = 0; ///< result's flat book, heap bytes
     uint64_t latencyBooksBytes = 0; ///< per-machine latency books, heap
@@ -274,11 +271,8 @@ writeJson(const std::string& path,
             << ", ";
         if (r.parts > 0) {
             out << "\"parts\": " << r.parts << ", "
-                << "\"peak_live_parts\": " << r.peakLiveParts << ", "
                 << "\"peak_live_queries\": " << r.peakLiveQueries << ", "
-                << "\"peak_held_parts\": " << r.peakHeldParts << ", "
                 << "\"peak_held_queries\": " << r.peakHeldQueries << ", "
-                << "\"part_chunks\": " << r.partChunks << ", "
                 << "\"query_chunks\": " << r.queryChunks << ", "
                 << "\"part_machines_bytes\": " << r.partMachinesBytes
                 << ", "
@@ -412,11 +406,8 @@ main(int argc, char** argv)
             report.events = cluster_events(base);
             report.queries = static_cast<double>(base.numCompleted);
             report.parts = base.numParts;
-            report.peakLiveParts = base.peakLiveParts;
             report.peakLiveQueries = base.peakLiveQueries;
-            report.peakHeldParts = base.peakHeldParts;
             report.peakHeldQueries = base.peakHeldQueries;
-            report.partChunks = base.peakPartChunks;
             report.queryChunks = base.peakQueryChunks;
             report.partMachinesBytes = base.partMachinesOfQuery.bytes();
             for (const MachineStats& m : base.perMachine)
@@ -630,7 +621,7 @@ main(int argc, char** argv)
     TextTable table({"scenario", "wall 1t (s)", "wall " +
                          std::to_string(threads) + "t (s)",
                      "speedup", "events/s (1t)", "queries/s (1t)",
-                     "parts", "peak live parts", "peak live queries",
+                     "parts", "peak live queries",
                      "identical"});
     double search_serial = 0.0;
     double search_parallel = 0.0;
@@ -650,7 +641,6 @@ main(int argc, char** argv)
                           ? TextTable::num(r.queries / r.wallSerial, 0)
                           : "-",
                       r.parts > 0 ? std::to_string(r.parts) : "-",
-                      r.parts > 0 ? std::to_string(r.peakLiveParts) : "-",
                       r.parts > 0 ? std::to_string(r.peakLiveQueries)
                                   : "-",
                       r.identical ? "yes" : "NO"});

@@ -6,6 +6,7 @@
 #include "base/logging.hh"
 #include "cluster/cluster_loop.hh"
 #include "obs/observer.hh"
+#include "sim/rate_search.hh"
 
 namespace deeprecsys {
 
@@ -671,6 +672,7 @@ Autoscaler::Autoscaler(AutoscaleSpec spec) : spec_(std::move(spec))
 {
     const ClusterConfig& cfg = spec_.cluster;
     validateClusterConfig(cfg, "elastic tier");
+    validateSla(spec_.slaMs, spec_.percentile);
     if (!(spec_.controlIntervalSeconds > 0.0))
         drs_fatal("control interval must be positive");
     if (!(spec_.warmupDelaySeconds >= 0.0))

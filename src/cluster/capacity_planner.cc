@@ -33,8 +33,7 @@ planCapacity(const CapacityPlanSpec& spec)
         drs_fatal("plan needs a machine mix");
     if (!(spec.targetQps > 0.0))
         drs_fatal("target rate must be positive");
-    if (!(spec.slaMs > 0.0))
-        drs_fatal("SLA target must be positive");
+    validateSla(spec.slaMs, spec.percentile);
     if (spec.maxUnits < 1)
         drs_fatal("plan needs a unit budget");
     const bool sharded = !spec.tables.empty();

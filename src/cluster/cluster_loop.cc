@@ -76,16 +76,36 @@ ClusterLoop::releaseJoinCost(QueryState& q)
     q.joinCost = 0;
 }
 
+uint64_t
+ClusterLoop::pushPart(uint64_t idx, PartRec rec)
+{
+    QueryState& q = queries[idx];
+    const uint64_t id = partId(idx, static_cast<uint32_t>(q.parts.size()));
+    q.parts.push_back(std::move(rec));
+    q.liveParts++;
+    return id;
+}
+
+// The query may be released once its last live part ends.
+void
+ClusterLoop::partEnded(uint64_t idx)
+{
+    QueryState& q = queries[idx];
+    drs_assert(q.liveParts > 0, "a part turned terminal twice");
+    if (--q.liveParts == 0)
+        queryChecks.push_back(idx);
+}
+
 // A part reaches its machine (after the forward hop, if any).
 void
-ClusterLoop::startPart(uint64_t part_idx, double now)
+ClusterLoop::startPart(uint64_t part_id, double now)
 {
+    QueryState& q = queries[queryOfPart(part_id)];
+    PartRec& part = q.parts[posOfPart(part_id)];
     if (obs)
-        parts[part_idx].start = now;
-    const PartRec& part = parts[part_idx];
-    const QueryState& q = queries[part.queryIdx];
+        part.start = now;
     PartSpec spec;
-    spec.partIdx = part_idx;
+    spec.partIdx = part_id;
     spec.samples = q.size;
     spec.model = q.model;
     switch (part.kind) {
@@ -143,7 +163,7 @@ ClusterLoop::completeQuery(uint64_t query_idx)
     }
     lastEventTime = std::max(lastEventTime, q.joinTime);
     if (obs) {
-        // The hops as the dispatch priced them, before NIC degradation.
+        // The request and response hops, as the dispatch priced them.
         const double samples = static_cast<double>(q.size);
         obs->onQueryComplete(
             query_idx, q.stamps, q.size, q.numParts, q.measured,
@@ -153,52 +173,51 @@ ClusterLoop::completeQuery(uint64_t query_idx)
             cfg.network.oneWaySeconds(samples *
                                       cfg.network.responseBytesPerSample));
     }
-    // The finishing part is still held, so the query is tested again
-    // when its last part is released.
-    checkDispatch(q);
+    queryChecks.push_back(query_idx);
 }
 
 // A part finished all of its local work.
 void
-ClusterLoop::finishPart(uint64_t part_idx, double now, bool gpu)
+ClusterLoop::finishPart(uint64_t part_id, double now, bool gpu)
 {
-    PartRec& part = parts[part_idx];
+    const uint64_t idx = queryOfPart(part_id);
+    QueryState& q = queries[idx];
+    PartRec& part = q.parts[posOfPart(part_id)];
     if (obs) {
         const obs::PartTimes times = obs::PartTimes::of(
             part.start,
             view.engine(part.machine).lastFinishedFirstServiceStart(), now);
-        obs->onPartDone(part.queryIdx, part.machine, gpu, times);
+        obs->onPartDone(idx, part.machine, gpu, times);
         // Every finishing leader part stamps its query, a ghost of a
         // dispatch that failed over included.
-        if (part.leader) {
-            obs::QueryStamps& stamps = queries[part.queryIdx].stamps;
-            (part.kind == PartRec::Kind::FanDense ? stamps.join
-                                                  : stamps.leader) = times;
-        }
+        if (part.leader)
+            (part.kind == PartRec::Kind::FanDense ? q.stamps.join
+                                                  : q.stamps.leader) = times;
     }
     view.flightSub(part.machine, "completion with nothing in flight");
     part.done = true;
+    partEnded(idx);
     const uint32_t m = part.machine;
-    deliverPart(part_idx, now);
-    checkPart(part_idx);
+    deliverPart(part_id, now);
     members.workDone(*this, m, now);
 }
 
 // A finished part's answer travels on: pooled embeddings to the
 // leader (TwoStage fan-out), scores to the router otherwise.
 void
-ClusterLoop::deliverPart(uint64_t part_idx, double now)
+ClusterLoop::deliverPart(uint64_t part_id, double now)
 {
-    const PartRec& part = parts[part_idx];
-    QueryState& q = queries[part.queryIdx];
+    const uint64_t idx = queryOfPart(part_id);
+    QueryState& q = queries[idx];
+    const PartRec& part = q.parts[posOfPart(part_id)];
     if (faultsOn || hedgeOn) {
         // A completion of a killed dispatch is a ghost: the query
         // already failed over (or was lost) and this part's share was
         // accounted at the kill.
-        if (staleDispatch(part))
+        if (staleDispatch(part_id))
             return;
         if (part.partner != PartRec::kNoPartner) {
-            if (parts[part.partner].done) {
+            if (q.parts[part.partner].done) {
                 // The twin got here first; this copy's answer is
                 // discarded (tied-request loser).
                 result.faults.hedgeWasted++;
@@ -212,7 +231,8 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
     if (part.kind == PartRec::Kind::FanEmb &&
         cfg.join == JoinModel::TwoStage) {
         // The dense phase starts once the last part (the leader's own
-        // hop-free) lands.
+        // hop-free) lands. Its push may move q.parts, so nothing reads
+        // part after it.
         const double to_leader = part.leader
             ? 0.0
             : cfg.network.oneWaySeconds(
@@ -223,11 +243,9 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
         if (--q.partsLeft > 0)
             return;
         q.partsLeft = 1;    // the dense phase itself
-        const uint64_t dense_idx = parts.push(
-            {.queryIdx = part.queryIdx, .machine = q.machine,
-             .kind = PartRec::Kind::FanDense, .embFraction = 0.0,
-             .gen = q.gen});
-        q.heldParts++;
+        const uint64_t dense_id = pushPart(
+            idx, {.machine = q.machine, .kind = PartRec::Kind::FanDense,
+                  .embFraction = 0.0, .gen = q.gen});
         // The leader may already be draining; its join phase is
         // in-flight work and still runs there.
         drs_assert(pendingJoins[q.machine] > 0,
@@ -237,7 +255,7 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
         view.flightAdd(q.machine);
         result.perMachine[q.machine].joinPhases++;
         events.push(q.leaderReady, SimEvent::Kind::JoinPhase, q.machine,
-                    dense_idx);
+                    dense_id);
         return;
     }
 
@@ -248,7 +266,7 @@ ClusterLoop::deliverPart(uint64_t part_idx, double now)
     q.joinTime = std::max(q.joinTime, now + back);
     drs_assert(q.partsLeft > 0, "query with no pending parts");
     if (--q.partsLeft == 0)
-        completeQuery(part.queryIdx);
+        completeQuery(idx);
 }
 
 // A failure destroyed query @p idx's current dispatch. Release its
@@ -262,10 +280,8 @@ ClusterLoop::failQuery(uint64_t idx, double now, bool dispatched)
 {
     QueryState& q = queries[idx];
     q.dead = true;
-    if (dispatched) {
+    if (dispatched)
         endedDispatches++;
-        checkDispatch(q);
-    }
     releaseJoinCost(q);
     if (q.joinLeadership) {
         drs_assert(pendingJoins[q.machine] > 0,
@@ -299,39 +315,43 @@ ClusterLoop::failQuery(uint64_t idx, double now, bool dispatched)
 }
 
 bool
-ClusterLoop::staleDispatch(const PartRec& part) const
+ClusterLoop::staleDispatch(uint64_t part_id) const
 {
-    const QueryState& q = queries[part.queryIdx];
-    return part.gen != q.gen || q.dead;
+    const QueryState& q = queries[queryOfPart(part_id)];
+    return q.parts[posOfPart(part_id)].gen != q.gen || q.dead;
 }
 
 // A part of a dead dispatch reached its machine, or a join phase of
 // one came due: it is dropped without running.
 void
-ClusterLoop::cancelPart(uint64_t part_idx, double now)
+ClusterLoop::cancelPart(uint64_t part_id, double now)
 {
-    PartRec& part = parts[part_idx];
+    const uint64_t idx = queryOfPart(part_id);
+    PartRec& part = queries[idx].parts[posOfPart(part_id)];
     part.cancelled = true;
-    checkPart(part_idx);
-    view.flightSub(part.machine, "cancel with nothing in flight");
-    members.workDone(*this, part.machine, now);
+    partEnded(idx);
+    const uint32_t m = part.machine;
+    view.flightSub(m, "cancel with nothing in flight");
+    members.workDone(*this, m, now);
 }
 
 // A live part was destroyed (its machine crashed, or its forwarded RPC
 // landed on a machine no longer serving). Decide the owning query's
 // fate.
 void
-ClusterLoop::lostPartFate(uint64_t part_idx, double now)
+ClusterLoop::lostPartFate(uint64_t part_id, double now)
 {
-    PartRec& part = parts[part_idx];
+    const uint64_t idx = queryOfPart(part_id);
+    QueryState& q = queries[idx];
+    PartRec& part = q.parts[posOfPart(part_id)];
     part.cancelled = true;
-    checkPart(part_idx);
+    partEnded(idx);
     view.flightSub(part.machine, "lost part with nothing in flight");
     result.faults.partsLost++;
-    if (staleDispatch(part))
+    if (staleDispatch(part_id))
         return;    // that dispatch already died
     if (part.partner != PartRec::kNoPartner) {
-        const PartRec& twin = parts[part.partner];
+        const PartRec& twin = q.parts[part.partner];
         if (twin.done)
             return;    // the share already completed via the twin
         if (!twin.cancelled) {
@@ -341,7 +361,7 @@ ClusterLoop::lostPartFate(uint64_t part_idx, double now)
             return;
         }
     }
-    failQuery(part.queryIdx, now, true);
+    failQuery(idx, now, true);
 }
 
 void
@@ -363,13 +383,15 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
 {
     QueryState& q = queries[idx];
     const ShardPlacement& placement = cfg.sharding->placement;
-    for (uint64_t pi = q.firstPart; pi < q.firstPart + q.numParts; pi++) {
-        if (parts[pi].done || parts[pi].cancelled || parts[pi].leader ||
-            parts[pi].partner != PartRec::kNoPartner ||
-            parts[pi].kind != PartRec::Kind::FanEmb)
+    for (uint32_t pos = q.firstPart; pos < q.firstPart + q.numParts; pos++) {
+        // Every read of the original comes before the twin's push.
+        PartRec& orig = q.parts[pos];
+        if (orig.done || orig.cancelled || orig.leader ||
+            orig.partner != PartRec::kNoPartner ||
+            orig.kind != PartRec::Kind::FanEmb)
             continue;
-        const uint32_t src = parts[pi].machine;
-        const std::vector<uint32_t>& tables = parts[pi].tables;
+        const uint32_t src = orig.machine;
+        const std::vector<uint32_t>& tables = orig.tables;
         size_t best = view.numMachines();
         double best_load = 0.0;
         for (uint32_t m : placement.fewestHolders(tables)) {
@@ -386,13 +408,12 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
         if (best == view.numMachines())
             continue;    // no surviving replica to hedge onto
         const uint32_t to = static_cast<uint32_t>(best);
-        const uint64_t dup_idx = parts.push(
-            {.queryIdx = idx, .machine = to, .kind = PartRec::Kind::FanEmb,
-             .embFraction = parts[pi].embFraction, .partner = pi,
-             .leader = false, .hedged = true, .tables = parts[pi].tables,
-             .gen = q.gen});
-        parts[pi].partner = dup_idx;
-        q.heldParts++;
+        orig.partner = static_cast<uint32_t>(q.parts.size());
+        const uint64_t dup_id = pushPart(
+            idx, {.machine = to, .kind = PartRec::Kind::FanEmb,
+                  .embFraction = orig.embFraction, .partner = pos,
+                  .leader = false, .hedged = true, .tables = tables,
+                  .gen = q.gen});
         view.flightAdd(to);
         result.perMachine[to].remoteParts++;
         result.numParts++;
@@ -406,9 +427,9 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
             cfg.network.requestBytesPerSample);
         if (forward > 0.0) {
             events.push(now + forward, SimEvent::Kind::PartArrival, to,
-                        dup_idx);
+                        dup_id);
         } else {
-            startPart(dup_idx, now);
+            startPart(dup_id, now);
         }
     }
 }
@@ -516,7 +537,7 @@ ClusterLoop::present(uint64_t idx, double now)
     q.measured = idx >= warmup;
     q.gen++;
     q.dead = false;
-    q.firstPart = parts.nextId();
+    q.firstPart = static_cast<uint32_t>(q.parts.size());
     q.numParts = static_cast<uint32_t>(plan.size());
 
     result.numDispatched++;
@@ -530,6 +551,7 @@ ClusterLoop::present(uint64_t idx, double now)
         obs->onQueryDispatch(served.size);
     }
 
+    q.parts.reserve(q.parts.size() + plan.size());
     if (queryBooks) {
         std::vector<uint32_t>& row = partMachineRows[idx];
         row.reserve(row.size() + plan.size());
@@ -556,21 +578,21 @@ ClusterLoop::present(uint64_t idx, double now)
         if (queryBooks)
             partMachineRows[idx].push_back(m);
 
-        const uint64_t part_idx = parts.push(
-            {.queryIdx = idx, .machine = m,
-             .kind = plan.size() == 1 ? PartRec::Kind::Whole
-                                      : PartRec::Kind::FanEmb,
-             .embFraction = target.embFraction, .leader = target.leader,
-             .tables = hedgeOn ? std::move(target.tables)
-                               : std::vector<uint32_t>{},
-             .gen = q.gen});
-        q.heldParts++;
+        const uint64_t part_id = pushPart(
+            idx, {.machine = m,
+                  .kind = plan.size() == 1 ? PartRec::Kind::Whole
+                                           : PartRec::Kind::FanEmb,
+                  .embFraction = target.embFraction,
+                  .leader = target.leader,
+                  .tables = hedgeOn ? std::move(target.tables)
+                                    : std::vector<uint32_t>{},
+                  .gen = q.gen});
         result.numParts++;
         if (forward > 0.0) {
             events.push(now + forward, SimEvent::Kind::PartArrival, m,
-                        part_idx);
+                        part_id);
         } else {
-            startPart(part_idx, now);
+            startPart(part_id, now);
         }
     }
     drs_assert(leaders == 1, "plan needs exactly one leader");
@@ -646,7 +668,7 @@ ClusterLoop::onTraffic(const SimEvent& ev)
     const uint32_t m = ev.machine;
     switch (ev.kind) {
       case SimEvent::Kind::PartArrival:
-        if (faultsOn && staleDispatch(parts[ev.partIdx])) {
+        if (faultsOn && staleDispatch(ev.partIdx)) {
             // The dispatch died while this RPC was in flight; the
             // client cancelled it.
             cancelPart(ev.partIdx, ev.time);
@@ -661,9 +683,9 @@ ClusterLoop::onTraffic(const SimEvent& ev)
         return;
 
       case SimEvent::Kind::JoinPhase: {
-        const PartRec& part = parts[ev.partIdx];
-        QueryState& q = queries[part.queryIdx];
-        if (faultsOn && staleDispatch(part)) {
+        const uint64_t idx = queryOfPart(ev.partIdx);
+        QueryState& q = queries[idx];
+        if (faultsOn && staleDispatch(ev.partIdx)) {
             // Stale join of a killed dispatch — its committed cost was
             // already released at the kill.
             cancelPart(ev.partIdx, ev.time);
@@ -674,7 +696,7 @@ ClusterLoop::onTraffic(const SimEvent& ev)
             // The leader restarted since dispatch: the pooled
             // embeddings of this query died with it.
             cancelPart(ev.partIdx, ev.time);
-            failQuery(part.queryIdx, ev.time, true);
+            failQuery(idx, ev.time, true);
             return;
         }
         startPart(ev.partIdx, ev.time);
@@ -715,57 +737,10 @@ ClusterLoop::onTraffic(const SimEvent& ev)
     }
 }
 
-// A part turning terminal may release it, and its twin, which waited
-// for it.
-void
-ClusterLoop::checkPart(uint64_t part_idx)
-{
-    partChecks.push_back(part_idx);
-    const uint64_t twin = parts[part_idx].partner;
-    if (twin != PartRec::kNoPartner)
-        partChecks.push_back(twin);
-}
-
-// The end of a dispatch may release every part of it that is already
-// terminal: its fan-out parts and their hedge twins. Its dense phase,
-// if any, turns terminal in the same event as the dispatch ends, or
-// later, so checkPart covers it (checks run after the event).
-void
-ClusterLoop::checkDispatch(const QueryState& q)
-{
-    for (uint64_t pi = q.firstPart; pi < q.firstPart + q.numParts; pi++)
-        checkPart(pi);
-}
-
-bool
-ClusterLoop::dispatchOver(const PartRec& part) const
-{
-    return staleDispatch(part) || queries[part.queryIdx].partsLeft == 0;
-}
-
-void
-ClusterLoop::releasePart(uint64_t part_idx)
-{
-    const PartRec* part = parts.find(part_idx);
-    if (part == nullptr ||
-        !parts.unreachable(*part, [this](const PartRec& p) {
-            return dispatchOver(p);
-        }))
-        return;
-    const uint64_t query_idx = part->queryIdx;
-    parts.release(part_idx);
-    if (--queries[query_idx].heldParts == 0)
-        queryChecks.push_back(query_idx);
-}
-
-// Release every checked record whose rule now holds: parts first, as a
-// query is released only after its last part.
+// Release every checked query whose rule now holds, with its parts.
 void
 ClusterLoop::releaseRecords()
 {
-    for (uint64_t part_idx : partChecks)
-        releasePart(part_idx);
-    partChecks.clear();
     for (uint64_t idx : queryChecks) {
         const QueryState* q = queries.find(idx);
         if (q != nullptr && QueryBook::over(*q))
@@ -774,11 +749,10 @@ ClusterLoop::releaseRecords()
     queryChecks.clear();
 }
 
-// Records are released out of order as soon as no reader can reach
-// them (PartBook::unreachable, QueryBook::over); the windows then
-// advance past released head ids (PartBook::retire,
-// QueryBook::retire). Every record is released by then, so a held head
-// whose rule holds means a missed release point, and that panics.
+// Queries are released out of order as soon as no reader can reach
+// them (QueryBook::over); the window then advances past released head
+// ids (QueryBook::retire). Every query is released by then, so a held
+// head whose rule holds means a missed release point, and that panics.
 // Nothing appends to a retired query's part machines, and queries
 // retire in trace order, so each row leaves for the flat book as its
 // query retires.
@@ -786,10 +760,6 @@ void
 ClusterLoop::retireBooks()
 {
     releaseRecords();
-    parts.retire([this](const PartRec& p) { return dispatchOver(p); },
-                 [](const PartRec&) {
-                     drs_panic("an unreachable part was never released");
-                 });
     if (queries.retire() && queryBooks) {
         partMachineRows.retireTo(
             queries.lowId(), [&](const std::vector<uint32_t>& row) {
@@ -929,13 +899,10 @@ void
 ClusterLoop::finishBooks()
 {
     retireBooks();
-    drs_assert(parts.live() == 0, "a part never reached a terminal state");
-    drs_assert(queries.live() == 0, "a query never settled");
-    result.peakLiveParts = parts.peakLive();
+    drs_assert(queries.live() == 0,
+               "a query never settled, or a part never ended");
     result.peakLiveQueries = queries.peakLive();
-    result.peakHeldParts = parts.peakHeld();
     result.peakHeldQueries = queries.peakHeld();
-    result.peakPartChunks = parts.chunksAllocated();
     result.peakQueryChunks = queries.chunksAllocated();
     result.numQueries = result.fleetLatencySeconds.count();
     fanOutLatencies(result.fleetLatencySeconds, latencyMachine,

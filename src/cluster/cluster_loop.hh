@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "cluster/cluster_sim.hh"
-#include "cluster/part_book.hh"
 #include "cluster/query_book.hh"
 #include "sim/machine_engine.hh"
 
@@ -136,28 +135,27 @@ class ClusterLoop final
     size_t nextArrival = 0;     ///< trace index of the next arrival
 
   private:
+    /** Append live part @p rec to query @p idx; returns its id. Any
+     *  reference to one of the query's parts is invalid afterwards. */
+    uint64_t pushPart(uint64_t idx, PartRec rec);
+    /** One part of query @p idx just turned done or cancelled. */
+    void partEnded(uint64_t idx);
+
     void present(uint64_t idx, double now);
-    void startPart(uint64_t part_idx, double now);
-    void finishPart(uint64_t part_idx, double now, bool gpu);
-    void deliverPart(uint64_t part_idx, double now);
+    void startPart(uint64_t part_id, double now);
+    void finishPart(uint64_t part_id, double now, bool gpu);
+    void deliverPart(uint64_t part_id, double now);
     void completeQuery(uint64_t query_idx);
     void failQuery(uint64_t idx, double now, bool dispatched);
-    void lostPartFate(uint64_t part_idx, double now);
-    void cancelPart(uint64_t part_idx, double now);
-    /** The part's dispatch was killed (a failover re-presented its
-     *  query, or the query died). */
-    bool staleDispatch(const PartRec& part) const;
+    void lostPartFate(uint64_t part_id, double now);
+    void cancelPart(uint64_t part_id, double now);
+    /** Part @p part_id's dispatch was killed (a failover re-presented
+     *  its query, or the query died). */
+    bool staleDispatch(uint64_t part_id) const;
     void hedgeQuery(uint64_t idx, double now);
     void onFault(const FaultEvent& fe, double now);
     void onTraffic(const SimEvent& ev);
     void releaseJoinCost(QueryState& q);
-    /** Part @p part_idx just turned terminal: test it and its twin. */
-    void checkPart(uint64_t part_idx);
-    /** @p q's dispatch just ended: test each of its parts. */
-    void checkDispatch(const QueryState& q);
-    /** The part's query no longer runs this part's dispatch. */
-    bool dispatchOver(const PartRec& part) const;
-    void releasePart(uint64_t part_idx);
     void releaseRecords();
     void retireBooks();
     void finishBooks();
@@ -182,14 +180,12 @@ class ClusterLoop final
     size_t warmup = 0;       ///< leading queries kept out of statistics
 
     QueryBook queries;
-    PartBook parts;
 
     /**
-     * Records whose release rule may have started to hold during the
+     * Queries whose release rule may have started to hold during the
      * current event; retireBooks() tests them before the next one, so
      * no handler ever holds a reference to a released record.
      */
-    std::vector<uint64_t> partChecks;
     std::vector<uint64_t> queryChecks;
 
     /** Each live query's ClusterResult::partMachinesOfQuery row, kept

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "base/logging.hh"
-
 namespace deeprecsys {
 
 bool
@@ -43,8 +41,7 @@ evaluateClusterAtQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec,
 ClusterQpsResult
 findClusterMaxQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec)
 {
-    if (!(spec.slaMs > 0.0))
-        drs_fatal("SLA target must be positive");
+    validateSla(spec.slaMs, spec.percentile);
 
     // Drawn once, re-timed per candidate rate (bit-identical to
     // regenerating); the simulator is built once and shared — run()

@@ -223,23 +223,17 @@ struct ClusterResult
     uint64_t numCompleted = 0;         ///< all completed queries
     uint64_t numParts = 0;             ///< machine-parts dispatched
 
-    /** Most part ids in the driver's PartBook window at once, held
-     *  or released (its window high-water mark; exact per seed). */
-    uint64_t peakLiveParts = 0;
-
     /** Most query ids in the driver's QueryBook window at once, held
      *  or released (its window high-water mark; exact per seed). */
     uint64_t peakLiveQueries = 0;
 
-    /** Most chunks the PartBook and the QueryBook windows allocated
-     *  (their id-window high-water marks; exact per seed). */
-    uint64_t peakPartChunks = 0;
+    /** Most chunks the QueryBook window allocated (its id-window
+     *  high-water mark; exact per seed). */
     uint64_t peakQueryChunks = 0;
 
-    /** Most part and query records the books held at once: records a
-     *  reader could still reach, out of the peakLiveParts and
-     *  peakLiveQueries ids in their windows (exact per seed). */
-    uint64_t peakHeldParts = 0;
+    /** Most query records the book held at once, each with its parts:
+     *  records a reader could still reach, out of the peakLiveQueries
+     *  ids in its window (exact per seed). */
     uint64_t peakHeldQueries = 0;
 
     /** Mean machines touched per query (1.0 without sharding). */

@@ -17,7 +17,7 @@ validateFaultPlan(const FaultPlan& plan)
     if (!(plan.graySlowdownFactor > 0.0))
         drs_fatal("gray slowdown factor must be positive");
     if (!(plan.grayDurationSeconds > 0.0))
-        drs_fatal("degradation windows must have positive length");
+        drs_fatal("gray windows must have positive length");
     if (!(plan.failoverDelaySeconds >= 0.0))
         drs_fatal("failover delay must be non-negative");
 }

@@ -39,7 +39,6 @@ DeepRecInfra::maxQps(const SchedulerPolicy& policy, double sla_ms) const
 {
     QpsSearchSpec spec;
     spec.slaMs = sla_ms;
-    spec.percentile = cfg.percentile;
     spec.numQueries = cfg.numQueries;
     spec.load.sizes = cfg.sizeDist;
     spec.load.arrivalSeed = cfg.seed;

@@ -36,9 +36,6 @@ struct InfraConfig
 
     /** Queries per simulator evaluation (trace length). */
     size_t numQueries = 2500;
-
-    /** Tail percentile for the SLA check. */
-    double percentile = 95.0;
 };
 
 /** The evaluation harness. */
@@ -61,7 +58,8 @@ class DeepRecInfra
     /** Simulator configuration for a policy. */
     SimConfig simConfig(const SchedulerPolicy& policy) const;
 
-    /** Latency-bounded throughput of a policy at an SLA (ms). */
+    /** Latency-bounded throughput of a policy at an SLA (ms) on the
+     *  p95 tail (QpsSearchSpec's default, the paper's metric). */
     QpsSearchResult maxQps(const SchedulerPolicy& policy,
                            double sla_ms) const;
 

@@ -453,9 +453,9 @@ class MachineEngine
  * after a jittered backoff (cluster overload control; partIdx is the
  * trace index), and also carries failover re-presentations of queries
  * a crash killed. Fault is a scheduled FaultPlan transition (crash,
- * recovery, gray-failure or network-degradation window edge; partIdx
- * indexes the precomputed fault schedule) and HedgeCheck is the
- * router revisiting a straggling fan-out to duplicate unfinished
+ * recovery or gray-failure window edge; partIdx indexes the
+ * precomputed fault schedule) and HedgeCheck is the router
+ * revisiting a straggling fan-out to duplicate unfinished
  * parts (partIdx is the trace index; slot carries the dispatch
  * generation so checks for a re-dispatched query go stale). They all
  * share the queue with service completions so faults, hedges, scale

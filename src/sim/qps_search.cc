@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "base/logging.hh"
-
 namespace deeprecsys {
 
 SimResult
@@ -21,8 +19,7 @@ evaluateAtQps(const SimConfig& sim, const LoadSpec& load, double qps,
 QpsSearchResult
 findMaxQps(const SimConfig& sim, const QpsSearchSpec& spec)
 {
-    if (!(spec.slaMs > 0.0))
-        drs_fatal("SLA target must be positive");
+    validateSla(spec.slaMs, spec.percentile);
 
     // The query population is drawn once; every candidate rate only
     // re-times it (bit-identical to regenerating the trace per rate).

@@ -27,7 +27,24 @@
 #include <utility>
 #include <vector>
 
+#include "base/logging.hh"
+
 namespace deeprecsys {
+
+/**
+ * Refuse (drs_fatal) a tail-latency SLA no run can be checked against:
+ * a target of @p sla_ms that is not positive, or a @p percentile
+ * outside [0, 100]. Every entry point that judges runs by a tail
+ * calls it before its first run.
+ */
+inline void
+validateSla(double sla_ms, double percentile)
+{
+    if (!(sla_ms > 0.0))
+        drs_fatal("SLA target must be positive");
+    if (!(percentile >= 0.0 && percentile <= 100.0))
+        drs_fatal("SLA percentile ", percentile, " is outside [0, 100]");
+}
 
 /** Midpoints per bisection step: each step splits (lo, hi) into
  *  kBisectionMidpoints + 1 equal parts, walked from the bottom. */

@@ -617,6 +617,20 @@ TEST(AutoscalerConfigDeath, NonPositiveControlIntervalIsAConfigError)
                 "control interval must be positive");
 }
 
+TEST(AutoscalerConfigDeath, OutOfRangeSlaIsAConfigError)
+{
+    // Refused at construction, not at the first control tick that
+    // reads a tail (an abort) or as every window violating.
+    AutoscaleSpec spec = flatSpec(2);
+    spec.percentile = 150.0;
+    EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
+                "SLA percentile 150 is outside \\[0, 100\\]");
+    spec = flatSpec(2);
+    spec.slaMs = 0.0;
+    EXPECT_EXIT(Autoscaler{spec}, ::testing::ExitedWithCode(1),
+                "SLA target must be positive");
+}
+
 TEST(AutoscalerConfigDeath, NegativeWarmupIsAConfigError)
 {
     AutoscaleSpec spec = flatSpec(2);

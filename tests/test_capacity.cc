@@ -141,6 +141,14 @@ TEST(CapacityPlannerDeath, NonPositiveSlaIsAValidatedError)
                 "SLA target must be positive");
 }
 
+TEST(CapacityPlannerDeath, OutOfRangePercentileIsAValidatedError)
+{
+    CapacityPlanSpec spec = baseSpec(6000.0);
+    spec.percentile = -1.0;
+    EXPECT_EXIT((void)planCapacity(spec), ::testing::ExitedWithCode(1),
+                "SLA percentile -1 is outside \\[0, 100\\]");
+}
+
 TEST(CapacityPlannerDeath, UnitMachineMissingAMixBindingIsAValidatedError)
 {
     const std::vector<ModelMixEntry> mix = {
@@ -163,6 +171,17 @@ TEST(ClusterQpsSearchDeath, NonPositiveSlaIsAValidatedError)
     spec.slaMs = -1.0;
     EXPECT_EXIT((void)findClusterMaxQps(cluster, spec),
                 ::testing::ExitedWithCode(1), "SLA target must be positive");
+}
+
+TEST(ClusterQpsSearchDeath, OutOfRangePercentileIsAValidatedError)
+{
+    ClusterConfig cluster;
+    cluster.machines = {cpuMachine()};
+    ClusterQpsSpec spec;
+    spec.percentile = 100.5;
+    EXPECT_EXIT((void)findClusterMaxQps(cluster, spec),
+                ::testing::ExitedWithCode(1),
+                "SLA percentile 100.5 is outside \\[0, 100\\]");
 }
 
 } // namespace

@@ -1,17 +1,15 @@
 /**
  * @file
- * Tests for the cluster drivers' part and query books
- * (cluster/part_book.hh, cluster/query_book.hh; the storage itself is
- * tested in test_window_book.cc): the part retire rule (terminal head,
- * terminal twin, dispatch over) and how one pinned part holds the
- * window open, the retired-id panic, the drivers' exact peak-live and
- * peak-held work counters for parts and queries on a sharded, hedged,
- * chaotic, colocated tier, and the query-window edge cases: a shed
- * query awaiting its retry, a failover backoff, a hedge check that
- * fires after its query completed, a lost query outlived by a hedge
- * twin (both tiers), and an unroutable query with no parts. A gray
- * straggler widens both windows while few records stay held. Last,
- * the flat book of per-query part machines the static driver fills as
+ * Tests for the cluster drivers' query book, which keeps each query's
+ * parts inside its record (cluster/query_book.hh; the storage itself
+ * is tested in test_window_book.cc): the drivers' exact peak-live and
+ * peak-held query counters on a sharded, hedged, chaotic, colocated
+ * tier, and the query-window edge cases: a shed query awaiting its
+ * retry, a failover backoff, a hedge check that fires after its query
+ * completed, a lost query outlived by its parts and their hedge twins
+ * (both tiers), and an unroutable query with no parts. A gray
+ * straggler widens the window while few records stay held. Last, the
+ * flat book of per-query part machines the static driver fills as
  * queries retire.
  */
 
@@ -23,109 +21,10 @@
 #include <cstdio>
 #include <sstream>
 
-#include "cluster/part_book.hh"
 #include "tests/busy_tier.hh"
 
 namespace deeprecsys {
 namespace {
-
-PartRec
-recFor(uint64_t query, uint32_t machine = 0)
-{
-    PartRec rec;
-    rec.queryIdx = query;
-    rec.machine = machine;
-    return rec;
-}
-
-/** A dispatch predicate that never pins. */
-bool
-anyDispatch(const PartRec&)
-{
-    return true;
-}
-
-// ------------------------------------------------------------ the book
-
-TEST(PartBook, RetireStopsAtTheFirstNonTerminalHead)
-{
-    PartBook book;
-    for (uint64_t i = 0; i < 10; i++)
-        book.push(recFor(i));
-    for (uint64_t i = 0; i < 10; i++)
-        book[i].done = i != 3;
-    book.retire(anyDispatch);
-    EXPECT_EQ(book.lowId(), 3u);
-    EXPECT_EQ(book.live(), 7u);
-
-    // Cancelled is terminal too; the window then drains completely.
-    book[3].cancelled = true;
-    book.retire(anyDispatch);
-    EXPECT_EQ(book.lowId(), 10u);
-    EXPECT_EQ(book.live(), 0u);
-}
-
-TEST(PartBook, PinnedOldPartKeepsEverythingAfterItReadable)
-{
-    PartBook book;
-    book.push(recFor(0));    // never finishes until the end
-    const uint64_t n = 5 * PartBook::kChunkSize;
-    for (uint64_t i = 1; i <= n; i++) {
-        book.push(recFor(i));
-        book[i].done = true;
-        book.retire(anyDispatch);
-    }
-    EXPECT_EQ(book.lowId(), 0u);
-    EXPECT_EQ(book.peakLive(), n + 1);
-    for (uint64_t i = 0; i <= n; i++)
-        EXPECT_EQ(book[i].queryIdx, i);
-
-    book[0].done = true;
-    book.retire(anyDispatch);
-    EXPECT_EQ(book.lowId(), n + 1);
-}
-
-TEST(PartBook, UnfinishedTwinAndLiveDispatchPinTheHead)
-{
-    PartBook book;
-    PartRec original = recFor(1);
-    original.partner = 1;
-    PartRec dup = recFor(1);
-    dup.partner = 0;
-    dup.hedged = true;
-    book.push(original);
-    book.push(dup);
-
-    // The original finished, but its hedge twin still runs and will
-    // read it when it finishes: both stay.
-    book[0].done = true;
-    book.retire(anyDispatch);
-    EXPECT_EQ(book.lowId(), 0u);
-    book[1].done = true;
-    book.retire(anyDispatch);
-    EXPECT_EQ(book.lowId(), 2u);
-
-    // A terminal part of a dispatch that is still live stays readable
-    // (its hedge check walks every part of the dispatch).
-    book.push(recFor(7));
-    book[2].done = true;
-    book.retire([](const PartRec& p) { return p.queryIdx != 7; });
-    EXPECT_EQ(book.lowId(), 2u);
-    book.retire(anyDispatch);
-    EXPECT_EQ(book.lowId(), 3u);
-}
-
-TEST(PartBookDeath, ReadingARetiredIdPanics)
-{
-    PartBook book;
-    for (uint64_t i = 0; i < 3; i++)
-        book.push(recFor(i));
-    book[0].done = true;
-    book.retire(anyDispatch);
-    ASSERT_EQ(book.lowId(), 1u);
-    EXPECT_DEATH((void)book[0], "outside the live window");
-    EXPECT_DEATH((void)book[3], "outside the live window");
-}
 
 // ------------------------------------------ the drivers' work counter
 
@@ -143,20 +42,14 @@ TEST(PartBookDriver, StaticPeakLivePartsIsExactAndSmall)
     EXPECT_EQ(trace.size(),
               r.numCompleted + r.overload.droppedFinal + r.faults.lost);
 
-    // A part that never reaches a terminal state pins the window and
-    // moves this count; it is a pure function of the seed.
-    EXPECT_EQ(r.peakLiveParts, 1192u);
-    EXPECT_LT(r.peakLiveParts * 8, r.numParts);
     // Chunks are allocated only for the span of the live window; a
-    // book that fails to recycle a spare moves these.
-    EXPECT_EQ(r.peakPartChunks, 2u);
+    // book that fails to recycle a spare moves this.
     EXPECT_EQ(r.peakQueryChunks, 2u);
-    // Records are released out of order as soon as no reader can
-    // reach them: a missed release point moves these, and only a few
-    // of the ids in each window still hold a record.
-    EXPECT_EQ(r.peakHeldParts, 181u);
+    // Queries are released out of order, parts and all, as soon as no
+    // reader can reach them: a missed release point, or a part that
+    // never ends, moves this, and only a few of the ids in the window
+    // still hold a record.
     EXPECT_EQ(r.peakHeldQueries, 49u);
-    EXPECT_LT(r.peakHeldParts * 4, r.peakLiveParts);
     EXPECT_LT(r.peakHeldQueries * 4, r.peakLiveQueries);
     // The flat part-machine book holds one 4-byte offset per query
     // plus one and one 2-byte machine id per part, plus under one
@@ -179,13 +72,8 @@ TEST(PartBookDriver, ElasticPeakLivePartsIsExactAndSmall)
     EXPECT_EQ(trace.size(),
               r.numCompleted + r.overload.droppedFinal + r.faults.lost);
 
-    EXPECT_EQ(r.peakLiveParts, 1203u);
-    EXPECT_LT(r.peakLiveParts * 8, r.numParts);
-    EXPECT_EQ(r.peakPartChunks, 2u);
     EXPECT_EQ(r.peakQueryChunks, 2u);
-    EXPECT_EQ(r.peakHeldParts, 187u);
     EXPECT_EQ(r.peakHeldQueries, 45u);
-    EXPECT_LT(r.peakHeldParts * 4, r.peakLiveParts);
     EXPECT_LT(r.peakHeldQueries * 4, r.peakLiveQueries);
 }
 
@@ -424,10 +312,11 @@ TEST(QueryWindow, LostQueryOutlivedByItsParts)
 TEST(HeldRecords, GrayStragglerPinsAWideWindowButFewRecords)
 {
     // One deep gray window and no crashes: parts queued on the gray
-    // machine run 40x slower and pin the head of the part window
-    // while the healthy machines finish thousands of parts behind
-    // them. Those are released as they finish, so the windows widen
-    // far past the calm tier's while few records stay held.
+    // machine run 40x slower and pin their queries at the head of the
+    // query window while the healthy machines finish thousands of
+    // queries behind them. Those are released as they finish, so the
+    // window widens far past the calm tier's while few records stay
+    // held.
     ClusterConfig calm = busyTier();
     calm.faults = FaultPlan{};
     ClusterConfig gray = calm;
@@ -440,12 +329,7 @@ TEST(HeldRecords, GrayStragglerPinsAWideWindowButFewRecords)
     const ClusterResult g = runStatic(gray, trace);
     expectConserved(g, trace);
     EXPECT_EQ(g.faults.grayWindows, 1u);
-    EXPECT_GT(g.peakLiveParts, 5 * c.peakLiveParts);
     EXPECT_GT(g.peakLiveQueries, 5 * c.peakLiveQueries);
-    // The static tier keeps its spare capacity: the straggler's parts
-    // are all it adds to the held records.
-    EXPECT_LE(g.peakHeldParts, c.peakHeldParts + c.peakHeldParts / 4);
-    EXPECT_LT(g.peakHeldParts * 8, g.peakLiveParts);
     EXPECT_LT(g.peakHeldQueries * 8, g.peakLiveQueries);
 
     // The elastic tier has drained to fewer machines, so the gray one
@@ -454,15 +338,13 @@ TEST(HeldRecords, GrayStragglerPinsAWideWindowButFewRecords)
     const AutoscaleResult eg = runElastic(elasticSpec(gray), trace);
     expectConserved(eg, trace);
     EXPECT_EQ(eg.faults.grayWindows, 1u);
-    EXPECT_GT(eg.peakLiveParts, 5 * ec.peakLiveParts);
     EXPECT_GT(eg.peakLiveQueries, 5 * ec.peakLiveQueries);
-    EXPECT_LT(eg.peakHeldParts * 4, eg.peakLiveParts);
     EXPECT_LT(eg.peakHeldQueries * 4, eg.peakLiveQueries);
 
     // With crashes as well, killed dispatches, stale arrivals and lost
-    // parts each release their records while the straggler pins the
-    // windows: a missed release point holds them until the window
-    // passes, and moves these exact counts.
+    // parts each end their parts while the straggler pins the window:
+    // a missed release point holds a query until the window passes,
+    // and moves these exact counts.
     ClusterConfig chaos = busyTier();
     chaos.faults.graySlowdownFactor = 40.0;
     chaos.faults.grayDurationSeconds = 0.3;
@@ -473,12 +355,8 @@ TEST(HeldRecords, GrayStragglerPinsAWideWindowButFewRecords)
     expectConserved(ex, trace);
     EXPECT_GT(x.faults.crashes, 0u);
     EXPECT_GT(x.faults.hedged, 0u);
-    EXPECT_EQ(x.peakLiveParts, 7535u);
-    EXPECT_EQ(x.peakHeldParts, 752u);
     EXPECT_EQ(x.peakLiveQueries, 1537u);
     EXPECT_EQ(x.peakHeldQueries, 196u);
-    EXPECT_EQ(ex.peakLiveParts, 2565u);
-    EXPECT_EQ(ex.peakHeldParts, 92u);
     EXPECT_EQ(ex.peakLiveQueries, 636u);
     EXPECT_EQ(ex.peakHeldQueries, 26u);
 }

@@ -164,5 +164,14 @@ TEST(QpsSearchDeath, NonPositiveSlaIsAValidatedError)
                 ::testing::ExitedWithCode(1), "SLA target must be positive");
 }
 
+TEST(QpsSearchDeath, OutOfRangePercentileIsAValidatedError)
+{
+    QpsSearchSpec bad = spec(100.0);
+    bad.percentile = 150.0;
+    EXPECT_EXIT((void)findMaxQps(rmc1Config(256), bad),
+                ::testing::ExitedWithCode(1),
+                "SLA percentile 150 is outside \\[0, 100\\]");
+}
+
 } // namespace
 } // namespace deeprecsys
