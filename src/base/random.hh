@@ -53,15 +53,29 @@ class Rng
     operator()()
     {
         const uint64_t result = rotl(state[1] * 5, 7) * 9;
-        const uint64_t t = state[1] << 17;
-        state[2] ^= state[0];
-        state[3] ^= state[1];
-        state[1] ^= state[2];
-        state[0] ^= state[3];
-        state[2] ^= t;
-        state[3] = rotl(state[3], 45);
+        step();
         return result;
     }
+
+    /**
+     * Skip @p n raw draws: afterwards the stream is exactly where n
+     * calls of operator()() would have left it. Every helper below
+     * takes a fixed number of raw draws (two for normal() and
+     * lognormal(), one for the rest), so a stream that takes a fixed
+     * count per element can start at any element, and a parallel fill
+     * can give each chunk its own start state and still reproduce the
+     * serial fill bit for bit.
+     *
+     * Cost is logarithmic in n: the state update is linear over GF(2),
+     * so n steps are the matrix power T^n, and T^n = (x^n mod p)(T)
+     * for the update's characteristic polynomial p (Cayley-Hamilton).
+     * discard() finds p once per process by Berlekamp-Massey, raises x
+     * to n mod p by square-and-multiply, and applies the result to the
+     * state in 256 steps (Haramoto et al., "Efficient Jump Ahead for
+     * F2-Linear Random Number Generators", 2008). Below 256 draws it
+     * steps directly. Thread-safe for distinct Rng objects.
+     */
+    void discard(uint64_t n);
 
     /** Uniform double in [0, 1). */
     double
@@ -132,6 +146,19 @@ class Rng
     }
 
   private:
+    /** The linear state update (the output function left out). */
+    void
+    step()
+    {
+        const uint64_t t = state[1] << 17;
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = rotl(state[3], 45);
+    }
+
     static uint64_t
     rotl(uint64_t x, int k)
     {

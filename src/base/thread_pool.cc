@@ -67,7 +67,14 @@ ThreadPool::defaultThreadCount()
 namespace {
 
 std::mutex sharedPoolMu;
-std::unique_ptr<ThreadPool> sharedPool;
+
+/**
+ * Never destroyed at exit: its workers idle until the process ends.
+ * Joining them from a static destructor would hang or crash a forked
+ * child (a death test, say) that exits, since the child has none of
+ * its parent's threads.
+ */
+ThreadPool* sharedPool = nullptr;
 
 } // namespace
 
@@ -76,7 +83,7 @@ ThreadPool::shared()
 {
     std::lock_guard<std::mutex> lock(sharedPoolMu);
     if (!sharedPool)
-        sharedPool = std::make_unique<ThreadPool>();
+        sharedPool = new ThreadPool();
     return *sharedPool;
 }
 
@@ -84,8 +91,9 @@ void
 ThreadPool::setSharedThreads(size_t threads)
 {
     std::lock_guard<std::mutex> lock(sharedPoolMu);
-    sharedPool = std::make_unique<ThreadPool>(
-        threads == 0 ? defaultThreadCount() : threads);
+    delete sharedPool;
+    sharedPool = new ThreadPool(threads == 0 ? defaultThreadCount()
+                                             : threads);
 }
 
 void

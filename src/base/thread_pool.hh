@@ -1,8 +1,10 @@
 /**
  * @file
  * Fixed-size thread pool — the parallel runtime under the repo's
- * embarrassingly parallel layers: the bench sweeps (`bench::sweepMap`)
- * and any caller that maps a function over independent runs.
+ * embarrassingly parallel layers: the bench sweeps (`bench::sweepMap`),
+ * any caller that maps a function over independent runs, and the
+ * set-up RNG streams (embedding tables, trace templates) split into
+ * tasks by Rng::discard.
  *
  * Design constraints, in priority order:
  *
@@ -23,8 +25,12 @@
  * Where parallelism must NOT live: inside one simulation run, or
  * inside one search. A discrete-event simulation is a serial
  * dependence chain, and a search's next candidate depends on the last
- * one's verdict; the pool parallelizes across *independent runs*
- * only (see sim/rate_search.hh).
+ * one's verdict; the pool parallelizes across *independent runs* (see
+ * sim/rate_search.hh) and, before a run, across the independent
+ * stretches of its set-up RNG streams. A stream that takes a fixed
+ * number of draws per element starts each task exactly where the
+ * serial loop would reach it (Rng::discard), so set-up values are
+ * bit-identical at every thread count too.
  */
 
 #ifndef DRS_BASE_THREAD_POOL_HH
@@ -73,7 +79,8 @@ class ThreadPool
 
     /**
      * The process-wide pool every parallel layer shares, sized from
-     * DRS_THREADS at first use.
+     * DRS_THREADS at first use. It is never destroyed, so no exit
+     * path joins its workers (a forked child has none to join).
      */
     static ThreadPool& shared();
 

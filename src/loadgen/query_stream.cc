@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "base/logging.hh"
+#include "base/thread_pool.hh"
 
 namespace deeprecsys {
 
@@ -39,14 +40,25 @@ TraceTemplate::TraceTemplate(const LoadSpec& spec)
 void
 TraceTemplate::ensure(size_t count)
 {
-    if (count <= unitGaps.size())
+    const size_t drawn = unitGaps.size();
+    if (count <= drawn)
         return;
+    // Reserved first, so that growth allocates exactly count rather
+    // than resize's doubling: the benchmark gates peak memory.
     unitGaps.reserve(count);
+    unitGaps.resize(count);
     sizes.reserve(count);
-    while (unitGaps.size() < count) {
-        unitGaps.push_back(arrivals.nextGap());
-        sizes.push_back(sizeDist.sample());
-    }
+    sizes.resize(count);
+    // The gaps and the sizes come from generators of their own, so the
+    // two streams draw in parallel.
+    ThreadPool::shared().parallelFor(2, [&](size_t stream) {
+        for (size_t i = drawn; i < count; i++) {
+            if (stream == 0)
+                unitGaps[i] = arrivals.nextGap();
+            else
+                sizes[i] = sizeDist.sample();
+        }
+    });
 }
 
 QueryTrace
@@ -204,8 +216,10 @@ void
 MixedTraceTemplate::ensure(size_t count)
 {
     const auto counts = splitCountByFraction(fractions_, count);
-    for (uint32_t k = 0; k < perModel.size(); k++)
+    // The models' templates are independent, so they draw in parallel.
+    ThreadPool::shared().parallelFor(perModel.size(), [&](size_t k) {
         perModel[k].ensure(counts[k]);
+    });
 }
 
 size_t

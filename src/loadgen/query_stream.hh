@@ -66,7 +66,8 @@ class TraceTemplate
     explicit TraceTemplate(const LoadSpec& spec);
 
     /** Draw through @p count queries (monotone; cheap when already
-     *  drawn). Prefixes are stable: growing never redraws. */
+     *  drawn). Prefixes are stable: growing never redraws. The gap
+     *  and size streams draw as two tasks on the shared pool. */
     void ensure(size_t count);
 
     /**
@@ -147,7 +148,8 @@ class MixedTraceTemplate
                        const std::vector<double>& fractions);
 
     /** Draw through @p count total queries (prefix-stable per model:
-     *  growing the total never redraws any model's stream). */
+     *  growing the total never redraws any model's stream). The
+     *  models draw as parallel tasks on the shared pool. */
     void ensure(size_t count);
 
     /**

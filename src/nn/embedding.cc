@@ -1,6 +1,9 @@
 #include "embedding.hh"
 
 #include <algorithm>
+#include <optional>
+
+#include "base/thread_pool.hh"
 
 namespace deeprecsys {
 
@@ -15,6 +18,32 @@ hashIndex(uint64_t x)
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
 }
+
+/**
+ * Call fn with the logical-to-physical row map of a table, chosen once
+ * per kernel call rather than once per lookup: the identity when every
+ * row is resident, else the hashed row, by mask when the physical
+ * count is a power of two (the same row as the modulo, at a fraction
+ * of its cost).
+ */
+template <typename Fn>
+void
+withRowMap(uint64_t logical_rows, uint64_t physical_rows, Fn&& fn)
+{
+    if (physical_rows == logical_rows) {
+        fn([](uint64_t i) { return i; });
+    } else if ((physical_rows & (physical_rows - 1)) == 0) {
+        const uint64_t mask = physical_rows - 1;
+        fn([mask](uint64_t i) { return hashIndex(i) & mask; });
+    } else {
+        fn([physical_rows](uint64_t i) {
+            return hashIndex(i) % physical_rows;
+        });
+    }
+}
+
+/** Floats a pooled sum keeps in its local row at a time. */
+constexpr size_t kSumBlock = 64;
 
 } // namespace
 
@@ -55,7 +84,8 @@ EmbeddingTable::EmbeddingTable(uint64_t logical_rows, size_t dim, Rng& rng,
     drs_assert(logical_rows > 0, "embedding table needs rows");
     drs_assert(dim > 0, "embedding dim must be positive");
     storage.resize(physicalRows_ * dim_);
-    // Small-magnitude init, as trained embeddings typically are.
+    // Small-magnitude init, as trained embeddings typically are. One
+    // draw per element: EmbeddingGroup's jumped starts count on it.
     for (auto& v : storage)
         v = static_cast<float>(rng.uniform(-0.05, 0.05));
 }
@@ -63,13 +93,19 @@ EmbeddingTable::EmbeddingTable(uint64_t logical_rows, size_t dim, Rng& rng,
 const float*
 EmbeddingTable::rowFor(uint64_t logical_index) const
 {
-    drs_assert(logical_index < logicalRows_,
-               "embedding index ", logical_index, " out of range ",
-               logicalRows_);
+    checkIndex(logical_index);
     const uint64_t physical = physicalRows_ == logicalRows_
         ? logical_index
         : hashIndex(logical_index) % physicalRows_;
     return storage.data() + physical * dim_;
+}
+
+void
+EmbeddingTable::checkIndex(uint64_t logical_index) const
+{
+    drs_assert(logical_index < logicalRows_,
+               "embedding index ", logical_index, " out of range ",
+               logicalRows_);
 }
 
 void
@@ -87,33 +123,59 @@ EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
         for (size_t i = 0; i < bs; i++) {
             drs_assert(batch.lookups(i) == lookups,
                        "concat pooling needs a uniform lookup count");
-            float* dst = out + i * ldo;
-            for (size_t j = 0; j < lookups; j++) {
-                const float* src =
-                    rowFor(batch.indices[batch.offsets[i] + j]);
-                dst = std::copy(src, src + dim_, dst);
-            }
         }
+        copyRows(batch, lookups, out, ldo);
         return;
     }
 
     drs_assert(ldo >= dim_, "bag row stride too narrow");
-    for (size_t i = 0; i < bs; i++) {
-        float* dst = out + i * ldo;
-        std::fill(dst, dst + dim_, 0.0f);
-        const size_t begin = batch.offsets[i];
-        const size_t end = batch.offsets[i + 1];
-        for (size_t j = begin; j < end; j++) {
-            const float* src = rowFor(batch.indices[j]);
-            for (size_t d = 0; d < dim_; d++)
-                dst[d] += src[d];
+    withRowMap(logicalRows_, physicalRows_, [&](auto physical) {
+        for (size_t i = 0; i < bs; i++) {
+            const size_t begin = batch.offsets[i];
+            const size_t end = batch.offsets[i + 1];
+            const float inv = pooling == Pooling::Mean && end > begin
+                ? 1.0f / static_cast<float>(end - begin)
+                : 1.0f;
+            // Each column sums its rows in lookup order into a local
+            // row, which the compiler knows the table cannot alias.
+            for (size_t d0 = 0; d0 < dim_; d0 += kSumBlock) {
+                const size_t width = std::min(kSumBlock, dim_ - d0);
+                float sum[kSumBlock] = {};
+                for (size_t j = begin; j < end; j++) {
+                    const uint64_t index = batch.indices[j];
+                    checkIndex(index);
+                    const float* src =
+                        storage.data() + physical(index) * dim_ + d0;
+                    for (size_t d = 0; d < width; d++)
+                        sum[d] += src[d];
+                }
+                float* dst = out + i * ldo + d0;
+                if (pooling == Pooling::Mean) {
+                    for (size_t d = 0; d < width; d++)
+                        dst[d] = sum[d] * inv;
+                } else {
+                    std::copy(sum, sum + width, dst);
+                }
+            }
         }
-        if (pooling == Pooling::Mean && end > begin) {
-            const float inv = 1.0f / static_cast<float>(end - begin);
-            for (size_t d = 0; d < dim_; d++)
-                dst[d] *= inv;
+    });
+}
+
+void
+EmbeddingTable::copyRows(const SparseBatch& batch, size_t lookups,
+                         float* out, size_t ldo) const
+{
+    withRowMap(logicalRows_, physicalRows_, [&](auto physical) {
+        for (size_t i = 0; i < batch.batchSize(); i++) {
+            float* dst = out + i * ldo;
+            for (size_t j = 0; j < lookups; j++) {
+                const uint64_t index = batch.indices[batch.offsets[i] + j];
+                checkIndex(index);
+                const float* src = storage.data() + physical(index) * dim_;
+                dst = std::copy(src, src + dim_, dst);
+            }
         }
-    }
+    });
 }
 
 void
@@ -128,12 +190,8 @@ EmbeddingTable::gatherSequence(const SparseBatch& batch, Tensor& out,
     for (size_t i = 0; i < bs; i++) {
         drs_assert(batch.lookups(i) == seq,
                    "gatherSequence needs a uniform lookup count");
-        float* dst = out.data() + i * seq * dim_;
-        for (size_t j = 0; j < seq; j++) {
-            const float* src = rowFor(batch.indices[batch.offsets[i] + j]);
-            dst = std::copy(src, src + dim_, dst);
-        }
     }
+    copyRows(batch, seq, out.data(), seq * dim_);
 }
 
 EmbeddingGroup::EmbeddingGroup(size_t num_tables, uint64_t logical_rows,
@@ -144,9 +202,20 @@ EmbeddingGroup::EmbeddingGroup(size_t num_tables, uint64_t logical_rows,
 {
     drs_assert(num_tables > 0, "embedding group needs tables");
     drs_assert(lookups_per_table > 0, "lookups per table must be positive");
+    // The tables fill in parallel, table i from rng jumped past the
+    // draws of tables 0..i-1, and rng ends where the serial fill would
+    // leave it: every value is the same at every thread count.
+    const uint64_t draws = std::min(logical_rows, max_physical_rows) * dim;
+    std::vector<std::optional<EmbeddingTable>> built(num_tables);
+    ThreadPool::shared().parallelFor(num_tables, [&](size_t i) {
+        Rng stream = rng;
+        stream.discard(i * draws);
+        built[i].emplace(logical_rows, dim, stream, max_physical_rows);
+    });
+    rng.discard(num_tables * draws);
     tables.reserve(num_tables);
-    for (size_t i = 0; i < num_tables; i++)
-        tables.emplace_back(logical_rows, dim, rng, max_physical_rows);
+    for (std::optional<EmbeddingTable>& table : built)
+        tables.push_back(std::move(*table));
 }
 
 void

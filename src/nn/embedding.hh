@@ -88,7 +88,12 @@ class EmbeddingTable
         return logicalRows_ * static_cast<uint64_t>(dim_) * sizeof(float);
     }
 
-    /** Pointer to the physical row backing a logical index. */
+    /**
+     * Pointer to the physical row backing a logical index: the row
+     * itself when every row is resident, else row hash % physical
+     * rows. The kernels below choose an equivalent map once per call;
+     * this per-index form is their reference.
+     */
     const float* rowFor(uint64_t logical_index) const;
 
     /**
@@ -113,6 +118,17 @@ class EmbeddingTable
                         OperatorStats* stats = nullptr) const;
 
   private:
+    /** Dies unless @p logical_index is below logicalRows(). */
+    void checkIndex(uint64_t logical_index) const;
+
+    /**
+     * Gather each sample's @p lookups rows, unpooled, into
+     * out[i * ldo, i * ldo + lookups * dim); every sample must have
+     * that many lookups.
+     */
+    void copyRows(const SparseBatch& batch, size_t lookups, float* out,
+                  size_t ldo) const;
+
     uint64_t logicalRows_;
     uint64_t physicalRows_;
     size_t dim_;

@@ -220,6 +220,63 @@ TEST(EmbeddingGroup, LogicalBytesSumsTables)
     EXPECT_EQ(g.logicalBytes(), 2ull * 1'000'000 * 16 * sizeof(float));
 }
 
+TEST(EmbeddingTable, KernelsPickTheRowsRowForPicks)
+{
+    // The kernels choose their row map once per call: identity when
+    // every row is resident, a mask over a power-of-two physical
+    // count, else the modulo. Each must read the rows rowFor names and
+    // sum them in lookup order, bit for bit; dim 80 spans two blocks
+    // of the pooled sum's local row.
+    for (uint64_t cap : {uint64_t{1} << 20, uint64_t{256}, uint64_t{300}}) {
+        for (size_t dim : {size_t{4}, size_t{80}}) {
+            Rng rng(18);
+            EmbeddingTable t(5000, dim, rng, cap);
+            const SparseBatch b = SparseBatch::uniform(6, 7, 5000, rng);
+            const Tensor sum = bag(t, b, Pooling::Sum);
+            const Tensor mean = bag(t, b, Pooling::Mean);
+            const Tensor concat = bag(t, b, Pooling::Concat);
+            Tensor seq;
+            t.gatherSequence(b, seq);
+            for (size_t i = 0; i < 6; i++) {
+                std::vector<float> want(dim, 0.0f);
+                for (size_t j = 0; j < 7; j++) {
+                    const float* row = t.rowFor(b.indices[i * 7 + j]);
+                    for (size_t d = 0; d < dim; d++) {
+                        want[d] += row[d];
+                        EXPECT_EQ(concat.at(i, j * dim + d), row[d]);
+                        EXPECT_EQ(seq.data()[(i * 7 + j) * dim + d], row[d]);
+                    }
+                }
+                for (size_t d = 0; d < dim; d++) {
+                    EXPECT_EQ(sum.at(i, d), want[d])
+                        << "cap " << cap << " dim " << dim;
+                    EXPECT_EQ(mean.at(i, d), want[d] * (1.0f / 7.0f));
+                }
+            }
+        }
+    }
+}
+
+TEST(EmbeddingGroup, FillsAsTheSerialTablesDo)
+{
+    // The group fills its tables in parallel from jumped streams; the
+    // values, and where it leaves the caller's stream, must be those
+    // of building the tables one after another from one stream.
+    Rng group_rng(19);
+    const EmbeddingGroup g(5, 700, 12, 3, Pooling::Sum, group_rng);
+    Rng serial_rng(19);
+    for (size_t t = 0; t < 5; t++) {
+        const EmbeddingTable serial(700, 12, serial_rng);
+        for (uint64_t row = 0; row < 700; row++) {
+            const float* got = g.table(t).rowFor(row);
+            const float* want = serial.rowFor(row);
+            for (size_t d = 0; d < 12; d++)
+                ASSERT_EQ(got[d], want[d]) << "table " << t << " row " << row;
+        }
+    }
+    EXPECT_EQ(group_rng(), serial_rng());
+}
+
 /** Pooling output stays finite across lookup-count sweeps. */
 class EmbeddingLookupSweep : public ::testing::TestWithParam<int>
 {

@@ -2,10 +2,11 @@
  * @file
  * Parallel-vs-serial differential tests: the determinism contract of
  * the parallel runtime. The bench sweep helper maps independent runs
- * across threads, and the two QPS searches, the capacity planner and
- * the trace template they re-time must give the same answer whatever
- * the shared pool's size — so every result must be **bit-identical**
- * at DRS_THREADS=1 and at many threads. Threads decide only which
+ * across threads, set-up draws embedding tables and trace templates
+ * as tasks, and the two QPS searches, the capacity planner and the
+ * trace template they re-time must give the same answer whatever the
+ * shared pool's size — so every result must be **bit-identical** at
+ * DRS_THREADS=1 and at many threads. Threads decide only which
  * thread runs a sweep's point, never which results come back or in
  * what order.
  *
@@ -20,6 +21,7 @@
 #include "cluster/capacity_planner.hh"
 #include "cluster/cluster_qps_search.hh"
 #include "loadgen/query_stream.hh"
+#include "models/rec_model.hh"
 #include "sim/qps_search.hh"
 
 namespace deeprecsys {
@@ -37,14 +39,14 @@ cpuMachine(size_t batch = 256)
                      std::nullopt, policy};
 }
 
-/** Run fn twice — serial pool, then kManyThreads — returning both. */
+/** Run fn twice — serial pool, then @p threads — returning both. */
 template <typename Fn>
 auto
-atBothThreadCounts(Fn fn)
+atBothThreadCounts(Fn fn, size_t threads = kManyThreads)
 {
     ThreadPool::setSharedThreads(1);
     auto serial = fn();
-    ThreadPool::setSharedThreads(kManyThreads);
+    ThreadPool::setSharedThreads(threads);
     auto parallel = fn();
     ThreadPool::setSharedThreads(1);
     return std::make_pair(std::move(serial), std::move(parallel));
@@ -154,6 +156,56 @@ TEST(ParallelDiff, TraceTemplatePrefixStableUnderGrowth)
     const QueryTrace after = grown.materialize(100.0, 500);
     for (size_t i = 0; i < 500; i++)
         EXPECT_EQ(before[i].arrivalSeconds, after[i].arrivalSeconds);
+}
+
+TEST(ParallelDiff, ZooForwardOutputsBitwiseEqualAcrossThreadCounts)
+{
+    // A model's embedding tables fill in parallel from jumped streams,
+    // and the layers built after them draw from where the tables leave
+    // the stream: every output bit must match the serial build's.
+    auto outputs = [] {
+        std::vector<std::vector<float>> out;
+        for (const ModelScale& scale : {ModelScale{}, ModelScale::tiny()}) {
+            for (ModelId id : allModelIds()) {
+                const RecModel model(modelConfig(id), 5, scale);
+                Rng rng(17);
+                for (size_t size : {1, 64}) {
+                    const Tensor y = model.forward(model.makeBatch(size, rng));
+                    out.emplace_back(y.data(), y.data() + y.numel());
+                }
+            }
+        }
+        return out;
+    };
+    const auto [serial, parallel] = atBothThreadCounts(outputs, 4);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t i = 0; i < serial.size(); i++)
+        EXPECT_EQ(serial[i], parallel[i]) << "output " << i;
+}
+
+TEST(ParallelDiff, MixedTraceTemplateBitwiseEqualAcrossThreadCounts)
+{
+    // Each model's template, and within it the gap and size streams,
+    // draw as tasks of their own; growing the template draws again.
+    auto trace = [] {
+        LoadSpec base;
+        base.arrivalSeed = 30;
+        base.sizeSeed = 31;
+        MixedTraceTemplate mixed(base, {0.4, 0.4, 0.2});
+        mixed.ensure(1000);
+        mixed.ensure(6000);
+        return mixed.materialize(2400.0, 6000);
+    };
+    const auto [serial, parallel] = atBothThreadCounts(trace, 4);
+    ASSERT_EQ(serial.size(), 6000u);
+    ASSERT_EQ(parallel.size(), 6000u);
+    for (size_t i = 0; i < serial.size(); i++) {
+        EXPECT_EQ(serial[i].id, parallel[i].id);
+        EXPECT_EQ(serial[i].model, parallel[i].model);
+        EXPECT_EQ(serial[i].size, parallel[i].size);
+        EXPECT_EQ(serial[i].arrivalSeconds, parallel[i].arrivalSeconds)
+            << "query " << i;
+    }
 }
 
 TEST(ParallelDiff, FindMaxQpsBitwiseEqualAcrossThreadCounts)

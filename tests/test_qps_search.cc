@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "base/thread_pool.hh"
+#include "bench/bench_common.hh"
+#include "core/deeprecsched.hh"
 #include "sim/qps_search.hh"
 #include "sim/rate_search.hh"
 
@@ -98,6 +100,59 @@ TEST(QpsSearch, BatchSizeChangesThroughput)
     const double q_large =
         findMaxQps(rmc1Config(1024), spec(100.0)).maxQps;
     EXPECT_GT(q_large, 1.3 * q_small);
+}
+
+TEST(QpsSearch, PremiseHoldsAcrossDenseRateLadders)
+{
+    // The search's premise (sim/qps_search.hh): re-timing one drawn
+    // population keeps the SLA verdict monotone in the rate. On a few
+    // Figure 11 cells, the baseline policy with the GPU off and the
+    // tuned DRS-GPU policy with it on, a dense ladder of rates around
+    // the found maxQps must meet the SLA up to some rate and miss it
+    // above: every rate at or below maxQps meets, and every rate past
+    // the bisection's last infeasible bound (within 2% above maxQps,
+    // findMaxQps's tolerance) misses.
+    constexpr double kSearchTolerance = 0.02;
+    constexpr int kRungs = 60;
+    for (auto [id, tier] : {std::pair{ModelId::DlrmRmc1, SlaTier::Medium},
+                            std::pair{ModelId::WideAndDeep, SlaTier::Low},
+                            std::pair{ModelId::Din, SlaTier::High}}) {
+        for (bool gpu : {false, true}) {
+            const DeepRecInfra infra(bench::defaultInfra(id, gpu));
+            const double sla = infra.slaMs(tier);
+            const TuningResult tuned = gpu
+                ? DeepRecSched::tuneGpu(infra, sla)
+                : DeepRecSched::baseline(infra, sla);
+            const double max_qps = tuned.qps();
+            ASSERT_GT(max_qps, 0.0) << modelName(id);
+            const SimConfig sim = infra.simConfig(tuned.policy);
+            LoadSpec load;
+            load.sizes = infra.config().sizeDist;
+            load.arrivalSeed = infra.config().seed;
+            load.sizeSeed = infra.config().seed + 1;
+            bool missed = false;
+            for (int r = 0; r <= kRungs; r++) {
+                const double qps =
+                    max_qps * (0.5 + static_cast<double>(r) / kRungs);
+                const bool meets =
+                    evaluateAtQps(sim, load, qps,
+                                  infra.config().numQueries)
+                        .tailMs(95.0) <= sla;
+                const std::string where = modelName(id) +
+                    (gpu ? " gpu" : " cpu") + " at " +
+                    std::to_string(qps / max_qps) + "x maxQps";
+                EXPECT_FALSE(missed && meets)
+                    << where << " meets the SLA above a rate that missed";
+                if (qps <= max_qps) {
+                    EXPECT_TRUE(meets) << where;
+                }
+                if (qps >= max_qps / (1.0 - kSearchTolerance)) {
+                    EXPECT_FALSE(meets) << where;
+                }
+                missed = missed || !meets;
+            }
+        }
+    }
 }
 
 TEST(RateSearch, EvaluatesCandidatesInOrderOnCallingThread)

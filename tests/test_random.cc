@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <utility>
 #include <gtest/gtest.h>
 
 #include "base/random.hh"
@@ -166,6 +167,45 @@ TEST(Rng, ForkStreamsIndependent)
     for (int i = 0; i < 64; i++)
         same += (child_a() == child_b());
     EXPECT_LT(same, 2);
+}
+
+TEST(Rng, DiscardEqualsSequentialDraws)
+{
+    // Both sides of the 256-draw switch from stepping to jumping, and
+    // the jumps the embedding fills make.
+    for (uint64_t seed : {1ull, 7ull, 0xdeadbeefull, ~0ull}) {
+        for (uint64_t n : {0ull, 1ull, 255ull, 256ull, 257ull, 1ull << 19,
+                           3ull * (1ull << 19) + 7}) {
+            Rng stepped(seed);
+            for (uint64_t i = 0; i < n; i++)
+                stepped();
+            Rng jumped(seed);
+            jumped.discard(n);
+            for (int i = 0; i < 4; i++)
+                ASSERT_EQ(jumped(), stepped())
+                    << "seed " << seed << " n " << n << " draw " << i;
+        }
+    }
+}
+
+TEST(Rng, DiscardsCompose)
+{
+    const uint64_t big = (uint64_t{1} << 40) + 12345;
+    const uint64_t chunk = uint64_t{1} << 19;
+    const std::pair<uint64_t, uint64_t> splits[] = {
+        {big, chunk}, {chunk, big}, {big, 300}, {5, big}, {big, big}};
+    for (uint64_t seed : {3ull, 90125ull}) {
+        for (auto [a, b] : splits) {
+            Rng split(seed);
+            split.discard(a);
+            split.discard(b);
+            Rng whole(seed);
+            whole.discard(a + b);
+            for (int i = 0; i < 4; i++)
+                ASSERT_EQ(split(), whole())
+                    << "seed " << seed << " a " << a << " b " << b;
+        }
+    }
 }
 
 TEST(Rng, WorksWithStdDistributions)
