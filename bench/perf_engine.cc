@@ -42,7 +42,15 @@
  *    DeepRecSched baseline, CPU and GPU tunings of every (model, tier)
  *    cell. Each runs at 1 thread and at N threads (in-process pool
  *    resize) with results checked bit-identical and the wall-clock
- *    speedup reported; `combined_search_speedup` is over these two.
+ *    speedup reported.
+ *  - `retime_diurnal_day`: fleet_day's diurnal day (144,000 queries,
+ *    13,500 with `--smoke`; RMC2/WnD/NCF at 40/40/20, a 2x swing over
+ *    a 6 s day) re-timed by TraceTemplate::materializeDiurnal, whose
+ *    chunks run on the pool. Timed at 1 thread and at N threads, with
+ *    the arrivals checked bit-identical.
+ *
+ * `combined_search_speedup` is over every scenario with a parallel
+ * column.
  *
  * Output: a table to stdout and a JSON report (default
  * BENCH_sim_perf.json) that CI archives. `--smoke` shrinks every
@@ -54,12 +62,14 @@
  * discrete-event simulator.
  *
  * Host-measured lines: the setup_colocated128 line, the obs overhead
- * line, every line of the scenario table (its walls, speedups and
- * rates set the column widths) and the combined sweep speedup line.
+ * line, the retime_diurnal_day line, every line of the scenario table
+ * (its walls, speedups and rates set the column widths) and the
+ * combined sweep speedup line.
  * The part-machine book, latency book, find_max_qps, cluster_max_qps,
  * plan_capacity and tune_sweep lines are fixed.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -615,6 +625,50 @@ main(int argc, char** argv)
         reports.push_back(report);
         std::cout << "tune_sweep: " << cells.size() << " cells, "
                   << queries << " queries per evaluation\n";
+    }
+
+    {
+        ScenarioReport report;
+        report.name = "retime_diurnal_day";
+        // fleet_day's day: RMC2/WnD/NCF at 40/40/20, each model's
+        // share re-timed over a 2x swing across a 6 s day. The
+        // re-timing runs in chunks on the pool, repaired serially.
+        const size_t count = smoke ? 13500 : 144000;
+        const std::vector<double> fractions = {0.4, 0.4, 0.2};
+        const double mean_qps = static_cast<double>(count) / 6.0;
+        const DiurnalProfile profile(2.0, 6.0);
+        LoadSpec base;
+        base.arrivalSeed = 30;
+        base.sizeSeed = 31;
+        MixedTraceTemplate mixed(base, fractions);
+        mixed.ensure(count);
+        auto retime = [&] {
+            std::vector<QueryTrace> parts;
+            for (uint32_t k = 0; k < fractions.size(); k++)
+                parts.push_back(mixed.templateOf(k).materializeDiurnal(
+                    fractions[k] * mean_qps, profile,
+                    mixed.countOfModel(k, count)));
+            return parts;
+        };
+        std::vector<QueryTrace> serial, parallel;
+        timed_pair(retime, serial, parallel, report);
+        auto same_arrivals = [](const QueryTrace& a, const QueryTrace& b) {
+            return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                              [](const Query& x, const Query& y) {
+                                  return x.arrivalSeconds ==
+                                      y.arrivalSeconds;
+                              });
+        };
+        report.identical =
+            std::equal(serial.begin(), serial.end(), parallel.begin(),
+                       parallel.end(), same_arrivals);
+        report.queries = static_cast<double>(count);
+        reports.push_back(report);
+        std::cout << "retime_diurnal_day: " << count << " queries, "
+                  << TextTable::num(report.wallSerial * 1e3, 2)
+                  << " ms at 1 thread, "
+                  << TextTable::num(report.wallParallel * 1e3, 2)
+                  << " ms at " << threads << " threads\n";
     }
 
     // ---- report

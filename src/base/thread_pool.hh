@@ -2,9 +2,11 @@
  * @file
  * Fixed-size thread pool — the parallel runtime under the repo's
  * embarrassingly parallel layers: the bench sweeps (`bench::sweepMap`),
- * any caller that maps a function over independent runs, and the
- * set-up RNG streams (embedding tables, trace templates) split into
- * tasks by Rng::discard.
+ * any caller that maps a function over independent runs, the set-up
+ * RNG streams (embedding tables, trace templates) split into tasks by
+ * Rng::discard, and the diurnal re-timing
+ * (TraceTemplate::materializeDiurnal), whose chunks run speculatively
+ * and are repaired serially.
  *
  * Design constraints, in priority order:
  *
@@ -30,7 +32,10 @@
  * stretches of its set-up RNG streams. A stream that takes a fixed
  * number of draws per element starts each task exactly where the
  * serial loop would reach it (Rng::discard), so set-up values are
- * bit-identical at every thread count too.
+ * bit-identical at every thread count too. The diurnal re-timing is a
+ * serial chain as well: its chunks start from solved guesses, and a
+ * serial pass repairs each chunk's first queries until the guess and
+ * the true chain agree bit for bit.
  */
 
 #ifndef DRS_BASE_THREAD_POOL_HH

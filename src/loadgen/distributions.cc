@@ -10,7 +10,8 @@ namespace deeprecsys {
 ArrivalProcess::ArrivalProcess(double qps, uint64_t seed)
     : rate(qps), rng(seed)
 {
-    drs_assert(qps > 0.0, "arrival rate must be positive");
+    if (!(qps > 0.0))
+        drs_fatal("arrival rate must be positive, got ", qps, " q/s");
 }
 
 double
@@ -108,8 +109,12 @@ DiurnalProfile::DiurnalProfile(double peak_to_trough, double period_seconds)
     : amplitude((peak_to_trough - 1.0) / (peak_to_trough + 1.0)),
       period(period_seconds)
 {
-    drs_assert(peak_to_trough >= 1.0, "peak/trough ratio must be >= 1");
-    drs_assert(period_seconds > 0.0, "profile period must be positive");
+    if (!(peak_to_trough >= 1.0))
+        drs_fatal("diurnal peak/trough ratio must be >= 1, got ",
+                  peak_to_trough);
+    if (!(period_seconds > 0.0))
+        drs_fatal("diurnal period must be positive, got ", period_seconds,
+                  " s");
 }
 
 double

@@ -41,7 +41,7 @@ class ArrivalProcess
 {
   public:
     /**
-     * @param qps average queries per second (> 0)
+     * @param qps average queries per second (> 0, else fatal)
      * @param seed deterministic stream seed
      */
     ArrivalProcess(double qps, uint64_t seed);
@@ -131,6 +131,8 @@ class DiurnalProfile
      *        moment of the cycle (>= 1; 1.0 degenerates to constant
      *        load)
      * @param period_seconds length of one cycle (default 24 h)
+     *
+     * Fatal when the ratio is below 1 or the period is not positive.
      */
     explicit DiurnalProfile(double peak_to_trough = 2.0,
                             double period_seconds = 86400.0);

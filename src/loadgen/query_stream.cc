@@ -1,6 +1,7 @@
 #include "query_stream.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -83,6 +84,32 @@ TraceTemplate::materialize(double qps, size_t count) const
     return trace;
 }
 
+namespace {
+
+/**
+ * Newton's method on C(t) = u, with C = profile.cumulativeSeconds, from
+ * @p t, whose cumulative the caller passes in @p ct. Leaves t at the
+ * last iterate and ct at C(t): the last call of C was at that t.
+ */
+void
+solveCumulative(const DiurnalProfile& profile, double min_mult, double u,
+                double& t, double& ct)
+{
+    // C' >= min_mult, so the first step, taken at the trough rate,
+    // lands at or beyond the root.
+    double step = (u - ct) / min_mult;
+    for (int iter = 0; iter < 24 && step != 0.0; iter++) {
+        t += step;
+        ct = profile.cumulativeSeconds(t);
+        const double err = ct - u;
+        if (std::abs(err) <= 1e-12 * (1.0 + u))
+            break;
+        step = -err / profile.multiplier(t);
+    }
+}
+
+} // namespace
+
 QueryTrace
 TraceTemplate::materializeDiurnal(double mean_qps,
                                   const DiurnalProfile& profile,
@@ -90,43 +117,87 @@ TraceTemplate::materializeDiurnal(double mean_qps,
 {
     drs_assert(count <= unitGaps.size(),
                "materialize beyond the drawn template; call ensure()");
-    drs_assert(mean_qps > 0.0, "mean rate must be positive");
+    if (!(mean_qps > 0.0))
+        drs_fatal("a diurnal day's mean rate must be positive, got ",
+                  mean_qps, " q/s");
     // A flat profile must reproduce the homogeneous path bit-for-bit
     // (same accumulation order), so it takes that path literally.
     if (profile.swingAmplitude() == 0.0)
         return materialize(mean_qps, count);
 
-    QueryTrace trace;
-    trace.reserve(count);
     // Inversion of the cumulative-arrivals integral: query i arrives
     // at the t solving profile.cumulativeSeconds(t) = u_i, where u_i
     // accumulates the template's unit gaps at the mean rate. Newton
     // from the previous arrival converges in a couple of steps — the
     // integrand (the multiplier) is smooth and bounded away from 0.
     const double min_mult = 1.0 - profile.swingAmplitude();
-    double u = 0.0;
-    double t = 0.0;
-    for (size_t i = 0; i < count; i++) {
+    // One link of the chain: query i from the previous arrival t, with
+    // ct = C(t) kept from the call that produced t. The root is
+    // strictly increasing in u; the clamp (std::max(root, t), the root
+    // on a tie) keeps the last-bit numerics from ever inverting two
+    // arrivals. Query 0 has no previous arrival.
+    auto next_arrival = [&](size_t i, double& u, double& t, double& ct) {
         u += unitGaps[i] / mean_qps;
-        // First step overshoots conservatively using the trough rate,
-        // keeping the iterate on the near side of the root.
-        double step = (u - profile.cumulativeSeconds(t)) / min_mult;
-        for (int iter = 0; iter < 24 && step != 0.0; iter++) {
-            t += step;
-            const double err = profile.cumulativeSeconds(t) - u;
-            if (std::abs(err) <= 1e-12 * (1.0 + u))
-                break;
-            step = -err / profile.multiplier(t);
+        double root = t;
+        double c_root = ct;
+        solveCumulative(profile, min_mult, u, root, c_root);
+        if (i == 0 || !(root < t)) {
+            t = root;
+            ct = c_root;
         }
-        // The root is strictly increasing in u; keep the last-bit
-        // numerics from ever inverting two arrivals.
-        if (!trace.empty())
-            t = std::max(t, trace.back().arrivalSeconds);
-        Query q;
-        q.id = static_cast<uint64_t>(i);
-        q.arrivalSeconds = t;
-        q.size = sizes[i];
-        trace.push_back(q);
+        return t;
+    };
+
+    // The chain runs in chunks, as tasks. A serial pass sums the gaps
+    // to u before each chunk's first query with the chain's own adds,
+    // so every chunk sees the chain's u values.
+    const size_t chunks = (count + kDiurnalChunk - 1) / kDiurnalChunk;
+    std::vector<double> u_start(chunks, 0.0);
+    double u_sum = 0.0;
+    for (size_t c = 1; c < chunks; c++) {
+        for (size_t i = (c - 1) * kDiurnalChunk; i < c * kDiurnalChunk; i++)
+            u_sum += unitGaps[i] / mean_qps;
+        u_start[c] = u_sum;
+    }
+
+    // A later chunk's previous arrival is not known yet, so it starts
+    // from the root of C(t) = u_{begin-1} solved from 0: the true
+    // previous arrival to within the last bits.
+    QueryTrace trace(count);
+    ThreadPool::shared().parallelFor(chunks, [&](size_t c) {
+        const size_t begin = c * kDiurnalChunk;
+        const size_t end = std::min(count, begin + kDiurnalChunk);
+        double u = u_start[c];
+        double t = 0.0;
+        double ct = profile.cumulativeSeconds(t);
+        if (c > 0)
+            solveCumulative(profile, min_mult, u, t, ct);
+        for (size_t i = begin; i < end; i++) {
+            Query& q = trace[i];
+            q.id = static_cast<uint64_t>(i);
+            q.arrivalSeconds = next_arrival(i, u, t, ct);
+            q.size = sizes[i];
+        }
+    });
+
+    // Repair, in order: re-run each later chunk from the true previous
+    // arrival until a recomputed arrival equals the speculative one
+    // bit for bit. The chain's state after a query is its arrival t
+    // (ct is C(t), and u is the same in both), so from there on both
+    // runs apply the same function to the same state.
+    for (size_t c = 1; c < chunks; c++) {
+        const size_t begin = c * kDiurnalChunk;
+        const size_t end = std::min(count, begin + kDiurnalChunk);
+        double u = u_start[c];
+        double t = trace[begin - 1].arrivalSeconds;
+        double ct = profile.cumulativeSeconds(t);
+        for (size_t i = begin; i < end; i++) {
+            const double arrival = next_arrival(i, u, t, ct);
+            if (std::bit_cast<uint64_t>(arrival) ==
+                std::bit_cast<uint64_t>(trace[i].arrivalSeconds))
+                break;
+            trace[i].arrivalSeconds = arrival;
+        }
     }
     return trace;
 }
@@ -160,14 +231,17 @@ modelSubstreamSeed(uint64_t base_seed, uint32_t model)
 std::vector<size_t>
 splitCountByFraction(const std::vector<double>& fractions, size_t count)
 {
-    drs_assert(!fractions.empty(), "a mix needs at least one model");
+    if (fractions.empty())
+        drs_fatal("a mix needs at least one model");
     double sum = 0.0;
-    for (double f : fractions) {
-        drs_assert(f >= 0.0, "traffic fractions must be non-negative");
-        sum += f;
+    for (size_t k = 0; k < fractions.size(); k++) {
+        if (!(fractions[k] >= 0.0))
+            drs_fatal("traffic fraction ", k, " is ", fractions[k],
+                      "; fractions must be non-negative");
+        sum += fractions[k];
     }
-    drs_assert(std::abs(sum - 1.0) <= 1e-9,
-               "traffic fractions must sum to 1");
+    if (!(std::abs(sum - 1.0) <= 1e-9))
+        drs_fatal("traffic fractions sum to ", sum, ", not 1");
     std::vector<size_t> counts(fractions.size());
     // (fractional part, index) pairs; the leftover queries go to the
     // largest remainders, ties to the lowest index (stable sort on a

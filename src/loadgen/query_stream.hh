@@ -86,10 +86,23 @@ class TraceTemplate
      * flat profile (peak_to_trough 1.0) is **bit-identical** to
      * materialize(mean_qps, count). Deterministic: a pure function of
      * the drawn template and the arguments.
+     *
+     * The inversion is a serial chain (Newton from the previous
+     * arrival), run on the shared pool in chunks of kDiurnalChunk
+     * queries: each later chunk starts from the root solved for its
+     * previous query, and a serial pass then re-runs each chunk from
+     * the true previous arrival until the two runs agree bit for bit
+     * (usually within a query or two). The result is the serial
+     * chain's, bit for bit, at every thread count. Fatal unless
+     * @p mean_qps is positive.
      */
     QueryTrace materializeDiurnal(double mean_qps,
                                   const DiurnalProfile& profile,
                                   size_t count) const;
+
+    /** Queries per task of materializeDiurnal (not a tuning knob: the
+     *  output does not depend on it). */
+    static constexpr size_t kDiurnalChunk = 8192;
 
     /** Queries drawn so far. */
     size_t size() const { return unitGaps.size(); }
@@ -118,7 +131,8 @@ uint64_t modelSubstreamSeed(uint64_t base_seed, uint32_t model);
  * each model gets floor(f_k * count), and the leftover queries go to
  * the largest fractional parts (ties to the lowest index). Exact:
  * the parts always sum to @p count. A single fraction of 1.0 yields
- * {count}.
+ * {count}. Fatal, naming the bad value, unless the fractions are
+ * non-empty, non-negative and sum to 1 (±1e-9).
  */
 std::vector<size_t> splitCountByFraction(
     const std::vector<double>& fractions, size_t count);

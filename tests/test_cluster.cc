@@ -273,6 +273,20 @@ TEST(ClusterConfigDeath, MachineMissingAMixBindingIsAConfigError)
                 "cluster: machine 0 binds 1 of the mix's 2 models");
 }
 
+TEST(ClusterConfigDeath, MixFractionsNotSummingToOneIsAConfigError)
+{
+    const std::vector<ModelMixEntry> mix = {
+        makeMixEntry(ModelId::DlrmRmc2, 0.5),
+        makeMixEntry(ModelId::WideAndDeep, 0.4),
+    };
+    ClusterConfig cfg;
+    cfg.machines = {colocatedMachine(mix, CpuPlatform::skylake())};
+    cfg.modelMix = mix;
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "traffic fractions sum to 0.9, not 1");
+}
+
 TEST(ClusterConfigDeath, MoreMachinesThanSixteenBitIdsIsAConfigError)
 {
     // ClusterResult::partMachinesOfQuery stores machine ids in 16 bits.

@@ -6,10 +6,12 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <numeric>
 
+#include "diurnal_reference.hh"
 #include "loadgen/query_stream.hh"
 
 namespace deeprecsys {
@@ -350,6 +352,92 @@ TEST(TraceTemplate, DiurnalInvertsTheCumulativeIntegral)
         EXPECT_NEAR(profile.cumulativeSeconds(trace[i].arrivalSeconds),
                     expected_u, 1e-9 * (1.0 + expected_u));
     }
+}
+
+TEST(TraceTemplate, DiurnalMatchesTheSerialInversion)
+{
+    // The chunked re-timing, repaired serially, is the serial chain
+    // bit for bit: on both sides of every chunk edge, for mild and
+    // steep swings, periods far shorter and far longer than the day,
+    // and a sparse and a dense rate.
+    constexpr size_t chunk = TraceTemplate::kDiurnalChunk;
+    const size_t counts[] = {0,         1,     2, chunk - 1, chunk,
+                             chunk + 1, 2 * chunk + 1, 40000};
+    LoadSpec spec;
+    TraceTemplate tmpl(spec);
+    tmpl.ensure(40000);
+    for (double ratio : {1.5, 2.0, 3.0, 10.0}) {
+        for (double period : {0.001, 0.5, 20.0, 3600.0}) {
+            for (double rate : {100.0, 5000.0}) {
+                const DiurnalProfile profile(ratio, period);
+                // The chain is prefix-stable: a shorter day is the
+                // longest day's prefix.
+                const QueryTrace reference =
+                    serialDiurnalReference(tmpl, rate, profile, 40000);
+                for (size_t count : counts) {
+                    const QueryTrace trace =
+                        tmpl.materializeDiurnal(rate, profile, count);
+                    ASSERT_EQ(trace.size(), count);
+                    for (size_t i = 0; i < count; i++) {
+                        const Query& a = trace[i];
+                        const Query& b = reference[i];
+                        if (a.id == b.id && a.size == b.size &&
+                            std::bit_cast<uint64_t>(a.arrivalSeconds) ==
+                                std::bit_cast<uint64_t>(b.arrivalSeconds))
+                            continue;
+                        ADD_FAILURE()
+                            << "query " << i << " of " << count
+                            << " at peak/trough " << ratio << ", period "
+                            << period << " s, " << rate << " q/s: "
+                            << a.arrivalSeconds << " vs reference "
+                            << b.arrivalSeconds;
+                        break;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(LoadgenDeath, NonPositiveRatesAreConfigErrors)
+{
+    LoadSpec spec;
+    spec.qps = 0.0;
+    EXPECT_EXIT(QueryStream{spec}, ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got 0 q/s");
+    spec.qps = -5.0;
+    EXPECT_EXIT(QueryStream{spec}, ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got -5 q/s");
+    TraceTemplate tmpl{LoadSpec{}};
+    tmpl.ensure(10);
+    EXPECT_EXIT(tmpl.materializeDiurnal(-3.0, DiurnalProfile(2.0, 10.0), 10),
+                ::testing::ExitedWithCode(1),
+                "mean rate must be positive, got -3 q/s");
+    EXPECT_EXIT(tmpl.materializeDiurnal(0.0, DiurnalProfile(1.0), 10),
+                ::testing::ExitedWithCode(1),
+                "mean rate must be positive, got 0 q/s");
+}
+
+TEST(LoadgenDeath, BadDiurnalProfilesAreConfigErrors)
+{
+    EXPECT_EXIT(DiurnalProfile(0.5), ::testing::ExitedWithCode(1),
+                "peak/trough ratio must be >= 1, got 0.5");
+    EXPECT_EXIT(DiurnalProfile(2.0, 0.0), ::testing::ExitedWithCode(1),
+                "period must be positive, got 0 s");
+    EXPECT_EXIT(DiurnalProfile(2.0, -1.0), ::testing::ExitedWithCode(1),
+                "period must be positive, got -1 s");
+}
+
+TEST(LoadgenDeath, BadTrafficFractionsAreConfigErrors)
+{
+    EXPECT_EXIT(splitCountByFraction({0.5, 0.4}, 10),
+                ::testing::ExitedWithCode(1),
+                "traffic fractions sum to 0.9, not 1");
+    EXPECT_EXIT(splitCountByFraction({0.6, -0.1, 0.5}, 10),
+                ::testing::ExitedWithCode(1),
+                "traffic fraction 1 is -0.1; fractions must be non-negative");
+    EXPECT_EXIT(splitCountByFraction({}, 10), ::testing::ExitedWithCode(1),
+                "a mix needs at least one model");
 }
 
 /** Every distribution kind drives a stream without issue. */

@@ -3,9 +3,9 @@
  * Parallel-vs-serial differential tests: the determinism contract of
  * the parallel runtime. The bench sweep helper maps independent runs
  * across threads, set-up draws embedding tables and trace templates
- * as tasks, and the two QPS searches, the capacity planner and the
- * trace template they re-time must give the same answer whatever the
- * shared pool's size — so every result must be **bit-identical** at
+ * as tasks and re-times diurnal days in chunks, and the two QPS
+ * searches, the capacity planner and the trace template they re-time
+ * must give the same answer whatever the shared pool's size — so every result must be **bit-identical** at
  * DRS_THREADS=1 and at many threads. Threads decide only which
  * thread runs a sweep's point, never which results come back or in
  * what order.
@@ -14,12 +14,14 @@
  * uses exact equality (EXPECT_DOUBLE_EQ / EXPECT_EQ), not tolerances.
  */
 
+#include <bit>
 #include <gtest/gtest.h>
 
 #include "base/thread_pool.hh"
 #include "bench/bench_common.hh"
 #include "cluster/capacity_planner.hh"
 #include "cluster/cluster_qps_search.hh"
+#include "diurnal_reference.hh"
 #include "loadgen/query_stream.hh"
 #include "models/rec_model.hh"
 #include "sim/qps_search.hh"
@@ -205,6 +207,53 @@ TEST(ParallelDiff, MixedTraceTemplateBitwiseEqualAcrossThreadCounts)
         EXPECT_EQ(serial[i].size, parallel[i].size);
         EXPECT_EQ(serial[i].arrivalSeconds, parallel[i].arrivalSeconds)
             << "query " << i;
+    }
+}
+
+TEST(ParallelDiff, DiurnalRetimingBitwiseEqualAcrossThreadCounts)
+{
+    // fleet_day's day: RMC2/WnD/NCF at 40/40/20, a 2x swing over a
+    // 6 s day. Each model's share is re-timed in chunks on the pool
+    // and repaired serially, so both thread counts must give the one
+    // serial chain.
+    constexpr size_t kDay = 144000;
+    const std::vector<double> fractions = {0.4, 0.4, 0.2};
+    const double mean_qps = static_cast<double>(kDay) / 6.0;
+    const DiurnalProfile profile(2.0, 6.0);
+    LoadSpec base;
+    base.arrivalSeed = 30;
+    base.sizeSeed = 31;
+    MixedTraceTemplate mixed(base, fractions);
+    mixed.ensure(kDay);
+    auto day = [&] {
+        std::vector<QueryTrace> parts;
+        for (uint32_t k = 0; k < fractions.size(); k++)
+            parts.push_back(mixed.templateOf(k).materializeDiurnal(
+                fractions[k] * mean_qps, profile,
+                mixed.countOfModel(k, kDay)));
+        return parts;
+    };
+    const auto [serial, parallel] = atBothThreadCounts(day);
+    for (uint32_t k = 0; k < fractions.size(); k++) {
+        const size_t count = mixed.countOfModel(k, kDay);
+        ASSERT_GT(count, 2 * TraceTemplate::kDiurnalChunk);
+        const QueryTrace reference = serialDiurnalReference(
+            mixed.templateOf(k), fractions[k] * mean_qps, profile, count);
+        ASSERT_EQ(serial[k].size(), count);
+        ASSERT_EQ(parallel[k].size(), count);
+        for (size_t i = 0; i < count; i++) {
+            const uint64_t want =
+                std::bit_cast<uint64_t>(reference[i].arrivalSeconds);
+            ASSERT_EQ(std::bit_cast<uint64_t>(serial[k][i].arrivalSeconds),
+                      want)
+                << "model " << k << " query " << i << " at 1 thread";
+            ASSERT_EQ(
+                std::bit_cast<uint64_t>(parallel[k][i].arrivalSeconds), want)
+                << "model " << k << " query " << i << " at "
+                << kManyThreads << " threads";
+            ASSERT_EQ(serial[k][i].size, reference[i].size);
+            ASSERT_EQ(parallel[k][i].size, reference[i].size);
+        }
     }
 }
 
