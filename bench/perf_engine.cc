@@ -15,12 +15,11 @@
  *    hot-path metric: simulated events/second on one thread.
  *  - `cluster16_sharded`: a 16-machine sharded TwoStage cluster run
  *    with shard-aware routing — the cluster driver hot path. It also
- *    reports the parts the driver created, the most ids its query
- *    window spanned, the most queries (each with its parts) its book
- *    held at once and the most chunks the window allocated (the
- *    driver's memory high-water marks), the heap bytes of the flat
- *    per-query part-machine book the result keeps, and the heap bytes
- *    of the per-machine latency books. Both byte counts are gated, or
+ *    reports the parts the driver created, the most queries (each
+ *    with its parts) its book held at once (the driver's memory
+ *    high-water mark), the heap bytes of the flat per-query
+ *    part-machine book the result keeps, and the heap bytes of the
+ *    per-machine latency books. Both byte counts are gated, or
  *    the run exits non-zero: the part-machine book holds at most 2 B
  *    per machine id, 4 B per row offset and one 64 KB chunk, and the
  *    latency books exactly 8 B per measured query.
@@ -151,9 +150,7 @@ struct ScenarioReport
     double events = 0;         ///< simulated events (serial run)
     double queries = 0;        ///< simulated queries (serial run)
     uint64_t parts = 0;        ///< driver parts created (cluster only)
-    uint64_t peakLiveQueries = 0; ///< query-book high-water mark
     uint64_t peakHeldQueries = 0; ///< query records held at once
-    uint64_t queryChunks = 0;     ///< query-book chunk high-water mark
     uint64_t partMachinesBytes = 0; ///< result's flat book, heap bytes
     uint64_t latencyBooksBytes = 0; ///< per-machine latency books, heap
     bool identical = true;     ///< parallel result bitwise == serial
@@ -281,9 +278,7 @@ writeJson(const std::string& path,
             << ", ";
         if (r.parts > 0) {
             out << "\"parts\": " << r.parts << ", "
-                << "\"peak_live_queries\": " << r.peakLiveQueries << ", "
                 << "\"peak_held_queries\": " << r.peakHeldQueries << ", "
-                << "\"query_chunks\": " << r.queryChunks << ", "
                 << "\"part_machines_bytes\": " << r.partMachinesBytes
                 << ", "
                 << "\"latency_books_bytes\": " << r.latencyBooksBytes
@@ -416,9 +411,7 @@ main(int argc, char** argv)
             report.events = cluster_events(base);
             report.queries = static_cast<double>(base.numCompleted);
             report.parts = base.numParts;
-            report.peakLiveQueries = base.peakLiveQueries;
             report.peakHeldQueries = base.peakHeldQueries;
-            report.queryChunks = base.peakQueryChunks;
             report.partMachinesBytes = base.partMachinesOfQuery.bytes();
             for (const MachineStats& m : base.perMachine)
                 report.latencyBooksBytes +=
@@ -675,7 +668,7 @@ main(int argc, char** argv)
     TextTable table({"scenario", "wall 1t (s)", "wall " +
                          std::to_string(threads) + "t (s)",
                      "speedup", "events/s (1t)", "queries/s (1t)",
-                     "parts", "peak live queries",
+                     "parts", "peak held queries",
                      "identical"});
     double search_serial = 0.0;
     double search_parallel = 0.0;
@@ -695,7 +688,7 @@ main(int argc, char** argv)
                           ? TextTable::num(r.queries / r.wallSerial, 0)
                           : "-",
                       r.parts > 0 ? std::to_string(r.parts) : "-",
-                      r.parts > 0 ? std::to_string(r.peakLiveQueries)
+                      r.parts > 0 ? std::to_string(r.peakHeldQueries)
                                   : "-",
                       r.identical ? "yes" : "NO"});
         if (r.wallParallel > 0.0) {

@@ -222,7 +222,8 @@ struct AdmissionDecision
 };
 
 /** Most queries one cluster run takes: a DegradeRecord holds its
- *  trace index in 32 bits. */
+ *  trace index in 32 bits. Part ids name a query by its QueryBook
+ *  slot, not its trace index, so this bounds no part id. */
 constexpr uint64_t kMaxTraceQueries = UINT32_MAX;
 
 /** Refuse a trace of more than kMaxTraceQueries queries with

@@ -77,10 +77,10 @@ ClusterLoop::releaseJoinCost(QueryState& q)
 }
 
 uint64_t
-ClusterLoop::pushPart(uint64_t idx, PartRec rec)
+ClusterLoop::pushPart(uint64_t query, PartRec rec)
 {
-    QueryState& q = queries[idx];
-    const uint64_t id = partId(idx, static_cast<uint32_t>(q.parts.size()));
+    QueryState& q = queries[query];
+    const uint64_t id = partId(query, q.parts.size());
     q.parts.push_back(std::move(rec));
     q.liveParts++;
     return id;
@@ -88,12 +88,12 @@ ClusterLoop::pushPart(uint64_t idx, PartRec rec)
 
 // The query may be released once its last live part ends.
 void
-ClusterLoop::partEnded(uint64_t idx)
+ClusterLoop::partEnded(uint64_t query)
 {
-    QueryState& q = queries[idx];
+    QueryState& q = queries[query];
     drs_assert(q.liveParts > 0, "a part turned terminal twice");
     if (--q.liveParts == 0)
-        queryChecks.push_back(idx);
+        queryChecks.push_back(query);
 }
 
 // A part reaches its machine (after the forward hop, if any).
@@ -133,9 +133,9 @@ ClusterLoop::startPart(uint64_t part_id, double now)
 }
 
 void
-ClusterLoop::completeQuery(uint64_t query_idx)
+ClusterLoop::completeQuery(uint64_t query)
 {
-    QueryState& q = queries[query_idx];
+    QueryState& q = queries[query];
     q.settled = true;
     result.numCompleted++;
     result.perMachine[q.machine].queriesCompleted++;
@@ -166,28 +166,28 @@ ClusterLoop::completeQuery(uint64_t query_idx)
         // The request and response hops, as the dispatch priced them.
         const double samples = static_cast<double>(q.size);
         obs->onQueryComplete(
-            query_idx, q.stamps, q.size, q.numParts, q.measured,
+            q.traceIdx, q.stamps, q.size, q.numParts, q.measured,
             cfg.network.oneWaySeconds(samples *
                                       cfg.network.requestBytesPerSample),
             q.joinTime,
             cfg.network.oneWaySeconds(samples *
                                       cfg.network.responseBytesPerSample));
     }
-    queryChecks.push_back(query_idx);
+    queryChecks.push_back(query);
 }
 
 // A part finished all of its local work.
 void
 ClusterLoop::finishPart(uint64_t part_id, double now, bool gpu)
 {
-    const uint64_t idx = queryOfPart(part_id);
-    QueryState& q = queries[idx];
+    const uint64_t query = queryOfPart(part_id);
+    QueryState& q = queries[query];
     PartRec& part = q.parts[posOfPart(part_id)];
     if (obs) {
         const obs::PartTimes times = obs::PartTimes::of(
             part.start,
             view.engine(part.machine).lastFinishedFirstServiceStart(), now);
-        obs->onPartDone(idx, part.machine, gpu, times);
+        obs->onPartDone(q.traceIdx, part.machine, gpu, times);
         // Every finishing leader part stamps its query, a ghost of a
         // dispatch that failed over included.
         if (part.leader)
@@ -196,7 +196,7 @@ ClusterLoop::finishPart(uint64_t part_id, double now, bool gpu)
     }
     view.flightSub(part.machine, "completion with nothing in flight");
     part.done = true;
-    partEnded(idx);
+    partEnded(query);
     const uint32_t m = part.machine;
     deliverPart(part_id, now);
     members.workDone(*this, m, now);
@@ -207,8 +207,8 @@ ClusterLoop::finishPart(uint64_t part_id, double now, bool gpu)
 void
 ClusterLoop::deliverPart(uint64_t part_id, double now)
 {
-    const uint64_t idx = queryOfPart(part_id);
-    QueryState& q = queries[idx];
+    const uint64_t query = queryOfPart(part_id);
+    QueryState& q = queries[query];
     const PartRec& part = q.parts[posOfPart(part_id)];
     if (faultsOn || hedgeOn) {
         // A completion of a killed dispatch is a ghost: the query
@@ -244,8 +244,8 @@ ClusterLoop::deliverPart(uint64_t part_id, double now)
             return;
         q.partsLeft = 1;    // the dense phase itself
         const uint64_t dense_id = pushPart(
-            idx, {.machine = q.machine, .kind = PartRec::Kind::FanDense,
-                  .embFraction = 0.0, .gen = q.gen});
+            query, {.machine = q.machine, .kind = PartRec::Kind::FanDense,
+                    .embFraction = 0.0, .gen = q.gen});
         // The leader may already be draining; its join phase is
         // in-flight work and still runs there.
         drs_assert(pendingJoins[q.machine] > 0,
@@ -266,19 +266,19 @@ ClusterLoop::deliverPart(uint64_t part_id, double now)
     q.joinTime = std::max(q.joinTime, now + back);
     drs_assert(q.partsLeft > 0, "query with no pending parts");
     if (--q.partsLeft == 0)
-        completeQuery(idx);
+        completeQuery(query);
 }
 
-// A failure destroyed query @p idx's current dispatch. Release its
+// A failure destroyed @p query's current dispatch. Release its
 // committed join books, then either fail over (schedule a re-present
 // with exponential client backoff) or record the final loss. Callers
 // guarantee the query is live (not dead, current generation);
 // @p dispatched says whether the dying presentation was routed (an
 // unroutable presentation never was).
 void
-ClusterLoop::failQuery(uint64_t idx, double now, bool dispatched)
+ClusterLoop::failQuery(uint64_t query, double now, bool dispatched)
 {
-    QueryState& q = queries[idx];
+    QueryState& q = queries[query];
     q.dead = true;
     if (dispatched)
         endedDispatches++;
@@ -296,21 +296,21 @@ ClusterLoop::failQuery(uint64_t idx, double now, bool dispatched)
         const double delay = cfg.faults.failoverDelaySeconds *
             static_cast<double>(
                 1u << std::min<uint32_t>(q.failovers - 1, 16));
-        events.push(now + delay, SimEvent::Kind::Retry, 0, idx);
+        events.push(now + delay, SimEvent::Kind::Retry, 0, query);
         if (obs)
-            obs->onQueryFailover(idx, now, q.failovers, delay);
+            obs->onQueryFailover(q.traceIdx, now, q.failovers, delay);
     } else {
         q.settled = true;
-        queryChecks.push_back(idx);
+        queryChecks.push_back(query);
         result.faults.lost++;
-        result.faults.lostQueries.push_back(idx);
+        result.faults.lostQueries.push_back(q.traceIdx);
         if (queryBooks) {
             if (mixOn)
                 result.perModel[q.model].lost++;
-            result.machineOfQuery[idx] = ClusterResult::lostMachine;
+            result.machineOfQuery[q.traceIdx] = ClusterResult::lostMachine;
         }
         if (obs)
-            obs->onQueryLost(idx, now);
+            obs->onQueryLost(q.traceIdx, now);
     }
 }
 
@@ -326,10 +326,10 @@ ClusterLoop::staleDispatch(uint64_t part_id) const
 void
 ClusterLoop::cancelPart(uint64_t part_id, double now)
 {
-    const uint64_t idx = queryOfPart(part_id);
-    PartRec& part = queries[idx].parts[posOfPart(part_id)];
+    const uint64_t query = queryOfPart(part_id);
+    PartRec& part = queries[query].parts[posOfPart(part_id)];
     part.cancelled = true;
-    partEnded(idx);
+    partEnded(query);
     const uint32_t m = part.machine;
     view.flightSub(m, "cancel with nothing in flight");
     members.workDone(*this, m, now);
@@ -341,11 +341,11 @@ ClusterLoop::cancelPart(uint64_t part_id, double now)
 void
 ClusterLoop::lostPartFate(uint64_t part_id, double now)
 {
-    const uint64_t idx = queryOfPart(part_id);
-    QueryState& q = queries[idx];
+    const uint64_t query = queryOfPart(part_id);
+    QueryState& q = queries[query];
     PartRec& part = q.parts[posOfPart(part_id)];
     part.cancelled = true;
-    partEnded(idx);
+    partEnded(query);
     view.flightSub(part.machine, "lost part with nothing in flight");
     result.faults.partsLost++;
     if (staleDispatch(part_id))
@@ -361,7 +361,7 @@ ClusterLoop::lostPartFate(uint64_t part_id, double now)
             return;
         }
     }
-    failQuery(idx, now, true);
+    failQuery(query, now, true);
 }
 
 void
@@ -379,9 +379,9 @@ ClusterLoop::killEngine(uint32_t m, double now)
 // unhedged, non-leader embedding part onto the least-loaded accepting
 // replica of its tables and let the copies race.
 void
-ClusterLoop::hedgeQuery(uint64_t idx, double now)
+ClusterLoop::hedgeQuery(uint64_t query, double now)
 {
-    QueryState& q = queries[idx];
+    QueryState& q = queries[query];
     const ShardPlacement& placement = cfg.sharding->placement;
     for (uint32_t pos = q.firstPart; pos < q.firstPart + q.numParts; pos++) {
         // Every read of the original comes before the twin's push.
@@ -410,18 +410,16 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
         const uint32_t to = static_cast<uint32_t>(best);
         orig.partner = static_cast<uint32_t>(q.parts.size());
         const uint64_t dup_id = pushPart(
-            idx, {.machine = to, .kind = PartRec::Kind::FanEmb,
-                  .embFraction = orig.embFraction, .partner = pos,
-                  .leader = false, .hedged = true, .tables = tables,
-                  .gen = q.gen});
+            query, {.machine = to, .kind = PartRec::Kind::FanEmb,
+                    .embFraction = orig.embFraction, .partner = pos,
+                    .leader = false, .hedged = true, .tables = tables,
+                    .gen = q.gen});
         view.flightAdd(to);
         result.perMachine[to].remoteParts++;
         result.numParts++;
-        if (queryBooks)
-            partMachineRows[idx].push_back(to);
         result.faults.hedged++;
         if (obs)
-            obs->onPartHedged(idx, now, src, to);
+            obs->onPartHedged(q.traceIdx, now, src, to);
         const double forward = cfg.network.oneWaySeconds(
             static_cast<double>(q.size) *
             cfg.network.requestBytesPerSample);
@@ -434,7 +432,7 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
     }
 }
 
-// Present query @p idx to the router at @p now — its trace arrival, or
+// Present @p query to the router at @p now — its trace arrival, or
 // a client retry of an earlier shed or failed-over dispatch. The
 // router's overload verdict either drops it (final, or with a retry
 // scheduled), degrades it (shrinks the size dispatched downstream), or
@@ -442,10 +440,11 @@ ClusterLoop::hedgeQuery(uint64_t idx, double now)
 // arrival, so a retried completion pays its backoff — retries buy
 // availability, not goodput.
 void
-ClusterLoop::present(uint64_t idx, double now)
+ClusterLoop::present(uint64_t query, double now)
 {
+    QueryState& q = queries[query];
+    const uint64_t idx = q.traceIdx;
     const Query& in = trace[idx];
-    QueryState& q = queries[idx];
     // Every presentation is traffic, and every measured one opens the
     // span, so goodput is charged against real offered time even when
     // the query is shed or unroutable.
@@ -480,12 +479,12 @@ ClusterLoop::present(uint64_t idx, double now)
                 q.attempt++;
                 result.overload.retried++;
                 cs.retried++;
-                events.push(now + delay, SimEvent::Kind::Retry, 0, idx);
+                events.push(now + delay, SimEvent::Kind::Retry, 0, query);
                 if (obs)
                     obs->onQueryRetry(idx, now, q.attempt, delay);
             } else {
                 q.settled = true;
-                queryChecks.push_back(idx);
+                queryChecks.push_back(query);
                 result.overload.droppedFinal++;
                 cs.droppedFinal++;
                 if (queryBooks) {
@@ -515,7 +514,7 @@ ClusterLoop::present(uint64_t idx, double now)
     if (plan.empty()) {
         drs_assert(faultsOn, "policy returned no targets");
         result.faults.unroutable++;
-        failQuery(idx, now, false);
+        failQuery(query, now, false);
         return;
     }
     if (admission && served.size < in.size) {
@@ -552,10 +551,6 @@ ClusterLoop::present(uint64_t idx, double now)
     }
 
     q.parts.reserve(q.parts.size() + plan.size());
-    if (queryBooks) {
-        std::vector<uint32_t>& row = partMachineRows[idx];
-        row.reserve(row.size() + plan.size());
-    }
     size_t leaders = 0;
     for (ShardTarget& target : plan) {
         drs_assert(target.machine < view.numMachines(),
@@ -575,18 +570,16 @@ ClusterLoop::present(uint64_t idx, double now)
         } else {
             result.perMachine[m].remoteParts++;
         }
-        if (queryBooks)
-            partMachineRows[idx].push_back(m);
 
         const uint64_t part_id = pushPart(
-            idx, {.machine = m,
-                  .kind = plan.size() == 1 ? PartRec::Kind::Whole
-                                           : PartRec::Kind::FanEmb,
-                  .embFraction = target.embFraction,
-                  .leader = target.leader,
-                  .tables = hedgeOn ? std::move(target.tables)
-                                    : std::vector<uint32_t>{},
-                  .gen = q.gen});
+            query, {.machine = m,
+                    .kind = plan.size() == 1 ? PartRec::Kind::Whole
+                                             : PartRec::Kind::FanEmb,
+                    .embFraction = target.embFraction,
+                    .leader = target.leader,
+                    .tables = hedgeOn ? std::move(target.tables)
+                                      : std::vector<uint32_t>{},
+                    .gen = q.gen});
         result.numParts++;
         if (forward > 0.0) {
             events.push(now + forward, SimEvent::Kind::PartArrival, m,
@@ -613,7 +606,7 @@ ClusterLoop::present(uint64_t idx, double now)
     if (hedgeOn && plan.size() > 1) {
         q.hedgeChecks++;
         events.push(now + cfg.hedge.delaySeconds, SimEvent::Kind::HedgeCheck,
-                    0, idx, q.gen);
+                    0, query, q.gen);
     }
 }
 
@@ -683,8 +676,8 @@ ClusterLoop::onTraffic(const SimEvent& ev)
         return;
 
       case SimEvent::Kind::JoinPhase: {
-        const uint64_t idx = queryOfPart(ev.partIdx);
-        QueryState& q = queries[idx];
+        const uint64_t query = queryOfPart(ev.partIdx);
+        QueryState& q = queries[query];
         if (faultsOn && staleDispatch(ev.partIdx)) {
             // Stale join of a killed dispatch — its committed cost was
             // already released at the kill.
@@ -696,7 +689,7 @@ ClusterLoop::onTraffic(const SimEvent& ev)
             // The leader restarted since dispatch: the pooled
             // embeddings of this query died with it.
             cancelPart(ev.partIdx, ev.time);
-            failQuery(idx, ev.time, true);
+            failQuery(query, ev.time, true);
             return;
         }
         startPart(ev.partIdx, ev.time);
@@ -738,33 +731,45 @@ ClusterLoop::onTraffic(const SimEvent& ev)
 }
 
 // Release every checked query whose rule now holds, with its parts.
+// A query listed twice is released at its first look; the second finds
+// its handle stale and skips it.
 void
 ClusterLoop::releaseRecords()
 {
-    for (uint64_t idx : queryChecks) {
-        const QueryState* q = queries.find(idx);
-        if (q != nullptr && QueryBook::over(*q))
-            queries.release(idx);
+    for (uint64_t query : queryChecks) {
+        const QueryState* q = queries.find(query);
+        if (q == nullptr || !QueryBook::over(*q))
+            continue;
+        if (queryBooks)
+            releaseRow(*q);
+        queries.release(query);
     }
     queryChecks.clear();
 }
 
-// Queries are released out of order as soon as no reader can reach
-// them (QueryBook::over); the window then advances past released head
-// ids (QueryBook::retire). Every query is released by then, so a held
-// head whose rule holds means a missed release point, and that panics.
-// Nothing appends to a retired query's part machines, and queries
-// retire in trace order, so each row leaves for the flat book as its
-// query retires.
+// A released query's partMachinesOfQuery row is the machines of its
+// parts in creation order, dense phases left out: present and
+// hedgeQuery push each of those parts to the machine the row names,
+// and nothing adds a part to a released query. Rows go to the flat
+// book in trace order.
 void
-ClusterLoop::retireBooks()
+ClusterLoop::releaseRow(const QueryState& q)
 {
-    releaseRecords();
-    if (queries.retire() && queryBooks) {
-        partMachineRows.retireTo(
-            queries.lowId(), [&](const std::vector<uint32_t>& row) {
-                result.partMachinesOfQuery.appendRow(row);
-            });
+    std::vector<uint32_t> row;
+    for (const PartRec& part : q.parts) {
+        if (part.kind != PartRec::Kind::FanDense)
+            row.push_back(part.machine);
+    }
+    if (q.traceIdx != nextRow) {
+        parkedRows.emplace(q.traceIdx, std::move(row));
+        return;
+    }
+    result.partMachinesOfQuery.appendRow(row);
+    for (nextRow++; !parkedRows.empty() &&
+             parkedRows.begin()->first == nextRow;
+         nextRow++) {
+        result.partMachinesOfQuery.appendRow(parkedRows.begin()->second);
+        parkedRows.erase(parkedRows.begin());
     }
 }
 
@@ -835,7 +840,7 @@ ClusterLoop::run()
     members.start(*this);
 
     while (nextArrival < trace.size() || !events.empty()) {
-        retireBooks();
+        releaseRecords();
         const bool takeArrival = nextArrival < trace.size() &&
             (events.empty() ||
              trace[nextArrival].arrivalSeconds <= events.top().time);
@@ -846,17 +851,12 @@ ClusterLoop::run()
                            in.arrivalSeconds >=
                                trace[nextArrival - 1].arrivalSeconds,
                        "trace must be sorted by arrival");
-            const uint64_t query_id = queries.push({});
-            drs_assert(query_id == nextArrival,
-                       "query ids must follow the trace");
-            if (queryBooks)
-                partMachineRows.push({});
             drs_assert(in.model < numMix,
                        "query's model is outside the tier's mix");
             result.overload.offered++;
             if (queryBooks && mixOn)
                 result.perModel[in.model].offered++;
-            present(nextArrival, in.arrivalSeconds);
+            present(queries.push(nextArrival), in.arrivalSeconds);
             nextArrival++;
             continue;
         }
@@ -895,15 +895,22 @@ ClusterLoop::run()
     finishBooks();
 }
 
+// Every query is released as soon as no reader can reach it, so none
+// is held at the end of a run: a held query whose rule holds means a
+// missed release point, and one whose rule fails was never settled or
+// has a part that never ended.
 void
 ClusterLoop::finishBooks()
 {
-    retireBooks();
-    drs_assert(queries.live() == 0,
-               "a query never settled, or a part never ended");
-    result.peakLiveQueries = queries.peakLive();
+    releaseRecords();
+    if (const QueryState* q = queries.anyHeld()) {
+        drs_panic("query ", q->traceIdx,
+                  QueryBook::over(*q)
+                      ? " was never released though no reader can reach it"
+                      : " never settled, or a part of it never ended");
+    }
+    drs_assert(parkedRows.empty(), "a part-machine row was never handed out");
     result.peakHeldQueries = queries.peakHeld();
-    result.peakQueryChunks = queries.chunksAllocated();
     result.numQueries = result.fleetLatencySeconds.count();
     fanOutLatencies(result.fleetLatencySeconds, latencyMachine,
                     result.perMachine);

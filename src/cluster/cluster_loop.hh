@@ -17,6 +17,7 @@
 #ifndef DRS_CLUSTER_CLUSTER_LOOP_HH
 #define DRS_CLUSTER_CLUSTER_LOOP_HH
 
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -135,29 +136,32 @@ class ClusterLoop final
     size_t nextArrival = 0;     ///< trace index of the next arrival
 
   private:
-    /** Append live part @p rec to query @p idx; returns its id. Any
-     *  reference to one of the query's parts is invalid afterwards. */
-    uint64_t pushPart(uint64_t idx, PartRec rec);
-    /** One part of query @p idx just turned done or cancelled. */
-    void partEnded(uint64_t idx);
+    // Queries go by their QueryBook handle (query_book.hh), parts by
+    // their part id.
 
-    void present(uint64_t idx, double now);
+    /** Append live part @p rec to @p query; returns its id. Any
+     *  reference to one of the query's parts is invalid afterwards. */
+    uint64_t pushPart(uint64_t query, PartRec rec);
+    /** One part of @p query just turned done or cancelled. */
+    void partEnded(uint64_t query);
+
+    void present(uint64_t query, double now);
     void startPart(uint64_t part_id, double now);
     void finishPart(uint64_t part_id, double now, bool gpu);
     void deliverPart(uint64_t part_id, double now);
-    void completeQuery(uint64_t query_idx);
-    void failQuery(uint64_t idx, double now, bool dispatched);
+    void completeQuery(uint64_t query);
+    void failQuery(uint64_t query, double now, bool dispatched);
     void lostPartFate(uint64_t part_id, double now);
     void cancelPart(uint64_t part_id, double now);
     /** Part @p part_id's dispatch was killed (a failover re-presented
      *  its query, or the query died). */
     bool staleDispatch(uint64_t part_id) const;
-    void hedgeQuery(uint64_t idx, double now);
+    void hedgeQuery(uint64_t query, double now);
     void onFault(const FaultEvent& fe, double now);
     void onTraffic(const SimEvent& ev);
     void releaseJoinCost(QueryState& q);
     void releaseRecords();
-    void retireBooks();
+    void releaseRow(const QueryState& q);
     void finishBooks();
 
     /** The per-class book of @p cls (a sink when none is kept). */
@@ -183,15 +187,20 @@ class ClusterLoop final
 
     /**
      * Queries whose release rule may have started to hold during the
-     * current event; retireBooks() tests them before the next one, so
-     * no handler ever holds a reference to a released record.
+     * current event; releaseRecords() tests them before the next one,
+     * so no handler ever holds a reference to a released record. A
+     * query may be listed twice.
      */
     std::vector<uint64_t> queryChecks;
 
-    /** Each live query's ClusterResult::partMachinesOfQuery row, kept
-     *  by runs that keep per-query books; a row leaves, in trace
-     *  order, when the query window passes its query. */
-    WindowBook<std::vector<uint32_t>> partMachineRows;
+    /**
+     * Runs that keep per-query books hand each released query's
+     * ClusterResult::partMachinesOfQuery row to the flat book in trace
+     * order: a row released before an earlier query's waits here,
+     * keyed by trace index, until every earlier row is out.
+     */
+    std::map<uint64_t, std::vector<uint32_t>> parkedRows;
+    uint64_t nextRow = 0;    ///< trace index of the next row out
 
     /**
      * The leader of each measured completion and, on a run that keeps

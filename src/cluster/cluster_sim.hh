@@ -223,17 +223,9 @@ struct ClusterResult
     uint64_t numCompleted = 0;         ///< all completed queries
     uint64_t numParts = 0;             ///< machine-parts dispatched
 
-    /** Most query ids in the driver's QueryBook window at once, held
-     *  or released (its window high-water mark; exact per seed). */
-    uint64_t peakLiveQueries = 0;
-
-    /** Most chunks the QueryBook window allocated (its id-window
-     *  high-water mark; exact per seed). */
-    uint64_t peakQueryChunks = 0;
-
-    /** Most query records the book held at once, each with its parts:
-     *  records a reader could still reach, out of the peakLiveQueries
-     *  ids in its window (exact per seed). */
+    /** Most query records the driver's QueryBook held at once, each
+     *  with its parts: the queries a reader could still reach, and the
+     *  pool slots the book ever allocated (exact per seed). */
     uint64_t peakHeldQueries = 0;
 
     /** Mean machines touched per query (1.0 without sharding). */

@@ -451,13 +451,14 @@ class MachineEngine
  * and MachineUp is a warmed-up machine joining the accepting set.
  * Retry is a client re-presenting a query the router shed earlier,
  * after a jittered backoff (cluster overload control; partIdx is the
- * trace index), and also carries failover re-presentations of queries
- * a crash killed. Fault is a scheduled FaultPlan transition (crash,
- * recovery or gray-failure window edge; partIdx indexes the
- * precomputed fault schedule) and HedgeCheck is the router
- * revisiting a straggling fan-out to duplicate unfinished
- * parts (partIdx is the trace index; slot carries the dispatch
- * generation so checks for a re-dispatched query go stale). They all
+ * query's handle in the driver's QueryBook), and also carries
+ * failover re-presentations of queries a crash killed. Fault is a
+ * scheduled FaultPlan transition (crash, recovery or gray-failure
+ * window edge; partIdx indexes the precomputed fault schedule) and
+ * HedgeCheck is the router revisiting a straggling fan-out to
+ * duplicate unfinished parts (partIdx is the query's handle; slot
+ * carries the dispatch generation so checks for a re-dispatched
+ * query go stale). They all
  * share the queue with service completions so faults, hedges, scale
  * and retry events interleave with traffic in one deterministic
  * (time, seq) order.

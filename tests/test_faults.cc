@@ -282,8 +282,7 @@ TEST(FaultConservation, ThreeWayAlgebraExactUnderChaos)
 
         // Every query a dead part belonged to was released, parts and
         // all: the driver's query book held a small fraction of the
-        // trace at once (a long failover backoff may still widen its
-        // id window).
+        // trace at once.
         EXPECT_LT(r.peakHeldQueries * 32, trace.size());
     }
 }
