@@ -12,8 +12,7 @@
  *  A3  per-request dispatch overhead -> the cost of over-splitting
  *  A4  PCIe transfer cost -> the GPU offload threshold (Figure 10)
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <functional>

@@ -41,8 +41,7 @@
  * files included — is deterministic and bitwise identical at every
  * DRS_THREADS value.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <cstring>

@@ -46,8 +46,7 @@
  * (CI archives it as BENCH_chaos.json). Output is deterministic and
  * bitwise identical at every DRS_THREADS value.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <array>

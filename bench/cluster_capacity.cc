@@ -7,8 +7,7 @@
  * paper's introduction motivates (double per-machine QPS-under-SLA,
  * halve the tier).
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"

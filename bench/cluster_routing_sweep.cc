@@ -12,8 +12,7 @@
  * directly in fleet p99 — the cluster-tier analogue of the paper's
  * tail-latency argument.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <fstream>

@@ -38,8 +38,7 @@
  * BENCH_colocation.json). Output is deterministic and bitwise
  * identical at every DRS_THREADS value.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <cstring>

@@ -7,8 +7,7 @@
  * (embedding gather) traffic that drives the paper's model-level
  * heterogeneity argument.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"

@@ -6,10 +6,7 @@
  * by embedding lookups, WnD/NCF/RMC3 by FC, DIN by attention+
  * embedding, DIEN by recurrent layers.
  *
- * Host-measured lines: every line of the breakdown table. The shares
- * and the "Dominant" column are wall-clock splits of real kernels,
- * and the column widths follow the shares, so the header and rule
- * lines move with them. The closing note is fixed.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"

@@ -5,8 +5,7 @@
  * (annotated in the paper's figure), and the fraction of GPU time
  * spent loading data (60-80% in the paper).
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"

@@ -5,8 +5,7 @@
  * (and normal) assumptions — percentile table, p75 marker, and the
  * heavy-tail mass shares the scheduler exploits.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <algorithm>

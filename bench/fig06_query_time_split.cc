@@ -5,8 +5,7 @@
  * 25% of queries, large queries carry ~half of CPU execution time;
  * the GPU accelerates exactly that half.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <algorithm>

@@ -4,8 +4,7 @@
  * subsample of machines tracks the full datacenter fleet to within
  * ~10%, justifying single-node studies of tail behaviour.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"

@@ -6,8 +6,7 @@
  * across DLRM-RMC1 (embedding), DLRM-RMC3 (MLP), and DIEN (attention)
  * model classes.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"

@@ -5,8 +5,7 @@
  * beyond the maximum query size nothing offloads ("all CPU"). The
  * optimum sits between and varies per model class.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"

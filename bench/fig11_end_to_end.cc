@@ -7,8 +7,7 @@
  * the baseline at the low tier. Paper geomeans: DRS-CPU 1.7x/2.1x/2.7x
  * and DRS-GPU 4.0x/5.1x/5.8x QPS at low/medium/high.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <map>

@@ -6,8 +6,7 @@
  * (b) the model architecture, and (c) the CPU platform (inclusive
  * Broadwell vs exclusive Skylake cache hierarchies).
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <functional>

@@ -5,8 +5,7 @@
  * p99 tail latency versus the fixed production batch size (paper:
  * 1.39x and 1.31x respectively).
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"

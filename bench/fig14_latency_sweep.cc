@@ -6,8 +6,7 @@
  * the target relaxes; (b) QPS/Watt — the GPU wins at strict targets,
  * the CPU at relaxed ones.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"

@@ -7,7 +7,7 @@
  * kernel writes into outputs reused across iterations, as the serving
  * workers do, so the allocator is not timed.
  *
- * Host-measured lines: every timing line google-benchmark prints.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <benchmark/benchmark.h>

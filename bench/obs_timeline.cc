@@ -24,8 +24,7 @@
  * deterministic and bitwise identical at every DRS_THREADS value (a
  * single run is single-threaded by design).
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <cstring>

@@ -60,12 +60,7 @@
  * and joins for the cluster), i.e. heap pops — the unit of work of a
  * discrete-event simulator.
  *
- * Host-measured lines: the setup_colocated128 line, the obs overhead
- * line, the retime_diurnal_day line, every line of the scenario table
- * (its walls, speedups and rates set the column widths) and the
- * combined sweep speedup line.
- * The part-machine book, latency book, find_max_qps, cluster_max_qps,
- * plan_capacity and tune_sweep lines are fixed.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <algorithm>

@@ -28,8 +28,7 @@
  * Usage: shard_placement_sweep [out.json]  (also writes the table as
  * a JSON array when a path is given; CI archives it as an artifact).
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <fstream>

@@ -5,8 +5,7 @@
  * (FLOPs, embedding traffic, logical table storage) each configuration
  * implies.
  *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <sstream>

@@ -5,10 +5,11 @@
  * analytical cost model and from measured kernel execution — and
  * compared against the paper's classification.
  *
- * Host-measured lines: the "Measured dominant op" column of every
- * row. It repeats between runs all the same: each class is timed by
- * its quickest of several passes, and a leader within kTieBand of the
- * runner-up prints as "A ≈ B".
+ * Host-measured lines: see its entry in tools/outputs.json. The
+ * "Measured dominant op" column is a wall-clock split, but it repeats
+ * between runs all the same: each class is timed by its quickest of
+ * several passes, and a leader within kTieBand of the runner-up
+ * prints as "A ≈ B".
  */
 
 #include <algorithm>

@@ -6,8 +6,7 @@
  * embeddings, and an attention path), checks its resource profile,
  * classifies its bottleneck, and tunes a scheduler for it.
  *
- * Host-measured lines: "measured dominant", the operator class that
- * took the most kernel wall time over two real forward passes.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <iostream>

@@ -10,8 +10,7 @@
  *
  * Run: ./fleet_capacity_planner [model-name] [global-qps]
  *      (defaults: DLRM-RMC1, 50000) *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <iostream>

@@ -6,8 +6,7 @@
  * resulting work split, and whether the extra board power pays off.
  *
  * Run: ./gpu_offload_study [model-name]   (default DLRM-RMC1) *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <iostream>

@@ -6,8 +6,7 @@
  *
  * Run: ./quickstart [model-name]   (default DLRM-RMC1)
  *
- * Host-measured lines: the "served ... mean ... p95" line, the real
- * engine's wall-clock query latency.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <iostream>

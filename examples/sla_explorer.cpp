@@ -6,8 +6,7 @@
  * methodology for an arbitrary model/target grid.
  *
  * Run: ./sla_explorer [model-name]   (default DIEN) *
- * Host-measured lines: none; every printed figure is seeded and
- * deterministic.
+ * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <iostream>

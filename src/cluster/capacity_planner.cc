@@ -36,34 +36,8 @@ planCapacity(const CapacityPlanSpec& spec)
     validateSla(spec.slaMs, spec.percentile);
     if (spec.maxUnits < 1)
         drs_fatal("plan needs a unit budget");
-    const bool sharded = !spec.tables.empty();
-    if (sharded && spec.tableSet.numTables != spec.tables.size())
-        drs_fatal("table-set model must match the table list");
-    if (!spec.modelMix.empty() && sharded)
-        drs_fatal("multi-model plans must be unsharded — a colocated "
-                  "placement depends on the fixed tier size "
-                  "(colocatedSharding); drive ClusterSimulator directly");
 
     CapacityPlan plan;
-
-    // Placement for a candidate tier size; nullopt when the tables do
-    // not fit the tier's total memory (that count is infeasible
-    // before any simulation). Budgets tile from the unit mix directly
-    // — no need to materialize the cluster's cost models here.
-    const std::vector<uint64_t> unit_budgets =
-        machineMemoryBudgets(spec.unitMachines);
-    auto placement_for = [&](size_t units) -> std::optional<ShardPlacement> {
-        std::vector<uint64_t> budgets;
-        budgets.reserve(units * unit_budgets.size());
-        for (size_t u = 0; u < units; u++)
-            budgets.insert(budgets.end(), unit_budgets.begin(),
-                           unit_budgets.end());
-        ShardPlacement placement = ShardPlacement::build(
-            spec.tables, budgets, spec.placement);
-        if (!placement.feasible())
-            return std::nullopt;
-        return placement;
-    };
 
     // The query population is drawn once and re-timed per candidate
     // (bit-identical to regenerating); larger tiers consume a longer
@@ -81,17 +55,7 @@ planCapacity(const CapacityPlanSpec& spec)
     auto feasible = [&](size_t units) {
         plan.evaluations++;
         ClusterConfig cluster = clusterOfUnits(spec, units);
-        cluster.network = spec.network;
         cluster.modelMix = spec.modelMix;
-        if (sharded) {
-            std::optional<ShardPlacement> placement = placement_for(units);
-            if (!placement.has_value()) {
-                lo = units;   // memory infeasible
-                return false;
-            }
-            cluster.sharding =
-                ShardingConfig{std::move(*placement), spec.tableSet};
-        }
         const size_t queries = std::max(
             spec.minQueries,
             spec.queriesPerMachine * units * spec.unitMachines.size());
@@ -109,34 +73,8 @@ planCapacity(const CapacityPlanSpec& spec)
         return true;
     };
 
-    // Memory floor first: the smallest unit count whose placement is
-    // feasible (placement builds are cheap — no simulation). Total
-    // memory grows with the unit count, so feasibility is monotone
-    // and the floor bisects.
-    size_t memory_floor = 1;
-    if (sharded) {
-        size_t mem_lo = 0;    // largest count proven memory-infeasible
-        size_t mem_hi = 1;
-        while (!placement_for(mem_hi).has_value()) {
-            if (mem_hi >= spec.maxUnits)
-                return plan;    // tables never fit within the budget
-            mem_lo = mem_hi;
-            mem_hi = std::min(2 * mem_hi, spec.maxUnits);
-        }
-        while (mem_hi - mem_lo > 1) {
-            const size_t mid = mem_lo + (mem_hi - mem_lo) / 2;
-            if (placement_for(mid).has_value())
-                mem_hi = mid;
-            else
-                mem_lo = mid;
-        }
-        memory_floor = mem_hi;
-        plan.minUnitsForMemory = memory_floor;
-    }
-
     // Geometric probe for the first feasible unit count.
-    lo = memory_floor - 1;
-    for (size_t rung = memory_floor; !feasible(rung);
+    for (size_t rung = 1; !feasible(rung);
          rung = std::min(2 * rung, spec.maxUnits)) {
         if (rung >= spec.maxUnits)
             return plan;    // infeasible within the unit budget

@@ -10,12 +10,9 @@
  * router, machine heterogeneity, and the routing policy all shift the
  * break-even point. The deployable unit is a *mix* — e.g. three
  * CPU-only machines plus one GPU machine — scaled integrally.
- *
- * Plans can additionally be **memory constrained**: give the spec the
- * model's embedding tables and per-machine byte budgets
- * (SimConfig::memoryBytes) and the planner first finds the smallest
- * tier whose shard placement fits at all, then sizes for throughput
- * from there — the two provisioning axes of capacity-driven scale-out.
+ * Every planned machine holds the whole model: the planner sizes for
+ * throughput only, and a sharded tier is driven through
+ * ClusterSimulator directly.
  *
  * Multi-model plans (CapacityPlanSpec::modelMix non-empty) size a
  * *consolidated* tier: the unit machines carry one binding per mix
@@ -25,9 +22,9 @@
  * which bench/colocation_sweep.cc compares against dedicated
  * per-model tiers.
  *
- * Units: SLA targets in milliseconds, rates in queries/second, memory
- * in bytes. Determinism: planCapacity is a pure function of its spec;
- * fixed seeds reproduce the plan exactly.
+ * Units: SLA targets in milliseconds, rates in queries/second.
+ * Determinism: planCapacity is a pure function of its spec; fixed
+ * seeds reproduce the plan exactly.
  */
 
 #ifndef DRS_CLUSTER_CAPACITY_PLANNER_HH
@@ -53,32 +50,13 @@ struct CapacityPlanSpec
     RoutingSpec routing;        ///< router policy of the planned tier
 
     /**
-     * Embedding tables the tier must hold, sharded under each
-     * machine's SimConfig::memoryBytes budget with @p placement.
-     * Empty (default) plans the historical whole-model-everywhere
-     * tier with memory unconstrained. When set, a unit count whose
-     * placement is infeasible — the tables do not fit in the tier's
-     * total memory — is rejected before any simulation, so plans are
-     * constrained by memory and throughput jointly, and
-     * spec.routing is typically RoutingKind::ShardAware.
-     */
-    std::vector<EmbeddingTableInfo> tables;
-    PlacementSpec placement;    ///< strategy for @p tables
-    TableSetSpec tableSet;      ///< per-query working-set model
-    NetworkConfig network;      ///< router hop cost of the tier
-
-    /**
      * Model mix the planned tier serves (cluster/model_mix.hh). Empty
      * (default) plans the historical single-model tier. When set, the
      * unit machines must carry a binding per mix entry (typically
      * built by colocatedMachine), each evaluation draws the mixed
      * trace, and a unit count is feasible only if the fleet tail AND
      * every per-model SLA hold — so the plan answers "how many
-     * consolidated machines serve the whole mix". Multi-model plans
-     * must be unsharded (tables empty): a sharded colocated tier's
-     * placement depends on the mix's combined table space, which
-     * colocatedSharding builds for a *fixed* tier size — drive
-     * ClusterSimulator directly for that study.
+     * consolidated machines serve the whole mix".
      */
     std::vector<ModelMixEntry> modelMix;
 
@@ -101,14 +79,6 @@ struct CapacityPlan
 
     /** Candidate unit counts the plan evaluated. */
     size_t evaluations = 0;
-
-    /**
-     * Smallest unit count whose shard placement fits the memory
-     * budgets (0 when the plan is unsharded). The plan is memory
-     * bound when units == minUnitsForMemory: adding throughput per
-     * machine would not shrink the tier below this floor.
-     */
-    size_t minUnitsForMemory = 0;
 
     /** Tail latency at the planned size, in milliseconds. */
     double

@@ -69,7 +69,8 @@ bool meetsPerModelSla(const ClusterResult& r,
 size_t clusterTraceLength(const ClusterConfig& cluster,
                           const ClusterQpsSpec& spec);
 
-/** Evaluate one (cluster, routing, rate) point with a fresh policy. */
+/** Evaluate one (cluster, routing, rate) point with a fresh policy.
+ *  Fatal unless @p qps is positive. */
 ClusterResult evaluateClusterAtQps(const ClusterConfig& cluster,
                                    const ClusterQpsSpec& spec, double qps);
 

@@ -67,6 +67,9 @@ TraceTemplate::materialize(double qps, size_t count) const
 {
     drs_assert(count <= unitGaps.size(),
                "materialize beyond the drawn template; call ensure()");
+    if (!(qps > 0.0))
+        drs_fatal("a trace's arrival rate must be positive, got ", qps,
+                  " q/s");
     QueryTrace trace;
     trace.reserve(count);
     double clock = 0.0;
@@ -306,13 +309,20 @@ MixedTraceTemplate::countOfModel(uint32_t model, size_t total) const
 QueryTrace
 MixedTraceTemplate::materialize(double qps, size_t count) const
 {
+    if (!(qps > 0.0))
+        drs_fatal("a mixed trace's arrival rate must be positive, got ",
+                  qps, " q/s");
     const auto counts = splitCountByFraction(fractions_, count);
     // Each model re-times its own independent stream at its share of
     // the total rate; fraction 1.0 * qps is exact, so a 1-model mix
-    // takes the single-model template's bit pattern literally.
+    // takes the single-model template's bit pattern literally. A model
+    // with no queries (a zero fraction) keeps an empty part.
     std::vector<QueryTrace> parts(perModel.size());
-    for (uint32_t k = 0; k < perModel.size(); k++)
-        parts[k] = perModel[k].materialize(fractions_[k] * qps, counts[k]);
+    for (uint32_t k = 0; k < perModel.size(); k++) {
+        if (counts[k] > 0)
+            parts[k] =
+                perModel[k].materialize(fractions_[k] * qps, counts[k]);
+    }
     // One model is its own merge: model 0 keeps plain ids.
     if (parts.size() == 1)
         return std::move(parts[0]);

@@ -72,7 +72,7 @@ class TraceTemplate
 
     /**
      * First @p count queries re-timed at @p qps. Requires
-     * ensure(count) to have happened.
+     * ensure(count) to have happened. Fatal unless @p qps is positive.
      */
     QueryTrace materialize(double qps, size_t count) const;
 
@@ -169,7 +169,7 @@ class MixedTraceTemplate
     /**
      * First @p count queries (across all models) re-timed at total
      * rate @p qps, merged by arrival time (ties to the lower model
-     * index). Requires ensure(count).
+     * index). Requires ensure(count). Fatal unless @p qps is positive.
      */
     QueryTrace materialize(double qps, size_t count) const;
 

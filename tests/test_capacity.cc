@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cluster/capacity_planner.hh"
 #include "cluster/model_mix.hh"
 
@@ -182,6 +184,22 @@ TEST(ClusterQpsSearchDeath, OutOfRangePercentileIsAValidatedError)
     EXPECT_EXIT((void)findClusterMaxQps(cluster, spec),
                 ::testing::ExitedWithCode(1),
                 "SLA percentile 100.5 is outside \\[0, 100\\]");
+}
+
+TEST(ClusterQpsSearchDeath, NonPositiveOrNanRateIsAValidatedError)
+{
+    ClusterConfig cluster;
+    cluster.machines = {cpuMachine()};
+    const ClusterQpsSpec spec;
+    EXPECT_EXIT((void)evaluateClusterAtQps(cluster, spec, 0.0),
+                ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got 0 q/s");
+    EXPECT_EXIT((void)evaluateClusterAtQps(cluster, spec, -100.0),
+                ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got -100 q/s");
+    EXPECT_EXIT((void)evaluateClusterAtQps(cluster, spec, std::nan("")),
+                ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got nan q/s");
 }
 
 } // namespace

@@ -418,6 +418,30 @@ TEST(LoadgenDeath, NonPositiveRatesAreConfigErrors)
                 "mean rate must be positive, got 0 q/s");
 }
 
+TEST(LoadgenDeath, NonPositiveOrNanTemplateRatesAreConfigErrors)
+{
+    // Re-timing at a zero rate gave infinite arrivals, and at a
+    // negative one an unsorted trace; both templates refuse them.
+    TraceTemplate tmpl{LoadSpec{}};
+    tmpl.ensure(10);
+    MixedTraceTemplate mixed(LoadSpec{}, {0.5, 0.5});
+    mixed.ensure(10);
+    EXPECT_EXIT(tmpl.materialize(0.0, 10), ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got 0 q/s");
+    EXPECT_EXIT(tmpl.materialize(-100.0, 10), ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got -100 q/s");
+    EXPECT_EXIT(tmpl.materialize(std::nan(""), 10),
+                ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got nan q/s");
+    EXPECT_EXIT(mixed.materialize(0.0, 10), ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got 0 q/s");
+    EXPECT_EXIT(mixed.materialize(-100.0, 10), ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got -100 q/s");
+    EXPECT_EXIT(mixed.materialize(std::nan(""), 10),
+                ::testing::ExitedWithCode(1),
+                "arrival rate must be positive, got nan q/s");
+}
+
 TEST(LoadgenDeath, BadDiurnalProfilesAreConfigErrors)
 {
     EXPECT_EXIT(DiurnalProfile(0.5), ::testing::ExitedWithCode(1),

@@ -310,7 +310,6 @@ TEST(ParallelDiff, PlanCapacityBitwiseEqualAcrossThreadCounts)
     EXPECT_EQ(serial.units, parallel.units);
     EXPECT_EQ(serial.machines, parallel.machines);
     EXPECT_EQ(serial.evaluations, parallel.evaluations);
-    EXPECT_EQ(serial.minUnitsForMemory, parallel.minUnitsForMemory);
     expectSameClusterResult(serial.atPlan, parallel.atPlan);
 }
 

@@ -13,7 +13,6 @@
 #include <set>
 #include <span>
 
-#include "cluster/capacity_planner.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/shard_placement.hh"
 #include "loadgen/query_stream.hh"
@@ -423,31 +422,6 @@ TEST(PartialRequestSeconds, ConsistentWithFullRequest)
         cpu.partialRequestSeconds(batch, cores, 0.5, false);
     EXPECT_LT(remote, half);
     EXPECT_GE(remote, cpu.params().requestOverheadS);
-}
-
-TEST(CapacityPlanner, MemoryFloorConstrainsThePlan)
-{
-    // 8.2 GB of tables over 2 GB machines: at least 5 machines are
-    // needed before any throughput question is asked. A trickle
-    // target rate keeps memory the binding constraint.
-    CapacityPlanSpec spec;
-    spec.unitMachines = {cpuMachine(2 * kGB)};
-    spec.targetQps = 200.0;
-    spec.slaMs = 400.0;
-    spec.tables = rmc2Tables();
-    spec.placement.strategy = PlacementStrategy::GreedyBySize;
-    spec.tableSet.numTables = static_cast<uint32_t>(spec.tables.size());
-    spec.tableSet.tablesPerQuery = 8;
-    spec.routing.kind = RoutingKind::ShardAware;
-    spec.minQueries = 1500;
-    spec.queriesPerMachine = 150;
-
-    const CapacityPlan plan = planCapacity(spec);
-    ASSERT_TRUE(plan.feasible);
-    EXPECT_EQ(plan.minUnitsForMemory, 5u);
-    EXPECT_GE(plan.units, plan.minUnitsForMemory);
-    EXPECT_EQ(plan.machines, plan.units);
-    EXPECT_LE(plan.tailMs(spec.percentile), spec.slaMs);
 }
 
 } // namespace
