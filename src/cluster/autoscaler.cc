@@ -124,6 +124,12 @@ class ReactivePolicy final : public ScalingPolicy
         if (!(spec_.downUtilization <= kTargetUtilization &&
               kTargetUtilization <= spec_.upUtilization))
             drs_fatal("utilization band must bracket the target");
+        // Out of (0, 1] the tail can never be calm in a window with
+        // completions, which silently disables scale-down.
+        if (!(spec_.downLatencyFraction > 0.0 &&
+              spec_.downLatencyFraction <= 1.0))
+            drs_fatal("scale-down latency fraction ",
+                      spec_.downLatencyFraction, " is not in (0, 1]");
     }
 
     size_t
@@ -289,7 +295,6 @@ class ElasticMembership final : public Membership
     {
     }
 
-    bool eagerClock() const override { return false; }
     bool queryBooks() const override { return false; }
 
     void
@@ -503,16 +508,14 @@ class ElasticMembership final : public Membership
     void
     tick(ClusterLoop& loop, double now)
     {
-        for (size_t m = 0; m < n; m++)
-            loop.view.engine(m).advanceTo(now);
-
         // Utilization over *accepting* capacity only: draining and
         // warming machines would dilute the signal right after a
         // scale event (ScalingSignals::windowUtilization).
         double busy = 0.0;
         double capacity = 0.0;
         for (size_t m = 0; m < n; m++) {
-            const double busy_now = loop.view.engine(m).busyCoreSeconds();
+            const double busy_now =
+                loop.view.engine(m).busyCoreSecondsAt(now);
             const double delta = busy_now - windowBusyStart[m];
             windowBusyStart[m] = busy_now;
             if (state[m] == MState::Accepting) {
@@ -552,9 +555,13 @@ class ElasticMembership final : public Membership
         // SLA — or when nothing completed at all while queries were
         // outstanding: a stalled tier must score as the worst window,
         // not a perfect one. Dispatches a failure killed are no longer
-        // outstanding — their fate is settled.
-        const uint64_t outstanding = result_.numDispatched -
-            result_.numCompleted - loop.endedDispatches;
+        // outstanding — their fate is settled. Every failed
+        // presentation, a dispatch or an unroutable one, fails over or
+        // is lost (assertFaultConservation's last identity).
+        const FaultStats& f = result_.faults;
+        const uint64_t outstanding =
+            (result_.numDispatched + f.unroutable) -
+            (result_.numCompleted + f.failovers + f.lost);
         const bool violation =
             (windowLat.count() > 0 && sig.windowTailMs > spec_.slaMs) ||
             (windowLat.count() == 0 && outstanding > 0);

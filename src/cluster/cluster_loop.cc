@@ -51,8 +51,7 @@ ClusterLoop::ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
                          obs::RunObserver* obs, ClusterResult& result)
     : cfg(cfg), trace(trace), obs(obs), result(result),
       t0(trace.empty() ? 0.0 : trace.front().arrivalSeconds),
-      view(cfg.machines, t0),
-      router(router), members(members), eagerClock(members.eagerClock()),
+      view(cfg.machines), router(router), members(members),
       queryBooks(members.queryBooks()), mixOn(!cfg.modelMix.empty()),
       numMix(std::max<size_t>(1, cfg.modelMix.size())),
       faultsOn(cfg.faults.enabled()), hedgeOn(cfg.hedge.enabled())
@@ -61,7 +60,6 @@ ClusterLoop::ClusterLoop(const ClusterConfig& cfg, const QueryTrace& trace,
     pendingJoins.assign(n, 0);
     downDepth.assign(n, 0);
     grayDepth.assign(n, 0);
-    engineEpoch.assign(n, 0);
 }
 
 // ------------------------------------------------------ part plumbing
@@ -126,10 +124,9 @@ ClusterLoop::startPart(uint64_t part_id, double now)
         break;
     }
     const uint32_t m = part.machine;
-    view.engine(m).advanceTo(now);
     scheduled.clear();
     view.engine(m).admit(spec, now, scheduled);
-    events.pushAll(scheduled, m, engineEpoch[m]);
+    events.pushAll(scheduled, m, view.engine(m).epoch());
 }
 
 void
@@ -269,19 +266,16 @@ ClusterLoop::deliverPart(uint64_t part_id, double now)
         completeQuery(query);
 }
 
-// A failure destroyed @p query's current dispatch. Release its
-// committed join books, then either fail over (schedule a re-present
-// with exponential client backoff) or record the final loss. Callers
-// guarantee the query is live (not dead, current generation);
-// @p dispatched says whether the dying presentation was routed (an
-// unroutable presentation never was).
+// A failure destroyed @p query's current presentation. Move its
+// generation on, so every part and hedge check of the dying dispatch
+// is stale, release its committed join books, then either fail over
+// (schedule a re-present with exponential client backoff) or record
+// the final loss. Callers guarantee the presentation is current.
 void
-ClusterLoop::failQuery(uint64_t query, double now, bool dispatched)
+ClusterLoop::failQuery(uint64_t query, double now)
 {
     QueryState& q = queries[query];
-    q.dead = true;
-    if (dispatched)
-        endedDispatches++;
+    q.gen++;
     releaseJoinCost(q);
     if (q.joinLeadership) {
         drs_assert(pendingJoins[q.machine] > 0,
@@ -318,7 +312,7 @@ bool
 ClusterLoop::staleDispatch(uint64_t part_id) const
 {
     const QueryState& q = queries[queryOfPart(part_id)];
-    return q.parts[posOfPart(part_id)].gen != q.gen || q.dead;
+    return q.parts[posOfPart(part_id)].gen != q.gen;
 }
 
 // A part of a dead dispatch reached its machine, or a join phase of
@@ -361,13 +355,12 @@ ClusterLoop::lostPartFate(uint64_t part_id, double now)
             return;
         }
     }
-    failQuery(query, now, true);
+    failQuery(query, now);
 }
 
 void
 ClusterLoop::killEngine(uint32_t m, double now)
 {
-    lastFaultAdvance = std::max(lastFaultAdvance, now);
     lostBuf.clear();
     view.engine(m).crash(now, lostBuf);
     for (uint64_t lost_part : lostBuf)
@@ -514,7 +507,7 @@ ClusterLoop::present(uint64_t query, double now)
     if (plan.empty()) {
         drs_assert(faultsOn, "policy returned no targets");
         result.faults.unroutable++;
-        failQuery(query, now, false);
+        failQuery(query, now);
         return;
     }
     if (admission && served.size < in.size) {
@@ -535,7 +528,6 @@ ClusterLoop::present(uint64_t query, double now)
     q.quality = quality;
     q.measured = idx >= warmup;
     q.gen++;
-    q.dead = false;
     q.firstPart = static_cast<uint32_t>(q.parts.size());
     q.numParts = static_cast<uint32_t>(plan.size());
 
@@ -558,12 +550,11 @@ ClusterLoop::present(uint64_t query, double now)
         const uint32_t m = target.machine;
         drs_assert(view.accepting(m),
                    "policy routed to a non-accepting machine");
-        view.engine(m).advanceTo(now);
         view.flightAdd(m);
         if (target.leader) {
             leaders++;
             q.machine = m;
-            q.leaderEpoch = engineEpoch[m];
+            q.leaderEpoch = view.engine(m).epoch();
             if (queryBooks)
                 result.machineOfQuery[idx] = m;
             result.perMachine[m].queriesDispatched++;
@@ -622,13 +613,11 @@ ClusterLoop::onFault(const FaultEvent& fe, double now)
     const uint32_t m = fe.machine;
     switch (fe.kind) {
       case FaultEvent::Kind::Crash:
-        // Fail-stop: completions the dead engine already scheduled
-        // are fenced off by the epoch; the membership decides what
-        // else dies.
+        // Fail-stop: the membership decides what dies; completions a
+        // killed engine already scheduled are fenced off by its epoch.
         if (downDepth[m]++ > 0)
             return;
         result.faults.crashes++;
-        engineEpoch[m]++;
         if (obs)
             obs->onMachineDown(m, now);
         members.crash(*this, m, now);
@@ -685,11 +674,11 @@ ClusterLoop::onTraffic(const SimEvent& ev)
             return;
         }
         releaseJoinCost(q);
-        if (faultsOn && engineEpoch[q.machine] != q.leaderEpoch) {
+        if (faultsOn && view.engine(q.machine).epoch() != q.leaderEpoch) {
             // The leader restarted since dispatch: the pooled
             // embeddings of this query died with it.
             cancelPart(ev.partIdx, ev.time);
-            failQuery(query, ev.time, true);
+            failQuery(query, ev.time);
             return;
         }
         startPart(ev.partIdx, ev.time);
@@ -697,20 +686,18 @@ ClusterLoop::onTraffic(const SimEvent& ev)
       }
 
       case SimEvent::Kind::CpuRequest:
-        view.engine(m).advanceTo(ev.time);
         scheduled.clear();
         if (view.engine(m).cpuRequestDone(ev.slot, ev.partIdx, ev.time,
                                           scheduled))
             finishPart(ev.partIdx, ev.time, false);
-        events.pushAll(scheduled, m, engineEpoch[m]);
+        events.pushAll(scheduled, m, view.engine(m).epoch());
         return;
 
       case SimEvent::Kind::GpuQuery:
-        view.engine(m).advanceTo(ev.time);
         scheduled.clear();
         view.engine(m).gpuQueryDone(ev.slot, ev.partIdx, ev.time, scheduled);
         finishPart(ev.partIdx, ev.time, true);
-        events.pushAll(scheduled, m, engineEpoch[m]);
+        events.pushAll(scheduled, m, view.engine(m).epoch());
         return;
 
       case SimEvent::Kind::Retry:
@@ -790,7 +777,6 @@ ClusterLoop::run()
         return;
 
     lastEventTime = t0;
-    lastFaultAdvance = t0;
     warmup = warmupCount(trace.size());
     result.fleetLatencySeconds.reserve(trace.size() - warmup);
     latencyMachine.reserve(trace.size() - warmup);
@@ -874,19 +860,17 @@ ClusterLoop::run()
             QueryState& hq = queries[ev.partIdx];
             hq.hedgeChecks--;
             queryChecks.push_back(ev.partIdx);
-            if (ev.slot == hq.gen && !hq.dead && hq.partsLeft > 0)
+            if (ev.slot == hq.gen && hq.partsLeft > 0)
                 hedgeQuery(ev.partIdx, ev.time);
             continue;
         }
         // A completion stamped by a dead engine incarnation is a
         // ghost: the crash already accounted for its part.
-        if (faultsOn && ev.epoch != engineEpoch[ev.machine] &&
+        if (faultsOn && ev.epoch != view.engine(ev.machine).epoch() &&
             (ev.kind == SimEvent::Kind::CpuRequest ||
              ev.kind == SimEvent::Kind::GpuQuery))
             continue;
 
-        if (eagerClock)
-            view.engine(ev.machine).advanceTo(ev.time);
         lastEventTime = std::max(lastEventTime, ev.time);
         onTraffic(ev);
     }
@@ -931,14 +915,12 @@ ClusterLoop::finishBooks()
             cs.goodputQps = cs.qualityWeight / span.seconds();
     }
 
-    // A crash may have advanced an engine past the last traffic event;
-    // the final advance must never move a clock backwards. Busy time
-    // cannot accrue on an idle machine, so the integrals are unchanged.
+    // Every engine has run out of work, so its busy-time integrals
+    // are final: an idle span adds nothing to them.
     const double full_span = lastEventTime - t0;
-    const double finalAdvance = std::max(lastEventTime, lastFaultAdvance);
     double util_sum = 0.0;
     for (size_t m = 0; m < view.numMachines(); m++) {
-        view.engine(m).advanceTo(finalAdvance);
+        drs_assert(view.engine(m).idle(), "an engine holds work at run end");
         MachineStats& stats = result.perMachine[m];
         stats.requestsDispatched = view.engine(m).requestsDispatched();
         stats.busyCoreSeconds = view.engine(m).busyCoreSeconds();

@@ -29,21 +29,15 @@ namespace deeprecsys {
 
 class ClusterLoop;
 
-/** Which machines of a tier serve, and how that set changes. */
+/**
+ * Which machines of a tier serve, and how that set changes. Busy time
+ * is not a membership's to time: every engine integrates its own at
+ * its own calls, so both tiers sum it in the same steps.
+ */
 class Membership
 {
   public:
     virtual ~Membership() = default;
-
-    /**
-     * A machine's engine clock advances whenever work starts or
-     * finishes on it. True when every traffic event also advances its
-     * machine's clock first (the static tier); the elastic tier's
-     * control tick advances every clock instead. Utilization integrals
-     * are sums in that order, so each tier keeps its own to stay
-     * bitwise identical.
-     */
-    virtual bool eagerClock() const = 0;
 
     /** Fill ClusterResult's trace-sized books: machineOfQuery,
      *  partMachinesOfQuery and perModel. */
@@ -129,9 +123,6 @@ class ClusterLoop final
 
     EventQueue events;
 
-    /** Dispatches that ended without completing (killed or lost). */
-    uint64_t endedDispatches = 0;
-
     double lastEventTime = 0;   ///< latest traffic event or completion
     size_t nextArrival = 0;     ///< trace index of the next arrival
 
@@ -150,11 +141,11 @@ class ClusterLoop final
     void finishPart(uint64_t part_id, double now, bool gpu);
     void deliverPart(uint64_t part_id, double now);
     void completeQuery(uint64_t query);
-    void failQuery(uint64_t query, double now, bool dispatched);
+    void failQuery(uint64_t query, double now);
     void lostPartFate(uint64_t part_id, double now);
     void cancelPart(uint64_t part_id, double now);
-    /** Part @p part_id's dispatch was killed (a failover re-presented
-     *  its query, or the query died). */
+    /** Part @p part_id's dispatch was killed (failQuery, or a
+     *  re-presentation, moved its query's generation on). */
     bool staleDispatch(uint64_t part_id) const;
     void hedgeQuery(uint64_t query, double now);
     void onFault(const FaultEvent& fe, double now);
@@ -175,7 +166,6 @@ class ClusterLoop final
 
     RoutingPolicy& router;
     Membership& members;
-    const bool eagerClock;
     const bool queryBooks;
     const bool mixOn;        ///< the tier serves a model mix
     const size_t numMix;     ///< mix width (1 on single-model tiers)
@@ -226,11 +216,7 @@ class ClusterLoop final
     std::vector<FaultEvent> faultSchedule;
     std::vector<int> downDepth;
     std::vector<int> grayDepth;
-    std::vector<uint32_t> engineEpoch;
     std::vector<uint64_t> lostBuf;
-    /** Engines advanced by a crash may run ahead of lastEventTime; the
-     *  final utilization advance must not move their clocks back. */
-    double lastFaultAdvance = 0;
 
     std::vector<EngineEvent> scheduled;
     MeasuredSpan span;

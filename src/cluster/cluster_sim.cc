@@ -131,7 +131,6 @@ namespace {
 class FixedMembership final : public Membership
 {
   public:
-    bool eagerClock() const override { return true; }
     bool queryBooks() const override { return true; }
 
     void

@@ -59,7 +59,7 @@ struct PartRec
 
     /** Dispatch generation of the owning query this part belongs to;
      *  a mismatch against the query's current generation marks the
-     *  part stale (its dispatch was killed and the query re-presented). */
+     *  part stale (its dispatch was killed). */
     uint32_t gen = 0;
 };
 
@@ -164,7 +164,8 @@ struct QueryState
     uint32_t model = 0;       ///< mix model (0 on single-model tiers)
 
     // --- fault/hedge bookkeeping (untouched on the fault-free path) ---
-    uint32_t gen = 0;         ///< dispatch generation (bumped each present)
+    uint32_t gen = 0;         ///< dispatch generation (bumped at each
+                              ///< present and each failure)
     uint32_t failovers = 0;   ///< failure-driven re-presentations so far
     uint32_t leaderEpoch = 0; ///< leader engine epoch at dispatch
     uint32_t numParts = 0;    ///< fan-out width of this dispatch
@@ -179,7 +180,6 @@ struct QueryState
     obs::QueryStamps stamps;
 
     bool measured = true;
-    bool dead = false;        ///< killed by a failure (awaiting failover)
     /** The leader owes a pendingJoins release (TwoStage fan-out). */
     bool joinLeadership = false;
     /** Completed, finally dropped or lost: no new work will start. */

@@ -39,14 +39,13 @@ allRoutingKinds()
     return kinds;
 }
 
-ClusterView::ClusterView(const std::vector<SimConfig>& machines,
-                         double start_time)
+ClusterView::ClusterView(const std::vector<SimConfig>& machines)
     : inFlight_(machines.size(), 0), joinCost_(machines.size(), 0.0),
       accepting_(machines.size(), 1), acceptingCount_(machines.size())
 {
     engines_.reserve(machines.size());
     for (const SimConfig& machine : machines) {
-        engines_.emplace_back(&machine, start_time);
+        engines_.emplace_back(&machine);
         gpu_.push_back(machine.policy.gpuEnabled && machine.gpu.has_value());
         speed_.push_back(1.0 / machine.slowdown);
     }
@@ -140,20 +139,21 @@ class JoinShortestQueuePolicy final : public RoutingPolicy
     size_t
     route(const Query&, const ClusterView& view) override
     {
-        if (view.allAccepting()) {
-            size_t best = 0;
-            double best_load = view.loadSignal(0);
-            for (size_t m = 1; m < view.numMachines(); m++) {
-                const double load = view.loadSignal(m);
-                if (load < best_load) {
-                    best = m;
-                    best_load = load;
-                }
+        // The least-loaded accepting machine, ties to the lowest index.
+        size_t best = view.numMachines();
+        double best_load = 0.0;
+        for (size_t m = 0; m < view.numMachines(); m++) {
+            if (!view.accepting(m))
+                continue;
+            const double load = view.loadSignal(m);
+            if (best == view.numMachines() || load < best_load) {
+                best = m;
+                best_load = load;
             }
-            return best;
         }
-        acceptingMachines(view, candidates);
-        return leastLoaded(view, candidates);
+        drs_assert(best < view.numMachines(),
+                   "no machine is accepting queries");
+        return best;
     }
 
     RoutingKind
@@ -161,9 +161,6 @@ class JoinShortestQueuePolicy final : public RoutingPolicy
     {
         return RoutingKind::JoinShortestQueue;
     }
-
-  private:
-    std::vector<size_t> candidates;    ///< scratch, reused per call
 };
 
 class PowerOfTwoChoicesPolicy final : public RoutingPolicy

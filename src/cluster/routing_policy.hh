@@ -84,15 +84,14 @@ class ClusterView
 {
   public:
     /**
-     * A tier of @p machines: one engine per machine, whose busy-time
-     * integrals start at @p start_time. Every machine accepts and
-     * nothing is in flight. @p machines must outlive the view.
+     * A tier of @p machines: one engine per machine, each with its
+     * clock at 0. Every machine accepts and nothing is in flight.
+     * @p machines must outlive the view.
      */
-    explicit ClusterView(const std::vector<SimConfig>& machines,
-                         double start_time = 0.0);
+    explicit ClusterView(const std::vector<SimConfig>& machines);
 
     /** The engines point into @p machines: a temporary would dangle. */
-    ClusterView(std::vector<SimConfig>&&, double = 0.0) = delete;
+    ClusterView(std::vector<SimConfig>&&) = delete;
 
     /** Number of machines behind the router. */
     size_t numMachines() const { return engines_.size(); }

@@ -6,8 +6,7 @@
 
 namespace deeprecsys {
 
-MachineEngine::MachineEngine(const SimConfig* config, double start_time)
-    : cfg(config), lastEventTime(start_time)
+MachineEngine::MachineEngine(const SimConfig* config) : cfg(config)
 {
     drs_assert(cfg != nullptr, "engine needs a machine config");
     validate(*cfg);
@@ -45,6 +44,14 @@ MachineEngine::advanceTo(double now)
     lastEventTime = now;
 }
 
+double
+MachineEngine::busyCoreSecondsAt(double now) const
+{
+    drs_assert(now >= lastEventTime, "engine clock must be monotone");
+    return busyCoreSeconds_ +
+           static_cast<double>(busyCores_) * (now - lastEventTime);
+}
+
 void
 MachineEngine::crash(double now, std::vector<uint64_t>& lost_parts)
 {
@@ -63,6 +70,7 @@ MachineEngine::crash(double now, std::vector<uint64_t>& lost_parts)
     queuedCostSeconds_ = 0;
     serviceFactor_ = 1.0;
     lastFinishedFirstStart_ = -1.0;
+    epoch_++;
 }
 
 void
@@ -191,6 +199,7 @@ MachineEngine::admit(const PartSpec& part, double now,
     drs_assert(part.samples >= 1, "part needs samples");
     drs_assert(cfg->servesModel(part.model),
                "part admitted for a model this machine does not serve");
+    advanceTo(now);
     const uint32_t slot = allocSlot();
     PartBook& book = slab[slot];
     book.partIdx = part.partIdx;
@@ -236,6 +245,7 @@ MachineEngine::cpuRequestDone(uint32_t slot, uint64_t part_idx, double now,
                               std::vector<EngineEvent>& out)
 {
     drs_assert(busyCores_ > 0, "completion with no busy core");
+    advanceTo(now);
     busyCores_--;
     PartBook& book = bookAt(slot, part_idx);
     drs_assert(book.requestsLeft > 0, "part with no pending requests");
@@ -253,6 +263,7 @@ MachineEngine::gpuQueryDone(uint32_t slot, uint64_t part_idx, double now,
                             std::vector<EngineEvent>& out)
 {
     drs_assert(gpuBusy, "GPU completion while idle");
+    advanceTo(now);
     gpuBusy = false;
     // bookAt validates the slot is live and unrecycled.
     lastFinishedFirstStart_ = bookAt(slot, part_idx).firstStart;

@@ -218,19 +218,20 @@ struct EngineEvent
  * One machine: a pool of identical cores fed from one FIFO queue plus
  * an optional accelerator serving one query at a time. The engine
  * owns queue/occupancy state, the scheduler-policy hook (offload vs
- * batch split), service-time pricing against the cost models, and the
- * lazy utilization integrals. It does not own a clock: the driver
- * advances time by feeding completions back in timestamp order.
+ * batch split), service-time pricing against the cost models, its
+ * busy-time integrals and its incarnation. It owns its clock too: the
+ * clock starts at 0, and admit, cpuRequestDone, gpuQueryDone and crash
+ * each first integrate busy time up to their own @p now. The driver
+ * only has to call them in timestamp order. An idle span integrates
+ * exactly zero, so every driver, static or elastic, sums a machine's
+ * busy time in the same steps and gets the same bits.
  */
 class MachineEngine
 {
   public:
-    /**
-     * @param config the machine being modeled (kept by pointer; must
-     *               outlive the engine)
-     * @param start_time integration origin of the busy-time integrals
-     */
-    MachineEngine(const SimConfig* config, double start_time);
+    /** @param config the machine being modeled (kept by pointer; must
+     *                outlive the engine) */
+    explicit MachineEngine(const SimConfig* config);
 
     /** Refuse a @p config that cannot be served (drs_fatal; both
      *  drivers call this at construction so bad configs fail before
@@ -266,21 +267,22 @@ class MachineEngine
     void gpuQueryDone(uint32_t slot, uint64_t part_idx, double now,
                       std::vector<EngineEvent>& out);
 
-    /** Advance the utilization integrals to @p now (monotone). */
-    void advanceTo(double now);
-
     /**
      * Fail-stop crash at @p now: every queued and in-flight part is
      * lost. The driver ids of all live parts are appended to
      * @p lost_parts (in slot order — deterministic) so the driver can
      * account each loss; the engine then resets to an empty fresh
      * process — queues cleared, cores and accelerator freed, the gray
-     * service factor back to 1 — while the busy-time integrals keep
-     * accumulating across the incarnation (the machine, not the
-     * process, owns them). Completions already scheduled by the dead
-     * incarnation must be discarded by the driver (SimEvent::epoch).
+     * service factor back to 1 — and bumps epoch(), while the
+     * busy-time integrals keep accumulating across the incarnation
+     * (the machine, not the process, owns them). Completions already
+     * scheduled by the dead incarnation carry the old epoch and must
+     * be discarded by the driver (SimEvent::epoch).
      */
     void crash(double now, std::vector<uint64_t>& lost_parts);
+
+    /** The incarnation: crashes so far. */
+    uint32_t epoch() const { return epoch_; }
 
     /**
      * Gray failure: multiply every service time dispatched from now on
@@ -347,10 +349,20 @@ class MachineEngine
     /** CPU requests dispatched so far. */
     uint64_t requestsDispatched() const { return requestsDispatched_; }
 
-    /** Integral of busy cores over time, up to the last advanceTo. */
+    /**
+     * Integral of busy cores over time, up to the last engine call.
+     * Once the engine is idle this is final.
+     */
     double busyCoreSeconds() const { return busyCoreSeconds_; }
 
-    /** Accelerator busy time, up to the last advanceTo. */
+    /**
+     * The same integral read at @p now, no earlier than the last
+     * engine call, without moving the clock: reads between calls
+     * leave the integrals' summation, and so their bits, unchanged.
+     */
+    double busyCoreSecondsAt(double now) const;
+
+    /** Accelerator busy time, up to the last engine call. */
     double gpuBusySeconds() const { return gpuBusySeconds_; }
 
     /** Samples admitted across all parts (whole-query accounting). */
@@ -406,6 +418,10 @@ class MachineEngine
         double cost;
     };
 
+    /** Integrate busy time up to @p now (monotone); every call that
+     *  changes occupancy makes this its first step. */
+    void advanceTo(double now);
+
     void dispatchCpu(double now, std::vector<EngineEvent>& out);
     void startGpu(double now, std::vector<EngineEvent>& out);
 
@@ -429,10 +445,11 @@ class MachineEngine
     double queuedCostSeconds_ = 0;
     double serviceFactor_ = 1.0;   ///< gray-failure multiplier
 
-    // Lazy utilization integrals: advanced whenever the driver says.
-    double lastEventTime;
+    // Busy-time integrals, advanced by the engine's own calls.
+    double lastEventTime = 0;
     double busyCoreSeconds_ = 0;
     double gpuBusySeconds_ = 0;
+    uint32_t epoch_ = 0;           ///< crashes so far
 
     uint64_t requestsDispatched_ = 0;
     double totalSamples_ = 0;
@@ -457,8 +474,8 @@ class MachineEngine
  * window edge; partIdx indexes the precomputed fault schedule) and
  * HedgeCheck is the router revisiting a straggling fan-out to
  * duplicate unfinished parts (partIdx is the query's handle; slot
- * carries the dispatch generation so checks for a re-dispatched
- * query go stale). They all
+ * carries the dispatch generation so checks for a failed or
+ * re-dispatched query go stale). They all
  * share the queue with service completions so faults, hedges, scale
  * and retry events interleave with traffic in one deterministic
  * (time, seq) order.
@@ -486,10 +503,11 @@ struct SimEvent
     uint32_t slot = 0;
 
     /**
-     * Engine incarnation that emitted this completion. A crash bumps
-     * the driver's per-machine epoch, so completions scheduled by the
-     * dead incarnation are recognized as stale and discarded instead
-     * of being fed to the fresh engine (whose slab they would corrupt).
+     * Engine incarnation (MachineEngine::epoch) that emitted this
+     * completion. A crash bumps the engine's epoch, so completions
+     * scheduled by the dead incarnation are recognized as stale and
+     * discarded instead of being fed to the fresh engine (whose slab
+     * they would corrupt).
      */
     uint32_t epoch = 0;
 

@@ -23,7 +23,7 @@ ServingSimulator::run(const QueryTrace& trace)
     const size_t warmup = warmupCount(trace.size());
     result.queryLatencySeconds.reserve(trace.size() - warmup);
 
-    MachineEngine engine(&cfg, trace.front().arrivalSeconds);
+    MachineEngine engine(&cfg);
     EventQueue events;
     // Pre-size the heap: in-flight completions are bounded by the
     // core pool plus queued offloads, far under one event per query.
@@ -72,7 +72,6 @@ ServingSimulator::run(const QueryTrace& trace)
                            in.arrivalSeconds >=
                                trace[nextArrival - 1].arrivalSeconds,
                        "trace must be sorted by arrival");
-            engine.advanceTo(in.arrivalSeconds);
             lastEventTime = std::max(lastEventTime, in.arrivalSeconds);
 
             const bool measured = nextArrival >= warmup;
@@ -90,7 +89,6 @@ ServingSimulator::run(const QueryTrace& trace)
         }
 
         const SimEvent ev = events.pop();
-        engine.advanceTo(ev.time);
         lastEventTime = std::max(lastEventTime, ev.time);
         scheduled.clear();
         if (ev.kind == SimEvent::Kind::CpuRequest) {

@@ -231,7 +231,7 @@ TEST(Colocation, NoCrossModelBatchEverForms)
     };
     const SimConfig machine = colocatedMachine(mix, CpuPlatform::skylake());
     ASSERT_EQ(machine.numModels(), 2u);
-    MachineEngine engine(&machine, 0.0);
+    MachineEngine engine(&machine);
 
     const uint32_t samples = 100;
     const size_t parts_per_model = 24;
@@ -297,7 +297,7 @@ TEST(Colocation, JoinPhaseCostIsTheBacklogItsPartAdds)
 
     std::vector<double> prices;
     for (uint32_t model = 0; model < machine.numModels(); model++) {
-        MachineEngine engine(&machine, 0.0);
+        MachineEngine engine(&machine);
         std::vector<EngineEvent> out;
         // Occupy every core with one-request parts admitted one at a
         // time: each is priced in and dispatched at once, so the

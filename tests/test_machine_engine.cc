@@ -6,6 +6,8 @@
  * the mechanics both simulators inherit.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "sim/machine_engine.hh"
@@ -31,7 +33,7 @@ engineConfig(size_t batch = 64, bool gpu = false, uint32_t threshold = 1)
 TEST(MachineEngine, AdmissionSplitsIntoCeilRequests)
 {
     const SimConfig cfg = engineConfig(64);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     engine.admit({0, 100, 1.0, true, true}, 0.0, out);
     engine.admit({1, 64, 1.0, true, true}, 0.0, out);
@@ -44,7 +46,7 @@ TEST(MachineEngine, AdmissionSplitsIntoCeilRequests)
 TEST(MachineEngine, QueuedWorkBeyondCoreCount)
 {
     const SimConfig cfg = engineConfig(1);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     const size_t cores = cfg.cpu.platform().cores;
     std::vector<EngineEvent> out;
     const uint32_t samples = static_cast<uint32_t>(2 * cores);
@@ -58,7 +60,7 @@ TEST(MachineEngine, QueuedWorkBeyondCoreCount)
 TEST(MachineEngine, CompletionDispatchesQueuedRequestFifo)
 {
     const SimConfig cfg = engineConfig(1);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     const size_t cores = cfg.cpu.platform().cores;
     std::vector<EngineEvent> out;
     engine.admit({0, static_cast<uint32_t>(cores + 1), 1.0, true, true},
@@ -75,7 +77,7 @@ TEST(MachineEngine, CompletionDispatchesQueuedRequestFifo)
 TEST(MachineEngine, PartFinishesOnLastRequest)
 {
     const SimConfig cfg = engineConfig(50);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     engine.admit({7, 100, 1.0, true, true}, 0.0, out);
     ASSERT_EQ(out.size(), 2u);
@@ -89,7 +91,7 @@ TEST(MachineEngine, PartFinishesOnLastRequest)
 TEST(MachineEngine, OffloadRequiresWholeAndThreshold)
 {
     const SimConfig cfg = engineConfig(64, true, 100);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     // Below threshold: CPU path.
     engine.admit({0, 99, 1.0, true, true}, 0.0, out);
@@ -110,7 +112,7 @@ TEST(MachineEngine, OffloadRequiresWholeAndThreshold)
 TEST(MachineEngine, GpuServesOneAtATime)
 {
     const SimConfig cfg = engineConfig(64, true, 1);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     engine.admit({0, 200, 1.0, true, true}, 0.0, out);
     engine.admit({1, 200, 1.0, true, true}, 0.0, out);
@@ -127,7 +129,7 @@ TEST(MachineEngine, GpuServesOneAtATime)
 TEST(MachineEngine, GpuSampleAccounting)
 {
     const SimConfig cfg = engineConfig(64, true, 150);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     engine.admit({0, 100, 1.0, true, true}, 0.0, out);
     engine.admit({1, 300, 1.0, true, true}, 0.0, out);
@@ -138,7 +140,7 @@ TEST(MachineEngine, GpuSampleAccounting)
 TEST(MachineEngine, ShardPartsExcludedFromWholeSampleAccounting)
 {
     const SimConfig cfg = engineConfig(64);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     engine.admit({0, 100, 1.0, true, true}, 0.0, out);
     engine.admit({1, 100, 0.25, false, false}, 0.0, out);
@@ -150,22 +152,62 @@ TEST(MachineEngine, ShardPartsExcludedFromWholeSampleAccounting)
 TEST(MachineEngine, UtilizationIntegralsAdvanceLazily)
 {
     const SimConfig cfg = engineConfig(256);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     engine.admit({0, 100, 1.0, true, true}, 0.0, out);   // one request
     ASSERT_EQ(out.size(), 1u);
-    engine.advanceTo(0.5);
-    EXPECT_DOUBLE_EQ(engine.busyCoreSeconds(), 0.5);     // 1 core busy
+    // A read integrates up to its instant without moving the clock.
+    EXPECT_DOUBLE_EQ(engine.busyCoreSecondsAt(0.5), 0.5);  // 1 core busy
+    EXPECT_DOUBLE_EQ(engine.busyCoreSeconds(), 0.0);
     std::vector<EngineEvent> none;
     engine.cpuRequestDone(out[0].slot, out[0].partIdx, 0.5, none);
-    engine.advanceTo(2.0);
-    EXPECT_DOUBLE_EQ(engine.busyCoreSeconds(), 0.5);     // idle after
+    EXPECT_DOUBLE_EQ(engine.busyCoreSeconds(), 0.5);
+    EXPECT_DOUBLE_EQ(engine.busyCoreSecondsAt(2.0), 0.5);  // idle after
+
+    // Reads between engine calls never enter the engine's sums: an
+    // engine read after every call ends with the same bits as one
+    // never read, on the core pool and on the accelerator.
+    const SimConfig mixed = engineConfig(32, true, 200);
+    auto drive = [](MachineEngine& e, bool read) {
+        std::vector<EngineEvent> pending;
+        e.admit({0, 100, 1.0, true, true}, 0.1, pending);   // 4 requests
+        e.admit({1, 300, 1.0, true, true}, 0.1, pending);   // offloaded
+        e.admit({2, 50, 1.0, true, true}, 0.1, pending);    // 2 requests
+        double last = 0.1;
+        while (!pending.empty()) {
+            const auto next = std::min_element(
+                pending.begin(), pending.end(),
+                [](const EngineEvent& a, const EngineEvent& b) {
+                    return a.time < b.time;
+                });
+            const EngineEvent ev = *next;
+            pending.erase(next);
+            if (read) {
+                EXPECT_GE(e.busyCoreSecondsAt((last + 2.0 * ev.time) / 3.0),
+                          e.busyCoreSeconds());
+            }
+            last = ev.time;
+            if (ev.kind == EngineEvent::Kind::CpuRequest)
+                e.cpuRequestDone(ev.slot, ev.partIdx, ev.time, pending);
+            else
+                e.gpuQueryDone(ev.slot, ev.partIdx, ev.time, pending);
+        }
+        EXPECT_TRUE(e.idle());
+    };
+    MachineEngine unread(&mixed);
+    MachineEngine read(&mixed);
+    drive(unread, false);
+    drive(read, true);
+    EXPECT_GT(read.busyCoreSeconds(), 0.0);
+    EXPECT_GT(read.gpuBusySeconds(), 0.0);
+    EXPECT_EQ(read.busyCoreSeconds(), unread.busyCoreSeconds());
+    EXPECT_EQ(read.gpuBusySeconds(), unread.gpuBusySeconds());
 }
 
 TEST(MachineEngine, ServiceTimePricedAtDispatchOccupancy)
 {
     const SimConfig cfg = engineConfig(128);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     engine.admit({0, 128, 1.0, true, true}, 0.0, out);
     ASSERT_EQ(out.size(), 1u);
@@ -178,8 +220,8 @@ TEST(MachineEngine, SlowdownScalesServiceTimes)
     SimConfig slow = engineConfig(128);
     slow.slowdown = 2.0;
     const SimConfig fast = engineConfig(128);
-    MachineEngine a(&fast, 0.0);
-    MachineEngine b(&slow, 0.0);
+    MachineEngine a(&fast);
+    MachineEngine b(&slow);
     std::vector<EngineEvent> oa, ob;
     a.admit({0, 128, 1.0, true, true}, 0.0, oa);
     b.admit({0, 128, 1.0, true, true}, 0.0, ob);
@@ -189,7 +231,7 @@ TEST(MachineEngine, SlowdownScalesServiceTimes)
 TEST(MachineEngine, CrashLosesLiveWorkAndResetsTheProcess)
 {
     const SimConfig cfg = engineConfig(1);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     const size_t cores = cfg.cpu.platform().cores;
     std::vector<EngineEvent> out;
     // Saturate the cores and leave a second part queued behind them.
@@ -199,10 +241,12 @@ TEST(MachineEngine, CrashLosesLiveWorkAndResetsTheProcess)
     ASSERT_EQ(engine.partsInService(), 2u);
     ASSERT_GT(engine.queuedWork(), 0u);
     engine.setServiceFactor(4.0);
-    engine.advanceTo(0.25);
+    EXPECT_EQ(engine.epoch(), 0u);
 
     std::vector<uint64_t> lost;
     engine.crash(0.25, lost);
+    // A new incarnation: completions of the old one are stale.
+    EXPECT_EQ(engine.epoch(), 1u);
     // Every live part reported once, in slot order: queued work dies
     // with the process just like in-flight work.
     ASSERT_EQ(lost.size(), 2u);
@@ -231,8 +275,8 @@ TEST(MachineEngine, CrashLosesLiveWorkAndResetsTheProcess)
 TEST(MachineEngine, ServiceFactorScalesDispatchedTimesOnly)
 {
     const SimConfig cfg = engineConfig(128);
-    MachineEngine healthy(&cfg, 0.0);
-    MachineEngine gray(&cfg, 0.0);
+    MachineEngine healthy(&cfg);
+    MachineEngine gray(&cfg);
     gray.setServiceFactor(4.0);
     std::vector<EngineEvent> oh, og;
     healthy.admit({0, 128, 1.0, true, true}, 0.0, oh);
@@ -271,7 +315,7 @@ TEST(MachineEngineDeath, RejectsBadConfigs)
 TEST(MachineEngineDeath, RejectsStaleAndUnknownSlots)
 {
     const SimConfig cfg = engineConfig();
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     engine.admit({0, 10, 1.0, true, true}, 0.0, out);
     ASSERT_EQ(out.size(), 1u);
@@ -287,7 +331,7 @@ TEST(MachineEngineDeath, RejectsStaleAndUnknownSlots)
 TEST(MachineEngine, SlotsRecycleThroughTheFreeList)
 {
     const SimConfig cfg = engineConfig(64);
-    MachineEngine engine(&cfg, 0.0);
+    MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     engine.admit({100, 10, 1.0, true, true}, 0.0, out);
     ASSERT_EQ(out.size(), 1u);

@@ -10,12 +10,13 @@ each pair so drift on a shared host falls on both sides alike. The
 benchmark reports its end-to-end metrics untraced and its per-layer
 ones traced, so each side runs once untraced when an end-to-end metric
 is named and once traced when a per-layer one is (both when none is
-named). Exits 1 if the two sides print different ``digest`` lines (the
-simulated results differ) or if a run fails. For each named metric
-(every metric when none is named) it prints each side's median and
-quartiles and how many pairs each side won, by the direction
-BASE's BENCHMARK.json gives the metric; equal values win for neither
-side. Writes nothing but each checkout's own ``.bench_build/``.
+named). For each named metric (every metric when none is named) it
+prints each side's median and quartiles and how many pairs each side
+won, by the direction BASE's BENCHMARK.json gives the metric; equal
+values win for neither side. Exits 1 if a run fails, or if the two
+sides print different ``digest`` lines (the simulated results differ);
+the metric table is printed first either way, so a change that moves a
+digest on purpose still shows its end-to-end metrics. Writes nothing but each checkout's own ``.bench_build/``.
 Stdlib only.
 """
 
@@ -96,9 +97,6 @@ def main():
         print(f"base {line}")
     for line in digests[1]:
         print(f"new  {line}")
-    if digests[0] != digests[1]:
-        print("ab_pairs: the two sides' digest lines differ")
-        return 1
 
     print(f"{'metric':<28} {'base q1/med/q3':>32} {'new q1/med/q3':>32} "
           f"{'wins b/n':>9}")
@@ -113,6 +111,9 @@ def main():
         fa = "/".join(f"{v:.4g}" for v in quartiles(a))
         fb = "/".join(f"{v:.4g}" for v in quartiles(b))
         print(f"{name:<28} {fa:>32} {fb:>32} {wins[0]:>4}/{wins[1]:<4}")
+    if digests[0] != digests[1]:
+        print("ab_pairs: the two sides' digest lines differ")
+        return 1
     return 0
 
 
