@@ -78,7 +78,6 @@ sweepModes(double deadline_s)
 
     OverloadConfig queue_cap = baseline;
     queue_cap.admission = AdmissionKind::QueueDepth;
-    queue_cap.queueDepthCap = 64;
 
     OverloadConfig deadline = baseline;
     deadline.admission = AdmissionKind::Deadline;

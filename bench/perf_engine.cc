@@ -25,13 +25,15 @@
  *    latency books exactly 8 B per measured query.
  *  - `cluster16_obs_off` / `cluster16_obs_on`: the same workload with
  *    the observability layer explicitly detached and fully attached.
- *    The detached run gates the obs integration's disabled path (the
- *    null-observer pointer test plus the engine's first-service
- *    stamp) at <1% overhead (+5 ms timer-noise floor) against the
- *    baseline. The two are timed in interleaved pairs (A B, B A,
- *    ...) in the same process and their median walls compared. Both
- *    observed runs must reproduce the baseline's statistics exactly
- *    — observing a run must never change it.
+ *    The baseline already runs with a null observer, so the detached
+ *    run is the same program: its gate (<1% over the baseline, +5 ms
+ *    timer-noise floor) bounds the host noise between two identical
+ *    runs. It does not measure what the disabled path costs; the
+ *    null-observer pointer tests and the engine's first-service stamp
+ *    run on both sides. The two are timed in interleaved pairs (A B,
+ *    B A, ...) in the same process and their median walls compared.
+ *    Both observed runs must reproduce the baseline's statistics
+ *    exactly — observing a run must never change it.
  *  - `find_max_qps`, `cluster_max_qps`, `plan_capacity`: one search
  *    each. A search is a serial walk on its calling thread, so each is
  *    timed once, with no parallel column.
@@ -157,16 +159,6 @@ struct ScenarioReport
     }
 };
 
-SimConfig
-rmc1Machine(size_t batch = 256)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
-}
-
 ClusterConfig
 shardedCluster16()
 {
@@ -221,7 +213,8 @@ struct SetupReport
     double warmWall = 0;   ///< best of 3 later builds
 };
 
-/** The observability disabled-path overhead gate (see main). */
+/** The observability gate: the null-observer run against the
+ *  baseline, itself a null-observer run (see main). */
 struct ObsGate
 {
     double baselineWall = 0;
@@ -335,7 +328,7 @@ main(int argc, char** argv)
     {
         ScenarioReport report;
         report.name = "fig11_single_machine";
-        const SimConfig cfg = rmc1Machine();
+        const SimConfig cfg = bench::cpuMachine(256);
         LoadSpec load;
         load.qps = 600.0;
         QueryStream stream(load);
@@ -482,7 +475,8 @@ main(int argc, char** argv)
         spec.numQueries = smoke ? 1200 : 4000;
         QpsSearchResult serial;
         report.wallSerial = bestWall(
-            repeats, [&] { serial = findMaxQps(rmc1Machine(), spec); });
+            repeats,
+            [&] { serial = findMaxQps(bench::cpuMachine(256), spec); });
         report.queries = static_cast<double>(serial.evaluations) *
             static_cast<double>(spec.numQueries);
         report.events = report.queries +
@@ -502,7 +496,7 @@ main(int argc, char** argv)
         spec.routing.kind = RoutingKind::JoinShortestQueue;
         ClusterConfig cluster;
         for (size_t m = 0; m < 8; m++)
-            cluster.machines.push_back(rmc1Machine());
+            cluster.machines.push_back(bench::cpuMachine(256));
         ClusterQpsResult serial;
         report.wallSerial = bestWall(
             repeats, [&] { serial = findClusterMaxQps(cluster, spec); });
@@ -517,7 +511,7 @@ main(int argc, char** argv)
         ScenarioReport report;
         report.name = "plan_capacity";
         CapacityPlanSpec spec;
-        spec.unitMachines = {rmc1Machine()};
+        spec.unitMachines = {bench::cpuMachine(256)};
         spec.targetQps = smoke ? 4000.0 : 8000.0;
         spec.slaMs = 100.0;
         spec.queriesPerMachine = smoke ? 200 : 300;
@@ -555,7 +549,7 @@ main(int argc, char** argv)
         auto sweep = [&] {
             return sweepMap(batches, [&](size_t batch) {
                 LoadSpec load;
-                return evaluateAtQps(rmc1Machine(batch), load, 600.0,
+                return evaluateAtQps(bench::cpuMachine(batch), load, 600.0,
                                      queries)
                     .p95Ms();
             });

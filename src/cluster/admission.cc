@@ -21,6 +21,29 @@ constexpr double kMinSizeFraction = 0.25;
  *  (served size / original size)^kQualityExponent. */
 constexpr double kQualityExponent = 1.0;
 
+// The router's other constants.
+/** QueueDepth: drop when the least-loaded accepting machine holds
+ *  more than this many queued work items. */
+constexpr size_t kQueueDepthCap = 64;
+/** Per-class-step severity: class c admits against a budget of
+ *  deadline * (1 - kPriorityMargin * c) and sees its degrade pressure
+ *  raised by kPriorityMargin * c. */
+constexpr double kPriorityMargin = 0.15;
+static_assert(kPriorityMargin * (OverloadConfig::maxPriorityClasses - 1) <
+                      1.0 &&
+                  kPriorityMargin * OverloadConfig::maxPriorityClasses >=
+                      1.0,
+              "maxPriorityClasses is the widest count the margin allows");
+/**
+ * Retry-storm guard: when the router's pressure at drop time is at or
+ * above this multiple of the budget, the drop is final — re-presenting
+ * queries into a saturated tier only amplifies the overload it is
+ * shedding. Pressure is the queue-wait estimate over the deadline
+ * (deadline admission) or the shallowest accepting queue over the
+ * depth cap (queue-depth admission).
+ */
+constexpr double kRetryStormPressure = 2.0;
+
 } // namespace
 
 void
@@ -206,7 +229,7 @@ AdmissionController::decide(const Query& query,
     const uint32_t cls = cfg.priorityClasses > 1
         ? std::min<uint32_t>(query.priorityClass, cfg.priorityClasses - 1)
         : 0;
-    const double margin = cfg.priorityMargin * static_cast<double>(cls);
+    const double margin = kPriorityMargin * static_cast<double>(cls);
 
     // The projected queue wait of the critical path is shared by both
     // mechanisms; compute it once. See queueWaitSeconds for the
@@ -252,15 +275,15 @@ AdmissionController::decide(const Query& query,
                 bestMachine = m;
             }
         }
-        d.admit = best <= cfg.queueDepthCap;
+        d.admit = best <= kQueueDepthCap;
         if (!d.admit) {
             // Depth over cap stands in for pressure (no deadline to
             // scale by); the hint is the shallowest queue's projected
             // drain back down to the cap.
             const double depthPressure = static_cast<double>(best) /
-                static_cast<double>(cfg.queueDepthCap);
+                static_cast<double>(kQueueDepthCap);
             d.retryable = cfg.maxRetries > 0 &&
-                depthPressure < cfg.retryStormPressure;
+                depthPressure < kRetryStormPressure;
             d.retryAfterSeconds = backlogSeconds(bestMachine, view) *
                 (1.0 - 1.0 / depthPressure);
         }
@@ -285,7 +308,7 @@ AdmissionController::decide(const Query& query,
             d.retryAfterSeconds = est - budget;
             const double pressure = wait / cfg.deadlineSeconds;
             d.retryable = cfg.maxRetries > 0 &&
-                pressure < cfg.retryStormPressure;
+                pressure < kRetryStormPressure;
         }
         break;
       }

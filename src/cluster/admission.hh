@@ -56,12 +56,15 @@
  * then equilibrates where first wait + service ≈ deadline and
  * *measured* sharded p99 settles near twice the deadline.
  *
- * The degrade shape is fixed: shrinking starts at pressure 0.35,
+ * The degrade shape is fixed: shrinking starts at pressure 0.35 and
  * reaches a floor of a quarter of the original size (never below
- * OverloadConfig::minSize candidates) at pressure 1, and a retried
- * client's backoff doubles per attempt. Config errors are refused by
- * validateClusterConfig (cluster/cluster_sim.hh) when a facade is
- * built, not by the controller.
+ * OverloadConfig::minSize candidates) at pressure 1. So are the
+ * router's other constants, kept beside it in admission.cc: the
+ * queue-depth cap of 64 queued work items, the per-class priority
+ * margin of 0.15 and the retry-storm pressure of 2. The retried
+ * client's backoff is loadgen's (retryDelaySeconds). Config errors
+ * are refused by validateClusterConfig (cluster/cluster_sim.hh) when
+ * a facade is built, not by the controller.
  *
  * Units: seconds throughout; sizes in candidate samples. Ownership:
  * the controller copies its config and borrows the tier's machine
@@ -90,8 +93,8 @@ enum class AdmissionKind
     /** Admit everything — the historical open-loop router. */
     None,
 
-    /** Drop when every accepting machine's queue is deeper than the
-     *  cap (classic bounded-queue shedding; deadline-blind). */
+    /** Drop when every accepting machine holds more than 64 queued
+     *  work items (classic bounded-queue shedding; deadline-blind). */
     QueueDepth,
 
     /**
@@ -112,10 +115,6 @@ enum class AdmissionKind
 struct OverloadConfig
 {
     AdmissionKind admission = AdmissionKind::None;
-
-    /** QueueDepth: drop when the least-loaded accepting machine holds
-     *  more than this many queued work items. */
-    size_t queueDepthCap = 64;
 
     /**
      * The per-query completion budget in seconds. Deadline admission
@@ -141,49 +140,26 @@ struct OverloadConfig
      * historical default) is classless. With more, deadline admission
      * tightens lower-class budgets and degrade shrinks lower classes
      * earlier — so at any load, class c+1's shed and degrade rates
-     * are at least class c's, never the reverse.
+     * are at least class c's, never the reverse: class c admits
+     * against a budget of deadline * (1 - 0.15 c) and sees its
+     * degrade pressure raised by 0.15 c.
      */
     uint32_t priorityClasses = 1;
 
-    /**
-     * Per-class-step severity: class c admits against a budget of
-     * deadline * (1 - priorityMargin * c) and sees its degrade
-     * pressure raised by priorityMargin * c. Must satisfy
-     * priorityMargin * (priorityClasses - 1) < 1.
-     */
-    double priorityMargin = 0.15;
+    /** Most classes an enabled policy takes: the largest count whose
+     *  lowest class keeps a positive budget, 0.15 (count - 1) < 1. */
+    static constexpr uint32_t maxPriorityClasses = 7;
 
     // ---------------------------------------- retry / backpressure
     /**
      * Client retries after a shed: 0 (the historical default) makes
      * every drop final; k lets a dropped query be re-presented up to
-     * k times, re-timed by the jittered exponential backoff below.
-     * Latency of a retried completion still counts from the original
-     * arrival, so retries buy availability, not goodput.
+     * k times, re-timed by the client's jittered exponential backoff
+     * (loadgen retryDelaySeconds). Latency of a retried completion
+     * still counts from the original arrival, so retries buy
+     * availability, not goodput.
      */
     uint32_t maxRetries = 0;
-
-    /** Client backoff before the first retry, in seconds; it
-     *  doubles with each further attempt. */
-    double retryBackoffSeconds = 0.05;
-
-    /**
-     * Deterministic jitter: each delay stretches by a factor in
-     * [1, 1 + retryJitterFraction) drawn by hashing (query id,
-     * attempt) — no RNG state, so the retry schedule is pure and
-     * thread-count-invariant (loadgen retryDelaySeconds).
-     */
-    double retryJitterFraction = 0.5;
-
-    /**
-     * Retry-storm guard: when the router's pressure at drop time is
-     * at or above this multiple of the budget, the drop is final —
-     * re-presenting queries into a saturated tier only amplifies the
-     * overload it is shedding. Pressure is the queue-wait estimate
-     * over the deadline (deadline admission) or the shallowest
-     * accepting queue over the depth cap (queue-depth admission).
-     */
-    double retryStormPressure = 2.0;
 
     /** True when any overload mechanism is active. */
     bool

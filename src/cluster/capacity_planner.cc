@@ -42,8 +42,8 @@ planCapacity(const CapacityPlanSpec& spec)
     // The query population is drawn once and re-timed per candidate
     // (bit-identical to regenerating); larger tiers consume a longer
     // prefix. Each model of the mix draws its own substream, merged by
-    // arrival.
-    LoadSpec load = spec.load;
+    // arrival. Every plan draws the default LoadSpec stream.
+    LoadSpec load;
     load.qps = spec.targetQps;
     MixedTraceTemplate mixed_template(load, mixFractions(spec.modelMix));
 

@@ -46,7 +46,6 @@ struct CapacityPlanSpec
     double slaMs = 100.0;       ///< fleet-wide tail-latency target
     double percentile = 99.0;   ///< which tail
 
-    LoadSpec load;              ///< arrival/size config (qps overridden)
     RoutingSpec routing;        ///< router policy of the planned tier
 
     /**

@@ -10,9 +10,6 @@ namespace deeprecsys {
 
 namespace {
 
-/** Client backoff growth per retry attempt (OverloadConfig retries). */
-constexpr double kRetryBackoffFactor = 2.0;
-
 /**
  * Hand each fleet latency sample to the book its tag names, in fleet
  * order, then free the tags. Each book is reserved to exactly its
@@ -466,8 +463,6 @@ ClusterLoop::present(uint64_t query, double now)
             cs.dropped++;
             if (verdict.retryable && q.attempt < cfg.overload.maxRetries) {
                 const double delay = retryDelaySeconds(
-                    cfg.overload.retryBackoffSeconds, kRetryBackoffFactor,
-                    cfg.overload.retryJitterFraction,
                     verdict.retryAfterSeconds, in.id, q.attempt);
                 q.attempt++;
                 result.overload.retried++;
@@ -949,8 +944,6 @@ ClusterLoop::finishBooks()
     drs_assert(result.overload.degradedQueries.size() ==
                    result.overload.degraded,
                "degrade log does not match the degraded count");
-    drs_assert(result.faults.lostQueries.size() == result.faults.lost,
-               "loss log does not match the lost count");
     if (queryBooks && mixOn) {
         // The same algebra per model, plus the cross-model sum checks:
         // every query is exactly one model's, so the per-model books

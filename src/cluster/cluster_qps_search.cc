@@ -32,7 +32,7 @@ evaluateClusterAtQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec,
                      double qps)
 {
     const size_t num_queries = clusterTraceLength(cluster, spec);
-    MixedTraceTemplate mixed(spec.load, mixFractions(cluster.modelMix));
+    MixedTraceTemplate mixed(LoadSpec{}, mixFractions(cluster.modelMix));
     mixed.ensure(num_queries);
     return ClusterSimulator(cluster).run(mixed.materialize(qps, num_queries),
                                          spec.routing);
@@ -51,7 +51,7 @@ findClusterMaxQps(const ClusterConfig& cluster, const ClusterQpsSpec& spec)
     // SLA hold — the consolidated tier is provisioned for its most
     // demanding tenant.
     const size_t num_queries = clusterTraceLength(cluster, spec);
-    MixedTraceTemplate mixed_template(spec.load,
+    MixedTraceTemplate mixed_template(LoadSpec{},
                                       mixFractions(cluster.modelMix));
     mixed_template.ensure(num_queries);
     const ClusterSimulator sim(cluster);

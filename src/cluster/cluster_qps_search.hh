@@ -17,6 +17,9 @@
  * the found rate is what the consolidated tier sustains without
  * violating any tenant's SLA.
  *
+ * Every evaluation draws the default LoadSpec stream at its candidate
+ * rate.
+ *
  * Units: slaMs in milliseconds, rates in queries/second. Determinism:
  * the same seeds re-time the same query population at every candidate
  * rate and the routing policy is rebuilt from its seed per
@@ -38,7 +41,9 @@ namespace deeprecsys {
 struct ClusterQpsSpec
 {
     double slaMs = 100.0;       ///< fleet-wide tail-latency target
-    double percentile = 99.0;   ///< which tail (p99: the fleet metric)
+
+    /** Which tail: p99, the fleet metric. */
+    static constexpr double percentile = 99.0;
 
     /**
      * Global trace length per evaluation; 0 picks
@@ -46,7 +51,6 @@ struct ClusterQpsSpec
      */
     size_t numQueries = 0;
 
-    LoadSpec load;              ///< arrival/size config (qps overridden)
     RoutingSpec routing;        ///< router policy under test
 };
 

@@ -22,33 +22,18 @@ namespace {
 void
 validateOverload(const OverloadConfig& overload, const char* tier)
 {
-    if (overload.admission == AdmissionKind::QueueDepth &&
-        overload.queueDepthCap < 1)
-        drs_fatal(tier, ": queue-depth cap must be >= 1");
     // The deadline is the pressure scale of both the deadline policy
     // and the degrade shrink, so either one requires it.
     if ((overload.admission == AdmissionKind::Deadline || overload.degrade) &&
         !(overload.deadlineSeconds > 0.0))
         drs_fatal(tier, ": deadline admission/degrade needs "
                   "deadlineSeconds > 0");
-    if (overload.priorityClasses > 1) {
-        if (!(overload.priorityMargin >= 0.0))
-            drs_fatal(tier, ": priorityMargin cannot be negative");
-        if (!(overload.priorityMargin *
-                  static_cast<double>(overload.priorityClasses - 1) <
-              1.0))
-            drs_fatal(tier, ": priorityMargin * (priorityClasses - 1) "
-                      "must stay below 1 or the lowest class can never "
-                      "admit");
-    }
-    if (overload.maxRetries > 0) {
-        if (!(overload.retryBackoffSeconds > 0.0))
-            drs_fatal(tier, ": retries need a positive base backoff");
-        if (!(overload.retryJitterFraction >= 0.0))
-            drs_fatal(tier, ": retry jitter fraction cannot be negative");
-        if (!(overload.retryStormPressure > 0.0))
-            drs_fatal(tier, ": retry-storm pressure must be positive");
-    }
+    if (overload.priorityClasses > OverloadConfig::maxPriorityClasses)
+        drs_fatal(tier, ": ", overload.priorityClasses,
+                  " priority classes exceed the ",
+                  OverloadConfig::maxPriorityClasses,
+                  " the priority margin allows; the lowest class could "
+                  "never admit");
 }
 
 } // namespace

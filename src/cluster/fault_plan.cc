@@ -14,8 +14,6 @@ validateFaultPlan(const FaultPlan& plan)
         drs_fatal("fault rates must be non-negative");
     if (!(plan.repairSeconds > 0.0))
         drs_fatal("repair time must be positive");
-    if (!(plan.graySlowdownFactor > 0.0))
-        drs_fatal("gray slowdown factor must be positive");
     if (!(plan.grayDurationSeconds > 0.0))
         drs_fatal("gray windows must have positive length");
     if (!(plan.failoverDelaySeconds >= 0.0))

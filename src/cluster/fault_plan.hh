@@ -79,7 +79,7 @@ struct FaultPlan
     /** Service-time multiplier while gray (> 1 is slower). Invisible
      *  to the admission estimator by design — a gray machine lies
      *  about its speed the way real stragglers do. */
-    double graySlowdownFactor = 4.0;
+    static constexpr double graySlowdownFactor = 4.0;
 
     /** Length of one gray window in seconds. */
     double grayDurationSeconds = 2.0;

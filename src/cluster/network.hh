@@ -23,8 +23,7 @@ namespace deeprecsys {
  *
  * Units: hopSeconds is **seconds** one-way; bandwidth is gigabytes
  * per second (0 = infinite); payload terms are bytes per candidate
- * sample of the query. The request and response payloads are fixed;
- * the pooled-embedding payload is configurable.
+ * sample of the query. The payloads are fixed.
  */
 struct NetworkConfig
 {
@@ -42,7 +41,7 @@ struct NetworkConfig
      * per candidate sample (TwoStage join only): the summed embedding
      * vectors the top MLP consumes, far heavier than the final scores.
      */
-    double embeddingBytesPerSample = 256.0;
+    static constexpr double embeddingBytesPerSample = 256.0;
 
     /** One-way delay in seconds for a payload of @p bytes. */
     double

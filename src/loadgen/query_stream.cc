@@ -372,15 +372,12 @@ validatePriorityClassCount(uint64_t classes)
 }
 
 double
-retryDelaySeconds(double base, double factor, double jitter_fraction,
-                  double retry_after_hint, uint64_t query_id,
+retryDelaySeconds(double retry_after_hint, uint64_t query_id,
                   uint32_t attempt)
 {
-    drs_assert(base > 0.0 && factor >= 1.0 && jitter_fraction >= 0.0,
-               "retry backoff parameters out of range");
-    double backoff = base;
+    double backoff = kRetryBackoffSeconds;
     for (uint32_t a = 0; a < attempt; a++)
-        backoff *= factor;
+        backoff *= kRetryBackoffFactor;
     const double delay = std::max(backoff, retry_after_hint);
     // 53-bit mantissa draw from the hash, as Rng::uniform does from
     // its state word: uniform in [0, 1).
@@ -388,7 +385,7 @@ retryDelaySeconds(double base, double factor, double jitter_fraction,
                          mix64(query_id * 0x9e3779b97f4a7c15ULL + attempt) >>
                          11) *
         0x1.0p-53;
-    return delay * (1.0 + jitter_fraction * u);
+    return delay * (1.0 + kRetryJitterFraction * u);
 }
 
 } // namespace deeprecsys

@@ -206,20 +206,31 @@ void assignPriorityClasses(QueryTrace& trace, uint32_t classes,
  */
 void validatePriorityClassCount(uint64_t classes);
 
+/** Client backoff before the first retry of a dropped query, in
+ *  seconds. */
+constexpr double kRetryBackoffSeconds = 0.05;
+
+/** Growth of the client backoff per further attempt. */
+constexpr double kRetryBackoffFactor = 2.0;
+
+/** Widest stretch of a retry delay: its jitter factor lies in
+ *  [1, 1 + kRetryJitterFraction). */
+constexpr double kRetryJitterFraction = 0.5;
+
 /**
  * The client-side re-timer of a dropped query: how long a client
  * waits before re-presenting attempt @p attempt (0-based count of
  * drops so far). The delay is the larger of the router's Retry-After
- * hint and the exponential backoff base * factor^attempt, stretched
- * by a deterministic jitter factor in [1, 1 + jitter_fraction) drawn
+ * hint and the exponential backoff
+ * kRetryBackoffSeconds * kRetryBackoffFactor^attempt, stretched by a
+ * deterministic jitter factor in [1, 1 + kRetryJitterFraction) drawn
  * by hashing (query id, attempt) — no RNG state, so a retry schedule
  * is a pure function of its inputs and bitwise thread-invariant,
  * while still decorrelating the retry times of queries dropped in
  * the same burst (the thundering-herd the jitter exists to break).
  */
-double retryDelaySeconds(double base, double factor,
-                         double jitter_fraction, double retry_after_hint,
-                         uint64_t query_id, uint32_t attempt);
+double retryDelaySeconds(double retry_after_hint, uint64_t query_id,
+                         uint32_t attempt);
 
 } // namespace deeprecsys
 

@@ -36,7 +36,6 @@ enum class ModelId {
 /** How dense and pooled-sparse outputs are combined (Figure 2). */
 enum class InteractionKind {
     Concat,         ///< concatenate feature vectors
-    Sum,            ///< elementwise sum (requires equal widths)
     GmfConcat,      ///< NCF: GMF elementwise product + concat MLP path
 };
 

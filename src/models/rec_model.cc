@@ -93,11 +93,6 @@ RecModel::interactionWidth() const
     }
     if (cfg.useAttention || cfg.useRecurrent)
         width += cfg.embeddingDim;      // candidate item embedding
-
-    if (cfg.interaction == InteractionKind::Sum) {
-        // Sum interaction collapses equal-width parts to one vector.
-        return denseStack ? denseStack->outDim() : cfg.embeddingDim;
-    }
     return width;
 }
 
@@ -192,32 +187,6 @@ RecModel::interact(size_t bs, const Tensor* dense, ForwardScratch& s) const
             for (size_t d = 0; d < w; d++)
                 dst[d] = src[d] * src[w + d];
             std::copy(src + 2 * w, src + pooled, dst + w);
-        }
-        return;
-    }
-
-    if (cfg.interaction == InteractionKind::Sum) {
-        // The dense output and every table's vector, of one width,
-        // add up to one vector: the first is copied, the rest added.
-        drs_assert(!cfg.useAttention && !cfg.useRecurrent,
-                   "sum interaction takes no sequence path");
-        const size_t w = interactionWidth();
-        const size_t tables = embeddings ? embeddings->numTables() : 0;
-        drs_assert(dense || tables > 0, "sum interaction of zero parts");
-        drs_assert((!dense || dense->dim(1) == w) &&
-                       (!embeddings || s.pooled.dim(1) == tables * w),
-                   "sum interaction needs parts of one width");
-        s.interaction.resize({bs, w});
-        for (size_t r = 0; r < bs; r++) {
-            float* dst = s.interaction.row(r);
-            const float* pooled = tables > 0 ? s.pooled.row(r) : nullptr;
-            size_t t = 0;
-            const float* first = dense ? dense->row(r) : pooled + w * t++;
-            std::copy(first, first + w, dst);
-            for (; t < tables; t++) {
-                for (size_t d = 0; d < w; d++)
-                    dst[d] += pooled[t * w + d];
-            }
         }
         return;
     }

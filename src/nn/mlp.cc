@@ -10,16 +10,11 @@ void
 applyActivation(float* data, size_t n, Activation act)
 {
     switch (act) {
-      case Activation::None:
-        break;
       case Activation::Relu:
         reluInPlace(data, n);
         break;
       case Activation::Sigmoid:
         sigmoidInPlace(data, n);
-        break;
-      case Activation::Tanh:
-        tanhInPlace(data, n);
         break;
     }
 }

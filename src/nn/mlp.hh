@@ -17,7 +17,7 @@
 namespace deeprecsys {
 
 /** Activation applied after a fully-connected layer. */
-enum class Activation { None, Relu, Sigmoid, Tanh };
+enum class Activation { Relu, Sigmoid };
 
 /** One fully-connected layer: y = act(x * W^T + b). */
 class FcLayer

@@ -23,7 +23,8 @@ namespace deeprecsys {
 struct QpsSearchSpec
 {
     double slaMs = 100.0;       ///< tail-latency target
-    double percentile = 95.0;   ///< which tail (p95 by default)
+    /** Which tail: p95, the paper's QPS-under-SLA metric. */
+    static constexpr double percentile = 95.0;
     size_t numQueries = 3000;   ///< trace length per evaluation
     LoadSpec load;              ///< arrival/size config (qps overridden)
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "obs/observer.hh"
 
 namespace deeprecsys {
 
@@ -35,25 +34,10 @@ ServingSimulator::run(const QueryTrace& trace)
     MeasuredSpan span;
     double lastEventTime = trace.front().arrivalSeconds;
 
-    if (obs_)
-        obs_->onRunStart(trace.front().arrivalSeconds);
-
-    // Single machine, single whole part: the part span and the query
-    // span coincide, with no network hops.
-    auto complete_query = [&](uint64_t idx, bool gpu, double now) {
-        const bool measured = idx >= warmup;
-        if (measured) {
+    auto complete_query = [&](uint64_t idx, double now) {
+        if (idx >= warmup) {
             result.queryLatencySeconds.add(now - trace[idx].arrivalSeconds);
             span.onCompletion(now);
-        }
-        if (obs_) {
-            obs::QueryStamps stamps;
-            stamps.dispatch = trace[idx].arrivalSeconds;
-            stamps.leader = obs::PartTimes::of(
-                stamps.dispatch, engine.lastFinishedFirstServiceStart(), now);
-            obs_->onPartDone(idx, 0, gpu, stamps.leader);
-            obs_->onQueryComplete(idx, stamps, trace[idx].size, 1, measured,
-                                  0.0, now, 0.0);
         }
     };
 
@@ -77,8 +61,6 @@ ServingSimulator::run(const QueryTrace& trace)
             const bool measured = nextArrival >= warmup;
             if (measured)
                 span.onArrival(in.arrivalSeconds);
-            if (obs_)
-                obs_->onQueryDispatch(in.size);
 
             scheduled.clear();
             engine.admit({nextArrival, in.size, 1.0, true, true},
@@ -94,10 +76,10 @@ ServingSimulator::run(const QueryTrace& trace)
         if (ev.kind == SimEvent::Kind::CpuRequest) {
             if (engine.cpuRequestDone(ev.slot, ev.partIdx, ev.time,
                                       scheduled))
-                complete_query(ev.partIdx, false, ev.time);
+                complete_query(ev.partIdx, ev.time);
         } else {
             engine.gpuQueryDone(ev.slot, ev.partIdx, ev.time, scheduled);
-            complete_query(ev.partIdx, true, ev.time);
+            complete_query(ev.partIdx, ev.time);
         }
         events.pushAll(scheduled, 0);
     }

@@ -30,8 +30,6 @@
 
 namespace deeprecsys {
 
-namespace obs { class RunObserver; }
-
 /** Aggregate outcome of one simulation run. */
 struct SimResult
 {
@@ -76,18 +74,10 @@ class ServingSimulator
      */
     SimResult run(const QueryTrace& trace);
 
-    /**
-     * Attach an observability recorder for subsequent runs (nullptr
-     * detaches). Borrowed — the observer must outlive the run. The
-     * disabled path costs one pointer test per hook site.
-     */
-    void setObserver(obs::RunObserver* observer) { obs_ = observer; }
-
     const SimConfig& config() const { return cfg; }
 
   private:
     SimConfig cfg;
-    obs::RunObserver* obs_ = nullptr;
 };
 
 } // namespace deeprecsys

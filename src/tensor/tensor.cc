@@ -151,13 +151,6 @@ sigmoidInPlace(float* data, size_t n)
 }
 
 void
-tanhInPlace(float* data, size_t n)
-{
-    for (size_t i = 0; i < n; i++)
-        data[i] = std::tanh(data[i]);
-}
-
-void
 concatCols(std::span<const Tensor* const> parts, Tensor& out)
 {
     drs_assert(!parts.empty(), "concat of zero tensors");

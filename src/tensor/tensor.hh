@@ -115,9 +115,6 @@ void reluInPlace(float* data, size_t n);
 /** In-place logistic sigmoid over @p n contiguous elements. */
 void sigmoidInPlace(float* data, size_t n);
 
-/** In-place tanh over @p n contiguous elements. */
-void tanhInPlace(float* data, size_t n);
-
 /**
  * Concatenate rank-2 tensors along columns into @p out, resized in
  * its own storage. All inputs must share the same row count.

@@ -68,14 +68,14 @@ busyTier()
 }
 
 QueryTrace
-busyTrace(double qps = 2500.0)
+busyTrace(double qps = 2500.0, size_t count = 6000)
 {
     LoadSpec load;
     load.arrivalSeed = 0xb00c;
     load.sizeSeed = 0xb00d;
     MixedTraceTemplate mixed(load, mixFractions(tierMix()));
-    mixed.ensure(6000);
-    return mixed.materialize(qps, 6000);
+    mixed.ensure(count);
+    return mixed.materialize(qps, count);
 }
 
 /** The busy tier with deadline admission and client retries on: shed
@@ -88,7 +88,6 @@ retryTier()
     cfg.overload.deadlineSeconds = 0.015;
     cfg.overload.degrade = true;
     cfg.overload.maxRetries = 2;
-    cfg.overload.retryBackoffSeconds = 0.02;
     return cfg;
 }
 

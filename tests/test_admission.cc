@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <string>
@@ -142,11 +143,10 @@ TEST(AdmissionUnit, QueueDepthCapCountsOnlyAcceptingMachines)
 {
     OverloadConfig overload;
     overload.admission = AdmissionKind::QueueDepth;
-    overload.queueDepthCap = 8;
     const ClusterConfig cfg = tier(2);
     const AdmissionController ctl(overload, cfg.machines);
     ClusterView view(cfg.machines);
-    fillQueue(view, 0, 50, 200);
+    fillQueue(view, 0, 128, 200);   // twice the router's 64-item cap
 
     // Machine 1 is idle: under the cap somewhere, admit.
     EXPECT_TRUE(ctl.decide(Query{0, 0.0, 100}, view).admit);
@@ -290,6 +290,34 @@ retryPolicy(uint32_t max_retries, uint32_t classes = 1)
     overload.maxRetries = max_retries;
     overload.priorityClasses = classes;
     return overload;
+}
+
+TEST(AdmissionUnit, RetryDelayIsTheJitteredBackoffOrTheHint)
+{
+    // The client waits the larger of the Retry-After hint and the
+    // backoff kRetryBackoffSeconds * kRetryBackoffFactor^attempt,
+    // stretched by a jitter factor in [1, 1 + kRetryJitterFraction)
+    // that is a pure function of (query id, attempt).
+    for (uint32_t attempt = 0; attempt < 4; attempt++) {
+        SCOPED_TRACE(attempt);
+        const double backoff = kRetryBackoffSeconds *
+            std::pow(kRetryBackoffFactor, attempt);
+        double lo = std::numeric_limits<double>::infinity();
+        double hi = 0.0;
+        for (uint64_t id = 0; id < 1000; id++) {
+            const double d = retryDelaySeconds(0.0, id, attempt);
+            EXPECT_EQ(d, retryDelaySeconds(0.0, id, attempt));
+            lo = std::min(lo, d);
+            hi = std::max(hi, d);
+            const double hinted = retryDelaySeconds(1.0, id, attempt);
+            EXPECT_GE(hinted, 1.0);
+            EXPECT_LT(hinted, 1.0 + kRetryJitterFraction);
+        }
+        EXPECT_GE(lo, backoff);
+        EXPECT_LT(hi, backoff * (1.0 + kRetryJitterFraction));
+        // The jitter spreads one burst's retries over most of its range.
+        EXPECT_GT(hi - lo, 0.9 * backoff * kRetryJitterFraction);
+    }
 }
 
 TEST(AdmissionCluster, EveryMachineDownIsUnroutableNotShed)
@@ -618,7 +646,6 @@ TEST(AdmissionDeath, PriorityClassCountOutsideSixteenBitsIsAConfigError)
         SCOPED_TRACE(classes);
         OverloadConfig overload = deadlinePolicy();
         overload.priorityClasses = classes;
-        overload.priorityMargin = 0.0;
         EXPECT_EXIT(AdmissionController(overload, cfg.machines),
                     ::testing::ExitedWithCode(1), "outside 1..65536");
         EXPECT_EXIT(ClusterSimulator{tier(2, overload)},
@@ -678,46 +705,13 @@ TEST_P(AdmissionConfigDeath, RefusedWhenAFacadeIsBuilt)
 INSTANTIATE_TEST_SUITE_P(
     OverloadChecks, AdmissionConfigDeath,
     ::testing::Values(
-        BadOverload{"QueueDepthCapZero",
-                    [](OverloadConfig& o) {
-                        o.admission = AdmissionKind::QueueDepth;
-                        o.queueDepthCap = 0;
-                    },
-                    "queue-depth cap must be >= 1"},
         BadOverload{"DeadlineZero",
                     [](OverloadConfig& o) { o.deadlineSeconds = 0.0; },
                     "deadline admission/degrade needs deadlineSeconds > 0"},
-        BadOverload{"NegativePriorityMargin",
-                    [](OverloadConfig& o) {
-                        o.priorityClasses = 2;
-                        o.priorityMargin = -0.1;
-                    },
-                    "priorityMargin cannot be negative"},
         BadOverload{"PriorityMarginShutsOutTheLowestClass",
-                    [](OverloadConfig& o) {
-                        o.priorityClasses = 3;
-                        o.priorityMargin = 0.5;
-                    },
-                    "priorityMargin \\* \\(priorityClasses - 1\\) "
-                    "must stay below 1"},
-        BadOverload{"RetryBackoffZero",
-                    [](OverloadConfig& o) {
-                        o.maxRetries = 1;
-                        o.retryBackoffSeconds = 0.0;
-                    },
-                    "retries need a positive base backoff"},
-        BadOverload{"NegativeRetryJitter",
-                    [](OverloadConfig& o) {
-                        o.maxRetries = 1;
-                        o.retryJitterFraction = -0.5;
-                    },
-                    "retry jitter fraction cannot be negative"},
-        BadOverload{"RetryStormPressureZero",
-                    [](OverloadConfig& o) {
-                        o.maxRetries = 1;
-                        o.retryStormPressure = 0.0;
-                    },
-                    "retry-storm pressure must be positive"}),
+                    [](OverloadConfig& o) { o.priorityClasses = 8; },
+                    "8 priority classes exceed the 7 the priority margin "
+                    "allows"}),
     [](const ::testing::TestParamInfo<BadOverload>& info) {
         return std::string(info.param.name);
     });
@@ -731,13 +725,21 @@ TEST(Admission, WidestPriorityClassCountFitsEveryQuery)
     for (const Query& q : trace)
         top = std::max(top, q.priorityClass);
     EXPECT_GT(top, 60000u);
+    // An enabled router takes up to OverloadConfig::maxPriorityClasses
+    // (7: one more would leave the lowest class no budget) and clamps
+    // every wider class into its lowest one.
     OverloadConfig overload = deadlinePolicy();
-    overload.priorityClasses = kMaxPriorityClasses;
-    overload.priorityMargin = 0.0;
+    overload.priorityClasses = OverloadConfig::maxPriorityClasses;
     const ClusterResult r = ClusterSimulator(tier(2, overload))
                                 .run(trace, {RoutingKind::RoundRobin, 0, 0});
-    EXPECT_EQ(r.overload.perClass.size(), kMaxPriorityClasses);
+    ASSERT_EQ(r.overload.perClass.size(), OverloadConfig::maxPriorityClasses);
     EXPECT_EQ(r.overload.offered, trace.size());
+    uint64_t offered = 0;
+    for (const ClassOverloadStats& cs : r.overload.perClass)
+        offered += cs.offered;
+    EXPECT_EQ(offered, trace.size());
+    EXPECT_GT(r.overload.perClass.back().offered,
+              r.overload.perClass.front().offered);
 }
 
 } // namespace

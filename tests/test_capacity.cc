@@ -60,8 +60,6 @@ TEST(CapacityPlanner, PlanIsMinimal)
         cluster.machines.push_back(spec.unitMachines.front());
     ClusterQpsSpec eval;
     eval.slaMs = spec.slaMs;
-    eval.percentile = spec.percentile;
-    eval.load = spec.load;
     eval.routing = spec.routing;
     eval.numQueries = std::max(
         spec.minQueries,
@@ -173,17 +171,6 @@ TEST(ClusterQpsSearchDeath, NonPositiveSlaIsAValidatedError)
     spec.slaMs = -1.0;
     EXPECT_EXIT((void)findClusterMaxQps(cluster, spec),
                 ::testing::ExitedWithCode(1), "SLA target must be positive");
-}
-
-TEST(ClusterQpsSearchDeath, OutOfRangePercentileIsAValidatedError)
-{
-    ClusterConfig cluster;
-    cluster.machines = {cpuMachine()};
-    ClusterQpsSpec spec;
-    spec.percentile = 100.5;
-    EXPECT_EXIT((void)findClusterMaxQps(cluster, spec),
-                ::testing::ExitedWithCode(1),
-                "SLA percentile 100.5 is outside \\[0, 100\\]");
 }
 
 TEST(ClusterQpsSearchDeath, NonPositiveOrNanRateIsAValidatedError)

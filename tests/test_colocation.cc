@@ -458,7 +458,6 @@ TEST(ColocationParallelDiff, JsqAndPo2cRoutingBitwiseAcrossThreadCounts)
         SCOPED_TRACE(routingKindName(kind));
         ClusterQpsSpec spec;
         spec.slaMs = 200.0;
-        spec.load = mixLoad(2200.0, 0x505);
         spec.routing.kind = kind;
 
         ThreadPool::setSharedThreads(1);

@@ -397,7 +397,6 @@ TEST(FaultRecovery, GrayWindowsRaiseTheTailNotLoss)
 
     ClusterConfig gray = chaosTier(2);
     gray.faults.grayPerHour = 240.0;
-    gray.faults.graySlowdownFactor = 4.0;
     gray.faults.grayDurationSeconds = 2.0;
     const ClusterResult straggling = runChaos(gray, trace);
 

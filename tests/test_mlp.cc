@@ -24,7 +24,7 @@ TEST(FcLayer, ForwardShape)
 TEST(FcLayer, FlopsAndParamBytes)
 {
     Rng rng(1);
-    FcLayer layer(10, 20, Activation::None, rng);
+    FcLayer layer(10, 20, Activation::Relu, rng);
     EXPECT_EQ(layer.flopsPerSample(), 2ull * 10 * 20);
     EXPECT_EQ(layer.paramBytes(), (10 * 20 + 20) * sizeof(float));
 }

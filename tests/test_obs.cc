@@ -6,7 +6,7 @@
  * integration invariants (snapshot axis == control-tick axis, the
  * attribution identity against the drivers' own latency statistics),
  * the bitwise-identical-output contract across thread counts, and
- * the exact output of fixed observed runs on every driver.
+ * the exact output of fixed observed runs on both cluster drivers.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "loadgen/query_stream.hh"
 #include "obs/metrics.hh"
 #include "obs/observer.hh"
-#include "sim/serving_sim.hh"
 #include "tests/busy_tier.hh"
 
 namespace deeprecsys {
@@ -174,6 +173,15 @@ testMachine()
                      std::nullopt, policy};
 }
 
+/** testMachine alone behind the zero-cost router. */
+ClusterConfig
+singleMachine()
+{
+    ClusterConfig cluster;
+    cluster.machines = {testMachine()};
+    return cluster;
+}
+
 QueryTrace
 testTrace(size_t count, double qps)
 {
@@ -186,17 +194,18 @@ testTrace(size_t count, double qps)
 TEST(ObserverServing, AttributionMatchesTheSimulatorsOwnLatency)
 {
     obs::RunObserver observer(obs::ObsConfig::full(0.1), 1);
-    ServingSimulator sim(testMachine());
+    ClusterSimulator sim(singleMachine());
     sim.setObserver(&observer);
-    const SimResult r = sim.run(testTrace(4000, 500.0));
+    const ClusterResult r = sim.run(testTrace(4000, 500.0), RoutingSpec{});
 
     const obs::StageSplit& split = observer.stageSplit();
     EXPECT_EQ(split.queries, r.numQueries);
 
     // The split partitions each measured query's latency, so the
     // total must equal the simulator's own summed latency; a single
-    // machine has no network hops and nothing to join on.
-    const std::vector<double>& raw = r.queryLatencySeconds.raw();
+    // machine behind a zero-cost router has no network hops and
+    // nothing to join on.
+    const std::vector<double>& raw = r.fleetLatencySeconds.raw();
     const double latency_sum =
         std::accumulate(raw.begin(), raw.end(), 0.0);
     EXPECT_NEAR(split.totalSeconds, latency_sum,
@@ -212,16 +221,16 @@ TEST(ObserverServing, AttributionMatchesTheSimulatorsOwnLatency)
 TEST(ObserverServing, ObservingARunDoesNotChangeIt)
 {
     const QueryTrace trace = testTrace(3000, 500.0);
-    ServingSimulator plain(testMachine());
-    const SimResult base = plain.run(trace);
+    const ClusterResult base =
+        ClusterSimulator(singleMachine()).run(trace, RoutingSpec{});
 
     obs::RunObserver observer(obs::ObsConfig::full(0.5), 1);
-    ServingSimulator observed(testMachine());
+    ClusterSimulator observed(singleMachine());
     observed.setObserver(&observer);
-    const SimResult r = observed.run(trace);
+    const ClusterResult r = observed.run(trace, RoutingSpec{});
 
     EXPECT_EQ(r.numQueries, base.numQueries);
-    EXPECT_EQ(r.queryLatencySeconds.raw(), base.queryLatencySeconds.raw());
+    EXPECT_EQ(r.fleetLatencySeconds.raw(), base.fleetLatencySeconds.raw());
 }
 
 ClusterConfig
@@ -416,9 +425,9 @@ TEST(ObserverPinned, StaticHedgedChaoticRetryTier)
     EXPECT_GT(r.faults.failovers, 0u);
     EXPECT_GT(r.faults.hedged, 0u);
     EXPECT_GT(r.overload.retried, 0u);
-    const ObservedPins pinned{{0x0, 0x40327c903c8eda9f, 0x3ff196ddc758e00a,
-                                0x3fed1ec7350fcf7d, 0x40347ef452ace710},
-                               3624, 39180, 0xe6eccd2cc5fb4e00};
+    const ObservedPins pinned{{0x0, 0x4032858e5e6d3058, 0x3ff1959f95db3ebc,
+                                0x3fec779675647d9a, 0x403482a50b760822},
+                               3623, 39176, 0xc4d3cbd0d55971c1};
     EXPECT_EQ(pinsOf(observer), pinned);
 }
 
@@ -433,18 +442,18 @@ TEST(ObserverPinned, ElasticHedgedChaoticRetryTier)
     EXPECT_GT(r.faults.failovers, 0u);
     EXPECT_GT(r.faults.hedged, 0u);
     EXPECT_GT(r.overload.retried, 0u);
-    const ObservedPins pinned{{0x0, 0x4031e99e6937ef73, 0x3ff0bda0be5ec77d,
-                                0x3feaaf59d34d4aa1, 0x4033caf343b84630},
-                               3449, 38181, 0xb609728ec31c2756};
+    const ObservedPins pinned{{0x0, 0x4031f8518b93e5ad, 0x3ff0bb208fddfd27,
+                                0x3fe884ec9693209a, 0x4033c82af9465e8e},
+                               3447, 38155, 0x60e52e0f63702e98};
     EXPECT_EQ(pinsOf(observer), pinned);
 }
 
-TEST(ObserverPinned, ServingSimulator)
+TEST(ObserverPinned, SingleMachineTier)
 {
     obs::RunObserver observer(obs::ObsConfig::full(1.0), 1);
-    ServingSimulator sim(testMachine());
+    ClusterSimulator sim(singleMachine());
     sim.setObserver(&observer);
-    sim.run(testTrace(3000, 2200.0));
+    sim.run(testTrace(3000, 2200.0), RoutingSpec{});
     const ObservedPins pinned{{0x408316846717c90d, 0x4043d8965947f4b8, 0x0,
                                 0x0, 0x4084540dccac4850},
                                2850, 8862, 0x56edec49c00e17ed};

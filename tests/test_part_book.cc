@@ -21,6 +21,7 @@
 #include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "tests/busy_tier.hh"
@@ -100,7 +101,7 @@ TEST(QueryBookDriver, StaticPeakLiveQueriesIsExactAndSmall)
     // Final drops release their query at once, with no part held; a
     // query settled late moves this count, a pure function of the
     // seed.
-    EXPECT_EQ(r.peakHeldQueries, 96u);
+    EXPECT_EQ(r.peakHeldQueries, 165u);
 }
 
 TEST(QueryBookDriver, ElasticPeakLiveQueriesIsExactAndSmall)
@@ -113,7 +114,7 @@ TEST(QueryBookDriver, ElasticPeakLiveQueriesIsExactAndSmall)
     EXPECT_GT(r.overload.retried, 0u);
     expectConserved(r, trace);
 
-    EXPECT_EQ(r.peakHeldQueries, 85u);
+    EXPECT_EQ(r.peakHeldQueries, 158u);
 }
 
 TEST(QueryBookDriver, WatchingARunDoesNotMoveTheQueryWindow)
@@ -150,11 +151,12 @@ arrivalsIn(const QueryTrace& trace, double from, double to)
 
 TEST(QueryWindow, ShedRetryPinsTheHeadUntilItSettles)
 {
-    // A burst at t = 0 overflows one machine's queue, and the shed
-    // queries retry only after a long backoff while a light stream
-    // keeps arriving and completing. A shed query is unsettled until
-    // its retry reads it, so the book holds it through the backoff;
-    // with retries off every shed is final and released at once.
+    // A burst at t = 0 overflows one machine's queue past the depth
+    // cap, and the shed queries retry only after their client backoff
+    // while a light stream keeps arriving and completing. A shed query
+    // is unsettled until its retry reads it, so the book holds it
+    // through the backoff; with retries off every shed is final and
+    // released at once.
     const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
     ClusterConfig cfg;
     SchedulerPolicy sched;
@@ -162,19 +164,28 @@ TEST(QueryWindow, ShedRetryPinsTheHeadUntilItSettles)
     cfg.machines.push_back(SimConfig{
         CpuCostModel(profile, CpuPlatform::skylake()), std::nullopt, sched});
     cfg.overload.admission = AdmissionKind::QueueDepth;
-    cfg.overload.queueDepthCap = 2;
     cfg.overload.maxRetries = 1;
-    cfg.overload.retryBackoffSeconds = 0.3;
-    cfg.overload.retryJitterFraction = 0.0;
-    cfg.overload.retryStormPressure = 1e9;
 
+    // Twice the router's 64-item depth cap overflows the queue, yet
+    // keeps it under the retry-storm pressure (twice the cap), so
+    // every shed query may retry.
+    const uint64_t burst = 128;
     QueryTrace trace;
-    for (uint64_t i = 0; i < 64; i++)
+    for (uint64_t i = 0; i < burst; i++)
         trace.push_back({.id = i, .arrivalSeconds = 0.0, .size = 256});
-    for (uint64_t i = 64; i < 264; i++)
+    for (uint64_t i = burst; i < burst + 200; i++)
         trace.push_back({.id = i,
-                         .arrivalSeconds = 0.005 * static_cast<double>(i - 63),
+                         .arrivalSeconds =
+                             0.005 * static_cast<double>(i - burst + 1),
                          .size = 16});
+
+    // A client waits at least its jittered backoff, retryDelaySeconds
+    // with no Retry-After hint: light arrivals land inside it.
+    double shortest = std::numeric_limits<double>::infinity();
+    for (uint64_t i = 0; i < burst; i++)
+        shortest = std::min(shortest, retryDelaySeconds(0.0, i, 0));
+    EXPECT_GE(arrivalsIn(trace, trace[burst].arrivalSeconds, shortest), 5u);
+
     ClusterConfig no_retry = cfg;
     no_retry.overload.maxRetries = 0;
 
@@ -298,19 +309,19 @@ TEST(QueryWindow, LostQueryOutlivedByItsParts)
 
 TEST(HeldRecords, GrayStragglerPinsAWideWindowButFewRecords)
 {
-    // One deep gray window and no crashes: parts queued on the gray
-    // machine run 40x slower and hold their queries while the healthy
-    // machines finish the queries arriving behind them. Those are
-    // released as they finish, so a straggler costs the later
-    // arrivals nothing: the book holds under an eighth of the
-    // arrivals the gray window spans.
+    // One gray window and no crashes: parts queued on the gray machine
+    // run FaultPlan::graySlowdownFactor times slower and hold their
+    // queries while the healthy machines finish the queries arriving
+    // behind them. Those are released as they finish, so a straggler
+    // costs the later arrivals nothing: the book holds under an eighth
+    // of the arrivals the gray window spans. A long trace at the busy
+    // rate reaches the window with every machine loaded.
     ClusterConfig calm = busyTier();
     calm.faults = FaultPlan{};
     ClusterConfig gray = calm;
     gray.faults.grayPerHour = 60.0;
-    gray.faults.graySlowdownFactor = 40.0;
     gray.faults.grayDurationSeconds = 0.3;
-    const QueryTrace trace = busyTrace(1000.0);
+    const QueryTrace trace = busyTrace(2500.0, 15000);
 
     const ClusterResult g = runStatic(gray, trace);
     expectConserved(g, trace);
@@ -339,7 +350,6 @@ TEST(HeldRecords, GrayStragglerPinsAWideWindowButFewRecords)
     // release point holds a query longer and moves these exact
     // counts.
     ClusterConfig chaos = busyTier();
-    chaos.faults.graySlowdownFactor = 40.0;
     chaos.faults.grayDurationSeconds = 0.3;
     chaos.hedge.delaySeconds = 0.01;
     const ClusterResult x = runStatic(chaos, trace);
@@ -348,8 +358,8 @@ TEST(HeldRecords, GrayStragglerPinsAWideWindowButFewRecords)
     expectConserved(ex, trace);
     EXPECT_GT(x.faults.crashes, 0u);
     EXPECT_GT(x.faults.hedged, 0u);
-    EXPECT_EQ(x.peakHeldQueries, 196u);
-    EXPECT_EQ(ex.peakHeldQueries, 26u);
+    EXPECT_EQ(x.peakHeldQueries, 252u);
+    EXPECT_EQ(ex.peakHeldQueries, 57u);
 }
 
 TEST(QueryWindow, UnroutableQueryWithNoPartsSettles)

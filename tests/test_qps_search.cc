@@ -75,16 +75,6 @@ TEST(QpsSearch, DeterministicAcrossCalls)
     EXPECT_DOUBLE_EQ(a, b);
 }
 
-TEST(QpsSearch, PercentileChoiceMatters)
-{
-    QpsSearchSpec p95 = spec(100.0);
-    QpsSearchSpec p99 = spec(100.0);
-    p99.percentile = 99.0;
-    const double q95 = findMaxQps(rmc1Config(256), p95).maxQps;
-    const double q99 = findMaxQps(rmc1Config(256), p99).maxQps;
-    EXPECT_GE(q95, q99);    // p99 is a stricter constraint
-}
-
 TEST(QpsSearch, EvaluateAtQpsRunsTrace)
 {
     LoadSpec load;
@@ -217,15 +207,6 @@ TEST(QpsSearchDeath, NonPositiveSlaIsAValidatedError)
 {
     EXPECT_EXIT((void)findMaxQps(rmc1Config(256), spec(0.0)),
                 ::testing::ExitedWithCode(1), "SLA target must be positive");
-}
-
-TEST(QpsSearchDeath, OutOfRangePercentileIsAValidatedError)
-{
-    QpsSearchSpec bad = spec(100.0);
-    bad.percentile = 150.0;
-    EXPECT_EXIT((void)findMaxQps(rmc1Config(256), bad),
-                ::testing::ExitedWithCode(1),
-                "SLA percentile 150 is outside \\[0, 100\\]");
 }
 
 } // namespace

@@ -153,14 +153,6 @@ TEST(Activations, SigmoidRangeAndCenter)
     EXPECT_NEAR(t.at(2), 0.0f, 1e-6);
 }
 
-TEST(Activations, TanhOddSymmetry)
-{
-    Tensor t({2}, {1.5f, -1.5f});
-    tanhInPlace(t.data(), t.numel());
-    EXPECT_NEAR(t.at(0), -t.at(1), 1e-6);
-    EXPECT_NEAR(t.at(0), std::tanh(1.5), 1e-6);
-}
-
 TEST(ConcatCols, JoinsWidths)
 {
     Tensor a({2, 2}, {1, 2, 3, 4});

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""List the config-struct fields that no shipped code sets, and fail on
-any that tools/unset_settings.allow does not name.
+"""List the config-struct fields that no shipped code sets, or sets only
+to their declared default, and fail on any that
+tools/unset_settings.allow does not name.
 
 A setting that only tests write is a mode no workload runs: it costs
 code and review, and its default is the only behaviour anyone gets.
+So is one whose every shipped write is a literal equal to its default
+(queue_cap.queueDepthCap = 64 beside "size_t queueDepthCap = 64;").
 tools/dead_symbols.sh finds functions nothing reaches; this finds
 fields nothing sets.
 
@@ -22,8 +25,11 @@ writes it by name:
 
 An assignment whose right-hand side only reads another unset field
 (spec.load.qps = cfg.qps) forwards that field's default and does not
-count. Positional aggregate initializers are not seen; a field set
-only that way needs an allow-list entry.
+count. An assignment or designated initializer whose value is a
+literal equal to the field's declared default (a number, true/false
+or a qualified enum name, compared by value) does not count either.
+Positional aggregate initializers are not seen; a field set only that
+way needs an allow-list entry.
 
 The owner of a written field is taken from the declared type of the
 expression before it: the variable's declaration (in the file, or in
@@ -36,9 +42,9 @@ an unrelated struct can hide an unset field, but never flags a set
 one.
 
 Each line of tools/unset_settings.allow is "Struct::field  # reason".
-The script exits 1 if an unset field is not on the list, if an entry
-has no reason, or if an entry is stale: the field is set now, or no
-longer exists.
+The script exits 1 if an unset or default-only field is not on the
+list, if an entry has no reason, or if an entry is stale: the field is
+set to another value now, or no longer exists.
 
 CpuCostParams and GpuCostParams are out of scope: their fields are
 calibration constants, not settings.
@@ -127,8 +133,26 @@ def base_type(t):
     return t.split("::")[-1].strip()
 
 
-def parse_records(code):
-    """{name: {field: declared type}} for every struct/class in code."""
+def literal(text):
+    """Canonical value of a literal initializer or right-hand side: a
+    number, true/false or a qualified name; None for anything else."""
+    t = re.sub(r"\s+", "", text).replace("'", "")
+    if t in ("true", "false"):
+        return t
+    m = re.fullmatch(r"([-+]?)(0[xX][0-9a-fA-F]+|(?:\d+\.?\d*|\.\d+)"
+                     r"(?:[eE][-+]?\d+)?)[uUlLfF]*", t)
+    if m:
+        value = (int(m.group(2), 16) if m.group(2)[:2] in ("0x", "0X")
+                 else float(m.group(2)))
+        return -value if m.group(1) == "-" else value
+    if re.fullmatch(r"(?:" + IDENT + r"::)+" + IDENT, t):
+        return t
+    return None
+
+
+def parse_records(code, defaults=None):
+    """{name: {field: declared type}} for every struct/class in code;
+    fills @defaults with {name: {field: literal default}}."""
     records = {}
     for m in re.finditer(r"\b(?:struct|class)\s+(" + IDENT + r")\s*"
                          r"(?:final\s*)?(?::[^{;]*)?\{", code):
@@ -136,6 +160,7 @@ def parse_records(code):
         body_end = matching(code, body_start, "{", "}")
         body = code[body_start + 1:body_end - 1]
         fields = {}
+        inits = {}
         stmt = ""
         i = 0
         while i < len(body):
@@ -150,17 +175,22 @@ def parse_records(code):
                 i = j
                 continue
             if c == ";":
-                add_field(fields, stmt)
+                add_field(fields, stmt, inits)
                 stmt = ""
             else:
                 stmt += c
             i += 1
         records.setdefault(m.group(1), fields)
+        if defaults is not None:
+            defaults.setdefault(m.group(1), inits)
     return records
 
 
-def add_field(fields, stmt):
+def add_field(fields, stmt, inits):
     stmt = re.sub(r"\b(public|private|protected)\s*:", " ", stmt)
+    brace = re.search(r"\{(.*)\}", stmt, flags=re.S)
+    init = stmt.split("=", 1)[1] if "=" in stmt else (
+        brace.group(1) if brace else "")
     stmt = re.sub(r"\{.*\}", " ", stmt, flags=re.S)
     stmt = stmt.split("=")[0].strip()
     if not stmt or "(" in stmt or "operator" in stmt or re.match(
@@ -170,6 +200,7 @@ def add_field(fields, stmt):
                      flags=re.S)
     if m:
         fields[m.group(2)] = m.group(1).strip()
+        inits[m.group(2)] = literal(init)
 
 
 def split_chain(expr):
@@ -262,8 +293,9 @@ DESIGNATED = re.compile(r"[{,]\s*\.(" + IDENT + r")\s*=(?!=)")
 
 
 def writes_in(path, code, header_code, records, listed):
-    """Yield (struct, field, source) for each write in code; source is
-    (struct, field) of a forwarded read, else None."""
+    """Yield (struct, field, source, value) for each write in code;
+    source is (struct, field) of a forwarded read, else None; value is
+    the literal() of the written value, else None."""
     res = Resolver(records, code, header_code)
 
     def owners(recv_chain, field, pos):
@@ -281,11 +313,12 @@ def writes_in(path, code, header_code, records, listed):
             last = len(chain) - 1      # a.f.push_back(...) writes f
         elif not (ASSIGN.match(code, m.end()) or before in ("++", "--")):
             continue
-        source = None
+        source = value = None
         a = ASSIGN.match(code, m.end())
         if a and a.group(1) == "=":
             end = code.find(";", a.end())
             rhs = code[a.end():end].strip()
+            value = literal(rhs)
             if CHAIN.fullmatch(rhs):
                 src = split_chain(rhs)
                 owner = owners(src[:-1], src[-1][0], m.start())
@@ -293,7 +326,10 @@ def writes_in(path, code, header_code, records, listed):
                     source = (owner[0], src[-1][0])
         for k in range(1, last):
             for s in owners(chain[:k], chain[k][0], m.start()):
-                yield s, chain[k][0], source if k == last - 1 else None
+                if k == last - 1:
+                    yield s, chain[k][0], source, value
+                else:
+                    yield s, chain[k][0], None, None
 
     for m in DESIGNATED.finditer(code):
         # The braced list's type: the name just before its '{'.
@@ -308,13 +344,22 @@ def writes_in(path, code, header_code, records, listed):
             i -= 1
         t = re.search(r"(" + IDENT + r")\s*$", code[max(0, i - 80):i])
         field = m.group(1)
+        # The value runs to the next ',' or '}' at its own depth.
+        depth, j = 0, m.end()
+        while j < len(code) and not (depth == 0 and code[j] in ",}"):
+            if code[j] in "({[":
+                depth += 1
+            elif code[j] in ")}]":
+                depth -= 1
+            j += 1
+        value = literal(code[m.end():j])
         if t and t.group(1) in records:
             if t.group(1) in listed and field in records[t.group(1)]:
-                yield t.group(1), field, None
+                yield t.group(1), field, None, value
         else:
             for s in listed:
                 if field in records[s]:
-                    yield s, field, None
+                    yield s, field, None, value
 
 
 def main():
@@ -325,9 +370,9 @@ def main():
                       if n.endswith((".hh", ".cc", ".cpp"))]
     code = {f: strip_code(open(f, encoding="utf-8").read()) for f in files}
 
-    records, home = {}, {}
+    records, home, defaults = {}, {}, {}
     for f in files:
-        for name, fields in parse_records(code[f]).items():
+        for name, fields in parse_records(code[f], defaults).items():
             records.setdefault(name, fields)
             if f.endswith(".hh") and f.startswith(os.path.join(ROOT, "src")):
                 home.setdefault(name, f)
@@ -337,12 +382,17 @@ def main():
     listed = set(STRUCTS)
 
     writes = []    # (struct, field, forwarded source or None)
+    at_default = set()  # fields written a literal equal to the default
     for f in files:
         header = os.path.splitext(f)[0] + ".hh"
         header_code = code.get(header, "") if header != f else ""
-        for s, field, source in writes_in(f, code[f], header_code,
-                                          records, listed):
-            if home[s] != f:
+        for s, field, source, value in writes_in(f, code[f], header_code,
+                                                 records, listed):
+            if home[s] == f:
+                continue
+            if value is not None and value == defaults[s].get(field):
+                at_default.add((s, field))
+            else:
                 writes.append((s, field, source))
 
     # A forwarding write sets its field only once its source is set.
@@ -357,11 +407,13 @@ def main():
                 changed = True
 
     unset = []
-    print("settings no shipped code sets:")
+    print("settings no shipped code sets to a second value:")
     for s in STRUCTS:
         fields = records[s]
         mine = [f for f in fields if (s, f) not in is_set]
-        print(f"  {s}: {len(fields)} fields, {len(mine)} unset")
+        dflt = [f for f in mine if (s, f) in at_default]
+        print(f"  {s}: {len(fields)} fields, {len(mine) - len(dflt)} "
+              f"unset, {len(dflt)} set only to the default")
         unset += [f"{s}::{f}" for f in mine]
     for name in unset:
         print(f"    {name}")
@@ -379,10 +431,10 @@ def main():
 
     status = 0
     for title, names in (("allow-list entries without a reason:", no_reason),
-                         ("unset and not on tools/unset_settings.allow:",
-                          new),
+                         ("unset or set only to the default, and not on "
+                          "tools/unset_settings.allow:", new),
                          ("stale tools/unset_settings.allow entries "
-                          "(set now, or gone):", stale)):
+                          "(set to another value now, or gone):", stale)):
         if names:
             print(title, file=sys.stderr)
             for n in names:
