@@ -219,29 +219,8 @@ main(int argc, char** argv)
         // Runs serially after the sweep (the sweep's cells execute on
         // the shared pool), so the emitted bytes are identical at
         // every DRS_THREADS value.
-        const ModelProfile profile =
-            ModelProfile::forModel(ModelId::DlrmRmc2);
         AutoscaleSpec spec;
-        for (size_t m = 0; m < 8; m++) {
-            SchedulerPolicy sched;
-            sched.perRequestBatch = 256;
-            SimConfig machine{
-                CpuCostModel(profile, CpuPlatform::skylake()),
-                std::nullopt, sched};
-            machine.memoryBytes = 1'500'000'000ULL;
-            spec.cluster.machines.push_back(machine);
-        }
-        spec.cluster.network.hopSeconds = 150e-6;
-        spec.cluster.network.gigabytesPerSecond = 12.5;
-        const std::vector<EmbeddingTableInfo> tables =
-            embeddingTables(modelConfig(ModelId::DlrmRmc2));
-        const ShardPlacement placement = ShardPlacement::build(
-            tables, machineMemoryBudgets(spec.cluster.machines),
-            PlacementSpec{});
-        TableSetSpec table_set;
-        table_set.numTables = static_cast<uint32_t>(tables.size());
-        table_set.tablesPerQuery = 8;
-        spec.cluster.sharding = ShardingConfig{placement, table_set};
+        spec.cluster = bench::rmc2ShardedTier(8, 1'500'000'000ULL);
         spec.routing.kind = RoutingKind::ShardAware;
         spec.slaMs = sla_ms;
         spec.controlIntervalSeconds = 0.75;

@@ -17,6 +17,8 @@
 
 #include "base/table.hh"
 #include "base/thread_pool.hh"
+#include "cluster/cluster_sim.hh"
+#include "cluster/model_mix.hh"
 #include "core/deeprecsched.hh"
 #include "obs/observer.hh"
 
@@ -55,6 +57,32 @@ cpuMachine(size_t batch)
     policy.perRequestBatch = batch;
     return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
                      std::nullopt, policy};
+}
+
+/**
+ * The sharded tier of the cluster benches: @p machines DLRM-RMC2
+ * machines on Skylake at batch 256 with @p memory_bytes of embedding
+ * memory each, behind a 150 us router hop at 12.5 GB/s, the model's
+ * tables placed under @p placement with 8 tables per query — a
+ * one-entry mix. The placement may be infeasible; callers check.
+ */
+inline ClusterConfig
+rmc2ShardedTier(size_t machines, uint64_t memory_bytes,
+                const PlacementSpec& placement = {})
+{
+    ModelMixEntry rmc2;
+    rmc2.id = ModelId::DlrmRmc2;
+    rmc2.policy.perRequestBatch = 256;
+    const std::vector<ModelMixEntry> mix = {rmc2};
+    ClusterConfig cluster;
+    cluster.machines.assign(
+        machines,
+        colocatedMachine(mix, CpuPlatform::skylake(), memory_bytes));
+    cluster.network.hopSeconds = 150e-6;
+    cluster.network.gigabytesPerSecond = 12.5;
+    cluster.sharding = colocatedSharding(
+        mix, machineMemoryBudgets(cluster.machines), placement, 8);
+    return cluster;
 }
 
 /** Geometric mean of a series (requires positive entries). */

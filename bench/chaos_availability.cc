@@ -76,34 +76,15 @@ namespace {
 ClusterConfig
 shardedTier(uint32_t min_replicas)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc2);
-    ClusterConfig cluster;
-    for (size_t m = 0; m < 8; m++) {
-        SchedulerPolicy policy;
-        policy.perRequestBatch = 256;
-        SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy};
-        machine.memoryBytes = min_replicas > 1 ? 3'000'000'000ULL
-                                               : 2'000'000'000ULL;
-        cluster.machines.push_back(machine);
-    }
-    cluster.network.hopSeconds = 150e-6;
-    cluster.network.gigabytesPerSecond = 12.5;
-    const std::vector<EmbeddingTableInfo> tables =
-        embeddingTables(modelConfig(ModelId::DlrmRmc2));
     PlacementSpec placement_spec;
-    placement_spec.strategy = PlacementStrategy::GreedyBySize;
     placement_spec.minReplicas = min_replicas;
-    const ShardPlacement placement = ShardPlacement::build(
-        tables, machineMemoryBudgets(cluster.machines), placement_spec);
-    drs_assert(placement.feasible(), "chaos tier placement infeasible");
-    drs_assert(placement.replicatedFor(min_replicas),
+    const ClusterConfig cluster = bench::rmc2ShardedTier(
+        8, min_replicas > 1 ? 3'000'000'000ULL : 2'000'000'000ULL,
+        placement_spec);
+    drs_assert(cluster.sharding->placement.feasible(),
+               "chaos tier placement infeasible");
+    drs_assert(cluster.sharding->placement.replicatedFor(min_replicas),
                "placement missed its replication floor");
-    TableSetSpec table_set;
-    table_set.numTables = static_cast<uint32_t>(
-        modelConfig(ModelId::DlrmRmc2).numTables);
-    table_set.tablesPerQuery = 8;
-    cluster.sharding = ShardingConfig{placement, table_set};
     return cluster;
 }
 

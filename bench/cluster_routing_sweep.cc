@@ -36,9 +36,8 @@ mixedCluster()
     for (size_t m = 0; m < 12; m++) {
         SchedulerPolicy policy;
         policy.perRequestBatch = 256;
-        cfg.machines.push_back(
-            SimConfig{cpu, std::nullopt, policy,
-                      m % 3 == 2 ? 1.4 : 1.0});
+        cfg.machines.push_back(SimConfig{cpu, std::nullopt, policy});
+        cfg.machines.back().slowdown = m % 3 == 2 ? 1.4 : 1.0;
     }
     for (size_t m = 0; m < 4; m++) {
         SchedulerPolicy policy;

@@ -249,34 +249,10 @@ main(int argc, char** argv)
                 "Sharded two-stage tier (DLRM-RMC2 x 8, deadline " +
                     TextTable::num(sla_ms, 0) + " ms)");
 
-    ClusterConfig sharded;
-    {
-        const ModelProfile profile =
-            ModelProfile::forModel(ModelId::DlrmRmc2);
-        for (size_t m = 0; m < 8; m++) {
-            SchedulerPolicy policy;
-            policy.perRequestBatch = 256;
-            SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                              std::nullopt, policy};
-            machine.memoryBytes = 2'000'000'000ULL;
-            sharded.machines.push_back(machine);
-        }
-        sharded.network.hopSeconds = 150e-6;
-        sharded.network.gigabytesPerSecond = 12.5;
-        const std::vector<EmbeddingTableInfo> tables =
-            embeddingTables(modelConfig(ModelId::DlrmRmc2));
-        PlacementSpec placement_spec;
-        placement_spec.strategy = PlacementStrategy::GreedyBySize;
-        const ShardPlacement placement = ShardPlacement::build(
-            tables, machineMemoryBudgets(sharded.machines),
-            placement_spec);
-        drs_assert(placement.feasible(), "sharded placement infeasible");
-        TableSetSpec table_set;
-        table_set.numTables = static_cast<uint32_t>(
-            modelConfig(ModelId::DlrmRmc2).numTables);
-        table_set.tablesPerQuery = 8;
-        sharded.sharding = ShardingConfig{placement, table_set};
-    }
+    const ClusterConfig sharded =
+        bench::rmc2ShardedTier(8, 2'000'000'000ULL);
+    drs_assert(sharded.sharding->placement.feasible(),
+               "sharded placement infeasible");
 
     const std::vector<double> sharded_rates =
         smoke ? std::vector<double>{3500.0, 5000.0}

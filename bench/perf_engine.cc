@@ -159,33 +159,6 @@ struct ScenarioReport
     }
 };
 
-ClusterConfig
-shardedCluster16()
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc2);
-    ClusterConfig cluster;
-    for (size_t m = 0; m < 16; m++) {
-        SchedulerPolicy policy;
-        policy.perRequestBatch = 256;
-        SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy};
-        machine.memoryBytes = 1'500'000'000ULL;
-        cluster.machines.push_back(machine);
-    }
-    cluster.network.hopSeconds = 150e-6;
-    cluster.network.gigabytesPerSecond = 12.5;
-    const std::vector<EmbeddingTableInfo> tables =
-        embeddingTables(modelConfig(ModelId::DlrmRmc2));
-    PlacementSpec placement_spec;
-    const ShardPlacement placement = ShardPlacement::build(
-        tables, machineMemoryBudgets(cluster.machines), placement_spec);
-    TableSetSpec table_set;
-    table_set.numTables = static_cast<uint32_t>(tables.size());
-    table_set.tablesPerQuery = 8;
-    cluster.sharding = ShardingConfig{placement, table_set};
-    return cluster;
-}
-
 /** The machine configs of an @p n-machine colocated tier. */
 std::vector<SimConfig>
 colocatedTier(size_t n)
@@ -355,7 +328,8 @@ main(int argc, char** argv)
     double obs_off_wall = 0.0;
     double obs_on_wall = 0.0;
     {
-        const ClusterConfig cluster = shardedCluster16();
+        const ClusterConfig cluster =
+            bench::rmc2ShardedTier(16, 1'500'000'000ULL);
         LoadSpec load;
         load.qps = 4000.0;
         QueryStream stream(load);

@@ -43,27 +43,6 @@ namespace {
 
 constexpr double kGB = 1e9;
 
-/** 8 identical Skylake machines with the given memory budget. */
-ClusterConfig
-tierWithBudget(double budget_gb)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc2);
-    const CpuCostModel cpu(profile, CpuPlatform::skylake());
-
-    ClusterConfig cfg;
-    for (size_t m = 0; m < 8; m++) {
-        SchedulerPolicy policy;
-        policy.perRequestBatch = 256;
-        SimConfig machine{cpu, std::nullopt, policy};
-        machine.memoryBytes = static_cast<uint64_t>(budget_gb * kGB);
-        cfg.machines.push_back(machine);
-    }
-    // Router hop: 150 us one-way plus serialization at 12.5 GB/s.
-    cfg.network.hopSeconds = 150e-6;
-    cfg.network.gigabytesPerSecond = 12.5;
-    return cfg;
-}
-
 } // namespace
 
 int
@@ -82,10 +61,6 @@ main(int argc, char** argv)
               << tables.size() << " tables, "
               << TextTable::num(static_cast<double>(total_bytes) / kGB, 2)
               << " GB logical embedding storage\n";
-
-    TableSetSpec table_set;
-    table_set.numTables = static_cast<uint32_t>(tables.size());
-    table_set.tablesPerQuery = 8;
 
     TextTable table({"offered QPS", "GB/machine", "strategy", "replicas",
                      "mean fanout", "p50 (ms)", "p95 (ms)",
@@ -110,12 +85,11 @@ main(int argc, char** argv)
         grid,
         [&](const std::pair<double, PlacementStrategy>& cell) {
             const auto& [budget_gb, strategy] = cell;
-            ClusterConfig cluster = tierWithBudget(budget_gb);
             PlacementSpec placement_spec;
             placement_spec.strategy = strategy;
-            const ShardPlacement placement = ShardPlacement::build(
-                tables, machineMemoryBudgets(cluster.machines),
-                placement_spec);
+            ClusterConfig cluster = bench::rmc2ShardedTier(
+                8, static_cast<uint64_t>(budget_gb * kGB), placement_spec);
+            const ShardPlacement& placement = cluster.sharding->placement;
             if (!placement.feasible()) {
                 return std::vector<std::string>{
                     TextTable::num(qps, 0),
@@ -123,7 +97,6 @@ main(int argc, char** argv)
                     placementStrategyName(strategy),
                     "-", "-", "-", "-", "-", "infeasible", "-", "-"};
             }
-            cluster.sharding = ShardingConfig{placement, table_set};
 
             RoutingSpec routing;
             routing.kind = RoutingKind::ShardAware;

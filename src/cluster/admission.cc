@@ -154,7 +154,7 @@ AdmissionController::partServiceSeconds(size_t m, uint32_t size,
     // through the binding's own cost model, at full core contention —
     // the steady state an overloaded machine actually runs in.
     const SimConfig& machine = machines_[m];
-    const size_t b = machine.policyOf(model).perRequestBatch;
+    const size_t b = machine.bindings[model].policy.perRequestBatch;
     const double requests =
         std::ceil(static_cast<double>(size) / static_cast<double>(b));
     const double parallelism = std::min(coresOf(m), requests);

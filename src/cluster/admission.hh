@@ -400,7 +400,7 @@ class AdmissionController
     double
     coresOf(size_t m) const
     {
-        return static_cast<double>(machines_[m].cpu.platform().cores);
+        return static_cast<double>(machines_[m].cores());
     }
 
     /**

@@ -523,7 +523,7 @@ class ElasticMembership final : public Membership
                 capacity +=
                     (now - std::max(acceptingSince[m], windowStart)) *
                     static_cast<double>(
-                        spec_.cluster.machines[m].cpu.platform().cores);
+                        spec_.cluster.machines[m].cores());
             }
         }
         const uint64_t arrivals =

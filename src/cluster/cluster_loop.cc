@@ -782,7 +782,7 @@ ClusterLoop::run()
     // core plus one offload, plus forwarded parts in flight.
     size_t total_cores = 0;
     for (const SimConfig& machine : cfg.machines)
-        total_cores += machine.cpu.platform().cores;
+        total_cores += machine.cores();
     events.reserve(std::min(trace.size(), total_cores + 256));
     scheduled.reserve(256);
     if (faultsOn) {
@@ -923,7 +923,7 @@ ClusterLoop::finishBooks()
         const double billed = members.billedSeconds(m, full_span);
         if (billed > 0.0) {
             const double cores = static_cast<double>(
-                cfg.machines[m].cpu.platform().cores);
+                cfg.machines[m].cores());
             stats.cpuUtilization = stats.busyCoreSeconds / (billed * cores);
             stats.gpuUtilization = stats.gpuBusySeconds / billed;
         }

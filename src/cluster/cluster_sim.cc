@@ -1,5 +1,7 @@
 #include "cluster_sim.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "cluster/cluster_loop.hh"
 #include "loadgen/query_stream.hh"
@@ -59,16 +61,12 @@ validateClusterConfig(const ClusterConfig& cfg, const char* tier)
         // accepting machine for any query.
         (void)splitCountByFraction(mixFractions(cfg.modelMix), 0);
         for (size_t m = 0; m < cfg.machines.size(); m++) {
-            if (cfg.machines[m].numModels() < cfg.modelMix.size())
+            if (cfg.machines[m].bindings.size() < cfg.modelMix.size())
                 drs_fatal(tier, ": machine ", m, " binds ",
-                          cfg.machines[m].numModels(), " of the mix's ",
+                          cfg.machines[m].bindings.size(), " of the mix's ",
                           cfg.modelMix.size(), " models; every machine "
                           "needs a binding per mix entry");
         }
-        if (cfg.modelMix.size() > 1 && cfg.sharding.has_value() &&
-            cfg.sharding->models.size() != cfg.modelMix.size())
-            drs_fatal(tier, ": a multi-model sharded tier needs one table "
-                      "namespace per mix model");
     }
     if (cfg.sharding.has_value()) {
         const ShardPlacement& placement = cfg.sharding->placement;
@@ -76,9 +74,23 @@ validateClusterConfig(const ClusterConfig& cfg, const char* tier)
             drs_fatal(tier, " sharding needs a feasible placement");
         if (placement.numMachines() != cfg.machines.size())
             drs_fatal(tier, ": placement machine count mismatch");
-        if (cfg.sharding->tableSet.numTables != placement.numTables())
-            drs_fatal(tier, ": table-set model must match the placed "
-                      "tables");
+        // One namespace per served model, tiling the placed tables in
+        // order: no table aliased between two models, none unreached.
+        const std::vector<ModelTableSpace>& spaces = cfg.sharding->models;
+        const size_t served = std::max<size_t>(1, cfg.modelMix.size());
+        if (spaces.size() != served)
+            drs_fatal(tier, ": ", spaces.size(), " table namespaces for ",
+                      served, " served models");
+        size_t next = 0;
+        for (size_t k = 0; k < spaces.size(); k++) {
+            if (spaces[k].base != next || spaces[k].set.numTables == 0)
+                drs_fatal(tier, ": table namespace ", k, " must start at "
+                          "table ", next, " and hold at least one table");
+            next += spaces[k].set.numTables;
+        }
+        if (next != placement.numTables())
+            drs_fatal(tier, ": table namespaces cover ", next, " of the ",
+                      placement.numTables(), " placed tables");
         for (size_t m = 0; m < cfg.machines.size(); m++) {
             const uint64_t budget = cfg.machines[m].memoryBytes;
             if (budget != 0 && placement.bytesOnMachine(m) > budget)

@@ -76,11 +76,12 @@ struct ClusterConfig
     JoinModel join = JoinModel::TwoStage;
 
     /**
-     * Embedding-shard placement of the served model. When set, the
+     * Embedding-shard placement of the served models. When set, the
      * placement must span exactly machines.size() machines, be
-     * feasible, and respect every machine's SimConfig::memoryBytes
-     * budget (checked fatally at construction). Shard-aware routing
-     * requires it; other policies ignore it.
+     * feasible, respect every machine's SimConfig::memoryBytes
+     * budget, and carry one table namespace per served model (checked
+     * fatally at construction). Shard-aware routing requires it;
+     * other policies ignore it.
      */
     std::optional<ShardingConfig> sharding;
 
@@ -112,11 +113,10 @@ struct ClusterConfig
      * Query::model indexes this vector, every machine must carry a
      * binding for every entry (colocatedMachine builds one), and
      * per-model statistics (ClusterResult::perModel) and SLA checks
-     * key off it. Empty on
-     * single-model tiers — the historical configuration, in which the
-     * whole multi-model layer is bitwise invisible. Traffic fractions
-     * must sum to 1; a multi-model *sharded* tier additionally needs
-     * one ShardingConfig::models namespace per mix entry.
+     * key off it. Empty on single-model tiers, which skip the
+     * per-model books. Traffic fractions must sum to 1; a sharded
+     * tier needs one ShardingConfig::models namespace per entry (one
+     * when the mix is empty).
      */
     std::vector<ModelMixEntry> modelMix;
 };
@@ -127,14 +127,25 @@ constexpr size_t kMaxClusterMachines = size_t{1} << 16;
 
 /**
  * Check a tier's configuration, reporting the first error through
- * drs_fatal: 1..kMaxClusterMachines valid machines, a well-formed
- * model mix of at most kMaxMixModels models that every machine binds
- * in full, a priority-class count a query can carry, a placement that
- * fits the tier and its memory budgets, a fault plan the placement
- * survives, a hedge on a sharded tier, and an enabled overload
- * policy's cap, deadline, priority margin and retry parameters. @p tier names the tier in the message.
- * Both cluster facades call it at construction; the capacity planner
- * reaches it through each candidate tier's ClusterSimulator.
+ * drs_fatal:
+ *  - 1..kMaxClusterMachines machines, each valid for
+ *    MachineEngine::validate (at least one binding, every binding's
+ *    batch, offload and core count sound, a positive slowdown);
+ *  - a priority-class count a query can carry;
+ *  - a model mix of at most kMaxMixModels models whose fractions sum
+ *    to 1 and that every machine binds in full;
+ *  - on a sharded tier, a feasible placement over exactly the tier's
+ *    machines within their memory budgets, and max(1, mix size)
+ *    table namespaces that tile the placed tables in order;
+ *  - a well-formed fault plan whose declared tolerance the
+ *    placement's replication meets;
+ *  - a hedge only on a sharded tier;
+ *  - an enabled overload policy with at most
+ *    OverloadConfig::maxPriorityClasses priority classes and, under
+ *    deadline admission or degrade, a positive deadline.
+ * @p tier names the tier in the message. Both cluster facades call it
+ * at construction; the capacity planner reaches it through each
+ * candidate tier's ClusterSimulator.
  */
 void validateClusterConfig(const ClusterConfig& cfg, const char* tier);
 

@@ -41,12 +41,12 @@ colocatedMachine(const std::vector<ModelMixEntry>& mix,
             service.gpu = GpuCostModel(profile, GpuPlatform::gtx1080Ti());
         return service;
     };
-    ModelService primary = binding(mix.front());
-    SimConfig machine{std::move(primary.cpu), std::move(primary.gpu),
-                      primary.policy};
+    ModelService first = binding(mix.front());
+    SimConfig machine{std::move(first.cpu), std::move(first.gpu),
+                      first.policy};
     machine.memoryBytes = memory_bytes;
     for (size_t k = 1; k < mix.size(); k++)
-        machine.coModels.push_back(binding(mix[k]));
+        machine.bindings.push_back(binding(mix[k]));
     return machine;
 }
 
@@ -92,9 +92,6 @@ colocatedSharding(const std::vector<ModelMixEntry>& mix,
     for (EmbeddingTableInfo& t : combined)
         t.popularity /= weight_sum;
 
-    sharding.tableSet.numTables = static_cast<uint32_t>(combined.size());
-    sharding.tableSet.tablesPerQuery = tables_per_query;
-    sharding.tableSet.zipfS = zipf_s;
     sharding.placement =
         ShardPlacement::build(combined, budget_bytes, placement);
     return sharding;

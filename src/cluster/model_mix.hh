@@ -11,12 +11,12 @@
  * model on every machine) and into a sharded-tier table space where
  * each model's embedding tables live in their own namespace.
  *
- * Conventions: mix entry 0 is the machine's *primary* model — its
- * cost models and policy land in SimConfig's primary fields, so a
- * 1-entry mix produces exactly the machine a single-model config
- * would, and the whole multi-model layer is bitwise invisible until a
- * second entry appears. Traffic fractions must sum to 1. A slaMs of 0
- * means "no per-model target" (the fleet-wide SLA still applies).
+ * Conventions: mix entry k becomes binding k of every machine
+ * (SimConfig::bindings) and table namespace k of a sharded tier
+ * (ShardingConfig::models), so a single-model tier is a 1-entry mix
+ * and its builders give exactly the one-binding machine and the
+ * one-namespace sharding. Traffic fractions must sum to 1. A slaMs of
+ * 0 means "no per-model target" (the fleet-wide SLA still applies).
  *
  * Determinism: builders are pure functions of their inputs; per-model
  * table namespaces derive their working-set seeds via
@@ -63,12 +63,10 @@ ModelMixEntry makeMixEntry(ModelId id, double traffic_fraction,
                            SlaTier tier = SlaTier::Medium);
 
 /**
- * One machine serving every model of @p mix on @p platform: entry 0
- * becomes the primary cpu/gpu/policy fields and every further entry a
- * co-model binding, all sharing the machine's core pool and
- * @p memory_bytes budget. A 1-entry mix reproduces the single-model
- * machine config field for field. Entries with gpuEnabled policies
- * get a GTX-1080Ti-class accelerator model. An empty mix is fatal.
+ * One machine serving every model of @p mix on @p platform: entry k
+ * becomes binding k, all sharing the machine's core pool and
+ * @p memory_bytes budget. Entries with gpuEnabled policies get a
+ * GTX-1080Ti-class accelerator model. An empty mix is fatal.
  */
 SimConfig colocatedMachine(const std::vector<ModelMixEntry>& mix,
                            const CpuPlatform& platform,

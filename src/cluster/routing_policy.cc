@@ -46,7 +46,8 @@ ClusterView::ClusterView(const std::vector<SimConfig>& machines)
     engines_.reserve(machines.size());
     for (const SimConfig& machine : machines) {
         engines_.emplace_back(&machine);
-        gpu_.push_back(machine.policy.gpuEnabled && machine.gpu.has_value());
+        const ModelService& first = machine.bindings.front();
+        gpu_.push_back(first.policy.gpuEnabled && first.gpu.has_value());
         speed_.push_back(1.0 / machine.slowdown);
     }
 }
@@ -259,22 +260,17 @@ class ShardAwarePolicy final : public RoutingPolicy
   public:
     explicit ShardAwarePolicy(const ShardingConfig& sharding_in)
         : sharding(sharding_in),
-          popularity(tablePopularity(sharding_in.tableSet.numTables,
-                                     sharding_in.tableSet.zipfS)),
           cover(sharding_in.placement.numMachines(), 0)
     {
         drs_assert(sharding.placement.feasible(),
                    "shard-aware routing needs a feasible placement");
-        drs_assert(sharding.tableSet.numTables <=
-                       sharding.placement.numTables(),
-                   "query tables outside the placement");
-        // Multi-model namespaces: cache each model's own popularity
-        // weights (drawn in its local table space) once.
+        // Cache each model's popularity weights (drawn in its local
+        // table space) once.
         popularityOfModel.reserve(sharding.models.size());
         for (const ModelTableSpace& space : sharding.models) {
             drs_assert(static_cast<size_t>(space.base) + space.set.numTables
-                           <= sharding.tableSet.numTables,
-                       "model table namespace exceeds the combined space");
+                           <= sharding.placement.numTables(),
+                       "model table namespace exceeds the placed tables");
             popularityOfModel.push_back(
                 tablePopularity(space.set.numTables, space.set.zipfS));
         }
@@ -295,21 +291,15 @@ class ShardAwarePolicy final : public RoutingPolicy
         const ShardPlacement& placement = sharding.placement;
         drs_assert(placement.numMachines() == view.numMachines(),
                    "placement machine count mismatch");
-        std::vector<uint32_t> tables;
-        if (sharding.models.empty()) {
-            // Single-model tier: the historical draw, verbatim.
-            tables = tablesOfQuery(query.id, sharding.tableSet, popularity);
-        } else {
-            // Multi-model tier: draw in the query's own model's local
-            // table space, then shift into the combined id space.
-            drs_assert(query.model < sharding.models.size(),
-                       "query's model has no table namespace");
-            const ModelTableSpace& space = sharding.models[query.model];
-            tables = tablesOfQuery(query.id, space.set,
-                                   popularityOfModel[query.model]);
-            for (uint32_t& t : tables)
-                t += space.base;
-        }
+        // Draw in the query's own model's local table space, then
+        // shift into the placement's id space.
+        drs_assert(query.model < sharding.models.size(),
+                   "query's model has no table namespace");
+        const ModelTableSpace& space = sharding.models[query.model];
+        std::vector<uint32_t> tables = tablesOfQuery(
+            query.id, space.set, popularityOfModel[query.model]);
+        for (uint32_t& t : tables)
+            t += space.base;
         if (obs_)
             obs_->onTablesTouched(tables);
 
@@ -403,8 +393,7 @@ class ShardAwarePolicy final : public RoutingPolicy
 
   private:
     const ShardingConfig& sharding;
-    std::vector<double> popularity;    ///< cached Zipf weights
-    /** Per-model weights of a multi-model tier (local table spaces). */
+    /** Per-model Zipf weights (local table spaces). */
     std::vector<std::vector<double>> popularityOfModel;
     std::vector<size_t> candidates;    ///< scratch, reused per call
     std::vector<bool> covered;         ///< scratch: per touched table

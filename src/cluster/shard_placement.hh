@@ -225,12 +225,12 @@ std::vector<uint32_t> tablesOfQuery(uint64_t query_id,
                                     const std::vector<double>& popularity);
 
 /**
- * One model's namespace within a multi-model sharded tier: its own
- * working-set spec (seeded per model so two models' draws are
- * independent) and the offset of its tables within the concatenated
- * table id space the placement was built over. Query-time table ids
- * are drawn in the model's local space and shifted by @p base, so two
- * colocated models never alias each other's tables.
+ * One model's namespace within a sharded tier's table id space: its
+ * own working-set spec (seeded per model so two models' draws are
+ * independent) and the offset of its tables within the space the
+ * placement was built over. Query-time table ids are drawn in the
+ * model's local space and shifted by @p base, so two colocated models
+ * never alias each other's tables.
  */
 struct ModelTableSpace
 {
@@ -239,19 +239,16 @@ struct ModelTableSpace
 };
 
 /**
- * Everything the cluster tier needs to serve a sharded model: the
- * table-to-machine assignment and the per-query working-set model.
- *
- * Multi-model tiers additionally carry one ModelTableSpace per mix
- * model; entry k namespaces mix model k's tables within the combined
- * placement (tableSet then describes the concatenated space). Empty
- * on every single-model tier — the historical configuration.
+ * Everything the cluster tier needs to serve sharded models: the
+ * table-to-machine assignment and one table namespace per served
+ * model. Namespace k belongs to mix model k; the namespaces tile the
+ * placed tables in order (validateClusterConfig checks), so a
+ * single-model tier is one namespace over every table.
  */
 struct ShardingConfig
 {
     ShardPlacement placement;
-    TableSetSpec tableSet;
-    std::vector<ModelTableSpace> models = {};
+    std::vector<ModelTableSpace> models;
 };
 
 } // namespace deeprecsys

@@ -35,10 +35,9 @@ struct Query
     /**
      * Which model of the serving tier's mix this query targets: an
      * index into ClusterConfig::modelMix (NOT the ModelId enum, so a
-     * mix may serve two variants of the same Table-1 model). Single-
-     * model traffic is all 0 — the historical path — and a machine's
-     * primary cost/policy fields serve model 0, so the default is
-     * bitwise invisible.
+     * mix may serve two variants of the same Table-1 model), and into
+     * every machine's SimConfig::bindings. Single-model traffic is
+     * all 0, served by each machine's one binding.
      */
     uint16_t model = 0;
 };

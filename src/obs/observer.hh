@@ -3,8 +3,9 @@
  * The in-run observability layer: query span tracing, windowed
  * metrics, and latency attribution for the simulation drivers.
  *
- * A RunObserver is attached to one driver run (ServingSimulator,
- * ClusterSimulator or Autoscaler) and receives a narrow stream of
+ * A RunObserver is attached to one run of a cluster driver
+ * (ClusterSimulator or Autoscaler; the single-machine and fleet
+ * simulators take none) and receives a narrow stream of
  * hooks as queries move through the system: router dispatch ->
  * per-machine queue wait -> service -> fan-out network hops -> join
  * wait -> completion. From that stream it builds three products:
@@ -31,9 +32,11 @@
  * Remote parts' own queue/service times additionally feed the
  * `queue_wait_ms` / `service_ms` histograms.
  *
- * Zero-cost when disabled: drivers keep a null observer pointer and
- * guard every hook behind one pointer test; bench/perf_engine gates
- * the disabled path at <1% overhead against its recorded baseline.
+ * Disabled by default: drivers keep a null observer pointer and
+ * guard every hook behind one pointer test. bench/perf_engine times
+ * two null-observer runs of one workload in interleaved pairs and
+ * fails past 1% apart: the gate bounds host noise between identical
+ * runs, not the disabled path's own cost (docs/OBSERVABILITY.md).
  *
  * Ownership: the observer owns its products and keeps no per-query
  * state. A driver stamps each query's dispatch and leader part times

@@ -15,21 +15,20 @@ MachineEngine::MachineEngine(const SimConfig* config) : cfg(config)
 void
 MachineEngine::validate(const SimConfig& config)
 {
-    if (config.policy.perRequestBatch < 1)
-        drs_fatal("per-request batch must be >= 1");
+    if (config.bindings.empty())
+        drs_fatal("a machine needs at least one model binding");
     if (!(config.slowdown > 0.0))
         drs_fatal("slowdown must be positive");
-    if (config.policy.gpuEnabled && !config.gpu.has_value())
-        drs_fatal("GPU policy without a GPU model");
-    for (const ModelService& co : config.coModels) {
-        if (co.policy.perRequestBatch < 1)
-            drs_fatal("co-model per-request batch must be >= 1");
-        if (co.policy.gpuEnabled && !co.gpu.has_value())
-            drs_fatal("co-model GPU policy without a GPU model");
+    for (size_t k = 0; k < config.bindings.size(); k++) {
+        const ModelService& binding = config.bindings[k];
+        if (binding.policy.perRequestBatch < 1)
+            drs_fatal("binding ", k, ": per-request batch must be >= 1");
+        if (binding.policy.gpuEnabled && !binding.gpu.has_value())
+            drs_fatal("binding ", k, ": GPU policy without a GPU model");
         // Every binding shares this machine's physical core pool.
-        if (co.cpu.platform().cores != config.cpu.platform().cores)
-            drs_fatal("co-model platform core count differs from the "
-                      "machine");
+        if (binding.cpu.platform().cores != config.cores())
+            drs_fatal("binding ", k, ": platform core count differs from "
+                      "the machine's");
     }
 }
 
@@ -114,10 +113,9 @@ SimConfig::queuedRequestSeconds(uint32_t model, size_t batch, bool whole,
                                 double emb_fraction, bool leader) const
 {
     // Every binding shares the machine's core pool (validate()).
-    const CpuCostModel& c = cpuOf(model);
-    const size_t cores = cpu.platform().cores;
-    return (whole ? c.requestSeconds(batch, cores)
-                  : c.partialRequestSeconds(batch, cores, emb_fraction,
+    const CpuCostModel& c = bindings[model].cpu;
+    return (whole ? c.requestSeconds(batch, cores())
+                  : c.partialRequestSeconds(batch, cores(), emb_fraction,
                                             leader)) *
            slowdown;
 }
@@ -125,7 +123,7 @@ SimConfig::queuedRequestSeconds(uint32_t model, size_t batch, bool whole,
 double
 SimConfig::queuedGpuSeconds(uint32_t model, uint32_t samples) const
 {
-    return gpuOf(model)->querySeconds(samples) * slowdown;
+    return bindings[model].gpu->querySeconds(samples) * slowdown;
 }
 
 double
@@ -134,7 +132,7 @@ MachineEngine::joinPhaseCostSeconds(uint32_t samples, uint32_t model) const
     drs_assert(samples >= 1, "join phase needs samples");
     drs_assert(cfg->servesModel(model), "join phase for an unserved model");
     double cost = 0.0;
-    cfg->policyOf(model).forEachRequest(samples, [&](uint32_t take) {
+    cfg->bindings[model].policy.forEachRequest(samples, [&](uint32_t take) {
         cost += cfg->queuedRequestSeconds(model, take, /*whole=*/false,
                                           /*emb_fraction=*/0.0,
                                           /*leader=*/true);
@@ -145,7 +143,7 @@ MachineEngine::joinPhaseCostSeconds(uint32_t samples, uint32_t model) const
 void
 MachineEngine::dispatchCpu(double now, std::vector<EngineEvent>& out)
 {
-    const size_t cores = cfg->cpu.platform().cores;
+    const size_t cores = cfg->cores();
     while (busyCores_ < cores && !cpuQueue.empty()) {
         const PendingRequest req = cpuQueue.front();
         cpuQueue.pop_front();
@@ -159,7 +157,7 @@ MachineEngine::dispatchCpu(double now, std::vector<EngineEvent>& out)
         // (plus the dense stacks when they lead). The contention term
         // sees how many cores are busy at dispatch, this one included.
         // Service is priced through the part's own model binding.
-        const CpuCostModel& cpu = cfg->cpuOf(book.model);
+        const CpuCostModel& cpu = cfg->bindings[book.model].cpu;
         const double service =
             (book.whole
                  ? cpu.requestSeconds(req.batch, busyCores_)
@@ -186,7 +184,7 @@ MachineEngine::startGpu(double now, std::vector<EngineEvent>& out)
     if (book.firstStart < 0)
         book.firstStart = now;
     const double service =
-        cfg->gpuOf(book.model)->querySeconds(book.samples) *
+        cfg->bindings[book.model].gpu->querySeconds(book.samples) *
         cfg->slowdown * serviceFactor_;
     out.push_back({now + service, EngineEvent::Kind::GpuQuery,
                    book.partIdx, req.slot});
@@ -216,10 +214,10 @@ MachineEngine::admit(const PartSpec& part, double now,
         totalSamples_ += part.samples;
     // Batch formation and offload follow the part's own model
     // binding; the query is the batch-split source, so requests never
-    // mix models (model 0 = the primary policy, historical path).
+    // mix models.
     // Each queued item is priced once, here; dispatch subtracts the
     // stored price.
-    const SchedulerPolicy& sched = cfg->policyOf(part.model);
+    const SchedulerPolicy& sched = cfg->bindings[part.model].policy;
     const bool offload = part.whole && sched.gpuEnabled &&
         part.samples >= sched.gpuQueryThreshold;
     if (offload) {

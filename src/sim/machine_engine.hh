@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "costmodel/cpu_cost.hh"
@@ -79,11 +80,9 @@ struct SchedulerPolicy
 };
 
 /**
- * One co-served model's machine-side binding on a multi-model tier:
- * its own cost models and scheduler policy. Entry k of
- * SimConfig::coModels serves mix model k+1; the SimConfig's primary
- * cpu/gpu/policy fields serve model 0 (the historical single-model
- * path, kept verbatim so single-model arithmetic is untouched).
+ * One model's machine-side binding: its own cost models and
+ * scheduler policy. Binding k of SimConfig::bindings serves mix model
+ * k; a single-model machine is one binding.
  */
 struct ModelService
 {
@@ -95,9 +94,20 @@ struct ModelService
 /** Configuration of one simulated serving machine. */
 struct SimConfig
 {
-    CpuCostModel cpu;
-    std::optional<GpuCostModel> gpu;
-    SchedulerPolicy policy;
+    /** A machine serving one model (mix model 0). */
+    SimConfig(CpuCostModel cpu, std::optional<GpuCostModel> gpu,
+              SchedulerPolicy policy)
+    {
+        bindings.push_back({std::move(cpu), std::move(gpu), policy});
+    }
+
+    /**
+     * The models this machine serves, at least one: binding k serves
+     * mix model k. All bindings share this machine's core pool,
+     * slowdown, and memory budget; only pricing and batch policy are
+     * per-model.
+     */
+    std::vector<ModelService> bindings;
 
     /** Machine speed multiplier (>1 is slower; fleet heterogeneity). */
     double slowdown = 1.0;
@@ -110,42 +120,12 @@ struct SimConfig
      */
     uint64_t memoryBytes = 0;
 
-    /**
-     * Additional models this machine co-serves (multi-model tiers):
-     * binding k serves mix model k+1. Empty on every single-model
-     * machine — the historical configuration, bitwise untouched. All
-     * bindings share this machine's core pool, slowdown, and memory
-     * budget; only pricing and batch policy are per-model.
-     */
-    std::vector<ModelService> coModels = {};
-
-    /** Models this machine serves (primary + co-served bindings). */
-    size_t numModels() const { return 1 + coModels.size(); }
+    /** Cores of the machine's shared pool (every binding's platform
+     *  has this many; MachineEngine::validate checks). */
+    size_t cores() const { return bindings.front().cpu.platform().cores; }
 
     /** True when mix model @p model has a binding on this machine. */
-    bool servesModel(uint32_t model) const { return model < numModels(); }
-
-    // Model-binding lookups. Model 0 returns the primary fields — the
-    // very same objects the single-model engine always priced
-    // through, so the model-0 arithmetic is bit-identical to the
-    // pre-colocation engine.
-    const CpuCostModel&
-    cpuOf(uint32_t model) const
-    {
-        return model == 0 ? cpu : coModels[model - 1].cpu;
-    }
-
-    const std::optional<GpuCostModel>&
-    gpuOf(uint32_t model) const
-    {
-        return model == 0 ? gpu : coModels[model - 1].gpu;
-    }
-
-    const SchedulerPolicy&
-    policyOf(uint32_t model) const
-    {
-        return model == 0 ? policy : coModels[model - 1].policy;
-    }
+    bool servesModel(uint32_t model) const { return model < bindings.size(); }
 
     /**
      * The full-contention price of a queued CPU request: seconds of a
@@ -187,8 +167,8 @@ struct PartSpec
     bool whole = true;
 
     /**
-     * Mix model this part belongs to (index into the machine's model
-     * bindings; 0 = the primary model, the historical default). The
+     * Mix model this part belongs to (index into the machine's
+     * SimConfig::bindings; 0 on a single-model tier). The
      * engine prices, batch-splits, and offloads the part through that
      * model's own binding, and never merges requests across models —
      * each query is its own batch-split source, so a batch is

@@ -27,9 +27,9 @@ ServingSimulator::run(const QueryTrace& trace)
     // Pre-size the heap: in-flight completions are bounded by the
     // core pool plus queued offloads, far under one event per query.
     events.reserve(std::min<size_t>(trace.size(),
-                                    cfg.cpu.platform().cores + 64));
+                                    cfg.cores() + 64));
     std::vector<EngineEvent> scheduled;
-    scheduled.reserve(cfg.cpu.platform().cores + 8);
+    scheduled.reserve(cfg.cores() + 8);
 
     MeasuredSpan span;
     double lastEventTime = trace.front().arrivalSeconds;
@@ -94,7 +94,7 @@ ServingSimulator::run(const QueryTrace& trace)
     const double full_span = lastEventTime - trace.front().arrivalSeconds;
     if (full_span > 0.0) {
         const double cores =
-            static_cast<double>(cfg.cpu.platform().cores);
+            static_cast<double>(cfg.cores());
         result.cpuUtilization =
             result.cpuBusyCoreSeconds / (full_span * cores);
         result.gpuUtilization = result.gpuBusySeconds / full_span;

@@ -34,11 +34,9 @@ constexpr size_t kManyThreads = 8;
 SimConfig
 cpuMachine(size_t batch = 256, double slowdown = 1.0)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, slowdown};
+    SimConfig machine = bench::cpuMachine(batch);
+    machine.slowdown = slowdown;
+    return machine;
 }
 
 ClusterConfig

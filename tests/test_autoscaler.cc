@@ -104,7 +104,7 @@ shardedSpec(size_t machines)
     TableSetSpec table_set;
     table_set.numTables = static_cast<uint32_t>(tables.size());
     table_set.tablesPerQuery = 4;
-    spec.cluster.sharding = ShardingConfig{placement, table_set};
+    spec.cluster.sharding = ShardingConfig{placement, {{table_set}}};
     spec.cluster.network.hopSeconds = 150e-6;
     spec.cluster.network.gigabytesPerSecond = 12.5;
     spec.routing.kind = RoutingKind::ShardAware;
@@ -483,7 +483,7 @@ TEST(Autoscaler, ShardRevalidationRefusesOrphaningDrains)
     TableSetSpec table_set;
     table_set.numTables = static_cast<uint32_t>(tables.size());
     table_set.tablesPerQuery = 4;
-    spec.cluster.sharding = ShardingConfig{placement, table_set};
+    spec.cluster.sharding = ShardingConfig{placement, {{table_set}}};
     spec.routing.kind = RoutingKind::ShardAware;
     spec.slaMs = 100.0;
     spec.controlIntervalSeconds = 0.5;
@@ -525,7 +525,7 @@ TEST(Autoscaler, ShardDrainAllowedUnderFullReplication)
     TableSetSpec table_set;
     table_set.numTables = static_cast<uint32_t>(tables.size());
     table_set.tablesPerQuery = 4;
-    spec.cluster.sharding = ShardingConfig{placement, table_set};
+    spec.cluster.sharding = ShardingConfig{placement, {{table_set}}};
     spec.routing.kind = RoutingKind::ShardAware;
     spec.slaMs = 100.0;
     spec.controlIntervalSeconds = 0.5;
@@ -557,8 +557,8 @@ TEST(AutoscalePin, ShardedElasticDayScalesAndServesTheSame)
     ASSERT_TRUE(placement.feasible());
     spec.cluster.sharding = ShardingConfig{
         placement,
-        TableSetSpec{.numTables = static_cast<uint32_t>(tables.size()),
-                     .tablesPerQuery = 4}};
+        {{TableSetSpec{.numTables = static_cast<uint32_t>(tables.size()),
+                       .tablesPerQuery = 4}}}};
     spec.cluster.network.hopSeconds = 150e-6;
     spec.cluster.network.gigabytesPerSecond = 12.5;
     spec.routing.kind = RoutingKind::ShardAware;

@@ -23,8 +23,10 @@ cpuMachine(double slowdown = 1.0, size_t batch = 256)
     const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, slowdown};
+    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
+                      std::nullopt, policy};
+    machine.slowdown = slowdown;
+    return machine;
 }
 
 SimConfig
@@ -35,9 +37,11 @@ gpuMachine(uint32_t threshold = 64, double slowdown = 1.0)
     policy.perRequestBatch = 256;
     policy.gpuEnabled = true;
     policy.gpuQueryThreshold = threshold;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     GpuCostModel(profile, GpuPlatform::gtx1080Ti()),
-                     policy, slowdown};
+    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
+                      GpuCostModel(profile, GpuPlatform::gtx1080Ti()),
+                      policy};
+    machine.slowdown = slowdown;
+    return machine;
 }
 
 ClusterConfig
@@ -271,6 +275,129 @@ TEST(ClusterConfigDeath, MachineMissingAMixBindingIsAConfigError)
     cfg.modelMix = mix;
     EXPECT_EXIT(ClusterSimulator{cfg}, ::testing::ExitedWithCode(1),
                 "cluster: machine 0 binds 1 of the mix's 2 models");
+}
+
+TEST(ClusterConfigDeath, MachineWithoutABindingIsAConfigError)
+{
+    ClusterConfig cfg;
+    cfg.machines = {cpuMachine()};
+    cfg.machines[0].bindings.clear();
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "a machine needs at least one model binding");
+}
+
+TEST(ClusterConfigDeath, BindingOnAnotherCoreCountIsAConfigError)
+{
+    // Every binding prices the machine's one core pool; a binding
+    // calibrated for a 40-core Broadwell on a 28-core Skylake is not
+    // that pool.
+    ClusterConfig cfg;
+    cfg.machines = {cpuMachine()};
+    cfg.machines[0].bindings.push_back(
+        {CpuCostModel(ModelProfile::forModel(ModelId::WideAndDeep),
+                      CpuPlatform::broadwell()),
+         std::nullopt, SchedulerPolicy{}});
+    ASSERT_NE(CpuPlatform::broadwell().cores, CpuPlatform::skylake().cores);
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "binding 1: platform core count differs from the machine's");
+}
+
+/** A two-model tier over 15 placed tables, left without namespaces. */
+ClusterConfig
+fifteenTableTwoModelTier()
+{
+    const std::vector<ModelMixEntry> mix = {
+        makeMixEntry(ModelId::DlrmRmc2, 0.5),
+        makeMixEntry(ModelId::WideAndDeep, 0.5),
+    };
+    ClusterConfig cfg;
+    cfg.machines.assign(2, colocatedMachine(mix, CpuPlatform::skylake()));
+    cfg.modelMix = mix;
+    std::vector<EmbeddingTableInfo> tables;
+    for (uint32_t t = 0; t < 15; t++)
+        tables.push_back({t, 1'000'000ULL, 1.0 / 15.0});
+    cfg.sharding = ShardingConfig{
+        ShardPlacement::build(tables, machineMemoryBudgets(cfg.machines),
+                              PlacementSpec{}),
+        {}};
+    return cfg;
+}
+
+ModelTableSpace
+tableSpace(uint32_t base, uint32_t num_tables)
+{
+    return {TableSetSpec{.numTables = num_tables, .tablesPerQuery = 4},
+            base};
+}
+
+TEST(ClusterConfig, TableNamespacesTilingThePlacedTablesPass)
+{
+    ClusterConfig cfg = fifteenTableTwoModelTier();
+    cfg.sharding->models = {tableSpace(0, 7), tableSpace(7, 8)};
+    MixedTraceTemplate mixed(LoadSpec{}, mixFractions(cfg.modelMix));
+    mixed.ensure(200);
+    const ClusterResult r = ClusterSimulator(cfg).run(
+        mixed.materialize(2000.0, 200), RoutingSpec{RoutingKind::ShardAware});
+    EXPECT_EQ(r.numCompleted, 200u);
+}
+
+TEST(ClusterConfigDeath, OverlappingTableNamespacesAreAConfigError)
+{
+    // Tables 5-9 would serve both models.
+    ClusterConfig cfg = fifteenTableTwoModelTier();
+    cfg.sharding->models = {tableSpace(0, 10), tableSpace(5, 10)};
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "cluster: table namespace 1 must start at table 10 and hold "
+                "at least one table");
+}
+
+TEST(ClusterConfigDeath, TableNamespacesWithAGapAreAConfigError)
+{
+    // Tables 5 and 6 are placed but no query can reach them.
+    ClusterConfig cfg = fifteenTableTwoModelTier();
+    cfg.sharding->models = {tableSpace(0, 5), tableSpace(7, 8)};
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "cluster: table namespace 1 must start at table 5");
+    // An empty namespace is refused too: its queries would touch no
+    // table at all.
+    cfg.sharding->models = {tableSpace(0, 15), tableSpace(15, 0)};
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "cluster: table namespace 1 must start at table 15 and hold "
+                "at least one table");
+}
+
+TEST(ClusterConfigDeath, TableNamespacesShortOfThePlacementAreAConfigError)
+{
+    ClusterConfig cfg = fifteenTableTwoModelTier();
+    cfg.sharding->models = {tableSpace(0, 5), tableSpace(5, 5)};
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "cluster: table namespaces cover 10 of the 15 placed tables");
+}
+
+TEST(ClusterConfigDeath, TableNamespaceCountOtherThanServedModelsIsAConfigError)
+{
+    // Two mix models need two namespaces; a single-model tier (empty
+    // mix) needs exactly one.
+    ClusterConfig cfg = fifteenTableTwoModelTier();
+    cfg.sharding->models = {tableSpace(0, 15)};
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "cluster: 1 table namespaces for 2 served models");
+    cfg.modelMix.clear();
+    cfg.sharding->models.clear();
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "cluster: 0 table namespaces for 1 served models");
+    cfg.sharding->models = {tableSpace(0, 7), tableSpace(7, 8)};
+    EXPECT_EXIT(validateClusterConfig(cfg, "cluster"),
+                ::testing::ExitedWithCode(1),
+                "cluster: 2 table namespaces for 1 served models");
 }
 
 TEST(ClusterConfigDeath, MixFractionsNotSummingToOneIsAConfigError)

@@ -166,17 +166,17 @@ TEST(Colocation, MachineBindsEachEntryToItsOwnProfile)
     mix[2].policy.gpuEnabled = true;
     const SimConfig machine =
         colocatedMachine(mix, CpuPlatform::skylake(), 1'000'000'000ULL);
-    ASSERT_EQ(machine.numModels(), 3u);
+    ASSERT_EQ(machine.bindings.size(), 3u);
     EXPECT_EQ(machine.memoryBytes, 1'000'000'000ULL);
 
-    EXPECT_EQ(machine.cpu.profile().id, ModelId::DlrmRmc2);
-    ASSERT_TRUE(machine.gpu.has_value());
-    EXPECT_EQ(machine.gpu->profile().id, ModelId::DlrmRmc2);
-    EXPECT_EQ(machine.coModels[0].cpu.profile().id, ModelId::WideAndDeep);
-    EXPECT_FALSE(machine.coModels[0].gpu.has_value());
-    EXPECT_EQ(machine.coModels[1].cpu.profile().id, ModelId::Ncf);
-    ASSERT_TRUE(machine.coModels[1].gpu.has_value());
-    EXPECT_EQ(machine.coModels[1].gpu->profile().id, ModelId::Ncf);
+    EXPECT_EQ(machine.bindings[0].cpu.profile().id, ModelId::DlrmRmc2);
+    ASSERT_TRUE(machine.bindings[0].gpu.has_value());
+    EXPECT_EQ(machine.bindings[0].gpu->profile().id, ModelId::DlrmRmc2);
+    EXPECT_EQ(machine.bindings[1].cpu.profile().id, ModelId::WideAndDeep);
+    EXPECT_FALSE(machine.bindings[1].gpu.has_value());
+    EXPECT_EQ(machine.bindings[2].cpu.profile().id, ModelId::Ncf);
+    ASSERT_TRUE(machine.bindings[2].gpu.has_value());
+    EXPECT_EQ(machine.bindings[2].gpu->profile().id, ModelId::Ncf);
 }
 
 TEST(ColocationDeath, EmptyMixMachineIsAConfigError)
@@ -230,7 +230,7 @@ TEST(Colocation, NoCrossModelBatchEverForms)
         mixEntry(ModelId::WideAndDeep, 0.5, batch1),
     };
     const SimConfig machine = colocatedMachine(mix, CpuPlatform::skylake());
-    ASSERT_EQ(machine.numModels(), 2u);
+    ASSERT_EQ(machine.bindings.size(), 2u);
     MachineEngine engine(&machine);
 
     const uint32_t samples = 100;
@@ -292,11 +292,11 @@ TEST(Colocation, JoinPhaseCostIsTheBacklogItsPartAdds)
         mixEntry(ModelId::WideAndDeep, 0.5, 24),
     };
     const SimConfig machine = colocatedMachine(mix, CpuPlatform::skylake());
-    const size_t cores = machine.cpu.platform().cores;
+    const size_t cores = machine.cores();
     const uint32_t samples = 100;
 
     std::vector<double> prices;
-    for (uint32_t model = 0; model < machine.numModels(); model++) {
+    for (uint32_t model = 0; model < machine.bindings.size(); model++) {
         MachineEngine engine(&machine);
         std::vector<EngineEvent> out;
         // Occupy every core with one-request parts admitted one at a

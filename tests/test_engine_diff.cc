@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "base/random.hh"
+#include "bench/bench_common.hh"
 #include "cluster/autoscaler.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
@@ -36,9 +37,10 @@ machineConfig(ModelId model, size_t batch, bool gpu, uint32_t threshold,
     policy.gpuQueryThreshold = threshold;
     SimConfig cfg{CpuCostModel(profile, broadwell ? CpuPlatform::broadwell()
                                                   : CpuPlatform::skylake()),
-                  std::nullopt, policy, slowdown};
+                  std::nullopt, policy};
+    cfg.slowdown = slowdown;
     if (gpu)
-        cfg.gpu.emplace(profile, GpuPlatform::gtx1080Ti());
+        cfg.bindings[0].gpu.emplace(profile, GpuPlatform::gtx1080Ti());
     return cfg;
 }
 
@@ -426,51 +428,20 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleShardless)
 
 TEST(EngineDiff, OneModelMixIsBitwiseInvisibleSharded)
 {
-    // Sharded fan-out/join path: with the mix on, per-model
-    // pendingJoinCost books and (optionally) the namespaced table
-    // draw must reproduce the historical sharded run exactly. Model
-    // 0's namespace starts at base 0 with the same working-set spec,
-    // so the namespaced draw is the historical draw verbatim.
-    const std::vector<EmbeddingTableInfo> tables =
-        embeddingTables(modelConfig(ModelId::DlrmRmc2));
-    ClusterConfig plain;
-    for (size_t m = 0; m < 6; m++) {
-        SimConfig machine = machineConfig(ModelId::DlrmRmc2, 256,
-                                          false, 1);
-        machine.memoryBytes = 2'000'000'000ULL;
-        plain.machines.push_back(machine);
-    }
-    plain.network.hopSeconds = 150e-6;
-    plain.network.gigabytesPerSecond = 12.5;
-    PlacementSpec placement_spec;
-    placement_spec.strategy = PlacementStrategy::GreedyBySize;
-    const ShardPlacement placement = ShardPlacement::build(
-        tables, machineMemoryBudgets(plain.machines), placement_spec);
-    ASSERT_TRUE(placement.feasible());
-    TableSetSpec table_set;
-    table_set.numTables = static_cast<uint32_t>(
-        modelConfig(ModelId::DlrmRmc2).numTables);
-    table_set.tablesPerQuery = 8;
-    plain.sharding = ShardingConfig{placement, table_set};
+    // Sharded fan-out/join path: with the mix on, the per-model
+    // pendingJoinCost books must reproduce the mix-off sharded run
+    // exactly over the same one-namespace table space.
+    const ClusterConfig plain = bench::rmc2ShardedTier(6, 2'000'000'000ULL);
+    ASSERT_TRUE(plain.sharding->placement.feasible());
 
     const QueryTrace trace = poissonTrace(1600, 2200.0, 0x5eed);
     const RoutingSpec routing{RoutingKind::ShardAware};
     const ClusterResult a = ClusterSimulator(plain).run(trace, routing);
 
-    // Mix on, historical (un-namespaced) table space.
     const ClusterConfig mixed = withUnitMix(plain, ModelId::DlrmRmc2);
     const ClusterResult b = ClusterSimulator(mixed).run(trace, routing);
     expectIdenticalClusterRuns(a, b);
     expectUnitMixBooks(b, trace.size());
-
-    // Mix on, model 0's tables namespaced at base 0 over the same
-    // combined space — the draw shifts by zero and must stay exact.
-    ClusterConfig namespaced = mixed;
-    namespaced.sharding->models = {ModelTableSpace{table_set, 0}};
-    const ClusterResult c =
-        ClusterSimulator(namespaced).run(trace, routing);
-    expectIdenticalClusterRuns(a, c);
-    expectUnitMixBooks(c, trace.size());
 }
 
 TEST(EngineDiff, OneModelMixIsBitwiseInvisibleOverloaded)

@@ -12,7 +12,7 @@
 #include <set>
 
 #include "base/random.hh"
-
+#include "bench/bench_common.hh"
 #include "cluster/cluster_qps_search.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/shard_placement.hh"
@@ -25,15 +25,10 @@ namespace {
 constexpr uint64_t kGB = 1'000'000'000ULL;
 
 SimConfig
-cpuMachine(ModelId model = ModelId::DlrmRmc1, double slowdown = 1.0,
-           uint64_t memory_bytes = 0)
+cpuMachine(double slowdown = 1.0)
 {
-    const ModelProfile profile = ModelProfile::forModel(model);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy, slowdown};
-    machine.memoryBytes = memory_bytes;
+    SimConfig machine = bench::cpuMachine(256);
+    machine.slowdown = slowdown;
     return machine;
 }
 
@@ -59,8 +54,7 @@ mixedCluster(size_t n)
         if (m % 3 == 2)
             cfg.machines.push_back(gpuMachine());
         else
-            cfg.machines.push_back(
-                cpuMachine(ModelId::DlrmRmc1, m % 3 == 1 ? 1.4 : 1.0));
+            cfg.machines.push_back(cpuMachine(m % 3 == 1 ? 1.4 : 1.0));
     }
     return cfg;
 }
@@ -69,23 +63,9 @@ mixedCluster(size_t n)
 ClusterConfig
 shardedCluster(size_t n, uint64_t budget, JoinModel join)
 {
-    ClusterConfig cfg;
+    ClusterConfig cfg = bench::rmc2ShardedTier(n, budget);
     cfg.join = join;
-    for (size_t m = 0; m < n; m++)
-        cfg.machines.push_back(
-            cpuMachine(ModelId::DlrmRmc2, 1.0, budget));
-    PlacementSpec spec;
-    spec.strategy = PlacementStrategy::GreedyBySize;
-    const ShardPlacement placement = ShardPlacement::build(
-        embeddingTables(modelConfig(ModelId::DlrmRmc2)),
-        machineMemoryBudgets(cfg.machines), spec);
-    TableSetSpec table_set;
-    table_set.numTables = static_cast<uint32_t>(
-        modelConfig(ModelId::DlrmRmc2).numTables);
-    table_set.tablesPerQuery = 8;
-    cfg.sharding = ShardingConfig{placement, table_set};
     cfg.network.hopSeconds = 100e-6;
-    cfg.network.gigabytesPerSecond = 12.5;
     return cfg;
 }
 

@@ -32,32 +32,13 @@ constexpr size_t kManyThreads = 8;
 ClusterConfig
 chaosTier(uint32_t min_replicas)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc2);
-    ClusterConfig cluster;
-    for (size_t m = 0; m < 8; m++) {
-        SchedulerPolicy policy;
-        policy.perRequestBatch = 256;
-        SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy};
-        machine.memoryBytes = min_replicas > 1 ? 3'000'000'000ULL
-                                               : 2'000'000'000ULL;
-        cluster.machines.push_back(machine);
-    }
-    cluster.network.hopSeconds = 150e-6;
-    cluster.network.gigabytesPerSecond = 12.5;
     PlacementSpec placement_spec;
-    placement_spec.strategy = PlacementStrategy::GreedyBySize;
     placement_spec.minReplicas = min_replicas;
-    const ShardPlacement placement = ShardPlacement::build(
-        embeddingTables(modelConfig(ModelId::DlrmRmc2)),
-        machineMemoryBudgets(cluster.machines), placement_spec);
-    EXPECT_TRUE(placement.feasible());
-    EXPECT_TRUE(placement.replicatedFor(min_replicas));
-    TableSetSpec table_set;
-    table_set.numTables = static_cast<uint32_t>(
-        modelConfig(ModelId::DlrmRmc2).numTables);
-    table_set.tablesPerQuery = 8;
-    cluster.sharding = ShardingConfig{placement, table_set};
+    ClusterConfig cluster = bench::rmc2ShardedTier(
+        8, min_replicas > 1 ? 3'000'000'000ULL : 2'000'000'000ULL,
+        placement_spec);
+    EXPECT_TRUE(cluster.sharding->placement.feasible());
+    EXPECT_TRUE(cluster.sharding->placement.replicatedFor(min_replicas));
     return cluster;
 }
 

@@ -25,10 +25,10 @@
 #include <sstream>
 #include <string>
 
+#include "bench/bench_common.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/fleet.hh"
 #include "cluster/model_mix.hh"
-#include "cluster/shard_placement.hh"
 #include "loadgen/query_stream.hh"
 #include "sim/serving_sim.hh"
 
@@ -248,7 +248,7 @@ TEST(Golden, ServingSimFig11Paths)
         SimConfig cfg{CpuCostModel(profile, CpuPlatform::skylake()),
                       std::nullopt, policy};
         if (c.gpu)
-            cfg.gpu.emplace(profile, GpuPlatform::gtx1080Ti());
+            cfg.bindings[0].gpu.emplace(profile, GpuPlatform::gtx1080Ti());
         ServingSimulator sim(cfg);
         const SimResult r = sim.run(makeTrace(4000, c.qps, 0xf1611));
         measured[c.name] = percentilesOf(r.queryLatencySeconds);
@@ -318,8 +318,8 @@ TEST(Golden, ClusterRoutingSweepPaths)
         SchedulerPolicy policy;
         policy.perRequestBatch = 256;
         SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy,
-                          m % 2 == 0 ? 1.0 : 1.3};
+                          std::nullopt, policy};
+        machine.slowdown = m % 2 == 0 ? 1.0 : 1.3;
         cluster.machines.push_back(machine);
     }
     const QueryTrace trace = makeTrace(6000, 9000.0, 0xc1u);
@@ -340,37 +340,13 @@ TEST(Golden, ShardedFanOutJoinPaths)
 {
     // The shard_placement_sweep path at one operating point, under
     // both join models — pins the two-stage fan-out tax.
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc2);
-    const std::vector<EmbeddingTableInfo> tables =
-        embeddingTables(modelConfig(ModelId::DlrmRmc2));
     const QueryTrace trace = makeTrace(5000, 2200.0, 0x5a4d);
 
     GoldenMap measured;
     for (JoinModel join : {JoinModel::Optimistic, JoinModel::TwoStage}) {
-        ClusterConfig cluster;
+        ClusterConfig cluster = bench::rmc2ShardedTier(8, 2'000'000'000ULL);
+        ASSERT_TRUE(cluster.sharding->placement.feasible());
         cluster.join = join;
-        for (size_t m = 0; m < 8; m++) {
-            SchedulerPolicy policy;
-            policy.perRequestBatch = 256;
-            SimConfig machine{
-                CpuCostModel(profile, CpuPlatform::skylake()),
-                std::nullopt, policy};
-            machine.memoryBytes = 2'000'000'000ULL;
-            cluster.machines.push_back(machine);
-        }
-        cluster.network.hopSeconds = 150e-6;
-        cluster.network.gigabytesPerSecond = 12.5;
-        PlacementSpec placement_spec;
-        placement_spec.strategy = PlacementStrategy::GreedyBySize;
-        const ShardPlacement placement = ShardPlacement::build(
-            tables, machineMemoryBudgets(cluster.machines),
-            placement_spec);
-        ASSERT_TRUE(placement.feasible());
-        TableSetSpec table_set;
-        table_set.numTables = static_cast<uint32_t>(
-            modelConfig(ModelId::DlrmRmc2).numTables);
-        table_set.tablesPerQuery = 8;
-        cluster.sharding = ShardingConfig{placement, table_set};
 
         const ClusterResult r = ClusterSimulator(cluster).run(
             trace, RoutingSpec{RoutingKind::ShardAware});
@@ -387,31 +363,9 @@ TEST(Golden, OverloadGoodputCurve)
     // path: backlog estimation, shrink schedule, drop decisions, and
     // quality-weighted goodput accounting, from well under the knee
     // to deep overload.
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc2);
-    const std::vector<EmbeddingTableInfo> tables =
-        embeddingTables(modelConfig(ModelId::DlrmRmc2));
 
-    ClusterConfig cluster;
-    for (size_t m = 0; m < 8; m++) {
-        SchedulerPolicy policy;
-        policy.perRequestBatch = 256;
-        SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy};
-        machine.memoryBytes = 2'000'000'000ULL;
-        cluster.machines.push_back(machine);
-    }
-    cluster.network.hopSeconds = 150e-6;
-    cluster.network.gigabytesPerSecond = 12.5;
-    PlacementSpec placement_spec;
-    placement_spec.strategy = PlacementStrategy::GreedyBySize;
-    const ShardPlacement placement = ShardPlacement::build(
-        tables, machineMemoryBudgets(cluster.machines), placement_spec);
-    ASSERT_TRUE(placement.feasible());
-    TableSetSpec table_set;
-    table_set.numTables = static_cast<uint32_t>(
-        modelConfig(ModelId::DlrmRmc2).numTables);
-    table_set.tablesPerQuery = 8;
-    cluster.sharding = ShardingConfig{placement, table_set};
+    ClusterConfig cluster = bench::rmc2ShardedTier(8, 2'000'000'000ULL);
+    ASSERT_TRUE(cluster.sharding->placement.feasible());
     cluster.overload.admission = AdmissionKind::Deadline;
     cluster.overload.deadlineSeconds = 0.1;
     cluster.overload.degrade = true;
@@ -457,10 +411,6 @@ TEST(Golden, ChaosAvailabilityCurve)
     // replica re-routing, and hedged twins. Single copy must lose a
     // visible slice of the trace; replication plus failover must hold
     // the four-nines neighborhood on the very same fault schedule.
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc2);
-    const std::vector<EmbeddingTableInfo> tables =
-        embeddingTables(modelConfig(ModelId::DlrmRmc2));
-
     LoadSpec load;
     load.arrivalSeed = 0xc4a05;
     load.sizeSeed = 0xc4a06;
@@ -484,33 +434,14 @@ TEST(Golden, ChaosAvailabilityCurve)
 
     GoldenMap measured;
     for (const Posture& p : postures) {
-        ClusterConfig cluster;
-        for (size_t m = 0; m < 8; m++) {
-            SchedulerPolicy policy;
-            policy.perRequestBatch = 256;
-            SimConfig machine{
-                CpuCostModel(profile, CpuPlatform::skylake()),
-                std::nullopt, policy};
-            // Two full copies of RMC2 need headroom over 2 GB x 8.
-            machine.memoryBytes = p.minReplicas > 1
-                ? 3'000'000'000ULL : 2'000'000'000ULL;
-            cluster.machines.push_back(machine);
-        }
-        cluster.network.hopSeconds = 150e-6;
-        cluster.network.gigabytesPerSecond = 12.5;
         PlacementSpec placement_spec;
-        placement_spec.strategy = PlacementStrategy::GreedyBySize;
         placement_spec.minReplicas = p.minReplicas;
-        const ShardPlacement placement = ShardPlacement::build(
-            tables, machineMemoryBudgets(cluster.machines),
+        // Two full copies of RMC2 need headroom over 2 GB x 8.
+        ClusterConfig cluster = bench::rmc2ShardedTier(
+            8, p.minReplicas > 1 ? 3'000'000'000ULL : 2'000'000'000ULL,
             placement_spec);
-        ASSERT_TRUE(placement.feasible());
-        ASSERT_TRUE(placement.replicatedFor(p.minReplicas));
-        TableSetSpec table_set;
-        table_set.numTables = static_cast<uint32_t>(
-            modelConfig(ModelId::DlrmRmc2).numTables);
-        table_set.tablesPerQuery = 8;
-        cluster.sharding = ShardingConfig{placement, table_set};
+        ASSERT_TRUE(cluster.sharding->placement.feasible());
+        ASSERT_TRUE(cluster.sharding->placement.replicatedFor(p.minReplicas));
 
         cluster.faults.crashesPerHour = 240.0;
         cluster.faults.grayPerHour = 120.0;

@@ -26,7 +26,7 @@ engineConfig(size_t batch = 64, bool gpu = false, uint32_t threshold = 1)
     SimConfig cfg{CpuCostModel(profile, CpuPlatform::skylake()),
                   std::nullopt, policy};
     if (gpu)
-        cfg.gpu.emplace(profile, GpuPlatform::gtx1080Ti());
+        cfg.bindings[0].gpu.emplace(profile, GpuPlatform::gtx1080Ti());
     return cfg;
 }
 
@@ -47,7 +47,7 @@ TEST(MachineEngine, QueuedWorkBeyondCoreCount)
 {
     const SimConfig cfg = engineConfig(1);
     MachineEngine engine(&cfg);
-    const size_t cores = cfg.cpu.platform().cores;
+    const size_t cores = cfg.cores();
     std::vector<EngineEvent> out;
     const uint32_t samples = static_cast<uint32_t>(2 * cores);
     engine.admit({0, samples, 1.0, true, true}, 0.0, out);
@@ -61,7 +61,7 @@ TEST(MachineEngine, CompletionDispatchesQueuedRequestFifo)
 {
     const SimConfig cfg = engineConfig(1);
     MachineEngine engine(&cfg);
-    const size_t cores = cfg.cpu.platform().cores;
+    const size_t cores = cfg.cores();
     std::vector<EngineEvent> out;
     engine.admit({0, static_cast<uint32_t>(cores + 1), 1.0, true, true},
                  0.0, out);
@@ -122,7 +122,7 @@ TEST(MachineEngine, GpuServesOneAtATime)
     engine.gpuQueryDone(out[0].slot, out[0].partIdx, out[0].time, next);
     ASSERT_EQ(next.size(), 1u);   // and starts when the GPU frees
     EXPECT_EQ(next[0].partIdx, 1u);
-    const double service = cfg.gpu->querySeconds(200);
+    const double service = cfg.bindings[0].gpu->querySeconds(200);
     EXPECT_NEAR(next[0].time, out[0].time + service, 1e-12);
 }
 
@@ -212,7 +212,7 @@ TEST(MachineEngine, ServiceTimePricedAtDispatchOccupancy)
     engine.admit({0, 128, 1.0, true, true}, 0.0, out);
     ASSERT_EQ(out.size(), 1u);
     // A lone request is priced against one busy core — itself.
-    EXPECT_DOUBLE_EQ(out[0].time, cfg.cpu.requestSeconds(128, 1));
+    EXPECT_DOUBLE_EQ(out[0].time, cfg.bindings[0].cpu.requestSeconds(128, 1));
 }
 
 TEST(MachineEngine, SlowdownScalesServiceTimes)
@@ -232,7 +232,7 @@ TEST(MachineEngine, CrashLosesLiveWorkAndResetsTheProcess)
 {
     const SimConfig cfg = engineConfig(1);
     MachineEngine engine(&cfg);
-    const size_t cores = cfg.cpu.platform().cores;
+    const size_t cores = cfg.cores();
     std::vector<EngineEvent> out;
     // Saturate the cores and leave a second part queued behind them.
     engine.admit({5, static_cast<uint32_t>(2 * cores), 1.0, true, true},
@@ -299,7 +299,7 @@ TEST(MachineEngine, ServiceFactorScalesDispatchedTimesOnly)
 TEST(MachineEngineDeath, RejectsBadConfigs)
 {
     SimConfig zero_batch = engineConfig();
-    zero_batch.policy.perRequestBatch = 0;
+    zero_batch.bindings[0].policy.perRequestBatch = 0;
     EXPECT_EXIT(MachineEngine::validate(zero_batch),
                 ::testing::ExitedWithCode(1), "batch");
     SimConfig bad_slowdown = engineConfig();
@@ -307,7 +307,7 @@ TEST(MachineEngineDeath, RejectsBadConfigs)
     EXPECT_EXIT(MachineEngine::validate(bad_slowdown),
                 ::testing::ExitedWithCode(1), "slowdown");
     SimConfig gpu_less = engineConfig();
-    gpu_less.policy.gpuEnabled = true;
+    gpu_less.bindings[0].policy.gpuEnabled = true;
     EXPECT_EXIT(MachineEngine::validate(gpu_less),
                 ::testing::ExitedWithCode(1), "GPU");
 }

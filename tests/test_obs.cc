@@ -20,6 +20,7 @@
 #include "base/thread_pool.hh"
 #include "cluster/autoscaler.hh"
 #include "cluster/cluster_sim.hh"
+#include "cluster/model_mix.hh"
 #include "loadgen/query_stream.hh"
 #include "obs/metrics.hh"
 #include "obs/observer.hh"
@@ -236,27 +237,18 @@ TEST(ObserverServing, ObservingARunDoesNotChangeIt)
 ClusterConfig
 shardedCluster(size_t machines)
 {
-    const ModelProfile profile =
-        ModelProfile::forModel(ModelId::DlrmRmc2);
+    ModelMixEntry rmc2;
+    rmc2.id = ModelId::DlrmRmc2;
+    rmc2.policy.perRequestBatch = 128;
+    const std::vector<ModelMixEntry> mix = {rmc2};
     ClusterConfig cluster;
-    for (size_t m = 0; m < machines; m++) {
-        SchedulerPolicy policy;
-        policy.perRequestBatch = 128;
-        SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy};
-        machine.memoryBytes = 1'500'000'000ULL;
-        cluster.machines.push_back(machine);
-    }
+    cluster.machines.assign(machines,
+                            colocatedMachine(mix, CpuPlatform::skylake(),
+                                             1'500'000'000ULL));
     cluster.network.hopSeconds = 100e-6;
     cluster.network.gigabytesPerSecond = 12.5;
-    const std::vector<EmbeddingTableInfo> tables =
-        embeddingTables(modelConfig(ModelId::DlrmRmc2));
-    const ShardPlacement placement = ShardPlacement::build(
-        tables, machineMemoryBudgets(cluster.machines), PlacementSpec{});
-    TableSetSpec table_set;
-    table_set.numTables = static_cast<uint32_t>(tables.size());
-    table_set.tablesPerQuery = 4;
-    cluster.sharding = ShardingConfig{placement, table_set};
+    cluster.sharding = colocatedSharding(
+        mix, machineMemoryBudgets(cluster.machines), PlacementSpec{}, 4);
     return cluster;
 }
 

@@ -14,6 +14,7 @@
 #include <set>
 
 #include "cluster/cluster_sim.hh"
+#include "cluster/model_mix.hh"
 #include "cluster/routing_policy.hh"
 #include "base/random.hh"
 #include "loadgen/query_stream.hh"
@@ -28,8 +29,10 @@ cpuMachine(double slowdown = 1.0)
     const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
     SchedulerPolicy policy;
     policy.perRequestBatch = 256;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy, slowdown};
+    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
+                      std::nullopt, policy};
+    machine.slowdown = slowdown;
+    return machine;
 }
 
 SimConfig
@@ -37,8 +40,8 @@ gpuMachine()
 {
     SimConfig machine = cpuMachine();
     const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    machine.gpu = GpuCostModel(profile, GpuPlatform::gtx1080Ti());
-    machine.policy.gpuEnabled = true;
+    machine.bindings[0].gpu = GpuCostModel(profile, GpuPlatform::gtx1080Ti());
+    machine.bindings[0].policy.gpuEnabled = true;
     return machine;
 }
 
@@ -117,16 +120,12 @@ rmc2Sharding(const std::vector<SimConfig>& configs, uint32_t min_replicas)
 {
     PlacementSpec spec;
     spec.minReplicas = min_replicas;
-    const ShardPlacement placement = ShardPlacement::build(
-        embeddingTables(modelConfig(ModelId::DlrmRmc2)),
-        machineMemoryBudgets(configs), spec);
-    EXPECT_TRUE(placement.feasible());
-    EXPECT_TRUE(placement.replicatedFor(min_replicas));
-    TableSetSpec table_set;
-    table_set.numTables =
-        static_cast<uint32_t>(modelConfig(ModelId::DlrmRmc2).numTables);
-    table_set.tablesPerQuery = 8;
-    return ShardingConfig{placement, table_set};
+    ShardingConfig sharding =
+        colocatedSharding({makeMixEntry(ModelId::DlrmRmc2, 1.0)},
+                          machineMemoryBudgets(configs), spec, 8);
+    EXPECT_TRUE(sharding.placement.feasible());
+    EXPECT_TRUE(sharding.placement.replicatedFor(min_replicas));
+    return sharding;
 }
 
 /** All six policies, ShardAware included. */
@@ -380,7 +379,8 @@ pinTier()
             gpu = GpuCostModel(profile, GpuPlatform::gtx1080Ti());
         }
         SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          gpu, policy, m % 2 == 0 ? 1.0 : 1.3};
+                          gpu, policy};
+        machine.slowdown = m % 2 == 0 ? 1.0 : 1.3;
         machine.memoryBytes = 4'000'000'000ULL;
         cluster.machines.push_back(machine);
     }
@@ -388,16 +388,11 @@ pinTier()
     cluster.network.gigabytesPerSecond = 12.5;
     // Second replicas are best effort here: some tables keep one copy,
     // so a crash can leave a query with no covering set (unroutable).
-    const ShardPlacement placement = ShardPlacement::build(
-        embeddingTables(modelConfig(ModelId::DlrmRmc2)),
+    cluster.sharding = colocatedSharding(
+        {makeMixEntry(ModelId::DlrmRmc2, 1.0)},
         machineMemoryBudgets(cluster.machines),
-        PlacementSpec{.minReplicas = 2});
-    EXPECT_TRUE(placement.feasible());
-    TableSetSpec table_set;
-    table_set.numTables =
-        static_cast<uint32_t>(modelConfig(ModelId::DlrmRmc2).numTables);
-    table_set.tablesPerQuery = 8;
-    cluster.sharding = ShardingConfig{placement, table_set};
+        PlacementSpec{.minReplicas = 2}, 8);
+    EXPECT_TRUE(cluster.sharding->placement.feasible());
     cluster.faults.crashesPerHour = 7200.0;
     cluster.faults.repairSeconds = 0.1;
     cluster.faults.maxFailovers = 2;
@@ -466,7 +461,6 @@ TEST(RoutingPin, HedgedReplicatedTierRoutesEveryQueryToTheSameMachines)
     // table where they fit: extra replicas land out of index order,
     // so routing and hedging walk holder lists the placement had to
     // sort. Crashes fail parts over; hedges duplicate slow parts.
-    const ModelConfig rmc2 = modelConfig(ModelId::DlrmRmc2);
     ClusterConfig cfg;
     for (size_t m = 0; m < 8; m++) {
         SimConfig machine = cpuMachine(m % 2 == 0 ? 1.0 : 1.3);
@@ -475,14 +469,11 @@ TEST(RoutingPin, HedgedReplicatedTierRoutesEveryQueryToTheSameMachines)
     }
     cfg.network.hopSeconds = 150e-6;
     cfg.network.gigabytesPerSecond = 12.5;
-    const ShardPlacement placement = ShardPlacement::build(
-        embeddingTables(rmc2), machineMemoryBudgets(cfg.machines),
-        PlacementSpec{.minReplicas = 3});
-    ASSERT_TRUE(placement.feasible());
-    cfg.sharding = ShardingConfig{
-        placement,
-        TableSetSpec{.numTables = static_cast<uint32_t>(rmc2.numTables),
-                     .tablesPerQuery = 8}};
+    cfg.sharding = colocatedSharding(
+        {makeMixEntry(ModelId::DlrmRmc2, 1.0)},
+        machineMemoryBudgets(cfg.machines), PlacementSpec{.minReplicas = 3},
+        8);
+    ASSERT_TRUE(cfg.sharding->placement.feasible());
     cfg.faults.crashesPerHour = 3600.0;
     cfg.faults.repairSeconds = 0.1;
     cfg.faults.maxFailovers = 2;
@@ -566,13 +557,11 @@ scanRouteParts(const std::vector<std::vector<bool>>& holds,
 }
 
 /** The tables query @p q touches, drawn as the shard-aware router
- *  draws them (in its model's namespace on a multi-model tier). */
+ *  draws them (in its model's namespace). */
 std::vector<uint32_t>
 touchedTables(const ShardingConfig& sharding, const Query& q)
 {
-    const ModelTableSpace space = sharding.models.empty()
-        ? ModelTableSpace{sharding.tableSet, 0}
-        : sharding.models[q.model];
+    const ModelTableSpace& space = sharding.models[q.model];
     std::vector<uint32_t> tables = tablesOfQuery(
         q.id, space.set, tablePopularity(space.set.numTables, space.set.zipfS));
     for (uint32_t& t : tables)
@@ -623,22 +612,23 @@ TEST(ShardAwareRouting, HolderListRouterMatchesTheMachineScan)
                         tables, budgets,
                         PlacementSpec{.strategy = strategy,
                                       .minReplicas = replicas}),
-                    TableSetSpec{.numTables = num_tables,
-                                 .tablesPerQuery =
-                                     static_cast<uint32_t>(draw(1, 10))}};
+                    {{TableSetSpec{.numTables = num_tables,
+                                   .tablesPerQuery =
+                                       static_cast<uint32_t>(draw(1, 10))}}}};
                 ASSERT_TRUE(sharding.placement.feasible());
                 if (trial % 2 == 1) {
                     // Two models splitting the table id space.
                     const uint32_t first = num_tables / 2;
+                    sharding.models.resize(2);
                     for (uint32_t k = 0; k < 2; k++) {
-                        sharding.models.push_back(
-                            {TableSetSpec{
-                                 .numTables = k == 0 ? first
-                                                     : num_tables - first,
-                                 .tablesPerQuery =
-                                     static_cast<uint32_t>(draw(1, 6)),
-                                 .seed = 0x7ab1e5ULL + k},
-                             k == 0 ? 0 : first});
+                        sharding.models[k] = {
+                            TableSetSpec{
+                                .numTables = k == 0 ? first
+                                                    : num_tables - first,
+                                .tablesPerQuery =
+                                    static_cast<uint32_t>(draw(1, 6)),
+                                .seed = 0x7ab1e5ULL + k},
+                            k == 0 ? 0 : first};
                     }
                 }
                 std::vector<std::vector<bool>> holds(
@@ -664,7 +654,8 @@ TEST(ShardAwareRouting, HolderListRouterMatchesTheMachineScan)
                         const Query q = query(
                             draw(0, 1'000'000), 10,
                             static_cast<uint16_t>(
-                                sharding.models.empty() ? 0 : draw(0, 1)));
+                                sharding.models.size() == 2 ? draw(0, 1)
+                                                            : 0));
                         const std::vector<ShardTarget> got =
                             policy->routeParts(q, view);
                         const std::vector<ShardTarget> want = scanRouteParts(

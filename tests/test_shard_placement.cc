@@ -14,6 +14,7 @@
 #include <span>
 
 #include "cluster/cluster_sim.hh"
+#include "cluster/model_mix.hh"
 #include "cluster/shard_placement.hh"
 #include "loadgen/query_stream.hh"
 
@@ -36,34 +37,23 @@ rmc2Tables()
     return embeddingTables(modelConfig(ModelId::DlrmRmc2));
 }
 
-SimConfig
-cpuMachine(uint64_t memory_bytes)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc2);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy};
-    machine.memoryBytes = memory_bytes;
-    return machine;
-}
-
+/** @p n DLRM-RMC2 machines of @p budget bytes, the model's tables
+ *  placed over them under @p strategy (a one-entry mix). */
 ClusterConfig
 shardedCluster(size_t n, uint64_t budget, PlacementStrategy strategy,
                uint32_t tables_per_query = 8)
 {
+    ModelMixEntry rmc2;
+    rmc2.id = ModelId::DlrmRmc2;
+    rmc2.policy.perRequestBatch = 256;
+    const std::vector<ModelMixEntry> mix = {rmc2};
     ClusterConfig cfg;
-    for (size_t m = 0; m < n; m++)
-        cfg.machines.push_back(cpuMachine(budget));
+    cfg.machines.assign(
+        n, colocatedMachine(mix, CpuPlatform::skylake(), budget));
     PlacementSpec spec;
     spec.strategy = strategy;
-    const ShardPlacement placement = ShardPlacement::build(
-        rmc2Tables(), machineMemoryBudgets(cfg.machines), spec);
-    TableSetSpec table_set;
-    table_set.numTables =
-        static_cast<uint32_t>(modelConfig(ModelId::DlrmRmc2).numTables);
-    table_set.tablesPerQuery = tables_per_query;
-    cfg.sharding = ShardingConfig{placement, table_set};
+    cfg.sharding = colocatedSharding(mix, machineMemoryBudgets(cfg.machines),
+                                     spec, tables_per_query);
     return cfg;
 }
 
@@ -287,7 +277,7 @@ TEST(ShardedCluster, RoutesOnlyToHoldersAndConservesQueries)
     const ShardPlacement& placement = cfg.sharding->placement;
     for (size_t i = 0; i < trace.size(); i++) {
         const std::vector<uint32_t> tables =
-            tablesOf(trace[i].id, cfg.sharding->tableSet);
+            tablesOf(trace[i].id, cfg.sharding->models[0].set);
         const std::span<const uint16_t> machines =
             r.partMachinesOfQuery.row(i);
         ASSERT_FALSE(machines.empty());

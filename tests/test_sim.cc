@@ -23,7 +23,7 @@ makeConfig(ModelId model = ModelId::DlrmRmc1, size_t batch = 256,
     SimConfig cfg{CpuCostModel(profile, CpuPlatform::skylake()),
                   std::nullopt, policy};
     if (gpu)
-        cfg.gpu.emplace(profile, GpuPlatform::gtx1080Ti());
+        cfg.bindings[0].gpu.emplace(profile, GpuPlatform::gtx1080Ti());
     return cfg;
 }
 
@@ -52,7 +52,7 @@ TEST(ServingSim, SingleQueryLatencyEqualsServiceTime)
     const SimResult r = sim.run(makeTrace({{0.0, 100}}));
     ASSERT_EQ(r.numQueries, 1u);
     EXPECT_EQ(r.numRequests, 1u);
-    const double expected = cfg.cpu.requestSeconds(100, 1);
+    const double expected = cfg.bindings[0].cpu.requestSeconds(100, 1);
     EXPECT_NEAR(r.queryLatencySeconds.mean(), expected, 1e-9);
 }
 
@@ -72,7 +72,7 @@ TEST(ServingSim, SplitQueryUsesParallelCores)
     SimConfig cfg = makeConfig(ModelId::DlrmRmc1, 128);
     ServingSimulator sim(cfg);
     const SimResult r = sim.run(makeTrace({{0.0, 512}}));
-    const double piece = cfg.cpu.requestSeconds(128, 4);
+    const double piece = cfg.bindings[0].cpu.requestSeconds(128, 4);
     EXPECT_LT(r.queryLatencySeconds.mean(), 1.5 * piece);
 }
 
@@ -160,7 +160,7 @@ TEST(ServingSim, GpuQueriesQueueFifo)
     ServingSimulator sim(cfg);
     // Two simultaneous queries: the second waits for the first.
     const SimResult r = sim.run(makeTrace({{0.0, 500}, {0.0, 500}}));
-    const double service = cfg.gpu->querySeconds(500);
+    const double service = cfg.bindings[0].gpu->querySeconds(500);
     EXPECT_NEAR(r.queryLatencySeconds.percentile(100), 2.0 * service, 1e-9);
     EXPECT_NEAR(r.queryLatencySeconds.percentile(0), service, 1e-9);
 }
@@ -171,7 +171,7 @@ TEST(ServingSim, GpuLatencyForSingleQuery)
     ServingSimulator sim(cfg);
     const SimResult r = sim.run(makeTrace({{0.0, 700}}));
     EXPECT_NEAR(r.queryLatencySeconds.mean(),
-                cfg.gpu->querySeconds(700), 1e-9);
+                cfg.bindings[0].gpu->querySeconds(700), 1e-9);
 }
 
 TEST(ServingSim, UtilizationBounds)

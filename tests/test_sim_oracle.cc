@@ -75,25 +75,26 @@ struct Finish
 std::vector<Finish>
 fifoRecursion(const SimConfig& cfg, const QueryTrace& trace)
 {
-    std::vector<double> core_free(cfg.cpu.platform().cores, 0.0);
+    const ModelService& only = cfg.bindings[0];
+    std::vector<double> core_free(cfg.cores(), 0.0);
     double gpu_free = 0.0;
     std::vector<Finish> out;
     for (const Query& q : trace) {
         const double a = q.arrivalSeconds;
         double done = a;
         bool waited = false;
-        if (cfg.policy.gpuEnabled && q.size >= cfg.policy.gpuQueryThreshold) {
+        if (only.policy.gpuEnabled && q.size >= only.policy.gpuQueryThreshold) {
             waited = gpu_free > a;
-            gpu_free = std::max(a, gpu_free) + cfg.gpu->querySeconds(q.size);
+            gpu_free = std::max(a, gpu_free) + only.gpu->querySeconds(q.size);
             done = gpu_free;
         } else {
             for (uint32_t left = q.size; left > 0;) {
                 const uint32_t take = static_cast<uint32_t>(
-                    std::min<size_t>(left, cfg.policy.perRequestBatch));
+                    std::min<size_t>(left, only.policy.perRequestBatch));
                 double& free =
                     *std::min_element(core_free.begin(), core_free.end());
                 waited = waited || free > a;
-                free = std::max(a, free) + cfg.cpu.requestSeconds(take, 1);
+                free = std::max(a, free) + only.cpu.requestSeconds(take, 1);
                 done = std::max(done, free);
                 left -= take;
             }
@@ -129,14 +130,15 @@ expectEngineMatchesRecursion(const SimConfig& cfg, double rho,
                              uint64_t seed)
 {
     const size_t n = 3000;
-    const size_t cores = cfg.cpu.platform().cores;
+    const ModelService& only = cfg.bindings[0];
+    const size_t cores = cfg.cores();
     // Precondition: the price of every batch is the same at any
     // number of busy cores.
     for (size_t batch = 1; batch <= QuerySizeDistribution::maxSize;
          batch++) {
-        const double one = cfg.cpu.requestSeconds(batch, 1);
+        const double one = only.cpu.requestSeconds(batch, 1);
         for (size_t busy = 2; busy <= cores; busy++)
-            ASSERT_EQ(cfg.cpu.requestSeconds(batch, busy), one)
+            ASSERT_EQ(only.cpu.requestSeconds(batch, busy), one)
                 << "batch " << batch << " at " << busy << " busy cores";
     }
 
@@ -148,7 +150,7 @@ expectEngineMatchesRecursion(const SimConfig& cfg, double rho,
     const QueryTrace unit = tmpl.materialize(1.0, n);
     const double qps = rho * static_cast<double>(cores) *
                        static_cast<double>(n) /
-                       coreSeconds(cfg.cpu, unit, cfg.policy.perRequestBatch);
+                       coreSeconds(only.cpu, unit, only.policy.perRequestBatch);
     const QueryTrace trace = tmpl.materialize(qps, n);
 
     ServingSimulator sim(cfg);
@@ -219,10 +221,11 @@ TEST(SimOracle, OffloadedQueriesQueueForOneFifoAccelerator)
     for (size_t cores : {size_t{1}, size_t{4}}) {
         SCOPED_TRACE(cores);
         SimConfig cfg = cpuOnly(model, skylakeWithCores(cores), 64);
-        cfg.gpu.emplace(ModelProfile::forModel(model),
-                        GpuPlatform::gtx1080Ti());
-        cfg.policy.gpuEnabled = true;
-        cfg.policy.gpuQueryThreshold = 200;
+        ModelService& only = cfg.bindings[0];
+        only.gpu.emplace(ModelProfile::forModel(model),
+                         GpuPlatform::gtx1080Ti());
+        only.policy.gpuEnabled = true;
+        only.policy.gpuQueryThreshold = 200;
         expectEngineMatchesRecursion(cfg, 0.6, 23);
     }
 }
