@@ -44,8 +44,6 @@
  * Host-measured lines: see its entry in tools/outputs.json.
  */
 
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench/bench_common.hh"
@@ -57,20 +55,9 @@ using namespace deeprecsys;
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    std::string json_path;
-    std::string trace_path;
-    std::string metrics_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc)
-            metrics_path = argv[++i];
-        else
-            json_path = argv[i];
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, bench::SmokeFlag | bench::TraceFlag | bench::MetricsFlag);
+    const bool smoke = args.smoke;
 
     const double sla_ms = 100.0;
     const double peak_qps = 40000.0;
@@ -210,7 +197,7 @@ main(int argc, char** argv)
            " hold them at zero while shedding machines, or the saving"
            " is not real.\n";
 
-    if (!trace_path.empty() || !metrics_path.empty()) {
+    if (!args.tracePath.empty() || !args.metricsPath.empty()) {
         // Dedicated instrumented run: a small *sharded* reactive day
         // (DLRM-RMC2, shard-aware fan-out) rather than a replay of a
         // sweep cell — fan-out is what gives the trace its network
@@ -270,17 +257,9 @@ main(int argc, char** argv)
                   << " metric snapshots)\n";
         bench::printStageSplit(std::cout, observer.stageSplit());
 
-        if (!trace_path.empty() && observer.writeTraceFile(trace_path))
-            std::cout << "wrote " << trace_path << "\n";
-        if (!metrics_path.empty() &&
-            observer.writeMetricsFile(metrics_path))
-            std::cout << "wrote " << metrics_path << "\n";
+        bench::writeObserverFiles(args, observer);
     }
 
-    if (!json_path.empty()) {
-        std::ofstream json(json_path);
-        table.printJson(json);
-        std::cout << "wrote " << json_path << "\n";
-    }
+    bench::writeTableJson(args.jsonPath, table);
     return 0;
 }

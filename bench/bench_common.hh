@@ -4,12 +4,17 @@
  *
  * Every binary prints the series of one paper table or figure through
  * TextTable so outputs stay uniform and parseable. Seeds are fixed:
- * each binary's output is identical run-to-run.
+ * each binary's output is identical run-to-run. A bench that takes
+ * arguments parses them with parseBenchArgs and writes every file
+ * through writeOutput, so a bad argument or a failed write exits
+ * non-zero instead of passing silently.
  */
 
 #ifndef DRS_BENCH_COMMON_HH
 #define DRS_BENCH_COMMON_HH
 
+#include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -23,6 +28,101 @@
 #include "obs/observer.hh"
 
 namespace deeprecsys::bench {
+
+/** The options a bench can take; each bench names the ones it does. */
+enum BenchFlag : unsigned
+{
+    SmokeFlag = 1u << 0,   ///< --smoke: a seconds-long CI run
+    TraceFlag = 1u << 1,   ///< --trace F: the observed run's trace
+    MetricsFlag = 1u << 2, ///< --metrics F: its windowed metrics
+};
+
+/** A bench's command line. An empty path names no file. */
+struct BenchArgs
+{
+    bool smoke = false;
+    std::string tracePath;
+    std::string metricsPath;
+    std::string jsonPath; ///< the one positional argument
+};
+
+/**
+ * Parse a bench's command line: the options in @p flags (BenchFlag
+ * bits) and at most one positional JSON path. An unknown option, one
+ * the bench does not take, an option without its file, or a second
+ * path prints the usage and exits 2, before the bench runs or writes
+ * anything.
+ */
+inline BenchArgs
+parseBenchArgs(int argc, char** argv, unsigned flags)
+{
+    auto usage_error = [&](const std::string& why) {
+        std::cerr << argv[0] << ": " << why << "\nusage: " << argv[0]
+                  << (flags & SmokeFlag ? " [--smoke]" : "")
+                  << (flags & TraceFlag ? " [--trace F]" : "")
+                  << (flags & MetricsFlag ? " [--metrics F]" : "")
+                  << " [out.json]\n";
+        std::exit(2);
+    };
+    BenchArgs args;
+    for (int i = 1; i < argc; i++) {
+        const std::string arg = argv[i];
+        std::string* path = nullptr;
+        if (arg == "--smoke" && (flags & SmokeFlag))
+            args.smoke = true;
+        else if (arg == "--trace" && (flags & TraceFlag))
+            path = &args.tracePath;
+        else if (arg == "--metrics" && (flags & MetricsFlag))
+            path = &args.metricsPath;
+        else if (arg.starts_with('-'))
+            usage_error("unrecognized option " + arg);
+        else if (!args.jsonPath.empty())
+            usage_error("more than one output path");
+        else
+            args.jsonPath = arg;
+        if (path) {
+            if (i + 1 == argc || argv[i + 1][0] == '\0' ||
+                argv[i + 1][0] == '-')
+                usage_error(arg + " needs a file path");
+            *path = argv[++i];
+        }
+    }
+    return args;
+}
+
+/**
+ * Write one output file through the checked writer (writeTextFile)
+ * and print "wrote PATH". An empty @p path writes nothing; a failed
+ * open, write or flush exits 1.
+ */
+inline void
+writeOutput(const std::string& path, const char* what,
+            const std::function<void(std::ostream&)>& body)
+{
+    if (path.empty())
+        return;
+    if (!writeTextFile(path, what, body))
+        std::exit(1);
+    std::cout << "wrote " << path << "\n";
+}
+
+/** Write @p table to @p path as a JSON array (TextTable::printJson). */
+inline void
+writeTableJson(const std::string& path, const TextTable& table)
+{
+    writeOutput(path, "JSON",
+                [&](std::ostream& os) { table.printJson(os); });
+}
+
+/** Write @p observer's trace and metrics to the paths @p args names. */
+inline void
+writeObserverFiles(const BenchArgs& args, const obs::RunObserver& observer)
+{
+    writeOutput(args.tracePath, "trace",
+                [&](std::ostream& os) { observer.writeTrace(os); });
+    writeOutput(args.metricsPath, "metrics",
+                [&](std::ostream& os) { observer.writeMetrics(os); });
+}
 
 /** Queries per simulator evaluation used by the reproductions. */
 constexpr size_t benchQueries = 1500;

@@ -50,8 +50,6 @@
  */
 
 #include <array>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench/bench_common.hh"
@@ -120,17 +118,9 @@ struct CellResult
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    std::string json_path;
-    std::string trace_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else
-            json_path = argv[i];
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, bench::SmokeFlag | bench::TraceFlag);
+    const bool smoke = args.smoke;
 
     const double qps = 1000.0;
     const size_t queries = smoke ? 6000 : 30000;
@@ -418,14 +408,9 @@ main(int argc, char** argv)
                          static_cast<int64_t>(observer.numTraceEvents()))
                   << " trace events\n";
 
-        if (!trace_path.empty() && observer.writeTraceFile(trace_path))
-            std::cout << "wrote " << trace_path << "\n";
+        bench::writeObserverFiles(args, observer);
     }
 
-    if (!json_path.empty()) {
-        std::ofstream json(json_path);
-        table.printJson(json);
-        std::cout << "wrote " << json_path << "\n";
-    }
+    bench::writeTableJson(args.jsonPath, table);
     return 0;
 }

@@ -12,10 +12,12 @@
  * directly in fleet p99 — the cluster-tier analogue of the paper's
  * tail-latency argument.
  *
+ * Usage: cluster_routing_sweep [out.json]
+ * The optional path also writes the table as a JSON array. Output is
+ * deterministic and bitwise identical at every DRS_THREADS value.
+ *
  * Host-measured lines: see its entry in tools/outputs.json.
  */
-
-#include <fstream>
 
 #include "bench/bench_common.hh"
 #include "cluster/cluster_sim.hh"
@@ -56,6 +58,7 @@ mixedCluster()
 int
 main(int argc, char** argv)
 {
+    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 0);
     printBanner(std::cout,
                 "Cluster routing sweep: fleet tail vs policy at equal"
                 " offered load");
@@ -112,10 +115,6 @@ main(int argc, char** argv)
                  " keeps the heavy tail of Figure 5 on accelerator"
                  " machines.\n";
 
-    if (argc > 1) {
-        std::ofstream json(argv[1]);
-        table.printJson(json);
-        std::cout << "wrote " << argv[1] << "\n";
-    }
+    bench::writeTableJson(args.jsonPath, table);
     return 0;
 }

@@ -41,8 +41,6 @@
  * Host-measured lines: see its entry in tools/outputs.json.
  */
 
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench/bench_common.hh"
@@ -67,14 +65,9 @@ tunedEntry(ModelId id, double fraction)
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    std::string json_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            json_path = argv[i];
-    }
+    const bench::BenchArgs args =
+        bench::parseBenchArgs(argc, argv, bench::SmokeFlag);
+    const bool smoke = args.smoke;
 
     // One row per (scenario, model) cell of both sections; written as
     // the bench JSON for the serial-vs-parallel CI byte diff.
@@ -266,10 +259,6 @@ main(int argc, char** argv)
                  " tax, against the machine savings above, is the"
                  " colocation trade.\n";
 
-    if (!json_path.empty()) {
-        std::ofstream json(json_path);
-        results.printJson(json);
-        std::cout << "wrote " << json_path << "\n";
-    }
+    bench::writeTableJson(args.jsonPath, results);
     return 0;
 }

@@ -27,8 +27,6 @@
  * Host-measured lines: see its entry in tools/outputs.json.
  */
 
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench/bench_common.hh"
@@ -39,20 +37,9 @@ using namespace deeprecsys;
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    std::string json_path;
-    std::string trace_path;
-    std::string metrics_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc)
-            metrics_path = argv[++i];
-        else
-            json_path = argv[i];
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, bench::SmokeFlag | bench::TraceFlag | bench::MetricsFlag);
+    const bool smoke = args.smoke;
 
     const double sla_ms = 100.0;
     const double peak_qps = 8000.0;
@@ -154,14 +141,7 @@ main(int argc, char** argv)
            " that is the same signal the windowed p99 column shows,"
            " attributed per query instead of per window.\n";
 
-    if (!trace_path.empty() && observer.writeTraceFile(trace_path))
-        std::cout << "wrote " << trace_path << "\n";
-    if (!metrics_path.empty() && observer.writeMetricsFile(metrics_path))
-        std::cout << "wrote " << metrics_path << "\n";
-    if (!json_path.empty()) {
-        std::ofstream json(json_path);
-        table.printJson(json);
-        std::cout << "wrote " << json_path << "\n";
-    }
+    bench::writeObserverFiles(args, observer);
+    bench::writeTableJson(args.jsonPath, table);
     return 0;
 }

@@ -44,8 +44,6 @@
  * Host-measured lines: see its entry in tools/outputs.json.
  */
 
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench/bench_common.hh"
@@ -116,14 +114,9 @@ flashCrowdTrace(const TraceTemplate& tmpl, double base_qps,
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    std::string json_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            json_path = argv[i];
-    }
+    const bench::BenchArgs args =
+        bench::parseBenchArgs(argc, argv, bench::SmokeFlag);
+    const bool smoke = args.smoke;
 
     const double sla_ms = 100.0;
     const double deadline_s = sla_ms / 1e3;
@@ -475,10 +468,6 @@ main(int argc, char** argv)
            " completed + droppedFinal + lost holds exactly in every"
            " run (asserted; the fault books are all zero here).\n";
 
-    if (!json_path.empty()) {
-        std::ofstream json(json_path);
-        table.printJson(json);
-        std::cout << "wrote " << json_path << "\n";
-    }
+    bench::writeTableJson(args.jsonPath, table);
     return 0;
 }

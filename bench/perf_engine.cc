@@ -50,13 +50,15 @@
  *    chunks run on the pool. Timed at 1 thread and at N threads, with
  *    the arrivals checked bit-identical.
  *
- * `combined_search_speedup` is over every scenario with a parallel
+ * The combined sweep speedup is over every scenario with a parallel
  * column.
  *
- * Output: a table to stdout and a JSON report (default
- * BENCH_sim_perf.json) that CI archives. `--smoke` shrinks every
- * scenario for a seconds-long CI run; `--threads K` overrides the
- * parallel thread count (default: DRS_THREADS / hardware).
+ * Usage: perf_engine [--smoke] [out.json]
+ * Output: a table to stdout; the optional path also writes it as a
+ * JSON array, one object per scenario (CI archives it as
+ * BENCH_sim_perf.json). `--smoke` shrinks every scenario for a
+ * seconds-long CI run. The parallel runs take DRS_THREADS threads
+ * (default: the hardware's).
  *
  * Events metric: CPU request completions + query completions (+ parts
  * and joins for the cluster), i.e. heap pops — the unit of work of a
@@ -67,7 +69,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -148,8 +149,6 @@ struct ScenarioReport
     double queries = 0;        ///< simulated queries (serial run)
     uint64_t parts = 0;        ///< driver parts created (cluster only)
     uint64_t peakHeldQueries = 0; ///< query records held at once
-    uint64_t partMachinesBytes = 0; ///< result's flat book, heap bytes
-    uint64_t latencyBooksBytes = 0; ///< per-machine latency books, heap
     bool identical = true;     ///< parallel result bitwise == serial
 
     double
@@ -178,101 +177,14 @@ colocatedTier(size_t n)
     return machines;
 }
 
-/** Wall times of building a colocated tier (see main). */
-struct SetupReport
-{
-    size_t machines = 0;
-    double coldWall = 0;   ///< first build in the process
-    double warmWall = 0;   ///< best of 3 later builds
-};
-
-/** The observability gate: the null-observer run against the
- *  baseline, itself a null-observer run (see main). */
-struct ObsGate
-{
-    double baselineWall = 0;
-    double offWall = 0;
-    double onWall = 0;
-    bool pass = true;
-};
-
-void
-writeJson(const std::string& path,
-          const std::vector<ScenarioReport>& reports, size_t threads,
-          double combined_speedup, const SetupReport& setup,
-          const ObsGate& gate)
-{
-    std::ofstream out(path);
-    if (!out.good()) {
-        std::cerr << "cannot write " << path << "\n";
-        return;
-    }
-    out.precision(6);
-    out << "{\n  \"threads\": " << threads << ",\n"
-        << "  \"combined_search_speedup\": " << combined_speedup
-        << ",\n  \"setup_colocated128\": {"
-        << "\"machines\": " << setup.machines << ", "
-        << "\"cold_s\": " << setup.coldWall << ", "
-        << "\"warm_best_s\": " << setup.warmWall << "}"
-        << ",\n  \"obs_overhead_gate\": {"
-        << "\"baseline_s\": " << gate.baselineWall << ", "
-        << "\"obs_off_s\": " << gate.offWall << ", "
-        << "\"obs_on_s\": " << gate.onWall << ", "
-        << "\"off_overhead_frac\": "
-        << (gate.baselineWall > 0.0
-                ? gate.offWall / gate.baselineWall - 1.0
-                : 0.0)
-        << ", \"pass\": " << (gate.pass ? "true" : "false") << "}"
-        << ",\n  \"scenarios\": {\n";
-    for (size_t i = 0; i < reports.size(); i++) {
-        const ScenarioReport& r = reports[i];
-        out << "    \"" << r.name << "\": {"
-            << "\"wall_serial_s\": " << r.wallSerial << ", "
-            << "\"wall_parallel_s\": " << r.wallParallel << ", "
-            << "\"speedup\": " << r.speedup() << ", "
-            << "\"events\": " << r.events << ", "
-            << "\"events_per_s\": "
-            << (r.wallSerial > 0.0 ? r.events / r.wallSerial : 0.0)
-            << ", "
-            << "\"queries_per_s\": "
-            << (r.wallSerial > 0.0 ? r.queries / r.wallSerial : 0.0)
-            << ", ";
-        if (r.parts > 0) {
-            out << "\"parts\": " << r.parts << ", "
-                << "\"peak_held_queries\": " << r.peakHeldQueries << ", "
-                << "\"part_machines_bytes\": " << r.partMachinesBytes
-                << ", "
-                << "\"latency_books_bytes\": " << r.latencyBooksBytes
-                << ", ";
-        }
-        out << "\"parallel_identical\": "
-            << (r.identical ? "true" : "false") << "}"
-            << (i + 1 < reports.size() ? "," : "") << "\n";
-    }
-    out << "  }\n}\n";
-    std::cout << "wrote " << path << "\n";
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    size_t threads = ThreadPool::defaultThreadCount();
-    std::string out_path = "BENCH_sim_perf.json";
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threads = static_cast<size_t>(std::stoul(argv[++i]));
-        } else {
-            out_path = arg;
-        }
-    }
-    if (threads < 1)
-        threads = 1;
+    const BenchArgs args = parseBenchArgs(argc, argv, SmokeFlag);
+    const bool smoke = args.smoke;
+    const size_t threads = ThreadPool::defaultThreadCount();
     const size_t repeats = smoke ? 1 : 3;
 
     printBanner(std::cout,
@@ -283,17 +195,15 @@ main(int argc, char** argv)
 
     // ---- set-up: colocated machine configs. First, so that the cold
     // build is the first to ask for each model's profile.
-    SetupReport setup;
     {
-        setup.machines = smoke ? 16 : 128;
-        auto build = [&] { colocatedTier(setup.machines); };
-        setup.coldWall = bestWall(1, build);
-        setup.warmWall = bestWall(3, build);
-        std::cout << "setup_colocated128: " << setup.machines
-                  << " machines, cold "
-                  << TextTable::num(setup.coldWall * 1e3, 2)
-                  << " ms, warm best-of-3 "
-                  << TextTable::num(setup.warmWall * 1e6, 1) << " us\n";
+        const size_t machines = smoke ? 16 : 128;
+        auto build = [&] { colocatedTier(machines); };
+        const double cold = bestWall(1, build);
+        const double warm = bestWall(3, build);
+        std::cout << "setup_colocated128: " << machines
+                  << " machines, cold " << TextTable::num(cold * 1e3, 2)
+                  << " ms, warm best-of-3 " << TextTable::num(warm * 1e6, 1)
+                  << " us\n";
     }
 
     // ---- engine hot path: fig11 single-machine run (serial only;
@@ -374,27 +284,27 @@ main(int argc, char** argv)
             report.queries = static_cast<double>(base.numCompleted);
             report.parts = base.numParts;
             report.peakHeldQueries = base.peakHeldQueries;
-            report.partMachinesBytes = base.partMachinesOfQuery.bytes();
-            for (const MachineStats& m : base.perMachine)
-                report.latencyBooksBytes +=
-                    m.latencySeconds.raw().capacity() * sizeof(double);
             obs_base_wall = report.wallSerial;
             reports.push_back(report);
 
             // The flat book's layout: a 2-byte id per part and a
             // 4-byte offset per row (plus one), plus under one chunk.
+            const uint64_t book_bytes = base.partMachinesOfQuery.bytes();
             const uint64_t bound = 2 * base.numParts +
                 4 * (trace.size() + 1) + (uint64_t{64} << 10);
-            book_gate_pass = report.partMachinesBytes <= bound;
-            std::cout << "part-machine book: " << report.partMachinesBytes
+            book_gate_pass = book_bytes <= bound;
+            std::cout << "part-machine book: " << book_bytes
                       << " B (gate <= " << bound << " B: "
                       << (book_gate_pass ? "PASS" : "FAIL") << ")\n";
 
             // Each measured latency sits in its leader's book, and the
             // books are held at content size: 8 B per measured query.
-            latency_gate_pass =
-                report.latencyBooksBytes == 8 * base.numQueries;
-            std::cout << "latency books: " << report.latencyBooksBytes
+            uint64_t latency_bytes = 0;
+            for (const MachineStats& m : base.perMachine)
+                latency_bytes +=
+                    m.latencySeconds.raw().capacity() * sizeof(double);
+            latency_gate_pass = latency_bytes == 8 * base.numQueries;
+            std::cout << "latency books: " << latency_bytes
                       << " B (gate == " << 8 * base.numQueries << " B: "
                       << (latency_gate_pass ? "PASS" : "FAIL") << ")\n";
         }
@@ -627,34 +537,37 @@ main(int argc, char** argv)
                   << " ms at " << threads << " threads\n";
     }
 
-    // ---- report
-    TextTable table({"scenario", "wall 1t (s)", "wall " +
-                         std::to_string(threads) + "t (s)",
-                     "speedup", "events/s (1t)", "queries/s (1t)",
-                     "parts", "peak held queries",
-                     "identical"});
+    // ---- report: the JSON's keys name no thread count, so a report
+    // keeps its keys on any host.
+    std::vector<std::string> headers = {
+        "scenario", "wall 1t (s)", "wall Nt (s)", "speedup",
+        "events/s (1t)", "queries/s (1t)", "parts", "peak held queries",
+        "identical"};
+    TextTable json(headers);
+    headers[2] = "wall " + std::to_string(threads) + "t (s)";
+    TextTable table(headers);
     double search_serial = 0.0;
     double search_parallel = 0.0;
     bool all_identical = true;
     for (const ScenarioReport& r : reports) {
-        table.addRow({r.name, TextTable::num(r.wallSerial, 4),
-                      r.wallParallel > 0.0
-                          ? TextTable::num(r.wallParallel, 4)
-                          : "-",
-                      r.wallParallel > 0.0
-                          ? TextTable::num(r.speedup(), 2) + "x"
-                          : "-",
-                      r.events > 0.0 && r.wallSerial > 0.0
-                          ? TextTable::num(r.events / r.wallSerial, 0)
-                          : "-",
-                      r.queries > 0.0 && r.wallSerial > 0.0
-                          ? TextTable::num(r.queries / r.wallSerial, 0)
-                          : "-",
-                      r.parts > 0 ? std::to_string(r.parts) : "-",
-                      r.parts > 0 ? std::to_string(r.peakHeldQueries)
-                                  : "-",
-                      r.identical ? "yes" : "NO"});
-        if (r.wallParallel > 0.0) {
+        const bool parallel = r.wallParallel > 0.0;
+        const bool timed = r.wallSerial > 0.0;
+        std::vector<std::string> row = {
+            r.name, TextTable::num(r.wallSerial, 4),
+            parallel ? TextTable::num(r.wallParallel, 4) : "-",
+            parallel ? TextTable::num(r.speedup(), 2) + "x" : "-",
+            r.events > 0.0 && timed
+                ? TextTable::num(r.events / r.wallSerial, 0)
+                : "-",
+            r.queries > 0.0 && timed
+                ? TextTable::num(r.queries / r.wallSerial, 0)
+                : "-",
+            r.parts > 0 ? std::to_string(r.parts) : "-",
+            r.parts > 0 ? std::to_string(r.peakHeldQueries) : "-",
+            r.identical ? "yes" : "NO"};
+        table.addRow(row);
+        json.addRow(std::move(row));
+        if (parallel) {
             search_serial += r.wallSerial;
             search_parallel += r.wallParallel;
         }
@@ -672,12 +585,7 @@ main(int argc, char** argv)
                       : " (MISMATCH: parallel results diverged!)")
               << "\n";
 
-    ObsGate gate;
-    gate.baselineWall = obs_base_wall;
-    gate.offWall = obs_off_wall;
-    gate.onWall = obs_on_wall;
-    gate.pass = obs_gate_pass;
-    writeJson(out_path, reports, threads, combined, setup, gate);
+    writeTableJson(args.jsonPath, json);
     if (!obs_gate_pass)
         std::cerr << "obs disabled-path overhead gate FAILED\n";
     if (!book_gate_pass)

@@ -31,8 +31,6 @@
  * Host-measured lines: see its entry in tools/outputs.json.
  */
 
-#include <fstream>
-
 #include "bench/bench_common.hh"
 #include "cluster/cluster_sim.hh"
 #include "loadgen/query_stream.hh"
@@ -48,6 +46,7 @@ constexpr double kGB = 1e9;
 int
 main(int argc, char** argv)
 {
+    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 0);
     printBanner(std::cout,
                 "Shard placement sweep: memory per machine vs fleet"
                 " p99 (DLRM-RMC2, 8 machines, shard-aware routing)");
@@ -143,10 +142,6 @@ main(int argc, char** argv)
                  " overlap: the fan-out tax the optimistic model"
                  " under-reported, which replication also avoids.\n";
 
-    if (argc > 1) {
-        std::ofstream json(argv[1]);
-        table.printJson(json);
-        std::cout << "wrote " << argv[1] << "\n";
-    }
+    bench::writeTableJson(args.jsonPath, table);
     return 0;
 }

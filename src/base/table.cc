@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iomanip>
 #include <sstream>
+
+#include "base/logging.hh"
 
 namespace deeprecsys {
 
@@ -33,6 +36,24 @@ jsonEscaped(const std::string& s)
         }
     }
     return out;
+}
+
+bool
+writeTextFile(const std::string& path, const char* what,
+              const std::function<void(std::ostream&)>& body)
+{
+    std::ofstream os(path);
+    if (!os) {
+        drs_warn("cannot open ", path, " for ", what, " output");
+        return false;
+    }
+    body(os);
+    os.flush();
+    if (!os.good()) {
+        drs_warn("short write of ", what, " to ", path);
+        return false;
+    }
+    return true;
 }
 
 TextTable::TextTable(std::vector<std::string> headers)

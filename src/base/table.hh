@@ -10,6 +10,7 @@
 #ifndef DRS_BASE_TABLE_HH
 #define DRS_BASE_TABLE_HH
 
+#include <functional>
 #include <initializer_list>
 #include <ostream>
 #include <string>
@@ -24,6 +25,15 @@ namespace deeprecsys {
  * so output stays uniformly parseable.
  */
 std::string jsonEscaped(const std::string& s);
+
+/**
+ * Write @p body's output to the file @p path, checking the open, the
+ * writes and the final flush. On failure, warns naming @p what (such
+ * as "trace") and returns false. Every file the benches and the
+ * observer write goes through it.
+ */
+bool writeTextFile(const std::string& path, const char* what,
+                   const std::function<void(std::ostream&)>& body);
 
 /** Accumulates rows of strings and prints them column-aligned. */
 class TextTable

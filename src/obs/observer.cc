@@ -1,10 +1,8 @@
 #include "observer.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <functional>
 
-#include "base/logging.hh"
+#include "base/table.hh"
 
 namespace deeprecsys::obs {
 
@@ -267,40 +265,11 @@ RunObserver::snapshot(double t_s)
     }
 }
 
-namespace {
-
-bool
-writeTextFile(const std::string& path, const char* what,
-              const std::function<void(std::ostream&)>& body)
-{
-    std::ofstream os(path);
-    if (!os) {
-        drs_warn("cannot open ", path, " for ", what, " output");
-        return false;
-    }
-    body(os);
-    os.flush();
-    if (!os.good()) {
-        drs_warn("short write of ", what, " to ", path);
-        return false;
-    }
-    return true;
-}
-
-} // namespace
-
 bool
 RunObserver::writeTraceFile(const std::string& path) const
 {
     return writeTextFile(path, "trace",
                          [this](std::ostream& os) { writeTrace(os); });
-}
-
-bool
-RunObserver::writeMetricsFile(const std::string& path) const
-{
-    return writeTextFile(
-        path, "metrics", [this](std::ostream& os) { writeMetrics(os); });
 }
 
 } // namespace deeprecsys::obs

@@ -292,9 +292,6 @@ class RunObserver
     /** Write the trace to @p path (false + warning on I/O failure). */
     bool writeTraceFile(const std::string& path) const;
 
-    /** Write the metrics to @p path (false + warning on failure). */
-    bool writeMetricsFile(const std::string& path) const;
-
   private:
     ObsConfig cfg_;
     size_t numMachines_;

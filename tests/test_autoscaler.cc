@@ -19,6 +19,7 @@
 #include <cmath>
 
 #include "base/thread_pool.hh"
+#include "bench/bench_common.hh"
 #include "cluster/autoscaler.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
@@ -27,14 +28,11 @@
 namespace deeprecsys {
 namespace {
 
+/** bench::cpuMachine(256) with @p memory_bytes of embedding memory. */
 SimConfig
 cpuMachine(uint64_t memory_bytes = 0)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy};
+    SimConfig machine = bench::cpuMachine(256);
     machine.memoryBytes = memory_bytes;
     return machine;
 }

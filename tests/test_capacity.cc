@@ -7,27 +7,18 @@
 
 #include <cmath>
 
+#include "bench/bench_common.hh"
 #include "cluster/capacity_planner.hh"
 #include "cluster/model_mix.hh"
 
 namespace deeprecsys {
 namespace {
 
-SimConfig
-cpuMachine(size_t batch = 256)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
-}
-
 CapacityPlanSpec
 baseSpec(double target_qps)
 {
     CapacityPlanSpec spec;
-    spec.unitMachines = {cpuMachine()};
+    spec.unitMachines = {bench::cpuMachine(256)};
     spec.targetQps = target_qps;
     spec.slaMs = 100.0;
     spec.percentile = 99.0;
@@ -90,17 +81,15 @@ TEST(CapacityPlanner, ImpossibleSlaIsInfeasible)
 
 TEST(CapacityPlanner, MixedUnitScalesIntegrally)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy gpu_policy;
-    gpu_policy.perRequestBatch = 256;
-    gpu_policy.gpuEnabled = true;
-    gpu_policy.gpuQueryThreshold = 64;
-    const SimConfig gpu_machine{
-        CpuCostModel(profile, CpuPlatform::skylake()),
-        GpuCostModel(profile, GpuPlatform::gtx1080Ti()), gpu_policy};
+    SimConfig gpu_machine = bench::cpuMachine(256);
+    gpu_machine.bindings[0].gpu = GpuCostModel(
+        ModelProfile::forModel(ModelId::DlrmRmc1), GpuPlatform::gtx1080Ti());
+    gpu_machine.bindings[0].policy.gpuEnabled = true;
+    gpu_machine.bindings[0].policy.gpuQueryThreshold = 64;
 
     CapacityPlanSpec spec = baseSpec(8000.0);
-    spec.unitMachines = {cpuMachine(), cpuMachine(), gpu_machine};
+    spec.unitMachines = {bench::cpuMachine(256), bench::cpuMachine(256),
+                         gpu_machine};
     spec.routing.kind = RoutingKind::SizeAware;
     spec.routing.sizeThreshold = 64;
     const CapacityPlan plan = planCapacity(spec);
@@ -166,7 +155,7 @@ TEST(CapacityPlannerDeath, UnitMachineMissingAMixBindingIsAValidatedError)
 TEST(ClusterQpsSearchDeath, NonPositiveSlaIsAValidatedError)
 {
     ClusterConfig cluster;
-    cluster.machines = {cpuMachine()};
+    cluster.machines = {bench::cpuMachine(256)};
     ClusterQpsSpec spec;
     spec.slaMs = -1.0;
     EXPECT_EXIT((void)findClusterMaxQps(cluster, spec),
@@ -176,7 +165,7 @@ TEST(ClusterQpsSearchDeath, NonPositiveSlaIsAValidatedError)
 TEST(ClusterQpsSearchDeath, NonPositiveOrNanRateIsAValidatedError)
 {
     ClusterConfig cluster;
-    cluster.machines = {cpuMachine()};
+    cluster.machines = {bench::cpuMachine(256)};
     const ClusterQpsSpec spec;
     EXPECT_EXIT((void)evaluateClusterAtQps(cluster, spec, 0.0),
                 ::testing::ExitedWithCode(1),

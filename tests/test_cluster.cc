@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "bench/bench_common.hh"
 #include "cluster/cluster_qps_search.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
@@ -17,30 +18,25 @@
 namespace deeprecsys {
 namespace {
 
+/** bench::cpuMachine(256), @p slowdown times slower. */
 SimConfig
-cpuMachine(double slowdown = 1.0, size_t batch = 256)
+cpuMachine(double slowdown = 1.0)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy};
+    SimConfig machine = bench::cpuMachine(256);
     machine.slowdown = slowdown;
     return machine;
 }
 
+/** cpuMachine() with a GTX 1080 Ti taking queries of @p threshold
+ *  samples and up. */
 SimConfig
 gpuMachine(uint32_t threshold = 64, double slowdown = 1.0)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    policy.gpuEnabled = true;
-    policy.gpuQueryThreshold = threshold;
-    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      GpuCostModel(profile, GpuPlatform::gtx1080Ti()),
-                      policy};
-    machine.slowdown = slowdown;
+    SimConfig machine = cpuMachine(slowdown);
+    machine.bindings[0].gpu = GpuCostModel(
+        ModelProfile::forModel(ModelId::DlrmRmc1), GpuPlatform::gtx1080Ti());
+    machine.bindings[0].policy.gpuEnabled = true;
+    machine.bindings[0].policy.gpuQueryThreshold = threshold;
     return machine;
 }
 

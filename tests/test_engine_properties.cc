@@ -35,14 +35,12 @@ cpuMachine(double slowdown = 1.0)
 SimConfig
 gpuMachine(uint32_t threshold = 64)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    policy.gpuEnabled = true;
-    policy.gpuQueryThreshold = threshold;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     GpuCostModel(profile, GpuPlatform::gtx1080Ti()),
-                     policy};
+    SimConfig machine = cpuMachine();
+    machine.bindings[0].gpu = GpuCostModel(
+        ModelProfile::forModel(ModelId::DlrmRmc1), GpuPlatform::gtx1080Ti());
+    machine.bindings[0].policy.gpuEnabled = true;
+    machine.bindings[0].policy.gpuQueryThreshold = threshold;
+    return machine;
 }
 
 /** Mixed tier: CPU-only, slow, and accelerated machines. */

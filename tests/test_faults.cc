@@ -295,15 +295,8 @@ TEST(FaultConservation, ElasticAlgebraExactUnderCrashes)
         EXPECT_LT(r.peakHeldQueries * 32, trace.size());
     };
 
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
     AutoscaleSpec spec;
-    for (size_t m = 0; m < 4; m++) {
-        SchedulerPolicy sched;
-        sched.perRequestBatch = 256;
-        spec.cluster.machines.push_back(
-            SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, sched});
-    }
+    spec.cluster.machines.assign(4, bench::cpuMachine(256));
     spec.routing.kind = RoutingKind::PowerOfTwoChoices;
     spec.slaMs = 100.0;
     spec.controlIntervalSeconds = 0.5;

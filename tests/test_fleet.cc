@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "bench/bench_common.hh"
 #include "cluster/fleet.hh"
 
 namespace deeprecsys {
@@ -22,16 +23,6 @@ stddevOf(const SampleStats& s)
     return std::sqrt(acc / static_cast<double>(s.count()));
 }
 
-SimConfig
-baseConfig(size_t batch = 256)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
-}
-
 FleetConfig
 smallFleet()
 {
@@ -45,7 +36,7 @@ smallFleet()
 
 TEST(Fleet, PerMachineResultsMatchCount)
 {
-    FleetSimulator fleet(baseConfig(), smallFleet());
+    FleetSimulator fleet(bench::cpuMachine(256), smallFleet());
     const FleetResult r = fleet.run();
     ASSERT_EQ(r.perMachine.size(), 24u);
     // The window's 24 x 400 queries are dealt round-robin, so every
@@ -56,7 +47,7 @@ TEST(Fleet, PerMachineResultsMatchCount)
 
 TEST(Fleet, PooledLatencyAggregatesMachines)
 {
-    FleetSimulator fleet(baseConfig(), smallFleet());
+    FleetSimulator fleet(bench::cpuMachine(256), smallFleet());
     const FleetResult r = fleet.run();
     size_t total = 0;
     for (const auto& m : r.perMachine)
@@ -66,7 +57,7 @@ TEST(Fleet, PooledLatencyAggregatesMachines)
 
 TEST(Fleet, SubsamplePoolsRequestedMachines)
 {
-    FleetSimulator fleet(baseConfig(), smallFleet());
+    FleetSimulator fleet(bench::cpuMachine(256), smallFleet());
     const FleetResult r = fleet.run();
     const SampleStats sub = r.subsample({0, 1, 2});
     EXPECT_EQ(sub.count(), r.perMachine[0].count() +
@@ -80,7 +71,7 @@ TEST(Fleet, SubsampleTracksFleetTail)
     // to within ~10%.
     FleetConfig cfg = smallFleet();
     cfg.numMachines = 40;
-    FleetSimulator fleet(baseConfig(), cfg);
+    FleetSimulator fleet(bench::cpuMachine(256), cfg);
     const FleetResult r = fleet.run();
     const SampleStats sub = r.subsample({0, 1, 2, 3});
     const double fleet_p95 = r.fleetLatency.percentile(95);
@@ -90,8 +81,8 @@ TEST(Fleet, SubsampleTracksFleetTail)
 
 TEST(Fleet, DeterministicGivenSeed)
 {
-    FleetSimulator a(baseConfig(), smallFleet());
-    FleetSimulator b(baseConfig(), smallFleet());
+    FleetSimulator a(bench::cpuMachine(256), smallFleet());
+    FleetSimulator b(bench::cpuMachine(256), smallFleet());
     EXPECT_DOUBLE_EQ(a.run().fleetLatency.percentile(95),
                      b.run().fleetLatency.percentile(95));
 }
@@ -99,9 +90,9 @@ TEST(Fleet, DeterministicGivenSeed)
 TEST(Fleet, SeedChangesOutcome)
 {
     FleetConfig cfg = smallFleet();
-    FleetSimulator a(baseConfig(), cfg);
+    FleetSimulator a(bench::cpuMachine(256), cfg);
     cfg.seed = 999;
-    FleetSimulator b(baseConfig(), cfg);
+    FleetSimulator b(bench::cpuMachine(256), cfg);
     EXPECT_NE(a.run().fleetLatency.percentile(95),
               b.run().fleetLatency.percentile(95));
 }
@@ -115,8 +106,8 @@ TEST(Fleet, HeterogeneityWidensDistribution)
     varied.speedSigma = 0.15;
     varied.interferenceProb = 0.4;
     varied.interferenceSlowdown = 1.6;
-    FleetSimulator a(baseConfig(), uniform);
-    FleetSimulator b(baseConfig(), varied);
+    FleetSimulator a(bench::cpuMachine(256), uniform);
+    FleetSimulator b(bench::cpuMachine(256), varied);
     const FleetResult ra = a.run();
     const FleetResult rb = b.run();
     EXPECT_GT(stddevOf(rb.fleetLatency), stddevOf(ra.fleetLatency));
@@ -131,8 +122,8 @@ TEST(Fleet, DiurnalPeaksRaiseTail)
     flat.perMachineQps = 900.0;
     FleetConfig diurnal = flat;
     diurnal.diurnalPeakToTrough = 2.5;
-    FleetSimulator a(baseConfig(), flat);
-    FleetSimulator b(baseConfig(), diurnal);
+    FleetSimulator a(bench::cpuMachine(256), flat);
+    FleetSimulator b(bench::cpuMachine(256), diurnal);
     // Peak-hour overload dominates the pooled tail.
     EXPECT_GT(b.run().fleetLatency.percentile(99),
               a.run().fleetLatency.percentile(99));
@@ -145,7 +136,7 @@ TEST(FleetDeath, NoMachinesIsAConfigError)
 {
     FleetConfig cfg = smallFleet();
     cfg.numMachines = 0;
-    EXPECT_EXIT((void)FleetSimulator(baseConfig(), cfg),
+    EXPECT_EXIT((void)FleetSimulator(bench::cpuMachine(256), cfg),
                 ::testing::ExitedWithCode(1), "fleet needs machines");
 }
 
@@ -153,7 +144,7 @@ TEST(FleetDeath, NoWindowsIsAConfigError)
 {
     FleetConfig cfg = smallFleet();
     cfg.numWindows = 0;
-    EXPECT_EXIT((void)FleetSimulator(baseConfig(), cfg),
+    EXPECT_EXIT((void)FleetSimulator(bench::cpuMachine(256), cfg),
                 ::testing::ExitedWithCode(1),
                 "fleet needs at least one window");
 }

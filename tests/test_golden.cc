@@ -264,13 +264,7 @@ TEST(Golden, FleetFig13Path)
     for (const auto& [name, batch] :
          {std::pair<const char*, size_t>{"fleet_fixed_batch25", 25},
           std::pair<const char*, size_t>{"fleet_tuned_batch128", 128}}) {
-        const ModelProfile profile =
-            ModelProfile::forModel(ModelId::DlrmRmc1);
-        SchedulerPolicy policy;
-        policy.perRequestBatch = batch;
-        const SimConfig machine{
-            CpuCostModel(profile, CpuPlatform::skylake()),
-            std::nullopt, policy};
+        const SimConfig machine = bench::cpuMachine(batch);
         FleetConfig cfg;
         cfg.numMachines = 12;
         cfg.perMachineQps = 540.0;
@@ -288,11 +282,7 @@ TEST(Golden, FleetFig07Path)
 {
     // A compressed fig07 fleet: fig07's milder heterogeneity over one
     // window, with the pooled fleet and a machine subsample.
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    const SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                            std::nullopt, policy};
+    const SimConfig machine = bench::cpuMachine(256);
     FleetConfig cfg;
     cfg.numMachines = 16;
     cfg.perMachineQps = 1200.0;
@@ -312,13 +302,9 @@ TEST(Golden, ClusterRoutingSweepPaths)
 {
     // The cluster_routing_sweep bench path: one global stream over a
     // heterogeneous 8-machine tier, every self-contained policy.
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
     ClusterConfig cluster;
     for (size_t m = 0; m < 8; m++) {
-        SchedulerPolicy policy;
-        policy.perRequestBatch = 256;
-        SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                          std::nullopt, policy};
+        SimConfig machine = bench::cpuMachine(256);
         machine.slowdown = m % 2 == 0 ? 1.0 : 1.3;
         cluster.machines.push_back(machine);
     }

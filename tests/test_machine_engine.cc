@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_common.hh"
 #include "sim/machine_engine.hh"
 
 namespace deeprecsys {
@@ -18,15 +19,12 @@ namespace {
 SimConfig
 engineConfig(size_t batch = 64, bool gpu = false, uint32_t threshold = 1)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    policy.gpuEnabled = gpu;
-    policy.gpuQueryThreshold = threshold;
-    SimConfig cfg{CpuCostModel(profile, CpuPlatform::skylake()),
-                  std::nullopt, policy};
+    SimConfig cfg = bench::cpuMachine(batch);
+    cfg.bindings[0].policy.gpuEnabled = gpu;
+    cfg.bindings[0].policy.gpuQueryThreshold = threshold;
     if (gpu)
-        cfg.bindings[0].gpu.emplace(profile, GpuPlatform::gtx1080Ti());
+        cfg.bindings[0].gpu.emplace(ModelProfile::forModel(ModelId::DlrmRmc1),
+                                    GpuPlatform::gtx1080Ti());
     return cfg;
 }
 

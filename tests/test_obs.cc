@@ -18,6 +18,7 @@
 #include <string>
 
 #include "base/thread_pool.hh"
+#include "bench/bench_common.hh"
 #include "cluster/autoscaler.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
@@ -166,12 +167,7 @@ TEST(SpanSampling, DifferentSeedsSampleDifferentSets)
 SimConfig
 testMachine()
 {
-    const ModelProfile profile =
-        ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 128;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
+    return bench::cpuMachine(128);
 }
 
 /** testMachine alone behind the zero-cost router. */

@@ -31,16 +31,6 @@ namespace {
 
 constexpr size_t kManyThreads = 8;
 
-SimConfig
-cpuMachine(size_t batch = 256)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
-}
-
 /** Run fn twice — serial pool, then @p threads — returning both. */
 template <typename Fn>
 auto
@@ -108,7 +98,7 @@ smallCluster(size_t machines = 6)
 {
     ClusterConfig cluster;
     for (size_t m = 0; m < machines; m++) {
-        SimConfig machine = cpuMachine();
+        SimConfig machine = bench::cpuMachine(256);
         machine.slowdown = m % 2 == 0 ? 1.0 : 1.3;
         cluster.machines.push_back(machine);
     }
@@ -263,7 +253,7 @@ TEST(ParallelDiff, FindMaxQpsBitwiseEqualAcrossThreadCounts)
     spec.slaMs = 100.0;
     spec.numQueries = 1500;
     const auto [serial, parallel] = atBothThreadCounts(
-        [&] { return findMaxQps(cpuMachine(), spec); });
+        [&] { return findMaxQps(bench::cpuMachine(256), spec); });
     EXPECT_DOUBLE_EQ(serial.maxQps, parallel.maxQps);
     EXPECT_EQ(serial.evaluations, parallel.evaluations);
     expectSameSimResult(serial.atMax, parallel.atMax);
@@ -275,7 +265,7 @@ TEST(ParallelDiff, FindMaxQpsInfeasibleCaseAgrees)
     spec.slaMs = 0.01;    // below any single-request service time
     spec.numQueries = 800;
     const auto [serial, parallel] = atBothThreadCounts(
-        [&] { return findMaxQps(cpuMachine(), spec); });
+        [&] { return findMaxQps(bench::cpuMachine(256), spec); });
     EXPECT_DOUBLE_EQ(serial.maxQps, 0.0);
     EXPECT_DOUBLE_EQ(parallel.maxQps, 0.0);
     EXPECT_EQ(serial.evaluations, parallel.evaluations);
@@ -298,7 +288,7 @@ TEST(ParallelDiff, FindClusterMaxQpsBitwiseEqualAcrossThreadCounts)
 TEST(ParallelDiff, PlanCapacityBitwiseEqualAcrossThreadCounts)
 {
     CapacityPlanSpec spec;
-    spec.unitMachines = {cpuMachine()};
+    spec.unitMachines = {bench::cpuMachine(256)};
     spec.targetQps = 6000.0;
     spec.slaMs = 100.0;
     spec.queriesPerMachine = 250;
@@ -322,7 +312,7 @@ TEST(ParallelDiff, SweepHelperBitwiseEqualAndInputOrdered)
     auto sweep = [&] {
         return bench::sweepMap(rates, [&](double qps) {
             LoadSpec load;
-            return evaluateAtQps(cpuMachine(), load, qps, 600);
+            return evaluateAtQps(bench::cpuMachine(256), load, qps, 600);
         });
     };
     const auto [serial, parallel] = atBothThreadCounts(sweep);
@@ -345,12 +335,12 @@ TEST(ParallelDiff, SearchMatchesManualEvaluationAtFoundRate)
     spec.slaMs = 100.0;
     spec.numQueries = 1500;
     ThreadPool::setSharedThreads(kManyThreads);
-    const QpsSearchResult found = findMaxQps(cpuMachine(), spec);
+    const QpsSearchResult found = findMaxQps(bench::cpuMachine(256), spec);
     ThreadPool::setSharedThreads(1);
     ASSERT_GT(found.maxQps, 0.0);
     TraceTemplate tpl(spec.load);
     tpl.ensure(spec.numQueries);
-    ServingSimulator sim(cpuMachine());
+    ServingSimulator sim(bench::cpuMachine(256));
     const SimResult redo =
         sim.run(tpl.materialize(found.maxQps, spec.numQueries));
     expectSameSimResult(found.atMax, redo);

@@ -24,6 +24,7 @@
 #include <limits>
 #include <sstream>
 
+#include "bench/bench_common.hh"
 #include "tests/busy_tier.hh"
 
 namespace deeprecsys {
@@ -157,12 +158,8 @@ TEST(QueryWindow, ShedRetryPinsTheHeadUntilItSettles)
     // is unsettled until its retry reads it, so the book holds it
     // through the backoff; with retries off every shed is final and
     // released at once.
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
     ClusterConfig cfg;
-    SchedulerPolicy sched;
-    sched.perRequestBatch = 256;
-    cfg.machines.push_back(SimConfig{
-        CpuCostModel(profile, CpuPlatform::skylake()), std::nullopt, sched});
+    cfg.machines.push_back(bench::cpuMachine(256));
     cfg.overload.admission = AdmissionKind::QueueDepth;
     cfg.overload.maxRetries = 1;
 

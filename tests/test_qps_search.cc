@@ -22,16 +22,6 @@
 namespace deeprecsys {
 namespace {
 
-SimConfig
-rmc1Config(size_t batch)
-{
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
-                     std::nullopt, policy};
-}
-
 QpsSearchSpec
 spec(double sla_ms, size_t num_queries = 1200)
 {
@@ -43,7 +33,7 @@ spec(double sla_ms, size_t num_queries = 1200)
 
 TEST(QpsSearch, FeasibleSlaGivesPositiveQps)
 {
-    const QpsSearchResult r = findMaxQps(rmc1Config(256), spec(100.0));
+    const QpsSearchResult r = findMaxQps(bench::cpuMachine(256), spec(100.0));
     EXPECT_GT(r.maxQps, 100.0);
     EXPECT_GT(r.evaluations, 2u);
 }
@@ -51,34 +41,34 @@ TEST(QpsSearch, FeasibleSlaGivesPositiveQps)
 TEST(QpsSearch, ImpossibleSlaGivesZero)
 {
     // 0.01 ms is below any single-request service time.
-    const QpsSearchResult r = findMaxQps(rmc1Config(256), spec(0.01));
+    const QpsSearchResult r = findMaxQps(bench::cpuMachine(256), spec(0.01));
     EXPECT_DOUBLE_EQ(r.maxQps, 0.0);
 }
 
 TEST(QpsSearch, RelaxedSlaSustainsMoreLoad)
 {
-    const double tight = findMaxQps(rmc1Config(256), spec(50.0)).maxQps;
-    const double loose = findMaxQps(rmc1Config(256), spec(150.0)).maxQps;
+    const double tight = findMaxQps(bench::cpuMachine(256), spec(50.0)).maxQps;
+    const double loose = findMaxQps(bench::cpuMachine(256), spec(150.0)).maxQps;
     EXPECT_GT(loose, tight);
 }
 
 TEST(QpsSearch, ResultMeetsSla)
 {
-    const QpsSearchResult r = findMaxQps(rmc1Config(256), spec(100.0));
+    const QpsSearchResult r = findMaxQps(bench::cpuMachine(256), spec(100.0));
     EXPECT_LE(r.atMax.p95Ms(), 100.0);
 }
 
 TEST(QpsSearch, DeterministicAcrossCalls)
 {
-    const double a = findMaxQps(rmc1Config(256), spec(100.0)).maxQps;
-    const double b = findMaxQps(rmc1Config(256), spec(100.0)).maxQps;
+    const double a = findMaxQps(bench::cpuMachine(256), spec(100.0)).maxQps;
+    const double b = findMaxQps(bench::cpuMachine(256), spec(100.0)).maxQps;
     EXPECT_DOUBLE_EQ(a, b);
 }
 
 TEST(QpsSearch, EvaluateAtQpsRunsTrace)
 {
     LoadSpec load;
-    const SimResult r = evaluateAtQps(rmc1Config(256), load, 200.0, 800);
+    const SimResult r = evaluateAtQps(bench::cpuMachine(256), load, 200.0, 800);
     EXPECT_GT(r.numQueries, 0u);
     EXPECT_NEAR(r.offeredQps, 200.0, 30.0);
 }
@@ -86,9 +76,9 @@ TEST(QpsSearch, EvaluateAtQpsRunsTrace)
 TEST(QpsSearch, BatchSizeChangesThroughput)
 {
     // The core premise of DeepRecSched: the knob matters.
-    const double q_small = findMaxQps(rmc1Config(8), spec(100.0)).maxQps;
+    const double q_small = findMaxQps(bench::cpuMachine(8), spec(100.0)).maxQps;
     const double q_large =
-        findMaxQps(rmc1Config(1024), spec(100.0)).maxQps;
+        findMaxQps(bench::cpuMachine(1024), spec(100.0)).maxQps;
     EXPECT_GT(q_large, 1.3 * q_small);
 }
 
@@ -205,7 +195,7 @@ TEST(RateSearch, FeasibleCeilingIsTestedNotSkipped)
 // (drs_fatal), it does not abort like a broken invariant.
 TEST(QpsSearchDeath, NonPositiveSlaIsAValidatedError)
 {
-    EXPECT_EXIT((void)findMaxQps(rmc1Config(256), spec(0.0)),
+    EXPECT_EXIT((void)findMaxQps(bench::cpuMachine(256), spec(0.0)),
                 ::testing::ExitedWithCode(1), "SLA target must be positive");
 }
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 
+#include "bench/bench_common.hh"
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
 #include "cluster/routing_policy.hh"
@@ -23,14 +24,11 @@
 namespace deeprecsys {
 namespace {
 
+/** bench::cpuMachine(256), @p slowdown times slower. */
 SimConfig
 cpuMachine(double slowdown = 1.0)
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy};
+    SimConfig machine = bench::cpuMachine(256);
     machine.slowdown = slowdown;
     return machine;
 }
