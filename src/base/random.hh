@@ -16,6 +16,25 @@
 
 namespace deeprecsys {
 
+/** SplitMix64's increment, the 64-bit golden ratio (2^64 / phi, odd). */
+constexpr uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * The SplitMix64 finalizer of x + kGoldenGamma: a stateless,
+ * statistically strong 64-bit mix. It seeds every Rng, derives the
+ * mixed-model substreams, and hashes the ids behind priority classes,
+ * retry jitter, observer sampling and embedding rows; the goldens pin
+ * its bits, so this is its one copy.
+ */
+inline uint64_t
+mix64(uint64_t x)
+{
+    x += kGoldenGamma;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /**
  * xoshiro256** pseudo-random generator with distribution helpers.
  *
@@ -29,19 +48,16 @@ class Rng
     using result_type = uint64_t;
 
     /** Construct from a seed; equal seeds give equal streams. */
-    explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
+    explicit Rng(uint64_t seed = kGoldenGamma) { reseed(seed); }
 
-    /** Re-initialize the state from a seed via SplitMix64. */
+    /** Re-initialize the state from a seed: the first four outputs of
+     *  a SplitMix64 generator started at @p seed. */
     void
     reseed(uint64_t seed)
     {
-        uint64_t x = seed;
         for (auto& word : state) {
-            x += 0x9e3779b97f4a7c15ULL;
-            uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            word = z ^ (z >> 31);
+            word = mix64(seed);
+            seed += kGoldenGamma;
         }
     }
 

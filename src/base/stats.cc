@@ -12,7 +12,6 @@ SampleStats::add(double value)
 {
     samples.push_back(value);
     total += value;
-    sortedValid = false;
 }
 
 void
@@ -26,7 +25,6 @@ SampleStats::addAll(const std::vector<double>& values)
     // bit-identical to the historical loop.
     for (double v : values)
         total += v;
-    sortedValid = false;
 }
 
 double
@@ -39,35 +37,30 @@ double
 SampleStats::percentile(double p) const
 {
     drs_assert(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
-    ensureSorted();
-    if (sorted.empty())
+    if (samples.empty())
         return 0.0;
-    if (sorted.size() == 1)
-        return sorted.front();
-    const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
+    if (samples.size() == 1)
+        return samples.front();
+    const double rank = (p / 100.0) * static_cast<double>(samples.size() - 1);
     const size_t lo_idx = static_cast<size_t>(std::floor(rank));
-    const size_t hi_idx = std::min(lo_idx + 1, sorted.size() - 1);
     const double frac = rank - static_cast<double>(lo_idx);
-    return sorted[lo_idx] * (1.0 - frac) + sorted[hi_idx] * frac;
+    // The order statistic at lo_idx by selection, and the next one
+    // (itself at the top rank) as the least value selection left
+    // above it.
+    std::vector<double> scratch = samples;
+    const auto lo = scratch.begin() + static_cast<std::ptrdiff_t>(lo_idx);
+    std::nth_element(scratch.begin(), lo, scratch.end());
+    const double hi = lo + 1 == scratch.end()
+        ? *lo
+        : *std::min_element(lo + 1, scratch.end());
+    return *lo * (1.0 - frac) + hi * frac;
 }
 
 void
 SampleStats::clear()
 {
     samples.clear();
-    sorted.clear();
-    sortedValid = true;
     total = 0.0;
-}
-
-void
-SampleStats::ensureSorted() const
-{
-    if (!sortedValid) {
-        sorted = samples;
-        std::sort(sorted.begin(), sorted.end());
-        sortedValid = true;
-    }
 }
 
 } // namespace deeprecsys

@@ -19,7 +19,9 @@ namespace deeprecsys {
 
 /**
  * Accumulates scalar samples and answers mean / percentile queries.
- * Samples are retained; percentile queries sort lazily.
+ * Samples are retained in insertion order and never reordered: a
+ * percentile selects its order statistics from a scratch copy, so
+ * reads are const in fact, and safe from many threads at once.
  */
 class SampleStats
 {
@@ -55,7 +57,9 @@ class SampleStats
     double sum() const { return total; }
 
     /**
-     * Exact percentile by linear interpolation between closest ranks.
+     * Exact percentile by linear interpolation between closest ranks:
+     * the order statistics at floor(rank) and the one above it, for
+     * rank = p / 100 * (count - 1) — bitwise what a full sort gives.
      * @param p percentile in [0, 100].
      */
     double percentile(double p) const;
@@ -73,12 +77,7 @@ class SampleStats
     const std::vector<double>& raw() const { return samples; }
 
   private:
-    /** Ensure the sorted cache reflects the current samples. */
-    void ensureSorted() const;
-
     std::vector<double> samples;
-    mutable std::vector<double> sorted;
-    mutable bool sortedValid = true;
     double total = 0.0;
 };
 

@@ -159,10 +159,13 @@ AdmissionController::partServiceSeconds(size_t m, uint32_t size,
         std::ceil(static_cast<double>(size) / static_cast<double>(b));
     const double parallelism = std::min(coresOf(m), requests);
     const size_t req_batch = std::min<size_t>(size, b);
-    const bool whole = emb_fraction >= 1.0 && include_dense;
+    const PartSpec part{.embFraction = emb_fraction,
+                        .leader = include_dense,
+                        .whole = emb_fraction >= 1.0 && include_dense,
+                        .model = model};
     const double work = requests *
-        machine.queuedRequestSeconds(model, std::max<size_t>(1, req_batch),
-                                     whole, emb_fraction, include_dense);
+        machine.serviceSeconds(part, std::max<size_t>(1, req_batch),
+                               /*on_gpu=*/false, machine.cores());
     return work / parallelism;
 }
 

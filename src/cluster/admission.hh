@@ -68,8 +68,8 @@
  *
  * Units: seconds throughout; sizes in candidate samples. Ownership:
  * the controller copies its config and borrows the tier's machine
- * configs, which it prices through (SimConfig::queuedRequestSeconds,
- * the engine's own pricing function); decisions read only those and
+ * configs, which it prices through (SimConfig::serviceSeconds, the
+ * engine's own pricing function); decisions read only those and
  * the view passed in. Determinism: see above — decide() is pure.
  */
 

@@ -31,7 +31,7 @@ namespace {
 Rng
 streamRng(uint64_t seed, uint32_t machine, uint64_t salt)
 {
-    return Rng(seed ^ (0x9e3779b97f4a7c15ULL * (machine + 1)) ^
+    return Rng(seed ^ (kGoldenGamma * (machine + 1)) ^
                (0xbf58476d1ce4e5b9ULL * salt));
 }
 

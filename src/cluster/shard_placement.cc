@@ -321,7 +321,7 @@ tablesOfQuery(uint64_t query_id, const TableSetSpec& spec,
     // Weighted sampling without replacement: walk the CDF of the
     // not-yet-chosen tables. Keyed by the query id, so equal ids
     // always draw equal working sets.
-    Rng rng(spec.seed ^ (query_id * 0x9e3779b97f4a7c15ULL));
+    Rng rng(spec.seed ^ (query_id * kGoldenGamma));
     double remaining = 1.0;
     std::vector<bool> taken(spec.numTables, false);
     for (uint32_t k = 0; k < want; k++) {

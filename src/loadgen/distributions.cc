@@ -7,19 +7,6 @@
 
 namespace deeprecsys {
 
-ArrivalProcess::ArrivalProcess(double qps, uint64_t seed)
-    : rate(qps), rng(seed)
-{
-    if (!(qps > 0.0))
-        drs_fatal("arrival rate must be positive, got ", qps, " q/s");
-}
-
-double
-ArrivalProcess::nextGap()
-{
-    return rng.exponential(rate);
-}
-
 const char*
 sizeDistName(SizeDistKind kind)
 {

@@ -31,29 +31,21 @@
 namespace deeprecsys {
 
 /**
- * Generates the exponential inter-arrival gaps of a Poisson process
- * at a target average rate. Owns its random stream: two processes
- * with equal (qps, seed) emit the same gap sequence, and a gap is
- * priced as gap(1.0) / qps, which is what lets TraceTemplate re-time
- * one drawn population at any candidate rate bit-identically.
+ * Generates the exponential inter-arrival gaps of a unit-rate Poisson
+ * process; a gap at rate r is gap / r, which is what lets
+ * TraceTemplate re-time one drawn population at any rate. Owns its
+ * random stream: two processes with equal seeds emit the same gaps.
  */
 class ArrivalProcess
 {
   public:
-    /**
-     * @param qps average queries per second (> 0, else fatal)
-     * @param seed deterministic stream seed
-     */
-    ArrivalProcess(double qps, uint64_t seed);
+    /** @param seed deterministic stream seed */
+    explicit ArrivalProcess(uint64_t seed) : rng(seed) {}
 
-    /** Seconds until the next arrival. */
-    double nextGap();
-
-    /** The configured average rate. */
-    double qps() const { return rate; }
+    /** Unit-rate seconds until the next arrival. */
+    double nextGap() { return rng.exponential(1.0); }
 
   private:
-    double rate;
     Rng rng;
 };
 

@@ -10,30 +10,20 @@
 
 namespace deeprecsys {
 
-QueryStream::QueryStream(const LoadSpec& spec)
-    : spec_(spec), arrivals(spec.qps, spec.arrivalSeed),
-      sizes(QuerySizeDistribution::byKind(spec.sizes, spec.sizeSeed))
+namespace {
+
+void
+requirePositiveRate(double qps)
 {
+    if (!(qps > 0.0))
+        drs_fatal("a trace's arrival rate must be positive, got ", qps,
+                  " q/s");
 }
 
-QueryTrace
-QueryStream::generate(size_t count)
-{
-    QueryTrace trace;
-    trace.reserve(count);
-    for (size_t i = 0; i < count; i++) {
-        clock += arrivals.nextGap();
-        Query q;
-        q.id = nextId++;
-        q.arrivalSeconds = clock;
-        q.size = sizes.sample();
-        trace.push_back(q);
-    }
-    return trace;
-}
+} // namespace
 
 TraceTemplate::TraceTemplate(const LoadSpec& spec)
-    : spec_(spec), arrivals(1.0, spec.arrivalSeed),
+    : spec_(spec), arrivals(spec.arrivalSeed),
       sizeDist(QuerySizeDistribution::byKind(spec.sizes, spec.sizeSeed))
 {
 }
@@ -63,20 +53,16 @@ TraceTemplate::ensure(size_t count)
 }
 
 QueryTrace
-TraceTemplate::materialize(double qps, size_t count) const
+TraceTemplate::materialize(double qps, size_t count, size_t first,
+                           double start_seconds) const
 {
-    drs_assert(count <= unitGaps.size(),
+    drs_assert(first + count <= unitGaps.size(),
                "materialize beyond the drawn template; call ensure()");
-    if (!(qps > 0.0))
-        drs_fatal("a trace's arrival rate must be positive, got ", qps,
-                  " q/s");
+    requirePositiveRate(qps);
     QueryTrace trace;
     trace.reserve(count);
-    double clock = 0.0;
-    for (size_t i = 0; i < count; i++) {
-        // Same floating-point op sequence as generate() at this rate:
-        // gap(1.0) is the dividend ArrivalProcess would divide by the
-        // rate, so gap(1.0) / qps is bit-identical to its nextGap().
+    double clock = start_seconds;
+    for (size_t i = first; i < first + count; i++) {
         clock += unitGaps[i] / qps;
         Query q;
         q.id = static_cast<uint64_t>(i);
@@ -84,6 +70,23 @@ TraceTemplate::materialize(double qps, size_t count) const
         q.size = sizes[i];
         trace.push_back(q);
     }
+    return trace;
+}
+
+QueryStream::QueryStream(const LoadSpec& spec) : population(spec)
+{
+    requirePositiveRate(spec.qps);
+}
+
+QueryTrace
+QueryStream::generate(size_t count)
+{
+    const size_t first = population.size();
+    population.ensure(first + count);
+    QueryTrace trace =
+        population.materialize(spec().qps, count, first, clock);
+    if (!trace.empty())
+        clock = trace.back().arrivalSeconds;
     return trace;
 }
 
@@ -205,20 +208,6 @@ TraceTemplate::materializeDiurnal(double mean_qps,
     return trace;
 }
 
-namespace {
-
-/** SplitMix64 finalizer: a statistically strong stateless mix. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
 uint64_t
 modelSubstreamSeed(uint64_t base_seed, uint32_t model)
 {
@@ -228,7 +217,7 @@ modelSubstreamSeed(uint64_t base_seed, uint32_t model)
     if (model == 0)
         return base_seed;
     return mix64(base_seed ^
-                 (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(model) + 1)));
+                 (kGoldenGamma * (static_cast<uint64_t>(model) + 1)));
 }
 
 std::vector<size_t>
@@ -382,7 +371,7 @@ retryDelaySeconds(double retry_after_hint, uint64_t query_id,
     // 53-bit mantissa draw from the hash, as Rng::uniform does from
     // its state word: uniform in [0, 1).
     const double u = static_cast<double>(
-                         mix64(query_id * 0x9e3779b97f4a7c15ULL + attempt) >>
+                         mix64(query_id * kGoldenGamma + attempt) >>
                          11) *
         0x1.0p-53;
     return delay * (1.0 + kRetryJitterFraction * u);

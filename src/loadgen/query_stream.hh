@@ -24,38 +24,15 @@ struct LoadSpec
 };
 
 /**
- * Generates query traces. Sizes are drawn from a stream independent of
- * the arrival stream so that sweeping the rate (e.g. during max-QPS
- * bisection) re-times the *same* query population, which keeps search
- * results monotone and reproducible.
- */
-class QueryStream
-{
-  public:
-    explicit QueryStream(const LoadSpec& spec);
-
-    /** Generate the next @p count queries of the trace. */
-    QueryTrace generate(size_t count);
-
-    const LoadSpec& spec() const { return spec_; }
-
-  private:
-    LoadSpec spec_;
-    ArrivalProcess arrivals;
-    QuerySizeDistribution sizes;
-    double clock = 0.0;
-    uint64_t nextId = 0;
-};
-
-/**
- * The rate-sweep form of a query stream: sizes and *unit-rate*
- * inter-arrival gaps are drawn once, and materialize() re-times them
- * at any candidate rate. ArrivalProcess prices a gap as
- * gap(rate) = gap(1.0) / rate, and IEEE division by 1.0 is exact, so
- * a materialized trace is **bit-identical** to QueryStream::generate
- * at that rate with the same LoadSpec — the draw order never changes.
- * This is what lets the QPS searches re-time one drawn population per
- * candidate rate instead of regenerating the trace per evaluation.
+ * The one Poisson trace draw: sizes and *unit-rate* inter-arrival
+ * gaps are drawn once, and materialize() re-times them at any rate,
+ * query i arriving gap(i) / rate after query i - 1. Sizes are drawn
+ * from a stream independent of the arrival stream, so sweeping the
+ * rate (e.g. during max-QPS bisection) re-times the *same* query
+ * population, which keeps search results monotone and reproducible:
+ * the QPS searches re-time one drawn population per candidate rate
+ * instead of regenerating the trace per evaluation. QueryStream is a
+ * cursor over one template at one rate.
  *
  * Thread-safety: ensure() mutates and must be called from one thread;
  * materialize() is const and safe to call concurrently afterwards.
@@ -71,10 +48,15 @@ class TraceTemplate
     void ensure(size_t count);
 
     /**
-     * First @p count queries re-timed at @p qps. Requires
-     * ensure(count) to have happened. Fatal unless @p qps is positive.
+     * Queries [first, first + count) re-timed at @p qps, with ids
+     * their indices; query @p first arrives its gap after
+     * @p start_seconds, which is 0 for the first query and the
+     * previous query's arrival otherwise (how QueryStream continues
+     * its clock). Requires ensure(first + count) to have happened.
+     * Fatal unless @p qps is positive.
      */
-    QueryTrace materialize(double qps, size_t count) const;
+    QueryTrace materialize(double qps, size_t count, size_t first = 0,
+                           double start_seconds = 0.0) const;
 
     /**
      * First @p count queries re-timed under a time-varying rate:
@@ -111,10 +93,33 @@ class TraceTemplate
 
   private:
     LoadSpec spec_;
-    ArrivalProcess arrivals;        ///< runs at rate 1.0
+    ArrivalProcess arrivals;
     QuerySizeDistribution sizeDist;
     std::vector<double> unitGaps;   ///< inter-arrival gaps at rate 1.0
     std::vector<uint32_t> sizes;
+};
+
+/**
+ * A query stream at the spec's rate: a cursor over one TraceTemplate.
+ * Each generate() draws the next queries and re-times them, its clock
+ * continuing from the last query handed out, so consecutive calls
+ * return exactly what one TraceTemplate::materialize of their total
+ * count at spec().qps returns.
+ */
+class QueryStream
+{
+  public:
+    /** Fatal unless @p spec's rate is positive. */
+    explicit QueryStream(const LoadSpec& spec);
+
+    /** Generate the next @p count queries of the trace. */
+    QueryTrace generate(size_t count);
+
+    const LoadSpec& spec() const { return population.spec(); }
+
+  private:
+    TraceTemplate population;  ///< exactly the queries handed out
+    double clock = 0.0;        ///< the last one's arrival
 };
 
 /**

@@ -9,16 +9,6 @@ namespace deeprecsys {
 
 namespace {
 
-/** SplitMix64-style index hash; spreads logical rows over physical. */
-uint64_t
-hashIndex(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /**
  * Call fn with the logical-to-physical row map of a table, chosen once
  * per kernel call rather than once per lookup: the identity when every
@@ -34,10 +24,10 @@ withRowMap(uint64_t logical_rows, uint64_t physical_rows, Fn&& fn)
         fn([](uint64_t i) { return i; });
     } else if ((physical_rows & (physical_rows - 1)) == 0) {
         const uint64_t mask = physical_rows - 1;
-        fn([mask](uint64_t i) { return hashIndex(i) & mask; });
+        fn([mask](uint64_t i) { return mix64(i) & mask; });
     } else {
         fn([physical_rows](uint64_t i) {
-            return hashIndex(i) % physical_rows;
+            return mix64(i) % physical_rows;
         });
     }
 }
@@ -96,7 +86,7 @@ EmbeddingTable::rowFor(uint64_t logical_index) const
     checkIndex(logical_index);
     const uint64_t physical = physicalRows_ == logicalRows_
         ? logical_index
-        : hashIndex(logical_index) % physicalRows_;
+        : mix64(logical_index) % physicalRows_;
     return storage.data() + physical * dim_;
 }
 

@@ -2,23 +2,10 @@
 
 #include <algorithm>
 
+#include "base/random.hh"
 #include "base/table.hh"
 
 namespace deeprecsys::obs {
-
-namespace {
-
-/** splitmix64 finalizer — the usual statistically-strong mix. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 bool
 sampledIndex(uint64_t idx, double rate, uint64_t seed)

@@ -58,7 +58,7 @@ MachineEngine::crash(double now, std::vector<uint64_t>& lost_parts)
     advanceTo(now);
     for (const PartBook& book : slab) {
         if (book.active)
-            lost_parts.push_back(book.partIdx);
+            lost_parts.push_back(book.part.partIdx);
     }
     slab.clear();
     freeSlots.clear();
@@ -84,7 +84,7 @@ MachineEngine::bookAt(uint32_t slot, uint64_t part_idx)
 {
     drs_assert(slot < slab.size() && slab[slot].active,
                "completion for unknown part");
-    drs_assert(slab[slot].partIdx == part_idx,
+    drs_assert(slab[slot].part.partIdx == part_idx,
                "completion for a recycled slot (stale event)");
     return slab[slot];
 }
@@ -109,21 +109,18 @@ MachineEngine::freeSlot(uint32_t slot)
 }
 
 double
-SimConfig::queuedRequestSeconds(uint32_t model, size_t batch, bool whole,
-                                double emb_fraction, bool leader) const
+SimConfig::serviceSeconds(const PartSpec& part, size_t batch, bool on_gpu,
+                          size_t busy_cores) const
 {
-    // Every binding shares the machine's core pool (validate()).
-    const CpuCostModel& c = bindings[model].cpu;
-    return (whole ? c.requestSeconds(batch, cores())
-                  : c.partialRequestSeconds(batch, cores(), emb_fraction,
-                                            leader)) *
+    const ModelService& binding = bindings[part.model];
+    if (on_gpu)
+        return binding.gpu->querySeconds(batch) * slowdown;
+    return (part.whole
+                ? binding.cpu.requestSeconds(batch, busy_cores)
+                : binding.cpu.partialRequestSeconds(batch, busy_cores,
+                                                    part.embFraction,
+                                                    part.leader)) *
            slowdown;
-}
-
-double
-SimConfig::queuedGpuSeconds(uint32_t model, uint32_t samples) const
-{
-    return bindings[model].gpu->querySeconds(samples) * slowdown;
 }
 
 double
@@ -131,11 +128,15 @@ MachineEngine::joinPhaseCostSeconds(uint32_t samples, uint32_t model) const
 {
     drs_assert(samples >= 1, "join phase needs samples");
     drs_assert(cfg->servesModel(model), "join phase for an unserved model");
+    const PartSpec phase{.samples = samples,
+                         .embFraction = 0.0,
+                         .leader = true,
+                         .whole = false,
+                         .model = model};
     double cost = 0.0;
     cfg->bindings[model].policy.forEachRequest(samples, [&](uint32_t take) {
-        cost += cfg->queuedRequestSeconds(model, take, /*whole=*/false,
-                                          /*emb_fraction=*/0.0,
-                                          /*leader=*/true);
+        cost += cfg->serviceSeconds(phase, take, /*on_gpu=*/false,
+                                    cfg->cores());
     });
     return cost;
 }
@@ -152,21 +153,14 @@ MachineEngine::dispatchCpu(double now, std::vector<EngineEvent>& out)
         queuedCostSeconds_ -= req.cost;
         if (book.firstStart < 0)
             book.firstStart = now;
-        // Whole queries take the historical full-model path; shard
-        // parts are charged their local share of the embedding work
-        // (plus the dense stacks when they lead). The contention term
-        // sees how many cores are busy at dispatch, this one included.
-        // Service is priced through the part's own model binding.
-        const CpuCostModel& cpu = cfg->bindings[book.model].cpu;
+        // The contention term sees how many cores are busy at
+        // dispatch, this one included.
         const double service =
-            (book.whole
-                 ? cpu.requestSeconds(req.batch, busyCores_)
-                 : cpu.partialRequestSeconds(req.batch, busyCores_,
-                                             book.embFraction,
-                                             book.leader)) *
-            cfg->slowdown * serviceFactor_;
+            cfg->serviceSeconds(book.part, req.batch, /*on_gpu=*/false,
+                                busyCores_) *
+            serviceFactor_;
         out.push_back({now + service, EngineEvent::Kind::CpuRequest,
-                       book.partIdx, req.slot});
+                       book.part.partIdx, req.slot});
         requestsDispatched_++;
     }
 }
@@ -184,10 +178,11 @@ MachineEngine::startGpu(double now, std::vector<EngineEvent>& out)
     if (book.firstStart < 0)
         book.firstStart = now;
     const double service =
-        cfg->bindings[book.model].gpu->querySeconds(book.samples) *
-        cfg->slowdown * serviceFactor_;
+        cfg->serviceSeconds(book.part, req.batch, /*on_gpu=*/true,
+                            busyCores_) *
+        serviceFactor_;
     out.push_back({now + service, EngineEvent::Kind::GpuQuery,
-                   book.partIdx, req.slot});
+                   book.part.partIdx, req.slot});
 }
 
 void
@@ -200,15 +195,10 @@ MachineEngine::admit(const PartSpec& part, double now,
     advanceTo(now);
     const uint32_t slot = allocSlot();
     PartBook& book = slab[slot];
-    book.partIdx = part.partIdx;
-    book.samples = part.samples;
+    book.part = part;
     book.requestsLeft = 0;
-    book.embFraction = part.embFraction;
     book.firstStart = -1.0;   // slots are recycled; reset the stamp
-    book.leader = part.leader;
-    book.whole = part.whole;
     book.active = true;
-    book.model = part.model;
 
     if (part.whole)
         totalSamples_ += part.samples;
@@ -222,15 +212,16 @@ MachineEngine::admit(const PartSpec& part, double now,
         part.samples >= sched.gpuQueryThreshold;
     if (offload) {
         gpuSamples_ += part.samples;
-        const double cost = cfg->queuedGpuSeconds(part.model, part.samples);
+        const double cost = cfg->serviceSeconds(part, part.samples,
+                                                /*on_gpu=*/true, cfg->cores());
         gpuQueue.push_back({slot, part.samples, cost});
         queuedCostSeconds_ += cost;
         startGpu(now, out);
         return;
     }
     sched.forEachRequest(part.samples, [&](uint32_t take) {
-        const double cost = cfg->queuedRequestSeconds(
-            part.model, take, part.whole, part.embFraction, part.leader);
+        const double cost = cfg->serviceSeconds(part, take, /*on_gpu=*/false,
+                                                cfg->cores());
         cpuQueue.push_back({slot, take, cost});
         queuedCostSeconds_ += cost;
         book.requestsLeft++;

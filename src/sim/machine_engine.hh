@@ -79,6 +79,39 @@ struct SchedulerPolicy
     }
 };
 
+/** What one admitted part asks of its machine. */
+struct PartSpec
+{
+    /** Driver-chosen opaque part id, echoed back in events. */
+    uint64_t partIdx = 0;
+
+    /** Candidate samples of the owning query (batch-split source). */
+    uint32_t samples = 1;
+
+    /** Share of the query's embedding work resident here, in [0, 1]. */
+    double embFraction = 1.0;
+
+    /** This part also runs the dense + interaction + predict stacks. */
+    bool leader = true;
+
+    /**
+     * Whole-query part: takes the historical full-model cost path and
+     * is eligible for accelerator offload. Shard parts and dense-only
+     * join phases are not whole and always run on the core pool.
+     */
+    bool whole = true;
+
+    /**
+     * Mix model this part belongs to (index into the machine's
+     * SimConfig::bindings; 0 on a single-model tier). The
+     * engine prices, batch-splits, and offloads the part through that
+     * model's own binding, and never merges requests across models —
+     * each query is its own batch-split source, so a batch is
+     * model-homogeneous by construction.
+     */
+    uint32_t model = 0;
+};
+
 /**
  * One model's machine-side binding: its own cost models and
  * scheduler policy. Binding k of SimConfig::bindings serves mix model
@@ -128,53 +161,22 @@ struct SimConfig
     bool servesModel(uint32_t model) const { return model < bindings.size(); }
 
     /**
-     * The full-contention price of a queued CPU request: seconds of a
-     * @p batch-sample request of mix model @p model with every core
-     * busy (the steady state of a machine deep enough in backlog for
-     * the estimate to matter), slowdown applied. @p whole takes the
-     * full-model path; otherwise the request runs @p emb_fraction of
-     * the embedding gathers, plus the dense stacks iff @p leader. The
-     * engine's backlog, its join-phase estimate and admission all
-     * price through this one function; each caller chooses @p whole.
+     * The one price of a work item of @p part, in seconds, slowdown
+     * applied, through the binding of the part's model. With
+     * @p on_gpu it is the accelerator query of @p batch samples;
+     * otherwise one CPU request of @p batch samples while
+     * @p busy_cores cores are busy, this one included. A whole part
+     * takes the full-model path; any other runs its embFraction of the
+     * embedding gathers, plus the dense stacks iff it leads.
+     *
+     * Admission, the join phase and the engine's queue estimate price
+     * at full contention, cores() (the steady state of a machine deep
+     * enough in backlog for the estimate to matter); the engine's
+     * dispatch prices at live contention, then applies its
+     * gray-failure factor.
      */
-    double queuedRequestSeconds(uint32_t model, size_t batch, bool whole,
-                                double emb_fraction, bool leader) const;
-
-    /** Same, for an accelerator query of @p samples of @p model. */
-    double queuedGpuSeconds(uint32_t model, uint32_t samples) const;
-};
-
-/** What one admitted part asks of its machine. */
-struct PartSpec
-{
-    /** Driver-chosen opaque part id, echoed back in events. */
-    uint64_t partIdx = 0;
-
-    /** Candidate samples of the owning query (batch-split source). */
-    uint32_t samples = 1;
-
-    /** Share of the query's embedding work resident here, in [0, 1]. */
-    double embFraction = 1.0;
-
-    /** This part also runs the dense + interaction + predict stacks. */
-    bool leader = true;
-
-    /**
-     * Whole-query part: takes the historical full-model cost path and
-     * is eligible for accelerator offload. Shard parts and dense-only
-     * join phases are not whole and always run on the core pool.
-     */
-    bool whole = true;
-
-    /**
-     * Mix model this part belongs to (index into the machine's
-     * SimConfig::bindings; 0 on a single-model tier). The
-     * engine prices, batch-splits, and offloads the part through that
-     * model's own binding, and never merges requests across models —
-     * each query is its own batch-split source, so a batch is
-     * model-homogeneous by construction.
-     */
-    uint32_t model = 0;
+    double serviceSeconds(const PartSpec& part, size_t batch, bool on_gpu,
+                          size_t busy_cores) const;
 };
 
 /** A completion the engine schedules; the driver enqueues it. */
@@ -283,7 +285,7 @@ class MachineEngine
     /**
      * Estimated service seconds of everything waiting in the two
      * queues, each entry priced once at enqueue through
-     * SimConfig::queuedRequestSeconds / queuedGpuSeconds. The exact
+     * SimConfig::serviceSeconds at full contention. The exact
      * cost composition of a mixed queue — whole vs shard parts,
      * leaders vs followers, ragged batches — which no outside-in
      * estimate can reconstruct from counts alone. Each entry's stored
@@ -299,7 +301,7 @@ class MachineEngine
      * Estimated service seconds of a dense-only TwoStage join phase
      * of @p samples of mix model @p model on this machine
      * (embFraction 0, leader, not whole): the model's batch split
-     * priced through SimConfig::queuedRequestSeconds — what the phase
+     * priced through SimConfig::serviceSeconds — what the phase
      * will add to queuedCostSeconds when it is admitted. A driver
      * stores the value when a fan-out commits the phase to this
      * machine and subtracts the stored value when it releases it.
@@ -375,15 +377,10 @@ class MachineEngine
      */
     struct PartBook
     {
-        uint64_t partIdx = 0;      ///< driver id, echoed in events
-        uint32_t samples = 0;
+        PartSpec part;             ///< as admitted
         uint32_t requestsLeft = 0;
-        double embFraction = 1.0;
         double firstStart = -1.0;  ///< first service dispatch (< 0: none)
-        bool leader = true;
-        bool whole = true;
         bool active = false;       ///< slot occupied (free-list guard)
-        uint32_t model = 0;        ///< mix model binding of the part
     };
 
     /**

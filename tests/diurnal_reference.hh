@@ -29,7 +29,7 @@ QueryTrace
 serialDiurnalReference(const TraceTemplate& tmpl, double mean_qps,
                        const DiurnalProfile& profile, size_t count)
 {
-    ArrivalProcess unit(1.0, tmpl.spec().arrivalSeed);
+    ArrivalProcess unit(tmpl.spec().arrivalSeed);
     QuerySizeDistribution size_dist = QuerySizeDistribution::byKind(
         tmpl.spec().sizes, tmpl.spec().sizeSeed);
     std::vector<double> unitGaps(count);

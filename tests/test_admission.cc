@@ -25,19 +25,12 @@
 #include "cluster/cluster_sim.hh"
 #include "loadgen/query_stream.hh"
 #include "sim/machine_engine.hh"
+#include "tests/fixtures.hh"
 
 namespace deeprecsys {
 namespace {
 
 constexpr size_t kManyThreads = 8;
-
-SimConfig
-cpuMachine(size_t batch = 256, double slowdown = 1.0)
-{
-    SimConfig machine = bench::cpuMachine(batch);
-    machine.slowdown = slowdown;
-    return machine;
-}
 
 ClusterConfig
 tier(size_t machines, OverloadConfig overload = {})
@@ -47,17 +40,6 @@ tier(size_t machines, OverloadConfig overload = {})
         cfg.machines.push_back(cpuMachine());
     cfg.overload = overload;
     return cfg;
-}
-
-QueryTrace
-makeTrace(size_t count, double qps, uint64_t seed = 11)
-{
-    LoadSpec load;
-    load.qps = qps;
-    load.arrivalSeed = seed;
-    load.sizeSeed = seed + 1;
-    QueryStream stream(load);
-    return stream.generate(count);
 }
 
 /** Measured max QPS of the N-machine RMC1 tier, computed once. */
@@ -225,7 +207,7 @@ TEST(AdmissionUnit, DecisionIsPure)
 TEST(AdmissionCluster, ConservationWithDropsPerMachineAndFleetWide)
 {
     const double capacity = tierCapacity(4);
-    const QueryTrace trace = makeTrace(4000, 2.5 * capacity);
+    const QueryTrace trace = makeTrace(4000, 2.5 * capacity, 11);
     for (const bool degrade : {false, true}) {
         SCOPED_TRACE(degrade ? "deadline+degrade" : "deadline");
         const ClusterConfig cfg = tier(4, deadlinePolicy(degrade));
@@ -327,7 +309,7 @@ TEST(AdmissionCluster, EveryMachineDownIsUnroutableNotShed)
     ClusterConfig base = tier(1);
     base.faults.crashesPerHour = 3600.0;
     base.faults.repairSeconds = 2.0;
-    const QueryTrace trace = makeTrace(4000, 200.0);
+    const QueryTrace trace = makeTrace(4000, 200.0, 11);
     const RoutingSpec rr{RoutingKind::RoundRobin};
     const ClusterResult none = ClusterSimulator(base).run(trace, rr);
     EXPECT_GT(none.faults.unroutable, 0u);
@@ -356,7 +338,7 @@ TEST(AdmissionCluster, RetriesConserveOfferedLoad)
     // every refusal is either retried or final, and the drop log
     // names exactly the final drops.
     const double capacity = tierCapacity(4);
-    const QueryTrace trace = makeTrace(4000, 2.2 * capacity);
+    const QueryTrace trace = makeTrace(4000, 2.2 * capacity, 11);
     // Hard drops (no degraded rescue), so the retry budget is really
     // spent: a steadily overloaded tier refuses the re-presentation
     // too and the query exhausts its attempts.
@@ -512,7 +494,7 @@ TEST(AdmissionAutoscale, FlashCrowdConservesAndKeepsGoodput)
     // The drawn population arrives calmly, then the tail is
     // compressed to a 4x rate step.
     const double base = 0.3 * tierCapacity(2);
-    QueryTrace trace = makeTrace(6000, base);
+    QueryTrace trace = makeTrace(6000, base, 11);
     const size_t step = trace.size() / 3;
     const double t0 = trace[step].arrivalSeconds;
     for (size_t i = step; i < trace.size(); i++)
@@ -550,7 +532,7 @@ TEST(AdmissionDiff, DropDecisionsBitwiseAcrossThreadCounts)
         std::vector<double> cells = {0.8 * capacity, 1.7 * capacity,
                                      2.4 * capacity};
         return bench::sweepMap(cells, [&](double qps) {
-            const QueryTrace trace = makeTrace(2500, qps);
+            const QueryTrace trace = makeTrace(2500, qps, 11);
             std::vector<ClusterResult> out;
             for (const ClusterConfig& cfg : {degrade_cfg, drop_cfg})
                 out.push_back(ClusterSimulator(cfg).run(
@@ -598,7 +580,7 @@ TEST(AdmissionDiff, RetryAndPriorityDecisionsBitwiseAcrossThreadCounts)
         std::vector<double> cells = {1.3 * capacity, 2.1 * capacity,
                                      2.7 * capacity};
         return bench::sweepMap(cells, [&](double qps) {
-            QueryTrace trace = makeTrace(2500, qps);
+            QueryTrace trace = makeTrace(2500, qps, 11);
             assignPriorityClasses(trace, 3, 0xc1a55);
             return ClusterSimulator(cfg).run(
                 trace, RoutingSpec{RoutingKind::PowerOfTwoChoices});
@@ -648,7 +630,7 @@ TEST(AdmissionDeath, PriorityClassCountOutsideSixteenBitsIsAConfigError)
                     ::testing::ExitedWithCode(1), "outside 1..65536");
         EXPECT_EXIT(ClusterSimulator{tier(2, overload)},
                     ::testing::ExitedWithCode(1), "outside 1..65536");
-        QueryTrace trace = makeTrace(10, 100.0);
+        QueryTrace trace = makeTrace(10, 100.0, 11);
         EXPECT_EXIT(assignPriorityClasses(trace, classes, 1),
                     ::testing::ExitedWithCode(1), "outside 1..65536");
     }
@@ -716,7 +698,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Admission, WidestPriorityClassCountFitsEveryQuery)
 {
-    QueryTrace trace = makeTrace(2000, 100.0);
+    QueryTrace trace = makeTrace(2000, 100.0, 11);
     assignPriorityClasses(trace, kMaxPriorityClasses, 0xc1a55);
     // Classes are hash % 65536: all 16 bits in use, none truncated.
     uint16_t top = 0;

@@ -24,15 +24,16 @@
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
 #include "loadgen/query_stream.hh"
+#include "tests/fixtures.hh"
 
 namespace deeprecsys {
 namespace {
 
-/** bench::cpuMachine(256) with @p memory_bytes of embedding memory. */
+/** cpuMachine() with @p memory_bytes of embedding memory. */
 SimConfig
-cpuMachine(uint64_t memory_bytes = 0)
+memoryMachine(uint64_t memory_bytes)
 {
-    SimConfig machine = bench::cpuMachine(256);
+    SimConfig machine = cpuMachine();
     machine.memoryBytes = memory_bytes;
     return machine;
 }
@@ -109,17 +110,6 @@ shardedSpec(size_t machines)
     return spec;
 }
 
-QueryTrace
-flatTrace(double qps, size_t count, uint64_t seed = 5)
-{
-    LoadSpec load;
-    load.qps = qps;
-    load.arrivalSeed = seed;
-    load.sizeSeed = seed + 1;
-    QueryStream stream(load);
-    return stream.generate(count);
-}
-
 void
 expectSameAutoscaleResult(const AutoscaleResult& a,
                           const AutoscaleResult& b)
@@ -145,7 +135,7 @@ expectSameAutoscaleResult(const AutoscaleResult& a,
 TEST(Autoscaler, StaticPolicyNeverScalesAndMatchesBaseline)
 {
     AutoscaleSpec spec = flatSpec(4);
-    const QueryTrace trace = flatTrace(6000.0, 20000);
+    const QueryTrace trace = makeTrace(20000, 6000.0, 5);
 
     ScalingPolicySpec policy;
     policy.kind = ScalingPolicyKind::Static;
@@ -213,7 +203,7 @@ TEST(Autoscaler, StaticFullTierMatchesClusterSimulatorExactly)
     // numbers but never reorder equal-time service completions).
     AutoscaleSpec spec = flatSpec(5);
     expectElasticMatchesClusterSimulator(spec,
-                                         flatTrace(7500.0, 15000, 23));
+                                         makeTrace(15000, 7500.0, 23));
 
     // The same on a sharded, hedged, deadline-admitted tier: fan-out
     // parts, two-stage joins, sheds, degrades and hedge races.
@@ -222,7 +212,7 @@ TEST(Autoscaler, StaticFullTierMatchesClusterSimulatorExactly)
     sharded.cluster.overload.deadlineSeconds = 0.05;
     sharded.cluster.overload.degrade = true;
     sharded.cluster.hedge.delaySeconds = 0.01;
-    const QueryTrace trace = flatTrace(9000.0, 15000, 23);
+    const QueryTrace trace = makeTrace(15000, 9000.0, 23);
     const ClusterResult fixed =
         ClusterSimulator(sharded.cluster).run(trace, sharded.routing);
     ASSERT_GT(fixed.faults.hedged, 0u);
@@ -287,7 +277,7 @@ TEST(Autoscaler, DrainFinishesInFlightWorkAndPowersOff)
     // machines finish their queues (nothing dropped), then power off
     // (billed less than the span).
     AutoscaleSpec spec = flatSpec(6);
-    const QueryTrace trace = flatTrace(3000.0, 15000);
+    const QueryTrace trace = makeTrace(15000, 3000.0, 5);
 
     FixedTarget policy(2);
     const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
@@ -311,7 +301,7 @@ TEST(Autoscaler, WarmupDelayKeepsNewMachinesOutOfRouting)
     AutoscaleSpec spec = flatSpec(3);
     spec.initialMachines = 1;
     spec.warmupDelaySeconds = 1e6;
-    const QueryTrace trace = flatTrace(1500.0, 4000);
+    const QueryTrace trace = makeTrace(4000, 1500.0, 5);
 
     ScalingPolicySpec policy;
     policy.kind = ScalingPolicyKind::Static;
@@ -333,7 +323,7 @@ TEST(Autoscaler, WarmedUpMachineJoinsAndServes)
     AutoscaleSpec spec = flatSpec(3);
     spec.initialMachines = 1;
     spec.warmupDelaySeconds = 0.25;
-    const QueryTrace trace = flatTrace(4000.0, 20000);
+    const QueryTrace trace = makeTrace(20000, 4000.0, 5);
 
     ScalingPolicySpec policy;
     policy.kind = ScalingPolicyKind::Static;   // wants the full tier
@@ -471,7 +461,7 @@ TEST(Autoscaler, ShardRevalidationRefusesOrphaningDrains)
     AutoscaleSpec spec;
     const size_t n = 4;
     for (size_t m = 0; m < n; m++)
-        spec.cluster.machines.push_back(cpuMachine(total / 2));
+        spec.cluster.machines.push_back(memoryMachine(total / 2));
     PlacementSpec placement_spec;
     placement_spec.strategy = PlacementStrategy::RoundRobin;
     const ShardPlacement placement = ShardPlacement::build(
@@ -487,7 +477,7 @@ TEST(Autoscaler, ShardRevalidationRefusesOrphaningDrains)
     spec.controlIntervalSeconds = 0.5;
     spec.warmupDelaySeconds = 0.25;
 
-    const QueryTrace trace = flatTrace(2000.0, 6000);
+    const QueryTrace trace = makeTrace(6000, 2000.0, 5);
     FixedTarget policy(1);    // asks for a 1-machine tier
     const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
 
@@ -514,7 +504,7 @@ TEST(Autoscaler, ShardDrainAllowedUnderFullReplication)
     AutoscaleSpec spec;
     const size_t n = 4;
     for (size_t m = 0; m < n; m++)
-        spec.cluster.machines.push_back(cpuMachine(0));
+        spec.cluster.machines.push_back(memoryMachine(0));
     PlacementSpec placement_spec;
     placement_spec.strategy = PlacementStrategy::HotColdReplicated;
     const ShardPlacement placement = ShardPlacement::build(
@@ -529,7 +519,7 @@ TEST(Autoscaler, ShardDrainAllowedUnderFullReplication)
     spec.controlIntervalSeconds = 0.5;
     spec.warmupDelaySeconds = 0.25;
 
-    const QueryTrace trace = flatTrace(2000.0, 6000);
+    const QueryTrace trace = makeTrace(6000, 2000.0, 5);
     FixedTarget policy(2);
     const AutoscaleResult r = Autoscaler(spec).run(trace, policy);
 
@@ -548,7 +538,7 @@ TEST(AutoscalePin, ShardedElasticDayScalesAndServesTheSame)
     AutoscaleSpec spec = flatSpec(0);
     for (size_t m = 0; m < 6; m++)
         spec.cluster.machines.push_back(
-            cpuMachine((2 + m % 3) * 1'000'000'000ULL));
+            memoryMachine((2 + m % 3) * 1'000'000'000ULL));
     const ShardPlacement placement = ShardPlacement::build(
         tables, machineMemoryBudgets(spec.cluster.machines),
         PlacementSpec{.minReplicas = 2});
@@ -566,24 +556,18 @@ TEST(AutoscalePin, ShardedElasticDayScalesAndServesTheSame)
     reactive.kind = ScalingPolicyKind::Reactive;
     const AutoscaleResult r = Autoscaler(spec).run(trace, reactive);
 
-    uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; i++) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= 0x100000001b3ULL;
-        }
-    };
+    Fnv1a h;
     bool refused_drain = false;
     for (const ScaleEvent& ev : r.scaleEvents) {
-        mix(ev.target);
-        mix(ev.granted);
+        h.word(ev.target);
+        h.word(ev.granted);
         refused_drain |= ev.granted > ev.target;
     }
     for (double latency : r.fleetLatencySeconds.raw())
-        mix(std::bit_cast<uint64_t>(latency));
+        h.word(std::bit_cast<uint64_t>(latency));
     EXPECT_TRUE(refused_drain);
     EXPECT_EQ(r.numCompleted, trace.size());
-    EXPECT_EQ(h, 0x73a81edb986ec1c6ULL);
+    EXPECT_EQ(h.value(), 0x73a81edb986ec1c6ULL);
 }
 
 TEST(ScalingPolicies, FactoryBuildsEveryKindWithNames)

@@ -14,31 +14,10 @@
 #include "cluster/cluster_sim.hh"
 #include "cluster/model_mix.hh"
 #include "loadgen/query_stream.hh"
+#include "tests/fixtures.hh"
 
 namespace deeprecsys {
 namespace {
-
-/** bench::cpuMachine(256), @p slowdown times slower. */
-SimConfig
-cpuMachine(double slowdown = 1.0)
-{
-    SimConfig machine = bench::cpuMachine(256);
-    machine.slowdown = slowdown;
-    return machine;
-}
-
-/** cpuMachine() with a GTX 1080 Ti taking queries of @p threshold
- *  samples and up. */
-SimConfig
-gpuMachine(uint32_t threshold = 64, double slowdown = 1.0)
-{
-    SimConfig machine = cpuMachine(slowdown);
-    machine.bindings[0].gpu = GpuCostModel(
-        ModelProfile::forModel(ModelId::DlrmRmc1), GpuPlatform::gtx1080Ti());
-    machine.bindings[0].policy.gpuEnabled = true;
-    machine.bindings[0].policy.gpuQueryThreshold = threshold;
-    return machine;
-}
 
 ClusterConfig
 homogeneousCluster(size_t n)
@@ -59,18 +38,9 @@ heterogeneousCluster(size_t n)
     return cfg;
 }
 
-QueryTrace
-globalTrace(size_t count, double qps)
-{
-    LoadSpec load;
-    load.qps = qps;
-    QueryStream stream(load);
-    return stream.generate(count);
-}
-
 TEST(ClusterSim, EveryQueryCompletesExactlyOnce)
 {
-    const QueryTrace trace = globalTrace(3000, 10000.0);
+    const QueryTrace trace = makeTrace(3000, 10000.0, 1);
     const ClusterSimulator sim(homogeneousCluster(8));
     for (RoutingKind kind : allRoutingKinds()) {
         RoutingSpec spec;
@@ -94,7 +64,7 @@ TEST(ClusterSim, EveryQueryCompletesExactlyOnce)
 
 TEST(ClusterSim, DeterministicGivenSeeds)
 {
-    const QueryTrace trace = globalTrace(2000, 9000.0);
+    const QueryTrace trace = makeTrace(2000, 9000.0, 1);
     const ClusterSimulator sim(heterogeneousCluster(6));
     RoutingSpec spec;
     spec.kind = RoutingKind::PowerOfTwoChoices;
@@ -108,7 +78,7 @@ TEST(ClusterSim, DeterministicGivenSeeds)
 
 TEST(ClusterSim, RoutingSeedChangesRandomPolicies)
 {
-    const QueryTrace trace = globalTrace(2000, 9000.0);
+    const QueryTrace trace = makeTrace(2000, 9000.0, 1);
     const ClusterSimulator sim(homogeneousCluster(6));
     RoutingSpec a;
     a.kind = RoutingKind::UniformRandom;
@@ -121,7 +91,7 @@ TEST(ClusterSim, RoutingSeedChangesRandomPolicies)
 
 TEST(ClusterSim, RoundRobinSpreadsEvenly)
 {
-    const QueryTrace trace = globalTrace(4000, 8000.0);
+    const QueryTrace trace = makeTrace(4000, 8000.0, 1);
     const ClusterSimulator sim(homogeneousCluster(8));
     const ClusterResult r = sim.run(trace, {RoutingKind::RoundRobin, 0, 0});
     for (const MachineStats& m : r.perMachine)
@@ -133,7 +103,7 @@ TEST(ClusterSim, QueueAwarePoliciesBeatRandomOnTail)
     // Skewed (production) query sizes on a heterogeneous cluster at
     // ~75% utilization: queue-aware routing keeps the tail down while
     // uniform-random piles work onto busy or slow machines.
-    const QueryTrace trace = globalTrace(8000, 10000.0);
+    const QueryTrace trace = makeTrace(8000, 10000.0, 1);
     const ClusterSimulator sim(heterogeneousCluster(8));
 
     const double random =
@@ -161,7 +131,7 @@ TEST(ClusterSim, SizeAwareSendsLargeQueriesOnlyToGpuMachines)
         }
     }
 
-    const QueryTrace trace = globalTrace(4000, 8000.0);
+    const QueryTrace trace = makeTrace(4000, 8000.0, 1);
     RoutingSpec spec;
     spec.kind = RoutingKind::SizeAware;
     spec.sizeThreshold = threshold;
@@ -181,7 +151,7 @@ TEST(ClusterSim, SizeAwareSendsLargeQueriesOnlyToGpuMachines)
 
 TEST(ClusterSim, WarmupExcludedFromStats)
 {
-    const QueryTrace trace = globalTrace(2000, 6000.0);
+    const QueryTrace trace = makeTrace(2000, 6000.0, 1);
     const ClusterResult r = ClusterSimulator(homogeneousCluster(4))
                                 .run(trace, {RoutingKind::RoundRobin, 0, 0});
     EXPECT_EQ(warmupCount(trace.size()), 100u);
@@ -201,7 +171,7 @@ TEST(ClusterSim, EmptyTraceSafe)
 
 TEST(ClusterSim, UtilizationReported)
 {
-    const QueryTrace trace = globalTrace(3000, 9000.0);
+    const QueryTrace trace = makeTrace(3000, 9000.0, 1);
     const ClusterSimulator sim(homogeneousCluster(6));
     const ClusterResult r =
         sim.run(trace, {RoutingKind::PowerOfTwoChoices, 1, 0});

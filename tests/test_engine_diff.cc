@@ -22,6 +22,7 @@
 #include "cluster/model_mix.hh"
 #include "loadgen/query_stream.hh"
 #include "sim/serving_sim.hh"
+#include "tests/fixtures.hh"
 
 namespace deeprecsys {
 namespace {
@@ -51,17 +52,6 @@ oneMachineCluster(const SimConfig& machine)
     ClusterConfig cluster;
     cluster.machines.push_back(machine);
     return cluster;
-}
-
-QueryTrace
-poissonTrace(size_t count, double qps, uint64_t seed = 7)
-{
-    LoadSpec load;
-    load.qps = qps;
-    load.arrivalSeed = seed;
-    load.sizeSeed = seed + 1;
-    QueryStream stream(load);
-    return stream.generate(count);
 }
 
 /**
@@ -109,7 +99,7 @@ TEST(EngineDiff, EveryModelMatchesOnPoissonLoad)
     for (ModelId model : allModelIds()) {
         SCOPED_TRACE(modelName(model));
         expectIdenticalRuns(machineConfig(model, 64, false, 1),
-                            poissonTrace(800, 400.0));
+                            makeTrace(800, 400.0, 7));
     }
 }
 
@@ -141,20 +131,20 @@ TEST(EngineDiff, RandomizedConfigTraceSchedulerCombinations)
         expectIdenticalRuns(
             machineConfig(model, batch, gpu, threshold, slowdown,
                           broadwell),
-            poissonTrace(count, qps, rng()));
+            makeTrace(count, qps, rng()));
     }
 }
 
 TEST(EngineDiff, GpuOffloadPathMatches)
 {
     expectIdenticalRuns(machineConfig(ModelId::DlrmRmc2, 128, true, 300),
-                        poissonTrace(1000, 900.0));
+                        makeTrace(1000, 900.0, 7));
 }
 
 TEST(EngineDiff, OffloadEverythingMatches)
 {
     expectIdenticalRuns(machineConfig(ModelId::WideAndDeep, 64, true, 1),
-                        poissonTrace(600, 700.0));
+                        makeTrace(600, 700.0, 7));
 }
 
 TEST(EngineDiff, SimultaneousArrivalTiesMatch)
@@ -188,7 +178,7 @@ TEST(EngineDiff, WarmupFractionsMatch)
     for (size_t count : {19u, 20u, 39u, 40u, 400u}) {
         SCOPED_TRACE(count);
         expectIdenticalRuns(machineConfig(ModelId::Ncf, 16, false, 1),
-                            poissonTrace(count, 300.0));
+                            makeTrace(count, 300.0, 7));
     }
 }
 
@@ -197,7 +187,7 @@ TEST(EngineDiff, EveryRoutingPolicyDegeneratesToSameMachine)
     // On a 1-machine cluster every policy must route to machine 0, so
     // the equivalence holds regardless of the configured policy.
     const SimConfig machine = machineConfig(ModelId::Din, 96, false, 1);
-    const QueryTrace trace = poissonTrace(500, 350.0);
+    const QueryTrace trace = makeTrace(500, 350.0, 7);
     for (RoutingKind kind : allRoutingKinds()) {
         SCOPED_TRACE(routingKindName(kind));
         expectIdenticalRuns(machine, trace, kind);
@@ -208,7 +198,7 @@ TEST(EngineDiff, SlowdownMatches)
 {
     expectIdenticalRuns(
         machineConfig(ModelId::DlrmRmc1, 256, false, 1, 1.8),
-        poissonTrace(600, 250.0));
+        makeTrace(600, 250.0, 7));
 }
 
 TEST(EngineDiff, EmptyTraceMatches)
@@ -281,7 +271,7 @@ TEST(EngineDiff, DisabledOverloadLayerIsBitwiseInvisible)
     // when goodput *accounting* (a bare deadline) is on. The overload
     // layer only ever observes the disabled path; it must never
     // perturb it.
-    const QueryTrace trace = poissonTrace(1500, 5200.0);
+    const QueryTrace trace = makeTrace(1500, 5200.0, 7);
     ClusterConfig plain;
     for (size_t m = 0; m < 3; m++)
         plain.machines.push_back(
@@ -316,7 +306,7 @@ TEST(EngineDiff, SingleMachineMatchesClusterWithAccountingEnabled)
     // the raw latency vectors, so this extends the definition of a
     // 1-machine cluster to the accounting path.
     SimConfig machine = machineConfig(ModelId::DlrmRmc1, 128, false, 1);
-    const QueryTrace trace = poissonTrace(1200, 1800.0);
+    const QueryTrace trace = makeTrace(1200, 1800.0, 7);
 
     ServingSimulator serving(machine);
     const SimResult s = serving.run(trace);
@@ -337,7 +327,7 @@ TEST(EngineDiff, AutoscalerIgnoresDisabledOverloadBitwise)
     // Same invisibility contract for the elastic driver: a bare
     // deadline must not move a single completion, window, or scale
     // decision.
-    const QueryTrace trace = poissonTrace(3000, 6000.0);
+    const QueryTrace trace = makeTrace(3000, 6000.0, 7);
     AutoscaleSpec spec;
     for (size_t m = 0; m < 4; m++)
         spec.cluster.machines.push_back(
@@ -410,7 +400,7 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleShardless)
     // A 1-entry modelMix on a plain replicated tier: the per-model
     // queue-cost books, batch formation keyed by model, and model-
     // tagged join accounting must not move a single bit of the run.
-    const QueryTrace trace = poissonTrace(1800, 4200.0);
+    const QueryTrace trace = makeTrace(1800, 4200.0, 7);
     ClusterConfig plain;
     for (size_t m = 0; m < 3; m++)
         plain.machines.push_back(
@@ -434,7 +424,7 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleSharded)
     const ClusterConfig plain = bench::rmc2ShardedTier(6, 2'000'000'000ULL);
     ASSERT_TRUE(plain.sharding->placement.feasible());
 
-    const QueryTrace trace = poissonTrace(1600, 2200.0, 0x5eed);
+    const QueryTrace trace = makeTrace(1600, 2200.0, 0x5eed);
     const RoutingSpec routing{RoutingKind::ShardAware};
     const ClusterResult a = ClusterSimulator(plain).run(trace, routing);
 
@@ -450,7 +440,7 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleOverloaded)
     // per-model calibration tables; at numModels == 1 the flattened
     // layout degenerates to the historical one and every admit/drop
     // decision must be identical.
-    const QueryTrace trace = poissonTrace(2500, 9500.0, 0xdead);
+    const QueryTrace trace = makeTrace(2500, 9500.0, 0xdead);
     ClusterConfig plain;
     for (size_t m = 0; m < 3; m++)
         plain.machines.push_back(
@@ -478,7 +468,7 @@ TEST(EngineDiff, OneModelMixIsBitwiseInvisibleAutoscaled)
     // Elastic tier: the mix must not move a completion, window
     // boundary, or scale decision — ElasticView's per-model signals
     // fall back to the fleet totals at one model.
-    const QueryTrace trace = poissonTrace(3000, 6000.0);
+    const QueryTrace trace = makeTrace(3000, 6000.0, 7);
     AutoscaleSpec spec;
     for (size_t m = 0; m < 4; m++)
         spec.cluster.machines.push_back(

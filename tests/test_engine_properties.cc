@@ -18,30 +18,12 @@
 #include "cluster/shard_placement.hh"
 #include "loadgen/query_stream.hh"
 #include "sim/qps_search.hh"
+#include "tests/fixtures.hh"
 
 namespace deeprecsys {
 namespace {
 
 constexpr uint64_t kGB = 1'000'000'000ULL;
-
-SimConfig
-cpuMachine(double slowdown = 1.0)
-{
-    SimConfig machine = bench::cpuMachine(256);
-    machine.slowdown = slowdown;
-    return machine;
-}
-
-SimConfig
-gpuMachine(uint32_t threshold = 64)
-{
-    SimConfig machine = cpuMachine();
-    machine.bindings[0].gpu = GpuCostModel(
-        ModelProfile::forModel(ModelId::DlrmRmc1), GpuPlatform::gtx1080Ti());
-    machine.bindings[0].policy.gpuEnabled = true;
-    machine.bindings[0].policy.gpuQueryThreshold = threshold;
-    return machine;
-}
 
 /** Mixed tier: CPU-only, slow, and accelerated machines. */
 ClusterConfig
@@ -67,22 +49,11 @@ shardedCluster(size_t n, uint64_t budget, JoinModel join)
     return cfg;
 }
 
-QueryTrace
-makeTrace(size_t count, double qps, uint64_t seed = 11)
-{
-    LoadSpec load;
-    load.qps = qps;
-    load.arrivalSeed = seed;
-    load.sizeSeed = seed + 1;
-    QueryStream stream(load);
-    return stream.generate(count);
-}
-
 // ---------------------------------------------------------- conservation
 
 TEST(EngineProperties, ConservationUnderFanOutJoinBothJoinModels)
 {
-    const QueryTrace trace = makeTrace(2500, 1500.0);
+    const QueryTrace trace = makeTrace(2500, 1500.0, 11);
     for (JoinModel join : {JoinModel::Optimistic, JoinModel::TwoStage}) {
         SCOPED_TRACE(joinModelName(join));
         const ClusterConfig cfg = shardedCluster(8, 2 * kGB, join);
@@ -105,7 +76,7 @@ TEST(EngineProperties, ConservationUnderFanOutJoinBothJoinModels)
 
 TEST(EngineProperties, ConservationUnderEveryRoutingPolicy)
 {
-    const QueryTrace trace = makeTrace(2000, 9000.0);
+    const QueryTrace trace = makeTrace(2000, 9000.0, 11);
     const ClusterSimulator sim(mixedCluster(9));
     for (RoutingKind kind : allRoutingKinds()) {
         SCOPED_TRACE(routingKindName(kind));
@@ -122,7 +93,7 @@ TEST(EngineProperties, TwoStageJoinPhaseAccounting)
     // query's leader machine; single-hop queries never pay one.
     const ClusterConfig cfg = shardedCluster(8, 2 * kGB,
                                              JoinModel::TwoStage);
-    const QueryTrace trace = makeTrace(1500, 1200.0);
+    const QueryTrace trace = makeTrace(1500, 1200.0, 11);
     const ClusterResult r = ClusterSimulator(cfg).run(
         trace, RoutingSpec{RoutingKind::ShardAware});
 
@@ -141,7 +112,7 @@ TEST(EngineProperties, TwoStageJoinPhaseAccounting)
 
 TEST(EngineProperties, BitwiseDeterminismForEveryRoutingPolicy)
 {
-    const QueryTrace trace = makeTrace(3000, 10000.0);
+    const QueryTrace trace = makeTrace(3000, 10000.0, 11);
     const ClusterSimulator sim(mixedCluster(8));
     for (RoutingKind kind : allRoutingKinds()) {
         SCOPED_TRACE(routingKindName(kind));
@@ -166,7 +137,7 @@ TEST(EngineProperties, BitwiseDeterminismForEveryRoutingPolicy)
 
 TEST(EngineProperties, BitwiseDeterminismShardAwareBothJoinModels)
 {
-    const QueryTrace trace = makeTrace(2000, 1400.0);
+    const QueryTrace trace = makeTrace(2000, 1400.0, 11);
     for (JoinModel join : {JoinModel::Optimistic, JoinModel::TwoStage}) {
         SCOPED_TRACE(joinModelName(join));
         const ClusterSimulator sim(shardedCluster(8, 2 * kGB, join));
@@ -182,7 +153,7 @@ TEST(EngineProperties, BitwiseDeterminismShardAwareBothJoinModels)
 
 TEST(EngineProperties, ServingSimulatorBitwiseDeterminism)
 {
-    const QueryTrace trace = makeTrace(2000, 800.0);
+    const QueryTrace trace = makeTrace(2000, 800.0, 11);
     ServingSimulator a(cpuMachine());
     ServingSimulator b(cpuMachine());
     EXPECT_EQ(a.run(trace).queryLatencySeconds.raw(),
@@ -257,7 +228,7 @@ TEST(EngineProperties, TwoStageJoinNeverFasterThanOptimistic)
 {
     // Serializing the dense stacks behind the slowest embedding part
     // can only lengthen fanned-out queries.
-    const QueryTrace trace = makeTrace(2000, 1200.0);
+    const QueryTrace trace = makeTrace(2000, 1200.0, 11);
     RoutingSpec spec;
     spec.kind = RoutingKind::ShardAware;
     const ClusterResult optimistic =
@@ -276,7 +247,7 @@ TEST(EngineProperties, JoinModelsAgreeExactlyWithoutFanOut)
 {
     // Whole-query dispatch never enters the join path, so the two
     // models must be bit-identical on a shardless cluster.
-    const QueryTrace trace = makeTrace(1500, 8000.0);
+    const QueryTrace trace = makeTrace(1500, 8000.0, 11);
     ClusterConfig optimistic = mixedCluster(6);
     optimistic.join = JoinModel::Optimistic;
     ClusterConfig two_stage = mixedCluster(6);
@@ -297,7 +268,7 @@ TEST(EngineProperties, TwoStageLeaderHopPricesPooledEmbeddings)
     // ships the pooled embeddings to the leader (the leader waits on
     // the transfer): its fan-out path grows by more than the
     // optimistic join's, which pays the request and return hops alone.
-    const QueryTrace trace = makeTrace(1200, 1000.0);
+    const QueryTrace trace = makeTrace(1200, 1000.0, 11);
     RoutingSpec spec;
     spec.kind = RoutingKind::ShardAware;
     auto slow_link_ms = [&](JoinModel join) {

@@ -31,6 +31,7 @@
 #include "cluster/model_mix.hh"
 #include "loadgen/query_stream.hh"
 #include "sim/serving_sim.hh"
+#include "tests/fixtures.hh"
 
 #ifndef DRS_GOLDEN_DIR
 #error "build must define DRS_GOLDEN_DIR (see CMakeLists.txt)"
@@ -199,17 +200,6 @@ percentilesOf(const SampleStats& stats)
     return {{"p50_ms", stats.percentile(50) * 1e3},
             {"p95_ms", stats.percentile(95) * 1e3},
             {"p99_ms", stats.percentile(99) * 1e3}};
-}
-
-QueryTrace
-makeTrace(size_t count, double qps, uint64_t seed)
-{
-    LoadSpec load;
-    load.qps = qps;
-    load.arrivalSeed = seed;
-    load.sizeSeed = seed + 1;
-    QueryStream stream(load);
-    return stream.generate(count);
 }
 
 // ----------------------------------------------------------- scenarios

@@ -19,21 +19,22 @@ namespace {
 
 TEST(ArrivalProcess, PoissonMeanGap)
 {
-    ArrivalProcess p(100.0, 1);
+    // Unit-rate gaps re-timed at 100 q/s.
+    ArrivalProcess p(1);
     double sum = 0.0;
     const int n = 50000;
     for (int i = 0; i < n; i++)
-        sum += p.nextGap();
+        sum += p.nextGap() / 100.0;
     EXPECT_NEAR(sum / n, 0.01, 0.001);
 }
 
 TEST(ArrivalProcess, PoissonCoefficientOfVariation)
 {
     // Exponential gaps have CV = 1.
-    ArrivalProcess p(10.0, 2);
+    ArrivalProcess p(2);
     std::vector<double> gaps;
     for (int i = 0; i < 20000; i++)
-        gaps.push_back(p.nextGap());
+        gaps.push_back(p.nextGap() / 10.0);
     const double mean =
         std::accumulate(gaps.begin(), gaps.end(), 0.0) / gaps.size();
     double var = 0.0;
@@ -479,6 +480,46 @@ TEST_P(StreamKinds, GeneratesValidTrace)
     for (const Query& q : trace) {
         EXPECT_GE(q.size, 1u);
         EXPECT_LE(q.size, QuerySizeDistribution::maxSize);
+    }
+}
+
+TEST_P(StreamKinds, TwoGenerateCallsAreOneMaterialize)
+{
+    // The second call continues the first one's clock: together they
+    // are the template's one re-timing, and a serial draw of the
+    // unit-rate gaps and sizes re-timed one query at a time.
+    LoadSpec spec;
+    spec.sizes = GetParam();
+    spec.qps = 700.0;
+    spec.arrivalSeed = 31;
+    spec.sizeSeed = 32;
+    QueryStream stream(spec);
+    QueryTrace streamed = stream.generate(300);
+    const QueryTrace rest = stream.generate(500);
+    streamed.insert(streamed.end(), rest.begin(), rest.end());
+
+    TraceTemplate tmpl(spec);
+    tmpl.ensure(800);
+    const QueryTrace materialized = tmpl.materialize(spec.qps, 800);
+
+    ArrivalProcess gaps(spec.arrivalSeed);
+    QuerySizeDistribution sizes =
+        QuerySizeDistribution::byKind(spec.sizes, spec.sizeSeed);
+    double clock = 0.0;
+    ASSERT_EQ(streamed.size(), 800u);
+    ASSERT_EQ(materialized.size(), 800u);
+    const QueryTrace* traces[] = {&streamed, &materialized};
+    for (size_t i = 0; i < 800; i++) {
+        clock += gaps.nextGap() / spec.qps;
+        const uint32_t size = sizes.sample();
+        for (const QueryTrace* trace : traces) {
+            const Query& q = (*trace)[i];
+            EXPECT_EQ(q.id, i);
+            EXPECT_EQ(std::bit_cast<uint64_t>(q.arrivalSeconds),
+                      std::bit_cast<uint64_t>(clock))
+                << "query " << i;
+            EXPECT_EQ(q.size, size) << "query " << i;
+        }
     }
 }
 

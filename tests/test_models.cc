@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "models/rec_model.hh"
+#include "tests/fixtures.hh"
 
 namespace deeprecsys {
 namespace {
@@ -215,21 +216,13 @@ TEST_P(ModelZoo, RefilledBatchMatchesFreshBitwise)
     }
 }
 
-/** FNV-1a over a tensor's shape and the bits of its elements. */
-uint64_t
-digestOf(const Tensor& t, uint64_t h = 0xcbf29ce484222325ULL)
+/** Mix a tensor's shape and the bits of its elements into @p h. */
+void
+digest(Fnv1a& h, const Tensor& t)
 {
-    auto mix = [&h](const void* p, size_t n) {
-        const auto* bytes = static_cast<const unsigned char*>(p);
-        for (size_t i = 0; i < n; i++) {
-            h ^= bytes[i];
-            h *= 0x100000001b3ULL;
-        }
-    };
     for (size_t d : t.shape())
-        mix(&d, sizeof(d));
-    mix(t.data(), t.numel() * sizeof(float));
-    return h;
+        h.bytes(&d, sizeof(d));
+    h.bytes(t.data(), t.numel() * sizeof(float));
 }
 
 /** Digest of the zoo model's outputs at batches 1, 7, 64 and 256. */
@@ -255,11 +248,11 @@ TEST_P(ModelZoo, ForwardOutputsPinned)
     // moves one rounding anywhere in the forward pass shows here.
     const RecModel model = build();
     Rng rng(17);
-    uint64_t h = 0xcbf29ce484222325ULL;
+    Fnv1a h;
     for (size_t size : {1, 7, 64, 256})
-        h = digestOf(model.forward(model.makeBatch(size, rng)), h);
-    EXPECT_EQ(h, pinnedDigest(GetParam()))
-        << std::hex << "0x" << h << "ULL";
+        digest(h, model.forward(model.makeBatch(size, rng)));
+    EXPECT_EQ(h.value(), pinnedDigest(GetParam()))
+        << std::hex << "0x" << h.value() << "ULL";
 }
 
 TEST(RecModel, ReusedScratchMatchesFreshForwardBitwise)

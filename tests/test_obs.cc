@@ -26,6 +26,7 @@
 #include "obs/metrics.hh"
 #include "obs/observer.hh"
 #include "tests/busy_tier.hh"
+#include "tests/fixtures.hh"
 
 namespace deeprecsys {
 namespace {
@@ -179,21 +180,12 @@ singleMachine()
     return cluster;
 }
 
-QueryTrace
-testTrace(size_t count, double qps)
-{
-    LoadSpec load;
-    load.qps = qps;
-    QueryStream stream(load);
-    return stream.generate(count);
-}
-
 TEST(ObserverServing, AttributionMatchesTheSimulatorsOwnLatency)
 {
     obs::RunObserver observer(obs::ObsConfig::full(0.1), 1);
     ClusterSimulator sim(singleMachine());
     sim.setObserver(&observer);
-    const ClusterResult r = sim.run(testTrace(4000, 500.0), RoutingSpec{});
+    const ClusterResult r = sim.run(makeTrace(4000, 500.0, 1), RoutingSpec{});
 
     const obs::StageSplit& split = observer.stageSplit();
     EXPECT_EQ(split.queries, r.numQueries);
@@ -217,7 +209,7 @@ TEST(ObserverServing, AttributionMatchesTheSimulatorsOwnLatency)
 
 TEST(ObserverServing, ObservingARunDoesNotChangeIt)
 {
-    const QueryTrace trace = testTrace(3000, 500.0);
+    const QueryTrace trace = makeTrace(3000, 500.0, 1);
     const ClusterResult base =
         ClusterSimulator(singleMachine()).run(trace, RoutingSpec{});
 
@@ -254,7 +246,7 @@ TEST(ObserverCluster, ShardedAttributionPartitionsTheLatency)
     ClusterSimulator sim(shardedCluster(8));
     sim.setObserver(&observer);
     const ClusterResult r = sim.run(
-        testTrace(3000, 800.0), RoutingSpec{RoutingKind::ShardAware});
+        makeTrace(3000, 800.0, 1), RoutingSpec{RoutingKind::ShardAware});
 
     const obs::StageSplit& split = observer.stageSplit();
     EXPECT_EQ(split.queries, r.numQueries);
@@ -307,7 +299,7 @@ TEST(ObserverAutoscaler, SnapshotAxisIsTheControlTickAxis)
     scaler.setObserver(&observer);
     ScalingPolicySpec policy;
     policy.kind = ScalingPolicyKind::Reactive;
-    const AutoscaleResult r = scaler.run(testTrace(6000, 600.0), policy);
+    const AutoscaleResult r = scaler.run(makeTrace(6000, 600.0, 1), policy);
 
     const std::vector<double>& snaps =
         observer.metrics().snapshotTimes();
@@ -326,7 +318,7 @@ TEST(ObserverAutoscaler, SnapshotAxisIsTheControlTickAxis)
 
 TEST(ObserverAutoscaler, OutputBytesIdenticalAcrossThreadCounts)
 {
-    const QueryTrace trace = testTrace(5000, 600.0);
+    const QueryTrace trace = makeTrace(5000, 600.0, 1);
     auto run_and_serialize = [&](size_t threads) {
         ThreadPool::setSharedThreads(threads);
         obs::RunObserver observer(obs::ObsConfig::full(0.1), 3);
@@ -383,9 +375,9 @@ pinsOf(const obs::RunObserver& observer)
     std::ostringstream bytes;
     observer.writeTrace(bytes);
     observer.writeMetrics(bytes);
-    uint64_t hash = 0xcbf29ce484222325ULL;
-    for (unsigned char c : bytes.str())
-        hash = (hash ^ c) * 0x100000001b3ULL;
+    Fnv1a hash;
+    const std::string text = bytes.str();
+    hash.bytes(text.data(), text.size());
     const obs::StageSplit& s = observer.stageSplit();
     return {{std::bit_cast<uint64_t>(s.queueSeconds),
              std::bit_cast<uint64_t>(s.serviceSeconds),
@@ -394,7 +386,7 @@ pinsOf(const obs::RunObserver& observer)
              std::bit_cast<uint64_t>(s.totalSeconds)},
             s.queries,
             observer.numTraceEvents(),
-            hash};
+            hash.value()};
 }
 
 // The observer's stage split, event count and trace and metrics bytes
@@ -441,7 +433,7 @@ TEST(ObserverPinned, SingleMachineTier)
     obs::RunObserver observer(obs::ObsConfig::full(1.0), 1);
     ClusterSimulator sim(singleMachine());
     sim.setObserver(&observer);
-    sim.run(testTrace(3000, 2200.0), RoutingSpec{});
+    sim.run(makeTrace(3000, 2200.0, 1), RoutingSpec{});
     const ObservedPins pinned{{0x408316846717c90d, 0x4043d8965947f4b8, 0x0,
                                 0x0, 0x4084540dccac4850},
                                2850, 8862, 0x56edec49c00e17ed};

@@ -191,6 +191,44 @@ TEST(RateSearch, FeasibleCeilingIsTestedNotSkipped)
     EXPECT_DOUBLE_EQ(rates.back(), 500.0);
 }
 
+TEST(QpsSearchPremise, RatesBelowTheMaxMeetTheSlaAndRatesAboveMissIt)
+{
+    // The bisection assumes that re-timing one population is monotone
+    // in the rate. Scan 16 rates around a few fig11 cells' maxQps,
+    // with the baseline on the CPU and DeepRecSched-GPU's offload:
+    // the found rate and every rate below it meet the SLA, and every
+    // rate beyond the search's final bracket (2% above) misses it.
+    for (ModelId id : {ModelId::DlrmRmc1, ModelId::DlrmRmc3, ModelId::Din}) {
+        for (SlaTier tier : {SlaTier::Low, SlaTier::High}) {
+            for (bool gpu : {false, true}) {
+                const DeepRecInfra infra(bench::defaultInfra(id, gpu));
+                const double sla = infra.slaMs(tier);
+                const TuningResult tuned = gpu
+                    ? DeepRecSched::tuneGpu(infra, sla)
+                    : DeepRecSched::baseline(infra, sla);
+                const double max_qps = tuned.qps();
+                ASSERT_GT(max_qps, 0.0);
+                LoadSpec load;
+                load.sizes = infra.config().sizeDist;
+                load.arrivalSeed = infra.config().seed;
+                load.sizeSeed = infra.config().seed + 1;
+                for (int k = 0; k < 8; k++) {
+                    for (double scale : {1.0 - 0.06 * k, 1.03 + 0.07 * k}) {
+                        const SimResult r = evaluateAtQps(
+                            infra.simConfig(tuned.policy), load,
+                            scale * max_qps, infra.config().numQueries);
+                        EXPECT_EQ(r.tailMs(QpsSearchSpec::percentile) <= sla,
+                                  scale <= 1.0)
+                            << modelName(id) << " " << slaTierName(tier)
+                            << (gpu ? " gpu" : " cpu") << " at " << scale
+                            << "x of " << max_qps << " q/s";
+                    }
+                }
+            }
+        }
+    }
+}
+
 // A bad search spec is a user error: it exits with status 1
 // (drs_fatal), it does not abort like a broken invariant.
 TEST(QpsSearchDeath, NonPositiveSlaIsAValidatedError)

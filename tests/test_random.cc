@@ -216,5 +216,23 @@ TEST(Rng, WorksWithStdDistributions)
     EXPECT_EQ(Rng::max(), ~0ULL);
 }
 
+TEST(Mix64, PinnedOnFixedInputs)
+{
+    // SplitMix64's outputs: mix64(0) and mix64(1) are the first draws
+    // of a SplitMix64 generator seeded at 0 and at 1.
+    EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(mix64(1), 0x910a2dec89025cc1ULL);
+    EXPECT_EQ(mix64(7), 0x63cbe1e459320dd7ULL);
+    EXPECT_EQ(mix64(0xdeadbeefULL), 0x4adfb90f68c9eb9bULL);
+    EXPECT_EQ(mix64(~0ULL), 0xe4d971771b652c20ULL);
+}
+
+TEST(Rng, FirstDrawsPinned)
+{
+    // The state is SplitMix64's first four outputs from the seed.
+    EXPECT_EQ(Rng(0)(), 0x99ec5f36cb75f2b4ULL);
+    EXPECT_EQ(Rng(7)(), 0xb358faf74ef9765aULL);
+}
+
 } // namespace
 } // namespace deeprecsys

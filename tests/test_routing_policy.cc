@@ -20,28 +20,10 @@
 #include "base/random.hh"
 #include "loadgen/query_stream.hh"
 #include "models/model_config.hh"
+#include "tests/fixtures.hh"
 
 namespace deeprecsys {
 namespace {
-
-/** bench::cpuMachine(256), @p slowdown times slower. */
-SimConfig
-cpuMachine(double slowdown = 1.0)
-{
-    SimConfig machine = bench::cpuMachine(256);
-    machine.slowdown = slowdown;
-    return machine;
-}
-
-SimConfig
-gpuMachine()
-{
-    SimConfig machine = cpuMachine();
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
-    machine.bindings[0].gpu = GpuCostModel(profile, GpuPlatform::gtx1080Ti());
-    machine.bindings[0].policy.gpuEnabled = true;
-    return machine;
-}
 
 /** @p n CPU-only machines, with an accelerator on each of @p gpus. */
 std::vector<SimConfig>
@@ -49,7 +31,7 @@ machines(size_t n, const std::set<size_t>& gpus = {})
 {
     std::vector<SimConfig> out;
     for (size_t m = 0; m < n; m++)
-        out.push_back(gpus.count(m) ? gpuMachine() : cpuMachine());
+        out.push_back(gpus.count(m) ? gpuMachine(1) : cpuMachine());
     return out;
 }
 
@@ -100,15 +82,6 @@ dealTrace(const QueryTrace& global, ClusterView& view, RoutingPolicy& policy)
         view.flightAdd(m);
     }
     return slices;
-}
-
-QueryTrace
-productionTrace(size_t count, double qps = 5000.0)
-{
-    LoadSpec load;
-    load.qps = qps;
-    QueryStream stream(load);
-    return stream.generate(count);
 }
 
 /** DLRM-RMC2's tables, tablesPerQuery per query, placed on
@@ -265,7 +238,7 @@ TEST(RoutingPolicy, NoPolicyRoutesToANonAcceptingMachine)
     // Three replicas per table: two machines out leave every table a
     // live replica, so every plan is non-empty.
     const ShardingConfig sharding = rmc2Sharding(configs, 3);
-    const QueryTrace trace = productionTrace(300);
+    const QueryTrace trace = makeTrace(300, 5000.0, 1);
     for (RoutingKind kind : everyRoutingKind()) {
         SCOPED_TRACE(routingKindName(kind));
         const auto policy = makeRoutingPolicy({kind, 5, 100}, &sharding);
@@ -312,7 +285,7 @@ TEST(ClusterView, AllAcceptingTracksSetAccepting)
 
 TEST(SplitTrace, RoundRobinSplitsEvenly)
 {
-    const QueryTrace global = productionTrace(800);
+    const QueryTrace global = makeTrace(800, 5000.0, 1);
     const auto policy = makeRoutingPolicy({RoutingKind::RoundRobin, 0, 0});
     const std::vector<SimConfig> configs = machines(8);
     ClusterView view(configs);
@@ -323,7 +296,7 @@ TEST(SplitTrace, RoundRobinSplitsEvenly)
 
 TEST(SplitTrace, DeterministicForEqualSeeds)
 {
-    const QueryTrace global = productionTrace(500);
+    const QueryTrace global = makeTrace(500, 5000.0, 1);
     const auto a = makeRoutingPolicy({RoutingKind::UniformRandom, 42, 0});
     const auto b = makeRoutingPolicy({RoutingKind::UniformRandom, 42, 0});
     const std::vector<SimConfig> configs = machines(5);
@@ -340,7 +313,7 @@ TEST(SplitTrace, DeterministicForEqualSeeds)
 
 TEST(SplitTrace, SizeAwareSteersByGpuPresence)
 {
-    const QueryTrace global = productionTrace(600);
+    const QueryTrace global = makeTrace(600, 5000.0, 1);
     RoutingSpec spec;
     spec.kind = RoutingKind::SizeAware;
     spec.sizeThreshold = 200;
@@ -404,22 +377,16 @@ pinTier()
 uint64_t
 routingHash(const ClusterResult& r)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](uint32_t v) {
-        for (int i = 0; i < 4; i++) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= 0x100000001b3ULL;
-        }
-    };
+    Fnv1a h;
     for (uint32_t m : r.machineOfQuery)
-        mix(m);
+        h.word(m, sizeof(uint32_t));
     for (size_t i = 0; i < r.partMachinesOfQuery.size(); i++) {
         const auto row = r.partMachinesOfQuery.row(i);
-        mix(static_cast<uint32_t>(row.size()));
+        h.word(row.size(), sizeof(uint32_t));
         for (uint32_t m : row)
-            mix(m);
+            h.word(m, sizeof(uint32_t));
     }
-    return h;
+    return h.value();
 }
 
 TEST(RoutingPin, EveryPolicyRoutesEveryQueryToTheSameMachines)
@@ -477,11 +444,7 @@ TEST(RoutingPin, HedgedReplicatedTierRoutesEveryQueryToTheSameMachines)
     cfg.faults.maxFailovers = 2;
     cfg.hedge.delaySeconds = 0.004;
 
-    LoadSpec load;
-    load.qps = 6000.0;
-    load.arrivalSeed = 0x6ed9;
-    load.sizeSeed = 0x6eda;
-    const QueryTrace trace = QueryStream(load).generate(4000);
+    const QueryTrace trace = makeTrace(4000, 6000.0, 0x6ed9);
     const ClusterResult r =
         ClusterSimulator(cfg).run(trace, RoutingSpec{RoutingKind::ShardAware});
     EXPECT_GT(r.faults.crashes, 0u);

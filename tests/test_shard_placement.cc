@@ -17,6 +17,7 @@
 #include "cluster/model_mix.hh"
 #include "cluster/shard_placement.hh"
 #include "loadgen/query_stream.hh"
+#include "tests/fixtures.hh"
 
 namespace deeprecsys {
 namespace {
@@ -55,17 +56,6 @@ shardedCluster(size_t n, uint64_t budget, PlacementStrategy strategy,
     cfg.sharding = colocatedSharding(mix, machineMemoryBudgets(cfg.machines),
                                      spec, tables_per_query);
     return cfg;
-}
-
-QueryTrace
-makeTrace(double qps, size_t count, uint64_t seed = 11)
-{
-    LoadSpec load;
-    load.qps = qps;
-    load.arrivalSeed = seed;
-    load.sizeSeed = seed + 1;
-    QueryStream stream(load);
-    return stream.generate(count);
 }
 
 TEST(EmbeddingTables, MatchModelConfigAndNormalizePopularity)
@@ -253,7 +243,7 @@ TEST(ShardedCluster, RoutesOnlyToHoldersAndConservesQueries)
     const ClusterConfig cfg = shardedCluster(
         8, 2 * kGB, PlacementStrategy::GreedyBySize);
     const ClusterSimulator sim(cfg);
-    const QueryTrace trace = makeTrace(1500.0, 3000);
+    const QueryTrace trace = makeTrace(3000, 1500.0, 11);
     RoutingSpec spec;
     spec.kind = RoutingKind::ShardAware;
     const ClusterResult r = sim.run(trace, spec);
@@ -304,7 +294,7 @@ TEST(ShardedCluster, DeterministicUnderFixedSeeds)
     const ClusterConfig cfg = shardedCluster(
         8, 2 * kGB, PlacementStrategy::HotColdReplicated);
     const ClusterSimulator sim(cfg);
-    const QueryTrace trace = makeTrace(1500.0, 3000);
+    const QueryTrace trace = makeTrace(3000, 1500.0, 11);
     RoutingSpec spec;
     spec.kind = RoutingKind::ShardAware;
     const ClusterResult a = sim.run(trace, spec);
@@ -320,7 +310,7 @@ TEST(ShardedCluster, MemoryBudgetsNeverExceededInRun)
     const ClusterConfig cfg = shardedCluster(
         8, 2 * kGB, PlacementStrategy::RoundRobin);
     const ClusterSimulator sim(cfg);
-    const ClusterResult r = sim.run(makeTrace(1000.0, 1000), RoutingSpec{
+    const ClusterResult r = sim.run(makeTrace(1000, 1000.0, 11), RoutingSpec{
         RoutingKind::ShardAware});
     for (size_t m = 0; m < r.perMachine.size(); m++) {
         EXPECT_GT(r.perMachine[m].embBytesStored, 0u);
@@ -336,7 +326,7 @@ TEST(ShardedCluster, FullReplicationStaysSingleHop)
     const ClusterConfig cfg = shardedCluster(
         4, 0, PlacementStrategy::HotColdReplicated);
     const ClusterSimulator sim(cfg);
-    const ClusterResult r = sim.run(makeTrace(1000.0, 2000), RoutingSpec{
+    const ClusterResult r = sim.run(makeTrace(2000, 1000.0, 11), RoutingSpec{
         RoutingKind::ShardAware});
     EXPECT_DOUBLE_EQ(r.meanFanout, 1.0);
     for (const auto& machines : r.partMachinesOfQuery)
@@ -347,7 +337,7 @@ TEST(ShardedCluster, NetworkHopRaisesLatency)
 {
     ClusterConfig base = shardedCluster(
         8, 2 * kGB, PlacementStrategy::GreedyBySize);
-    const QueryTrace trace = makeTrace(1200.0, 2000);
+    const QueryTrace trace = makeTrace(2000, 1200.0, 11);
     RoutingSpec spec;
     spec.kind = RoutingKind::ShardAware;
 
@@ -366,7 +356,7 @@ TEST(ShardedCluster, ReplicationBeatsSingleCopyUnderLoadedSkew)
     // Under load, joining on the slowest of many parts saturates the
     // single-copy placements well before the replicated one: hot/cold
     // replication keeps popular working sets single-hop.
-    const QueryTrace trace = makeTrace(3000.0, 6000);
+    const QueryTrace trace = makeTrace(6000, 3000.0, 11);
     RoutingSpec spec;
     spec.kind = RoutingKind::ShardAware;
 
@@ -386,7 +376,7 @@ TEST(ShardedCluster, NonShardPoliciesStillRunOnShardedConfig)
     const ClusterConfig cfg = shardedCluster(
         4, 4 * kGB, PlacementStrategy::HotColdReplicated);
     const ClusterSimulator sim(cfg);
-    const ClusterResult r = sim.run(makeTrace(800.0, 1000), RoutingSpec{
+    const ClusterResult r = sim.run(makeTrace(1000, 800.0, 11), RoutingSpec{
         RoutingKind::JoinShortestQueue});
     EXPECT_EQ(r.numCompleted, 1000u);
     EXPECT_DOUBLE_EQ(r.meanFanout, 1.0);

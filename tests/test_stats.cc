@@ -4,8 +4,15 @@
  */
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <thread>
+#include <vector>
 
+#include "base/random.hh"
 #include "base/stats.hh"
 
 namespace deeprecsys {
@@ -119,7 +126,7 @@ TEST(SampleStats, TailShortcuts)
 
 TEST(SampleStats, InterleavedAddAndQuery)
 {
-    // The sorted cache must invalidate on each add.
+    // A read sees every add before it.
     SampleStats s;
     s.add(10.0);
     EXPECT_DOUBLE_EQ(s.percentile(100), 10.0);
@@ -127,6 +134,74 @@ TEST(SampleStats, InterleavedAddAndQuery)
     EXPECT_DOUBLE_EQ(s.percentile(100), 20.0);
     s.add(5.0);
     EXPECT_DOUBLE_EQ(s.percentile(0), 5.0);
+}
+
+/** The percentile of a full sort: interpolation between the order
+ *  statistics at floor(rank) and the one above it. */
+double
+sortedPercentile(std::vector<double> values, double p)
+{
+    std::sort(values.begin(), values.end());
+    if (values.size() == 1)
+        return values.front();
+    const double rank = (p / 100.0) * static_cast<double>(values.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(rank));
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
+/** 1000 values in shuffled order, each of 100 distinct values ten
+ *  times over. */
+std::vector<double>
+tiedValues()
+{
+    Rng rng(1000);
+    std::vector<double> values;
+    for (int i = 0; i < 1000; i++)
+        values.push_back(0.37 * static_cast<double>(rng.uniformInt(0, 99)));
+    return values;
+}
+
+TEST(SampleStats, PercentileBitEqualToFullSort)
+{
+    const std::vector<std::vector<double>> books = {
+        {4.5}, {3.0, -1.25}, {2.0, 9.5, 2.0}, tiedValues()};
+    for (const std::vector<double>& values : books) {
+        SampleStats s;
+        s.addAll(values);
+        for (double p : {0.0, 0.1, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(s.percentile(p)),
+                      std::bit_cast<uint64_t>(sortedPercentile(values, p)))
+                << "n " << values.size() << " p " << p;
+        }
+    }
+}
+
+TEST(SampleStatsParallel, OneConstBookReadFromEightThreads)
+{
+    // Reads copy the book, so eight threads may read one const book
+    // at once (the TSan job runs this), and each gets a full sort's
+    // bits.
+    const std::vector<double> values = tiedValues();
+    SampleStats book;
+    book.addAll(values);
+    const SampleStats& shared = book;
+    const double ps[] = {50.0, 95.0, 99.0, 99.9};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 8; t++) {
+        readers.emplace_back([&] {
+            for (double p : ps) {
+                if (std::bit_cast<uint64_t>(shared.percentile(p)) !=
+                    std::bit_cast<uint64_t>(sortedPercentile(values, p)))
+                    mismatches++;
+            }
+        });
+    }
+    for (std::thread& reader : readers)
+        reader.join();
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 /** Percentile agrees with a naive nearest-rank reference on sweeps. */
