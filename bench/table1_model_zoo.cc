@@ -36,7 +36,6 @@ poolingName(Pooling p)
 {
     switch (p) {
       case Pooling::Sum: return "Sum";
-      case Pooling::Mean: return "Mean";
       case Pooling::Concat: return "Concat";
       default: return "?";
     }

@@ -3,8 +3,8 @@
  * Fixed-size thread pool — the parallel runtime under the repo's
  * embarrassingly parallel layers: the bench sweeps (`bench::sweepMap`),
  * any caller that maps a function over independent runs, the set-up
- * RNG streams (embedding tables, trace templates) split into tasks by
- * Rng::discard, and the diurnal re-timing
+ * RNG streams (embedding tables from their Rng::fork streams, trace
+ * templates), and the diurnal re-timing
  * (TraceTemplate::materializeDiurnal), whose chunks run speculatively
  * and are repaired serially.
  *
@@ -28,14 +28,13 @@
  * inside one search. A discrete-event simulation is a serial
  * dependence chain, and a search's next candidate depends on the last
  * one's verdict; the pool parallelizes across *independent runs* (see
- * sim/rate_search.hh) and, before a run, across the independent
- * stretches of its set-up RNG streams. A stream that takes a fixed
- * number of draws per element starts each task exactly where the
- * serial loop would reach it (Rng::discard), so set-up values are
- * bit-identical at every thread count too. The diurnal re-timing is a
- * serial chain as well: its chunks start from solved guesses, and a
- * serial pass repairs each chunk's first queries until the guess and
- * the true chain agree bit for bit.
+ * sim/rate_search.hh) and, before a run, across set-up RNG streams
+ * that are separate generators: each task owns its stream (a fork
+ * taken in a fixed order on the calling thread, or a generator seeded
+ * apart), so set-up values are bit-identical at every thread count
+ * too. The diurnal re-timing is a serial chain as well: its chunks
+ * start from solved guesses, and a serial pass repairs each chunk's
+ * first queries until the guess and the true chain agree bit for bit.
  */
 
 #ifndef DRS_BASE_THREAD_POOL_HH

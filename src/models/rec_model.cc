@@ -110,8 +110,9 @@ RecModel::makeBatch(size_t batch_size, Rng& rng, RecBatch& batch) const
     drs_assert(batch_size > 0, "batch size must be positive");
     if (cfg.denseInputDim > 0) {
         batch.dense.resize({batch_size, cfg.denseInputDim});
+        float* dense = batch.dense.data();
         for (size_t i = 0; i < batch.dense.numel(); i++)
-            batch.dense.at(i) = static_cast<float>(rng.normal(0.0, 1.0));
+            dense[i] = static_cast<float>(rng.normal(0.0, 1.0));
     } else {
         batch.dense = Tensor();
     }

@@ -1,6 +1,7 @@
 #include "embedding.hh"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 
 #include "base/thread_pool.hh"
@@ -12,9 +13,8 @@ namespace {
 /**
  * Call fn with the logical-to-physical row map of a table, chosen once
  * per kernel call rather than once per lookup: the identity when every
- * row is resident, else the hashed row, by mask when the physical
- * count is a power of two (the same row as the modulo, at a fraction
- * of its cost).
+ * row is resident, else the hashed row by mask (the physical count is
+ * then a power of two, so the mask picks the row the modulo would).
  */
 template <typename Fn>
 void
@@ -22,13 +22,9 @@ withRowMap(uint64_t logical_rows, uint64_t physical_rows, Fn&& fn)
 {
     if (physical_rows == logical_rows) {
         fn([](uint64_t i) { return i; });
-    } else if ((physical_rows & (physical_rows - 1)) == 0) {
+    } else {
         const uint64_t mask = physical_rows - 1;
         fn([mask](uint64_t i) { return mix64(i) & mask; });
-    } else {
-        fn([physical_rows](uint64_t i) {
-            return mix64(i) % physical_rows;
-        });
     }
 }
 
@@ -73,9 +69,12 @@ EmbeddingTable::EmbeddingTable(uint64_t logical_rows, size_t dim, Rng& rng,
 {
     drs_assert(logical_rows > 0, "embedding table needs rows");
     drs_assert(dim > 0, "embedding dim must be positive");
+    if (physicalRows_ < logicalRows_ && !std::has_single_bit(physicalRows_))
+        drs_fatal("embedding residency cap ", max_physical_rows,
+                  " is below the table's ", logical_rows,
+                  " rows and not a power of two");
     storage.resize(physicalRows_ * dim_);
-    // Small-magnitude init, as trained embeddings typically are. One
-    // draw per element: EmbeddingGroup's jumped starts count on it.
+    // Small-magnitude init, as trained embeddings typically are.
     for (auto& v : storage)
         v = static_cast<float>(rng.uniform(-0.05, 0.05));
 }
@@ -123,9 +122,6 @@ EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
         for (size_t i = 0; i < bs; i++) {
             const size_t begin = batch.offsets[i];
             const size_t end = batch.offsets[i + 1];
-            const float inv = pooling == Pooling::Mean && end > begin
-                ? 1.0f / static_cast<float>(end - begin)
-                : 1.0f;
             // Each column sums its rows in lookup order into a local
             // row, which the compiler knows the table cannot alias.
             for (size_t d0 = 0; d0 < dim_; d0 += kSumBlock) {
@@ -139,13 +135,7 @@ EmbeddingTable::bagForward(const SparseBatch& batch, Pooling pooling,
                     for (size_t d = 0; d < width; d++)
                         sum[d] += src[d];
                 }
-                float* dst = out + i * ldo + d0;
-                if (pooling == Pooling::Mean) {
-                    for (size_t d = 0; d < width; d++)
-                        dst[d] = sum[d] * inv;
-                } else {
-                    std::copy(sum, sum + width, dst);
-                }
+                std::copy(sum, sum + width, out + i * ldo + d0);
             }
         }
     });
@@ -192,17 +182,17 @@ EmbeddingGroup::EmbeddingGroup(size_t num_tables, uint64_t logical_rows,
 {
     drs_assert(num_tables > 0, "embedding group needs tables");
     drs_assert(lookups_per_table > 0, "lookups per table must be positive");
-    // The tables fill in parallel, table i from rng jumped past the
-    // draws of tables 0..i-1, and rng ends where the serial fill would
-    // leave it: every value is the same at every thread count.
-    const uint64_t draws = std::min(logical_rows, max_physical_rows) * dim;
+    // Each table fills from its own fork of rng, taken in table order
+    // here; the pool then fills the tables in parallel, so every value
+    // is the same at every thread count.
+    std::vector<Rng> streams;
+    streams.reserve(num_tables);
+    for (size_t i = 0; i < num_tables; i++)
+        streams.push_back(rng.fork());
     std::vector<std::optional<EmbeddingTable>> built(num_tables);
     ThreadPool::shared().parallelFor(num_tables, [&](size_t i) {
-        Rng stream = rng;
-        stream.discard(i * draws);
-        built[i].emplace(logical_rows, dim, stream, max_physical_rows);
+        built[i].emplace(logical_rows, dim, streams[i], max_physical_rows);
     });
-    rng.discard(num_tables * draws);
     tables.reserve(num_tables);
     for (std::optional<EmbeddingTable>& table : built)
         tables.push_back(std::move(*table));

@@ -24,7 +24,7 @@
 namespace deeprecsys {
 
 /** Pooling operator applied over the rows gathered for one sample. */
-enum class Pooling { Sum, Mean, Concat };
+enum class Pooling { Sum, Concat };
 
 /**
  * Sparse feature batch in CSR form: for sample i, its indices are
@@ -68,7 +68,8 @@ class EmbeddingTable
      * @param dim latent vector width
      * @param rng initialization stream
      * @param max_physical_rows allocation cap; logical indices hash
-     *        onto this many resident rows
+     *        onto this many resident rows. A cap below @p logical_rows
+     *        must be a power of two (a config error otherwise).
      */
     EmbeddingTable(uint64_t logical_rows, size_t dim, Rng& rng,
                    uint64_t max_physical_rows = 1ull << 20);
@@ -100,7 +101,7 @@ class EmbeddingTable
      * Pooled lookup: gathers each sample's rows and pools them, and
      * writes sample i's pooled row to out[i * ldo, i * ldo + width),
      * so a table can fill its column slice of a wider [batch, ...]
-     * block. width is dim for Sum/Mean. For Concat every sample must
+     * block. width is dim for Sum. For Concat every sample must
      * have the same lookup count L and width is L * dim. Time is
      * charged to OpClass::Embedding of @p stats when non-null.
      */

@@ -7,7 +7,8 @@
  * determinism across repeated runs and thread counts, an injected
  * router running as the spec-built one, shard-placement
  * re-validation refusing drains that would orphan a table, a pinned
- * sharded elastic day, and the headline property — the reactive
+ * sharded elastic day on which a hot shard under the scale-down band
+ * still scales the tier up, and the headline property — the reactive
  * policy beats the static peak plan on machine-hours over a 2x
  * diurnal day without violating the SLA.
  */
@@ -527,15 +528,17 @@ TEST(Autoscaler, ShardDrainAllowedUnderFullReplication)
     EXPECT_EQ(r.numCompleted, trace.size());
 }
 
-TEST(AutoscalePin, ShardedElasticDayScalesAndServesTheSame)
+/**
+ * The pinned sharded day: six machines with 2/3/4 GB budgets, two
+ * replicas per table where they fit, five accepting at the start, over
+ * a 3x diurnal day peaking at 6,000 QPS. Fills @p spec and @p trace.
+ */
+void
+shardedDay(AutoscaleSpec& spec, QueryTrace& trace)
 {
-    // Six machines with 2/3/4 GB budgets, two replicas per table where
-    // they fit, five accepting at the start: the reactive policy's
-    // first scale-downs pass drain re-validation and later ones are
-    // refused. Pins every scale decision and every latency bit.
     const std::vector<EmbeddingTableInfo> tables =
         embeddingTables(modelConfig(ModelId::DlrmRmc2));
-    AutoscaleSpec spec = flatSpec(0);
+    spec = flatSpec(0);
     for (size_t m = 0; m < 6; m++)
         spec.cluster.machines.push_back(
             memoryMachine((2 + m % 3) * 1'000'000'000ULL));
@@ -551,7 +554,17 @@ TEST(AutoscalePin, ShardedElasticDayScalesAndServesTheSame)
     spec.cluster.network.gigabytesPerSecond = 12.5;
     spec.routing.kind = RoutingKind::ShardAware;
     spec.initialMachines = 5;
-    const QueryTrace trace = diurnalTrace(spec, 6000.0, 3.0, 20.0);
+    trace = diurnalTrace(spec, 6000.0, 3.0, 20.0);
+}
+
+TEST(AutoscalePin, ShardedElasticDayScalesAndServesTheSame)
+{
+    // The reactive policy's first scale-downs pass drain
+    // re-validation and later ones are refused. Pins every scale
+    // decision and every latency bit.
+    AutoscaleSpec spec;
+    QueryTrace trace;
+    shardedDay(spec, trace);
     ScalingPolicySpec reactive;
     reactive.kind = ScalingPolicyKind::Reactive;
     const AutoscaleResult r = Autoscaler(spec).run(trace, reactive);
@@ -568,6 +581,45 @@ TEST(AutoscalePin, ShardedElasticDayScalesAndServesTheSame)
     EXPECT_TRUE(refused_drain);
     EXPECT_EQ(r.numCompleted, trace.size());
     EXPECT_EQ(h.value(), 0x73a81edb986ec1c6ULL);
+}
+
+TEST(AutoscalePin, HotShardUnderTheScaleDownBandStillScalesUp)
+{
+    // On the sharded day a hot shard drives a window's tail past
+    // 0.8 x SLA while the tier's mean utilization sits under the
+    // scale-down band. The reactive policy must answer the tail with
+    // a scale-up: a policy that gated growth on mean utilization let
+    // a window tail reach about 5 s here.
+    AutoscaleSpec spec;
+    QueryTrace trace;
+    shardedDay(spec, trace);
+    ScalingPolicySpec reactive;
+    reactive.kind = ScalingPolicyKind::Reactive;
+    const AutoscaleResult r = Autoscaler(spec).run(trace, reactive);
+
+    const size_t full_tier = spec.cluster.machines.size();
+    size_t scaled_up = 0;
+    for (const AutoscaleWindow& w : r.timeline) {
+        EXPECT_LE(w.tailMs, 1000.0) << "window ending " << w.endSeconds;
+        if (w.tailMs <= 0.8 * spec.slaMs ||
+            w.utilization >= reactive.downUtilization)
+            continue;
+        // Hot under the band: grow, unless the full tier already serves.
+        const auto ev = std::find_if(
+            r.scaleEvents.begin(), r.scaleEvents.end(),
+            [&](const ScaleEvent& e) {
+                return e.timeSeconds == w.endSeconds;
+            });
+        if (ev == r.scaleEvents.end()) {
+            EXPECT_EQ(w.servingMachines, full_tier)
+                << "window ending " << w.endSeconds;
+            continue;
+        }
+        EXPECT_GT(ev->target, ev->servingBefore)
+            << "window ending " << w.endSeconds;
+        scaled_up += ev->target > ev->servingBefore;
+    }
+    EXPECT_GT(scaled_up, 0u);
 }
 
 TEST(ScalingPolicies, FactoryBuildsEveryKindWithNames)

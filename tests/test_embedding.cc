@@ -98,19 +98,6 @@ TEST(EmbeddingTable, SumPoolingMatchesManual)
         EXPECT_FLOAT_EQ(out.at(0, d), r3[d] + 2 * r7[d]);
 }
 
-TEST(EmbeddingTable, MeanPoolingDividesByCount)
-{
-    Rng rng(7);
-    EmbeddingTable t(50, 4, rng);
-    SparseBatch b;
-    b.indices = {1, 2};
-    b.offsets = {0, 2};
-    const Tensor sum = bag(t, b, Pooling::Sum);
-    const Tensor mean = bag(t, b, Pooling::Mean);
-    for (size_t d = 0; d < 4; d++)
-        EXPECT_NEAR(mean.at(0, d), sum.at(0, d) / 2.0f, 1e-6);
-}
-
 TEST(EmbeddingTable, ConcatPoolingWidth)
 {
     Rng rng(8);
@@ -223,17 +210,16 @@ TEST(EmbeddingGroup, LogicalBytesSumsTables)
 TEST(EmbeddingTable, KernelsPickTheRowsRowForPicks)
 {
     // The kernels choose their row map once per call: identity when
-    // every row is resident, a mask over a power-of-two physical
-    // count, else the modulo. Each must read the rows rowFor names and
-    // sum them in lookup order, bit for bit; dim 80 spans two blocks
-    // of the pooled sum's local row.
-    for (uint64_t cap : {uint64_t{1} << 20, uint64_t{256}, uint64_t{300}}) {
+    // every row is resident, else a mask over the power-of-two
+    // physical count. Each must read the rows rowFor names and sum
+    // them in lookup order, bit for bit; dim 80 spans two blocks of
+    // the pooled sum's local row.
+    for (uint64_t cap : {uint64_t{1} << 20, uint64_t{256}}) {
         for (size_t dim : {size_t{4}, size_t{80}}) {
             Rng rng(18);
             EmbeddingTable t(5000, dim, rng, cap);
             const SparseBatch b = SparseBatch::uniform(6, 7, 5000, rng);
             const Tensor sum = bag(t, b, Pooling::Sum);
-            const Tensor mean = bag(t, b, Pooling::Mean);
             const Tensor concat = bag(t, b, Pooling::Concat);
             Tensor seq;
             t.gatherSequence(b, seq);
@@ -250,31 +236,41 @@ TEST(EmbeddingTable, KernelsPickTheRowsRowForPicks)
                 for (size_t d = 0; d < dim; d++) {
                     EXPECT_EQ(sum.at(i, d), want[d])
                         << "cap " << cap << " dim " << dim;
-                    EXPECT_EQ(mean.at(i, d), want[d] * (1.0f / 7.0f));
                 }
             }
         }
     }
 }
 
-TEST(EmbeddingGroup, FillsAsTheSerialTablesDo)
+TEST(EmbeddingTableDeath, NonPowerOfTwoCapBelowTheRowsIsAConfigError)
 {
-    // The group fills its tables in parallel from jumped streams; the
-    // values, and where it leaves the caller's stream, must be those
-    // of building the tables one after another from one stream.
+    Rng rng(18);
+    EXPECT_EXIT(EmbeddingTable(5000, 4, rng, 300),
+                ::testing::ExitedWithCode(1), "not a power of two");
+    // A cap at the row count leaves every row resident.
+    EXPECT_EQ(EmbeddingTable(300, 4, rng, 300).physicalRows(), 300u);
+}
+
+TEST(EmbeddingGroup, FillsEachTableFromItsOwnFork)
+{
+    // The group forks one stream per table from the caller's stream,
+    // in table order, and fills the tables from them in parallel:
+    // each table is the one built alone from its fork, and the
+    // caller's stream ends one draw per table on.
     Rng group_rng(19);
     const EmbeddingGroup g(5, 700, 12, 3, Pooling::Sum, group_rng);
-    Rng serial_rng(19);
+    Rng fork_rng(19);
     for (size_t t = 0; t < 5; t++) {
-        const EmbeddingTable serial(700, 12, serial_rng);
+        Rng fork = fork_rng.fork();
+        const EmbeddingTable alone(700, 12, fork);
         for (uint64_t row = 0; row < 700; row++) {
             const float* got = g.table(t).rowFor(row);
-            const float* want = serial.rowFor(row);
+            const float* want = alone.rowFor(row);
             for (size_t d = 0; d < 12; d++)
                 ASSERT_EQ(got[d], want[d]) << "table " << t << " row " << row;
         }
     }
-    EXPECT_EQ(group_rng(), serial_rng());
+    EXPECT_EQ(group_rng(), fork_rng());
 }
 
 /** Pooling output stays finite across lookup-count sweeps. */

@@ -152,9 +152,10 @@ TEST(ParallelDiff, TraceTemplatePrefixStableUnderGrowth)
 
 TEST(ParallelDiff, ZooForwardOutputsBitwiseEqualAcrossThreadCounts)
 {
-    // A model's embedding tables fill in parallel from jumped streams,
-    // and the layers built after them draw from where the tables leave
-    // the stream: every output bit must match the serial build's.
+    // A model's embedding tables fill in parallel, each from its own
+    // fork of the model's stream, and the layers built after them draw
+    // from where the forks leave it: every output bit must match the
+    // serial build's.
     auto outputs = [] {
         std::vector<std::vector<float>> out;
         for (const ModelScale& scale : {ModelScale{}, ModelScale::tiny()}) {
