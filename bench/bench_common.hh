@@ -1,21 +1,25 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction binaries.
+ * Shared helpers for the figure/table reproductions and the benches.
  *
- * Every binary prints the series of one paper table or figure through
+ * Every figure prints the series of one paper table or figure through
  * TextTable so outputs stay uniform and parseable. Seeds are fixed:
- * each binary's output is identical run-to-run. A bench that takes
- * arguments parses them with parseBenchArgs and writes every file
- * through writeOutput, so a bad argument or a failed write exits
- * non-zero instead of passing silently.
+ * each output is identical run-to-run. A bench that takes arguments
+ * parses them with parseBenchArgs and writes every file through
+ * writeOutput, so a bad argument or a failed write exits non-zero
+ * instead of passing silently. Header-only, so the tests build it
+ * with the benches off.
  */
 
 #ifndef DRS_BENCH_COMMON_HH
 #define DRS_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <iostream>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -147,15 +151,15 @@ defaultInfra(ModelId model, bool gpu = false)
     return cfg;
 }
 
-/** One CPU-only DLRM-RMC1 machine on Skylake at batch @p batch: the
- *  unit machine of the cluster benches. */
+/** One CPU-only machine at batch @p batch; by default DLRM-RMC1 on
+ *  Skylake, the unit machine of the cluster benches. */
 inline SimConfig
-cpuMachine(size_t batch)
+cpuMachine(size_t batch, ModelId model = ModelId::DlrmRmc1,
+           const CpuPlatform& platform = CpuPlatform::skylake())
 {
-    const ModelProfile profile = ModelProfile::forModel(ModelId::DlrmRmc1);
     SchedulerPolicy policy;
     policy.perRequestBatch = batch;
-    return SimConfig{CpuCostModel(profile, CpuPlatform::skylake()),
+    return SimConfig{CpuCostModel(ModelProfile::forModel(model), platform),
                      std::nullopt, policy};
 }
 
@@ -238,6 +242,81 @@ sweepMap(const std::vector<Item>& items, Fn fn)
     return ThreadPool::shared().parallelMap(
         items.size(), [&](size_t i) { return fn(items[i]); });
 }
+
+/**
+ * The tune memo the figure reproductions share (bench/reproduce.cc).
+ * Figures tune the same (machine, SLA) pairs: fig10's, fig12's and
+ * fig13's batch climbs are fig11 cells, and every DRS-GPU tune starts
+ * from a batch climb that offloads nothing (Section IV-C), which
+ * prices exactly as the same machine without its accelerator does.
+ * The memo runs each distinct tune once per process.
+ */
+class Reproduction
+{
+  public:
+    /**
+     * DeepRecSched's tune of @p config at @p sla_ms: tuneCpu on a
+     * CPU-only machine; on a GPU-attached one, tuneGpu from this
+     * memo's tune of the same machine without the accelerator. The
+     * key is the whole config plus the SLA, the accelerator's
+     * platform only when one is attached. Each distinct tune runs
+     * once, under std::call_once, so a caller that asks while another
+     * thread runs it waits for that run. The reference lives as long
+     * as the memo.
+     */
+    const TuningResult&
+    tune(const InfraConfig& config, double sla_ms)
+    {
+        InfraConfig key = config;
+        if (!key.attachGpu)
+            key.gpu = GpuPlatform{};
+        Entry& entry = find(key, sla_ms);
+        std::call_once(entry.once, [&] {
+            const DeepRecInfra infra(key);
+            if (!key.attachGpu) {
+                entry.result = DeepRecSched::tuneCpu(infra, sla_ms);
+                return;
+            }
+            InfraConfig cpu_only = key;
+            cpu_only.attachGpu = false;
+            entry.result = DeepRecSched::tuneGpu(infra, sla_ms,
+                                                 tune(cpu_only, sla_ms));
+        });
+        return entry.result;
+    }
+
+    /** Distinct tunes asked for, with or without the accelerator. */
+    size_t
+    distinctTunes(bool with_gpu) const
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return std::ranges::count(entries, with_gpu, [](const Entry& e) {
+            return e.config.attachGpu;
+        });
+    }
+
+  private:
+    struct Entry
+    {
+        const InfraConfig config;
+        const double slaMs;
+        std::once_flag once;
+        TuningResult result;
+    };
+
+    Entry&
+    find(const InfraConfig& key, double sla_ms)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        for (Entry& entry : entries)
+            if (entry.config == key && entry.slaMs == sla_ms)
+                return entry;
+        return entries.emplace_back(key, sla_ms);
+    }
+
+    mutable std::mutex mu;
+    std::deque<Entry> entries;  ///< never erased: references stay valid
+};
 
 } // namespace deeprecsys::bench
 

@@ -6,8 +6,6 @@
  * breakdown between dense (MLP weights/activations) and sparse
  * (embedding gather) traffic that drives the paper's model-level
  * heterogeneity argument.
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"
@@ -16,8 +14,8 @@
 
 using namespace deeprecsys;
 
-int
-main()
+void
+fig01_characterization(bench::Reproduction&)
 {
     const CpuPlatform skl = CpuPlatform::skylake();
     const double peak = skl.peakCoreFlops();
@@ -71,5 +69,4 @@ main()
                                : "dense-dominated"});
     }
     mem.print(std::cout);
-    return 0;
 }

@@ -4,8 +4,6 @@
  * for every model, the batch size at which the GPU starts to win
  * (annotated in the paper's figure), and the fraction of GPU time
  * spent loading data (60-80% in the paper).
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"
@@ -14,8 +12,8 @@
 
 using namespace deeprecsys;
 
-int
-main()
+void
+fig04_gpu_speedup(bench::Reproduction&)
 {
     printBanner(std::cout, "Figure 4: GPU speedup over CPU vs batch size");
     const std::vector<size_t> batches = {1, 8, 64, 256, 1024};
@@ -43,5 +41,4 @@ main()
         table.addRow(std::move(row));
     }
     table.print(std::cout);
-    return 0;
 }

@@ -4,8 +4,6 @@
  * production recommendation services against the canonical lognormal
  * (and normal) assumptions — percentile table, p75 marker, and the
  * heavy-tail mass shares the scheduler exploits.
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <algorithm>
@@ -40,8 +38,8 @@ pct(const std::vector<uint32_t>& sorted, double p)
 
 } // namespace
 
-int
-main()
+void
+fig05_query_sizes(bench::Reproduction&)
 {
     constexpr size_t n = 200000;
     printBanner(std::cout, "Figure 5: query size distributions");
@@ -84,5 +82,4 @@ main()
     ccdf.print(std::cout);
     std::cout << "\nThe production tail carries far more mass than the\n"
                  "lognormal at equal body: the paper's heavy-tail claim.\n";
-    return 0;
 }

@@ -4,8 +4,6 @@
  * size) and large (> p75) queries on CPU and GPU. Despite being only
  * 25% of queries, large queries carry ~half of CPU execution time;
  * the GPU accelerates exactly that half.
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <algorithm>
@@ -17,8 +15,8 @@
 
 using namespace deeprecsys;
 
-int
-main()
+void
+fig06_query_time_split(bench::Reproduction&)
 {
     constexpr size_t n = 20000;
     auto dist = QuerySizeDistribution::production(/*seed=*/99);
@@ -67,5 +65,4 @@ main()
                       TextTable::num(cpu_large / gpu_large, 2) + "x"});
     }
     table.print(std::cout);
-    return 0;
 }

@@ -3,8 +3,6 @@
  * Reproduces Figure 7: the latency distribution measured on a small
  * subsample of machines tracks the full datacenter fleet to within
  * ~10%, justifying single-node studies of tail behaviour.
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"
@@ -12,22 +10,8 @@
 
 using namespace deeprecsys;
 
-namespace {
-
-SimConfig
-machineConfig(ModelId model, const CpuPlatform& platform)
-{
-    const ModelProfile profile = ModelProfile::forModel(model);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = 256;
-    return SimConfig{CpuCostModel(profile, platform), std::nullopt,
-                     policy};
-}
-
-} // namespace
-
-int
-main()
+void
+fig07_fleet_subsample(bench::Reproduction&)
 {
     printBanner(std::cout,
                 "Figure 7: datacenter fleet vs machine subsample");
@@ -56,7 +40,7 @@ main()
         fleet_cfg.interferenceSlowdown = 1.10;
         fleet_cfg.seed = 4321;
 
-        FleetSimulator fleet(machineConfig(c.model, c.platform),
+        FleetSimulator fleet(bench::cpuMachine(256, c.model, c.platform),
                              fleet_cfg);
         const FleetResult r = fleet.run();
         const SampleStats sub =
@@ -81,5 +65,4 @@ main()
     table.print(std::cout);
     std::cout << "\nPaper: subsampled machines track the fleet within"
                  " ~10%.\n";
-    return 0;
 }

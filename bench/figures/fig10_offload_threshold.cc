@@ -4,8 +4,6 @@
  * query-size threshold. Threshold 1 offloads every query ("all GPU");
  * beyond the maximum query size nothing offloads ("all CPU"). The
  * optimum sits between and varies per model class.
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"
@@ -13,8 +11,8 @@
 using namespace deeprecsys;
 using namespace deeprecsys::bench;
 
-int
-main()
+void
+fig10_offload_threshold(Reproduction& reproduction)
 {
     const std::vector<uint32_t> thresholds = {1,   64,  128, 192, 256,
                                               320, 384, 512, 768, 1001};
@@ -29,8 +27,10 @@ main()
             const double sla = infra.slaMs(SlaTier::Medium);
 
             // The batch size for CPU-resident work comes from stage 1
-            // of DeepRecSched (Section IV-C).
-            const TuningResult cpu = DeepRecSched::tuneCpu(infra, sla);
+            // of DeepRecSched (Section IV-C): the batch climb of the
+            // same machine without the accelerator.
+            const TuningResult& cpu =
+                reproduction.tune(defaultInfra(id), sla);
 
             // One independent max-QPS search per threshold.
             return sweepMap(thresholds, [&](uint32_t t) {
@@ -64,5 +64,4 @@ main()
                         std::to_string(best_threshold));
         table.print(std::cout);
     }
-    return 0;
 }

@@ -6,8 +6,6 @@
  * eight models and three tail-latency tiers, normalized per model to
  * the baseline at the low tier. Paper geomeans: DRS-CPU 1.7x/2.1x/2.7x
  * and DRS-GPU 4.0x/5.1x/5.8x QPS at low/medium/high.
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <map>
@@ -17,8 +15,8 @@
 using namespace deeprecsys;
 using namespace deeprecsys::bench;
 
-int
-main()
+void
+fig11_end_to_end(Reproduction& reproduction)
 {
     struct Cell
     {
@@ -37,13 +35,15 @@ main()
         for (SlaTier tier : allTiers())
             grid.push_back({id, tier});
     const std::vector<Tuned> tuned =
-        sweepMap(grid, [](const std::pair<ModelId, SlaTier>& cell) {
+        sweepMap(grid, [&](const std::pair<ModelId, SlaTier>& cell) {
             DeepRecInfra cpu_infra(defaultInfra(cell.first));
             DeepRecInfra gpu_infra(defaultInfra(cell.first, /*gpu=*/true));
             const double sla = cpu_infra.slaMs(cell.second);
             const TuningResult b = DeepRecSched::baseline(cpu_infra, sla);
-            const TuningResult c = DeepRecSched::tuneCpu(cpu_infra, sla);
-            const TuningResult g = DeepRecSched::tuneGpu(gpu_infra, sla);
+            const TuningResult& c =
+                reproduction.tune(cpu_infra.config(), sla);
+            const TuningResult& g =
+                reproduction.tune(gpu_infra.config(), sla);
             return Tuned{{b.qps(), cpu_infra.qpsPerWatt(b.atBest)},
                          {c.qps(), cpu_infra.qpsPerWatt(c.atBest)},
                          {g.qps(), gpu_infra.qpsPerWatt(g.atBest)}};
@@ -102,5 +102,4 @@ main()
     std::cout << "\nPaper geomeans: QPS DRS-CPU 1.7/2.1/2.7x,"
                  " DRS-GPU 4.0/5.1/5.8x; QPS/W DRS-CPU 1.7/2.1/2.7x,"
                  " DRS-GPU 2.0/2.6/2.9x (low/med/high).\n";
-    return 0;
 }

@@ -5,8 +5,6 @@
  * (including the penalty for tuning against the wrong distribution),
  * (b) the model architecture, and (c) the CPU platform (inclusive
  * Broadwell vs exclusive Skylake cache hierarchies).
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <functional>
@@ -17,23 +15,22 @@
 using namespace deeprecsys;
 using namespace deeprecsys::bench;
 
-int
-main()
+void
+fig12_tradeoffs(Reproduction& reproduction)
 {
     using Row = std::vector<std::string>;
 
     // (a) One row per tier: DLRM-RMC1 tuned for production and
     // lognormal query sizes.
-    auto tier_row = [](SlaTier tier) -> Row {
+    auto tier_row = [&](SlaTier tier) -> Row {
         InfraConfig prod_cfg = defaultInfra(ModelId::DlrmRmc1);
         DeepRecInfra prod(prod_cfg);
         InfraConfig logn_cfg = prod_cfg;
         logn_cfg.sizeDist = SizeDistKind::Lognormal;
-        DeepRecInfra logn(logn_cfg);
 
         const double sla = prod.slaMs(tier);
-        const TuningResult rp = DeepRecSched::tuneCpu(prod, sla);
-        const TuningResult rl = DeepRecSched::tuneCpu(logn, sla);
+        const TuningResult& rp = reproduction.tune(prod_cfg, sla);
+        const TuningResult& rl = reproduction.tune(logn_cfg, sla);
 
         // Apply the lognormal-tuned batch to production traffic: the
         // penalty the paper quantifies as 1.2-1.7x.
@@ -56,12 +53,11 @@ main()
         {ModelId::WideAndDeep, "MLP"},
         {ModelId::Dien, "recurrent"},
     };
-    auto model_row = [](const std::pair<ModelId, const char*>& entry)
+    auto model_row = [&](const std::pair<ModelId, const char*>& entry)
         -> Row {
         const auto& [id, klass] = entry;
-        DeepRecInfra infra(defaultInfra(id));
-        const TuningResult r =
-            DeepRecSched::tuneCpu(infra, infra.slaMs(SlaTier::High));
+        const TuningResult& r = reproduction.tune(
+            defaultInfra(id), slaTargetMs(modelConfig(id), SlaTier::High));
         return {modelName(id), klass,
                 std::to_string(r.policy.perRequestBatch),
                 TextTable::num(r.qps(), 0)};
@@ -70,11 +66,11 @@ main()
     // (c) One row per platform: DLRM-RMC3 at 175 ms.
     const std::vector<CpuPlatform> platforms = {CpuPlatform::broadwell(),
                                                 CpuPlatform::skylake()};
-    auto platform_row = [](const CpuPlatform& platform) -> Row {
+    auto platform_row = [&](const CpuPlatform& platform) -> Row {
         InfraConfig cfg = defaultInfra(ModelId::DlrmRmc3);
         cfg.platform = platform;
         DeepRecInfra infra(cfg);
-        const TuningResult r = DeepRecSched::tuneCpu(infra, 175.0);
+        const TuningResult& r = reproduction.tune(cfg, 175.0);
 
         SchedulerPolicy small = r.policy;
         small.perRequestBatch = 16;
@@ -135,5 +131,4 @@ main()
                  " request-parallel penalty; batch parallelism"
                  " recovers it (paper: L2 miss 55% at batch 16 vs"
                  " 40% at 1024).\n";
-    return 0;
 }

@@ -4,8 +4,6 @@
  * machines serving diurnal traffic for a simulated day reduces p95 and
  * p99 tail latency versus the fixed production batch size (paper:
  * 1.39x and 1.31x respectively).
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"
@@ -19,12 +17,6 @@ namespace {
 FleetResult
 runFleet(ModelId model, size_t batch, double per_machine_qps)
 {
-    const ModelProfile profile = ModelProfile::forModel(model);
-    SchedulerPolicy policy;
-    policy.perRequestBatch = batch;
-    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
-                      std::nullopt, policy};
-
     FleetConfig cfg;
     cfg.numMachines = 100;
     cfg.perMachineQps = per_machine_qps;
@@ -32,13 +24,13 @@ runFleet(ModelId model, size_t batch, double per_machine_qps)
     cfg.numWindows = 12;            // a compressed diurnal day
     cfg.diurnalPeakToTrough = 2.0;
     cfg.seed = 20200530;
-    return FleetSimulator(machine, cfg).run();
+    return FleetSimulator(cpuMachine(batch, model), cfg).run();
 }
 
 } // namespace
 
-int
-main()
+void
+fig13_production_tail(Reproduction& reproduction)
 {
     printBanner(std::cout,
                 "Figure 13: production-fleet tail latency, fixed vs "
@@ -70,11 +62,11 @@ main()
     };
     // Each case tunes and simulates its fleets independently, so the
     // cases run in parallel; rows come back in case order.
-    const std::vector<Row> rows = sweepMap(cases, [](const Case& c) {
+    const std::vector<Row> rows = sweepMap(cases, [&](const Case& c) {
         // Tuned batch from DeepRecSched at the medium tier.
-        DeepRecInfra infra(defaultInfra(c.model));
-        const TuningResult tuned_cfg =
-            DeepRecSched::tuneCpu(infra, infra.slaMs(SlaTier::Medium));
+        const TuningResult& tuned_cfg = reproduction.tune(
+            defaultInfra(c.model),
+            slaTargetMs(modelConfig(c.model), SlaTier::Medium));
         Row row;
         row.fixedBatch = DeepRecSched::staticBaselineBatch(
             1000, CpuPlatform::skylake().cores);
@@ -113,5 +105,4 @@ main()
               << TextTable::num(geomean(p95_ratios), 2) << "x, p99 "
               << TextTable::num(geomean(p99_ratios), 2)
               << "x (paper: 1.39x / 1.31x).\n";
-    return 0;
 }

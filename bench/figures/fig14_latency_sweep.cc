@@ -5,8 +5,6 @@
  * unlocks targets the CPU cannot reach and its share of work falls as
  * the target relaxes; (b) QPS/Watt — the GPU wins at strict targets,
  * the CPU at relaxed ones.
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include "bench/bench_common.hh"
@@ -14,8 +12,8 @@
 using namespace deeprecsys;
 using namespace deeprecsys::bench;
 
-int
-main()
+void
+fig14_latency_sweep(Reproduction& reproduction)
 {
     DeepRecInfra cpu_infra(defaultInfra(ModelId::DlrmRmc1));
     DeepRecInfra gpu_infra(defaultInfra(ModelId::DlrmRmc1, /*gpu=*/true));
@@ -33,8 +31,8 @@ main()
     const std::vector<double> targets = {3.0,  5.0,  8.0,   12.0, 20.0,
                                          40.0, 60.0, 100.0, 150.0};
     const std::vector<Row> rows = sweepMap(targets, [&](double sla) {
-        return Row{DeepRecSched::tuneCpu(cpu_infra, sla),
-                   DeepRecSched::tuneGpu(gpu_infra, sla)};
+        return Row{reproduction.tune(cpu_infra.config(), sla),
+                   reproduction.tune(gpu_infra.config(), sla)};
     });
 
     for (size_t i = 0; i < targets.size(); i++) {
@@ -64,5 +62,4 @@ main()
                  " (57ms -> 41ms on their testbed); the GPU work share"
                  " falls as the target relaxes; QPS/W flips from GPU to"
                  " CPU at relaxed targets.\n";
-    return 0;
 }

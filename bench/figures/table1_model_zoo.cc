@@ -4,8 +4,6 @@
  * recommendation models, augmented with the derived resource profile
  * (FLOPs, embedding traffic, logical table storage) each configuration
  * implies.
- *
- * Host-measured lines: see its entry in tools/outputs.json.
  */
 
 #include <sstream>
@@ -43,8 +41,8 @@ poolingName(Pooling p)
 
 } // namespace
 
-int
-main()
+void
+table1_model_zoo(bench::Reproduction&)
 {
     printBanner(std::cout, "Table I: model zoo configurations");
     TextTable table({"Model", "Company", "Domain", "Dense-FC",
@@ -78,5 +76,4 @@ main()
                         TextTable::num(p.logicalEmbeddingBytes / 1e9, 2)});
     }
     derived.print(std::cout);
-    return 0;
 }

@@ -5,8 +5,7 @@
  * analytical cost model and from measured kernel execution — and
  * compared against the paper's classification.
  *
- * Host-measured lines: see its entry in tools/outputs.json. The
- * "Measured dominant op" column is a wall-clock split, but it repeats
+ * The "Measured dominant op" column is a wall-clock split, but it repeats
  * between runs all the same: each class is timed by its quickest of
  * several passes, and a leader within kTieBand of the runner-up
  * prints as "A ≈ B".
@@ -118,8 +117,8 @@ paperBottleneck(ModelId id)
 
 } // namespace
 
-int
-main()
+void
+table2_bottleneck_sla(bench::Reproduction&)
 {
     printBanner(std::cout, "Table II: runtime bottleneck and SLA targets");
     TextTable table({"Model", "Paper bottleneck", "Modeled bottleneck",
@@ -148,5 +147,4 @@ main()
     for (const std::vector<std::string>& row : rows)
         table.addRow(row);
     table.print(std::cout);
-    return 0;
 }

@@ -36,6 +36,8 @@ struct InfraConfig
 
     /** Queries per simulator evaluation (trace length). */
     size_t numQueries = 2500;
+
+    bool operator==(const InfraConfig&) const = default;
 };
 
 /** The evaluation harness. */

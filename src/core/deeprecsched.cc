@@ -83,11 +83,17 @@ DeepRecSched::tuneCpu(const DeepRecInfra& infra, double sla_ms)
 TuningResult
 DeepRecSched::tuneGpu(const DeepRecInfra& infra, double sla_ms)
 {
+    // Stage 1: batch size for the CPU-resident share of the work.
+    return tuneGpu(infra, sla_ms, tuneCpu(infra, sla_ms));
+}
+
+TuningResult
+DeepRecSched::tuneGpu(const DeepRecInfra& infra, double sla_ms,
+                      const TuningResult& cpu)
+{
     drs_assert(infra.gpuModel() != nullptr,
                "tuneGpu needs an attached accelerator");
-
-    // Stage 1: batch size for the CPU-resident share of the work.
-    const TuningResult cpu = tuneCpu(infra, sla_ms);
+    drs_assert(!cpu.policy.gpuEnabled, "tuneGpu's stage 1 offloads");
 
     // Stage 2: climb the offload threshold from "everything on the
     // accelerator" upward. Thresholds walk the query-size range

@@ -80,6 +80,16 @@ class DeepRecSched
      */
     static TuningResult tuneGpu(const DeepRecInfra& infra, double sla_ms);
 
+    /**
+     * DeepRecSched-GPU from a given stage 1, a batch climb that
+     * offloads nothing. A policy that offloads nothing prices exactly
+     * as on the same machine without the accelerator, so @p stage1
+     * may be tuneCpu on that CPU-only machine: the result is bitwise
+     * tuneGpu(infra, sla_ms).
+     */
+    static TuningResult tuneGpu(const DeepRecInfra& infra, double sla_ms,
+                                const TuningResult& stage1);
+
     /** Maximum per-request batch size explored by the climb. */
     static constexpr size_t maxBatch = 1024;
 };

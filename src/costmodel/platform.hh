@@ -41,6 +41,8 @@ struct CpuPlatform
 
     /** Intel Skylake as configured in the paper. */
     static CpuPlatform skylake();
+
+    bool operator==(const CpuPlatform&) const = default;
 };
 
 /** Accelerator (GPU) description. */
@@ -57,6 +59,8 @@ struct GpuPlatform
     double tdpWatts = 250.0;    ///< board power at full utilization
 
     static GpuPlatform gtx1080Ti() { return GpuPlatform{}; }
+
+    bool operator==(const GpuPlatform&) const = default;
 };
 
 } // namespace deeprecsys

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "base/thread_pool.hh"
+#include "bench/bench_common.hh"
 #include "core/deeprecsched.hh"
 
 namespace deeprecsys {
@@ -106,6 +112,92 @@ TEST(DeepRecSched, TuneGpuOffloadsTail)
     EXPECT_GE(r.policy.gpuQueryThreshold, 1u);
     EXPECT_GT(r.atBest.atMax.gpuWorkFraction, 0.0);
     EXPECT_LT(r.atBest.atMax.gpuWorkFraction, 1.0);
+}
+
+/** A tune's bits: its policy, both curves, and its best search's
+ *  rate, evaluation count and accelerator utilization. */
+std::vector<uint64_t>
+tuneBits(const TuningResult& r)
+{
+    std::vector<uint64_t> bits = {
+        r.policy.perRequestBatch, r.policy.gpuEnabled,
+        r.policy.gpuQueryThreshold, r.batchCurve.size(),
+        r.thresholdCurve.size(), std::bit_cast<uint64_t>(r.atBest.maxQps),
+        r.atBest.evaluations,
+        std::bit_cast<uint64_t>(r.atBest.atMax.gpuUtilization)};
+    for (const auto* curve : {&r.batchCurve, &r.thresholdCurve}) {
+        for (const TuningPoint& p : *curve) {
+            bits.push_back(std::bit_cast<uint64_t>(p.knob));
+            bits.push_back(std::bit_cast<uint64_t>(p.qps));
+        }
+    }
+    return bits;
+}
+
+TEST(DeepRecSched, AcceleratorLeavesNoTraceOnBatchClimb)
+{
+    // The tune memo's premise: a policy that offloads nothing prices
+    // exactly as on the machine without the accelerator, so the batch
+    // climb is the same bits on both, and tuneGpu may start from the
+    // CPU-only machine's climb.
+    for (ModelId id : {ModelId::DlrmRmc1, ModelId::Dien}) {
+        SCOPED_TRACE(modelName(id));
+        InfraConfig cpu_cfg = smallInfra(id);
+        cpu_cfg.numQueries = 400;
+        InfraConfig gpu_cfg = cpu_cfg;
+        gpu_cfg.attachGpu = true;
+        const DeepRecInfra cpu(cpu_cfg);
+        const DeepRecInfra gpu(gpu_cfg);
+        const double sla = cpu.slaMs(SlaTier::Medium);
+        const TuningResult stage1 = DeepRecSched::tuneCpu(cpu, sla);
+        EXPECT_EQ(tuneBits(DeepRecSched::tuneCpu(gpu, sla)),
+                  tuneBits(stage1));
+        EXPECT_EQ(tuneBits(DeepRecSched::tuneGpu(gpu, sla)),
+                  tuneBits(DeepRecSched::tuneGpu(gpu, sla, stage1)));
+    }
+}
+
+TEST(ReproductionMemo, ConcurrentAsksShareOneTune)
+{
+    // Eight pool tasks each ask for the same three tunes, in rotated
+    // orders: a CPU-only one, the same machine at a looser SLA, and
+    // the same machine with the accelerator (whose stage 1 is the
+    // first). Each runs once; every task gets that one result.
+    InfraConfig cpu_cfg = smallInfra(ModelId::DlrmRmc1);
+    cpu_cfg.numQueries = 400;
+    InfraConfig gpu_cfg = cpu_cfg;
+    gpu_cfg.attachGpu = true;
+    const DeepRecInfra cpu(cpu_cfg);
+    const DeepRecInfra gpu(gpu_cfg);
+    const double sla = cpu.slaMs(SlaTier::Medium);
+    const double loose = cpu.slaMs(SlaTier::High);
+    const std::vector<std::pair<const InfraConfig*, double>> asks = {
+        {&cpu_cfg, sla}, {&cpu_cfg, loose}, {&gpu_cfg, sla}};
+
+    bench::Reproduction memo;
+    constexpr size_t kTasks = 8;
+    const std::vector<std::vector<const TuningResult*>> got =
+        ThreadPool::shared().parallelMap(kTasks, [&](size_t task) {
+            std::vector<const TuningResult*> results(asks.size());
+            for (size_t k = 0; k < asks.size(); k++) {
+                const size_t ask = (task + k) % asks.size();
+                results[ask] =
+                    &memo.tune(*asks[ask].first, asks[ask].second);
+            }
+            return results;
+        });
+
+    EXPECT_EQ(memo.distinctTunes(/*with_gpu=*/false), 2u);
+    EXPECT_EQ(memo.distinctTunes(/*with_gpu=*/true), 1u);
+    const std::vector<TuningResult> direct = {
+        DeepRecSched::tuneCpu(cpu, sla), DeepRecSched::tuneCpu(cpu, loose),
+        DeepRecSched::tuneGpu(gpu, sla)};
+    for (size_t task = 0; task < kTasks; task++) {
+        for (size_t ask = 0; ask < asks.size(); ask++) {
+            EXPECT_EQ(got[task][ask], got[0][ask]);
+            EXPECT_EQ(tuneBits(*got[task][ask]), tuneBits(direct[ask]));
+        }
+    }
 }
 
 TEST(DeepRecInfra, SlaTiersScaleFromTableTwo)

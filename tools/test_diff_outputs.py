@@ -35,13 +35,13 @@ class ManifestCoverage(unittest.TestCase):
             sources, {e["source"] for e in self.manifest.values()})
 
     def test_missing_entry_fails(self):
-        del self.manifest["fig05_query_sizes"]
-        self.assertIn("bench/fig05_query_sizes.cc: no manifest entry",
+        del self.manifest["cluster_capacity"]
+        self.assertIn("bench/cluster_capacity.cc: no manifest entry",
                       self.problems(self.manifest))
 
     def test_entry_naming_no_source_fails(self):
         self.manifest["fig99_gone"] = dict(
-            self.manifest["fig05_query_sizes"],
+            self.manifest["cluster_capacity"],
             source="bench/fig99_gone.cc")
         self.assertIn("fig99_gone: names no bench or example source",
                       self.problems(self.manifest))
