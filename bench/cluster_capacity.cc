@@ -82,7 +82,7 @@ main()
 
     struct Mix
     {
-        const char* name;
+        std::string name;
         std::vector<SimConfig> unit;
         RoutingSpec routing;
     };
@@ -92,8 +92,11 @@ main()
     size_aware.kind = RoutingKind::SizeAware;
     size_aware.sizeThreshold = 400;
 
+    const size_t static_batch =
+        DeepRecSched::staticBaselineBatch(CpuPlatform::skylake().cores);
     const std::vector<Mix> mixes = {
-        {"static batch (25), CPU-only", {bench::cpuMachine(25)}, po2c},
+        {"static batch (" + std::to_string(static_batch) + "), CPU-only",
+         {bench::cpuMachine(static_batch)}, po2c},
         {"tuned batch (256), CPU-only", {bench::cpuMachine(256)}, po2c},
         {"3 CPU + 1 GPU, size-aware",
          {bench::cpuMachine(256), bench::cpuMachine(256),

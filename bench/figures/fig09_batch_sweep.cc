@@ -9,6 +9,7 @@
 
 #include <iterator>
 #include <set>
+#include <span>
 
 #include "bench/bench_common.hh"
 
@@ -28,7 +29,7 @@ fig09_batch_sweep(Reproduction&)
         {ModelId::DlrmRmc3, SlaTier::Medium},
         {ModelId::Dien, SlaTier::Medium}};
     std::vector<size_t> batches;
-    for (size_t batch = 1; batch <= 1024; batch *= 2)
+    for (size_t batch = 1; batch <= DeepRecSched::maxBatch; batch *= 2)
         batches.push_back(batch);
 
     // DLRM-RMC3 at the medium target is in both halves, so the
@@ -56,16 +57,11 @@ fig09_batch_sweep(Reproduction&)
         const double sla_ms = slaTargetMs(modelConfig(model), tier);
         TextTable table({"batch", "QPS under p95<=" +
                          TextTable::num(sla_ms, 0) + "ms"});
-        double best_qps = 0.0;
-        size_t best_batch = 1;
-        for (size_t i = 0; i < batches.size(); i++) {
-            if (curve[i] > best_qps * 1.02) {
-                best_qps = curve[i];
-                best_batch = batches[i];
-            }
+        for (size_t i = 0; i < batches.size(); i++)
             table.addRow({std::to_string(batches[i]),
                           TextTable::num(curve[i], 0)});
-        }
+        const size_t best_batch = batches[DeepRecSched::gridPick(
+            std::span(curve, batches.size()))];
         printBanner(std::cout, std::string("Figure 9 (") +
                                    (p < 2 ? "top" : "bottom") + "): " +
                                    modelName(model) + ", " +

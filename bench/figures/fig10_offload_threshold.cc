@@ -45,14 +45,8 @@ fig10_offload_threshold(Reproduction& reproduction)
         const ModelId id = models[m];
         const std::vector<QpsSearchResult>& curve = curves[m];
         TextTable table({"threshold", "QPS", "GPU work frac"});
-        double best_qps = 0.0;
-        uint32_t best_threshold = 1;
         for (size_t i = 0; i < thresholds.size(); i++) {
             const QpsSearchResult& r = curve[i];
-            if (r.maxQps > best_qps * 1.02) {
-                best_qps = r.maxQps;
-                best_threshold = thresholds[i];
-            }
             table.addRow({std::to_string(thresholds[i]),
                           TextTable::num(r.maxQps, 0),
                           TextTable::num(
@@ -61,7 +55,8 @@ fig10_offload_threshold(Reproduction& reproduction)
         printBanner(std::cout,
                     "Figure 10: " + modelName(id) + " (medium target)" +
                         " -> optimal threshold " +
-                        std::to_string(best_threshold));
+                        std::to_string(thresholds[DeepRecSched::gridPick(
+                            curve, &QpsSearchResult::maxQps)]));
         table.print(std::cout);
     }
 }

@@ -68,8 +68,8 @@ fig13_production_tail(Reproduction& reproduction)
             defaultInfra(c.model),
             slaTargetMs(modelConfig(c.model), SlaTier::Medium));
         Row row;
-        row.fixedBatch = DeepRecSched::staticBaselineBatch(
-            1000, CpuPlatform::skylake().cores);
+        row.fixedBatch =
+            DeepRecSched::staticBaselineBatch(CpuPlatform::skylake().cores);
         row.tunedBatch = tuned_cfg.policy.perRequestBatch;
 
         const FleetResult fixed = runFleet(c.model, row.fixedBatch, c.qps);

@@ -99,20 +99,16 @@ modeledBottleneck(const ModelProfile& p)
     return "MLP";
 }
 
+/** The paper's Table II class of a model (ModelConfig's), named as
+ *  modeledBottleneck names its classes. */
 const char*
-paperBottleneck(ModelId id)
+paperBottleneck(const ModelConfig& cfg)
 {
-    switch (id) {
-      case ModelId::DlrmRmc1:
-      case ModelId::DlrmRmc2:
-        return "Embedding";
-      case ModelId::Din:
-        return "Embedding+Attention";
-      case ModelId::Dien:
-        return "Recurrent";
-      default:
+    if (cfg.expectedBottleneck == OpClass::Fc)
         return "MLP";
-    }
+    if (cfg.expectedBottleneck == OpClass::Attention)
+        return "Embedding+Attention";
+    return opClassName(cfg.expectedBottleneck);
 }
 
 } // namespace
@@ -138,7 +134,7 @@ table2_bottleneck_sla(bench::Reproduction&)
         const OperatorStats stats = quickestBreakdown(model, rng);
 
         return std::vector<std::string>{
-            cfg.name, paperBottleneck(id), modeledBottleneck(p),
+            cfg.name, paperBottleneck(cfg), modeledBottleneck(p),
             measuredDominant(stats),
             TextTable::num(slaTargetMs(cfg, SlaTier::Low), 1),
             TextTable::num(slaTargetMs(cfg, SlaTier::Medium), 1),

@@ -1,6 +1,7 @@
 /**
  * @file
- * Reproduces the paper's simulated figures and tables from one driver:
+ * Reproduces the paper's simulated figures and tables, and the ablation
+ * of the cost-model terms behind them, from one driver:
  *
  *     reproduce [NAME...]
  *
@@ -26,6 +27,7 @@ using Figure = std::pair<std::string_view, void (*)(Reproduction&)>;
 
 // Every figure, in name order: X(name) for each.
 #define DRS_FIGURES(X)                                                     \
+    X(ablation_costmodel)                                                  \
     X(fig01_characterization) X(fig04_gpu_speedup) X(fig05_query_sizes)   \
     X(fig06_query_time_split) X(fig07_fleet_subsample)                    \
     X(fig09_batch_sweep) X(fig10_offload_threshold) X(fig11_end_to_end)   \

@@ -64,33 +64,25 @@ main()
               << "  measured dominant:  "
               << opClassName(breakdown.dominant()) << "\n";
 
-    // Scheduler tuning for the new service.
-    InfraConfig infra_cfg;
-    infra_cfg.numQueries = 1200;
-    DeepRecInfra base_infra(infra_cfg);   // platform defaults
-    // Build an infra around the custom profile by hand.
-    const CpuCostModel cost(profile, infra_cfg.platform);
-    SchedulerPolicy policy;
+    // Scheduler tuning for the new service: its cost model on Skylake,
+    // measured over the whole batch grid.
+    SimConfig machine{CpuCostModel(profile, CpuPlatform::skylake()),
+                      std::nullopt, {}};
     QpsSearchSpec spec;
     spec.slaMs = cfg.slaMediumMs;
     spec.numQueries = 1200;
 
     printBanner(std::cout, "RM-X batch-size climb (p95<=60ms)");
     TextTable table({"batch", "QPS"});
-    double best_qps = 0.0;
-    size_t best_batch = 1;
-    for (size_t batch = 1; batch <= 1024; batch *= 2) {
-        policy.perRequestBatch = batch;
-        SimConfig sim{cost, std::nullopt, policy};
-        const double qps = findMaxQps(sim, spec).maxQps;
-        table.addRow({std::to_string(batch), TextTable::num(qps, 0)});
-        if (qps > best_qps * 1.02) {
-            best_qps = qps;
-            best_batch = batch;
-        }
+    std::vector<double> qps;
+    for (size_t batch = 1; batch <= DeepRecSched::maxBatch; batch *= 2) {
+        machine.bindings.front().policy.perRequestBatch = batch;
+        qps.push_back(findMaxQps(machine, spec).maxQps);
+        table.addRow({std::to_string(batch), TextTable::num(qps.back(), 0)});
     }
     table.print(std::cout);
-    std::cout << "\nRM-X serves best at batch " << best_batch << " ("
-              << best_qps << " QPS under its 60 ms target).\n";
+    const size_t best = DeepRecSched::gridPick(qps);
+    std::cout << "\nRM-X serves best at batch " << (size_t{1} << best)
+              << " (" << qps[best] << " QPS under its 60 ms target).\n";
     return 0;
 }

@@ -223,18 +223,30 @@ struct DegradeRecord
 };
 static_assert(sizeof(DegradeRecord) == 8);
 
-/** Per-priority-class slice of OverloadStats (same field meanings). */
+/**
+ * The counters of overload accounting: a whole run's totals
+ * (OverloadStats) or one priority class's slice of them.
+ */
 struct ClassOverloadStats
 {
-    uint64_t offered = 0;
-    uint64_t admitted = 0;
-    uint64_t dropped = 0;
-    uint64_t droppedFinal = 0;
-    uint64_t retried = 0;
-    uint64_t degraded = 0;
+    uint64_t offered = 0;    ///< queries presented to the router
+    uint64_t admitted = 0;   ///< dispatched (possibly degraded)
+    uint64_t dropped = 0;    ///< refusals at the router (all attempts)
+    uint64_t droppedFinal = 0;  ///< refusals with no retry scheduled
+    uint64_t retried = 0;    ///< refusals a client re-presented
+    uint64_t degraded = 0;   ///< admitted with a reduced size
+
+    /** Measured completions (deadline accounting enabled only). */
     uint64_t measuredCompleted = 0;
+
+    /** Measured completions within the deadline. */
     uint64_t completedWithinDeadline = 0;
+
+    /** Sum of quality factors of within-deadline completions. */
     double qualityWeight = 0;
+
+    /** Quality-weighted within-deadline completions per measured
+     *  second — the headline goodput number. */
     double goodputQps = 0;
 
     /** Finally-dropped fraction of offered queries, in [0, 1]. */
@@ -260,33 +272,13 @@ struct ClassOverloadStats
  * per-class fields cover measured (post-warmup) queries and are only
  * populated when OverloadConfig::deadlineSeconds > 0.
  */
-struct OverloadStats
+struct OverloadStats : ClassOverloadStats
 {
-    uint64_t offered = 0;    ///< queries presented to the router
-    uint64_t admitted = 0;   ///< dispatched (possibly degraded)
-    uint64_t dropped = 0;    ///< refusals at the router (all attempts)
-    uint64_t droppedFinal = 0;  ///< refusals with no retry scheduled
-    uint64_t retried = 0;    ///< refusals a client re-presented
-    uint64_t degraded = 0;   ///< admitted with a reduced size
-
-    /** Measured completions (deadline accounting enabled only). */
-    uint64_t measuredCompleted = 0;
-
-    /** Measured completions within the deadline. */
-    uint64_t completedWithinDeadline = 0;
-
-    /** Sum of quality factors of within-deadline completions. */
-    double qualityWeight = 0;
-
-    /** Quality-weighted within-deadline completions per measured
-     *  second — the headline goodput number. */
-    double goodputQps = 0;
-
     /**
      * Per-priority-class accounting, indexed by effective class
      * (sized OverloadConfig::priorityClasses when deadline accounting
      * is on; empty otherwise). Every slice field sums to the matching
-     * total above; with one class, perClass[0] mirrors the totals.
+     * inherited total; with one class, perClass[0] mirrors the totals.
      */
     std::vector<ClassOverloadStats> perClass;
 
@@ -299,16 +291,6 @@ struct OverloadStats
      *  run takes at most kMaxTraceQueries queries, so each record
      *  holds its trace index in 32 bits. */
     std::vector<DegradeRecord> degradedQueries;
-
-    /** Finally-dropped fraction of offered queries, in [0, 1]. */
-    double
-    shedRate() const
-    {
-        return offered > 0
-            ? static_cast<double>(droppedFinal) /
-                  static_cast<double>(offered)
-            : 0.0;
-    }
 
     /** Degraded fraction of admitted queries, in [0, 1]. */
     double

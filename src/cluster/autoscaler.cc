@@ -548,7 +548,6 @@ class ElasticMembership final : public Membership
                    "accepting counter drifted from machine states");
         sig.acceptingMachines = loop.view.acceptingCount();
         sig.warmingMachines = countState(MState::Warming);
-        sig.drainingMachines = countState(MState::Draining);
         sig.maxMachines = n;
 
         // A window is violating when its observed tail exceeds the

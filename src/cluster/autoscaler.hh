@@ -145,7 +145,6 @@ struct ScalingSignals
 
     size_t acceptingMachines = 0;
     size_t warmingMachines = 0;
-    size_t drainingMachines = 0;
     size_t maxMachines = 0;      ///< full-tier machine count
 };
 

@@ -382,19 +382,7 @@ ClusterLoop::hedgeQuery(uint64_t query, double now)
             continue;
         const uint32_t src = orig.machine;
         const std::vector<uint32_t>& tables = orig.tables;
-        size_t best = view.numMachines();
-        double best_load = 0.0;
-        for (uint32_t m : placement.fewestHolders(tables)) {
-            if (m == src || !view.accepting(m) ||
-                !placement.holdsAll(m, tables))
-                continue;
-            // The router's load signal, lowest index winning ties.
-            const double load = view.loadSignal(m);
-            if (best == view.numMachines() || load < best_load) {
-                best = m;
-                best_load = load;
-            }
-        }
+        const size_t best = singleHopReplica(view, placement, tables, src);
         if (best == view.numMachines())
             continue;    // no surviving replica to hedge onto
         const uint32_t to = static_cast<uint32_t>(best);

@@ -304,21 +304,11 @@ class ShardAwarePolicy final : public RoutingPolicy
             obs_->onTablesTouched(tables);
 
         // Single-hop when some accepting machine holds every table
-        // the query touches (always true under full replication):
-        // the accepting holders of its least-replicated table that
-        // hold the rest, as all do when that table is on every machine.
-        const std::vector<uint32_t>& holders = placement.fewestHolders(tables);
-        const bool everywhere = holders.size() == view.numMachines();
-        candidates.clear();
-        for (uint32_t m : holders) {
-            if (view.accepting(m) &&
-                (everywhere || placement.holdsAll(m, tables)))
-                candidates.push_back(m);
-        }
-        if (!candidates.empty()) {
+        // the query touches (always true under full replication).
+        const size_t single = singleHopReplica(view, placement, tables);
+        if (single < view.numMachines()) {
             ShardTarget whole;
-            whole.machine =
-                static_cast<uint32_t>(leastLoaded(view, candidates));
+            whole.machine = static_cast<uint32_t>(single);
             whole.embFraction = 1.0;
             whole.leader = true;
             return {whole};
@@ -395,7 +385,6 @@ class ShardAwarePolicy final : public RoutingPolicy
     const ShardingConfig& sharding;
     /** Per-model Zipf weights (local table spaces). */
     std::vector<std::vector<double>> popularityOfModel;
-    std::vector<size_t> candidates;    ///< scratch, reused per call
     std::vector<bool> covered;         ///< scratch: per touched table
     std::vector<uint32_t> tallied;     ///< scratch: machines with cover
     /** Cover tally per machine; all zero between set-cover picks. */
@@ -404,6 +393,28 @@ class ShardAwarePolicy final : public RoutingPolicy
 };
 
 } // namespace
+
+size_t
+singleHopReplica(const ClusterView& view, const ShardPlacement& placement,
+                 const std::vector<uint32_t>& tables, size_t skip)
+{
+    // A table on every machine puts every table on every machine.
+    const std::vector<uint32_t>& holders = placement.fewestHolders(tables);
+    const bool everywhere = holders.size() == view.numMachines();
+    size_t best = view.numMachines();
+    double best_load = 0.0;
+    for (uint32_t m : holders) {
+        if (m == skip || !view.accepting(m) ||
+            !(everywhere || placement.holdsAll(m, tables)))
+            continue;
+        const double load = view.loadSignal(m);
+        if (best == view.numMachines() || load < best_load) {
+            best = m;
+            best_load = load;
+        }
+    }
+    return best;
+}
 
 std::unique_ptr<RoutingPolicy>
 makeRoutingPolicy(const RoutingSpec& spec, const ShardingConfig* sharding)

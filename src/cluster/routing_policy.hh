@@ -303,6 +303,20 @@ struct RoutingSpec
 };
 
 /**
+ * The single-hop replica for a query touching @p tables on a sharded
+ * tier: among the accepting holders of its least-replicated table
+ * (ShardPlacement::fewestHolders) that hold every other table, the one
+ * with the lowest load signal, ties to the lowest index, never
+ * @p skip. Returns view.numMachines() when there is none. ShardAware
+ * routing keeps a query single-hop on it; a hedge duplicates a part
+ * onto it, skipping the part's own machine.
+ */
+size_t singleHopReplica(const ClusterView& view,
+                        const ShardPlacement& placement,
+                        const std::vector<uint32_t>& tables,
+                        size_t skip = SIZE_MAX);
+
+/**
  * Build a concrete policy. @p sharding may be null for every kind
  * except ShardAware, which cannot be built without one; when non-null
  * it must outlive the returned policy (the policy keeps a reference).

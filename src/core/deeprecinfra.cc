@@ -34,16 +34,18 @@ DeepRecInfra::simConfig(const SchedulerPolicy& policy) const
     return SimConfig{cpuCost, gpuCost, policy};
 }
 
+QpsSearchSpec
+DeepRecInfra::searchSpec(double sla_ms) const
+{
+    return {.slaMs = sla_ms, .numQueries = cfg.numQueries,
+            .load = {.sizes = cfg.sizeDist, .arrivalSeed = cfg.seed,
+                     .sizeSeed = cfg.seed + 1}};
+}
+
 QpsSearchResult
 DeepRecInfra::maxQps(const SchedulerPolicy& policy, double sla_ms) const
 {
-    QpsSearchSpec spec;
-    spec.slaMs = sla_ms;
-    spec.numQueries = cfg.numQueries;
-    spec.load.sizes = cfg.sizeDist;
-    spec.load.arrivalSeed = cfg.seed;
-    spec.load.sizeSeed = cfg.seed + 1;
-    return findMaxQps(simConfig(policy), spec);
+    return findMaxQps(simConfig(policy), searchSpec(sla_ms));
 }
 
 double

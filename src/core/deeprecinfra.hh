@@ -60,6 +60,10 @@ class DeepRecInfra
     /** Simulator configuration for a policy. */
     SimConfig simConfig(const SchedulerPolicy& policy) const;
 
+    /** The max-QPS search at an SLA (ms): this context's trace length,
+     *  size distribution and seeds, on the p95 tail. */
+    QpsSearchSpec searchSpec(double sla_ms) const;
+
     /** Latency-bounded throughput of a policy at an SLA (ms) on the
      *  p95 tail (QpsSearchSpec's default, the paper's metric). */
     QpsSearchResult maxQps(const SchedulerPolicy& policy,

@@ -9,51 +9,44 @@
 
 namespace deeprecsys {
 
-size_t
-DeepRecSched::staticBaselineBatch(uint32_t max_query_size, size_t cores)
-{
-    drs_assert(cores >= 1, "baseline needs cores");
-    return std::max<size_t>(
-        1, (max_query_size + cores - 1) / cores);
-}
-
-TuningResult
-DeepRecSched::baseline(const DeepRecInfra& infra, double sla_ms)
-{
-    TuningResult result;
-    result.policy.perRequestBatch = staticBaselineBatch(
-        QuerySizeDistribution::maxSize, infra.config().platform.cores);
-    result.policy.gpuEnabled = false;
-    result.atBest = infra.maxQps(result.policy, sla_ms);
-    return result;
-}
-
 namespace {
+
+/** Throughput of @p machine under @p search with its one binding's
+ *  policy set to @p policy. */
+QpsSearchResult
+measure(const SimConfig& machine, const SchedulerPolicy& policy,
+        const QpsSearchSpec& search)
+{
+    drs_assert(machine.bindings.size() == 1,
+               "DeepRecSched tunes a single-model machine");
+    SimConfig tuned = machine;
+    tuned.bindings.front().policy = policy;
+    return findMaxQps(tuned, search);
+}
 
 /**
  * Hill-climb one knob of @p policy (Section IV-C): evaluate it at
  * @p first and then at each value @p next yields, up to @p last. A
  * value becomes the best when its achievable QPS beats the best so far
- * by more than the slack margin; a second value in a row that does not
+ * (DeepRecSched::beats); a second value in a row that does not
  * confirms the peak and ends the climb, so a single noisy plateau step
  * does not. Each evaluation is appended to @p curve. Leaves the best
  * value in @p policy and returns the search at it.
  */
 template <typename Knob, typename Next>
 QpsSearchResult
-climb(const DeepRecInfra& infra, double sla_ms, SchedulerPolicy& policy,
-      Knob SchedulerPolicy::*knob, Knob first, Knob last, Next next,
-      std::vector<TuningPoint>& curve)
+climb(const SimConfig& machine, const QpsSearchSpec& search,
+      SchedulerPolicy& policy, Knob SchedulerPolicy::*knob, Knob first,
+      Knob last, Next next, std::vector<TuningPoint>& curve)
 {
     QpsSearchResult best;
     Knob best_value = first;
     size_t strikes = 0;
     for (Knob value = first; value <= last; value = next(value)) {
         policy.*knob = value;
-        QpsSearchResult r = infra.maxQps(policy, sla_ms);
+        QpsSearchResult r = measure(machine, policy, search);
         curve.push_back({static_cast<double>(value), r.maxQps});
-        if (value == first ||
-            r.maxQps > best.maxQps * (1.0 + DeepRecSched::climbSlack)) {
+        if (value == first || DeepRecSched::beats(r.maxQps, best.maxQps)) {
             best_value = value;
             best = std::move(r);
             strikes = 0;
@@ -67,31 +60,46 @@ climb(const DeepRecInfra& infra, double sla_ms, SchedulerPolicy& policy,
 
 } // namespace
 
-TuningResult
-DeepRecSched::tuneCpu(const DeepRecInfra& infra, double sla_ms)
+size_t
+DeepRecSched::staticBaselineBatch(size_t cores)
 {
-    // The batch doubles from a unit batch.
+    drs_assert(cores >= 1, "baseline needs cores");
+    return (QuerySizeDistribution::maxSize + cores - 1) / cores;
+}
+
+TuningResult
+DeepRecSched::baseline(const SimConfig& machine, const QpsSearchSpec& search)
+{
     TuningResult result;
-    result.policy.gpuEnabled = false;
+    result.policy.perRequestBatch = staticBaselineBatch(machine.cores());
+    result.atBest = measure(machine, result.policy, search);
+    return result;
+}
+
+TuningResult
+DeepRecSched::tuneCpu(const SimConfig& machine, const QpsSearchSpec& search)
+{
+    // The batch doubles from a unit batch, nothing offloaded.
+    TuningResult result;
     result.atBest = climb(
-        infra, sla_ms, result.policy, &SchedulerPolicy::perRequestBatch,
+        machine, search, result.policy, &SchedulerPolicy::perRequestBatch,
         size_t{1}, maxBatch, [](size_t batch) { return batch * 2; },
         result.batchCurve);
     return result;
 }
 
 TuningResult
-DeepRecSched::tuneGpu(const DeepRecInfra& infra, double sla_ms)
+DeepRecSched::tuneGpu(const SimConfig& machine, const QpsSearchSpec& search)
 {
     // Stage 1: batch size for the CPU-resident share of the work.
-    return tuneGpu(infra, sla_ms, tuneCpu(infra, sla_ms));
+    return tuneGpu(machine, search, tuneCpu(machine, search));
 }
 
 TuningResult
-DeepRecSched::tuneGpu(const DeepRecInfra& infra, double sla_ms,
+DeepRecSched::tuneGpu(const SimConfig& machine, const QpsSearchSpec& search,
                       const TuningResult& cpu)
 {
-    drs_assert(infra.gpuModel() != nullptr,
+    drs_assert(machine.bindings.front().gpu.has_value(),
                "tuneGpu needs an attached accelerator");
     drs_assert(!cpu.policy.gpuEnabled, "tuneGpu's stage 1 offloads");
 
@@ -104,7 +112,7 @@ DeepRecSched::tuneGpu(const DeepRecInfra& infra, double sla_ms,
     result.policy = cpu.policy;
     result.policy.gpuEnabled = true;
     result.atBest = climb(
-        infra, sla_ms, result.policy, &SchedulerPolicy::gpuQueryThreshold,
+        machine, search, result.policy, &SchedulerPolicy::gpuQueryThreshold,
         uint32_t{1}, QuerySizeDistribution::maxSize,
         [](uint32_t threshold) {
             return std::max<uint32_t>(threshold + 16,

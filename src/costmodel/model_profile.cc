@@ -26,8 +26,6 @@ ModelProfile::fromModel(const RecModel& model)
     p.denseParamBytes = static_cast<double>(model.denseParamBytes());
     p.logicalEmbeddingBytes =
         static_cast<double>(model.logicalEmbeddingBytes());
-    p.expectedBottleneck = cfg.expectedBottleneck;
-    p.slaMediumMs = cfg.slaMediumMs;
 
     // Host->device bytes per sample: fp32 dense features plus int64
     // sparse indices (regular lookups, behaviors, candidate).

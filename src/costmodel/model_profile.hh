@@ -31,8 +31,6 @@ struct ModelProfile
     double denseParamBytes = 0;      ///< MLP weights (read per batch)
     double inputBytesPerSample = 0;  ///< host->device transfer bytes
     double logicalEmbeddingBytes = 0;///< full embedding storage
-    OpClass expectedBottleneck = OpClass::Fc;
-    double slaMediumMs = 0;
 
     /** Extract the profile from a materialized model. */
     static ModelProfile fromModel(const RecModel& model);

@@ -30,10 +30,9 @@ smallInfra(ModelId model, bool gpu = false)
 TEST(DeepRecSched, StaticBaselineBatchFormula)
 {
     // Section V: max query 1000 split over 40 Skylake cores -> 25.
-    EXPECT_EQ(DeepRecSched::staticBaselineBatch(1000, 40), 25u);
-    EXPECT_EQ(DeepRecSched::staticBaselineBatch(1000, 28), 36u);
-    EXPECT_EQ(DeepRecSched::staticBaselineBatch(1, 40), 1u);
-    EXPECT_EQ(DeepRecSched::staticBaselineBatch(1000, 1), 1000u);
+    EXPECT_EQ(DeepRecSched::staticBaselineBatch(40), 25u);
+    EXPECT_EQ(DeepRecSched::staticBaselineBatch(28), 36u);
+    EXPECT_EQ(DeepRecSched::staticBaselineBatch(1), 1000u);
 }
 
 TEST(DeepRecSched, BaselineUsesStaticBatch)
@@ -155,6 +154,75 @@ TEST(DeepRecSched, AcceleratorLeavesNoTraceOnBatchClimb)
         EXPECT_EQ(tuneBits(DeepRecSched::tuneGpu(gpu, sla)),
                   tuneBits(DeepRecSched::tuneGpu(gpu, sla, stage1)));
     }
+}
+
+TEST(DeepRecSched, MachineFormsEqualInfraForms)
+{
+    // A machine tuned under a load: the climb resets whatever policy
+    // the machine arrives with, so a hand-built machine under the
+    // infra's search gives the DeepRecInfra forms' bits.
+    for (ModelId id : {ModelId::DlrmRmc1, ModelId::Dien}) {
+        SCOPED_TRACE(modelName(id));
+        InfraConfig cfg = smallInfra(id, /*gpu=*/true);
+        cfg.numQueries = 400;
+        const DeepRecInfra infra(cfg);
+        const double sla = infra.slaMs(SlaTier::Medium);
+        const QpsSearchSpec search = infra.searchSpec(sla);
+        SchedulerPolicy stale;
+        stale.perRequestBatch = 7;
+        stale.gpuEnabled = true;
+        stale.gpuQueryThreshold = 300;
+        const ModelProfile& profile = infra.profile();
+        const SimConfig machine{CpuCostModel(profile, cfg.platform),
+                                GpuCostModel(profile, cfg.gpu), stale};
+
+        EXPECT_EQ(tuneBits(DeepRecSched::baseline(machine, search)),
+                  tuneBits(DeepRecSched::baseline(infra, sla)));
+        const TuningResult stage1 = DeepRecSched::tuneCpu(machine, search);
+        EXPECT_EQ(tuneBits(stage1),
+                  tuneBits(DeepRecSched::tuneCpu(infra, sla)));
+        EXPECT_EQ(tuneBits(DeepRecSched::tuneGpu(machine, search)),
+                  tuneBits(DeepRecSched::tuneGpu(infra, sla)));
+        EXPECT_EQ(tuneBits(DeepRecSched::tuneGpu(machine, search, stage1)),
+                  tuneBits(DeepRecSched::tuneGpu(infra, sla, stage1)));
+    }
+}
+
+TEST(DeepRecSched, GridPickOverClimbCurveIsClimbChoice)
+{
+    // The climb and a grid pick share one acceptance rule, so picking
+    // over the points the climb measured lands on the climb's choice:
+    // the premise of comparing the climb with the best grid batch.
+    for (ModelId id : {ModelId::DlrmRmc1, ModelId::DlrmRmc3,
+                       ModelId::Dien}) {
+        SCOPED_TRACE(modelName(id));
+        InfraConfig cfg = smallInfra(id, /*gpu=*/true);
+        cfg.numQueries = 400;
+        const DeepRecInfra infra(cfg);
+        const TuningResult r =
+            DeepRecSched::tuneGpu(infra, infra.slaMs(SlaTier::Medium));
+        const auto pick = [](const std::vector<TuningPoint>& curve) {
+            return curve[DeepRecSched::gridPick(curve, &TuningPoint::qps)]
+                .knob;
+        };
+        EXPECT_EQ(pick(r.batchCurve),
+                  static_cast<double>(r.policy.perRequestBatch));
+        if (r.policy.gpuEnabled) {
+            EXPECT_EQ(pick(r.thresholdCurve),
+                      static_cast<double>(r.policy.gpuQueryThreshold));
+        }
+    }
+}
+
+TEST(DeepRecSched, GridPickKeepsTheFirstWithinSlack)
+{
+    // A later point must beat the current pick by more than 2%.
+    const std::vector<double> flat = {100.0, 101.9, 101.0, 50.0};
+    EXPECT_EQ(DeepRecSched::gridPick(flat), 0u);
+    const std::vector<double> rising = {100.0, 102.1, 103.0, 104.2};
+    EXPECT_EQ(DeepRecSched::gridPick(rising), 3u);
+    EXPECT_TRUE(DeepRecSched::beats(102.1, 100.0));
+    EXPECT_FALSE(DeepRecSched::beats(101.9, 100.0));
 }
 
 TEST(ReproductionMemo, ConcurrentAsksShareOneTune)

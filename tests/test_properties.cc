@@ -147,7 +147,7 @@ class BaselineGrid : public ::testing::TestWithParam<size_t>
 TEST_P(BaselineGrid, SplitsMaxQueryAcrossAllCores)
 {
     const size_t cores = GetParam();
-    const size_t batch = DeepRecSched::staticBaselineBatch(1000, cores);
+    const size_t batch = DeepRecSched::staticBaselineBatch(cores);
     // Enough requests to cover every core...
     EXPECT_GE(batch * cores, 1000u);
     // ...but no larger than needed (ceiling division).
