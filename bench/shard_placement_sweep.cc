@@ -8,15 +8,11 @@
  * "barely fits sharded" to "most of the model fits everywhere". Each
  * placement strategy is evaluated with shard-aware routing: queries
  * whose working set sits on one machine stay single-hop, the rest fan
- * out over a set cover of the replicas and join, paying a per-hop
- * network latency + serialization term per part. Fan-out is priced
- * under both join models: the historical optimistic join (leader
- * dense stacks concurrent with remote lookups) and the faithful
- * two-stage join (the leader's predict stack waits for the pooled
- * remote embeddings, then runs as a second service phase) — the
- * difference between the two columns is the fan-out tax the
- * optimistic model under-reported. The sweep runs at
- * two operating points because the tradeoff changes sign with load:
+ * out over a set cover of the replicas and join at the leader, paying
+ * a per-hop network latency + serialization term per part: the
+ * leader's predict stack waits for the pooled remote embeddings, then
+ * runs as a second service phase. The sweep runs at two operating
+ * points because the tradeoff changes sign with load:
  * lightly loaded, fan-out is free model parallelism (gathers split
  * across machines); under load, joining on the slowest of many parts
  * plus the per-part dispatch overheads saturates the single-copy
@@ -62,8 +58,7 @@ main(int argc, char** argv)
               << " GB logical embedding storage\n";
 
     TextTable table({"offered QPS", "GB/machine", "strategy", "replicas",
-                     "mean fanout", "p50 (ms)", "p95 (ms)",
-                     "p99 opt (ms)", "p99 2stage (ms)", "join tax",
+                     "mean fanout", "p50 (ms)", "p95 (ms)", "p99 (ms)",
                      "mean util"});
 
     for (double qps : {2200.0, 3000.0}) {
@@ -72,8 +67,8 @@ main(int argc, char** argv)
     QueryStream stream(load);
     const QueryTrace trace = stream.generate(16000);
 
-    // The (budget x strategy) grid: every cell is two independent
-    // cluster simulations, evaluated concurrently on the shared pool;
+    // The (budget x strategy) grid: every cell is one independent
+    // cluster simulation, evaluated concurrently on the shared pool;
     // rows print in input order regardless of completion order.
     std::vector<std::pair<double, PlacementStrategy>> grid;
     for (double budget_gb : {1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0}) {
@@ -94,17 +89,11 @@ main(int argc, char** argv)
                     TextTable::num(qps, 0),
                     TextTable::num(budget_gb, 2),
                     placementStrategyName(strategy),
-                    "-", "-", "-", "-", "-", "infeasible", "-", "-"};
+                    "-", "-", "-", "-", "infeasible", "-"};
             }
 
-            RoutingSpec routing;
-            routing.kind = RoutingKind::ShardAware;
-            cluster.join = JoinModel::Optimistic;
-            const ClusterResult opt =
-                ClusterSimulator(cluster).run(trace, routing);
-            cluster.join = JoinModel::TwoStage;
-            const ClusterResult r =
-                ClusterSimulator(cluster).run(trace, routing);
+            const ClusterResult r = ClusterSimulator(cluster).run(
+                trace, RoutingSpec{RoutingKind::ShardAware});
 
             return std::vector<std::string>{
                 TextTable::num(qps, 0),
@@ -115,9 +104,7 @@ main(int argc, char** argv)
                 TextTable::num(r.meanFanout, 2),
                 TextTable::num(r.tailMs(50), 2),
                 TextTable::num(r.p95Ms(), 2),
-                TextTable::num(opt.p99Ms(), 2),
                 TextTable::num(r.p99Ms(), 2),
-                TextTable::num(r.p99Ms() / opt.p99Ms(), 2),
                 TextTable::num(r.meanCpuUtilization, 2)};
         });
     for (const std::vector<std::string>& row : rows)
@@ -135,12 +122,7 @@ main(int argc, char** argv)
                  " headroom into single-hop routing for the popular"
                  " tables and holds the fleet p99 — memory per"
                  " machine buys tail latency, the capacity-driven"
-                 " scale-out tradeoff. The join-tax column is the p99"
-                 " ratio of the two-stage join (leader waits on"
-                 " pooled remote embeddings before its predict"
-                 " stack) over the optimistic join that let them"
-                 " overlap: the fan-out tax the optimistic model"
-                 " under-reported, which replication also avoids.\n";
+                 " scale-out tradeoff.\n";
 
     bench::writeTableJson(args.jsonPath, table);
     return 0;

@@ -56,9 +56,9 @@ validateTraceLength(uint64_t queries)
 
 AdmissionController::AdmissionController(
     const OverloadConfig& config, const std::vector<SimConfig>& machines,
-    double embeddingShare, const NetworkConfig& network, JoinModel join)
+    double embeddingShare, const NetworkConfig& network)
     : cfg(config), machines_(machines), embShare(embeddingShare),
-      net(network), joinModel(join)
+      net(network)
 {
     drs_assert(!machines_.empty(), "admission needs at least one machine");
     drs_assert(embShare > 0.0 && embShare <= 1.0,
@@ -72,10 +72,10 @@ AdmissionController::backlogSeconds(size_t m, const ClusterView& view) const
     drs_assert(m < machines_.size(), "backlog of unknown machine");
     // The view exposes the engine's own running queue-cost sum — each
     // queued request priced through the machine's cost model with its
-    // true batch, shard fraction, and leader flag — which no
+    // true batch, part kind and shard fraction — which no
     // outside-in estimate can reconstruct from counts alone (a
-    // sharded tier's queue mixes covering-set sizes and leader /
-    // follower parts). Add the second-order term — dense join phases
+    // sharded tier's queue mixes covering-set sizes, embedding parts
+    // and dense phases). Add the second-order term — dense join phases
     // this machine already owes for in-flight fan-outs it leads but
     // has not queued yet — and drain it across the whole core pool:
     // the wait a new arrival sees is total queued work over pool
@@ -126,7 +126,7 @@ AdmissionController::queueWaitSeconds(const ClusterView& view) const
     if (embShare >= 1.0)
         return meanBacklogSeconds(view);
     const double worst = worstBacklogSeconds(view);
-    // TwoStage: the query queues twice — the fan-out embedding parts
+    // The query queues twice — the fan-out embedding parts
     // now, and the leader's dense phase when the pooled embeddings
     // join. The second visit is projected at the *current* worst
     // backlog, not zero: where admission binds, admitted arrivals
@@ -136,14 +136,12 @@ AdmissionController::queueWaitSeconds(const ClusterView& view) const
     // shed. Assuming an idle leader instead is the historical bug:
     // the tier then settles where ONE wait fits the deadline and the
     // measured two-visit latency lands near twice it.
-    return joinModel == JoinModel::TwoStage ? worst + worst : worst;
+    return worst + worst;
 }
 
 double
 AdmissionController::partServiceSeconds(size_t m, uint32_t size,
-                                        double emb_fraction,
-                                        bool include_dense,
-                                        uint32_t model) const
+                                        PartKind kind, uint32_t model) const
 {
     drs_assert(m < machines_.size(), "service on unknown machine");
     // The query splits into ceil(size / batch) requests that run on
@@ -159,9 +157,8 @@ AdmissionController::partServiceSeconds(size_t m, uint32_t size,
         std::ceil(static_cast<double>(size) / static_cast<double>(b));
     const double parallelism = std::min(coresOf(m), requests);
     const size_t req_batch = std::min<size_t>(size, b);
-    const PartSpec part{.embFraction = emb_fraction,
-                        .leader = include_dense,
-                        .whole = emb_fraction >= 1.0 && include_dense,
+    const PartSpec part{.embFraction = embShare,
+                        .kind = kind,
                         .model = model};
     const double work = requests *
         machine.serviceSeconds(part, std::max<size_t>(1, req_batch),
@@ -171,16 +168,14 @@ AdmissionController::partServiceSeconds(size_t m, uint32_t size,
 
 double
 AdmissionController::bestServiceSeconds(const ClusterView& view,
-                                        uint32_t size, double emb_fraction,
-                                        bool include_dense,
+                                        uint32_t size, PartKind kind,
                                         uint32_t model) const
 {
     double best = std::numeric_limits<double>::infinity();
     const size_t n = view.numMachines();
     for (size_t m = 0; m < n; ++m) {
         if (view.accepting(m))
-            best = std::min(best, partServiceSeconds(m, size, emb_fraction,
-                                                     include_dense, model));
+            best = std::min(best, partServiceSeconds(m, size, kind, model));
     }
     return best;
 }
@@ -197,22 +192,17 @@ AdmissionController::serviceAndHopSeconds(uint32_t size,
         net.oneWaySeconds(samples * net.responseBytesPerSample);
     if (embShare >= 1.0) {
         // Unsharded: one round trip around one whole-query service.
-        return fwd + bestServiceSeconds(view, size, embShare, true, model) +
-            ret;
-    }
-    if (joinModel == JoinModel::TwoStage) {
-        // Sharded two-stage: embedding-only parts, the pooled-
-        // embedding hop to the leader, then the dense phase (its
-        // queue wait is in queueWaitSeconds).
-        const double embHop =
-            net.oneWaySeconds(samples * net.embeddingBytesPerSample);
         return fwd +
-            bestServiceSeconds(view, size, embShare, false, model) +
-            embHop + bestServiceSeconds(view, size, 0.0, true, model) + ret;
+            bestServiceSeconds(view, size, PartKind::Whole, model) + ret;
     }
-    // Optimistic join: the leader part (local embedding share plus
-    // dense, the longest per-machine path) bounds the join.
-    return fwd + bestServiceSeconds(view, size, embShare, true, model) +
+    // Sharded: embedding parts, the pooled-embedding hop to the
+    // leader, then the dense phase (its queue wait is in
+    // queueWaitSeconds).
+    const double embHop =
+        net.oneWaySeconds(samples * net.embeddingBytesPerSample);
+    return fwd +
+        bestServiceSeconds(view, size, PartKind::Embedding, model) +
+        embHop + bestServiceSeconds(view, size, PartKind::Dense, model) +
         ret;
 }
 

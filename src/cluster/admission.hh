@@ -34,14 +34,14 @@
  * queue-cost sum (MachineEngine::queuedCostSeconds via
  * ClusterView::queuedCostSeconds) — every queued request priced
  * through the machine's own cost model at enqueue — plus the
- * committed-but-unqueued TwoStage join phases the machine already
+ * committed-but-unqueued join phases the machine already
  * owes (ClusterView::pendingJoinCostSeconds), which the controller
  * divides by the core pool for a drain-time estimate.
  *
  * Deadline admission prices the **full critical path** of the query
  * shape the tier actually serves. Unsharded: forward hop + mean
- * accepting backlog + service + return hop. Sharded under the
- * TwoStage join (the default), the query visits a queue *twice* —
+ * accepting backlog + service + return hop. Sharded, the query
+ * visits a queue *twice* —
  * fan-out embedding parts first, then the leader's dense phase after
  * the pooled embeddings join — so the estimate is forward hop +
  * slowest-shard first-visit backlog + embedding-part service +
@@ -323,20 +323,15 @@ class AdmissionController
      * @param network the tier's hop model, so response-time estimates
      *        price the forward/embedding/return hops a query pays
      *        (default: the historical zero-cost router)
-     * @param join the tier's join model — under TwoStage (the
-     *        default) a sharded query's estimate prices the leader's
-     *        second queue visit for the dense phase
      */
     AdmissionController(const OverloadConfig& config,
                         const std::vector<SimConfig>& machines,
                         double embeddingShare = 1.0,
-                        const NetworkConfig& network = {},
-                        JoinModel join = JoinModel::TwoStage);
+                        const NetworkConfig& network = {});
 
     /** A temporary machine list would dangle. */
     AdmissionController(const OverloadConfig&, std::vector<SimConfig>&&,
-                        double = 1.0, const NetworkConfig& = {},
-                        JoinModel = JoinModel::TwoStage) = delete;
+                        double = 1.0, const NetworkConfig& = {}) = delete;
 
     /**
      * Decide @p query's fate against the live @p view, in which at
@@ -361,9 +356,9 @@ class AdmissionController
     /**
      * Total projected queue-wait seconds of the critical path: mean
      * accepting backlog on an unsharded tier; the worst accepting
-     * backlog on a sharded tier — **twice** under the TwoStage join,
-     * since the query waits once for its fan-out parts and once more
-     * when the leader's dense phase re-enters the queue (projected at
+     * backlog on a sharded tier — **twice**, since the query waits
+     * once for its fan-out parts and once more when the leader's
+     * dense phase re-enters the queue (projected at
      * the current worst backlog — the steady-overload equilibrium the
      * admission loop itself maintains). This over the deadline is the
      * pressure signal of both admission and degrade.
@@ -386,18 +381,17 @@ class AdmissionController
     }
 
     /**
-     * Estimated service seconds of a @p size-sample part of the given
-     * shape on machine @p m (batch-split across the core pool).
+     * Estimated service seconds of a @p size-sample part of kind
+     * @p kind on machine @p m (batch-split across the core pool); an
+     * Embedding part serves the tier's per-machine share.
      */
-    double partServiceSeconds(size_t m, uint32_t size,
-                              double emb_fraction, bool include_dense,
+    double partServiceSeconds(size_t m, uint32_t size, PartKind kind,
                               uint32_t model = 0) const;
 
-    /** Cheapest accepting machine's price for a part shape of mix
+    /** Cheapest accepting machine's price for a part kind of mix
      *  model @p model; every machine binds the whole mix. */
     double bestServiceSeconds(const ClusterView& view, uint32_t size,
-                              double emb_fraction, bool include_dense,
-                              uint32_t model = 0) const;
+                              PartKind kind, uint32_t model = 0) const;
 
     /** Worst accepting machine's backlogSeconds. */
     double worstBacklogSeconds(const ClusterView& view) const;
@@ -405,7 +399,7 @@ class AdmissionController
     /**
      * The service and network terms of the response estimate of a
      * @p size-sample query of mix model @p model (see the file
-     * comment for the three shapes); queueWaitSeconds plus this
+     * comment for the two shapes); queueWaitSeconds plus this
      * against the class budget is the deadline admission test.
      */
     double serviceAndHopSeconds(uint32_t size, const ClusterView& view,
@@ -416,9 +410,6 @@ class AdmissionController
 
     /** Hop model of the tier (zero-cost by default). */
     NetworkConfig net;
-
-    /** Join model of the tier (prices the second visit iff TwoStage). */
-    JoinModel joinModel = JoinModel::TwoStage;
 };
 
 } // namespace deeprecsys

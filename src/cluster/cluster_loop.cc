@@ -99,27 +99,11 @@ ClusterLoop::startPart(uint64_t part_id, double now)
     PartRec& part = q.parts[posOfPart(part_id)];
     if (obs)
         part.start = now;
-    PartSpec spec;
-    spec.partIdx = part_id;
-    spec.samples = q.size;
-    spec.model = q.model;
-    switch (part.kind) {
-      case PartRec::Kind::Whole:
-        break;    // full-model path, offload-eligible
-      case PartRec::Kind::FanEmb:
-        // Local embedding share only. Under the optimistic join the
-        // leader also runs its dense stacks concurrently here; under
-        // TwoStage the dense work waits for the join.
-        spec.embFraction = part.embFraction;
-        spec.leader = cfg.join == JoinModel::Optimistic && part.leader;
-        spec.whole = false;
-        break;
-      case PartRec::Kind::FanDense:
-        spec.embFraction = 0.0;
-        spec.leader = true;
-        spec.whole = false;
-        break;
-    }
+    const PartSpec spec{.partIdx = part_id,
+                        .samples = q.size,
+                        .embFraction = part.embFraction,
+                        .kind = part.kind,
+                        .model = q.model};
     const uint32_t m = part.machine;
     scheduled.clear();
     view.engine(m).admit(spec, now, scheduled);
@@ -185,7 +169,7 @@ ClusterLoop::finishPart(uint64_t part_id, double now, bool gpu)
         // Every finishing leader part stamps its query, a ghost of a
         // dispatch that failed over included.
         if (part.leader)
-            (part.kind == PartRec::Kind::FanDense ? q.stamps.join
+            (part.kind == PartKind::Dense ? q.stamps.join
                                                   : q.stamps.leader) = times;
     }
     view.flightSub(part.machine, "completion with nothing in flight");
@@ -197,7 +181,7 @@ ClusterLoop::finishPart(uint64_t part_id, double now, bool gpu)
 }
 
 // A finished part's answer travels on: pooled embeddings to the
-// leader (TwoStage fan-out), scores to the router otherwise.
+// leader (a fan-out's embedding parts), scores to the router otherwise.
 void
 ClusterLoop::deliverPart(uint64_t part_id, double now)
 {
@@ -222,8 +206,7 @@ ClusterLoop::deliverPart(uint64_t part_id, double now)
         }
     }
 
-    if (part.kind == PartRec::Kind::FanEmb &&
-        cfg.join == JoinModel::TwoStage) {
+    if (part.kind == PartKind::Embedding) {
         // The dense phase starts once the last part (the leader's own
         // hop-free) lands. Its push may move q.parts, so nothing reads
         // part after it.
@@ -238,7 +221,7 @@ ClusterLoop::deliverPart(uint64_t part_id, double now)
             return;
         q.partsLeft = 1;    // the dense phase itself
         const uint64_t dense_id = pushPart(
-            query, {.machine = q.machine, .kind = PartRec::Kind::FanDense,
+            query, {.machine = q.machine, .kind = PartKind::Dense,
                     .embFraction = 0.0, .gen = q.gen});
         // The leader may already be draining; its join phase is
         // in-flight work and still runs there.
@@ -253,8 +236,7 @@ ClusterLoop::deliverPart(uint64_t part_id, double now)
         return;
     }
 
-    // Whole parts, optimistic fan-out parts, and dense phases all
-    // return scores to the router and join there.
+    // Whole parts and dense phases return scores to the router.
     const double back = cfg.network.oneWaySeconds(
         static_cast<double>(q.size) * cfg.network.responseBytesPerSample);
     q.joinTime = std::max(q.joinTime, now + back);
@@ -378,7 +360,7 @@ ClusterLoop::hedgeQuery(uint64_t query, double now)
         PartRec& orig = q.parts[pos];
         if (orig.done || orig.cancelled || orig.leader ||
             orig.partner != PartRec::kNoPartner ||
-            orig.kind != PartRec::Kind::FanEmb)
+            orig.kind != PartKind::Embedding)
             continue;
         const uint32_t src = orig.machine;
         const std::vector<uint32_t>& tables = orig.tables;
@@ -388,7 +370,7 @@ ClusterLoop::hedgeQuery(uint64_t query, double now)
         const uint32_t to = static_cast<uint32_t>(best);
         orig.partner = static_cast<uint32_t>(q.parts.size());
         const uint64_t dup_id = pushPart(
-            query, {.machine = to, .kind = PartRec::Kind::FanEmb,
+            query, {.machine = to, .kind = PartKind::Embedding,
                     .embFraction = orig.embFraction, .partner = pos,
                     .leader = false, .hedged = true, .tables = tables,
                     .gen = q.gen});
@@ -547,8 +529,8 @@ ClusterLoop::present(uint64_t query, double now)
 
         const uint64_t part_id = pushPart(
             query, {.machine = m,
-                    .kind = plan.size() == 1 ? PartRec::Kind::Whole
-                                             : PartRec::Kind::FanEmb,
+                    .kind = plan.size() == 1 ? PartKind::Whole
+                                             : PartKind::Embedding,
                     .embFraction = target.embFraction,
                     .leader = target.leader,
                     .tables = hedgeOn ? std::move(target.tables)
@@ -563,17 +545,17 @@ ClusterLoop::present(uint64_t query, double now)
         }
     }
     drs_assert(leaders == 1, "plan needs exactly one leader");
-    if (plan.size() > 1 && cfg.join == JoinModel::TwoStage) {
+    if (plan.size() > 1) {
         pendingJoins[q.machine]++;
         q.joinLeadership = true;
-    }
-    // Commit the leader's future dense phase to the estimator's
-    // second-order backlog (released exactly once, see
-    // releaseJoinCost).
-    if (trackJoinCost && plan.size() > 1) {
-        q.joinCost =
-            view.engine(q.machine).joinPhaseCostSeconds(served.size, q.model);
-        view.addJoinCost(q.machine, q.joinCost);
+        // Commit the leader's future dense phase to the estimator's
+        // second-order backlog (released exactly once, see
+        // releaseJoinCost).
+        if (admission) {
+            q.joinCost = view.engine(q.machine).joinPhaseCostSeconds(
+                served.size, q.model);
+            view.addJoinCost(q.machine, q.joinCost);
+        }
     }
     // Arm the tail-at-scale hedge for fanned-out dispatches; the check
     // goes stale if the query completes or fails first.
@@ -727,7 +709,7 @@ ClusterLoop::releaseRow(const QueryState& q)
 {
     std::vector<uint32_t> row;
     for (const PartRec& part : q.parts) {
-        if (part.kind != PartRec::Kind::FanDense)
+        if (part.kind != PartKind::Dense)
             row.push_back(part.machine);
     }
     if (q.traceIdx != nextRow) {
@@ -790,9 +772,7 @@ ClusterLoop::run()
         // not priced as if one machine ran the whole model.
         const double share =
             cfg.sharding ? 1.0 / static_cast<double>(n) : 1.0;
-        admission.emplace(cfg.overload, cfg.machines, share, cfg.network,
-                          cfg.join);
-        trackJoinCost = cfg.join == JoinModel::TwoStage;
+        admission.emplace(cfg.overload, cfg.machines, share, cfg.network);
         // Per-class accounting rides with deadline/goodput accounting.
         if (cfg.overload.deadlineSeconds > 0.0)
             result.overload.perClass.resize(cfg.overload.priorityClasses);

@@ -113,7 +113,7 @@ class ClusterLoop final
     ClusterView view;
 
     /**
-     * Fanned-out TwoStage queries led by each machine whose dense
+     * Fanned-out queries led by each machine whose dense
      * join phase has not been admitted yet: between the leader's own
      * embedding part finishing and the last remote part landing, the
      * leader holds no engine work and inFlight can read 0, yet it
@@ -203,13 +203,13 @@ class ClusterLoop final
     std::vector<uint16_t> latencyModel;
 
     /**
-     * Keep the view's committed-but-unqueued TwoStage join-phase cost
-     * per machine: each phase's MachineEngine::joinPhaseCostSeconds,
-     * stored on its QueryState at fan-out dispatch and released when
-     * the phase is admitted or killed. Only when the admission
-     * estimator reads it.
+     * The admission estimator, when overload control is on. Only then
+     * does the view keep each machine's committed-but-unqueued
+     * join-phase cost: each phase's
+     * MachineEngine::joinPhaseCostSeconds, stored on its QueryState
+     * at fan-out dispatch and released when the phase is admitted or
+     * killed.
      */
-    bool trackJoinCost = false;
     std::optional<AdmissionController> admission;
 
     // Fault state: identity values on the fault-free path.

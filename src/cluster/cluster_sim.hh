@@ -24,15 +24,12 @@
  * When the cluster carries a ShardingConfig, a shard-aware policy may
  * fan a query out into parts, one per machine of a replica cover of
  * its embedding tables; each part pays a forward network hop and runs
- * its local share of the embedding work. How the parts rejoin is the
- * JoinModel: the historical Optimistic model ran the leader's dense
- * stacks concurrently with the remote lookups and joined at the
- * router; the default TwoStage model makes the leader *wait* — remote
- * parts ship their pooled embeddings back to the leader, and only
- * then does the leader run the dense/interaction/predict stacks as a
- * second service phase, since the top MLP really consumes the pooled
- * remote embeddings. Whole-query dispatches pay a single round trip
- * either way, so a non-zero NetworkConfig prices the router tier even
+ * its local share of the embedding work. The parts then join at the
+ * leader: remote parts ship their pooled embeddings back to it, and
+ * only then does the leader run the dense/interaction/predict stacks
+ * as a second service phase, since the top MLP consumes the pooled
+ * remote embeddings (network.hh). Whole-query dispatches pay a single
+ * round trip, so a non-zero NetworkConfig prices the router tier even
  * without sharding.
  *
  * Units: all times in this header are **seconds** unless the member
@@ -72,7 +69,8 @@ struct ClusterConfig
     /** Router->machine hop model (zero-cost by default). */
     NetworkConfig network;
 
-    /** Join dependency model for sharded fan-out. */
+    /** Read by nothing: kept only for perfbench's fleet_day, which
+     *  writes it (see JoinModel); deleted with that write. */
     JoinModel join = JoinModel::TwoStage;
 
     /**
@@ -160,7 +158,7 @@ struct MachineStats
     uint64_t queriesCompleted = 0;     ///< finished (incl. warmup)
     uint64_t requestsDispatched = 0;   ///< CPU requests issued
     uint64_t remoteParts = 0;          ///< non-leader shard parts served
-    uint64_t joinPhases = 0;           ///< TwoStage dense phases led here
+    uint64_t joinPhases = 0;           ///< join (dense) phases led here
     uint64_t embBytesStored = 0;       ///< resident embedding shards
     double busyCoreSeconds = 0;
     double gpuBusySeconds = 0;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Network and join-model configuration of the cluster tier.
+ * Network configuration of the cluster tier: the hop model every
+ * dispatch, part and pooled-embedding transfer pays.
  *
  * Extracted from cluster_sim.hh so the admission controller
  * (cluster/admission.hh) can price forward/return/embedding hops in
@@ -38,7 +39,7 @@ struct NetworkConfig
 
     /**
      * Pooled embedding state a remote shard part ships to its leader
-     * per candidate sample (TwoStage join only): the summed embedding
+     * per candidate sample (fan-out only): the summed embedding
      * vectors the top MLP consumes, far heavier than the final scores.
      */
     static constexpr double embeddingBytesPerSample = 256.0;
@@ -55,39 +56,20 @@ struct NetworkConfig
 };
 
 /**
- * How a fanned-out query's parts rejoin (single-part dispatches are
- * unaffected — they complete on their one part's return hop).
+ * How a fanned-out query's parts rejoin. There is one join: remote
+ * parts ship pooled embeddings to the leader (embeddingBytesPerSample
+ * hop); once the last part lands the leader runs the
+ * dense/interaction/predict stacks as a second service phase, then
+ * returns scores to the router.
+ *
+ * Kept, with ClusterConfig::join, only because perfbench's fleet_day
+ * writes `cluster.join = JoinModel::TwoStage`. Once that line goes,
+ * delete this enum and the field.
  */
 enum class JoinModel
 {
-    /**
-     * Historical model: the leader's dense stacks run concurrently
-     * with the remote embedding lookups and every part returns to the
-     * router independently; the query completes when the slowest part
-     * lands. Optimistic, since the top MLP cannot actually start
-     * before the pooled remote embeddings arrive.
-     */
-    Optimistic,
-
-    /**
-     * Faithful model (default): remote parts ship pooled embeddings
-     * to the leader (embeddingBytesPerSample hop); once the last part
-     * lands the leader runs the dense/interaction/predict stacks as a
-     * second service phase, then returns scores to the router.
-     */
     TwoStage,
 };
-
-/** Name for printing. */
-inline const char*
-joinModelName(JoinModel model)
-{
-    switch (model) {
-      case JoinModel::Optimistic: return "optimistic";
-      case JoinModel::TwoStage: return "two-stage";
-    }
-    return "?";
-}
 
 } // namespace deeprecsys
 

@@ -23,6 +23,7 @@
 
 #include "base/logging.hh"
 #include "obs/observer.hh"
+#include "sim/machine_engine.hh"
 
 namespace deeprecsys {
 
@@ -31,12 +32,9 @@ struct PartRec
 {
     uint32_t machine = 0;
 
-    enum class Kind
-    {
-        Whole,     ///< single-part dispatch (full replica path)
-        FanEmb,    ///< fan-out embedding phase (local lookups only)
-        FanDense,  ///< TwoStage second phase: leader dense stacks
-    } kind = Kind::Whole;
+    /** Whole for a single-part dispatch; a fan-out's embedding parts,
+     *  then its leader's dense phase. */
+    PartKind kind = PartKind::Whole;
 
     double embFraction = 1.0;  ///< local share of the embedding work
     double start = 0;          ///< machine admission time (observer only)
@@ -146,13 +144,13 @@ struct QueryState
 
     double arrival = 0;
     double joinTime = 0;      ///< latest part completion + return hop
-    double leaderReady = 0;   ///< TwoStage: last pooled part at leader
+    double leaderReady = 0;   ///< fan-out: last pooled part at leader
     double quality = 1.0;     ///< answer quality (< 1 when degraded)
     /**
-     * The dispatch's committed TwoStage join-phase price (0 when
-     * none): added to the leader's pending join cost in the tier's
-     * ClusterView at fan-out and released exactly once (JoinPhase
-     * admission or kill).
+     * The dispatch's committed join-phase price (0 when none, or
+     * when no admission estimator reads it): added to the leader's
+     * pending join cost in the tier's ClusterView at fan-out and
+     * released exactly once (JoinPhase admission or kill).
      */
     double joinCost = 0;
     uint32_t firstPart = 0;   ///< position of this dispatch's first part
@@ -180,7 +178,7 @@ struct QueryState
     obs::QueryStamps stamps;
 
     bool measured = true;
-    /** The leader owes a pendingJoins release (TwoStage fan-out). */
+    /** The leader owes a pendingJoins release (fan-out). */
     bool joinLeadership = false;
     /** Completed, finally dropped or lost: no new work will start. */
     bool settled = false;

@@ -121,15 +121,15 @@ class ClusterView
 
     /**
      * Engine-exact committed second-visit work on machine @p m:
-     * service seconds of the TwoStage dense join phases this machine
+     * service seconds of the dense join phases this machine
      * already owes for in-flight fanned-out queries it leads but has
      * not admitted to its queue yet — the window between fan-out
      * dispatch and the last pooled part landing, during which the
      * queue-cost sum cannot see the phase. A new arrival queues
      * behind this work too, so the admission controller adds it to
      * its backlog estimate (the second-order term of the two-stage
-     * critical path). 0 unless the loop tracks it (TwoStage tiers
-     * with overload control).
+     * critical path). 0 unless the loop tracks it (tiers with
+     * overload control).
      */
     double pendingJoinCostSeconds(size_t m) const { return joinCost_[m]; }
 

@@ -49,7 +49,6 @@ placementStrategyName(PlacementStrategy strategy)
 {
     switch (strategy) {
       case PlacementStrategy::GreedyBySize:      return "greedy-by-size";
-      case PlacementStrategy::RoundRobin:        return "round-robin";
       case PlacementStrategy::HotColdReplicated: return "hot-cold-replicated";
     }
     return "unknown";
@@ -60,7 +59,6 @@ allPlacementStrategies()
 {
     static const std::vector<PlacementStrategy> strategies = {
         PlacementStrategy::GreedyBySize,
-        PlacementStrategy::RoundRobin,
         PlacementStrategy::HotColdReplicated,
     };
     return strategies;
@@ -188,17 +186,6 @@ ShardPlacement::build(const std::vector<EmbeddingTableInfo>& tables,
     switch (spec.strategy) {
       case PlacementStrategy::GreedyBySize:
         place_greedy(bySizeDesc(tables));
-        break;
-
-      case PlacementStrategy::RoundRobin:
-        for (size_t idx = 0; idx < tables.size(); idx++) {
-            const EmbeddingTableInfo& t = tables[idx];
-            for (size_t probe = 0; probe < machines; probe++) {
-                const size_t m = (idx + probe) % machines;
-                if (p.assign(t.id, m, t.bytes, budget_bytes))
-                    break;
-            }
-        }
         break;
 
       case PlacementStrategy::HotColdReplicated: {

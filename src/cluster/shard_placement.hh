@@ -11,9 +11,9 @@
  * whenever a query's tables span machines. This header models that
  * decision: which tables live where (ShardPlacement), which tables a
  * query touches (tablesOfQuery), and the strategies that trade memory
- * per machine against fan-out — greedy-by-size bin packing,
- * round-robin striping, and hot/cold replication that keeps popular
- * tables on every machine so only the cold tail pays remote hops.
+ * per machine against fan-out — greedy-by-size bin packing and
+ * hot/cold replication that keeps popular tables on every machine so
+ * only the cold tail pays remote hops.
  *
  * Units: table and budget sizes are in **bytes**; popularity weights
  * are dimensionless and sum to 1 across a table set.
@@ -61,10 +61,6 @@ enum class PlacementStrategy
     /** Largest table first onto the machine with the most free bytes
      *  (LPT bin packing); one copy of each table. */
     GreedyBySize,
-
-    /** Table i onto machine i mod M (next fitting machine when the
-     *  budget is short); one copy of each table. */
-    RoundRobin,
 
     /** Replicate the most popular tables onto every machine within
      *  half of each budget, then greedy-place the cold remainder with

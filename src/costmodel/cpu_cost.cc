@@ -133,23 +133,27 @@ CpuCostModel::requestSeconds(size_t batch, size_t active_cores) const
 }
 
 double
-CpuCostModel::partialRequestSeconds(size_t batch, size_t active_cores,
-                                    double emb_fraction,
-                                    bool include_dense) const
+CpuCostModel::embeddingShareSeconds(size_t batch, size_t active_cores,
+                                    double emb_fraction) const
 {
     drs_assert(batch >= 1, "request batch must be >= 1");
     drs_assert(emb_fraction >= 0.0 && emb_fraction <= 1.0,
                "embedding fraction must be in [0, 1]");
     const size_t a = std::min(std::max<size_t>(active_cores, 1),
                               platform_.cores);
-    double seconds = params_.requestOverheadS +
-                     emb_fraction * embeddingSeconds(batch, a);
-    if (include_dense) {
-        seconds += params_.perSampleOverheadS *
-                       static_cast<double>(batch) +
-                   fcSeconds(batch, a) + sequenceSeconds(batch, a);
-    }
-    return seconds;
+    return params_.requestOverheadS +
+           emb_fraction * embeddingSeconds(batch, a);
+}
+
+double
+CpuCostModel::densePhaseSeconds(size_t batch, size_t active_cores) const
+{
+    drs_assert(batch >= 1, "request batch must be >= 1");
+    const size_t a = std::min(std::max<size_t>(active_cores, 1),
+                              platform_.cores);
+    return params_.requestOverheadS +
+           (params_.perSampleOverheadS * static_cast<double>(batch) +
+            fcSeconds(batch, a) + sequenceSeconds(batch, a));
 }
 
 } // namespace deeprecsys

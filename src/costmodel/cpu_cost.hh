@@ -91,17 +91,22 @@ class CpuCostModel
     double requestSeconds(size_t batch, size_t active_cores) const;
 
     /**
-     * Service seconds for the shard-local share of one request when
-     * the model's embedding tables are spread over machines: the
-     * fixed dispatch overhead plus @p emb_fraction of the embedding
-     * gather work, plus — on the shard leader only
-     * (@p include_dense) — the per-sample marshalling and the full
-     * FC/sequence compute. With emb_fraction 1 and include_dense
-     * true this equals requestSeconds().
+     * Service seconds for one request of a fan-out embedding part,
+     * when the model's embedding tables are spread over machines: the
+     * fixed dispatch overhead plus @p emb_fraction (in [0, 1]) of the
+     * embedding gather work.
      */
-    double partialRequestSeconds(size_t batch, size_t active_cores,
-                                 double emb_fraction,
-                                 bool include_dense) const;
+    double embeddingShareSeconds(size_t batch, size_t active_cores,
+                                 double emb_fraction) const;
+
+    /**
+     * Service seconds for one request of the leader's dense phase
+     * once the pooled embeddings have joined: the fixed dispatch
+     * overhead plus the per-sample marshalling and the full
+     * FC/sequence compute. An embedding share at fraction 1 plus a
+     * dense phase is a whole request plus one more overhead.
+     */
+    double densePhaseSeconds(size_t batch, size_t active_cores) const;
 
     /** FC component of the service time. */
     double fcSeconds(size_t batch, size_t active_cores) const;

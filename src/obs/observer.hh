@@ -117,7 +117,7 @@ struct QueryStamps
 {
     double dispatch = 0;   ///< when the router last dispatched it
     PartTimes leader;      ///< the leader's whole or embedding part
-    PartTimes join;        ///< the leader's TwoStage join phase
+    PartTimes join;        ///< the leader's join (dense) phase
 };
 
 /**

@@ -115,12 +115,20 @@ SimConfig::serviceSeconds(const PartSpec& part, size_t batch, bool on_gpu,
     const ModelService& binding = bindings[part.model];
     if (on_gpu)
         return binding.gpu->querySeconds(batch) * slowdown;
-    return (part.whole
-                ? binding.cpu.requestSeconds(batch, busy_cores)
-                : binding.cpu.partialRequestSeconds(batch, busy_cores,
-                                                    part.embFraction,
-                                                    part.leader)) *
-           slowdown;
+    double seconds = 0.0;
+    switch (part.kind) {
+      case PartKind::Whole:
+        seconds = binding.cpu.requestSeconds(batch, busy_cores);
+        break;
+      case PartKind::Embedding:
+        seconds = binding.cpu.embeddingShareSeconds(batch, busy_cores,
+                                                    part.embFraction);
+        break;
+      case PartKind::Dense:
+        seconds = binding.cpu.densePhaseSeconds(batch, busy_cores);
+        break;
+    }
+    return seconds * slowdown;
 }
 
 double
@@ -129,9 +137,7 @@ MachineEngine::joinPhaseCostSeconds(uint32_t samples, uint32_t model) const
     drs_assert(samples >= 1, "join phase needs samples");
     drs_assert(cfg->servesModel(model), "join phase for an unserved model");
     const PartSpec phase{.samples = samples,
-                         .embFraction = 0.0,
-                         .leader = true,
-                         .whole = false,
+                         .kind = PartKind::Dense,
                          .model = model};
     double cost = 0.0;
     cfg->bindings[model].policy.forEachRequest(samples, [&](uint32_t take) {
@@ -200,7 +206,7 @@ MachineEngine::admit(const PartSpec& part, double now,
     book.firstStart = -1.0;   // slots are recycled; reset the stamp
     book.active = true;
 
-    if (part.whole)
+    if (part.kind == PartKind::Whole)
         totalSamples_ += part.samples;
     // Batch formation and offload follow the part's own model
     // binding; the query is the batch-split source, so requests never
@@ -208,7 +214,7 @@ MachineEngine::admit(const PartSpec& part, double now,
     // Each queued item is priced once, here; dispatch subtracts the
     // stored price.
     const SchedulerPolicy& sched = cfg->bindings[part.model].policy;
-    const bool offload = part.whole && sched.gpuEnabled &&
+    const bool offload = part.kind == PartKind::Whole && sched.gpuEnabled &&
         part.samples >= sched.gpuQueryThreshold;
     if (offload) {
         gpuSamples_ += part.samples;

@@ -17,10 +17,10 @@
  * drivers to bit-identical results.
  *
  * The engine's unit of work is a **part**: a machine-local share of a
- * query. A whole-query dispatch is one part with embFraction 1; a
- * sharded fan-out admits one part per machine of the replica cover;
- * the two-stage join admits a second, dense-only leader part once the
- * remote embedding parts have returned. Parts carry a driver-chosen
+ * query, priced by its PartKind. A whole-query dispatch is one Whole
+ * part; a sharded fan-out admits one embedding part per machine of the
+ * replica cover, and the join admits a dense part on the leader once
+ * the embedding parts have returned. Parts carry a driver-chosen
  * opaque id the engine never interprets, echoed in every event; the
  * engine additionally stamps events with its internal slab *slot* so
  * completions index book-keeping directly (no hashing on the per-event
@@ -79,6 +79,18 @@ struct SchedulerPolicy
     }
 };
 
+/**
+ * The price shape of a part: what share of the model's work it runs.
+ * Only a whole part may offload to the accelerator; the two fan-out
+ * kinds always run on the core pool.
+ */
+enum class PartKind
+{
+    Whole,      ///< the full model: every embedding gather and stack
+    Embedding,  ///< a fan-out share: embFraction of the gathers only
+    Dense,      ///< the join phase: the leader's dense + predict stacks
+};
+
 /** What one admitted part asks of its machine. */
 struct PartSpec
 {
@@ -88,18 +100,11 @@ struct PartSpec
     /** Candidate samples of the owning query (batch-split source). */
     uint32_t samples = 1;
 
-    /** Share of the query's embedding work resident here, in [0, 1]. */
+    /** Share of the query's embedding work resident here, in [0, 1];
+     *  priced only on an Embedding part. */
     double embFraction = 1.0;
 
-    /** This part also runs the dense + interaction + predict stacks. */
-    bool leader = true;
-
-    /**
-     * Whole-query part: takes the historical full-model cost path and
-     * is eligible for accelerator offload. Shard parts and dense-only
-     * join phases are not whole and always run on the core pool.
-     */
-    bool whole = true;
+    PartKind kind = PartKind::Whole;
 
     /**
      * Mix model this part belongs to (index into the machine's
@@ -165,9 +170,8 @@ struct SimConfig
      * applied, through the binding of the part's model. With
      * @p on_gpu it is the accelerator query of @p batch samples;
      * otherwise one CPU request of @p batch samples while
-     * @p busy_cores cores are busy, this one included. A whole part
-     * takes the full-model path; any other runs its embFraction of the
-     * embedding gathers, plus the dense stacks iff it leads.
+     * @p busy_cores cores are busy, this one included, priced by the
+     * part's kind.
      *
      * Admission, the join phase and the engine's queue estimate price
      * at full contention, cores() (the steady state of a machine deep
@@ -286,8 +290,8 @@ class MachineEngine
      * Estimated service seconds of everything waiting in the two
      * queues, each entry priced once at enqueue through
      * SimConfig::serviceSeconds at full contention. The exact
-     * cost composition of a mixed queue — whole vs shard parts,
-     * leaders vs followers, ragged batches — which no outside-in
+     * cost composition of a mixed queue — whole, embedding and dense
+     * parts, ragged batches — which no outside-in
      * estimate can reconstruct from counts alone. Each entry's stored
      * price is subtracted at dispatch; clamped against ulp-scale
      * residue.
@@ -298,9 +302,9 @@ class MachineEngine
     }
 
     /**
-     * Estimated service seconds of a dense-only TwoStage join phase
-     * of @p samples of mix model @p model on this machine
-     * (embFraction 0, leader, not whole): the model's batch split
+     * Estimated service seconds of a join phase (a Dense part) of
+     * @p samples of mix model @p model on this machine: the model's
+     * batch split
      * priced through SimConfig::serviceSeconds — what the phase
      * will add to queuedCostSeconds when it is admitted. A driver
      * stores the value when a fan-out commits the phase to this

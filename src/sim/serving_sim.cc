@@ -63,7 +63,7 @@ ServingSimulator::run(const QueryTrace& trace)
                 span.onArrival(in.arrivalSeconds);
 
             scheduled.clear();
-            engine.admit({nextArrival, in.size, 1.0, true, true},
+            engine.admit({.partIdx = nextArrival, .samples = in.size},
                          in.arrivalSeconds, scheduled);
             events.pushAll(scheduled, 0);
             nextArrival++;

@@ -40,7 +40,7 @@ tierMix()
     return mix;
 }
 
-/** 8 colocated machines, 2 replicas per table, TwoStage joins, a hot
+/** 8 colocated machines, 2 replicas per table, fan-out joins, a hot
  *  crash + gray plan with failover: every part death path is live. */
 ClusterConfig
 busyTier()
@@ -58,7 +58,6 @@ busyTier()
     cluster.modelMix = mix;
     cluster.network.hopSeconds = 150e-6;
     cluster.network.gigabytesPerSecond = 12.5;
-    cluster.join = JoinModel::TwoStage;
     cluster.faults.crashesPerHour = 900.0;
     cluster.faults.grayPerHour = 240.0;
     cluster.faults.repairSeconds = 0.5;

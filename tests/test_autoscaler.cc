@@ -464,7 +464,7 @@ TEST(Autoscaler, ShardRevalidationRefusesOrphaningDrains)
     for (size_t m = 0; m < n; m++)
         spec.cluster.machines.push_back(memoryMachine(total / 2));
     PlacementSpec placement_spec;
-    placement_spec.strategy = PlacementStrategy::RoundRobin;
+    placement_spec.strategy = PlacementStrategy::GreedyBySize;
     const ShardPlacement placement = ShardPlacement::build(
         tables, machineMemoryBudgets(spec.cluster.machines),
         placement_spec);

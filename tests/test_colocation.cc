@@ -314,9 +314,7 @@ TEST(Colocation, JoinPhaseCostIsTheBacklogItsPartAdds)
         PartSpec dense;
         dense.partIdx = cores;
         dense.samples = samples;
-        dense.embFraction = 0.0;
-        dense.leader = true;
-        dense.whole = false;
+        dense.kind = PartKind::Dense;
         dense.model = model;
         engine.admit(dense, 0.0, out);
         ASSERT_EQ(out.size(), cores) << "the dense part must queue whole";
@@ -497,7 +495,7 @@ TEST(ColocationParallelDiff, JsqAndPo2cRoutingBitwiseAcrossThreadCounts)
 
 /**
  * Six colocated machines with every feature on: a sharded three-model
- * mix under the TwoStage join, deadline admission with degrade,
+ * mix under the two-stage join, deadline admission with degrade,
  * crashes and gray windows, and (when @p hedge) hedged fan-out parts.
  */
 ClusterConfig
@@ -520,7 +518,6 @@ fullStackTier(bool hedge)
     cluster.modelMix = mix;
     cluster.network.hopSeconds = 150e-6;
     cluster.network.gigabytesPerSecond = 12.5;
-    cluster.join = JoinModel::TwoStage;
     cluster.overload.admission = AdmissionKind::Deadline;
     cluster.overload.deadlineSeconds = 0.1;
     cluster.overload.degrade = true;

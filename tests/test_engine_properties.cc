@@ -4,7 +4,7 @@
  * on it: query conservation under fan-out/join, bitwise determinism
  * across repeated runs for every routing policy, tail-latency
  * monotonicity in offered rate (the invariant the max-QPS bisections
- * rely on), and the two-stage join dependency model.
+ * rely on), and one join phase per fanned-out query.
  */
 
 #include <gtest/gtest.h>
@@ -41,37 +41,32 @@ mixedCluster(size_t n)
 
 /** Sharded RMC2 tier whose working sets force fan-out. */
 ClusterConfig
-shardedCluster(size_t n, uint64_t budget, JoinModel join)
+shardedCluster(size_t n, uint64_t budget)
 {
     ClusterConfig cfg = bench::rmc2ShardedTier(n, budget);
-    cfg.join = join;
     cfg.network.hopSeconds = 100e-6;
     return cfg;
 }
 
 // ---------------------------------------------------------- conservation
 
-TEST(EngineProperties, ConservationUnderFanOutJoinBothJoinModels)
+TEST(EngineProperties, ConservationUnderFanOutJoin)
 {
     const QueryTrace trace = makeTrace(2500, 1500.0, 11);
-    for (JoinModel join : {JoinModel::Optimistic, JoinModel::TwoStage}) {
-        SCOPED_TRACE(joinModelName(join));
-        const ClusterConfig cfg = shardedCluster(8, 2 * kGB, join);
-        const ClusterResult r = ClusterSimulator(cfg).run(
-            trace, RoutingSpec{RoutingKind::ShardAware});
+    const ClusterResult r = ClusterSimulator(shardedCluster(8, 2 * kGB))
+        .run(trace, RoutingSpec{RoutingKind::ShardAware});
 
-        EXPECT_EQ(r.numDispatched, trace.size());
-        EXPECT_EQ(r.numCompleted, trace.size());
-        EXPECT_GT(r.meanFanout, 1.0);
-        uint64_t led = 0;
-        uint64_t completed = 0;
-        for (const MachineStats& m : r.perMachine) {
-            led += m.queriesDispatched;
-            completed += m.queriesCompleted;
-        }
-        EXPECT_EQ(led, trace.size());
-        EXPECT_EQ(completed, trace.size());
+    EXPECT_EQ(r.numDispatched, trace.size());
+    EXPECT_EQ(r.numCompleted, trace.size());
+    EXPECT_GT(r.meanFanout, 1.0);
+    uint64_t led = 0;
+    uint64_t completed = 0;
+    for (const MachineStats& m : r.perMachine) {
+        led += m.queriesDispatched;
+        completed += m.queriesCompleted;
     }
+    EXPECT_EQ(led, trace.size());
+    EXPECT_EQ(completed, trace.size());
 }
 
 TEST(EngineProperties, ConservationUnderEveryRoutingPolicy)
@@ -91,8 +86,7 @@ TEST(EngineProperties, TwoStageJoinPhaseAccounting)
 {
     // Exactly one dense phase per fanned-out query, led on the
     // query's leader machine; single-hop queries never pay one.
-    const ClusterConfig cfg = shardedCluster(8, 2 * kGB,
-                                             JoinModel::TwoStage);
+    const ClusterConfig cfg = shardedCluster(8, 2 * kGB);
     const QueryTrace trace = makeTrace(1500, 1200.0, 11);
     const ClusterResult r = ClusterSimulator(cfg).run(
         trace, RoutingSpec{RoutingKind::ShardAware});
@@ -135,20 +129,16 @@ TEST(EngineProperties, BitwiseDeterminismForEveryRoutingPolicy)
     }
 }
 
-TEST(EngineProperties, BitwiseDeterminismShardAwareBothJoinModels)
+TEST(EngineProperties, BitwiseDeterminismShardAware)
 {
     const QueryTrace trace = makeTrace(2000, 1400.0, 11);
-    for (JoinModel join : {JoinModel::Optimistic, JoinModel::TwoStage}) {
-        SCOPED_TRACE(joinModelName(join));
-        const ClusterSimulator sim(shardedCluster(8, 2 * kGB, join));
-        RoutingSpec spec;
-        spec.kind = RoutingKind::ShardAware;
-        const ClusterResult a = sim.run(trace, spec);
-        const ClusterResult b = sim.run(trace, spec);
-        EXPECT_EQ(a.fleetLatencySeconds.raw(),
-                  b.fleetLatencySeconds.raw());
-        EXPECT_EQ(a.partMachinesOfQuery, b.partMachinesOfQuery);
-    }
+    const ClusterSimulator sim(shardedCluster(8, 2 * kGB));
+    RoutingSpec spec;
+    spec.kind = RoutingKind::ShardAware;
+    const ClusterResult a = sim.run(trace, spec);
+    const ClusterResult b = sim.run(trace, spec);
+    EXPECT_EQ(a.fleetLatencySeconds.raw(), b.fleetLatencySeconds.raw());
+    EXPECT_EQ(a.partMachinesOfQuery, b.partMachinesOfQuery);
 }
 
 TEST(EngineProperties, ServingSimulatorBitwiseDeterminism)
@@ -220,67 +210,6 @@ TEST(EngineProperties, FindClusterMaxQpsScalesWithMachines)
     const double large = findClusterMaxQps(four, spec).maxQps;
     ASSERT_GT(small, 0.0);
     EXPECT_GT(large, 1.6 * small);
-}
-
-// ------------------------------------------------------- two-stage join
-
-TEST(EngineProperties, TwoStageJoinNeverFasterThanOptimistic)
-{
-    // Serializing the dense stacks behind the slowest embedding part
-    // can only lengthen fanned-out queries.
-    const QueryTrace trace = makeTrace(2000, 1200.0, 11);
-    RoutingSpec spec;
-    spec.kind = RoutingKind::ShardAware;
-    const ClusterResult optimistic =
-        ClusterSimulator(shardedCluster(8, 2 * kGB,
-                                        JoinModel::Optimistic))
-            .run(trace, spec);
-    const ClusterResult two_stage =
-        ClusterSimulator(shardedCluster(8, 2 * kGB,
-                                        JoinModel::TwoStage))
-            .run(trace, spec);
-    EXPECT_GE(two_stage.meanMs(), optimistic.meanMs());
-    EXPECT_GE(two_stage.p99Ms(), optimistic.p99Ms());
-}
-
-TEST(EngineProperties, JoinModelsAgreeExactlyWithoutFanOut)
-{
-    // Whole-query dispatch never enters the join path, so the two
-    // models must be bit-identical on a shardless cluster.
-    const QueryTrace trace = makeTrace(1500, 8000.0, 11);
-    ClusterConfig optimistic = mixedCluster(6);
-    optimistic.join = JoinModel::Optimistic;
-    ClusterConfig two_stage = mixedCluster(6);
-    two_stage.join = JoinModel::TwoStage;
-    RoutingSpec spec;
-    spec.kind = RoutingKind::PowerOfTwoChoices;
-    const ClusterResult a =
-        ClusterSimulator(optimistic).run(trace, spec);
-    const ClusterResult b =
-        ClusterSimulator(two_stage).run(trace, spec);
-    EXPECT_EQ(a.fleetLatencySeconds.raw(), b.fleetLatencySeconds.raw());
-    EXPECT_EQ(a.machineOfQuery, b.machineOfQuery);
-}
-
-TEST(EngineProperties, TwoStageLeaderHopPricesPooledEmbeddings)
-{
-    // A slower link lengthens every hop, but only the TwoStage join
-    // ships the pooled embeddings to the leader (the leader waits on
-    // the transfer): its fan-out path grows by more than the
-    // optimistic join's, which pays the request and return hops alone.
-    const QueryTrace trace = makeTrace(1200, 1000.0, 11);
-    RoutingSpec spec;
-    spec.kind = RoutingKind::ShardAware;
-    auto slow_link_ms = [&](JoinModel join) {
-        const ClusterConfig fast = shardedCluster(8, 2 * kGB, join);
-        ClusterConfig slow = fast;
-        slow.network.gigabytesPerSecond = 0.05;
-        return ClusterSimulator(slow).run(trace, spec).meanMs() -
-            ClusterSimulator(fast).run(trace, spec).meanMs();
-    };
-    const double optimistic = slow_link_ms(JoinModel::Optimistic);
-    EXPECT_GT(optimistic, 0.0);
-    EXPECT_GT(slow_link_ms(JoinModel::TwoStage), optimistic);
 }
 
 // ------------------------------------------- randomized overload sweep

@@ -314,21 +314,16 @@ TEST(Golden, ClusterRoutingSweepPaths)
 
 TEST(Golden, ShardedFanOutJoinPaths)
 {
-    // The shard_placement_sweep path at one operating point, under
-    // both join models — pins the two-stage fan-out tax.
+    // The shard_placement_sweep path at one operating point — pins
+    // the two-stage fan-out join.
     const QueryTrace trace = makeTrace(5000, 2200.0, 0x5a4d);
 
+    const ClusterConfig cluster = bench::rmc2ShardedTier(8, 2'000'000'000ULL);
+    ASSERT_TRUE(cluster.sharding->placement.feasible());
+    const ClusterResult r = ClusterSimulator(cluster).run(
+        trace, RoutingSpec{RoutingKind::ShardAware});
     GoldenMap measured;
-    for (JoinModel join : {JoinModel::Optimistic, JoinModel::TwoStage}) {
-        ClusterConfig cluster = bench::rmc2ShardedTier(8, 2'000'000'000ULL);
-        ASSERT_TRUE(cluster.sharding->placement.feasible());
-        cluster.join = join;
-
-        const ClusterResult r = ClusterSimulator(cluster).run(
-            trace, RoutingSpec{RoutingKind::ShardAware});
-        measured[std::string("sharded_") + joinModelName(join)] =
-            percentilesOf(r.fleetLatencySeconds);
-    }
+    measured["sharded_two-stage"] = percentilesOf(r.fleetLatencySeconds);
     checkGolden("sharded_join.json", measured);
 }
 

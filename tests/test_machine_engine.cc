@@ -33,9 +33,9 @@ TEST(MachineEngine, AdmissionSplitsIntoCeilRequests)
     const SimConfig cfg = engineConfig(64);
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
-    engine.admit({0, 100, 1.0, true, true}, 0.0, out);
-    engine.admit({1, 64, 1.0, true, true}, 0.0, out);
-    engine.admit({2, 65, 1.0, true, true}, 0.0, out);
+    engine.admit({0, 100}, 0.0, out);
+    engine.admit({1, 64}, 0.0, out);
+    engine.admit({2, 65}, 0.0, out);
     // 100 -> 2 requests, 64 -> 1, 65 -> 2; all dispatch on idle cores.
     EXPECT_EQ(engine.requestsDispatched(), 5u);
     EXPECT_EQ(out.size(), 5u);
@@ -48,7 +48,7 @@ TEST(MachineEngine, QueuedWorkBeyondCoreCount)
     const size_t cores = cfg.cores();
     std::vector<EngineEvent> out;
     const uint32_t samples = static_cast<uint32_t>(2 * cores);
-    engine.admit({0, samples, 1.0, true, true}, 0.0, out);
+    engine.admit({0, samples}, 0.0, out);
     // One request per sample: cores dispatch, the rest queue.
     EXPECT_EQ(engine.requestsDispatched(), cores);
     EXPECT_EQ(engine.queuedWork(), cores);
@@ -61,7 +61,7 @@ TEST(MachineEngine, CompletionDispatchesQueuedRequestFifo)
     MachineEngine engine(&cfg);
     const size_t cores = cfg.cores();
     std::vector<EngineEvent> out;
-    engine.admit({0, static_cast<uint32_t>(cores + 1), 1.0, true, true},
+    engine.admit({0, static_cast<uint32_t>(cores + 1)},
                  0.0, out);
     ASSERT_EQ(out.size(), cores);
     const double t = out.front().time;
@@ -77,7 +77,7 @@ TEST(MachineEngine, PartFinishesOnLastRequest)
     const SimConfig cfg = engineConfig(50);
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
-    engine.admit({7, 100, 1.0, true, true}, 0.0, out);
+    engine.admit({7, 100}, 0.0, out);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].partIdx, 7u);    // driver id echoed alongside slot
     std::vector<EngineEvent> none;
@@ -92,17 +92,17 @@ TEST(MachineEngine, OffloadRequiresWholeAndThreshold)
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
     // Below threshold: CPU path.
-    engine.admit({0, 99, 1.0, true, true}, 0.0, out);
+    engine.admit({0, 99}, 0.0, out);
     EXPECT_TRUE(out.size() >= 1 &&
                 out.back().kind == EngineEvent::Kind::CpuRequest);
     // At threshold and whole: offload.
     out.clear();
-    engine.admit({1, 100, 1.0, true, true}, 0.0, out);
+    engine.admit({1, 100}, 0.0, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out.back().kind, EngineEvent::Kind::GpuQuery);
     // Shard part above threshold: never offloaded.
     out.clear();
-    engine.admit({2, 500, 0.5, false, false}, 0.0, out);
+    engine.admit({2, 500, 0.5, PartKind::Embedding}, 0.0, out);
     ASSERT_FALSE(out.empty());
     EXPECT_EQ(out.back().kind, EngineEvent::Kind::CpuRequest);
 }
@@ -112,8 +112,8 @@ TEST(MachineEngine, GpuServesOneAtATime)
     const SimConfig cfg = engineConfig(64, true, 1);
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
-    engine.admit({0, 200, 1.0, true, true}, 0.0, out);
-    engine.admit({1, 200, 1.0, true, true}, 0.0, out);
+    engine.admit({0, 200}, 0.0, out);
+    engine.admit({1, 200}, 0.0, out);
     ASSERT_EQ(out.size(), 1u);    // second query queues behind the first
     EXPECT_EQ(engine.queuedWork(), 1u);
     std::vector<EngineEvent> next;
@@ -129,8 +129,8 @@ TEST(MachineEngine, GpuSampleAccounting)
     const SimConfig cfg = engineConfig(64, true, 150);
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
-    engine.admit({0, 100, 1.0, true, true}, 0.0, out);
-    engine.admit({1, 300, 1.0, true, true}, 0.0, out);
+    engine.admit({0, 100}, 0.0, out);
+    engine.admit({1, 300}, 0.0, out);
     EXPECT_DOUBLE_EQ(engine.totalSamples(), 400.0);
     EXPECT_DOUBLE_EQ(engine.gpuSamples(), 300.0);
 }
@@ -140,8 +140,8 @@ TEST(MachineEngine, ShardPartsExcludedFromWholeSampleAccounting)
     const SimConfig cfg = engineConfig(64);
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
-    engine.admit({0, 100, 1.0, true, true}, 0.0, out);
-    engine.admit({1, 100, 0.25, false, false}, 0.0, out);
+    engine.admit({0, 100}, 0.0, out);
+    engine.admit({1, 100, 0.25, PartKind::Embedding}, 0.0, out);
     // Only the whole part counts toward query-sample totals: shard
     // parts of the same query must not double-count its samples.
     EXPECT_DOUBLE_EQ(engine.totalSamples(), 100.0);
@@ -152,7 +152,7 @@ TEST(MachineEngine, UtilizationIntegralsAdvanceLazily)
     const SimConfig cfg = engineConfig(256);
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
-    engine.admit({0, 100, 1.0, true, true}, 0.0, out);   // one request
+    engine.admit({0, 100}, 0.0, out);   // one request
     ASSERT_EQ(out.size(), 1u);
     // A read integrates up to its instant without moving the clock.
     EXPECT_DOUBLE_EQ(engine.busyCoreSecondsAt(0.5), 0.5);  // 1 core busy
@@ -168,9 +168,9 @@ TEST(MachineEngine, UtilizationIntegralsAdvanceLazily)
     const SimConfig mixed = engineConfig(32, true, 200);
     auto drive = [](MachineEngine& e, bool read) {
         std::vector<EngineEvent> pending;
-        e.admit({0, 100, 1.0, true, true}, 0.1, pending);   // 4 requests
-        e.admit({1, 300, 1.0, true, true}, 0.1, pending);   // offloaded
-        e.admit({2, 50, 1.0, true, true}, 0.1, pending);    // 2 requests
+        e.admit({0, 100}, 0.1, pending);   // 4 requests
+        e.admit({1, 300}, 0.1, pending);   // offloaded
+        e.admit({2, 50}, 0.1, pending);    // 2 requests
         double last = 0.1;
         while (!pending.empty()) {
             const auto next = std::min_element(
@@ -207,7 +207,7 @@ TEST(MachineEngine, ServiceTimePricedAtDispatchOccupancy)
     const SimConfig cfg = engineConfig(128);
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
-    engine.admit({0, 128, 1.0, true, true}, 0.0, out);
+    engine.admit({0, 128}, 0.0, out);
     ASSERT_EQ(out.size(), 1u);
     // A lone request is priced against one busy core — itself.
     EXPECT_DOUBLE_EQ(out[0].time, cfg.bindings[0].cpu.requestSeconds(128, 1));
@@ -221,8 +221,8 @@ TEST(MachineEngine, SlowdownScalesServiceTimes)
     MachineEngine a(&fast);
     MachineEngine b(&slow);
     std::vector<EngineEvent> oa, ob;
-    a.admit({0, 128, 1.0, true, true}, 0.0, oa);
-    b.admit({0, 128, 1.0, true, true}, 0.0, ob);
+    a.admit({0, 128}, 0.0, oa);
+    b.admit({0, 128}, 0.0, ob);
     EXPECT_NEAR(ob[0].time, 2.0 * oa[0].time, 1e-12);
 }
 
@@ -233,9 +233,9 @@ TEST(MachineEngine, CrashLosesLiveWorkAndResetsTheProcess)
     const size_t cores = cfg.cores();
     std::vector<EngineEvent> out;
     // Saturate the cores and leave a second part queued behind them.
-    engine.admit({5, static_cast<uint32_t>(2 * cores), 1.0, true, true},
+    engine.admit({5, static_cast<uint32_t>(2 * cores)},
                  0.0, out);
-    engine.admit({9, 1, 1.0, true, true}, 0.0, out);
+    engine.admit({9, 1}, 0.0, out);
     ASSERT_EQ(engine.partsInService(), 2u);
     ASSERT_GT(engine.queuedWork(), 0u);
     engine.setServiceFactor(4.0);
@@ -263,7 +263,7 @@ TEST(MachineEngine, CrashLosesLiveWorkAndResetsTheProcess)
 
     // The repaired incarnation serves normally.
     out.clear();
-    engine.admit({11, 1, 1.0, true, true}, 1.0, out);
+    engine.admit({11, 1}, 1.0, out);
     ASSERT_EQ(out.size(), 1u);
     std::vector<EngineEvent> none;
     EXPECT_TRUE(engine.cpuRequestDone(out[0].slot, out[0].partIdx,
@@ -277,16 +277,16 @@ TEST(MachineEngine, ServiceFactorScalesDispatchedTimesOnly)
     MachineEngine gray(&cfg);
     gray.setServiceFactor(4.0);
     std::vector<EngineEvent> oh, og;
-    healthy.admit({0, 128, 1.0, true, true}, 0.0, oh);
-    gray.admit({0, 128, 1.0, true, true}, 0.0, og);
+    healthy.admit({0, 128}, 0.0, oh);
+    gray.admit({0, 128}, 0.0, og);
     ASSERT_EQ(oh.size(), 1u);
     ASSERT_EQ(og.size(), 1u);
     EXPECT_NEAR(og[0].time, 4.0 * oh[0].time, 1e-12);
     // The lie: the estimator-facing backlog price is identical — a
     // gray machine looks exactly as cheap as a healthy one.
     std::vector<EngineEvent> out;
-    healthy.admit({1, 300, 1.0, true, true}, 0.0, out);
-    gray.admit({1, 300, 1.0, true, true}, 0.0, out);
+    healthy.admit({1, 300}, 0.0, out);
+    gray.admit({1, 300}, 0.0, out);
     EXPECT_DOUBLE_EQ(gray.queuedCostSeconds(),
                      healthy.queuedCostSeconds());
     // Health restores for future dispatches.
@@ -315,7 +315,7 @@ TEST(MachineEngineDeath, RejectsStaleAndUnknownSlots)
     const SimConfig cfg = engineConfig();
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
-    engine.admit({0, 10, 1.0, true, true}, 0.0, out);
+    engine.admit({0, 10}, 0.0, out);
     ASSERT_EQ(out.size(), 1u);
     std::vector<EngineEvent> none;
     // A slot the slab never allocated.
@@ -331,7 +331,7 @@ TEST(MachineEngine, SlotsRecycleThroughTheFreeList)
     const SimConfig cfg = engineConfig(64);
     MachineEngine engine(&cfg);
     std::vector<EngineEvent> out;
-    engine.admit({100, 10, 1.0, true, true}, 0.0, out);
+    engine.admit({100, 10}, 0.0, out);
     ASSERT_EQ(out.size(), 1u);
     const uint32_t first_slot = out[0].slot;
     std::vector<EngineEvent> none;
@@ -339,7 +339,7 @@ TEST(MachineEngine, SlotsRecycleThroughTheFreeList)
     // The freed slot is reused for the next admission, and the new
     // part id is echoed — the slab never grows past peak concurrency.
     out.clear();
-    engine.admit({200, 10, 1.0, true, true}, 1.0, out);
+    engine.admit({200, 10}, 1.0, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].slot, first_slot);
     EXPECT_EQ(out[0].partIdx, 200u);

@@ -273,25 +273,24 @@ TEST(QueryWindow, LostQueryOutlivedByItsParts)
     hedged.faults.crashesPerHour = 2400.0;
     hedged.faults.maxFailovers = 0;
     hedged.hedge.delaySeconds = 0.003;
-    // A light optimistic-join tier: no dense phase extends the
-    // query's parts, and the last ghost soon ends a lost query.
-    ClusterConfig light = hedged;
-    light.join = JoinModel::Optimistic;
-    for (const auto& [cfg, trace] :
-         {std::pair{hedged, busyTrace()}, std::pair{light, busyTrace(300.0)}}) {
-        const ClusterResult r = runStatic(cfg, trace);
+    // At the busy rate and at a light one, where the last ghost soon
+    // ends a lost query.
+    const QueryTrace busy = busyTrace();
+    const QueryTrace light = busyTrace(300.0);
+    for (const QueryTrace& trace : {busy, light}) {
+        const ClusterResult r = runStatic(hedged, trace);
         expectConserved(r, trace);
         EXPECT_GT(r.faults.lost, 0u);
         EXPECT_GT(r.faults.hedged, 0u);
         EXPECT_GT(r.faults.hedgeWasted + r.faults.hedgeWins, 0u);
     }
-    // The elastic tier hedges too, on both joins; without hedging its
-    // ghosts are the parts alone.
-    ClusterConfig unhedged = light;
+    // The elastic tier hedges too; without hedging its ghosts are the
+    // parts alone.
+    ClusterConfig unhedged = hedged;
     unhedged.hedge = HedgeConfig{};
     for (const auto& [cfg, trace] :
-         {std::pair{hedged, busyTrace()}, std::pair{light, busyTrace(300.0)},
-          std::pair{unhedged, busyTrace(300.0)}}) {
+         {std::pair{hedged, busy}, std::pair{hedged, light},
+          std::pair{unhedged, light}}) {
         const AutoscaleResult r = runElastic(elasticSpec(cfg), trace);
         expectConserved(r, trace);
         EXPECT_GT(r.faults.lost, 0u);

@@ -308,7 +308,7 @@ TEST(ShardedCluster, DeterministicUnderFixedSeeds)
 TEST(ShardedCluster, MemoryBudgetsNeverExceededInRun)
 {
     const ClusterConfig cfg = shardedCluster(
-        8, 2 * kGB, PlacementStrategy::RoundRobin);
+        8, 2 * kGB, PlacementStrategy::GreedyBySize);
     const ClusterSimulator sim(cfg);
     const ClusterResult r = sim.run(makeTrace(1000, 1000.0, 11), RoutingSpec{
         RoutingKind::ShardAware});
@@ -388,20 +388,23 @@ TEST(PartialRequestSeconds, ConsistentWithFullRequest)
     const CpuCostModel cpu(profile, CpuPlatform::skylake());
     const size_t batch = 128;
     const size_t cores = 4;
-    const double full = cpu.requestSeconds(batch, cores);
-    EXPECT_DOUBLE_EQ(
-        cpu.partialRequestSeconds(batch, cores, 1.0, true), full);
-    const double half = cpu.partialRequestSeconds(batch, cores, 0.5, true);
-    const double quarter =
-        cpu.partialRequestSeconds(batch, cores, 0.25, true);
-    EXPECT_LT(half, full);
+    const double overhead = cpu.params().requestOverheadS;
+    // An embedding share rises with its fraction and always pays the
+    // dispatch overhead.
+    const double none = cpu.embeddingShareSeconds(batch, cores, 0.0);
+    const double quarter = cpu.embeddingShareSeconds(batch, cores, 0.25);
+    const double half = cpu.embeddingShareSeconds(batch, cores, 0.5);
+    const double all = cpu.embeddingShareSeconds(batch, cores, 1.0);
+    EXPECT_GE(none, overhead);
+    EXPECT_LT(none, quarter);
     EXPECT_LT(quarter, half);
-    // A remote (lookup-only) part is cheaper than a leader part at
-    // the same fraction, but still pays the dispatch overhead.
-    const double remote =
-        cpu.partialRequestSeconds(batch, cores, 0.5, false);
-    EXPECT_LT(remote, half);
-    EXPECT_GE(remote, cpu.params().requestOverheadS);
+    EXPECT_LT(half, all);
+    // The whole share plus the dense phase is the whole request with
+    // its overhead paid twice; only the summation order differs, so
+    // they agree to a few ulps.
+    const double split = all + cpu.densePhaseSeconds(batch, cores);
+    const double whole = cpu.requestSeconds(batch, cores) + overhead;
+    EXPECT_NEAR(split, whole, 1e-12 * whole);
 }
 
 } // namespace
